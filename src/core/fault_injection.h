@@ -46,7 +46,7 @@ enum class site {
   queue_push,    ///< report_queue::push / try_push / push_batch (producer edge)
   drain_stall,   ///< sharded_coordinator drain worker, before applying a batch
   server_handle, ///< proto::coordinator_server::handle, before dispatch
-  persist_save,  ///< core::save_coordinator_state, before writing
+  persist_save,  ///< core::save_state, before writing
   accept_fail,   ///< net::tcp_server accept edge: fail closes the new socket
   read_stall,    ///< net session read edge (worker thread: timing-only stall
                  ///< in scenarios, like drain_stall; fail closes the session)

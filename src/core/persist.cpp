@@ -1,30 +1,19 @@
 #include "core/persist.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <initializer_list>
 #include <stdexcept>
 #include <vector>
 
+#include "core/epoch_codec.h"
 #include "core/fault_injection.h"
-#include "core/sharded_coordinator.h"
 
 namespace wiscape::core {
 
 namespace {
 
-geo::zone_id parse_zone(const std::string& s) {
-  const auto colon = s.find(':');
-  if (colon == std::string::npos) {
-    throw std::invalid_argument("bad zone id '" + s + "'");
-  }
-  try {
-    return {std::stoi(s.substr(0, colon)), std::stoi(s.substr(colon + 1))};
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad zone id '" + s + "'");
-  }
-}
+constexpr std::size_t kSpillBytes = 64 * 1024;
 
 void sort_keys(std::vector<estimate_key>& keys) {
   // Deterministic file order: by zone, then network, then metric.
@@ -36,77 +25,84 @@ void sort_keys(std::vector<estimate_key>& keys) {
             });
 }
 
-void write_est(std::ostream& os, const estimate_key& key,
-               const epoch_estimate& est) {
-  char buf[320];
-  // %.17g round-trips IEEE doubles exactly, so load(save(t)) is bit-equal.
-  std::snprintf(buf, sizeof(buf), "EST %s %s %s %.17g %.17g %.17g %zu\n",
-                geo::to_string(key.zone).c_str(), key.network.c_str(),
-                trace::to_string(key.metric).c_str(), est.epoch_start_s,
-                est.mean, est.stddev, est.samples);
-  os << buf;
+/// Writes `buf` into `os` (when there is one) once it holds `at_least`
+/// bytes, so a stream save never holds more than about one spill of text.
+void spill(std::ostream* os, std::string& buf, std::size_t at_least) {
+  if (os == nullptr || buf.size() < at_least) return;
+  os->write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  buf.clear();
 }
 
-void write_open(std::ostream& os, const estimate_key& key,
-                const open_epoch_state& st) {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf), "OPEN %s %s %s %.17g %llu %.17g %.17g\n",
-                geo::to_string(key.zone).c_str(), key.network.c_str(),
-                trace::to_string(key.metric).c_str(), st.open_start_s,
-                static_cast<unsigned long long>(st.n), st.mean, st.m2);
-  os << buf;
+/// Renders every stream of `src` in deterministic key order: its frozen
+/// history, then its open epoch if it has one.
+template <typename Source>
+void render_streams(const Source& src, std::string& out, std::ostream* os) {
+  auto keys = src.keys();
+  sort_keys(keys);
+  for (const auto& key : keys) {
+    for (const auto& est : src.history(key)) {
+      epoch_codec::put_est(out, key, est);
+    }
+    if (const auto open = src.open_state(key)) {
+      epoch_codec::put_open(out, key, *open);
+    }
+    spill(os, out, kSpillBytes);
+  }
 }
 
-/// Parses the shared EST/OPEN body shared by both formats. Returns false if
-/// the line is neither (caller decides whether that's fatal).
-template <typename RestoreEst, typename RestoreOpen>
-bool parse_body_line(const std::string& line, RestoreEst&& restore_est,
-                     RestoreOpen&& restore_open) {
-  std::istringstream ls(line);
-  std::string tag, zone_s, net, metric_s;
-  if (!(ls >> tag >> zone_s >> net >> metric_s)) return false;
-  if (tag == "EST") {
-    epoch_estimate est;
-    if (!(ls >> est.epoch_start_s >> est.mean >> est.stddev >> est.samples)) {
-      throw std::invalid_argument("malformed zone-table line: '" + line + "'");
-    }
-    restore_est(
-        estimate_key{parse_zone(zone_s), net,
-                     trace::metric_from_string(metric_s)},
-        est);
-    return true;
+void render_state(const durable_state& state, std::string& out,
+                  std::ostream* os) {
+  if (fault::fire(fault::site::persist_save) == fault::action::fail) {
+    throw std::runtime_error("injected fault: coordinator snapshot refused");
   }
-  if (tag == "OPEN") {
-    open_epoch_state st;
-    unsigned long long n = 0;
-    if (!(ls >> st.open_start_s >> n >> st.mean >> st.m2)) {
-      throw std::invalid_argument("malformed open-epoch line: '" + line + "'");
-    }
-    st.n = n;
-    restore_open(
-        estimate_key{parse_zone(zone_s), net,
-                     trace::metric_from_string(metric_s)},
-        st);
-    return true;
+  out += "WISCAPE-COORD v2\n";
+  render_streams(state, out, os);
+  epoch_codec::put_alert_seq(out, state.alert_seq());
+  spill(os, out, 0);
+}
+
+/// Checks the header line against `headers`, then hands every body line
+/// to `apply`; a line that does not parse, or that `apply` refuses, throws.
+template <typename Apply>
+void load_lines(epoch_codec::line_reader& in, const std::string& what,
+                std::initializer_list<std::string_view> headers,
+                Apply&& apply) {
+  std::string_view line;
+  if (!in.next(line) ||
+      std::find(headers.begin(), headers.end(), line) == headers.end()) {
+    throw std::invalid_argument("not a " + what + " file (bad header)");
   }
-  return false;
+  epoch_codec::state_line rec;
+  while (in.next(line)) {
+    if (line.empty()) continue;
+    if (!epoch_codec::parse_state_line(line, rec) || !apply(rec)) {
+      throw std::invalid_argument("malformed " + what + " line: '" +
+                                  std::string(line) + "'");
+    }
+  }
+}
+
+void load_state_lines(epoch_codec::line_reader& in, durable_state& state) {
+  using kind = epoch_codec::state_line::kind;
+  load_lines(in, "coordinator-state", {"WISCAPE-COORD v2"},
+             [&](const epoch_codec::state_line& r) {
+               if (r.tag == kind::est) {
+                 state.restore_estimate(r.key, r.est);
+               } else if (r.tag == kind::open) {
+                 state.restore_open(r.key, r.open);
+               } else if (r.alert_seq > 0) {
+                 state.resume_alert_seq(r.alert_seq);
+               }
+               return true;
+             });
 }
 
 }  // namespace
 
 void save_zone_table(std::ostream& os, const zone_table& table) {
-  os << "WISCAPE-ZONETABLE v2\n";
-  auto keys = table.keys();
-  sort_keys(keys);
-  for (const auto& key : keys) {
-    // Non-copying view: the table is not mutated while we stream it out.
-    for (const auto& est : table.history_view(key)) {
-      write_est(os, key, est);
-    }
-    if (const auto open = table.open_state(key)) {
-      write_open(os, key, *open);
-    }
-  }
+  std::string buf = "WISCAPE-ZONETABLE v2\n";
+  render_streams(table, buf, &os);
+  spill(&os, buf, 0);
 }
 
 void save_zone_table_file(const std::string& path, const zone_table& table) {
@@ -116,25 +112,15 @@ void save_zone_table_file(const std::string& path, const zone_table& table) {
 }
 
 zone_table load_zone_table(std::istream& is, double change_sigma_factor) {
-  std::string line;
-  if (!std::getline(is, line) || (line != "WISCAPE-ZONETABLE v1" &&
-                                  line != "WISCAPE-ZONETABLE v2")) {
-    throw std::invalid_argument("not a zone-table file (bad header)");
-  }
+  using kind = epoch_codec::state_line::kind;
   zone_table table(change_sigma_factor);
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (!parse_body_line(
-            line,
-            [&](const estimate_key& k, const epoch_estimate& e) {
-              table.restore(k, e);
-            },
-            [&](const estimate_key& k, const open_epoch_state& s) {
-              table.restore_open(k, s);
-            })) {
-      throw std::invalid_argument("malformed zone-table line: '" + line + "'");
-    }
-  }
+  epoch_codec::line_reader in(is);
+  load_lines(in, "zone-table", {"WISCAPE-ZONETABLE v1", "WISCAPE-ZONETABLE v2"},
+             [&](const epoch_codec::state_line& r) {
+               if (r.tag == kind::est) table.restore(r.key, r.est);
+               if (r.tag == kind::open) table.restore_open(r.key, r.open);
+               return r.tag != kind::alert_seq;
+             });
   return table;
 }
 
@@ -146,59 +132,22 @@ zone_table load_zone_table_file(const std::string& path,
 }
 
 void save_state(std::ostream& os, const durable_state& state) {
-  if (fault::fire(fault::site::persist_save) == fault::action::fail) {
-    throw std::runtime_error("injected fault: coordinator snapshot refused");
-  }
-  os << "WISCAPE-COORD v2\n";
-  auto keys = state.keys();
-  sort_keys(keys);
-  for (const auto& key : keys) {
-    for (const auto& est : state.history(key)) {
-      write_est(os, key, est);
-    }
-    if (const auto open = state.open_state(key)) {
-      write_open(os, key, *open);
-    }
-  }
-  os << "ALERTSEQ " << state.alert_seq() << "\n";
+  std::string buf;
+  render_state(state, buf, &os);
+}
+
+void save_state(std::string& out, const durable_state& state) {
+  render_state(state, out, nullptr);
 }
 
 void load_state(std::istream& is, durable_state& state) {
-  std::string line;
-  if (!std::getline(is, line) || line != "WISCAPE-COORD v2") {
-    throw std::invalid_argument("not a coordinator-state file (bad header)");
-  }
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (parse_body_line(
-            line,
-            [&](const estimate_key& k, const epoch_estimate& e) {
-              state.restore_estimate(k, e);
-            },
-            [&](const estimate_key& k, const open_epoch_state& s) {
-              state.restore_open(k, s);
-            })) {
-      continue;
-    }
-    std::istringstream ls(line);
-    std::string tag;
-    std::uint64_t seq = 0;
-    if ((ls >> tag >> seq) && tag == "ALERTSEQ") {
-      if (seq > 0) state.resume_alert_seq(seq);
-      continue;
-    }
-    throw std::invalid_argument("malformed coordinator-state line: '" + line +
-                                "'");
-  }
+  epoch_codec::line_reader in(is);
+  load_state_lines(in, state);
 }
 
-void save_coordinator_state(std::ostream& os,
-                            const sharded_coordinator& coord) {
-  save_state(os, coord);
-}
-
-void load_coordinator_state(std::istream& is, sharded_coordinator& coord) {
-  load_state(is, coord);
+void load_state(std::string_view text, durable_state& state) {
+  epoch_codec::line_reader in(text);
+  load_state_lines(in, state);
 }
 
 }  // namespace wiscape::core

@@ -23,6 +23,12 @@
 //    number, so a restarted coordinator resumes alert numbering instead of
 //    restarting at 1 (which would silently rewind client cursors).
 //
+// Every line is rendered and parsed by core::epoch_codec, the one text
+// codec the WAL and the replication catch-up use too: std::to_chars at
+// general precision 17 (the same bytes %.17g printed) and in-place
+// std::from_chars parsing, one line at a time through a bounded read
+// buffer -- a loader never holds the whole file.
+//
 // Since ISSUE 10 the coordinator-state flavour is written and read through
 // the narrow core::durable_state interface (src/core/durable_state.h)
 // instead of per-coordinator overloads, so the same snapshot code serves
@@ -33,13 +39,12 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "core/durable_state.h"
 #include "core/zone_table.h"
 
 namespace wiscape::core {
-
-class sharded_coordinator;
 
 /// Writes every frozen estimate of every key plus the open-epoch accumulator
 /// of each stream that has one (v2 format; bit-exact round trip).
@@ -62,6 +67,9 @@ zone_table load_zone_table_file(const std::string& path,
 /// std::runtime_error before anything is written, modelling a failed
 /// snapshot (callers must treat a throw as "no snapshot taken").
 void save_state(std::ostream& os, const durable_state& state);
+/// The same rendering appended to `out` (the replication catch-up
+/// snapshot renders straight into its cache).
+void save_state(std::string& out, const durable_state& state);
 
 /// Restores state saved by save_state into a freshly constructed
 /// coordinator (same grid / networks / config). Must be called before any
@@ -69,10 +77,7 @@ void save_state(std::ostream& os, const durable_state& state);
 /// numbering, which alert_ring::resume_from only permits on an untouched
 /// ring. Throws std::invalid_argument on malformed input.
 void load_state(std::istream& is, durable_state& state);
-
-/// Deprecated spellings of save_state/load_state from before the
-/// durable_state boundary existed; thin wrappers, kept for callers.
-void save_coordinator_state(std::ostream& os, const sharded_coordinator& coord);
-void load_coordinator_state(std::istream& is, sharded_coordinator& coord);
+/// The same, parsing an in-memory rendering in place.
+void load_state(std::string_view text, durable_state& state);
 
 }  // namespace wiscape::core

@@ -164,7 +164,9 @@ class byte_ring {
     if (want <= buf_.size()) return;
     std::vector<char> next(want);
     const auto spans = read_spans();
-    std::memcpy(next.data(), spans[0].data(), spans[0].size());
+    if (!spans[0].empty()) {  // an empty ring may have no storage yet
+      std::memcpy(next.data(), spans[0].data(), spans[0].size());
+    }
     if (!spans[1].empty()) {
       std::memcpy(next.data() + spans[0].size(), spans[1].data(),
                   spans[1].size());

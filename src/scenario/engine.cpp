@@ -386,7 +386,7 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
       std::stringstream snap_io;
       bool saved = true;
       try {
-        core::save_coordinator_state(snap_io, *coord);
+        core::save_state(snap_io, *coord);
       } catch (const std::exception&) {
         saved = false;  // injected persist_save fault: skip the restart
       }
@@ -404,7 +404,7 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
         coord.reset();
         coord = std::make_unique<core::sharded_coordinator>(grid, names, scfg,
                                                             seed);
-        core::load_coordinator_state(snap_io, *coord);
+        core::load_state(snap_io, *coord);
         server = std::make_unique<proto::coordinator_server>(*coord);
         if (was_tcp) {
           tcp_start();

@@ -351,12 +351,12 @@ TEST(Injector, PersistSaveFaultRefusesSnapshot) {
   scenario::arm_scope armed(inj);
 
   std::ostringstream first;
-  EXPECT_THROW(core::save_coordinator_state(first, coord),
+  EXPECT_THROW(core::save_state(first, coord),
                std::runtime_error);
   EXPECT_TRUE(first.str().empty());  // refused before writing anything
   // The rule's budget is spent: the retry succeeds.
   std::ostringstream second;
-  core::save_coordinator_state(second, coord);
+  core::save_state(second, coord);
   EXPECT_FALSE(second.str().empty());
 }
 
