@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "core/epoch_codec.h"
 #include "trace/csv.h"
 
 namespace wiscape::proto {
@@ -176,18 +177,7 @@ void reply_buffer::append_u32(std::uint32_t v) {
 }
 
 void reply_buffer::append_double17(double v) {
-  // std::to_chars with an explicit precision is specified to render "as if
-  // by printf" with that precision -- the parity with the historical
-  // snprintf("%.17g") encoders is pinned by a regression test over a value
-  // corpus, not assumed.
-  char buf[40];
-  const auto [end, ec] =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
-  if (ec != std::errc{}) {
-    append_format("%.17g", v);  // unreachable belt-and-braces
-    return;
-  }
-  bytes_.append(buf, static_cast<std::size_t>(end - buf));
+  core::epoch_codec::put_double(bytes_, v);
 }
 
 std::string encode(const checkin_request& m) {
@@ -721,7 +711,7 @@ void encode_into(const estimate_reply& m, reply_buffer& out) {
   out.append(" net=");
   out.append(m.network);
   out.append(" metric=");
-  out.append(trace::to_string(m.metric));
+  out.append(trace::metric_name(m.metric));
   out.append(" count=");
   out.append_u64(m.count);
   out.append(" mean=");
@@ -944,7 +934,7 @@ void encode_into(const alerts_reply& m, reply_buffer& out) {
     out.append(" net=");
     out.append(a.network);
     out.append(" metric=");
-    out.append(trace::to_string(a.metric));
+    out.append(trace::metric_name(a.metric));
     out.append(" epoch_start_s=");
     out.append_double17(a.epoch_start_s);
     out.append(" prev_mean=");

@@ -233,8 +233,8 @@ class reply_buffer {
   void append_u64(std::uint64_t v);
   void append_i32(std::int32_t v);
   void append_u32(std::uint32_t v);
-  /// Appends `v` exactly as printf "%.17g" would render it (std::to_chars
-  /// with general format, precision 17 -- specified to match printf), so
+  /// Appends `v` exactly as printf "%.17g" would render it, through the
+  /// epoch-record codec's renderer (core::epoch_codec::put_double), so
   /// replies stay byte-identical to the historical snprintf encoders.
   void append_double17(double v);
 

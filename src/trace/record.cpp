@@ -1,5 +1,6 @@
 #include "trace/record.h"
 
+#include <iterator>
 #include <stdexcept>
 
 namespace wiscape::trace {
@@ -26,41 +27,29 @@ probe_kind probe_kind_from_string(std::string_view s) {
   throw std::invalid_argument("unknown probe kind: " + std::string(s));
 }
 
-std::string to_string(metric m) {
-  switch (m) {
-    case metric::tcp_throughput_bps:
-      return "tcp_throughput";
-    case metric::udp_throughput_bps:
-      return "udp_throughput";
-    case metric::loss_rate:
-      return "loss_rate";
-    case metric::jitter_s:
-      return "jitter";
-    case metric::rtt_s:
-      return "rtt";
-    case metric::uplink_throughput_bps:
-      return "uplink_throughput";
-  }
-  return "?";
+namespace {
+
+// Indexed by the metric enumerator. Hot on the wire QUERY path and the
+// epoch-record codec: names compare and append as views, with no
+// to_string() temporaries.
+constexpr std::string_view kMetricNames[] = {
+    "tcp_throughput", "udp_throughput", "loss_rate",
+    "jitter",         "rtt",            "uplink_throughput",
+};
+static_assert(std::size(kMetricNames) ==
+              static_cast<std::size_t>(metric::uplink_throughput_bps) + 1);
+
+}  // namespace
+
+std::string_view metric_name(metric m) noexcept {
+  return kMetricNames[static_cast<int>(m)];
 }
 
+std::string to_string(metric m) { return std::string(metric_name(m)); }
+
 metric metric_from_string(std::string_view s) {
-  // Hot on the wire QUERY path (one call per decoded query): compare
-  // against static names instead of materialising to_string() temporaries.
-  struct entry {
-    std::string_view name;
-    metric m;
-  };
-  static constexpr entry kNames[] = {
-      {"tcp_throughput", metric::tcp_throughput_bps},
-      {"udp_throughput", metric::udp_throughput_bps},
-      {"loss_rate", metric::loss_rate},
-      {"jitter", metric::jitter_s},
-      {"rtt", metric::rtt_s},
-      {"uplink_throughput", metric::uplink_throughput_bps},
-  };
-  for (const auto& e : kNames) {
-    if (e.name == s) return e.m;
+  for (int i = 0; i < static_cast<int>(std::size(kMetricNames)); ++i) {
+    if (kMetricNames[i] == s) return static_cast<metric>(i);
   }
   throw std::invalid_argument("unknown metric: " + std::string(s));
 }

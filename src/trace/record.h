@@ -81,6 +81,10 @@ enum class metric {
   uplink_throughput_bps,
 };
 
+/// The wire name of `m` ("tcp_throughput", "rtt", ...); a view into
+/// static storage.
+std::string_view metric_name(metric m) noexcept;
+
 std::string to_string(metric m);
 
 /// Parses the strings produced by to_string(metric); throws
