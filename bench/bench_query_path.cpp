@@ -13,6 +13,14 @@
 //    encode; what a remote console pays).
 //  * write-only: one producer streaming the corpus into a fresh 4-shard
 //    pipeline (first push to flush) -- the baseline ingestion rate.
+//  * cold QUERYB frames: 256-lookup frames drawn uniformly from a table of
+//    262,144 streams (far past the L2, and the mirror alone ~24 MB), each
+//    answered per key (one estimate_view::lookup after another) and
+//    batched (one estimate_view::lookup_batch per frame, whose mirror
+//    passes overlap the cache misses), paired per rep and reported per
+//    lookup; plus the whole v3 QUERYB -> ESTB handle() per lookup. The
+//    legs above query 192 cache-resident streams, so only this one can
+//    show what the batched pass buys.
 //  * mixed 90/10: the same write workload with 3 reader threads pacing
 //    themselves to 9 lookups per ingested report (90% reads / 10% writes
 //    by op count). Acceptance: the paired-median mixed write rate stays
@@ -27,10 +35,11 @@
 // Machine-readable results go to bench_query_path.jsonl in the working
 // directory (one JSON object per line; schema in EXPERIMENTS.md).
 //
-//   ./bench_query_path [reports]
+//   ./bench_query_path [reports] [cold_streams]
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -43,6 +52,7 @@
 #include "core/sharded_coordinator.h"
 #include "geo/projection.h"
 #include "proto/server.h"
+#include "proto/wire_v3.h"
 #include "stats/rng.h"
 #include "trace/record.h"
 
@@ -208,6 +218,137 @@ int main(int argc, char** argv) {
               "(%.2fx handle)\n\n",
               wire_into_qps, wire_into_qps / wire_qps);
 
+  // ---- cold QUERYB frames: per-key vs batched ----------------------------
+  // A synchronous single-shard coordinator (the serving shape of the
+  // end-to-end serve workload) restored with one frozen epoch per stream:
+  // 8 streams (2 operators x 4 metrics) per zone over a square of zones.
+  const std::size_t cold_streams =
+      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 262'144;
+  constexpr std::size_t kFrame = 256;
+  constexpr std::size_t kColdFrames = 2048;
+  constexpr int kColdReps = 9;
+  double perkey_ns = 0.0, batched_ns = 0.0, cold_speedup = 0.0,
+         queryb_ns = 0.0;
+  {
+    core::sharded_config cold_cfg;
+    cold_cfg.num_shards = 1;
+    cold_cfg.synchronous = true;
+    core::sharded_coordinator cold(grid, {"NetB", "NetC"}, cold_cfg,
+                                   bench::bench_seed);
+    const std::vector<std::string> nets{"NetB", "NetC"};
+    const int side = static_cast<int>(
+        std::ceil(std::sqrt(static_cast<double>(cold_streams) / 8.0)));
+    std::vector<core::estimate_key> keys;
+    keys.reserve(cold_streams);
+    for (int z = 0; keys.size() < cold_streams; ++z) {
+      const geo::zone_id zone{z % side - side / 2, z / side - side / 2};
+      for (int k = 0; k < 8 && keys.size() < cold_streams; ++k) {
+        core::estimate_key key{zone, nets[static_cast<std::size_t>(k % 2)],
+                               static_cast<trace::metric>(k / 2)};
+        core::epoch_estimate e;
+        e.epoch_start_s = 1000.0 + static_cast<double>(keys.size());
+        e.mean = 1.0e6 + static_cast<double>(keys.size());
+        e.stddev = 1.0e4;
+        e.samples = 1 + keys.size() % 150;
+        cold.restore_estimate(key, e);
+        keys.push_back(std::move(key));
+      }
+    }
+    const core::estimate_view cold_view(cold);
+    stats::rng_stream rng(bench::bench_seed + 7);
+    std::vector<core::stream_lookup> lookups(kColdFrames * kFrame);
+    std::vector<proto::query_request> wire_qs(kFrame);
+    std::vector<std::string> wire_frames;
+    for (std::size_t i = 0; i < lookups.size(); ++i) {
+      const core::estimate_key& key = keys[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(keys.size()) - 1))];
+      core::stream_lookup& l = lookups[i];
+      l.zone = key.zone;
+      l.network_id = cold_view.network_id_of(key.network);
+      l.metric = key.metric;
+      l.now_s = 5.0e5;
+      if (wire_frames.size() < kColdFrames / 8) {
+        proto::query_request& q = wire_qs[i % kFrame];
+        q.pos = grid.center(key.zone);
+        q.network = key.network;
+        q.metric = key.metric;
+        q.time_s = l.now_s;
+        if (i % kFrame == kFrame - 1) {
+          wire_frames.push_back(proto::v3::encode_query_batch_frame(wire_qs));
+        }
+      }
+    }
+    const auto per_key = [&] {
+      const double t0 = now_s();
+      for (const core::stream_lookup& l : lookups) {
+        if (const auto est =
+                cold_view.lookup(l.zone, l.network_id, l.metric, l.now_s)) {
+          sink += est->staleness_s;
+        }
+      }
+      return 1e9 * (now_s() - t0) / static_cast<double>(lookups.size());
+    };
+    const auto batched = [&] {
+      const double t0 = now_s();
+      for (std::size_t f = 0; f < kColdFrames; ++f) {
+        const std::span<core::stream_lookup> frame(
+            lookups.data() + f * kFrame, kFrame);
+        cold_view.lookup_batch(frame);
+        sink += frame.back().est.staleness_s;
+      }
+      return 1e9 * (now_s() - t0) / static_cast<double>(lookups.size());
+    };
+    proto::coordinator_server cold_server(cold);
+    proto::reply_buffer out;
+    const auto wire = [&] {
+      const double t0 = now_s();
+      for (const std::string& frame : wire_frames) {
+        out.clear();
+        cold_server.handle(proto::request_view::binary(frame), out);
+        sink += static_cast<double>(out.size());
+      }
+      return 1e9 * (now_s() - t0) /
+             static_cast<double>(wire_frames.size() * kFrame);
+    };
+    per_key();  // warm-up (untimed)
+    batched();
+    wire();
+    std::vector<double> pk, bt, sp, wr;
+    for (int r = 0; r < kColdReps; ++r) {
+      // Alternate the order so drift within a rep hits both columns alike.
+      double a = 0.0, b = 0.0;
+      if (r % 2 == 0) {
+        a = per_key();
+        b = batched();
+      } else {
+        b = batched();
+        a = per_key();
+      }
+      pk.push_back(a);
+      bt.push_back(b);
+      sp.push_back(a / b);
+      wr.push_back(wire());
+    }
+    const auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    perkey_ns = median(pk);
+    batched_ns = median(bt);
+    cold_speedup = median(sp);
+    queryb_ns = median(wr);
+  }
+  std::printf("  cold QUERYB frames (%zu streams, %zu lookups/frame, "
+              "median of %d paired reps):\n",
+              cold_streams, kFrame, kColdReps);
+  std::printf("    per-key estimate_view::lookup:   %8.1f ns/lookup\n",
+              perkey_ns);
+  std::printf("    batched lookup_batch:            %8.1f ns/lookup  "
+              "(%.2fx paired median)\n",
+              batched_ns, cold_speedup);
+  std::printf("    v3 QUERYB handle():              %8.1f ns/lookup\n\n",
+              queryb_ns);
+
   // ---- write-only vs mixed 90/10 ------------------------------------------
   // One producer streams the corpus into a fresh pipeline; the mixed leg
   // adds reader threads pacing themselves off the producer's progress
@@ -319,6 +460,8 @@ int main(int argc, char** argv) {
                 bench::fmt(view_qps / 1e6) + " M/s");
   bench::report("read-only wire QUERY round trips", "-",
                 bench::fmt(wire_qps / 1e6) + " M/s");
+  bench::report("cold QUERYB batched vs per-key lookups", "-",
+                bench::fmt(cold_speedup) + "x");
 
   std::ofstream jsonl("bench_query_path.jsonl");
   jsonl_result(jsonl, "read_view", view_ops, view_qps);
@@ -336,6 +479,15 @@ int main(int argc, char** argv) {
                   "\"ratio\":%.3f,\"bar\":%.3f,\"cores\":%u,"
                   "\"read_share_pct\":%.1f}\n",
                   write_rps, mixed_rps, ratio, bar, hw, read_share);
+    jsonl << buf;
+    std::snprintf(buf, sizeof buf,
+                  "{\"bench\":\"query_path\",\"mode\":\"cold_queryb\","
+                  "\"streams\":%zu,\"frame\":%zu,"
+                  "\"perkey_ns_per_lookup\":%.1f,"
+                  "\"batched_ns_per_lookup\":%.1f,\"speedup\":%.3f,"
+                  "\"queryb_v3_ns_per_lookup\":%.1f,\"cores\":%u}\n",
+                  cold_streams, kFrame, perkey_ns, batched_ns, cold_speedup,
+                  queryb_ns, hw);
     jsonl << buf;
   }
 

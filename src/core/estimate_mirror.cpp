@@ -1,5 +1,7 @@
 #include "core/estimate_mirror.h"
 
+#include <algorithm>
+
 #include "obs/names.h"
 #include "obs/registry.h"
 
@@ -99,37 +101,81 @@ void estimate_mirror::publish(std::uint64_t skey, const epoch_estimate& e,
   s->seq.store(seq + 2, std::memory_order_release);
 }
 
+const estimate_mirror::slot* estimate_mirror::probe(const directory& d,
+                                                    std::uint64_t skey,
+                                                    std::size_t at) noexcept {
+  for (;;) {
+    const std::uint64_t k = d.entries[at].key.load(std::memory_order_acquire);
+    if (k == skey) return d.entries[at].s.load(std::memory_order_relaxed);
+    if (k == 0) return nullptr;  // possibly racing an insert: not-found
+    at = (at + 1) & d.mask;
+  }
+}
+
+void estimate_mirror::read_slot(const slot& s,
+                                published_estimate& out) noexcept {
+  // Valid only when the sequence was even and unchanged across the
+  // payload reads.
+  for (;;) {
+    const std::uint32_t s1 = s.seq.load(std::memory_order_acquire);
+    if ((s1 & 1u) == 0u) {
+      out.count = s.count.load(std::memory_order_relaxed);
+      out.mean = s.mean.load(std::memory_order_relaxed);
+      out.stddev = s.stddev.load(std::memory_order_relaxed);
+      out.epoch_start_s = s.epoch_start_s.load(std::memory_order_relaxed);
+      out.epoch_index = s.epoch_index.load(std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (s.seq.load(std::memory_order_relaxed) == s1) return;
+    }
+    seqlock_retries().inc();
+  }
+}
+
 bool estimate_mirror::read(std::uint64_t skey,
                            published_estimate& out) const noexcept {
   if (skey == 0) return false;
   const directory* d = dir_.load(std::memory_order_acquire);
   if (d == nullptr) return false;
-  std::size_t at = static_cast<std::size_t>(mix64(skey)) & d->mask;
-  const slot* s = nullptr;
-  for (;;) {
-    const std::uint64_t k = d->entries[at].key.load(std::memory_order_acquire);
-    if (k == skey) {
-      s = d->entries[at].s.load(std::memory_order_relaxed);
-      break;
-    }
-    if (k == 0) return false;  // possibly racing an insert: report not-found
-    at = (at + 1) & d->mask;
+  const slot* s =
+      probe(*d, skey, static_cast<std::size_t>(mix64(skey)) & d->mask);
+  if (s == nullptr) return false;
+  read_slot(*s, out);
+  return true;
+}
+
+std::size_t estimate_mirror::read_batch(std::span<const std::uint64_t> keys,
+                                        std::span<published_estimate> out,
+                                        std::span<bool> found) const noexcept {
+  const directory* d = dir_.load(std::memory_order_acquire);
+  if (d == nullptr) {
+    std::fill_n(found.begin(), keys.size(), false);
+    return 0;
   }
-  // Seqlock reader protocol: valid only when the sequence was even and
-  // unchanged across the payload reads.
-  for (;;) {
-    const std::uint32_t s1 = s->seq.load(std::memory_order_acquire);
-    if ((s1 & 1u) == 0u) {
-      out.count = s->count.load(std::memory_order_relaxed);
-      out.mean = s->mean.load(std::memory_order_relaxed);
-      out.stddev = s->stddev.load(std::memory_order_relaxed);
-      out.epoch_start_s = s->epoch_start_s.load(std::memory_order_relaxed);
-      out.epoch_index = s->epoch_index.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (s->seq.load(std::memory_order_relaxed) == s1) return true;
+  std::size_t hits = 0;
+  for (std::size_t base = 0; base < keys.size(); base += batch_width) {
+    const std::size_t n = std::min(batch_width, keys.size() - base);
+    const std::uint64_t* k = keys.data() + base;
+    std::size_t at[batch_width] = {};
+    const slot* s[batch_width] = {};
+    // Pass 1: every key's home directory entry in flight at once.
+    for (std::size_t i = 0; i < n; ++i) {
+      at[i] = static_cast<std::size_t>(mix64(k[i])) & d->mask;
+      __builtin_prefetch(&d->entries[at[i]]);
     }
-    seqlock_retries().inc();
+    // Pass 2: probe the cached entries; every resolved slot in flight.
+    for (std::size_t i = 0; i < n; ++i) {
+      s[i] = k[i] == 0 ? nullptr : probe(*d, k[i], at[i]);
+      if (s[i] != nullptr) __builtin_prefetch(s[i]);
+    }
+    // Pass 3: the seqlock reads, over cached slots.
+    for (std::size_t i = 0; i < n; ++i) {
+      found[base + i] = s[i] != nullptr;
+      if (s[i] == nullptr) continue;
+      read_slot(*s[i], out[base + i]);
+      ++hits;
+    }
   }
+  return hits;
 }
 
 }  // namespace wiscape::core

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/zone_table.h"
@@ -68,6 +69,26 @@ class estimate_mirror {
   /// core.estimate_view.seqlock_retries.
   bool read(std::uint64_t skey, published_estimate& out) const noexcept;
 
+  /// Keys read_batch() keeps in flight at once: one pass's worth of
+  /// directory-entry and slot prefetches.
+  static constexpr std::size_t batch_width = 64;
+
+  /// read() over many keys: found[i] and out[i] end up exactly as
+  /// read(keys[i], out[i]) would leave them, with the same seqlock
+  /// protocol, but the cache misses overlap. Per batch_width keys, one pass
+  /// prefetches every key's directory entry, a second probes the (now
+  /// cached) directory and prefetches every slot it resolves, and a third
+  /// does the seqlock reads; so a table far larger than the cache pays
+  /// about two memory latencies per pass instead of two per key. The whole
+  /// batch probes the one directory generation loaded at entry (a stream
+  /// inserted after that answers not-found, as a read a moment earlier
+  /// would). `out` and `found` hold at least keys.size() elements; an
+  /// entry whose key is not found leaves out[i] untouched. Returns the
+  /// keys found.
+  std::size_t read_batch(std::span<const std::uint64_t> keys,
+                         std::span<published_estimate> out,
+                         std::span<bool> found) const noexcept;
+
   /// Streams that have published at least one estimate.
   std::size_t size() const noexcept {
     return count_.load(std::memory_order_acquire);
@@ -98,6 +119,13 @@ class estimate_mirror {
     std::size_t mask = 0;  // capacity - 1 (pow2)
     std::unique_ptr<dentry[]> entries;
   };
+
+  /// The slot `skey` (nonzero) resolves to in `d`, probing from its home
+  /// entry `at`; nullptr when absent.
+  static const slot* probe(const directory& d, std::uint64_t skey,
+                           std::size_t at) noexcept;
+  /// Seqlock reader protocol over one slot.
+  static void read_slot(const slot& s, published_estimate& out) noexcept;
 
   slot* find_or_insert(std::uint64_t skey);
   void grow(std::size_t need);

@@ -88,6 +88,7 @@ bool report_queue::push(trace::measurement_record rec) {
     return false;
   }
   items_.push_back(std::move(rec));
+  depth_.store(items_.size(), std::memory_order_relaxed);
   // Hot path: stage the metric updates as plain writes under the lock we
   // already hold; pop_batch/close publish them to the registry in batches.
   ++enq_count_;
@@ -109,6 +110,7 @@ bool report_queue::try_push(trace::measurement_record rec) {
     return false;
   }
   items_.push_back(std::move(rec));
+  depth_.store(items_.size(), std::memory_order_relaxed);
   ++enq_count_;
   high_water_ = std::max(high_water_, static_cast<std::int64_t>(items_.size()));
   lock.unlock();
@@ -134,6 +136,7 @@ std::size_t report_queue::push_batch(
       ++i;
       ++enq_count_;
     }
+    depth_.store(items_.size(), std::memory_order_relaxed);
     high_water_ =
         std::max(high_water_, static_cast<std::int64_t>(items_.size()));
     if (closed_ || i == recs.size()) break;
@@ -162,6 +165,7 @@ std::size_t report_queue::pop_batch(std::vector<trace::measurement_record>& out,
     items_.pop_front();
     ++n;
   }
+  depth_.store(items_.size(), std::memory_order_relaxed);
   publish_metrics_locked();
   const bool emptied = items_.empty();
   lock.unlock();
@@ -192,11 +196,6 @@ void report_queue::wait_empty() const {
 bool report_queue::closed() const {
   std::lock_guard lock(mu_);
   return closed_;
-}
-
-std::size_t report_queue::size() const {
-  std::lock_guard lock(mu_);
-  return items_.size();
 }
 
 }  // namespace wiscape::core

@@ -23,6 +23,7 @@
 // are exact whenever the queue is quiescent (drained or closed).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -78,7 +79,13 @@ class report_queue {
 
   std::size_t capacity() const noexcept { return capacity_; }
   bool closed() const;
-  std::size_t size() const;
+  /// Records enqueued and not yet popped. Lock-free (a relaxed load of a
+  /// depth every push and pop stores under the mutex), so monitors and
+  /// shedding checks never contend with producers or the drain worker;
+  /// a racing push or pop may or may not be counted yet.
+  std::size_t size() const noexcept {
+    return depth_.load(std::memory_order_relaxed);
+  }
 
  private:
   /// Pushes any un-published enqueue/high-water totals into the obs
@@ -91,6 +98,8 @@ class report_queue {
   mutable std::condition_variable not_empty_;
   mutable std::condition_variable emptied_;
   std::deque<trace::measurement_record> items_;
+  // items_.size(), stored under mu_ after every change, read without it.
+  std::atomic<std::size_t> depth_{0};
   bool closed_ = false;
   // Metric staging, guarded by mu_: counted per push with plain arithmetic,
   // flushed to the (atomic) obs registry counters at batch boundaries.

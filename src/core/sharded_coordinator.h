@@ -233,7 +233,9 @@ class sharded_coordinator : public durable_state {
   /// capacity in [0, 1]. The max (not the mean) is the backpressure signal:
   /// one saturated shard stalls every producer that routes to it, so a
   /// transport shedding on this value sheds before any producer blocks.
-  /// 0.0 in synchronous mode (no queues). Lock-free; safe from any thread.
+  /// 0.0 in synchronous mode (no queues). Lock-free (it reads each
+  /// queue's relaxed depth, never a queue mutex a producer or drain worker
+  /// holds); safe from any thread.
   double ingest_saturation() const noexcept;
 
  private:

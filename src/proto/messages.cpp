@@ -698,32 +698,56 @@ std::string encode(const estimate_reply& m) {
   return std::string(out.view());
 }
 
-void encode_into(const estimate_reply& m, reply_buffer& out) {
+namespace {
+
+// The one EST line renderer behind both encode_into overloads.
+void put_est_line(const geo::zone_id& zone, std::string_view network,
+                  trace::metric metric, std::uint64_t count, double mean,
+                  double stddev, std::uint64_t epoch_index,
+                  double staleness_s, double confidence, reply_buffer& out) {
   // %.17g-equivalent rendering on every double: what the client decodes is
   // bit-for-bit what the view served (a remote application reproduces
   // in-process decisions). Field-by-field appends instead of one snprintf:
   // the EST line is the hottest reply and integer/double to_chars is a
   // large constant factor cheaper than printf format parsing.
   out.append("EST zone=");
-  out.append_i32(m.zone.ix);
+  out.append_i32(zone.ix);
   out.append(':');
-  out.append_i32(m.zone.iy);
+  out.append_i32(zone.iy);
   out.append(" net=");
-  out.append(m.network);
+  out.append(network);
   out.append(" metric=");
-  out.append(trace::metric_name(m.metric));
+  out.append(trace::metric_name(metric));
   out.append(" count=");
-  out.append_u64(m.count);
+  out.append_u64(count);
   out.append(" mean=");
-  out.append_double17(m.mean);
+  out.append_double17(mean);
   out.append(" stddev=");
-  out.append_double17(m.stddev);
+  out.append_double17(stddev);
   out.append(" epoch=");
-  out.append_u64(m.epoch_index);
+  out.append_u64(epoch_index);
   out.append(" staleness_s=");
-  out.append_double17(m.staleness_s);
+  out.append_double17(staleness_s);
   out.append(" conf=");
-  out.append_double17(m.confidence);
+  out.append_double17(confidence);
+}
+
+}  // namespace
+
+void encode_into(const estimate_reply& m, reply_buffer& out) {
+  put_est_line(m.zone, m.network, m.metric, m.count, m.mean, m.stddev,
+               m.epoch_index, m.staleness_s, m.confidence, out);
+}
+
+void encode_into(const core::stream_lookup& l, std::string_view network,
+                 reply_buffer& out) {
+  if (!l.found) {
+    out.append("NONE");
+    return;
+  }
+  put_est_line(l.zone, network, l.metric, l.est.count, l.est.mean,
+               l.est.stddev, l.est.epoch_index, l.est.staleness_s,
+               l.est.confidence, out);
 }
 
 std::string encode_none() { return "NONE"; }

@@ -35,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/estimate_view.h"
 #include "geo/lat_lon.h"
 #include "geo/zone_grid.h"
 #include "trace/record.h"
@@ -208,10 +209,11 @@ class coordinator_server;
 /// clear() calls, and the typed append helpers (std::to_chars under the
 /// hood) never touch the heap once the buffer has warmed up.
 ///
-/// The buffer also carries coordinator_server's per-request decode scratch
-/// (REPORTB records, QUERYB queries, REPORT-group bookkeeping), so one
-/// reply_buffer per session is the whole per-connection arena. Not
-/// thread-safe; confine one buffer to one caller at a time.
+/// The buffer also carries coordinator_server's per-request scratch
+/// (REPORTB records, QUERYB queries and their lookups, REPORT-group
+/// bookkeeping), so one reply_buffer per session is the whole
+/// per-connection arena. Not thread-safe; confine one buffer to one caller
+/// at a time.
 class reply_buffer {
  public:
   /// The encoded bytes (valid until the next mutating call).
@@ -252,6 +254,7 @@ class reply_buffer {
   // per-frame vector allocations (element strings stay in SSO).
   std::vector<trace::measurement_record> records_scratch_;
   std::vector<query_request> queries_scratch_;
+  std::vector<core::stream_lookup> lookups_scratch_;  // positional with them
   std::vector<std::uint8_t> group_status_;
   std::vector<std::string> group_errors_;
   std::vector<epoch_update> epochs_scratch_;
@@ -298,6 +301,13 @@ std::string encode(const estimate_reply& m);
 /// QUERY/QUERYB reply is rendered through (doubles via append_double17, so
 /// the %.17g round-trip guarantee holds byte-for-byte).
 void encode_into(const estimate_reply& m, reply_buffer& out);
+/// The QUERY answer for one estimate_view::lookup_batch element, rendered
+/// straight from the lookup with no estimate_reply staged: the EST line
+/// (`network` is the queried name; the bytes equal encode_into of the
+/// matching estimate_reply) or "NONE" on a miss. The server answers every
+/// QUERY and QUERYB line through this.
+void encode_into(const core::stream_lookup& l, std::string_view network,
+                 reply_buffer& out);
 /// The QUERY reply when the stream has no published estimate yet.
 std::string encode_none();
 

@@ -109,23 +109,30 @@ void encode_stats_into(reply_buffer& out) {
   }
 }
 
-std::optional<estimate_reply> coordinator_server::lookup_one(
-    const query_request& q) const {
-  const geo::zone_id zone =
-      (sharded_ != nullptr ? sharded_->grid() : coord_->grid()).zone_of(q.pos);
-  const auto est = view_.lookup(zone, q.network, q.metric, q.time_s);
-  if (!est) return std::nullopt;
-  estimate_reply rep;
-  rep.zone = zone;
-  rep.network = q.network;
-  rep.metric = q.metric;
-  rep.count = est->count;
-  rep.mean = est->mean;
-  rep.stddev = est->stddev;
-  rep.epoch_index = est->epoch_index;
-  rep.staleness_s = est->staleness_s;
-  rep.confidence = est->confidence;
-  return rep;
+std::span<const core::stream_lookup> coordinator_server::lookup_all(
+    std::span<const query_request> queries, reply_buffer& out) const {
+  const geo::zone_grid& grid =
+      sharded_ != nullptr ? sharded_->grid() : coord_->grid();
+  auto& lookups = out.lookups_scratch_;
+  lookups.resize(queries.size());
+  // Frames overwhelmingly repeat one operator name; resolve each run of
+  // equal names once, as REPORTB does.
+  std::string_view last_name;
+  std::uint16_t last_id = trace::no_network_id;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const query_request& q = queries[i];
+    if (i == 0 || q.network != last_name) {
+      last_id = view_.network_id_of(q.network);
+      last_name = q.network;
+    }
+    core::stream_lookup& l = lookups[i];
+    l.zone = grid.zone_of(q.pos);
+    l.network_id = last_id;
+    l.metric = q.metric;
+    l.now_s = q.time_s;
+  }
+  view_.lookup_batch(lookups);
+  return lookups;
 }
 
 request_view request_view::detect(std::string_view data) noexcept {
@@ -265,26 +272,17 @@ void coordinator_server::handle_text_into(std::string_view line,
       obs::span timed(metrics().query_latency);
       const auto q = decode_query(line);
       metrics().queries.inc();
-      const auto rep = lookup_one(q);
-      if (rep) {
-        encode_into(*rep, out);
-      } else {
-        out.append("NONE");
-      }
+      encode_into(lookup_all({&q, 1}, out)[0], q.network, out);
     } else if (type == "QUERYB") {
       obs::span timed(metrics().query_batch_latency);
       auto& queries = out.queries_scratch_;
       decode_query_batch_into(line, queries);
+      const auto lookups = lookup_all(queries, out);
       out.append("ESTB ");
       out.append_u64(queries.size());
-      for (const auto& q : queries) {
+      for (std::size_t i = 0; i < queries.size(); ++i) {
         out.append('\n');
-        const auto rep = lookup_one(q);
-        if (rep) {
-          encode_into(*rep, out);
-        } else {
-          out.append("NONE");
-        }
+        encode_into(lookups[i], queries[i].network, out);
       }
       metrics().queries.inc(queries.size());
       metrics().query_batches.inc();
@@ -456,16 +454,20 @@ void coordinator_server::handle_frame_into(std::string_view frame,
           obs::span timed(m.query_latency);
           const auto q = v3::decode_query_frame(frame);
           m.queries.inc();
-          v3::encode_estimate_frame(lookup_one(q), out);
+          v3::encode_estimate_frame(lookup_all({&q, 1}, out)[0], q.network,
+                                    out);
           break;
         }
         case v3::opcode::queryb: {
           obs::span timed(m.query_batch_latency);
           auto& queries = out.queries_scratch_;
           v3::decode_query_batch_frame_into(frame, queries);
+          const auto lookups = lookup_all(queries, out);
           v3::estimate_batch_builder estb(
               static_cast<std::uint32_t>(queries.size()), out);
-          for (const auto& q : queries) estb.add(lookup_one(q));
+          for (std::size_t i = 0; i < queries.size(); ++i) {
+            estb.add(lookups[i], queries[i].network);
+          }
           estb.finish();
           m.queries.inc(queries.size());
           m.query_batches.inc();

@@ -265,7 +265,12 @@ class coordinator_server {
   }
 
  private:
-  std::optional<estimate_reply> lookup_one(const query_request& q) const;
+  /// Answers `queries` in one batched pass: resolves each query's zone and
+  /// network id (once per run of equal names) into out.lookups_scratch_,
+  /// then estimate_view::lookup_batch fills it in place. Returns the
+  /// lookups, positional with `queries`, for the caller to encode.
+  std::span<const core::stream_lookup> lookup_all(
+      std::span<const query_request> queries, reply_buffer& out) const;
   /// handle()'s text half: dispatches one protocol v2 line.
   void handle_text_into(std::string_view line, reply_buffer& out);
   /// handle()'s binary half: dispatches one complete v3 frame on its

@@ -172,6 +172,11 @@ void encode_estimate_frame(const std::optional<estimate_reply>& rep,
                            reply_buffer& out);
 void encode_estimate_batch_frame(
     std::span<const std::optional<estimate_reply>> reps, reply_buffer& out);
+/// EST reply for one estimate_view::lookup_batch element, written straight
+/// from the lookup (`network` is the queried name): the same bytes as the
+/// estimate_reply form for the matching reply, presence flag 0 on a miss.
+void encode_estimate_frame(const core::stream_lookup& l,
+                           std::string_view network, reply_buffer& out);
 
 /// Incremental ESTB encoder for the server's zero-allocation reply path:
 /// open with the element count, add() each estimate as its lookup resolves
@@ -182,6 +187,8 @@ class estimate_batch_builder {
  public:
   estimate_batch_builder(std::uint32_t count, reply_buffer& out);
   void add(const std::optional<estimate_reply>& rep);
+  /// add() straight from a lookup_batch element (see encode_estimate_frame).
+  void add(const core::stream_lookup& l, std::string_view network);
   void finish();
 
  private:

@@ -12,9 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -26,6 +29,11 @@
 #include "core/estimate_mirror.h"
 #include "core/estimate_view.h"
 #include "core/sharded_coordinator.h"
+#include "obs/names.h"
+#include "obs/registry.h"
+#include "proto/messages.h"
+#include "proto/server.h"
+#include "proto/wire_v3.h"
 #include "test_util.h"
 
 namespace wiscape::core {
@@ -188,6 +196,64 @@ TEST(EstimateMirror, PublishReadRoundTripAndGrowth) {
   EXPECT_EQ(mirror.size(), streams);
 }
 
+TEST(EstimateMirror, ReadBatchMatchesReadKeyForKey) {
+  estimate_mirror mirror;
+  published_estimate sentinel;
+  sentinel.mean = -7.0;
+
+  // No directory yet: everything misses, nothing is written.
+  {
+    const std::vector<std::uint64_t> keys{0, (1ull << 63) | 1};
+    std::vector<published_estimate> out(keys.size(), sentinel);
+    bool found[2] = {true, true};
+    EXPECT_EQ(mirror.read_batch(keys, out, found), 0u);
+    EXPECT_FALSE(found[0]);
+    EXPECT_FALSE(found[1]);
+    EXPECT_EQ(out[1].mean, -7.0);
+  }
+
+  const std::size_t streams = 500;  // several growths, several passes
+  for (std::size_t i = 0; i < streams; ++i) {
+    epoch_estimate e;
+    e.epoch_start_s = 10.0 * static_cast<double>(i);
+    e.mean = 1.0 / static_cast<double>(i + 3);
+    e.stddev = static_cast<double>(i) * 0.25;
+    e.samples = i + 1;
+    mirror.publish((1ull << 63) | (i + 1), e, i % 7);
+  }
+
+  // Present keys, absent keys, the out-of-range sentinel 0 and repeats,
+  // in frames of every size around the pass width, including empty.
+  std::vector<std::uint64_t> pool;
+  for (std::size_t i = 0; i < streams; i += 3) pool.push_back((1ull << 63) | (i + 1));
+  for (std::size_t i = 0; i < 40; ++i) pool.push_back((1ull << 62) | (i + 1));
+  for (std::size_t i = 0; i < 10; ++i) pool.push_back(0);
+  for (std::size_t i = 0; i < 50; ++i) pool.push_back(pool[i * 2]);
+  const std::size_t w = estimate_mirror::batch_width;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, w - 1, w, w + 1,
+                              3 * w + 5, pool.size()}) {
+    const std::span<const std::uint64_t> keys(pool.data(), n);
+    std::vector<published_estimate> out(n, sentinel);
+    std::unique_ptr<bool[]> found(new bool[n + 1]);
+    std::size_t want_hits = 0;
+    const std::size_t hits =
+        mirror.read_batch(keys, out, {found.get(), n});
+    for (std::size_t i = 0; i < n; ++i) {
+      published_estimate want = sentinel;
+      const bool want_found = mirror.read(keys[i], want);
+      want_hits += want_found ? 1 : 0;
+      ASSERT_EQ(found[i], want_found) << "frame " << n << " key " << i;
+      EXPECT_EQ(out[i].count, want.count);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i].mean),
+                std::bit_cast<std::uint64_t>(want.mean));
+      EXPECT_EQ(out[i].stddev, want.stddev);
+      EXPECT_EQ(out[i].epoch_start_s, want.epoch_start_s);
+      EXPECT_EQ(out[i].epoch_index, want.epoch_index);
+    }
+    EXPECT_EQ(hits, want_hits) << "frame " << n;
+  }
+}
+
 TEST(EstimateView, ServesExactlyWhatTheTableFroze) {
   const geo::zone_grid grid(test_proj(), 250.0);
   const std::vector<std::string> nets{"NetB", "NetC"};
@@ -347,6 +413,306 @@ TEST(EstimateView, ShardedQueryStormIsPrefixConsistent) {
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->epoch_index, r.history.size() - 1);
     EXPECT_TRUE(consistent(r, *got));
+  }
+}
+
+// The batched twin of the storm above: readers answer whole frames through
+// lookup_batch while the 4-shard drain workers publish -- rolling the very
+// streams being read and growing the mirrors' directories under the
+// batches. Every element found must be a prefix-consistent sequential
+// state, and per reader a stream's epoch never goes backwards. TSan runs
+// this as part of the EstimateView.* stage.
+TEST(EstimateView, ShardedBatchStormIsPrefixConsistent) {
+  const auto stream = synthetic_stream(/*seed=*/134, /*count=*/12000);
+  const geo::zone_grid grid(test_proj(), 250.0);
+  const std::vector<std::string> nets{"NetB", "NetC"};
+  const coordinator_config ccfg = small_epoch_config();
+
+  coordinator seq(grid, nets, ccfg, /*seed=*/42);
+  for (const auto& rec : stream) seq.report(rec);
+  struct ref_stream {
+    stream_lookup query;
+    std::vector<epoch_estimate> history;
+  };
+  std::vector<ref_stream> refs;
+  for (const auto& key : seq.keys()) {
+    stream_lookup q;
+    q.zone = key.zone;
+    q.network_id = seq.network_id_of(key.network);
+    q.metric = key.metric;
+    refs.push_back({q, seq.table_for_test().history(key)});
+  }
+  ASSERT_FALSE(refs.empty());
+
+  sharded_config scfg;
+  scfg.coordinator = ccfg;
+  scfg.num_shards = 4;
+  scfg.synchronous = false;
+  sharded_coordinator sharded(grid, nets, scfg, /*seed=*/42);
+  const estimate_view view(sharded);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> hits{0};
+  std::atomic<std::uint64_t> violations{0};
+  std::vector<std::thread> readers;
+  for (int tid = 0; tid < 3; ++tid) {
+    readers.emplace_back([&, tid] {
+      stats::rng_stream rng(700 + tid);
+      std::vector<std::size_t> picked(96);
+      std::vector<stream_lookup> frame(96);
+      std::vector<std::uint64_t> last_epoch(refs.size(), 0);
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (std::size_t i = 0; i < frame.size(); ++i) {
+          picked[i] = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(refs.size()) - 1));
+          frame[i] = refs[picked[i]].query;
+        }
+        view.lookup_batch(frame);
+        for (std::size_t i = 0; i < frame.size(); ++i) {
+          if (!frame[i].found) continue;
+          hits.fetch_add(1, std::memory_order_relaxed);
+          const ref_stream& r = refs[picked[i]];
+          const served_estimate& got = frame[i].est;
+          const bool ok =
+              got.epoch_index < r.history.size() &&
+              got.epoch_index >= last_epoch[picked[i]] &&
+              got.mean == r.history[got.epoch_index].mean &&
+              got.stddev == r.history[got.epoch_index].stddev &&
+              got.epoch_start_s == r.history[got.epoch_index].epoch_start_s &&
+              got.count == static_cast<std::uint64_t>(
+                               r.history[got.epoch_index].samples);
+          if (!ok) violations.fetch_add(1, std::memory_order_relaxed);
+          last_epoch[picked[i]] = got.epoch_index;
+        }
+      }
+    });
+  }
+
+  for (const auto& rec : stream) ASSERT_TRUE(sharded.report(rec));
+  sharded.flush();
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(violations.load(), 0u);
+  EXPECT_GT(hits.load(), 0u) << "storm never observed a published estimate";
+}
+
+// ---- batched lookups (QUERYB's one pass over the mirror) ------------------
+
+std::uint64_t counter_value(std::string_view name) {
+  return obs::registry::global().get_counter(name).value();
+}
+
+bool same_served(const served_estimate& a, const served_estimate& b) {
+  return a.count == b.count && a.epoch_index == b.epoch_index &&
+         std::bit_cast<std::uint64_t>(a.mean) ==
+             std::bit_cast<std::uint64_t>(b.mean) &&
+         std::bit_cast<std::uint64_t>(a.stddev) ==
+             std::bit_cast<std::uint64_t>(b.stddev) &&
+         std::bit_cast<std::uint64_t>(a.epoch_start_s) ==
+             std::bit_cast<std::uint64_t>(b.epoch_start_s) &&
+         std::bit_cast<std::uint64_t>(a.staleness_s) ==
+             std::bit_cast<std::uint64_t>(b.staleness_s) &&
+         std::bit_cast<std::uint64_t>(a.confidence) ==
+             std::bit_cast<std::uint64_t>(b.confidence);
+}
+
+// The reference answer to one query: per-key estimate_view::lookup and the
+// estimate_reply the server staged before lookups were batched.
+std::optional<proto::estimate_reply> reference_reply(
+    const estimate_view& view, const geo::zone_grid& grid,
+    const proto::query_request& q) {
+  const geo::zone_id zone = grid.zone_of(q.pos);
+  const auto est = view.lookup(zone, q.network, q.metric, q.time_s);
+  if (!est) return std::nullopt;
+  proto::estimate_reply rep;
+  rep.zone = zone;
+  rep.network = q.network;
+  rep.metric = q.metric;
+  rep.count = est->count;
+  rep.mean = est->mean;
+  rep.stddev = est->stddev;
+  rep.epoch_index = est->epoch_index;
+  rep.staleness_s = est->staleness_s;
+  rep.confidence = est->confidence;
+  return rep;
+}
+
+// Every query shape a frame can carry: hits at zone centres (with and
+// without a client clock), misses on materialised zones, zones no report
+// ever reached, unknown operators, positions outside the packable zone
+// range (stream key 0), and repeats of all of them.
+std::vector<proto::query_request> query_pool(const coordinator_config& cfg,
+                                             const geo::zone_grid& grid) {
+  coordinator seq(grid, {"NetB", "NetC"}, cfg, /*seed=*/42);
+  for (const auto& rec : synthetic_stream(/*seed=*/9, /*count=*/4000)) {
+    seq.report(rec);
+  }
+  std::vector<proto::query_request> pool;
+  std::size_t i = 0;
+  for (const auto& key : seq.keys()) {
+    proto::query_request q;
+    q.pos = grid.center(key.zone);
+    q.network = key.network;
+    q.metric = key.metric;
+    q.time_s = i % 2 == 0 ? -1.0 : 4000.0 + static_cast<double>(i);
+    pool.push_back(q);
+    q.metric = trace::metric::uplink_throughput_bps;  // never reported
+    if (i % 5 == 0) pool.push_back(q);
+    ++i;
+  }
+  const std::size_t materialised = pool.size();
+  proto::query_request far;
+  far.pos = grid.center(geo::zone_id{40, -40});
+  far.network = "NetB";
+  pool.push_back(far);
+  proto::query_request unknown = pool.front();
+  unknown.network = "NoSuchNet";
+  pool.push_back(unknown);
+  proto::query_request out_of_range = pool.front();
+  out_of_range.pos.lon_deg = 1.0e6;
+  pool.push_back(out_of_range);
+  for (std::size_t k = 0; k < materialised; k += 4) pool.push_back(pool[k]);
+  pool.push_back(far);
+  pool.push_back(unknown);
+  pool.push_back(out_of_range);
+  return pool;
+}
+
+// QUERYB and QUERY answers, text and v3, at 1, 2 and 4 shards, must be the
+// bytes per-key lookups plus the estimate_reply encoders produce -- frame
+// by frame, from an empty frame up to one larger than any before it, and
+// back down (scratch left over from a larger frame must not leak).
+TEST(EstimateView, BatchedQueriesAreByteIdenticalToPerKeyLookups) {
+  const geo::zone_grid grid(test_proj(), 250.0);
+  const coordinator_config ccfg = small_epoch_config();
+  const std::vector<proto::query_request> pool = query_pool(ccfg, grid);
+  ASSERT_GT(pool.size(), 2 * estimate_mirror::batch_width);
+
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    sharded_config scfg;
+    scfg.coordinator = ccfg;
+    scfg.num_shards = shards;
+    scfg.synchronous = true;
+    sharded_coordinator coord(grid, {"NetB", "NetC"}, scfg, /*seed=*/42);
+    for (const auto& rec : synthetic_stream(/*seed=*/9, /*count=*/4000)) {
+      ASSERT_TRUE(coord.report(rec));
+    }
+    const estimate_view view(coord);
+    proto::coordinator_server server(coord);
+    proto::reply_buffer out;
+
+    std::size_t hits = 0;
+    for (const auto& q : pool) {
+      const auto want = reference_reply(view, grid, q);
+      hits += want ? 1 : 0;
+      out.clear();
+      server.handle(proto::request_view::text(proto::encode(q)), out);
+      EXPECT_EQ(out.view(), want ? proto::encode(*want) : proto::encode_none());
+      proto::reply_buffer want_v3;
+      proto::v3::encode_estimate_frame(want, want_v3);
+      out.clear();
+      server.handle(
+          proto::request_view::binary(proto::v3::encode_query_frame(q)), out);
+      EXPECT_EQ(out.view(), want_v3.view());
+    }
+    EXPECT_GT(hits, 0u);
+    EXPECT_LT(hits, pool.size());
+
+    const std::size_t w = estimate_mirror::batch_width;
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, w - 1, w + 1,
+                                pool.size(), std::size_t{5}}) {
+      SCOPED_TRACE("frame=" + std::to_string(n));
+      const std::span<const proto::query_request> frame(pool.data(), n);
+      std::vector<std::optional<proto::estimate_reply>> want;
+      for (const auto& q : frame) want.push_back(reference_reply(view, grid, q));
+
+      const std::uint64_t lookups0 =
+          counter_value(obs::names::kEstimateViewLookups);
+      const std::uint64_t misses0 =
+          counter_value(obs::names::kEstimateViewMisses);
+      out.clear();
+      server.handle(
+          proto::request_view::text(proto::encode_query_batch(frame)), out);
+      EXPECT_EQ(out.view(), proto::encode_estimate_batch(want));
+      std::size_t frame_hits = 0;
+      for (const auto& r : want) frame_hits += r ? 1 : 0;
+      EXPECT_EQ(counter_value(obs::names::kEstimateViewLookups) - lookups0, n);
+      EXPECT_EQ(counter_value(obs::names::kEstimateViewMisses) - misses0,
+                n - frame_hits);
+
+      proto::reply_buffer want_v3;
+      proto::v3::encode_estimate_batch_frame(want, want_v3);
+      out.clear();
+      server.handle(proto::request_view::binary(
+                        proto::v3::encode_query_batch_frame(frame)),
+                    out);
+      EXPECT_EQ(out.view(), want_v3.view());
+    }
+  }
+}
+
+// lookup_batch itself, element by element against lookup(), at 1, 2 and 4
+// shards and over a plain coordinator; counters move once per batch.
+TEST(EstimateView, LookupBatchMatchesLookupAtEveryShardCount) {
+  const geo::zone_grid grid(test_proj(), 250.0);
+  const coordinator_config ccfg = small_epoch_config();
+  const std::vector<proto::query_request> pool = query_pool(ccfg, grid);
+
+  const auto check = [&](const estimate_view& view) {
+    std::vector<stream_lookup> batch;
+    for (const auto& q : pool) {
+      stream_lookup l;
+      l.zone = grid.zone_of(q.pos);
+      l.network_id = view.network_id_of(q.network);
+      l.metric = q.metric;
+      l.now_s = q.time_s;
+      l.found = true;  // must be overwritten on a miss
+      batch.push_back(l);
+    }
+    // An out-of-range zone given directly (the packer's 0 key).
+    batch.push_back(batch.front());
+    batch.back().zone = geo::zone_id{1 << 24, 0};
+    const std::uint64_t lookups0 =
+        counter_value(obs::names::kEstimateViewLookups);
+    const std::uint64_t misses0 =
+        counter_value(obs::names::kEstimateViewMisses);
+    const std::size_t hits = view.lookup_batch(batch);
+    EXPECT_EQ(counter_value(obs::names::kEstimateViewLookups) - lookups0,
+              batch.size());
+    EXPECT_EQ(counter_value(obs::names::kEstimateViewMisses) - misses0,
+              batch.size() - hits);
+    std::size_t want_hits = 0;
+    for (const auto& l : batch) {
+      const auto want = view.lookup(l.zone, l.network_id, l.metric, l.now_s);
+      ASSERT_EQ(l.found, want.has_value());
+      if (!want) continue;
+      ++want_hits;
+      EXPECT_TRUE(same_served(l.est, *want));
+    }
+    EXPECT_EQ(hits, want_hits);
+    EXPECT_GT(hits, 0u);
+    EXPECT_FALSE(batch.back().found);
+    EXPECT_EQ(view.lookup_batch(std::span<stream_lookup>{}), 0u);
+  };
+
+  coordinator seq(grid, {"NetB", "NetC"}, ccfg, /*seed=*/42);
+  for (const auto& rec : synthetic_stream(/*seed=*/9, /*count=*/4000)) {
+    seq.report(rec);
+  }
+  check(estimate_view(seq));
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    sharded_config scfg;
+    scfg.coordinator = ccfg;
+    scfg.num_shards = shards;
+    scfg.synchronous = true;
+    sharded_coordinator coord(grid, {"NetB", "NetC"}, scfg, /*seed=*/42);
+    for (const auto& rec : synthetic_stream(/*seed=*/9, /*count=*/4000)) {
+      ASSERT_TRUE(coord.report(rec));
+    }
+    check(estimate_view(coord));
   }
 }
 

@@ -4,8 +4,9 @@
 // allocations per request in steady state -- a reused reply_buffer, warmed
 // scratch vectors, short (SSO) operator names -- across the hot request
 // types: QUERY (EST reply), QUERYB, REPORT (ACK), REPORTB (ACK <n>), the
-// ERR unsupported path, and (since wire protocol v3) the binary twins of
-// every hot frame. Same counting-operator-new technique as
+// ERR unsupported path, (since wire protocol v3) the binary twins of
+// every hot frame, and QUERY/QUERYB in both framings against a 2-shard
+// coordinator, whose frames split into one mirror batch per shard. Same counting-operator-new technique as
 // bench_apply_path, but kept in its own tiny executable: a global
 // operator new override must not ride along inside the gtest binary (it
 // would fight the sanitizer builds' interceptors).
@@ -19,6 +20,7 @@
 
 #include "core/coordinator.h"
 #include "core/sharded_coordinator.h"
+#include "geo/projection.h"
 #include "geo/zone_grid.h"
 #include "proto/messages.h"
 #include "proto/server.h"
@@ -147,6 +149,49 @@ int main() {
   fserver.handle_into(epochb_apply_v3, out);  // first apply: real inserts
   CHECK(proto::v3::peek_header(out.view())->op == proto::v3::opcode::ack);
 
+  // The batched lookup path over more than one shard: a 2-shard
+  // synchronous coordinator with estimates published in zones owned by
+  // both shards, so one QUERYB frame splits into a mirror batch per shard.
+  core::sharded_config two_cfg = repl_cfg;
+  two_cfg.num_shards = 2;
+  core::sharded_coordinator qcoord(grid, dep.names(), two_cfg, 8);
+  proto::coordinator_server qserver(qcoord);
+  const geo::projection qproj(here);
+  std::vector<proto::query_request> qs2;
+  bool shard_seen[2] = {false, false};
+  for (int z = 0; z < 6; ++z) {
+    const geo::lat_lon pos = qproj.to_lat_lon({300.0 * z, -200.0 * z});
+    shard_seen[qcoord.shard_of(pos)] = true;
+    for (int i = 0; i < 400; ++i) {
+      proto::measurement_report zrep;
+      zrep.client_id = 11;
+      zrep.record = testing::make_record(static_cast<double>(i), "NetB", pos,
+                                         trace::probe_kind::udp_burst, 1.0e6);
+      out.clear();
+      qserver.handle_into(proto::encode(zrep), out);
+      CHECK(out.view() == "ACK");
+    }
+    proto::query_request zq = q;
+    zq.pos = pos;
+    zq.time_s = 399.0;
+    qs2.push_back(zq);
+  }
+  CHECK(shard_seen[0] && shard_seen[1]);
+  qs2.push_back(qs2.front());
+  qs2.back().network = "NoSuchNet";  // a miss rides along
+  const std::string query_line_2s = proto::encode(qs2.front());
+  const std::string queryb_frame_2s = proto::encode_query_batch(qs2);
+  const std::string query_frame_v3_2s = proto::v3::encode_query_frame(qs2.front());
+  const std::string queryb_frame_v3_2s =
+      proto::v3::encode_query_batch_frame(qs2);
+  out.clear();
+  qserver.handle_into(queryb_frame_2s, out);
+  CHECK(out.view().substr(0, 6) == "ESTB 7");
+  CHECK(out.view().find("\nEST zone=") != std::string_view::npos);
+  out.clear();
+  qserver.handle_into(query_line_2s, out);
+  CHECK(out.view().substr(0, 4) == "EST ");
+
   // The binary v3 twins of every hot frame, plus a malformed binary frame
   // (undefined opcode) that draws the typed binary ERR reply.
   const std::string report_frame_v3 = proto::v3::encode_report_frame(rep);
@@ -187,6 +232,10 @@ int main() {
       {"v3 REPORT->ACK", &report_frame_v3, &server},
       {"v3 REPORTB->ACK", &reportb_frame_v3, &server},
       {"v3 bad op->ERR", &bad_frame_v3, &server},
+      {"2-shard QUERY", &query_line_2s, &qserver},
+      {"2-shard QUERYB", &queryb_frame_2s, &qserver},
+      {"2-shard v3 QUERY", &query_frame_v3_2s, &qserver},
+      {"2-shard v3 QUERYB", &queryb_frame_v3_2s, &qserver},
       {"v3 EPOCH->EPOCHB", &epoch_pull_v3, &lserver},
       {"v3 EPOCHB->ACK", &epochb_apply_v3, &fserver},
   };

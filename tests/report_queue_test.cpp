@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/report_queue.h"
@@ -203,6 +204,46 @@ TEST(ReportQueue, PushBatchAfterCloseDropsEverything) {
   q.close();
   std::vector<trace::measurement_record> batch{tagged(1, 0), tagged(1, 1)};
   EXPECT_EQ(q.push_batch(batch), 0u);
+  EXPECT_EQ(q.size(), 0u);
+}
+
+// size() is the depth monitors and the shedding check poll from other
+// threads: a lock-free read that never exceeds capacity, tracks every
+// push and pop, and (under TSan) never races the mutex-held writers.
+TEST(ReportQueue, SizeIsALockFreeDepthReadAcrossPushesAndPops) {
+  static_assert(noexcept(std::declval<const report_queue&>().size()));
+  constexpr std::size_t kCap = 16;
+  report_queue q(kCap);
+  ASSERT_TRUE(q.push(tagged(1, 0)));
+  ASSERT_TRUE(q.try_push(tagged(1, 1)));
+  std::vector<trace::measurement_record> batch(5, tagged(2, 0));
+  ASSERT_EQ(q.push_batch(batch), 5u);
+  EXPECT_EQ(q.size(), 7u);
+  std::vector<trace::measurement_record> out;
+  ASSERT_EQ(q.pop_batch(out, 4), 4u);
+  EXPECT_EQ(q.size(), 3u);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> over_capacity{0};
+  std::thread monitor([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      if (q.size() > kCap) over_capacity.fetch_add(1);
+    }
+  });
+  std::thread producer([&] {
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_TRUE(q.push_batch(batch) == batch.size());
+    }
+  });
+  std::size_t drained = 0;
+  while (drained < 3 + 2000 * batch.size()) {
+    out.clear();
+    drained += q.pop_batch(out, 7);
+  }
+  producer.join();
+  done.store(true, std::memory_order_relaxed);
+  monitor.join();
+  EXPECT_EQ(over_capacity.load(), 0u);
   EXPECT_EQ(q.size(), 0u);
 }
 
