@@ -238,10 +238,9 @@ int main(int argc, char** argv) {
   };
   const auto dense_pass = [&] {
     core::zone_table t(2.0, networks);
-    // The production batch loops (coordinator::report_batch, sharded
-    // drain) pipeline an apply's two dependent misses across records --
-    // directory slot two ahead, hot accumulator line one ahead; the fold
-    // here mirrors them.
+    // One sample after another, pricing the store alone: the production
+    // apply (coordinator::report_batch) also overlaps the misses of a
+    // 64-record chunk, which bench_ingest_scaling's REPORTB leg prices.
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const fold_item& it = stream[i];
       for (const trace::metric m : trace::metrics_of(it.kind)) {

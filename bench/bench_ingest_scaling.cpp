@@ -15,12 +15,16 @@
 //
 // A third measurement prices the observability layer (ISSUE 2): every raw
 // drain is run twice, with obs:: instrumentation enabled and disabled, and
-// the regression is reported (acceptance: <= 5%). Machine-readable results
-// go to bench_ingest_scaling.jsonl in the working directory (one JSON object
-// per line; schema in EXPERIMENTS.md), followed by a full obs metrics
-// snapshot line for the instrumented runs.
+// the regression is reported (acceptance: <= 5%). A fourth prices the
+// REPORTB ingest path on a table far past the caches, in CPU per record:
+// server total, the handling thread alone, and the apply alone.
+// Machine-readable results go to bench_ingest_scaling.jsonl in the working
+// directory (one JSON object per line; schema in EXPERIMENTS.md), followed
+// by a full obs metrics snapshot line for the instrumented runs.
 //
 //   ./bench_ingest_scaling [reports] [wire_us]
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -37,6 +41,7 @@
 #include "obs/snapshot_writer.h"
 #include "proto/messages.h"
 #include "proto/server.h"
+#include "proto/wire_v3.h"
 
 using namespace wiscape;
 
@@ -230,6 +235,115 @@ raw_pair best_raw_pair(const geo::zone_grid& grid,
   return best;
 }
 
+double cpu_s(clockid_t clock) {
+  timespec ts;
+  clock_gettime(clock, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// CPU per record of the ingest path the servers run, best of `reps`.
+struct handoff_cost {
+  double server_ns = 0.0;    ///< process CPU: decode + hand-off + apply
+  double producer_ns = 0.0;  ///< the handling thread alone (decode + hand-off)
+  double apply_ns = 0.0;     ///< coordinator::report_batch alone, one thread
+};
+
+/// v3 REPORTB frames of 64 records, drawn uniformly over a warm 96x96-zone
+/// table (~110k streams, the perfbench ingest shape): through
+/// coordinator_server into an asynchronous 1-shard coordinator, and the
+/// same decoded batches straight into a coordinator.
+handoff_cost reportb_handoff(const geo::projection& proj, std::size_t frames,
+                             int reps) {
+  constexpr int kSide = 96;
+  constexpr std::size_t kFrame = 64;
+  const geo::zone_grid grid(proj, 250.0);
+  const std::vector<std::string> nets{"NetB", "NetC"};
+  std::vector<geo::lat_lon> centers;
+  for (int iy = 0; iy < kSide; ++iy) {
+    for (int ix = 0; ix < kSide; ++ix) {
+      centers.push_back(grid.center({ix, iy}));
+    }
+  }
+  stats::rng_stream rng(bench::bench_seed);
+  const auto record = [&](double t, const geo::lat_lon& pos,
+                          const std::string& net, trace::probe_kind kind) {
+    trace::measurement_record r;
+    r.time_s = t;
+    r.network = net;
+    r.pos = pos;
+    r.kind = kind;
+    r.success = true;
+    r.throughput_bps = 1e6 * (1.0 + rng.uniform());
+    r.loss_rate = 0.01;
+    r.jitter_s = 0.001;
+    r.rtt_s = 0.1;
+    return r;
+  };
+  // Warm: every zone x operator x probe kind, inside one 30-min epoch.
+  std::vector<trace::measurement_record> warm;
+  for (const auto& c : centers) {
+    for (const auto& net : nets) {
+      for (int k = 0; k < 4; ++k) {
+        for (int j = 0; j < 8; ++j) {
+          warm.push_back(
+              record(18001.0, c, net, static_cast<trace::probe_kind>(k)));
+        }
+      }
+    }
+  }
+  std::vector<std::string> wire;
+  std::vector<std::vector<trace::measurement_record>> batches;
+  for (std::size_t f = 0; f < frames; ++f) {
+    std::vector<trace::measurement_record> b;
+    for (std::size_t i = 0; i < kFrame; ++i) {
+      b.push_back(record(
+          18100.0 + 0.01 * static_cast<double>(f),
+          centers[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(centers.size()) - 1))],
+          nets[rng.uniform_int(0, 1)],
+          static_cast<trace::probe_kind>(rng.uniform_int(0, 3))));
+    }
+    wire.push_back(proto::v3::encode_report_batch_frame(b));
+    batches.push_back(std::move(b));
+  }
+  core::sharded_config cfg;
+  cfg.num_shards = 1;
+  cfg.queue_capacity = 65536;
+  cfg.coordinator.epochs.default_epoch_s = 1800.0;
+  const double n = static_cast<double>(frames * kFrame);
+  handoff_cost best{1e300, 1e300, 1e300};
+  for (int r = 0; r < reps; ++r) {
+    {
+      core::sharded_coordinator sc(grid, nets, cfg, bench::bench_seed);
+      proto::coordinator_server server(sc);
+      sc.report_batch(warm);
+      sc.flush();
+      proto::reply_buffer out;
+      const double c0 = cpu_s(CLOCK_PROCESS_CPUTIME_ID);
+      const double p0 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
+      for (const auto& f : wire) {
+        out.clear();
+        server.handle_into(f, out);
+      }
+      const double p1 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
+      sc.flush();
+      const double c1 = cpu_s(CLOCK_PROCESS_CPUTIME_ID);
+      best.server_ns = std::min(best.server_ns, 1e9 * (c1 - c0) / n);
+      best.producer_ns = std::min(best.producer_ns, 1e9 * (p1 - p0) / n);
+    }
+    {
+      core::coordinator co(grid, nets, cfg.coordinator, bench::bench_seed);
+      co.report_batch(warm);
+      const double a0 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
+      for (const auto& b : batches) co.report_batch(b);
+      const double a1 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
+      best.apply_ns = std::min(best.apply_ns, 1e9 * (a1 - a0) / n);
+    }
+  }
+  return best;
+}
+
 /// One machine-readable result line (schema documented in EXPERIMENTS.md).
 void jsonl_result(std::ofstream& out, const char* mode, std::size_t threads,
                   bool obs_enabled, std::size_t reports, double rps) {
@@ -330,6 +444,31 @@ int main(int argc, char** argv) {
     std::printf("    %zu thread(s): %11.0f reports/s\n", threads, rps);
     jsonl_result(jsonl, "replay_batched", threads, true, replay_stream.size(),
                  rps);
+  }
+
+  // The REPORTB ingest path on a table far past the caches: what one
+  // record costs from wire frame to applied, and its two halves.
+  constexpr std::size_t kHandoffFrames = 10000;
+  const handoff_cost handoff = reportb_handoff(proj, kHandoffFrames, 3);
+  std::printf(
+      "\n  REPORTB ingest, v3 frames of 64 on a warm ~110k-stream table "
+      "(best of 3, CPU ns/record):\n"
+      "    server (decode + hand-off + apply): %7.1f\n"
+      "    handling thread (decode + hand-off): %6.1f\n"
+      "    apply alone (coordinator::report_batch): %6.1f\n",
+      handoff.server_ns, handoff.producer_ns, handoff.apply_ns);
+  {
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "{\"bench\":\"ingest_scaling\","
+                  "\"mode\":\"reportb_handoff\","
+                  "\"frames\":%zu,\"records_per_frame\":64,"
+                  "\"server_cpu_ns_per_rec\":%.1f,"
+                  "\"producer_cpu_ns_per_rec\":%.1f,"
+                  "\"apply_cpu_ns_per_rec\":%.1f}\n",
+                  kHandoffFrames, handoff.server_ns, handoff.producer_ns,
+                  handoff.apply_ns);
+    jsonl << buf;
   }
 
   const double overhead_pct = raw4_overhead;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/names.h"
 #include "obs/registry.h"
@@ -51,16 +52,44 @@ coordinator::coordinator(geo::zone_grid grid, std::vector<std::string> networks,
   for (const auto& n : networks_) net_ids_.push_back(table_.interner().try_id(n));
 }
 
-coordinator::zone_state& coordinator::state_of(const geo::zone_id& z) {
-  auto it = zones_.find(z);
-  if (it == zones_.end()) {
-    it = zones_
-             .emplace(z, zone_state{cfg_.epochs.default_epoch_s,
-                                    cfg_.default_samples_per_epoch,
-                                    {}})
-             .first;
+std::size_t coordinator::find_zone(std::uint64_t key) const noexcept {
+  if (zone_mask_ == 0) return no_zone;
+  std::size_t slot = static_cast<std::size_t>(zone_table::mix64(key)) &
+                     zone_mask_;
+  while (zone_slots_[slot].index != 0) {
+    if (zone_slots_[slot].key == key) return zone_slots_[slot].index - 1;
+    slot = (slot + 1) & zone_mask_;
   }
-  return it->second;
+  return no_zone;
+}
+
+void coordinator::place_zone(const zone_slot& e) noexcept {
+  std::size_t slot =
+      static_cast<std::size_t>(zone_table::mix64(e.key)) & zone_mask_;
+  while (zone_slots_[slot].index != 0) slot = (slot + 1) & zone_mask_;
+  zone_slots_[slot] = e;
+}
+
+std::size_t coordinator::zone_index(const geo::zone_id& z) {
+  const std::uint64_t key = zone_key(z);
+  const std::size_t found = find_zone(key);
+  if (found != no_zone) return found;
+  // Keep the directory at most half full: linear probing degrades sharply
+  // past that.
+  if ((zones_.size() + 1) * 2 > zone_slots_.size()) {
+    const std::size_t cap = zone_slots_.empty() ? 64 : zone_slots_.size() * 2;
+    const std::vector<zone_slot> old =
+        std::exchange(zone_slots_, std::vector<zone_slot>(cap));
+    zone_mask_ = cap - 1;
+    for (const zone_slot& e : old) {
+      if (e.index != 0) place_zone(e);
+    }
+  }
+  zones_.push_back(zone_state{cfg_.epochs.default_epoch_s,
+                              cfg_.default_samples_per_epoch,
+                              {}});
+  place_zone(zone_slot{key, static_cast<std::uint32_t>(zones_.size())});
+  return zones_.size() - 1;
 }
 
 trace::metric coordinator::planning_metric(trace::probe_kind k) noexcept {
@@ -162,65 +191,130 @@ std::uint16_t coordinator::resolve_network(
   return table_.interner().try_intern(rec.network);
 }
 
-void coordinator::report(const trace::measurement_record& rec) {
-  if (!rec.success) {
-    metrics().reports_rejected.inc();
-    return;
-  }
-  // Wire-reachable validity checks, before any state mutation: a zone
-  // outside the store's packed cell range (absurd coordinates) or an
-  // exhausted network interner rejects the record instead of throwing --
-  // add_sample's throws must stay unreachable from attacker-controlled
-  // input because drain workers apply records off-thread.
-  const geo::zone_id z = grid_.zone_of(rec.pos);
-  if (!zone_table::zone_in_range(z)) {
-    metrics().reports_rejected.inc();
-    return;
-  }
-  // A NaN/inf timestamp would poison a stream's epoch boundary (and, before
-  // cross_epochs grew its saturation guard, spin its rollover walk forever).
-  if (!std::isfinite(rec.time_s)) {
-    metrics().reports_rejected.inc();
-    return;
-  }
-  const std::uint16_t nid = resolve_network(rec);
-  if (nid == network_interner::npos) {
-    metrics().reports_rejected.inc();
-    return;
-  }
-  zone_state& st = state_of(z);
-  metrics().reports_accepted.inc();
-  const std::size_t alerts_before = table_.alerts().size();
-
-  // Fold every metric the record carries into the table. One id resolution
-  // per record; the per-metric applies then hash a single integer each.
-  for (const trace::metric m : trace::metrics_of(rec.kind)) {
-    table_.add_sample(z, nid, m, rec.time_s, trace::value_of(rec, m),
-                      st.epoch_s);
-  }
-
-  // Epoch-estimation history tracks the planning metric of the record kind.
-  if (nid >= st.history.size()) st.history.resize(nid + 1);
-  auto& series = st.history[nid];
-  series.add(rec.time_s, trace::value_of(rec, planning_metric(rec.kind)));
-  if (series.size() > cfg_.history_cap) {
-    // Drop the oldest half to bound memory while keeping a long window.
-    series.drop_oldest(series.size() / 2);
-  }
-
-  const std::size_t alerts_after = table_.alerts().size();
-  if (alerts_after > alerts_before) {
-    metrics().alerts_raised.inc(alerts_after - alerts_before);
-  }
-}
-
-void coordinator::report_batch(
+std::size_t coordinator::report_batch(
     std::span<const trace::measurement_record> recs) {
-  for (const auto& rec : recs) report(rec);
+  // One accepted record of a chunk, resolved ahead of its apply.
+  struct resolved {
+    const trace::measurement_record* rec;
+    geo::zone_id z;
+    std::uint16_t nid;
+    std::uint64_t gkey;
+    std::size_t zone;  // zones_ index; no_zone: new, created at apply
+    // The record's history series when it exists (prefetch only: pass 4
+    // may grow the vector holding it).
+    const stats::time_series* series;
+    // Stream index per metric of the record, or zone_table::no_stream.
+    std::size_t streams[trace::metric_count];
+  };
+  std::size_t errors = 0;
+  resolved chunk[apply_chunk];
+  for (std::size_t base = 0; base < recs.size(); base += apply_chunk) {
+    const std::size_t n = std::min(apply_chunk, recs.size() - base);
+    // Pass 1: validate and resolve in arrival order (interning a new
+    // network name is a mutation, and ids are handed out first come first
+    // served), putting both directory slots in flight. Wire-reachable
+    // validity checks come before any state mutation: a zone outside the
+    // store's packed cell range (absurd coordinates), a NaN/inf timestamp
+    // (it would poison a stream's epoch boundary) or an exhausted network
+    // interner rejects the record -- add_sample's throws must stay
+    // unreachable from attacker-controlled input.
+    std::size_t live = 0;
+    std::uint64_t rejected = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const trace::measurement_record& rec = recs[base + i];
+      try {
+        if (!rec.success || !std::isfinite(rec.time_s)) {
+          ++rejected;
+          continue;
+        }
+        const geo::zone_id z = grid_.zone_of(rec.pos);
+        if (!zone_table::zone_in_range(z)) {
+          ++rejected;
+          continue;
+        }
+        const std::uint16_t nid = resolve_network(rec);
+        if (nid == network_interner::npos) {
+          ++rejected;
+          continue;
+        }
+        resolved& r = chunk[live++];
+        r.rec = &rec;
+        r.z = z;
+        r.nid = nid;
+        r.gkey = zone_table::group_key(z, nid);
+        prefetch_zone(zone_key(z));
+        table_.prefetch_group(r.gkey);
+      } catch (const std::exception&) {
+        ++errors;
+      }
+    }
+    if (rejected > 0) metrics().reports_rejected.inc(rejected);
+    if (live > 0) metrics().reports_accepted.inc(live);
+    // Pass 2: probe the cached directories; every accumulator and history
+    // entry in flight.
+    for (std::size_t i = 0; i < live; ++i) {
+      resolved& r = chunk[i];
+      r.zone = find_zone(zone_key(r.z));
+      r.series = r.zone != no_zone && r.nid < zones_[r.zone].history.size()
+                     ? &zones_[r.zone].history[r.nid]
+                     : nullptr;
+      if (r.series != nullptr) __builtin_prefetch(r.series);
+      const auto ms = trace::metrics_of(r.rec->kind);
+      for (std::size_t j = 0; j < ms.size(); ++j) {
+        r.streams[j] = table_.stream_of(r.gkey, ms[j]);
+        if (r.streams[j] != zone_table::no_stream) {
+          table_.prefetch_stream(r.streams[j]);
+        }
+      }
+    }
+    // Pass 3: every history tail in flight.
+    for (std::size_t i = 0; i < live; ++i) {
+      if (chunk[i].series == nullptr) continue;
+      const auto tail = chunk[i].series->samples();
+      __builtin_prefetch(tail.data() + tail.size(), 1);
+    }
+    // Pass 4: apply in arrival order. Streams and zones pass 2 did not find
+    // are created here (an earlier record of the chunk may have done so).
+    const std::size_t alerts_before = table_.alerts().size();
+    for (std::size_t i = 0; i < live; ++i) {
+      const resolved& r = chunk[i];
+      const trace::measurement_record& rec = *r.rec;
+      try {
+        zone_state& st =
+            zones_[r.zone != no_zone ? r.zone : zone_index(r.z)];
+        const auto ms = trace::metrics_of(rec.kind);
+        for (std::size_t j = 0; j < ms.size(); ++j) {
+          const double v = trace::value_of(rec, ms[j]);
+          if (r.streams[j] != zone_table::no_stream) {
+            table_.add_to_stream(r.streams[j], rec.time_s, v, st.epoch_s);
+          } else {
+            table_.add_sample(r.z, r.nid, ms[j], rec.time_s, v, st.epoch_s);
+          }
+        }
+        // Epoch-estimation history tracks the planning metric of the kind.
+        if (r.nid >= st.history.size()) st.history.resize(r.nid + 1);
+        auto& series = st.history[r.nid];
+        series.add(rec.time_s,
+                   trace::value_of(rec, planning_metric(rec.kind)));
+        if (series.size() > cfg_.history_cap) {
+          // Drop the oldest half to bound memory while keeping a long
+          // window.
+          series.drop_oldest(series.size() / 2);
+        }
+      } catch (const std::exception&) {
+        ++errors;
+      }
+    }
+    const std::size_t alerts_after = table_.alerts().size();
+    if (alerts_after > alerts_before) {
+      metrics().alerts_raised.inc(alerts_after - alerts_before);
+    }
+  }
+  return errors;
 }
 
 void coordinator::recompute_epochs() {
-  for (auto& [zone, st] : zones_) {
+  for (zone_state& st : zones_) {
     // Use the longest per-network history in this zone. Ties go to the
     // lowest network id (the vector replaces the seed's unordered_map, whose
     // tie order was unspecified; strictly-longest winners are unchanged).
@@ -236,9 +330,9 @@ void coordinator::recompute_epochs() {
 std::size_t coordinator::refine_sample_target(const geo::zone_id& zone,
                                               std::string_view network,
                                               trace::metric metric) {
-  auto it = zones_.find(zone);
-  if (it == zones_.end()) return cfg_.default_samples_per_epoch;
-  zone_state& st = it->second;
+  const std::size_t zi = find_zone(zone_key(zone));
+  if (zi == no_zone) return cfg_.default_samples_per_epoch;
+  zone_state& st = zones_[zi];
   // Allocation-free lookup: networks with no history were never interned
   // (or never reported into this zone).
   const std::uint16_t nid = table_.interner().try_id(network);
@@ -254,14 +348,14 @@ std::size_t coordinator::refine_sample_target(const geo::zone_id& zone,
 
 zone_status coordinator::status_of(const geo::zone_id& zone) const {
   zone_status out;
-  const auto it = zones_.find(zone);
-  if (it == zones_.end()) {
+  const std::size_t zi = find_zone(zone_key(zone));
+  if (zi == no_zone) {
     out.epoch_duration_s = cfg_.epochs.default_epoch_s;
     out.samples_target = cfg_.default_samples_per_epoch;
     return out;
   }
-  out.epoch_duration_s = it->second.epoch_s;
-  out.samples_target = it->second.samples_target;
+  out.epoch_duration_s = zones_[zi].epoch_s;
+  out.samples_target = zones_[zi].samples_target;
   // Report the fullest open stream across networks/metrics for this zone.
   for (const std::uint16_t nid : net_ids_) {
     for (const trace::metric m :

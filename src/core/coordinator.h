@@ -24,6 +24,7 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "core/alert_ring.h"
 #include "core/durable_state.h"
@@ -134,18 +135,32 @@ class coordinator : public durable_state {
   /// MB charged against a client's budget today (diagnostics / tests).
   double client_spend_mb(std::uint64_t client_id, double time_s) const;
 
-  /// Ingests a completed measurement. Updates the zone table (all metrics
-  /// the record carries) and the zone's epoch-estimation history. Never
-  /// throws on wire-reachable input: failed probes, zones outside the
-  /// store's packed cell range, and records arriving after the network
-  /// interner is exhausted are counted into
-  /// `core.coordinator.reports_rejected` and dropped.
-  void report(const trace::measurement_record& rec);
+  /// Ingests one completed measurement: report_batch() over a batch of one.
+  void report(const trace::measurement_record& rec) {
+    report_batch({&rec, 1});
+  }
 
-  /// Ingests a batch of completed measurements in order. Equivalent to
-  /// calling report() per record; exists so the batched wire path (REPORTB)
-  /// has one entry point in sequential mode too.
-  void report_batch(std::span<const trace::measurement_record> recs);
+  /// Ingests completed measurements in order. Each record updates the zone
+  /// table (all metrics it carries) and its zone's epoch-estimation
+  /// history. Never throws: failed probes, non-finite times, zones outside
+  /// the store's packed cell range, and records arriving after the network
+  /// interner is exhausted are counted into
+  /// `core.coordinator.reports_rejected` and dropped, and a record whose
+  /// apply throws anyway is dropped alone (the rest of the batch applies).
+  /// Returns the number of records dropped by a throw -- zero unless the
+  /// apply path has a bug; sharded_coordinator counts them into
+  /// `core.sharded.apply_errors`.
+  ///
+  /// The batch is applied in chunks of apply_chunk records, in passes that
+  /// overlap the cache misses of a whole chunk: validate every record,
+  /// resolve its zone and network id and prefetch both directory slots;
+  /// probe the directories and prefetch each record's stream accumulators
+  /// and history entry; prefetch each history tail; then apply in arrival
+  /// order. The result is exactly that of applying the records one by one.
+  std::size_t report_batch(std::span<const trace::measurement_record> recs);
+
+  /// Records resolved ahead of being applied (see report_batch).
+  static constexpr std::size_t apply_chunk = 64;
 
   /// Re-estimates the epoch duration of every zone with enough history
   /// (Allan minimum). Cheap enough to call periodically.
@@ -221,7 +236,38 @@ class coordinator : public durable_state {
   /// aggregation under the shard lock).
   const zone_table& table() const noexcept { return table_; }
 
-  zone_state& state_of(const geo::zone_id& z);
+  // Zone directory: open addressing (linear probing, at most half full)
+  // from a zone's packed key to its index in zones_ -- the zone_table
+  // gslot layout, one 16-byte slot per zone, so a batch can prefetch a
+  // record's slot before it probes.
+  struct zone_slot {
+    std::uint64_t key = 0;    // zone_key()
+    std::uint32_t index = 0;  // zones_ index + 1; 0 = empty slot
+  };
+  static constexpr std::size_t no_zone = static_cast<std::size_t>(-1);
+
+  /// ix:32 | iy:32. Any zone packs (check-ins and reads accept zones the
+  /// estimate store's range rejects), so emptiness lives in the index.
+  static std::uint64_t zone_key(const geo::zone_id& z) noexcept {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(z.ix))
+            << 32) |
+           static_cast<std::uint32_t>(z.iy);
+  }
+  void prefetch_zone(std::uint64_t key) const noexcept {
+    if (zone_mask_ != 0) {
+      __builtin_prefetch(
+          &zone_slots_[static_cast<std::size_t>(zone_table::mix64(key)) &
+                       zone_mask_]);
+    }
+  }
+  /// zones_ index of a zone, or no_zone.
+  std::size_t find_zone(std::uint64_t key) const noexcept;
+  /// zones_ index of a zone, created with the configured defaults on first
+  /// sight (may grow the directory; zones_ indices stay valid).
+  std::size_t zone_index(const geo::zone_id& z);
+  /// Inserts a directory entry (its key must be absent; room must exist).
+  void place_zone(const zone_slot& e) noexcept;
+  zone_state& state_of(const geo::zone_id& z) { return zones_[zone_index(z)]; }
   /// The primary metric driving sampling decisions for a probe kind.
   static trace::metric planning_metric(trace::probe_kind k) noexcept;
   /// The record's interned network id: the wire-cached id when it checks
@@ -244,7 +290,9 @@ class coordinator : public durable_state {
   epoch_estimator epochs_;
   sample_planner planner_;
   stats::rng_stream rng_;
-  std::unordered_map<geo::zone_id, zone_state, geo::zone_id_hash> zones_;
+  std::vector<zone_state> zones_;       // dense, zone-creation order
+  std::vector<zone_slot> zone_slots_;  // the directory, pow2 slots
+  std::size_t zone_mask_ = 0;          // zone_slots_.size() - 1; 0 = none
   // Round-robin over probe kinds so every metric family gets samples.
   std::uint64_t task_counter_ = 0;
 

@@ -9,15 +9,6 @@ namespace wiscape::core {
 
 namespace {
 
-// splitmix64 finalizer -- same mix the zone table's directory uses, so the
-// scatter quality is identical for identical key material.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 obs::counter& seqlock_retries() {
   static obs::counter& c = obs::registry::global().get_counter(
       obs::names::kEstimateViewSeqlockRetries);
@@ -43,7 +34,8 @@ void estimate_mirror::grow(std::size_t need) {
       const std::uint64_t k = old->entries[i].key.load(std::memory_order_relaxed);
       if (k == 0) continue;
       slot* s = old->entries[i].s.load(std::memory_order_relaxed);
-      std::size_t at = static_cast<std::size_t>(mix64(k)) & next->mask;
+      std::size_t at =
+          static_cast<std::size_t>(zone_table::mix64(k)) & next->mask;
       while (next->entries[at].key.load(std::memory_order_relaxed) != 0) {
         at = (at + 1) & next->mask;
       }
@@ -66,7 +58,7 @@ estimate_mirror::slot* estimate_mirror::find_or_insert(std::uint64_t skey) {
     grow(occupied + 1);
     d = dir_.load(std::memory_order_relaxed);
   }
-  std::size_t at = static_cast<std::size_t>(mix64(skey)) & d->mask;
+  std::size_t at = static_cast<std::size_t>(zone_table::mix64(skey)) & d->mask;
   for (;;) {
     const std::uint64_t k = d->entries[at].key.load(std::memory_order_relaxed);
     if (k == skey) return d->entries[at].s.load(std::memory_order_relaxed);
@@ -137,7 +129,8 @@ bool estimate_mirror::read(std::uint64_t skey,
   const directory* d = dir_.load(std::memory_order_acquire);
   if (d == nullptr) return false;
   const slot* s =
-      probe(*d, skey, static_cast<std::size_t>(mix64(skey)) & d->mask);
+      probe(*d, skey,
+            static_cast<std::size_t>(zone_table::mix64(skey)) & d->mask);
   if (s == nullptr) return false;
   read_slot(*s, out);
   return true;
@@ -159,7 +152,7 @@ std::size_t estimate_mirror::read_batch(std::span<const std::uint64_t> keys,
     const slot* s[batch_width] = {};
     // Pass 1: every key's home directory entry in flight at once.
     for (std::size_t i = 0; i < n; ++i) {
-      at[i] = static_cast<std::size_t>(mix64(k[i])) & d->mask;
+      at[i] = static_cast<std::size_t>(zone_table::mix64(k[i])) & d->mask;
       __builtin_prefetch(&d->entries[at[i]]);
     }
     // Pass 2: probe the cached entries; every resolved slot in flight.

@@ -42,18 +42,6 @@ std::string shard_metric(std::size_t index, const char* suffix) {
          suffix;
 }
 
-// Applies one record, containing any throw. coordinator::report rejects all
-// wire-reachable bad input itself, so this catch is defense in depth: a
-// throw unwinding a drain worker would std::terminate the whole process, so
-// an un-applicable record is counted and dropped instead. Call with the
-// shard's mutex held.
-void apply_record(coordinator& coord, const trace::measurement_record& rec) {
-  try {
-    coord.report(rec);
-  } catch (const std::exception&) {
-    metrics().apply_errors.inc();
-  }
-}
 }  // namespace
 
 struct sharded_coordinator::shard {
@@ -166,15 +154,8 @@ bool sharded_coordinator::report(const trace::measurement_record& rec) {
   }
   shard& sh = owner_of(grid_.zone_of(rec.pos));
   if (cfg_.synchronous) {
-    {
-      std::lock_guard lock(sh.mu);
-      apply_record(sh.coord, rec);
-      sh.enqueued.fetch_add(1, std::memory_order_relaxed);
-      sh.applied.fetch_add(1, std::memory_order_relaxed);
-      reports_received_.fetch_add(1, std::memory_order_relaxed);
-      sh.publish_routed_locked(metrics().routed);
-    }
-    sh.drained_metric.inc();
+    apply_inline(sh, {&rec, 1});
+    reports_received_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
   if (!sh.queue.push(rec)) {
@@ -189,49 +170,77 @@ bool sharded_coordinator::report(const trace::measurement_record& rec) {
   return true;
 }
 
-std::size_t sharded_coordinator::report_batch(
-    std::span<const trace::measurement_record> recs) {
-  if (recs.empty()) return 0;
+std::size_t sharded_coordinator::report_owned(
+    std::vector<trace::measurement_record>& recs, shard_batches& routes) {
+  const std::size_t n = recs.size();
+  if (n == 0) return 0;
   if (stopped_.load(std::memory_order_relaxed)) {
-    metrics().dropped.inc(recs.size());
+    recs.clear();
+    metrics().dropped.inc(n);
     return 0;
   }
-  // Route once, then touch each shard once. The per-shard copies are the
-  // price of one lock acquisition per shard instead of one per record; the
-  // single-shard case routes straight through without regrouping.
+  // Route once, then touch each shard once. With one shard the batch is
+  // that shard's already and crosses as it is: skipping the route (a zone
+  // lookup and a record move each) saves 7-15% of the handling thread's
+  // CPU per REPORTB frame (EXPERIMENTS.md, "Ingest at apply speed").
   std::size_t accepted = 0;
   if (shards_.size() == 1) {
     accepted = ingest_group(*shards_[0], recs);
   } else {
-    std::vector<std::vector<trace::measurement_record>> groups(shards_.size());
-    for (const auto& rec : recs) {
-      groups[shard_of(grid_.zone_of(rec.pos))].push_back(rec);
+    routes.resize(shards_.size());
+    for (auto& rec : recs) {
+      routes[shard_of(grid_.zone_of(rec.pos))].push_back(std::move(rec));
     }
-    for (std::size_t s = 0; s < groups.size(); ++s) {
-      if (!groups[s].empty()) accepted += ingest_group(*shards_[s], groups[s]);
+    recs.clear();
+    for (std::size_t s = 0; s < routes.size(); ++s) {
+      if (!routes[s].empty()) accepted += ingest_group(*shards_[s], routes[s]);
     }
   }
   reports_received_.fetch_add(accepted, std::memory_order_relaxed);
-  if (accepted < recs.size()) metrics().dropped.inc(recs.size() - accepted);
+  if (accepted < n) metrics().dropped.inc(n - accepted);
   return accepted;
 }
 
+std::size_t sharded_coordinator::report_batch(
+    std::span<const trace::measurement_record> recs) {
+  std::vector<trace::measurement_record> owned(recs.begin(), recs.end());
+  shard_batches routes;
+  return report_owned(owned, routes);
+}
+
 std::size_t sharded_coordinator::ingest_group(
-    shard& sh, std::span<const trace::measurement_record> recs) {
+    shard& sh, std::vector<trace::measurement_record>& batch) {
+  const std::size_t n = batch.size();
   if (cfg_.synchronous) {
-    {
-      std::lock_guard lock(sh.mu);
-      for (const auto& rec : recs) apply_record(sh.coord, rec);
-      sh.enqueued.fetch_add(recs.size(), std::memory_order_relaxed);
-      sh.applied.fetch_add(recs.size(), std::memory_order_relaxed);
-      sh.publish_routed_locked(metrics().routed);
-    }
-    sh.drained_metric.inc(recs.size());
-    return recs.size();
+    apply_inline(sh, batch);
+    batch.clear();
+    return n;
   }
-  const std::size_t pushed = sh.queue.push_batch(recs);
+  const std::size_t pushed = sh.queue.push_owned(batch);
   sh.enqueued.fetch_add(pushed, std::memory_order_relaxed);
   return pushed;
+}
+
+void sharded_coordinator::apply_inline(
+    shard& sh, std::span<const trace::measurement_record> recs) {
+  {
+    std::lock_guard lock(sh.mu);
+    apply_locked(sh, recs);
+    sh.enqueued.fetch_add(recs.size(), std::memory_order_relaxed);
+    sh.applied.fetch_add(recs.size(), std::memory_order_relaxed);
+    sh.publish_routed_locked(metrics().routed);
+  }
+  sh.drained_metric.inc(recs.size());
+}
+
+void sharded_coordinator::apply_locked(
+    shard& sh, std::span<const trace::measurement_record> recs) {
+  // coordinator::report_batch rejects all wire-reachable bad input itself
+  // and drops a record whose apply throws anyway (defense in depth: a throw
+  // unwinding a drain worker would std::terminate the whole process).
+  if (const std::size_t errors = sh.coord.report_batch(recs)) {
+    metrics().apply_errors.inc(errors);
+  }
 }
 
 void sharded_coordinator::drain_loop(shard& sh) {
@@ -260,7 +269,7 @@ void sharded_coordinator::apply_batch(
       // The span times the batched table updates -- the per-batch critical
       // section a drain worker holds the shard lock for.
       obs::span drain_span(metrics().drain_latency);
-      for (const auto& rec : batch) apply_record(sh.coord, rec);
+      apply_locked(sh, batch);
     }
     ++sh.drain_batches;
     sh.drain_latency_s +=

@@ -109,13 +109,29 @@ class sharded_coordinator : public durable_state {
   /// the pipeline has been stopped.
   bool report(const trace::measurement_record& rec);
 
-  /// Batched ingestion: routes every record to its owning shard, then makes
+  /// A producer's per-shard routing vectors for report_owned(), one per
+  /// shard once used. Keep one per producer (the proto server keeps one in
+  /// every reply_buffer): each call refills and hands over the same
+  /// vectors, which come back recycled, so steady-state routing allocates
+  /// nothing.
+  using shard_batches = std::vector<std::vector<trace::measurement_record>>;
+
+  /// Batched ingestion of a batch the caller owns -- the wire-facing path
+  /// REPORTB frames and REPORT groups ride on. With one shard the vector
+  /// itself is handed to the shard's queue (report_queue::push_owned);
+  /// with several, every record is moved once into its owning shard's
+  /// vector in `routes` and each vector touched is handed over. Either way
   /// one enqueue (one queue-lock acquisition, one counter delta) per shard
-  /// touched instead of one per record -- the wire-facing amortisation the
-  /// REPORTB command rides on. Per-producer FIFO order is preserved within
-  /// each shard, so determinism guarantees are unchanged. Returns the
-  /// number of records accepted: recs.size() normally, fewer (possibly 0)
-  /// only when the pipeline has been stopped.
+  /// touched, no allocation in steady state, and per-producer FIFO order
+  /// preserved within each shard, so determinism guarantees are unchanged.
+  /// On return `recs` is empty, with capacity the caller can refill.
+  /// Returns the number of records accepted: the batch size normally,
+  /// fewer (possibly 0) only when the pipeline has been stopped.
+  std::size_t report_owned(std::vector<trace::measurement_record>& recs,
+                           shard_batches& routes);
+
+  /// report_owned() over a copy of `recs`, for callers that keep their
+  /// records (tests, benches, tools).
   std::size_t report_batch(std::span<const trace::measurement_record> recs);
 
   /// Blocks until every report enqueued before the call has been applied.
@@ -242,12 +258,21 @@ class sharded_coordinator : public durable_state {
   struct shard;
 
   shard& owner_of(const geo::zone_id& zone) noexcept;
-  /// Feeds one shard's slice of a batch (apply inline when synchronous,
-  /// else one push_batch). Returns records accepted.
+  /// Feeds one shard its batch: applied inline when synchronous, else
+  /// handed to the shard's queue. Leaves `batch` empty; returns records
+  /// accepted.
   std::size_t ingest_group(shard& sh,
-                           std::span<const trace::measurement_record> recs);
+                           std::vector<trace::measurement_record>& batch);
+  /// Applies records inline (synchronous mode) under the shard's lock.
+  void apply_inline(shard& sh,
+                    std::span<const trace::measurement_record> recs);
+  /// Applies records to the shard's coordinator, counting any record whose
+  /// apply threw into core.sharded.apply_errors. Call with the shard's
+  /// mutex held.
+  void apply_locked(shard& sh,
+                    std::span<const trace::measurement_record> recs);
   void drain_loop(shard& sh);
-  /// Applies a batch to the shard's coordinator under its lock.
+  /// Applies a drained batch to the shard's coordinator under its lock.
   void apply_batch(shard& sh,
                    const std::vector<trace::measurement_record>& batch);
 

@@ -105,13 +105,9 @@ std::size_t zone_table::find_stream(const geo::zone_id& zone,
                                     trace::metric metric) const noexcept {
   if (!zone_in_range(zone) ||
       network_id >= network_interner::max_networks) {
-    return npos_index;  // out-of-range keys can never have been stored
+    return no_stream;  // out-of-range keys can never have been stored
   }
-  const std::size_t slot = find_group(pack_group(zone, network_id));
-  if (slot == npos_index) return npos_index;
-  const std::uint32_t val =
-      slots_[slot].streams[static_cast<std::size_t>(metric)];
-  return val == 0 ? npos_index : val - 1;
+  return stream_of(pack_group(zone, network_id), metric);
 }
 
 void zone_table::cross_epochs(std::size_t index, double time_s,
@@ -191,7 +187,7 @@ std::size_t zone_table::open_epoch_samples(const geo::zone_id& zone,
                                            trace::metric metric) const {
   if (network_id == network_interner::npos) return 0;
   const std::size_t idx = find_stream(zone, network_id, metric);
-  return idx == npos_index ? 0 : hot_[idx].open.n;
+  return idx == no_stream ? 0 : hot_[idx].open.n;
 }
 
 std::size_t zone_table::open_epoch_samples(const estimate_key& key) const {
@@ -204,7 +200,7 @@ std::span<const epoch_estimate> zone_table::history_view(
     trace::metric metric) const {
   if (network_id == network_interner::npos) return {};
   const std::size_t idx = find_stream(zone, network_id, metric);
-  if (idx == npos_index) return {};
+  if (idx == no_stream) return {};
   return cold_[idx].frozen;
 }
 
@@ -318,7 +314,7 @@ std::optional<open_epoch_state> zone_table::open_state(
     const estimate_key& key) const {
   const std::size_t idx =
       find_stream(key.zone, interner_.try_id(key.network), key.metric);
-  if (idx == npos_index) return std::nullopt;
+  if (idx == no_stream) return std::nullopt;
   const hot_state& s = hot_[idx];
   if (s.open.empty()) return std::nullopt;
   return open_epoch_state{s.open_start_s, s.open.n, s.open.mean, s.open.m2};

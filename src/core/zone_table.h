@@ -179,6 +179,62 @@ class zone_table {
                   trace::metric metric, double time_s, double value,
                   double epoch_duration_s);
 
+  /// splitmix64 finalizer: full-avalanche mix of a packed key, so linear
+  /// probing sees well-scattered slots even for clustered zone coordinates.
+  /// Every open-addressed directory over zone keys (this table's, the
+  /// coordinator's zone directory, the estimate mirror's) hashes with it.
+  static std::uint64_t mix64(std::uint64_t x) noexcept {
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  }
+
+  // ---- batched apply (coordinator::report_batch) ---------------------------
+  // A batch resolves every record before it applies any, so the cache
+  // misses of many records overlap: prefetch_group() puts a record's
+  // directory slot in flight, stream_of() later probes the cached slot and
+  // prefetch_stream() puts the stream's accumulator in flight, and
+  // add_to_stream() folds the sample into it. Stream indices are stable
+  // for the table's lifetime; a stream stream_of() did not find yet goes
+  // through add_sample(), which creates it.
+
+  /// Sentinel of stream_of(): the group or the stream does not exist.
+  static constexpr std::size_t no_stream = static_cast<std::size_t>(-1);
+
+  /// The directory key of (zone, network id). Same range checks (and
+  /// throws) as add_sample.
+  static std::uint64_t group_key(const geo::zone_id& zone,
+                                 std::uint16_t network_id) {
+    return pack_group(zone, network_id);
+  }
+  /// Starts loading the directory slot a group key probes first.
+  void prefetch_group(std::uint64_t gkey) const noexcept {
+    if (slot_mask_ != 0) {
+      __builtin_prefetch(&slots_[static_cast<std::size_t>(mix64(gkey)) &
+                                 slot_mask_]);
+    }
+  }
+  /// Index of the stream (group key, metric), or no_stream.
+  std::size_t stream_of(std::uint64_t gkey, trace::metric metric) const
+      noexcept {
+    const std::size_t slot = find_group(gkey);
+    if (slot == npos_index) return no_stream;
+    const std::uint32_t val =
+        slots_[slot].streams[static_cast<std::size_t>(metric)];
+    return val == 0 ? no_stream : val - 1;
+  }
+  /// Starts loading a stream's accumulator for an add_to_stream().
+  void prefetch_stream(std::size_t stream) const noexcept {
+    __builtin_prefetch(&hot_[stream], 1);
+  }
+  /// add_sample() into an existing stream found by stream_of().
+  void add_to_stream(std::size_t stream, double time_s, double value,
+                     double epoch_duration_s) {
+    check_duration(epoch_duration_s);
+    fold(stream, time_s, value, epoch_duration_s);
+  }
+
   /// Latest frozen estimate for a key (nullopt before the first rollover).
   std::optional<epoch_estimate> latest(const estimate_key& key) const;
 
@@ -242,7 +298,6 @@ class zone_table {
   network_interner& interner() noexcept { return interner_; }
 
  private:
-  static constexpr std::size_t kMetricCount = 6;  // trace::metric cardinality
   static constexpr std::int32_t kCoordLimit = 1 << 23;  // packed cell range
 
   // Inline open-epoch accumulator: 24 bytes, replicating
@@ -288,7 +343,7 @@ class zone_table {
   // every stream it touches with a single probe.
   struct gslot {
     std::uint64_t key = 0;  // 0 = empty slot (group keys always set bit 63)
-    std::uint32_t streams[kMetricCount] = {};
+    std::uint32_t streams[trace::metric_count] = {};
   };
   static_assert(sizeof(gslot) == 32);
 
@@ -299,17 +354,17 @@ class zone_table {
   /// npos onto id 4095's streams).
   static std::uint64_t pack_group(const geo::zone_id& zone,
                                   std::uint16_t network_id);
+  static void check_duration(double epoch_duration_s) {
+    if (!(epoch_duration_s > 0.0)) {
+      throw std::invalid_argument("epoch duration must be positive");
+    }
+  }
+  /// Folds one sample into stream `index`'s open epoch, rolling it over
+  /// first when the sample lands past it.
+  void fold(std::size_t index, double time_s, double value,
+            double epoch_duration_s);
   [[noreturn]] static void throw_zone_range(const geo::zone_id& zone);
   [[noreturn]] static void throw_network_range(std::uint16_t network_id);
-
-  /// splitmix64 finalizer: full-avalanche mix of the packed key, so linear
-  /// probing sees well-scattered slots even for clustered zone coordinates.
-  static std::uint64_t mix64(std::uint64_t x) noexcept {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  }
 
   /// Directory slot of a group key, or npos when absent. Warms the memo.
   std::size_t find_group(std::uint64_t gkey) const noexcept;
@@ -388,9 +443,7 @@ inline void zone_table::add_sample(const geo::zone_id& zone,
                                    std::uint16_t network_id,
                                    trace::metric metric, double time_s,
                                    double value, double epoch_duration_s) {
-  if (!(epoch_duration_s > 0.0)) {
-    throw std::invalid_argument("epoch duration must be positive");
-  }
+  check_duration(epoch_duration_s);
   const std::uint64_t gkey = pack_group(zone, network_id);
   std::size_t slot = find_group(gkey);
   if (slot == npos_index) slot = create_group(gkey);
@@ -398,14 +451,19 @@ inline void zone_table::add_sample(const geo::zone_id& zone,
       slots_[slot].streams[static_cast<std::size_t>(metric)];
   const std::size_t idx =
       val != 0 ? val - 1 : materialize_stream(slot, zone, network_id, metric);
-  hot_state& s = hot_[idx];
+  fold(idx, time_s, value, epoch_duration_s);
+}
+
+inline void zone_table::fold(std::size_t index, double time_s, double value,
+                             double epoch_duration_s) {
+  hot_state& s = hot_[index];
   if (s.open_start_s < 0.0) {
     // Align the first epoch boundary to a multiple of the duration so
     // different clients agree on epoch edges.
     s.open_start_s = std::floor(time_s / epoch_duration_s) * epoch_duration_s;
   }
   if (time_s >= s.open_start_s + epoch_duration_s) {
-    cross_epochs(idx, time_s, epoch_duration_s);
+    cross_epochs(index, time_s, epoch_duration_s);
   }
   s.open.add(value);
 }

@@ -20,7 +20,8 @@ inline constexpr char kQueueDequeued[] = "core.report_queue.dequeued";
 /// Pushes refused because the queue was closed (or try_push found it
 /// full). [reports]
 inline constexpr char kQueueRejected[] = "core.report_queue.rejected";
-/// push() calls that had to block on a full queue (backpressure events).
+/// Pushes that had to block for room (backpressure events): a full queue,
+/// or an owned batch (push_owned) waiting until it fits whole.
 inline constexpr char kQueueBlockedProducers[] =
     "core.report_queue.producer_blocked";
 /// Highest queue depth ever observed at enqueue time. [reports]

@@ -253,6 +253,9 @@ class reply_buffer {
   // requests so REPORTB/QUERYB frames and REPORT groups decode without
   // per-frame vector allocations (element strings stay in SSO).
   std::vector<trace::measurement_record> records_scratch_;
+  // Per-shard routing vectors handed to the sharded pipeline with
+  // records_scratch_ (core::sharded_coordinator::shard_batches).
+  std::vector<std::vector<trace::measurement_record>> routes_scratch_;
   std::vector<query_request> queries_scratch_;
   std::vector<core::stream_lookup> lookups_scratch_;  // positional with them
   std::vector<std::uint8_t> group_status_;

@@ -258,15 +258,18 @@ void coordinator_server::handle_text_into(std::string_view line,
         }
         r.network_id = last_id;
       }
-      if (sharded_ && sharded_->report_batch(recs) != recs.size()) {
+      // The sharded pipeline takes the decoded vector itself (no copy) and
+      // leaves recs empty, so count first.
+      const std::size_t n = recs.size();
+      if (sharded_ && sharded_->report_owned(recs, out.routes_scratch_) != n) {
         fail(err_code::stopped, "ingestion pipeline stopped");
       } else {
         if (!sharded_) coord_->report_batch(recs);
-        reports_.fetch_add(recs.size(), std::memory_order_relaxed);
-        metrics().reports.inc(recs.size());
+        reports_.fetch_add(n, std::memory_order_relaxed);
+        metrics().reports.inc(n);
         metrics().report_batches.inc();
         out.append("ACK ");
-        out.append_u64(recs.size());
+        out.append_u64(n);
       }
     } else if (type == "QUERY") {
       obs::span timed(metrics().query_latency);
@@ -439,14 +442,16 @@ void coordinator_server::handle_frame_into(std::string_view frame,
             }
             r.network_id = last_id;
           }
-          if (sharded_ && sharded_->report_batch(recs) != recs.size()) {
+          const std::size_t n = recs.size();
+          if (sharded_ &&
+              sharded_->report_owned(recs, out.routes_scratch_) != n) {
             fail(err_code::stopped, "ingestion pipeline stopped");
           } else {
             if (!sharded_) coord_->report_batch(recs);
-            reports_.fetch_add(recs.size(), std::memory_order_relaxed);
-            m.reports.inc(recs.size());
+            reports_.fetch_add(n, std::memory_order_relaxed);
+            m.reports.inc(n);
             m.report_batches.inc();
-            v3::encode_ack_frame(recs.size(), out);
+            v3::encode_ack_frame(n, out);
           }
           break;
         }
@@ -626,7 +631,8 @@ void coordinator_server::handle_report_group(std::string_view block,
   bool stopped = false;
   if (!recs.empty()) {
     if (sharded_) {
-      stopped = sharded_->report_batch(recs) != recs.size();
+      const std::size_t n = recs.size();
+      stopped = sharded_->report_owned(recs, out.routes_scratch_) != n;
     } else {
       coord_->report_batch(recs);
     }

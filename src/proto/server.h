@@ -224,9 +224,10 @@ class coordinator_server {
   /// ("ACK", "ERR parse ...", "ERR internal injected fault..." or
   /// "ERR stopped ..." in the same positions, same counter increments, and
   /// the server_handle fault seam fires once per line), except that every
-  /// record that decodes is submitted through one report_batch() call --
-  /// one queue lock and one counter delta per group instead of one per
-  /// line. The event loop uses this to coalesce REPORT runs drained in one
+  /// record that decodes is submitted as one batch (report_owned() on a
+  /// sharded coordinator, which takes the decoded vector without copying
+  /// it) -- one queue lock and one counter delta per group instead of one
+  /// per line. The event loop uses this to coalesce REPORT runs drained in one
   /// epoll wake; a stopped pipeline answers ERR stopped on every decoded
   /// line of the group, mirroring REPORTB's all-or-nothing discipline.
   /// Lines may carry a trailing '\r' (stripped, like single requests).

@@ -7,6 +7,7 @@
 // CRAWDAD-style CSV of field data.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -80,6 +81,9 @@ enum class metric {
   rtt_s,
   uplink_throughput_bps,
 };
+
+/// The number of metrics (the cardinality of `metric`).
+inline constexpr std::size_t metric_count = 6;
 
 /// The wire name of `m` ("tcp_throughput", "rtt", ...); a view into
 /// static storage.

@@ -5,8 +5,12 @@
 // scratch vectors, short (SSO) operator names -- across the hot request
 // types: QUERY (EST reply), QUERYB, REPORT (ACK), REPORTB (ACK <n>), the
 // ERR unsupported path, (since wire protocol v3) the binary twins of
-// every hot frame, and QUERY/QUERYB in both framings against a 2-shard
-// coordinator, whose frames split into one mirror batch per shard. Same counting-operator-new technique as
+// every hot frame, QUERY/QUERYB in both framings against a 2-shard
+// coordinator, whose frames split into one mirror batch per shard, and the
+// queued ingest path the servers run -- REPORTB (text and v3) and a REPORT
+// group handed to an asynchronous 1-shard coordinator's drain worker, and
+// a v3 REPORTB routed across an asynchronous 2-shard one, each counted up
+// to flush(). Same counting-operator-new technique as
 // bench_apply_path, but kept in its own tiny executable: a global
 // operator new override must not ride along inside the gtest binary (it
 // would fight the sanitizer builds' interceptors).
@@ -192,6 +196,58 @@ int main() {
   qserver.handle_into(query_line_2s, out);
   CHECK(out.view().substr(0, 4) == "EST ");
 
+  // The queued ingest path the servers run: an asynchronous sharded
+  // coordinator whose drain worker applies what the server hands over.
+  // These cases call flush() after every request, so the count covers the
+  // drain worker's apply and the batch vectors' trip back to the producer,
+  // and one frame is in flight at a time (a producer running k frames ahead
+  // of the drain mints up to k batch vectors once, then reuses them).
+  core::sharded_config async_cfg;
+  async_cfg.num_shards = 1;
+  async_cfg.synchronous = false;
+  core::sharded_coordinator acoord(grid, dep.names(), async_cfg, 10);
+  proto::coordinator_server aserver(acoord);
+  core::sharded_config async2_cfg = async_cfg;
+  async2_cfg.num_shards = 2;
+  core::sharded_coordinator acoord2(grid, dep.names(), async2_cfg, 12);
+  proto::coordinator_server aserver2(acoord2);
+  // Two zones, one per shard of acoord2; both servers warm every stream the
+  // counted frames touch past a history trim cycle, as above.
+  geo::lat_lon owned_by[2] = {here, here};
+  bool owned_seen[2] = {false, false};
+  for (int z = 0; !(owned_seen[0] && owned_seen[1]); ++z) {
+    const geo::lat_lon pos = qproj.to_lat_lon({300.0 * z, -200.0 * z});
+    const std::size_t s = acoord2.shard_of(pos);
+    if (!owned_seen[s]) owned_by[s] = pos;
+    owned_seen[s] = true;
+  }
+  for (int i = 0; i < 20000; ++i) {
+    for (const geo::lat_lon& pos : {here, owned_by[0], owned_by[1]}) {
+      proto::measurement_report wrep;
+      wrep.client_id = 13;
+      wrep.record = testing::make_record(static_cast<double>(i), "NetB", pos,
+                                         trace::probe_kind::udp_burst, 1.0e6);
+      const std::string line = proto::encode(wrep);
+      out.clear();
+      aserver.handle_into(line, out);
+      CHECK(out.view() == "ACK");
+      out.clear();
+      aserver2.handle_into(line, out);
+      CHECK(out.view() == "ACK");
+    }
+  }
+  acoord.flush();
+  acoord2.flush();
+  std::string report_group;
+  for (int i = 0; i < 8; ++i) report_group += report_line + "\n";
+  std::vector<trace::measurement_record> split_recs;
+  for (int i = 0; i < 16; ++i) {
+    split_recs.push_back(rep.record);
+    split_recs.back().pos = owned_by[i % 2];
+  }
+  const std::string reportb_frame_v3_2s =
+      proto::v3::encode_report_batch_frame(split_recs);
+
   // The binary v3 twins of every hot frame, plus a malformed binary frame
   // (undefined opcode) that draws the typed binary ERR reply.
   const std::string report_frame_v3 = proto::v3::encode_report_frame(rep);
@@ -220,6 +276,8 @@ int main() {
     const char* name;
     const std::string* line;
     proto::coordinator_server* srv;
+    core::sharded_coordinator* queued = nullptr;  // flushed per request
+    std::size_t group = 0;  // > 0: a REPORT group of this many lines
   };
   const test_case cases[] = {
       {"QUERY->EST", &query_line, &server},
@@ -238,25 +296,32 @@ int main() {
       {"2-shard v3 QUERYB", &queryb_frame_v3_2s, &qserver},
       {"v3 EPOCH->EPOCHB", &epoch_pull_v3, &lserver},
       {"v3 EPOCHB->ACK", &epochb_apply_v3, &fserver},
+      {"queued REPORTB", &reportb_frame, &aserver, &acoord},
+      {"queued v3 REPORTB", &reportb_frame_v3, &aserver, &acoord},
+      {"queued REPORT x8", &report_group, &aserver, &acoord, 8},
+      {"2-shard queued v3 REPORTB", &reportb_frame_v3_2s, &aserver2, &acoord2},
+  };
+  const auto run = [&](const test_case& tc) {
+    out.clear();
+    if (tc.group > 0) {
+      tc.srv->handle_report_group(*tc.line, tc.group, out);
+    } else {
+      tc.srv->handle_into(*tc.line, out);
+    }
+    if (tc.queued != nullptr) tc.queued->flush();
   };
 
   constexpr int kIters = 200;
   int failures = 0;
   for (const auto& tc : cases) {
     // Warm: reply_buffer capacity, scratch vectors, interner entries.
-    for (int i = 0; i < 3; ++i) {
-      out.clear();
-      tc.srv->handle_into(*tc.line, out);
-    }
+    for (int i = 0; i < 3; ++i) run(tc);
     g_allocs.store(0);
     g_count_allocs.store(true);
-    for (int i = 0; i < kIters; ++i) {
-      out.clear();
-      tc.srv->handle_into(*tc.line, out);
-    }
+    for (int i = 0; i < kIters; ++i) run(tc);
     g_count_allocs.store(false);
     const std::uint64_t allocs = g_allocs.load();
-    std::printf("  %-15s %3d requests, %llu heap allocations\n", tc.name,
+    std::printf("  %-26s %3d requests, %llu heap allocations\n", tc.name,
                 kIters, static_cast<unsigned long long>(allocs));
     if (allocs != 0) ++failures;
   }

@@ -2,6 +2,7 @@
 // queue, and clean shutdown that drains everything already enqueued.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -9,6 +10,8 @@
 #include <vector>
 
 #include "core/report_queue.h"
+#include "obs/names.h"
+#include "obs/registry.h"
 
 namespace wiscape::core {
 namespace {
@@ -258,6 +261,153 @@ TEST(ReportQueue, WaitEmptyReturnsOnceConsumed) {
   q.wait_empty();
   EXPECT_EQ(q.size(), 0u);
   consumer.join();
+}
+
+// ---- the batch ring: owned hand-offs, prefix pops, recycling ---------------
+
+std::vector<trace::measurement_record> run(std::uint64_t producer, int from,
+                                           int count) {
+  std::vector<trace::measurement_record> out;
+  for (int i = from; i < from + count; ++i) out.push_back(tagged(producer, i));
+  return out;
+}
+
+TEST(ReportQueue, FifoAcrossOwnedAndCopiedPushes) {
+  report_queue q(64);
+  auto owned = run(1, 0, 5);
+  ASSERT_EQ(q.push_owned(owned), 5u);
+  EXPECT_TRUE(owned.empty());
+  ASSERT_TRUE(q.push(tagged(1, 5)));
+  ASSERT_EQ(q.push_batch(run(1, 6, 4)), 4u);
+  ASSERT_TRUE(q.try_push(tagged(1, 10)));
+  owned = run(1, 11, 9);
+  ASSERT_EQ(q.push_owned(owned), 9u);
+  EXPECT_EQ(q.size(), 20u);
+  std::vector<trace::measurement_record> out;
+  // Uneven pops cut batches at every kind of boundary.
+  for (const std::size_t max : {3u, 1u, 7u, 2u, 100u}) q.pop_batch(out, max);
+  ASSERT_EQ(out.size(), 20u);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(out[i].time_s, i);
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(ReportQueue, PopBatchHonoursMaxExactlyWithPrefixSplit) {
+  report_queue q(64);
+  for (int b = 0; b < 3; ++b) {
+    auto batch = run(1, 5 * b, 5);
+    batch.reserve(64);  // big enough to be swapped out whole
+    ASSERT_EQ(q.push_owned(batch), 5u);
+  }
+  std::vector<trace::measurement_record> out;
+  // 7 = the whole first batch (swapped out) + a 2-record prefix of the next.
+  EXPECT_EQ(q.pop_batch(out, 7), 7u);
+  ASSERT_EQ(out.size(), 7u);
+  EXPECT_EQ(q.size(), 8u);
+  // A prefix of a partly popped batch, then exactly max again.
+  std::vector<trace::measurement_record> more;
+  EXPECT_EQ(q.pop_batch(more, 2), 2u);
+  EXPECT_EQ(q.pop_batch(more, 4), 4u);
+  EXPECT_EQ(q.pop_batch(more, 4), 2u);  // only 2 left
+  out.insert(out.end(), more.begin(), more.end());
+  ASSERT_EQ(out.size(), 15u);
+  for (int i = 0; i < 15; ++i) EXPECT_EQ(out[i].time_s, i);
+  // A batch larger than max comes out as prefixes of exactly max.
+  auto big = run(2, 0, 10);
+  ASSERT_EQ(q.push_owned(big), 10u);
+  std::vector<trace::measurement_record> a, b, c;
+  EXPECT_EQ(q.pop_batch(a, 4), 4u);
+  EXPECT_EQ(q.pop_batch(b, 4), 4u);
+  EXPECT_EQ(q.pop_batch(c, 4), 2u);
+  EXPECT_EQ(a.front().time_s, 0);
+  EXPECT_EQ(b.front().time_s, 4);
+  EXPECT_EQ(c.back().time_s, 9);
+  // Appending to a non-empty out never swaps it away.
+  std::vector<trace::measurement_record> kept{tagged(9, -1)};
+  auto tail = run(3, 0, 3);
+  tail.reserve(64);
+  ASSERT_EQ(q.push_owned(tail), 3u);
+  EXPECT_EQ(q.pop_batch(kept, 64), 3u);
+  ASSERT_EQ(kept.size(), 4u);
+  EXPECT_EQ(kept.front().client_id, 9u);
+  EXPECT_EQ(kept.back().time_s, 2);
+}
+
+TEST(ReportQueue, OwnedBatchLargerThanCapacityFedInGulps) {
+  constexpr std::size_t kBatch = 100;
+  report_queue q(8);
+  auto batch = run(1, 0, static_cast<int>(kBatch));
+  std::vector<trace::measurement_record> drained;
+  std::atomic<std::size_t> deepest{0};
+  std::thread consumer([&] {
+    std::vector<trace::measurement_record> out;
+    while (drained.size() < kBatch) {
+      deepest.store(std::max(deepest.load(), q.size()));
+      out.clear();
+      if (q.pop_batch(out, 3) == 0) break;
+      drained.insert(drained.end(), out.begin(), out.end());
+    }
+  });
+  EXPECT_EQ(q.push_owned(batch), kBatch);
+  EXPECT_TRUE(batch.empty());
+  consumer.join();
+  EXPECT_LE(deepest.load(), 8u);
+  ASSERT_EQ(drained.size(), kBatch);
+  for (std::size_t i = 0; i < kBatch; ++i) EXPECT_EQ(drained[i].time_s, i);
+}
+
+TEST(ReportQueue, CloseReleasesProducerBlockedWithOwnedBatch) {
+  auto& rejected =
+      obs::registry::global().get_counter(obs::names::kQueueRejected);
+  report_queue q(4);
+  auto first = run(1, 0, 3);
+  ASSERT_EQ(q.push_owned(first), 3u);
+  const std::uint64_t rejected0 = rejected.value();
+  std::atomic<bool> returned{false};
+  std::thread producer([&] {
+    auto batch = run(1, 3, 2);  // 3 + 2 > 4: waits to fit whole
+    EXPECT_EQ(q.push_owned(batch), 0u);
+    EXPECT_TRUE(batch.empty());
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(returned.load()) << "push_owned returned while it did not fit";
+  q.close();
+  producer.join();
+  EXPECT_EQ(rejected.value() - rejected0, 2u);
+  // What was enqueued before close still drains.
+  std::vector<trace::measurement_record> out;
+  EXPECT_EQ(q.pop_batch(out, 10), 3u);
+  EXPECT_EQ(q.pop_batch(out, 10), 0u);
+}
+
+TEST(ReportQueue, RecycledVectorsComeBackAndHugeOnesAreReleased) {
+  report_queue q(4096);
+  // A drained batch's vector is recycled: the next owned push gets it back
+  // empty, with its capacity, so refilling it allocates nothing.
+  auto a = run(1, 0, 4);
+  a.reserve(16);
+  const auto* storage = a.data();
+  ASSERT_EQ(q.push_owned(a), 4u);
+  std::vector<trace::measurement_record> out;
+  ASSERT_EQ(q.pop_batch(out, 32), 4u);  // 16 < 32: copied out, recycled
+  auto b = run(1, 4, 1);
+  ASSERT_EQ(q.push_owned(b), 1u);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.capacity(), 16u);
+  EXPECT_EQ(b.data(), storage);
+  out.clear();
+  ASSERT_EQ(q.pop_batch(out, 32), 1u);
+
+  // A vector above the cap is released instead.
+  report_queue big_q(4096);
+  auto huge = run(2, 0, 1);
+  huge.reserve(report_queue::max_recycled_capacity + 1);
+  ASSERT_EQ(big_q.push_owned(huge), 1u);
+  out.clear();
+  ASSERT_EQ(big_q.pop_batch(out, 4096), 1u);  // copied out, then released
+  auto c = run(2, 1, 1);
+  ASSERT_EQ(big_q.push_owned(c), 1u);
+  EXPECT_LE(c.capacity(), report_queue::max_recycled_capacity);
 }
 
 }  // namespace

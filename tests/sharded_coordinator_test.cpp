@@ -8,12 +8,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "core/coordinator.h"
+#include "core/estimate_view.h"
 #include "core/sharded_coordinator.h"
+#include "obs/names.h"
+#include "obs/registry.h"
 #include "proto/server.h"
 #include "test_util.h"
 
@@ -271,6 +275,229 @@ TEST(ShardedCoordinator, EpochAndTargetManagementWorkPerShard) {
     per_shard_total += sc.stats_of(s).reports_ingested;
   }
   EXPECT_EQ(per_shard_total, stream.size());
+}
+
+// ---- batched apply == per-record apply ------------------------------------
+
+// A stream built to break a chunked, prefetched apply if it reorders or
+// caches anything it must not: every rejection reason, rollovers and gap
+// jumps inside chunks, wire-cached ids that are right, missing and wrong,
+// an unknown operator, and zones and streams first seen mid-chunk so both
+// directories grow while a chunk is in flight. A run of distinct operator
+// names in one zone saturates that shard's interner part way through.
+std::vector<trace::measurement_record> apply_equivalence_stream() {
+  stats::rng_stream rng(2026);
+  const geo::projection proj = test_proj();
+  std::vector<trace::measurement_record> out;
+  const auto flood_at = proj.to_lat_lon({150.0, 150.0});
+  int flood = 0;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    const double t = 100.0 + static_cast<double>(i) * 0.5;
+    // Half the records keep to a hot 3x3 neighbourhood (long histories,
+    // trimmed inside chunks); the rest keep finding new zones as their
+    // neighbourhood widens over the stream.
+    const int reach = rng.chance(0.5) ? 1 : 1 + static_cast<int>(i / 150);
+    const geo::xy xy{443.0 * rng.uniform_int(-reach, reach),
+                     443.0 * rng.uniform_int(-reach, reach)};
+    const auto kind = static_cast<trace::probe_kind>(rng.uniform_int(0, 3));
+    const double base = kind == trace::probe_kind::ping ? 0.12 : 1.5e6;
+    const double level = i < 1500 ? base : base * 3.0;  // alerts
+    const bool b = rng.chance(0.5);
+    auto r = testing::make_record(t, b ? "NetB" : "NetC", proj.to_lat_lon(xy),
+                                  kind, level * (1.0 + 0.05 * rng.normal()));
+    r.loss_rate = 0.01 * rng.uniform();
+    r.jitter_s = 0.002 * rng.uniform();
+    // Wire-cached ids: right, unresolved, or naming the other operator.
+    const int id_shape = static_cast<int>(rng.uniform_int(0, 2));
+    r.network_id = id_shape == 0   ? static_cast<std::uint16_t>(b ? 0 : 1)
+                   : id_shape == 1 ? trace::no_network_id
+                                   : static_cast<std::uint16_t>(b ? 1 : 0);
+    switch (rng.uniform_int(0, 19)) {
+      case 0:
+        r.success = false;
+        break;
+      case 1:
+        r.pos = geo::lat_lon{4e8, -4e8};  // outside the packed cell range
+        break;
+      case 2:
+        r.time_s = rng.chance(0.5) ? std::numeric_limits<double>::quiet_NaN()
+                                   : std::numeric_limits<double>::infinity();
+        break;
+      case 3:
+        r.network = "NetX";  // not configured: interned on first sight
+        break;
+      case 4:
+        r.time_s += 400.0 * rng.uniform();  // jumps epochs ahead
+        break;
+      default:
+        break;
+    }
+    out.push_back(std::move(r));
+    // Mid-stream, a run of one-off operator names floods one zone.
+    if (i >= 1000 && i < 2050) {
+      for (int k = 0; k < 4; ++k) {
+        auto f = testing::make_record(t, "Flood" + std::to_string(flood++),
+                                      flood_at, trace::probe_kind::ping, 0.1);
+        out.push_back(std::move(f));
+      }
+    }
+  }
+  return out;
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::registry::global().get_counter(name).value();
+}
+
+// Everything a coordinator publishes or keeps: tables (keys, frozen
+// histories, open epochs), alerts, the serving mirror, and the per-zone
+// epoch state the history drives (after recompute_epochs).
+void expect_same_state(sharded_coordinator& want, sharded_coordinator& got,
+                       const std::vector<geo::zone_id>& zones) {
+  const auto sorted_keys = [](sharded_coordinator& c) {
+    auto keys = c.keys();
+    std::sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
+      return std::tie(a.zone.ix, a.zone.iy, a.network, a.metric) <
+             std::tie(b.zone.ix, b.zone.iy, b.network, b.metric);
+    });
+    return keys;
+  };
+  const auto keys = sorted_keys(want);
+  ASSERT_EQ(sorted_keys(got), keys);
+  const estimate_view want_view(want), got_view(got);
+  for (const auto& key : keys) {
+    const auto a = want.history(key);
+    const auto b = got.history(key);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].epoch_start_s, b[i].epoch_start_s);
+      EXPECT_EQ(a[i].mean, b[i].mean);
+      EXPECT_EQ(a[i].stddev, b[i].stddev);
+      EXPECT_EQ(a[i].samples, b[i].samples);
+    }
+    const auto oa = want.open_state(key);
+    const auto ob = got.open_state(key);
+    ASSERT_EQ(oa.has_value(), ob.has_value());
+    if (oa) {
+      EXPECT_EQ(oa->open_start_s, ob->open_start_s);
+      EXPECT_EQ(oa->n, ob->n);
+      EXPECT_EQ(oa->mean, ob->mean);
+      EXPECT_EQ(oa->m2, ob->m2);
+    }
+    const auto ma = want_view.lookup(key.zone, key.network, key.metric);
+    const auto mb = got_view.lookup(key.zone, key.network, key.metric);
+    ASSERT_EQ(ma.has_value(), mb.has_value());
+    if (ma) {
+      EXPECT_EQ(ma->count, mb->count);
+      EXPECT_EQ(ma->mean, mb->mean);
+      EXPECT_EQ(ma->stddev, mb->stddev);
+      EXPECT_EQ(ma->epoch_index, mb->epoch_index);
+    }
+  }
+  const auto aa = want.alerts();
+  const auto ab = got.alerts();
+  ASSERT_EQ(aa.size(), ab.size());
+  for (std::size_t i = 0; i < aa.size(); ++i) {
+    EXPECT_TRUE(same_key(aa[i].key, ab[i].key));
+    EXPECT_EQ(aa[i].epoch_start_s, ab[i].epoch_start_s);
+    EXPECT_EQ(aa[i].new_mean, ab[i].new_mean);
+    EXPECT_EQ(aa[i].previous_mean, ab[i].previous_mean);
+  }
+  // The epoch-estimation histories surface through what they drive: the
+  // NKLD sample targets and the Allan epoch durations.
+  want.recompute_epochs();
+  got.recompute_epochs();
+  for (const auto& z : zones) {
+    for (const char* net : {"NetB", "NetC"}) {
+      EXPECT_EQ(want.refine_sample_target(z, net, trace::metric::rtt_s),
+                got.refine_sample_target(z, net, trace::metric::rtt_s));
+    }
+    const auto sa = want.status_of(z);
+    const auto sb = got.status_of(z);
+    EXPECT_EQ(sa.epoch_duration_s, sb.epoch_duration_s);
+    EXPECT_EQ(sa.samples_target, sb.samples_target);
+    EXPECT_EQ(sa.open_epoch_samples, sb.open_epoch_samples);
+  }
+}
+
+TEST(ShardedCoordinator, BatchedApplyMatchesPerRecordReport) {
+  const auto stream = apply_equivalence_stream();
+  const geo::zone_grid grid(test_proj(), 250.0);
+  const std::vector<std::string> nets{"NetB", "NetC"};
+  std::vector<geo::zone_id> zones;
+  for (const auto& r : stream) {
+    const auto z = grid.zone_of(r.pos);
+    if (std::find(zones.begin(), zones.end(), z) == zones.end()) {
+      zones.push_back(z);
+    }
+  }
+  coordinator_config ccfg = small_epoch_config();
+  ccfg.epochs.default_epoch_s = 30.0;  // rollovers inside every chunk
+  ccfg.history_cap = 64;               // history trims inside chunks too
+
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    sharded_config ref_cfg;
+    ref_cfg.coordinator = ccfg;
+    ref_cfg.num_shards = shards;
+    ref_cfg.synchronous = true;
+    for (const std::size_t chunk : {0u, 1u, 63u, 64u, 65u, 1000u}) {
+      for (const bool synchronous : {true, false}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) +
+                     " chunk=" + std::to_string(chunk) +
+                     (synchronous ? " sync" : " async"));
+        // The reference: one report() per record, applied inline. Built
+        // fresh each time: the comparison draws its planner rng.
+        sharded_coordinator ref(grid, nets, ref_cfg, 42);
+        const std::uint64_t acc0 =
+            counter_value(obs::names::kCoordReportsAccepted);
+        const std::uint64_t rej0 =
+            counter_value(obs::names::kCoordReportsRejected);
+        for (const auto& r : stream) ASSERT_TRUE(ref.report(r));
+        const std::uint64_t ref_acc =
+            counter_value(obs::names::kCoordReportsAccepted) - acc0;
+        const std::uint64_t ref_rej =
+            counter_value(obs::names::kCoordReportsRejected) - rej0;
+        ASSERT_GT(ref_rej, 0u);
+        ASSERT_FALSE(ref.alerts().empty());
+
+        sharded_config cfg = ref_cfg;
+        cfg.synchronous = synchronous;
+        cfg.queue_capacity = 512;
+        cfg.drain_batch = 100;  // drains split into 64 + 36 record chunks
+        sharded_coordinator sc(grid, nets, cfg, 42);
+        const std::uint64_t a0 =
+            counter_value(obs::names::kCoordReportsAccepted);
+        const std::uint64_t r0 =
+            counter_value(obs::names::kCoordReportsRejected);
+        const std::uint64_t e0 =
+            counter_value(obs::names::kShardedApplyErrors);
+        sharded_coordinator::shard_batches routes;
+        for (std::size_t i = 0; i < stream.size();) {
+          // chunk 0: an empty batch (a no-op) before every single record.
+          const std::size_t n =
+              chunk == 0 ? 1 : std::min(chunk, stream.size() - i);
+          if (chunk == 0) {
+            std::vector<trace::measurement_record> none;
+            ASSERT_EQ(sc.report_owned(none, routes), 0u);
+          }
+          std::vector<trace::measurement_record> batch(
+              stream.begin() + static_cast<std::ptrdiff_t>(i),
+              stream.begin() + static_cast<std::ptrdiff_t>(i + n));
+          ASSERT_EQ(sc.report_owned(batch, routes), n);
+          ASSERT_TRUE(batch.empty());
+          i += n;
+        }
+        sc.flush();
+        EXPECT_EQ(counter_value(obs::names::kCoordReportsAccepted) - a0,
+                  ref_acc);
+        EXPECT_EQ(counter_value(obs::names::kCoordReportsRejected) - r0,
+                  ref_rej);
+        EXPECT_EQ(counter_value(obs::names::kShardedApplyErrors), e0);
+        EXPECT_EQ(sc.reports_ingested(), stream.size());
+        expect_same_state(ref, sc, zones);
+      }
+    }
+  }
 }
 
 TEST(ShardedCoordinatorStress, EightProducersLoseNoReports) {
