@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <functional>
 
+#include "proto/server.h"
 #include "trace/csv.h"
 
 namespace wiscape::bench {
@@ -159,6 +160,13 @@ void print_series(const std::string& x_label, const std::string& y_label,
   for (std::size_t i = 0; i < n; i += step) {
     std::printf("  %14.3f  %14.4f\n", points[i].first, points[i].second);
   }
+}
+
+std::string reply_of(proto::coordinator_server& server,
+                     std::string_view bytes) {
+  proto::reply_buffer out;
+  server.handle(proto::request_view::detect(bytes), out);
+  return std::string(out.view());
 }
 
 }  // namespace wiscape::bench

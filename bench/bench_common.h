@@ -7,11 +7,16 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cellnet/presets.h"
 #include "probe/collect.h"
 #include "trace/dataset.h"
+
+namespace wiscape::proto {
+class coordinator_server;
+}  // namespace wiscape::proto
 
 namespace wiscape::bench {
 
@@ -38,6 +43,12 @@ region_data spot_region(cellnet::region_preset preset);
 
 /// Standard Short-segment campaign (three operators).
 trace::dataset segment_dataset();
+
+/// One in-process request through coordinator_server::handle: detects the
+/// framing from the leading byte, renders into a fresh reply_buffer and
+/// returns the reply as a new string -- the allocating call shape the
+/// in-process baselines time.
+std::string reply_of(proto::coordinator_server& server, std::string_view bytes);
 
 // ---------------------------------------------------------------- output ----
 

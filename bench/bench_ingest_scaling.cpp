@@ -141,7 +141,7 @@ double run_replay(const geo::zone_grid& grid,
     producers.emplace_back([&, p] {
       for (std::size_t i = p; i < lines.size(); i += threads) {
         std::this_thread::sleep_for(std::chrono::microseconds(wire_us));
-        server.handle(lines[i]);
+        bench::reply_of(server, lines[i]);
       }
     });
   }
@@ -185,7 +185,7 @@ double run_replay_batched(const geo::zone_grid& grid,
     producers.emplace_back([&, p] {
       for (std::size_t i = p; i < frames.size(); i += threads) {
         std::this_thread::sleep_for(std::chrono::microseconds(wire_us));
-        server.handle(frames[i]);
+        bench::reply_of(server, frames[i]);
       }
     });
   }
@@ -324,7 +324,7 @@ handoff_cost reportb_handoff(const geo::projection& proj, std::size_t frames,
       const double p0 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
       for (const auto& f : wire) {
         out.clear();
-        server.handle_into(f, out);
+        server.handle(proto::request_view::binary(f), out);
       }
       const double p1 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
       sc.flush();

@@ -39,8 +39,8 @@
 // in-process single QUERY) is re-measured and printed for comparison. On a
 // host with enough cores for the event loops, batched QUERYB across
 // several connections reaches past that baseline toward 5x via loop
-// parallelism (SO_REUSEPORT spreads sessions across loops, sharded
-// concurrent mode takes the dispatches).
+// parallelism (SO_REUSEPORT spreads sessions across loops, and the sharded
+// coordinator takes the dispatches).
 //
 // Machine-readable results go to bench_net_server.jsonl in the working
 // directory (one JSON object per line; schema in EXPERIMENTS.md).
@@ -352,7 +352,9 @@ int main(int argc, char** argv) {
     std::vector<double> ratios;
     for (int r = 0; r < kReps; ++r) {
       double t0 = now_s();
-      for (const auto& f : report_frames) sink += server.handle(f).size();
+      for (const auto& f : report_frames) {
+        sink += bench::reply_of(server, f).size();
+      }
       const double inproc =
           static_cast<double>(stream.size()) / (now_s() - t0);
       inproc_ingest = std::max(inproc_ingest, inproc);
@@ -500,7 +502,7 @@ int main(int argc, char** argv) {
     // expensive instruction in this loop.
     std::size_t line = 0;
     for (std::size_t i = 0; i < inproc_ops; ++i) {
-      sink += server.handle(single_lines[line]).size();
+      sink += bench::reply_of(server, single_lines[line]).size();
       if (++line == single_lines.size()) line = 0;
     }
     inproc_query = std::max(
@@ -587,7 +589,9 @@ int main(int argc, char** argv) {
       double t0 = now_s();
       std::size_t items = 0;
       while (items < inproc_ops) {
-        for (const auto& f : query_frames) sink += server.handle(f).size();
+        for (const auto& f : query_frames) {
+          sink += bench::reply_of(server, f).size();
+        }
         items += queries.size();
       }
       const double inproc = static_cast<double>(items) / (now_s() - t0);

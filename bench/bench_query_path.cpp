@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
     const double t0 = now_s();
     for (std::size_t i = 0; i < wire_ops; ++i) {
       sink += static_cast<double>(
-          server.handle(wire_lines[i % wire_lines.size()]).size());
+          bench::reply_of(server, wire_lines[i % wire_lines.size()]).size());
     }
     wire_qps = std::max(wire_qps,
                         static_cast<double>(wire_ops) / (now_s() - t0));
@@ -196,10 +196,9 @@ int main(int argc, char** argv) {
               wire_qps);
 
   // ---- read-only: the zero-allocation wire round trip ---------------------
-  // Same decode + lookup + encode, but through handle_into() with a reused
-  // reply_buffer -- the shape net::session runs per request (ISSUE 8).
-  // The delta against handle() above is the price of one std::string
-  // construction per reply.
+  // Same decode + lookup + encode, but with a reused reply_buffer -- the
+  // shape net::session runs per request. The delta against the round trip
+  // above is the price of one reply_buffer and one std::string per reply.
   double wire_into_qps = 0.0;
   {
     proto::reply_buffer out;
@@ -207,15 +206,16 @@ int main(int argc, char** argv) {
       const double t0 = now_s();
       for (std::size_t i = 0; i < wire_ops; ++i) {
         out.clear();
-        server.handle_into(wire_lines[i % wire_lines.size()], out);
+        server.handle(
+            proto::request_view::text(wire_lines[i % wire_lines.size()]), out);
         sink += static_cast<double>(out.view().size());
       }
       wire_into_qps = std::max(wire_into_qps,
                                static_cast<double>(wire_ops) / (now_s() - t0));
     }
   }
-  std::printf("  read-only, wire QUERY handle_into: %11.0f queries/s  "
-              "(%.2fx handle)\n\n",
+  std::printf("  read-only, wire QUERY reused buf:  %11.0f queries/s  "
+              "(%.2fx round trip)\n\n",
               wire_into_qps, wire_into_qps / wire_qps);
 
   // ---- cold QUERYB frames: per-key vs batched ----------------------------

@@ -289,11 +289,11 @@ int main(int argc, char** argv) {
       });
   const double wire_single_rps =
       e2e([&](core::sharded_coordinator&, proto::coordinator_server& server) {
-        for (const auto& line : lines) server.handle(line);
+        for (const auto& line : lines) bench::reply_of(server, line);
       });
   const double wire_batch_rps =
       e2e([&](core::sharded_coordinator&, proto::coordinator_server& server) {
-        for (const auto& frame : frames) server.handle(frame);
+        for (const auto& frame : frames) bench::reply_of(server, frame);
       });
 
   std::printf("  end-to-end into the 4-shard pipeline (1 producer thread):\n");

@@ -14,8 +14,8 @@
 
 #include "cellnet/presets.h"
 #include "core/anomaly.h"
-#include "core/coordinator.h"
 #include "core/estimate_view.h"
+#include "core/sharded_coordinator.h"
 #include "probe/engine.h"
 #include "stats/summary.h"
 
@@ -41,12 +41,14 @@ int main(int argc, char** argv) {
   // poll (same API the wire ALERTS/QUERY commands serve).
   stats::time_series rtts;
   const geo::zone_grid grid(dep.proj(), 250.0);
-  core::coordinator_config ccfg;
-  ccfg.epochs.default_epoch_s = 1800.0;
+  core::sharded_config ccfg;
+  ccfg.coordinator.epochs.default_epoch_s = 1800.0;
   // Roll epochs on time, not sample count, matching the 30 min cadence the
   // surge detector below compares against.
-  ccfg.default_samples_per_epoch = 100000;
-  core::coordinator coordinator(grid, dep.names(), ccfg, seed);
+  ccfg.coordinator.default_samples_per_epoch = 100000;
+  ccfg.num_shards = 1;
+  ccfg.synchronous = true;  // reports apply before the next line runs
+  core::sharded_coordinator coordinator(grid, dep.names(), ccfg, seed);
   const core::estimate_view watch(coordinator);
   const geo::zone_id stadium_zone = grid.zone_of(cellnet::anchors::camp_randall);
   double last_t = 0.0;

@@ -12,8 +12,8 @@
 
 #include "cellnet/presets.h"
 #include "core/client_agent.h"
-#include "core/coordinator.h"
 #include "core/estimate_view.h"
+#include "core/sharded_coordinator.h"
 #include "mobility/fleet.h"
 #include "mobility/route_gen.h"
 #include "probe/engine.h"
@@ -33,12 +33,15 @@ int main(int argc, char** argv) {
   //    simulation against this deployment.
   probe::probe_engine engine(dep, seed);
 
-  // 3. The WiScape coordinator: 250 m zones, ~100 samples per zone-epoch.
+  // 3. The WiScape coordinator: 250 m zones, ~100 samples per zone-epoch,
+  //    on one synchronous shard (reports apply on the caller's thread).
   geo::zone_grid grid(dep.proj(), 250.0);
-  core::coordinator_config cfg;
-  cfg.default_samples_per_epoch = 20;  // small, for a quick demo
-  cfg.epochs.default_epoch_s = 1800.0;
-  core::coordinator coordinator(grid, dep.names(), cfg, seed);
+  core::sharded_config cfg;
+  cfg.coordinator.default_samples_per_epoch = 20;  // small, for a quick demo
+  cfg.coordinator.epochs.default_epoch_s = 1800.0;
+  cfg.num_shards = 1;
+  cfg.synchronous = true;
+  core::sharded_coordinator coordinator(grid, dep.names(), cfg, seed);
 
   // 4. A bus with one client agent per operator interface.
   auto routes = mobility::make_city_routes(dep.proj(), 9000.0, 9000.0, 4,

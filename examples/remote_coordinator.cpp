@@ -6,11 +6,11 @@
 // traffic, the per-client budget accounting, and the zone estimates the
 // coordinator ends up with -- read back over the same wire via the
 // protocol-v2 query side: HELLO version negotiation, batched QUERYB
-// estimate lookups, and an ALERTS cursor drain. A second pass replays the
-// morning's reports through the sharded concurrent pipeline (the
-// production-scale ingestion path) and shows the per-shard counters plus
-// that the published estimate count, re-queried over the wire, matches the
-// sequential server's.
+// estimate lookups, and an ALERTS cursor drain. The morning runs on one
+// synchronous shard (the sequential configuration); a second pass replays
+// its reports through a 4-shard asynchronous pipeline (the production-scale
+// ingestion path) and shows the per-shard counters plus that the published
+// estimate count, re-queried over the wire, matches the 1-shard count.
 //
 // The run doubles as the observability demo: an obs::snapshot_writer
 // appends periodic JSON-lines metric snapshots to
@@ -26,6 +26,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -54,12 +55,23 @@ int main(int argc, char** argv) {
   probe::probe_engine engine(dep, seed);
 
   const geo::zone_grid grid(dep.proj(), 250.0);
-  core::coordinator_config cfg;
-  cfg.default_samples_per_epoch = 12;
-  cfg.epochs.default_epoch_s = 600.0;
-  cfg.client_daily_budget_mb = 6.0;  // each device donates at most 6 MB/day
-  core::coordinator coordinator(grid, dep.names(), cfg, seed);
+  core::sharded_config scfg;
+  scfg.coordinator.default_samples_per_epoch = 12;
+  scfg.coordinator.epochs.default_epoch_s = 600.0;
+  // Each device donates at most 6 MB/day.
+  scfg.coordinator.client_daily_budget_mb = 6.0;
+  scfg.num_shards = 1;
+  scfg.synchronous = true;
+  core::sharded_coordinator coordinator(grid, dep.names(), scfg, seed);
   proto::coordinator_server server(coordinator);
+
+  // One in-process call through the server's entry point; a socket
+  // transport would hand the same bytes over the wire.
+  const auto call = [](proto::coordinator_server& s, std::string_view line) {
+    proto::reply_buffer out;
+    s.handle(proto::request_view::text(line), out);
+    return std::string(out.view());
+  };
 
   // Transport: in this demo the "wire" is a function call, with a tap that
   // prints a few exchanges and keeps every REPORT line for the concurrent
@@ -67,7 +79,7 @@ int main(int argc, char** argv) {
   int shown = 0;
   std::vector<std::string> report_lines;
   auto transport = [&](const std::string& line) {
-    std::string reply = server.handle(line);
+    std::string reply = call(server, line);
     if (proto::message_type(line) == "REPORT") report_lines.push_back(line);
     if (shown < 6 && proto::message_type(reply) == "TASK") {
       ++shown;
@@ -110,7 +122,7 @@ int main(int argc, char** argv) {
     std::printf("  client %llu spent %.2f MB of %.1f MB budget\n",
                 static_cast<unsigned long long>(id),
                 coordinator.client_spend_mb(id, last_t),
-                cfg.client_daily_budget_mb);
+                scfg.coordinator.client_daily_budget_mb);
   }
 
   // Read the product back over the same wire: negotiate a protocol version,
@@ -152,26 +164,26 @@ int main(int argc, char** argv) {
       published, queries.size(), alerts.alerts.size(),
       static_cast<unsigned long long>(alerts.next_seq));
 
-  // Replay the morning's reports through the sharded concurrent pipeline:
-  // same line protocol, same estimates, but ingestion spread over shard
-  // worker threads (what a production deployment would run).
-  core::sharded_config scfg;
-  scfg.coordinator = cfg;
-  scfg.num_shards = 4;
-  core::sharded_coordinator sharded(grid, dep.names(), scfg, seed);
+  // Replay the morning's reports through the 4-shard asynchronous
+  // pipeline: same line protocol, same estimates, but ingestion spread over
+  // shard worker threads (what a production deployment would run).
+  core::sharded_config pcfg = scfg;
+  pcfg.num_shards = 4;
+  pcfg.synchronous = false;
+  core::sharded_coordinator sharded(grid, dep.names(), pcfg, seed);
   proto::coordinator_server concurrent_server(sharded);
-  for (const auto& line : report_lines) concurrent_server.handle(line);
+  for (const auto& line : report_lines) call(concurrent_server, line);
   sharded.flush();
 
   // Same QUERYB sweep against the concurrent server: these lookups read the
   // shards' lock-free estimate mirrors, so they would not stall ingestion
   // even if the morning were still streaming in.
   proto::remote_query_client sharded_query(
-      [&](const std::string& line) { return concurrent_server.handle(line); });
+      [&](const std::string& line) { return call(concurrent_server, line); });
   const int sharded_published = count_published(sharded_query);
   std::printf("\nconcurrent replay (%zu shards):\n", sharded.num_shards());
   std::printf(
-      "  reports ingested: %llu, estimates published: %d (sequential "
+      "  reports ingested: %llu, estimates published: %d (1-shard "
       "published: %d)\n",
       static_cast<unsigned long long>(sharded.reports_ingested()),
       sharded_published, published);
@@ -191,7 +203,7 @@ int main(int argc, char** argv) {
   // a bare "STATS" line; here we show the ingest-path excerpt of the dump.
   std::printf("\nwire> STATS   (excerpt; full dump in "
               "bench_out/remote_coordinator_obs.jsonl)\n");
-  std::istringstream stats_reply(concurrent_server.handle("STATS"));
+  std::istringstream stats_reply(call(concurrent_server, "STATS"));
   std::string stats_line;
   while (std::getline(stats_reply, stats_line)) {
     if (stats_line.rfind("core.coordinator.", 0) == 0 ||

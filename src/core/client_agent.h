@@ -3,7 +3,7 @@
 // result back. One instance per (client device, network interface).
 #pragma once
 
-#include "core/coordinator.h"
+#include "core/sharded_coordinator.h"
 #include "probe/engine.h"
 
 namespace wiscape::core {
@@ -13,7 +13,7 @@ class client_agent {
   /// Borrows both; they must outlive the agent.
   /// `client_id` feeds the coordinator's per-client budget accounting
   /// (0 = anonymous).
-  client_agent(coordinator& coord, probe::probe_engine& engine,
+  client_agent(sharded_coordinator& coord, probe::probe_engine& engine,
                std::size_t network_index, std::uint64_t client_id = 0)
       : coord_(&coord),
         engine_(&engine),
@@ -29,7 +29,7 @@ class client_agent {
   std::uint64_t probes_executed() const noexcept { return executed_; }
 
  private:
-  coordinator* coord_;
+  sharded_coordinator* coord_;
   probe::probe_engine* engine_;
   std::size_t network_index_;
   std::uint64_t client_id_;

@@ -108,9 +108,7 @@ std::optional<served_estimate> estimate_view::lookup(const geo::zone_id& zone,
 
 alert_drain estimate_view::alerts_since(std::uint64_t since,
                                         std::size_t max) const {
-  const alert_ring& ring =
-      seq_ != nullptr ? seq_->alert_sink() : sharded_->alert_sink();
-  alert_drain out = ring.drain_since(since, max);
+  alert_drain out = coordinator_->alert_sink().drain_since(since, max);
   if (!out.alerts.empty()) metrics().alerts_served.inc(out.alerts.size());
   if (out.dropped != 0) metrics().alerts_dropped.inc(out.dropped);
   return out;

@@ -18,11 +18,11 @@
 // alerts_since() incrementally drains the coordinator's >2-sigma change
 // alerts by sequence-number cursor.
 //
-// Concurrency: over a sharded_coordinator, lookups read the owning shard's
+// Concurrency: the view serves a sharded_coordinator (a 1-shard synchronous
+// one is the sequential configuration). Lookups read the owning shard's
 // seqlock'd estimate mirror -- no shard lock, no stalls to drain workers,
 // safe from any thread, and the returned triple is never torn (it is
 // bit-for-bit an estimate the shard's sequential state machine published).
-// Over a plain coordinator the same mirror path runs single-threaded.
 // keys() is the one cold exception: it enumerates under shard locks and is
 // meant for tools, not the query hot path.
 #pragma once
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "core/alert_ring.h"
-#include "core/coordinator.h"
 #include "core/sharded_coordinator.h"
 
 namespace wiscape::core {
@@ -70,15 +69,11 @@ struct stream_lookup {
 
 class estimate_view {
  public:
-  /// Serves a sequential coordinator (borrowed; must outlive the view).
-  explicit estimate_view(const coordinator& coord, view_config cfg = {})
-      : seq_(&coord), cfg_(cfg) {}
-
   /// Serves a sharded coordinator (borrowed; must outlive the view).
   /// lookup()/alerts_since() are safe from any thread while ingestion runs.
   explicit estimate_view(const sharded_coordinator& coord,
                          view_config cfg = {})
-      : sharded_(&coord), cfg_(cfg) {}
+      : coordinator_(&coord), cfg_(cfg) {}
 
   /// Latest published estimate of a stream, or nullopt before its first
   /// epoch rollover. `now_s` (the caller's clock) prices staleness_s;
@@ -97,9 +92,9 @@ class estimate_view {
   /// counters move once per call. Returns the number found.
   std::size_t lookup_batch(std::span<stream_lookup> batch) const;
 
-  /// Name-keyed flavour. Over a sharded coordinator only operators from the
-  /// constructor's network list resolve (the frozen wire interner) -- the
-  /// same restriction the wire boundary has.
+  /// Name-keyed flavour. Only operators from the coordinator's network list
+  /// resolve (the frozen wire interner) -- the same restriction the wire
+  /// boundary has.
   std::optional<served_estimate> lookup(const geo::zone_id& zone,
                                         std::string_view network,
                                         trace::metric metric,
@@ -113,30 +108,25 @@ class estimate_view {
   /// Interned id of `network` (trace::no_network_id when unknown). Matches
   /// the id space lookup() expects.
   std::uint16_t network_id_of(std::string_view network) const noexcept {
-    return seq_ != nullptr ? seq_->network_id_of(network)
-                           : sharded_->network_id_of(network);
+    return coordinator_->network_id_of(network);
   }
 
-  /// All streams ever materialised. COLD: takes each shard's lock in
-  /// sharded mode; for tools and enumeration, never the query hot path.
-  std::vector<estimate_key> keys() const {
-    return seq_ != nullptr ? seq_->keys() : sharded_->keys();
-  }
+  /// All streams ever materialised. COLD: takes each shard's lock; for
+  /// tools and enumeration, never the query hot path.
+  std::vector<estimate_key> keys() const { return coordinator_->keys(); }
 
   const view_config& config() const noexcept { return cfg_; }
 
  private:
-  /// The mirror that serves `zone`: its shard's, or the coordinator's.
+  /// The mirror that serves `zone`: its owning shard's.
   const estimate_mirror& mirror_of(const geo::zone_id& zone) const noexcept {
-    return seq_ != nullptr ? seq_->published()
-                           : sharded_->published_of(sharded_->shard_of(zone));
+    return coordinator_->published_of(coordinator_->shard_of(zone));
   }
   /// Dresses a mirror read in the serving context (staleness, confidence).
   served_estimate serve(const published_estimate& p,
                         double now_s) const noexcept;
 
-  const coordinator* seq_ = nullptr;
-  const sharded_coordinator* sharded_ = nullptr;
+  const sharded_coordinator* coordinator_;
   view_config cfg_;
 };
 

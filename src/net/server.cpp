@@ -496,11 +496,6 @@ tcp_server::tcp_server(proto::coordinator_server& handler, server_config cfg)
     : handler_(&handler), cfg_(std::move(cfg)) {
   if (cfg_.event_loops == 0) cfg_.event_loops = 1;
   if (cfg_.saturation_refresh_every == 0) cfg_.saturation_refresh_every = 1;
-  if (cfg_.event_loops > 1 && !handler_->concurrent()) {
-    throw std::invalid_argument(
-        "tcp_server: multiple event loops require a concurrent (sharded) "
-        "coordinator_server");
-  }
 }
 
 tcp_server::~tcp_server() { stop(); }

@@ -7,8 +7,8 @@
 // socket bound with SO_REUSEPORT, so the kernel load-balances accepts
 // across loops and an accepted session lives its whole life on the loop
 // that accepted it -- no cross-thread handoff, no locks on the data path.
-// With more than one loop the handler must be in concurrent (sharded) mode;
-// the constructor enforces it.
+// Every loop dispatches into the one coordinator_server, whose handle() is
+// safe from any number of threads.
 //
 // Per-session behaviour (framing, HELLO gating, shed policy, buffer caps)
 // lives in net::session; this layer owns the sockets: accept with
@@ -77,8 +77,8 @@ struct server_config {
 /// from any thread.
 class tcp_server {
  public:
-  /// Throws std::invalid_argument when cfg asks for multiple event loops
-  /// over a non-concurrent (sequential) handler.
+  /// Borrows the handler; it must outlive the server. event_loops = 0 is
+  /// taken as 1.
   tcp_server(proto::coordinator_server& handler, server_config cfg);
   ~tcp_server();
 

@@ -111,8 +111,7 @@ void encode_stats_into(reply_buffer& out) {
 
 std::span<const core::stream_lookup> coordinator_server::lookup_all(
     std::span<const query_request> queries, reply_buffer& out) const {
-  const geo::zone_grid& grid =
-      sharded_ != nullptr ? sharded_->grid() : coord_->grid();
+  const geo::zone_grid& grid = coordinator_->grid();
   auto& lookups = out.lookups_scratch_;
   lookups.resize(queries.size());
   // Frames overwhelmingly repeat one operator name; resolve each run of
@@ -135,6 +134,48 @@ std::span<const core::stream_lookup> coordinator_server::lookup_all(
   return lookups;
 }
 
+void coordinator_server::resolve_network_ids(
+    std::span<trace::measurement_record> recs) const {
+  std::string_view last_name;
+  std::uint16_t last_id = trace::no_network_id;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    trace::measurement_record& r = recs[i];
+    if (i == 0 || r.network != last_name) {
+      last_id = coordinator_->network_id_of(r.network);
+      last_name = r.network;
+    }
+    r.network_id = last_id;
+  }
+}
+
+void coordinator_server::count_error(err_code code) {
+  auto& m = metrics();
+  switch (code) {
+    case err_code::parse:
+      m.err_parse.inc();
+      break;
+    case err_code::unsupported:
+      m.err_unsupported.inc();
+      break;
+    case err_code::stopped:
+      m.err_stopped.inc();
+      break;
+    case err_code::version:
+      m.err_version.inc();
+      break;
+    case err_code::internal:
+      m.err_internal.inc();
+      break;
+    case err_code::overload:
+      // Normally counted by the transport that shed the request (the
+      // handler itself never sheds); kept here so the per-reason counters
+      // stay total over every ERR source.
+      m.err_overload.inc();
+      break;
+  }
+  errors_.fetch_add(1, std::memory_order_relaxed);
+}
+
 request_view request_view::detect(std::string_view data) noexcept {
   return v3::is_frame_start(data) ? binary(data) : text(data);
 }
@@ -147,16 +188,6 @@ void coordinator_server::handle(request_view req, reply_buffer& out) {
   }
 }
 
-std::string coordinator_server::handle(std::string_view line) {
-  reply_buffer out;
-  handle(request_view::detect(line), out);
-  return std::string(out.view());
-}
-
-void coordinator_server::handle_into(std::string_view line, reply_buffer& out) {
-  handle(request_view::detect(line), out);
-}
-
 void coordinator_server::handle_text_into(std::string_view line,
                                           reply_buffer& out) {
   const std::size_t base = out.size();
@@ -167,31 +198,7 @@ void coordinator_server::handle_text_into(std::string_view line,
   // rendered reply (a QUERYB frame that ERRs mid-payload) is truncated back
   // to `base` first -- ERR replaces, never appends.
   const auto fail = [this, &out, base](err_code code, std::string_view detail) {
-    auto& m = metrics();
-    switch (code) {
-      case err_code::parse:
-        m.err_parse.inc();
-        break;
-      case err_code::unsupported:
-        m.err_unsupported.inc();
-        break;
-      case err_code::stopped:
-        m.err_stopped.inc();
-        break;
-      case err_code::version:
-        m.err_version.inc();
-        break;
-      case err_code::internal:
-        m.err_internal.inc();
-        break;
-      case err_code::overload:
-        // Normally counted by the transport that shed the request (the line
-        // handler itself never sheds); kept here so the per-reason counters
-        // stay total over every ERR source.
-        m.err_overload.inc();
-        break;
-    }
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    count_error(code);
     out.truncate(base);
     encode_error_into(code, detail, out);
   };
@@ -212,10 +219,8 @@ void coordinator_server::handle_text_into(std::string_view line,
       obs::span timed(metrics().checkin_latency);
       const auto req = decode_checkin(line);
       const auto task =
-          sharded_ ? sharded_->checkin(req.pos, req.time_s, req.network_index,
-                                       req.active_in_zone, req.client_id)
-                   : coord_->checkin(req.pos, req.time_s, req.network_index,
-                                     req.active_in_zone, req.client_id);
+          coordinator_->checkin(req.pos, req.time_s, req.network_index,
+                                req.active_in_zone, req.client_id);
       metrics().checkins.inc();
       if (!task) {
         out.append("IDLE");
@@ -229,15 +234,10 @@ void coordinator_server::handle_text_into(std::string_view line,
     } else if (type == "REPORT") {
       obs::span timed(metrics().report_latency);
       auto rep = decode_report(line);
-      // Resolve the operator id once at the wire boundary so the apply path
-      // skips the string hash (the coordinator re-validates before trusting).
-      rep.record.network_id =
-          sharded_ ? sharded_->network_id_of(rep.record.network)
-                   : coord_->network_id_of(rep.record.network);
-      if (sharded_ && !sharded_->report(rep.record)) {
+      resolve_network_ids({&rep.record, 1});
+      if (!coordinator_->report(rep.record)) {
         fail(err_code::stopped, "ingestion pipeline stopped");
       } else {
-        if (!sharded_) coord_->report(rep.record);
         reports_.fetch_add(1, std::memory_order_relaxed);
         metrics().reports.inc();
         out.append("ACK");
@@ -246,25 +246,13 @@ void coordinator_server::handle_text_into(std::string_view line,
       obs::span timed(metrics().batch_latency);
       auto& recs = out.records_scratch_;
       decode_report_batch_into(line, recs);
-      // Batches overwhelmingly repeat one operator name; memoise the last
-      // resolution so a frame costs ~1 interner lookup, not one per record.
-      std::string_view last_name;
-      std::uint16_t last_id = trace::no_network_id;
-      for (auto& r : recs) {
-        if (r.network != last_name || last_name.empty()) {
-          last_id = sharded_ ? sharded_->network_id_of(r.network)
-                             : coord_->network_id_of(r.network);
-          last_name = r.network;
-        }
-        r.network_id = last_id;
-      }
-      // The sharded pipeline takes the decoded vector itself (no copy) and
-      // leaves recs empty, so count first.
+      resolve_network_ids(recs);
+      // The pipeline takes the decoded vector itself (no copy) and leaves
+      // recs empty, so count first.
       const std::size_t n = recs.size();
-      if (sharded_ && sharded_->report_owned(recs, out.routes_scratch_) != n) {
+      if (coordinator_->report_owned(recs, out.routes_scratch_) != n) {
         fail(err_code::stopped, "ingestion pipeline stopped");
       } else {
-        if (!sharded_) coord_->report_batch(recs);
         reports_.fetch_add(n, std::memory_order_relaxed);
         metrics().reports.inc(n);
         metrics().report_batches.inc();
@@ -368,31 +356,10 @@ void coordinator_server::handle_frame_into(std::string_view frame,
   auto& m = metrics();
   m.lines.inc();
   m.binary_frames.inc();
-  // The binary twin of handle_into's fail lambda: same per-reason counters,
-  // same replace-never-append discipline, but the reply is an err frame.
-  const auto fail = [this, &out, base, &m](err_code code,
-                                           std::string_view detail) {
-    switch (code) {
-      case err_code::parse:
-        m.err_parse.inc();
-        break;
-      case err_code::unsupported:
-        m.err_unsupported.inc();
-        break;
-      case err_code::stopped:
-        m.err_stopped.inc();
-        break;
-      case err_code::version:
-        m.err_version.inc();
-        break;
-      case err_code::internal:
-        m.err_internal.inc();
-        break;
-      case err_code::overload:
-        m.err_overload.inc();
-        break;
-    }
-    errors_.fetch_add(1, std::memory_order_relaxed);
+  // The binary twin of handle_text_into's fail lambda: same counting, same
+  // replace-never-append discipline, but the reply is an err frame.
+  const auto fail = [this, &out, base](err_code code, std::string_view detail) {
+    count_error(code);
     out.truncate(base);
     v3::encode_error_frame(code, detail, out);
   };
@@ -415,13 +382,10 @@ void coordinator_server::handle_frame_into(std::string_view frame,
         case v3::opcode::report: {
           obs::span timed(m.report_latency);
           auto rep = v3::decode_report_frame(frame);
-          rep.record.network_id =
-              sharded_ ? sharded_->network_id_of(rep.record.network)
-                       : coord_->network_id_of(rep.record.network);
-          if (sharded_ && !sharded_->report(rep.record)) {
+          resolve_network_ids({&rep.record, 1});
+          if (!coordinator_->report(rep.record)) {
             fail(err_code::stopped, "ingestion pipeline stopped");
           } else {
-            if (!sharded_) coord_->report(rep.record);
             reports_.fetch_add(1, std::memory_order_relaxed);
             m.reports.inc();
             v3::encode_ack_frame(out);
@@ -432,22 +396,11 @@ void coordinator_server::handle_frame_into(std::string_view frame,
           obs::span timed(m.batch_latency);
           auto& recs = out.records_scratch_;
           v3::decode_report_batch_frame_into(frame, recs);
-          std::string_view last_name;
-          std::uint16_t last_id = trace::no_network_id;
-          for (auto& r : recs) {
-            if (r.network != last_name || last_name.empty()) {
-              last_id = sharded_ ? sharded_->network_id_of(r.network)
-                                 : coord_->network_id_of(r.network);
-              last_name = r.network;
-            }
-            r.network_id = last_id;
-          }
+          resolve_network_ids(recs);
           const std::size_t n = recs.size();
-          if (sharded_ &&
-              sharded_->report_owned(recs, out.routes_scratch_) != n) {
+          if (coordinator_->report_owned(recs, out.routes_scratch_) != n) {
             fail(err_code::stopped, "ingestion pipeline stopped");
           } else {
-            if (!sharded_) coord_->report_batch(recs);
             reports_.fetch_add(n, std::memory_order_relaxed);
             m.reports.inc(n);
             m.report_batches.inc();
@@ -603,18 +556,7 @@ void coordinator_server::handle_report_group(std::string_view block,
       continue;
     }
     try {
-      auto rep = decode_report(line);
-      // Runs overwhelmingly repeat one operator name; reuse the previous
-      // record's resolution instead of re-hashing. Compare against the
-      // stored record (not a cached view) -- push_back may move strings.
-      auto& r = rep.record;
-      if (!recs.empty() && recs.back().network == r.network) {
-        r.network_id = recs.back().network_id;
-      } else {
-        r.network_id = sharded_ ? sharded_->network_id_of(r.network)
-                                : coord_->network_id_of(r.network);
-      }
-      recs.push_back(std::move(r));
+      recs.push_back(decode_report(line).record);
       status.push_back(st_ok);
     } catch (const std::invalid_argument& e) {
       errs.emplace_back(e.what());
@@ -630,12 +572,9 @@ void coordinator_server::handle_report_group(std::string_view block,
   // all-or-nothing discipline.
   bool stopped = false;
   if (!recs.empty()) {
-    if (sharded_) {
-      const std::size_t n = recs.size();
-      stopped = sharded_->report_owned(recs, out.routes_scratch_) != n;
-    } else {
-      coord_->report_batch(recs);
-    }
+    resolve_network_ids(recs);
+    const std::size_t n = recs.size();
+    stopped = coordinator_->report_owned(recs, out.routes_scratch_) != n;
   }
   std::size_t n_ok = 0;
   std::size_t err_i = 0;
@@ -646,21 +585,17 @@ void coordinator_server::handle_report_group(std::string_view block,
       out.append("ACK");
       ++n_ok;
     } else if (st == st_ok) {
-      m.err_stopped.inc();
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      count_error(err_code::stopped);
       encode_error_into(err_code::stopped, "ingestion pipeline stopped", out);
     } else if (st == st_parse) {
-      m.err_parse.inc();
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      count_error(err_code::parse);
       encode_error_into(err_code::parse, errs[err_i++], out);
     } else if (st == st_fault) {
-      m.err_internal.inc();
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      count_error(err_code::internal);
       encode_error_into(err_code::internal, "injected fault: request refused",
                         out);
     } else {
-      m.err_internal.inc();
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      count_error(err_code::internal);
       encode_error_into(err_code::internal, errs[err_i++], out);
     }
     reply_bytes += out.size() - before;
@@ -671,7 +606,7 @@ void coordinator_server::handle_report_group(std::string_view block,
     m.reports.inc(n_ok);
   }
   // reply_bytes counts reply payloads, not the '\n' separators, so the
-  // counter matches what count handle_into() calls would have recorded.
+  // counter matches what count handle() calls would have recorded.
   m.reply_bytes.inc(reply_bytes);
 }
 

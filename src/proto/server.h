@@ -1,14 +1,15 @@
 // A transport-agnostic coordinator server and its client-side counterparts.
 //
-// coordinator_server turns the in-process core::coordinator into a
+// coordinator_server turns the in-process core::sharded_coordinator into a
 // protocol service: hand it any request -- a protocol v2 text line or a
 // v3 binary frame, wrapped in a request_view (from a socket, a message
 // queue, a file of replayed traffic -- the transport is the caller's
-// business) -- and it answers: CHECKIN/REPORT/REPORTB on the write side,
+// business) -- to its one entry point, handle(request_view, reply_buffer&),
+// and it answers: CHECKIN/REPORT/REPORTB on the write side,
 // QUERY/QUERYB/ALERTS/HELLO on the read side (served through
-// core::estimate_view, so queries never take a shard lock in concurrent
-// mode), and the v3 replication opcodes when a replication_endpoint is
-// attached (ISSUE 10). remote_agent is the write-side client shim (check-in / execute /
+// core::estimate_view, so queries never take a shard lock), and the v3
+// replication opcodes when a replication_endpoint is attached.
+// remote_agent is the write-side client shim (check-in / execute /
 // report cycle); remote_query_client is the read-side one (negotiate,
 // look up estimates, drain alerts) -- both against any `send` function.
 #pragma once
@@ -21,7 +22,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/coordinator.h"
 #include "core/estimate_view.h"
 #include "core/sharded_coordinator.h"
 #include "probe/engine.h"
@@ -62,8 +62,8 @@ class request_view {
   static constexpr request_view binary(std::string_view frame) noexcept {
     return {kind::binary, frame};
   }
-  /// Classifies by the first byte (the rule handle_into applied inline):
-  /// frame magic -> binary, anything else (including empty) -> text.
+  /// Classifies untagged bytes (replayed traffic, tests) by the first
+  /// byte: frame magic -> binary, anything else (including empty) -> text.
   static request_view detect(std::string_view data) noexcept;
 
   kind framing() const noexcept { return kind_; }
@@ -82,8 +82,7 @@ class request_view {
 /// leader/follower roles; declared here because the server owns all wire
 /// encode/decode -- implementations exchange typed records only and never
 /// see frame bytes, so proto does not depend on repl. All methods must be
-/// as thread-safe as the server mode demands (concurrent mode dispatches
-/// from many transport threads).
+/// thread-safe: the server dispatches from many transport threads.
 class replication_endpoint {
  public:
   virtual ~replication_endpoint() = default;
@@ -127,44 +126,35 @@ struct server_options {
   std::uint32_t advertised_version = wire_version;
 };
 
-/// Serves a coordinator over the line protocol.
+/// Serves a sharded coordinator over the wire protocol.
 ///
-/// Two modes share one request surface:
-///  * sequential -- wraps a core::coordinator; handle() must be called from
-///    one thread at a time, exactly as before.
-///  * concurrent -- wraps a core::sharded_coordinator; handle() is safe to
-///    call from many transport threads at once. CHECKINs are answered
-///    synchronously by the owning shard, REPORTs are enqueued into the
-///    sharded ingestion pipeline (ACK means accepted, not yet applied;
-///    flush the sharded coordinator before reading its tables).
+/// handle() is safe to call from many transport threads at once. CHECKINs
+/// are answered synchronously by the owning shard; REPORTs go into the
+/// sharded ingestion pipeline -- applied inline when the coordinator is
+/// synchronous (num_shards = 1 with synchronous = true is the sequential
+/// configuration), otherwise enqueued (ACK means accepted, not yet
+/// applied; flush the coordinator before reading its tables).
 class coordinator_server {
  public:
   /// Borrows the coordinator; it must outlive the server.
-  explicit coordinator_server(core::coordinator& coord,
-                              const server_options& opts = {})
-      : coord_(&coord), view_(coord), opts_(opts) {}
-
-  /// Concurrent mode over a sharded coordinator (it must outlive the
-  /// server).
   explicit coordinator_server(core::sharded_coordinator& coord,
                               const server_options& opts = {})
-      : sharded_(&coord), view_(coord), opts_(opts) {}
+      : coordinator_(&coord), view_(coord), opts_(opts) {}
 
   /// THE request entry point: handles one request -- text line or binary
   /// frame, per the view's framing tag -- and appends the reply to `out`
   /// (text replies carry no trailing newline; binary requests are answered
   /// with one complete binary frame). Every transport and the replication
-  /// stream dispatch through this one method; handle(line) and
-  /// handle_into() below are thin wrappers over it.
+  /// stream dispatch through this one method; callers holding untagged
+  /// bytes wrap them with request_view::detect().
   ///
   /// A caller that reuses one reply_buffer per connection (clear() between
   /// requests) pays zero heap allocations per request in steady state:
   /// replies are rendered with to_chars-based appends, and batch frames
   /// (REPORTB/QUERYB/EPOCHB in either framing) decode into the buffer's
   /// scratch vectors, whose capacity survives across requests.
-  /// Thread-safety follows the mode -- any number of threads in concurrent
-  /// mode (each with its own reply_buffer), one at a time in sequential
-  /// mode.
+  /// Any number of threads may call it at once, each with its own
+  /// reply_buffer.
   ///
   /// Text commands (normative spec: docs/WIRE_PROTOCOL.md):
   ///   CHECKIN   -> TASK ... | IDLE
@@ -174,7 +164,7 @@ class coordinator_server {
   ///                single bad record ERRs the whole frame and nothing is
   ///                ingested)
   ///   QUERY     -> EST ... | NONE (estimate lookup via core::estimate_view;
-  ///                lock-free against ingestion in concurrent mode)
+  ///                lock-free against ingestion)
   ///   QUERYB    -> "ESTB <n>" + n EST/NONE lines (batched lookups, same
   ///                all-or-nothing frame discipline as REPORTB)
   ///   ALERTS    -> "ALERTS <n> next=.. dropped=.." + n ALERT lines
@@ -200,42 +190,29 @@ class coordinator_server {
   ///
   /// The request is read as a borrowed view; nothing is retained after
   /// return. Every request is counted into the obs:: metrics registry
-  /// (proto.server.*), including per-command latency histograms. In
-  /// concurrent mode an ACKed report is applied asynchronously: flush the
-  /// sharded coordinator before expecting a QUERY to serve it.
+  /// (proto.server.*), including per-command latency histograms. On an
+  /// asynchronous coordinator an ACKed report is applied later: flush the
+  /// coordinator before expecting a QUERY to serve it.
   void handle(request_view req, reply_buffer& out);
-
-  /// Deprecated spelling: handle() with the framing auto-detected and the
-  /// reply returned as a freshly allocated string. Byte-identical to the
-  /// unified entry point; kept for callers and tests that predate it.
-  std::string handle(std::string_view line);
-
-  /// Deprecated spelling: handle(request_view::detect(line), out). Kept
-  /// for callers that predate the unified entry point; new code should
-  /// tag the framing at the transport and call handle() directly.
-  void handle_into(std::string_view line, reply_buffer& out);
 
   /// Transport micro-batch: answers `count` consecutive single-line REPORT
   /// requests -- `block`, their concatenated '\n'-terminated lines -- in one
   /// call, appending one reply per line to `out` *including* the '\n'
   /// terminator after each (replies stay positional with the lines).
   ///
-  /// Semantics are line-for-line identical to count handle_into() calls
-  /// ("ACK", "ERR parse ...", "ERR internal injected fault..." or
+  /// Semantics are line-for-line identical to `count` handle() calls, one
+  /// per line ("ACK", "ERR parse ...", "ERR internal injected fault..." or
   /// "ERR stopped ..." in the same positions, same counter increments, and
   /// the server_handle fault seam fires once per line), except that every
-  /// record that decodes is submitted as one batch (report_owned() on a
-  /// sharded coordinator, which takes the decoded vector without copying
-  /// it) -- one queue lock and one counter delta per group instead of one
-  /// per line. The event loop uses this to coalesce REPORT runs drained in one
-  /// epoll wake; a stopped pipeline answers ERR stopped on every decoded
-  /// line of the group, mirroring REPORTB's all-or-nothing discipline.
+  /// record that decodes is submitted as one batch (report_owned(), which
+  /// takes the decoded vector without copying it) -- one queue lock and
+  /// one counter delta per group instead of one per line. The event loop
+  /// uses this to coalesce REPORT runs drained in one epoll wake; a
+  /// stopped pipeline answers ERR stopped on every decoded line of the
+  /// group, mirroring REPORTB's all-or-nothing discipline.
   /// Lines may carry a trailing '\r' (stripped, like single requests).
   void handle_report_group(std::string_view block, std::size_t count,
                            reply_buffer& out);
-
-  /// True when serving a sharded coordinator (handle() is thread-safe).
-  bool concurrent() const noexcept { return sharded_ != nullptr; }
 
   /// Attaches the replication surface the v3 replication opcodes dispatch
   /// against (nullptr detaches; the default). Borrowed -- the endpoint
@@ -277,9 +254,15 @@ class coordinator_server {
   /// handle()'s binary half: dispatches one complete v3 frame on its
   /// opcode and appends the binary reply frame.
   void handle_frame_into(std::string_view frame, reply_buffer& out);
+  /// Sets every record's network_id from its operator name at the wire
+  /// boundary, once per run of equal names, so the apply path skips the
+  /// string hash (the coordinator re-validates before trusting it).
+  void resolve_network_ids(std::span<trace::measurement_record> recs) const;
+  /// Counts one ERR reply: its per-reason counter and errors(). Every ERR
+  /// the server answers, in either framing, is counted here.
+  void count_error(err_code code);
 
-  core::coordinator* coord_ = nullptr;
-  core::sharded_coordinator* sharded_ = nullptr;
+  core::sharded_coordinator* coordinator_;
   core::estimate_view view_;
   server_options opts_;
   replication_endpoint* repl_ = nullptr;

@@ -242,8 +242,17 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
     tcp_start();
     tcp_connect(true);
   }
+  // In-process dispatch through the one entry point, the framing detected
+  // from the leading byte; one reply_buffer serves the whole run.
+  proto::reply_buffer local_reply;
+  auto local = [&](proto::coordinator_server& s,
+                   std::string_view req) -> std::string {
+    local_reply.clear();
+    s.handle(proto::request_view::detect(req), local_reply);
+    return std::string(local_reply.view());
+  };
   auto wire = [&](std::string_view req) -> std::string {
-    if (!tcp) return server->handle(req);
+    if (!tcp) return local(*server, req);
     for (int attempt = 0;; ++attempt) {
       if (!wire_client.connected()) tcp_connect(false);
       try {
@@ -260,7 +269,7 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
   // discards the cut frame at EOF, the retry resends the whole frame -- so
   // the acked/erred ledger stays exact).
   auto wire_frame = [&](std::string_view frame) -> std::string {
-    if (!tcp) return server->handle(frame);
+    if (!tcp) return local(*server, frame);
     for (int attempt = 0;; ++attempt) {
       if (!wire_client.connected()) tcp_connect(false);
       try {
@@ -436,7 +445,7 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
       // Promote through the unified wire path -- the same PROMOTE frame an
       // operator's failover tooling would send.
       const std::string reply =
-          fserver->handle(proto::v3::encode_promote_frame());
+          local(*fserver, proto::v3::encode_promote_frame());
       if (reply_opcode(reply) != proto::v3::opcode::ack) {
         note("leader_failover", t, "wire PROMOTE was refused");
       }
@@ -822,7 +831,7 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
           q.network = key.network;
           q.metric = key.metric;
           q.time_s = T0 + cfg.tick_s;
-          const std::string reply = fserver->handle(proto::encode(q));
+          const std::string reply = local(*fserver, proto::encode(q));
           if (proto::message_type(reply) != "EST") {
             note("replica_query", t,
                  "follower QUERY drew '" +

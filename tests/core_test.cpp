@@ -634,7 +634,7 @@ TEST(ClientAgent, StepRunsProbeAndReports) {
   geo::zone_grid grid(dep.proj(), 250.0);
   coordinator_config cfg;
   cfg.default_samples_per_epoch = 5;
-  coordinator coord(grid, dep.names(), cfg, 7);
+  auto coord = testing::sync_coordinator(grid, dep.names(), cfg, 7);
   client_agent agent(coord, engine, 0);
 
   const mobility::gps_fix fix{dep.proj().to_lat_lon({100.0, 100.0}), 0.0,

@@ -1,6 +1,6 @@
 // Serving-layer promises (ISSUE 5):
 //  * estimate_view serves, bit-for-bit, the estimates the zone table froze
-//    -- over a sequential coordinator and over the sharded pipeline;
+//    -- on one synchronous shard and over the sharded pipeline;
 //  * the sharded read path is snapshot-consistent under a concurrent query
 //    storm: every returned triple equals some prefix-consistent sequential
 //    state of its stream (no torn values), keyed by epoch_index;
@@ -257,7 +257,8 @@ TEST(EstimateMirror, ReadBatchMatchesReadKeyForKey) {
 TEST(EstimateView, ServesExactlyWhatTheTableFroze) {
   const geo::zone_grid grid(test_proj(), 250.0);
   const std::vector<std::string> nets{"NetB", "NetC"};
-  coordinator coord(grid, nets, small_epoch_config(), /*seed=*/42);
+  auto coord =
+      testing::sync_coordinator(grid, nets, small_epoch_config(), /*seed=*/42);
   const estimate_view view(coord);
 
   // Nothing published yet: every lookup is a miss.
@@ -272,7 +273,7 @@ TEST(EstimateView, ServesExactlyWhatTheTableFroze) {
   ASSERT_FALSE(keys.empty());
   std::size_t published = 0;
   for (const auto& key : keys) {
-    const auto want = coord.table_for_test().latest(key);
+    const auto want = coord.latest(key);
     const auto got = view.lookup(key.zone, key.network, key.metric);
     ASSERT_EQ(want.has_value(), got.has_value()) << key.network;
     if (!want) continue;
@@ -282,7 +283,7 @@ TEST(EstimateView, ServesExactlyWhatTheTableFroze) {
     EXPECT_EQ(got->stddev, want->stddev);
     EXPECT_EQ(got->epoch_start_s, want->epoch_start_s);
     EXPECT_EQ(got->count, static_cast<std::uint64_t>(want->samples));
-    const auto hist = coord.table_for_test().history(key);
+    const auto hist = coord.history(key);
     EXPECT_EQ(got->epoch_index, hist.size() - 1);
     // Serving context: confidence is the paper's ~100-sample ratio,
     // staleness prices the caller's clock.
@@ -309,13 +310,17 @@ TEST(EstimateView, SequentialAlertsMatchTableOrderWithSequences) {
   const std::vector<std::string> nets{"NetB", "NetC"};
   coordinator_config cfg = small_epoch_config();
   cfg.alert_ring_capacity = 1 << 14;  // keep everything for the comparison
-  coordinator coord(grid, nets, cfg, /*seed=*/42);
+  // The view serves one synchronous shard; the raise order comes from a
+  // plain coordinator fed the same stream (sharded alerts() re-sorts).
+  coordinator seq(grid, nets, cfg, /*seed=*/42);
+  auto coord = testing::sync_coordinator(grid, nets, cfg, /*seed=*/42);
   const estimate_view view(coord);
 
   for (const auto& rec : synthetic_stream(/*seed=*/21, /*count=*/4000)) {
-    coord.report(rec);
+    seq.report(rec);
+    ASSERT_TRUE(coord.report(rec));
   }
-  const auto& table_alerts = coord.alerts();
+  const auto& table_alerts = seq.alerts();
   ASSERT_FALSE(table_alerts.empty());
 
   const auto drained = view.alerts_since(0, table_alerts.size() + 10);
@@ -654,7 +659,7 @@ TEST(EstimateView, BatchedQueriesAreByteIdenticalToPerKeyLookups) {
 }
 
 // lookup_batch itself, element by element against lookup(), at 1, 2 and 4
-// shards and over a plain coordinator; counters move once per batch.
+// shards; counters move once per batch.
 TEST(EstimateView, LookupBatchMatchesLookupAtEveryShardCount) {
   const geo::zone_grid grid(test_proj(), 250.0);
   const coordinator_config ccfg = small_epoch_config();
@@ -697,11 +702,6 @@ TEST(EstimateView, LookupBatchMatchesLookupAtEveryShardCount) {
     EXPECT_EQ(view.lookup_batch(std::span<stream_lookup>{}), 0u);
   };
 
-  coordinator seq(grid, {"NetB", "NetC"}, ccfg, /*seed=*/42);
-  for (const auto& rec : synthetic_stream(/*seed=*/9, /*count=*/4000)) {
-    seq.report(rec);
-  }
-  check(estimate_view(seq));
   for (const std::size_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     sharded_config scfg;
@@ -772,7 +772,12 @@ TEST(EstimateView, ShardedAlertDrainIsMonotoneAndAccountsLosses) {
 TEST(EstimateKnowledge, MatchesFrozenDirectReadDecisions) {
   const geo::zone_grid grid(test_proj(), 250.0);
   const std::vector<std::string> nets{"NetB", "NetC"};
+  // The view serves a 1-shard synchronous coordinator; the reference reads
+  // the zone table of a plain coordinator fed the same stream (the two are
+  // bit-equal, see sharded_coordinator_test).
   coordinator coord(grid, nets, small_epoch_config(), /*seed=*/42);
+  auto served =
+      testing::sync_coordinator(grid, nets, small_epoch_config(), /*seed=*/42);
   // A dense TCP-only stream over a 3x3 zone block, so the decision grid
   // below sees all three regimes: zone estimates above the min-samples
   // gate, thin estimates falling back, and unmeasured zones.
@@ -786,14 +791,16 @@ TEST(EstimateKnowledge, MatchesFrozenDirectReadDecisions) {
       const char* net = rng.chance(0.5) ? "NetB" : "NetC";
       const double value =
           (net[3] == 'B' ? 1.5e6 : 2.5e6) * (1.0 + 0.2 * rng.normal());
-      coord.report(testing::make_record(
+      const auto rec = testing::make_record(
           1000.0 + static_cast<double>(i), net, proj.to_lat_lon(pos_xy),
-          trace::probe_kind::tcp_download, std::abs(value)));
+          trace::probe_kind::tcp_download, std::abs(value));
+      coord.report(rec);
+      ASSERT_TRUE(served.report(rec));
     }
   }
 
   const std::size_t min_samples = 3;
-  const core::estimate_view view(coord);
+  const core::estimate_view view(served);
   const apps::estimate_knowledge knowledge(view, grid, nets, min_samples);
 
   // --- frozen reference: the pre-facade direct-read logic ---------------

@@ -29,7 +29,7 @@ TEST(Integration, FullWiscapeLoopPublishesEstimates) {
   core::coordinator_config cfg;
   cfg.default_samples_per_epoch = 6;
   cfg.epochs.default_epoch_s = 600.0;
-  core::coordinator coord(grid, dep.names(), cfg, 31);
+  auto coord = testing::sync_coordinator(grid, dep.names(), cfg, 31);
 
   // Two clients (one per network) riding one bus line.
   std::vector<geo::polyline> routes{geo::straight_route(
@@ -51,14 +51,14 @@ TEST(Integration, FullWiscapeLoopPublishesEstimates) {
 
   // At least one zone must have published a frozen estimate by now.
   int published = 0;
-  for (const auto& key : coord.table_for_test().keys()) {
-    published += coord.table_for_test().latest(key).has_value() ? 1 : 0;
+  for (const auto& key : coord.keys()) {
+    published += coord.latest(key).has_value() ? 1 : 0;
   }
   EXPECT_GT(published, 0);
 
   // Epoch re-estimation must not crash and must respect clamps.
   coord.recompute_epochs();
-  for (const auto& key : coord.table_for_test().keys()) {
+  for (const auto& key : coord.keys()) {
     const auto status = coord.status_of(key.zone);
     EXPECT_GE(status.epoch_duration_s, cfg.epochs.min_epoch_s);
     EXPECT_LE(status.epoch_duration_s, cfg.epochs.max_epoch_s);

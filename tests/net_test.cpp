@@ -36,11 +36,13 @@ namespace {
 
 const geo::lat_lon here = cellnet::anchors::madison;
 
-// A sequential coordinator + line handler: sessions only need handle().
+// A 1-shard synchronous coordinator + line handler: sessions only need
+// handle().
 struct handler_fixture {
   cellnet::deployment dep = testing::tiny_deployment();
   geo::zone_grid grid{dep.proj(), 250.0};
-  core::coordinator coord{grid, dep.names(), core::coordinator_config{}, 5};
+  core::sharded_coordinator coord =
+      testing::sync_coordinator(grid, dep.names(), {}, 5);
   proto::coordinator_server server{coord};
 };
 
@@ -340,7 +342,7 @@ bool eof_within(int fd, double wait_s) {
 TEST(TcpServer, RoundTripMatchesInProcessHandler) {
   handler_fixture fx;
   server_config cfg;
-  cfg.event_loops = 1;  // sequential handler
+  cfg.event_loops = 1;
   tcp_server srv(fx.server, cfg);
   srv.start();
 
@@ -358,18 +360,11 @@ TEST(TcpServer, RoundTripMatchesInProcessHandler) {
        {std::string("QUERY lat=43.07 lon=-89.4 net=NetB "
                     "metric=udp_throughput t=200"),
         std::string("ALERTS since=0 max=4")}) {
-    EXPECT_EQ(client.request(req), fx.server.handle(req)) << req;
+    EXPECT_EQ(client.request(req), testing::reply_of(fx.server, req)) << req;
   }
   client.close();
   srv.stop();
   EXPECT_EQ(srv.active_sessions(), 0u);
-}
-
-TEST(TcpServer, MultipleLoopsRequireConcurrentHandler) {
-  handler_fixture fx;  // sequential core::coordinator
-  server_config cfg;
-  cfg.event_loops = 2;
-  EXPECT_THROW(tcp_server(fx.server, cfg), std::invalid_argument);
 }
 
 TEST(TcpServer, IdleTimeoutCutsSessionMidFrame) {
@@ -508,8 +503,8 @@ TEST(NetSession, HandleIntoMatchesHandleOnGoldenCorpus) {
   proto::reply_buffer out;
   for (const auto& req : corpus) {
     out.clear();
-    fx.server.handle_into(req, out);
-    EXPECT_EQ(out.view(), fx.server.handle(req)) << req;
+    fx.server.handle(proto::request_view::detect(req), out);
+    EXPECT_EQ(out.view(), testing::reply_of(fx.server, req)) << req;
   }
 }
 
@@ -547,7 +542,7 @@ TEST(NetSession, ReportGroupPreservesPerLineErrors) {
   // The middle reply is exactly what per-line dispatch answers.
   handler_fixture other;
   const std::string expect =
-      "ACK\n" + other.server.handle(bad) + "\nACK\n";
+      "ACK\n" + testing::reply_of(other.server, bad) + "\nACK\n";
   EXPECT_EQ(ring_text(s.out()), expect);
   EXPECT_EQ(fx.server.reports_received(), 2u);
 }

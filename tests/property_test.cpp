@@ -301,7 +301,7 @@ TEST_P(FuzzSweep, HostileRecordsNeverThrowAndAlwaysAccount) {
   std::uint64_t acked = 0, erred_records = 0;
   auto send = [&](std::span<const trace::measurement_record> recs) {
     const std::string reply =
-        server.handle(proto::encode_report_batch(recs));
+        testing::reply_of(server, proto::encode_report_batch(recs));
     if (proto::message_type(reply) == "ACK") {
       acked += recs.size();
     } else {

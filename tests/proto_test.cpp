@@ -115,7 +115,7 @@ TEST(ProtoServer, CheckinYieldsTaskOrIdleAndReportAcks) {
   geo::zone_grid grid(dep.proj(), 250.0);
   core::coordinator_config cfg;
   cfg.default_samples_per_epoch = 3;
-  core::coordinator coord(grid, dep.names(), cfg, 5);
+  auto coord = testing::sync_coordinator(grid, dep.names(), cfg, 5);
   coordinator_server server(coord);
 
   checkin_request req;
@@ -128,7 +128,7 @@ TEST(ProtoServer, CheckinYieldsTaskOrIdleAndReportAcks) {
   int tasks = 0;
   for (int i = 0; i < 30; ++i) {
     req.time_s += 10.0;
-    const std::string reply = server.handle(encode(req));
+    const std::string reply = testing::reply_of(server, encode(req));
     const auto type = message_type(reply);
     ASSERT_TRUE(type == "TASK" || type == "IDLE") << reply;
     if (type != "TASK") continue;
@@ -138,7 +138,7 @@ TEST(ProtoServer, CheckinYieldsTaskOrIdleAndReportAcks) {
     rep.client_id = 1;
     rep.record = testing::make_record(req.time_s, dep.names()[0], req.pos,
                                       decode_task(reply).kind, 1e6);
-    EXPECT_EQ(server.handle(encode(rep)), "ACK");
+    EXPECT_EQ(testing::reply_of(server, encode(rep)), "ACK");
   }
   EXPECT_GT(tasks, 0);
   EXPECT_EQ(server.tasks_issued(), static_cast<std::uint64_t>(tasks));
@@ -149,11 +149,11 @@ TEST(ProtoServer, CheckinYieldsTaskOrIdleAndReportAcks) {
 
 TEST(ProtoServer, AnswersUnknownRequestsWithErr) {
   const auto dep = testing::tiny_deployment();
-  core::coordinator coord(geo::zone_grid(dep.proj(), 250.0), dep.names(),
-                          {}, 5);
+  auto coord = testing::sync_coordinator(geo::zone_grid(dep.proj(), 250.0),
+                                         dep.names(), {}, 5);
   coordinator_server server(coord);
-  EXPECT_EQ(message_type(server.handle("HELLO")), "ERR");
-  EXPECT_EQ(message_type(server.handle(encode_idle())), "ERR");
+  EXPECT_EQ(message_type(testing::reply_of(server, "HELLO")), "ERR");
+  EXPECT_EQ(message_type(testing::reply_of(server, encode_idle())), "ERR");
   EXPECT_EQ(server.errors(), 2u);
 }
 
@@ -162,8 +162,8 @@ TEST(ProtoServer, MapsMalformedLinesToErrReplies) {
   // decoder; a line-protocol server must answer every request, so malformed
   // CHECKIN/REPORT lines come back as "ERR <reason>" instead.
   const auto dep = testing::tiny_deployment();
-  core::coordinator coord(geo::zone_grid(dep.proj(), 250.0), dep.names(),
-                          {}, 5);
+  auto coord = testing::sync_coordinator(geo::zone_grid(dep.proj(), 250.0),
+                                         dep.names(), {}, 5);
   coordinator_server server(coord);
 
   for (const std::string bad : {
@@ -173,7 +173,7 @@ TEST(ProtoServer, MapsMalformedLinesToErrReplies) {
            "REPORT client=1",                                // missing csv
            "REPORT client=abc csv=x",                        // bad client id
        }) {
-    const std::string reply = server.handle(bad);
+    const std::string reply = testing::reply_of(server, bad);
     EXPECT_EQ(message_type(reply), "ERR") << bad << " -> " << reply;
     EXPECT_GT(reply.size(), 4u) << "ERR reply should carry a reason";
   }
@@ -185,7 +185,7 @@ TEST(ProtoServer, MapsMalformedLinesToErrReplies) {
   checkin_request req;
   req.pos = dep.proj().to_lat_lon({0.0, 0.0});
   req.time_s = 100.0;
-  const auto type = message_type(server.handle(encode(req)));
+  const auto type = message_type(testing::reply_of(server, encode(req)));
   EXPECT_TRUE(type == "TASK" || type == "IDLE");
 }
 
@@ -195,8 +195,8 @@ TEST(ProtoServer, ExtremeReportFieldsAreContained) {
   // packed cell range) must not throw through the server. The record is
   // rejected inside the coordinator and the line still gets its ACK.
   const auto dep = testing::tiny_deployment();
-  core::coordinator coord(geo::zone_grid(dep.proj(), 250.0), dep.names(),
-                          {}, 5);
+  auto coord = testing::sync_coordinator(geo::zone_grid(dep.proj(), 250.0),
+                                         dep.names(), {}, 5);
   coordinator_server server(coord);
 
   measurement_report rep;
@@ -204,15 +204,15 @@ TEST(ProtoServer, ExtremeReportFieldsAreContained) {
   rep.record = testing::make_record(10.0, dep.names()[0],
                                     geo::lat_lon{5e8, -5e8},
                                     trace::probe_kind::udp_burst, 1e6);
-  EXPECT_EQ(server.handle(encode(rep)), "ACK");
+  EXPECT_EQ(testing::reply_of(server, encode(rep)), "ACK");
   EXPECT_EQ(server.errors(), 0u);
   // Nothing landed in the table, and the server still answers.
-  EXPECT_TRUE(coord.table_for_test().keys().empty());
+  EXPECT_TRUE(coord.keys().empty());
   rep.record = testing::make_record(20.0, dep.names()[0],
                                     dep.proj().to_lat_lon({0.0, 0.0}),
                                     trace::probe_kind::udp_burst, 1e6);
-  EXPECT_EQ(server.handle(encode(rep)), "ACK");
-  EXPECT_EQ(coord.table_for_test().keys().empty(), false);
+  EXPECT_EQ(testing::reply_of(server, encode(rep)), "ACK");
+  EXPECT_EQ(coord.keys().empty(), false);
 }
 
 TEST(ProtoCodec, MetricRoundTripAllValues) {
@@ -249,7 +249,6 @@ TEST(ProtoServer, ConcurrentModeServesShardedCoordinator) {
   cfg.num_shards = 2;
   core::sharded_coordinator coord(grid, dep.names(), cfg, 5);
   coordinator_server server(coord);
-  ASSERT_TRUE(server.concurrent());
 
   checkin_request req;
   req.client_id = 1;
@@ -258,7 +257,7 @@ TEST(ProtoServer, ConcurrentModeServesShardedCoordinator) {
   int tasks = 0;
   for (int i = 0; i < 30; ++i) {
     req.time_s += 10.0;
-    const std::string reply = server.handle(encode(req));
+    const std::string reply = testing::reply_of(server, encode(req));
     const auto type = message_type(reply);
     ASSERT_TRUE(type == "TASK" || type == "IDLE") << reply;
     if (type != "TASK") continue;
@@ -267,7 +266,7 @@ TEST(ProtoServer, ConcurrentModeServesShardedCoordinator) {
     rep.client_id = 1;
     rep.record = testing::make_record(req.time_s, dep.names()[0], req.pos,
                                       decode_task(reply).kind, 1e6);
-    EXPECT_EQ(server.handle(encode(rep)), "ACK");
+    EXPECT_EQ(testing::reply_of(server, encode(rep)), "ACK");
   }
   EXPECT_GT(tasks, 0);
   coord.flush();
@@ -286,11 +285,11 @@ TEST(ProtoEndToEnd, RemoteAgentDrivesFullLoop) {
   core::coordinator_config cfg;
   cfg.default_samples_per_epoch = 5;
   cfg.epochs.default_epoch_s = 300.0;
-  core::coordinator coord(grid, dep.names(), cfg, 5);
+  auto coord = testing::sync_coordinator(grid, dep.names(), cfg, 5);
   coordinator_server server(coord);
 
   auto transport = [&server](const std::string& line) {
-    return server.handle(line);
+    return testing::reply_of(server, line);
   };
   remote_agent agent_b(engine, transport, 101);
   remote_agent agent_phone(engine, transport, 102, probe::phone_device());
@@ -313,20 +312,20 @@ TEST(ProtoEndToEnd, RemoteAgentDrivesFullLoop) {
 
   // Estimates were published under both networks.
   int published = 0;
-  for (const auto& key : coord.table_for_test().keys()) {
-    published += coord.table_for_test().latest(key).has_value() ? 1 : 0;
+  for (const auto& key : coord.keys()) {
+    published += coord.latest(key).has_value() ? 1 : 0;
   }
   EXPECT_GT(published, 0);
 }
 
 TEST(ProtoServer, ReportBatchAcksAndIngests) {
-  // REPORTB against the sequential coordinator: one frame, n records, one
+  // REPORTB against one synchronous shard: one frame, n records, one
   // "ACK <n>" reply, all ingested exactly as n single REPORTs would be.
   const auto dep = testing::tiny_deployment();
   geo::zone_grid grid(dep.proj(), 250.0);
-  core::coordinator coord(grid, dep.names(), {}, 5);
+  auto coord = testing::sync_coordinator(grid, dep.names(), {}, 5);
   coordinator_server server(coord);
-  const auto before = parse_stats(server.handle("STATS"));
+  const auto before = parse_stats(testing::reply_of(server, "STATS"));
 
   const geo::lat_lon pos = dep.proj().to_lat_lon({50.0, 50.0});
   std::vector<trace::measurement_record> recs;
@@ -335,11 +334,11 @@ TEST(ProtoServer, ReportBatchAcksAndIngests) {
                                         pos, trace::probe_kind::udp_burst,
                                         1e6));
   }
-  EXPECT_EQ(server.handle(encode_report_batch(recs)), "ACK 25");
+  EXPECT_EQ(testing::reply_of(server, encode_report_batch(recs)), "ACK 25");
   EXPECT_EQ(server.reports_received(), 25u);
   EXPECT_GT(coord.status_of(grid.zone_of(pos)).open_epoch_samples, 0u);
 
-  const auto after = parse_stats(server.handle("STATS"));
+  const auto after = parse_stats(testing::reply_of(server, "STATS"));
   using namespace obs::names;
   EXPECT_EQ(delta(before, after, kServerReports), 25.0);
   EXPECT_EQ(delta(before, after, kServerReportBatches), 1.0);
@@ -354,7 +353,7 @@ TEST(ProtoServer, ReportBatchAcksAndIngests) {
 TEST(ProtoServer, ReportBatchIsAllOrNothingOnBadRecord) {
   const auto dep = testing::tiny_deployment();
   geo::zone_grid grid(dep.proj(), 250.0);
-  core::coordinator coord(grid, dep.names(), {}, 5);
+  auto coord = testing::sync_coordinator(grid, dep.names(), {}, 5);
   coordinator_server server(coord);
 
   const geo::lat_lon pos = dep.proj().to_lat_lon({50.0, 50.0});
@@ -365,7 +364,7 @@ TEST(ProtoServer, ReportBatchIsAllOrNothingOnBadRecord) {
   }
   std::string frame = encode_report_batch(recs);
   frame += "\nnot,a,valid,record";  // 4th line breaks the declared count
-  EXPECT_EQ(message_type(server.handle(frame)), "ERR");
+  EXPECT_EQ(message_type(testing::reply_of(server, frame)), "ERR");
   EXPECT_EQ(server.reports_received(), 0u);
   EXPECT_EQ(coord.status_of(grid.zone_of(pos)).open_epoch_samples, 0u);
   EXPECT_EQ(server.errors(), 1u);
@@ -381,7 +380,7 @@ TEST(ProtoServer, ReportBatchFlowsThroughShardedPipeline) {
   cfg.num_shards = 2;
   core::sharded_coordinator coord(grid, dep.names(), cfg, 5);
   coordinator_server server(coord);
-  const auto before = parse_stats(server.handle("STATS"));
+  const auto before = parse_stats(testing::reply_of(server, "STATS"));
 
   stats::rng_stream rng(7);
   constexpr int kFrames = 8;
@@ -395,7 +394,7 @@ TEST(ProtoServer, ReportBatchFlowsThroughShardedPipeline) {
                                  250.0 * rng.uniform_int(-2, 2)}),
           trace::probe_kind::udp_burst, 1e6));
     }
-    EXPECT_EQ(server.handle(encode_report_batch(recs)),
+    EXPECT_EQ(testing::reply_of(server, encode_report_batch(recs)),
               "ACK " + std::to_string(kPerFrame));
   }
   coord.flush();
@@ -404,7 +403,7 @@ TEST(ProtoServer, ReportBatchFlowsThroughShardedPipeline) {
   EXPECT_EQ(coord.reports_received(), kTotal);
   EXPECT_EQ(coord.reports_ingested(), kTotal);
 
-  const auto after = parse_stats(server.handle("STATS"));
+  const auto after = parse_stats(testing::reply_of(server, "STATS"));
   using namespace obs::names;
   EXPECT_EQ(delta(before, after, kServerReports), double(kTotal));
   EXPECT_EQ(delta(before, after, kServerReportBatches), double(kFrames));
@@ -416,26 +415,28 @@ TEST(ProtoServer, ReportBatchFlowsThroughShardedPipeline) {
   std::vector<trace::measurement_record> one{testing::make_record(
       9000.0, dep.names()[0], dep.proj().to_lat_lon({0.0, 0.0}),
       trace::probe_kind::udp_burst, 1e6)};
-  EXPECT_EQ(message_type(server.handle(encode_report_batch(one))), "ERR");
+  EXPECT_EQ(
+      message_type(testing::reply_of(server, encode_report_batch(one))),
+      "ERR");
 }
 
 TEST(ProtoServer, LongGarbageLineEchoIsClipped) {
   // A multi-megabyte garbage line must not be reflected verbatim into the
   // ERR reply (or the obs error path).
   const auto dep = testing::tiny_deployment();
-  core::coordinator coord(geo::zone_grid(dep.proj(), 250.0), dep.names(),
-                          {}, 5);
+  auto coord = testing::sync_coordinator(geo::zone_grid(dep.proj(), 250.0),
+                                         dep.names(), {}, 5);
   coordinator_server server(coord);
 
   const std::string garbage = "NOISE " + std::string(4 << 20, 'x');
-  const std::string reply = server.handle(garbage);
+  const std::string reply = testing::reply_of(server, garbage);
   EXPECT_EQ(message_type(reply), "ERR");
   EXPECT_LT(reply.size(), 256u) << "ERR reply must clip the echoed line";
 
   const std::string bad_checkin =
       "CHECKIN client=1 lat=" + std::string(1 << 20, '9') +
       " lon=1 t=1 net=0 active=1 device=a";
-  const std::string reply2 = server.handle(bad_checkin);
+  const std::string reply2 = testing::reply_of(server, bad_checkin);
   EXPECT_EQ(message_type(reply2), "ERR");
   EXPECT_LT(reply2.size(), 256u);
 }
@@ -445,10 +446,10 @@ TEST(ProtoServer, StatsReflectsReportsAndErrLines) {
   // ERR replies must show up, exactly counted, in the metrics dump.
   const auto dep = testing::tiny_deployment();
   geo::zone_grid grid(dep.proj(), 250.0);
-  core::coordinator coord(grid, dep.names(), {}, 5);
+  auto coord = testing::sync_coordinator(grid, dep.names(), {}, 5);
   coordinator_server server(coord);
 
-  const auto before = parse_stats(server.handle("STATS"));
+  const auto before = parse_stats(testing::reply_of(server, "STATS"));
 
   constexpr int kGood = 7;
   constexpr int kMalformed = 3;
@@ -458,16 +459,17 @@ TEST(ProtoServer, StatsReflectsReportsAndErrLines) {
     rep.client_id = 1;
     rep.record = testing::make_record(1000.0 + i * 10.0, dep.names()[0], pos,
                                       trace::probe_kind::udp_burst, 1e6);
-    ASSERT_EQ(server.handle(encode(rep)), "ACK");
+    ASSERT_EQ(testing::reply_of(server, encode(rep)), "ACK");
   }
   for (int i = 0; i < kMalformed; ++i) {
-    ASSERT_EQ(message_type(server.handle("REPORT client=1")), "ERR");
+    ASSERT_EQ(message_type(testing::reply_of(server, "REPORT client=1")),
+              "ERR");
   }
   // v2 note: "HELLO there" is now a recognised-but-malformed HELLO (parse
   // error); a genuinely unknown verb is what counts as unsupported.
-  ASSERT_EQ(message_type(server.handle("BOGUS there")), "ERR");
+  ASSERT_EQ(message_type(testing::reply_of(server, "BOGUS there")), "ERR");
 
-  const auto after = parse_stats(server.handle("STATS"));
+  const auto after = parse_stats(testing::reply_of(server, "STATS"));
   using namespace obs::names;
   EXPECT_EQ(delta(before, after, kServerReports), kGood);
   EXPECT_EQ(delta(before, after, kServerErrParse), kMalformed);
@@ -495,7 +497,7 @@ TEST(ProtoServer, StatsAccountsForAllReportsInShardedStress) {
   cfg.num_shards = 4;
   core::sharded_coordinator coord(grid, dep.names(), cfg, 5);
   coordinator_server server(coord);
-  const auto before = parse_stats(server.handle("STATS"));
+  const auto before = parse_stats(testing::reply_of(server, "STATS"));
 
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 500;
@@ -506,7 +508,9 @@ TEST(ProtoServer, StatsAccountsForAllReportsInShardedStress) {
       stats::rng_stream rng(100 + p);
       for (int i = 0; i < kPerProducer; ++i) {
         if (i % kMalformedEvery == 0) {
-          EXPECT_EQ(message_type(server.handle("REPORT client=oops")), "ERR");
+          EXPECT_EQ(
+              message_type(testing::reply_of(server, "REPORT client=oops")),
+              "ERR");
           continue;
         }
         measurement_report rep;
@@ -516,14 +520,14 @@ TEST(ProtoServer, StatsAccountsForAllReportsInShardedStress) {
             dep.proj().to_lat_lon({250.0 * rng.uniform_int(-2, 2),
                                    250.0 * rng.uniform_int(-2, 2)}),
             trace::probe_kind::udp_burst, 1e6);
-        EXPECT_EQ(server.handle(encode(rep)), "ACK");
+        EXPECT_EQ(testing::reply_of(server, encode(rep)), "ACK");
       }
     });
   }
   for (auto& th : producers) th.join();
   coord.flush();
 
-  const auto after = parse_stats(server.handle("STATS"));
+  const auto after = parse_stats(testing::reply_of(server, "STATS"));
   using namespace obs::names;
   constexpr double kSubmitted = kProducers * kPerProducer;
   const double rejected = delta(before, after, kServerErrParse);
@@ -708,19 +712,19 @@ TEST(ProtoCodecV2, ErrorCodesAreTableDrivenAndClipped) {
 
 TEST(ProtoServerV2, HelloNegotiatesAndGatesOldClients) {
   const auto dep = testing::tiny_deployment();
-  core::coordinator coord(geo::zone_grid(dep.proj(), 250.0), dep.names(), {},
-                          5);
+  auto coord = testing::sync_coordinator(geo::zone_grid(dep.proj(), 250.0),
+                                         dep.names(), {}, 5);
   coordinator_server server(coord);
 
   // Newer client: capped to ours. Older-but-supported: their version.
-  auto rep = decode_hello_reply(server.handle("HELLO ver=9"));
+  auto rep = decode_hello_reply(testing::reply_of(server, "HELLO ver=9"));
   EXPECT_EQ(rep.version, wire_version);
   EXPECT_EQ(rep.min_version, wire_min_version);
-  rep = decode_hello_reply(server.handle("HELLO ver=1"));
+  rep = decode_hello_reply(testing::reply_of(server, "HELLO ver=1"));
   EXPECT_EQ(rep.version, 1u);
 
   // Below the minimum: typed version error.
-  const std::string err = server.handle("HELLO ver=0");
+  const std::string err = testing::reply_of(server, "HELLO ver=0");
   EXPECT_EQ(message_type(err), "ERR");
   EXPECT_EQ(err.rfind("ERR version", 0), 0u) << err;
 }
@@ -731,7 +735,7 @@ TEST(ProtoServerV2, QueryServesWhatTheViewServes) {
   core::coordinator_config cfg;
   cfg.epochs.default_epoch_s = 120.0;
   cfg.default_samples_per_epoch = 10;
-  core::coordinator coord(grid, dep.names(), cfg, 5);
+  auto coord = testing::sync_coordinator(grid, dep.names(), cfg, 5);
   coordinator_server server(coord);
 
   const geo::lat_lon pos = dep.proj().to_lat_lon({80.0, -40.0});
@@ -741,7 +745,7 @@ TEST(ProtoServerV2, QueryServesWhatTheViewServes) {
   q.metric = trace::metric::udp_throughput_bps;
 
   // Before anything is published: NONE, not an error.
-  EXPECT_EQ(server.handle(encode(q)), "NONE");
+  EXPECT_EQ(testing::reply_of(server, encode(q)), "NONE");
 
   // Ingest enough over several epochs to freeze estimates.
   for (int i = 0; i < 400; ++i) {
@@ -750,12 +754,12 @@ TEST(ProtoServerV2, QueryServesWhatTheViewServes) {
     rep.record = testing::make_record(1000.0 + i * 2.0, dep.names()[0], pos,
                                       trace::probe_kind::udp_burst,
                                       2e6 * (1.0 + 0.01 * i));
-    ASSERT_EQ(server.handle(encode(rep)), "ACK");
+    ASSERT_EQ(testing::reply_of(server, encode(rep)), "ACK");
   }
 
   const double now_s = 3000.0;
   q.time_s = now_s;
-  const std::string reply = server.handle(encode(q));
+  const std::string reply = testing::reply_of(server, encode(q));
   ASSERT_EQ(message_type(reply), "EST") << reply;
   const auto est = decode_estimate(reply);
 
@@ -778,7 +782,7 @@ TEST(ProtoServerV2, QueryServesWhatTheViewServes) {
   missing.network = "NoSuchNet";
   const std::vector<query_request> batch{q, missing, q};
   const auto replies = decode_estimate_batch(
-      server.handle(encode_query_batch(batch)));
+      testing::reply_of(server, encode_query_batch(batch)));
   ASSERT_EQ(replies.size(), 3u);
   ASSERT_TRUE(replies[0].has_value());
   EXPECT_FALSE(replies[1].has_value());
@@ -791,7 +795,7 @@ TEST(ProtoServerV2, AlertsDrainOverTheWire) {
   const geo::zone_grid grid(dep.proj(), 250.0);
   core::coordinator_config cfg;
   cfg.epochs.default_epoch_s = 60.0;
-  core::coordinator coord(grid, dep.names(), cfg, 5);
+  auto coord = testing::sync_coordinator(grid, dep.names(), cfg, 5);
   coordinator_server server(coord);
 
   // A hard mean shift across epochs raises >2-sigma alerts.
@@ -803,7 +807,7 @@ TEST(ProtoServerV2, AlertsDrainOverTheWire) {
     rep.record = testing::make_record(
         1000.0 + i * 1.0, dep.names()[0], pos,
         trace::probe_kind::tcp_download, level * (1.0 + 0.01 * (i % 7)));
-    ASSERT_EQ(server.handle(encode(rep)), "ACK");
+    ASSERT_EQ(testing::reply_of(server, encode(rep)), "ACK");
   }
   ASSERT_FALSE(coord.alerts().empty());
 
@@ -814,7 +818,8 @@ TEST(ProtoServerV2, AlertsDrainOverTheWire) {
     alerts_request req;
     req.since = cursor;
     req.max = 2;
-    const auto rep = decode_alerts_reply(server.handle(encode(req)));
+    const auto rep =
+        decode_alerts_reply(testing::reply_of(server, encode(req)));
     if (rep.alerts.empty()) break;
     for (const auto& a : rep.alerts) {
       EXPECT_GT(a.seq, prev_seq);
@@ -829,7 +834,7 @@ TEST(ProtoServerV2, AlertsDrainOverTheWire) {
   alerts_request req;
   req.since = 0;
   req.max = 1 << 30;
-  const auto rep = decode_alerts_reply(server.handle(encode(req)));
+  const auto rep = decode_alerts_reply(testing::reply_of(server, encode(req)));
   EXPECT_LE(rep.alerts.size(), max_alert_batch);
 }
 
@@ -838,10 +843,10 @@ TEST(ProtoServerV2, RemoteQueryClientSpeaksTheProtocol) {
   const geo::zone_grid grid(dep.proj(), 250.0);
   core::coordinator_config cfg;
   cfg.epochs.default_epoch_s = 120.0;
-  core::coordinator coord(grid, dep.names(), cfg, 5);
+  auto coord = testing::sync_coordinator(grid, dep.names(), cfg, 5);
   coordinator_server server(coord);
   remote_query_client client(
-      [&](const std::string& line) { return server.handle(line); });
+      [&](const std::string& line) { return testing::reply_of(server, line); });
 
   EXPECT_EQ(client.hello().version, wire_version);
   EXPECT_THROW(client.hello(0), std::runtime_error);
@@ -857,7 +862,7 @@ TEST(ProtoServerV2, RemoteQueryClientSpeaksTheProtocol) {
     rep.client_id = 1;
     rep.record = testing::make_record(1000.0 + i * 2.0, dep.names()[0], q.pos,
                                       trace::probe_kind::ping, 0.08);
-    server.handle(encode(rep));
+    testing::reply_of(server, encode(rep));
   }
   const auto est = client.query(q);
   ASSERT_TRUE(est.has_value());
@@ -905,24 +910,25 @@ TEST(ProtoServerV2, StatsSurvivesHostileMetricNames) {
 
 TEST(ProtoServerV2, QueryCountersAndLatenciesAreAccounted) {
   const auto dep = testing::tiny_deployment();
-  core::coordinator coord(geo::zone_grid(dep.proj(), 250.0), dep.names(), {},
-                          5);
+  auto coord = testing::sync_coordinator(geo::zone_grid(dep.proj(), 250.0),
+                                         dep.names(), {}, 5);
   coordinator_server server(coord);
-  const auto before = parse_stats(server.handle("STATS"));
+  const auto before = parse_stats(testing::reply_of(server, "STATS"));
 
   query_request q;
   q.pos = dep.proj().to_lat_lon({0.0, 0.0});
   q.network = dep.names()[0];
   q.metric = trace::metric::rtt_s;
-  server.handle(encode(q));
-  server.handle(encode(q));
-  server.handle(encode_query_batch(std::vector<query_request>{q, q, q}));
+  testing::reply_of(server, encode(q));
+  testing::reply_of(server, encode(q));
+  testing::reply_of(server,
+                    encode_query_batch(std::vector<query_request>{q, q, q}));
   alerts_request areq;
-  server.handle(encode(areq));
-  server.handle("HELLO ver=2");
-  server.handle("HELLO ver=0");  // version-gated
+  testing::reply_of(server, encode(areq));
+  testing::reply_of(server, "HELLO ver=2");
+  testing::reply_of(server, "HELLO ver=0");  // version-gated
 
-  const auto after = parse_stats(server.handle("STATS"));
+  const auto after = parse_stats(testing::reply_of(server, "STATS"));
   using namespace obs::names;
   EXPECT_EQ(delta(before, after, kServerQueries), 5.0);  // 2 single + 3 batched
   EXPECT_EQ(delta(before, after, kServerQueryBatches), 1.0);

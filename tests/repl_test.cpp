@@ -27,6 +27,7 @@
 #include "proto/wire_v3.h"
 #include "repl/replica.h"
 #include "scenario/injector.h"
+#include "test_util.h"
 #include "trace/record.h"
 
 namespace wiscape {
@@ -164,7 +165,9 @@ struct repl_pair {
         fc(grid, {"NetB", "NetC"}, scfg, 1),
         fserver(fc),
         fol(fc),
-        to_leader([this](std::string_view f) { return lserver.handle(f); }) {
+        to_leader([this](std::string_view f) {
+          return testing::reply_of(lserver, f);
+        }) {
     lserver.attach_replication(&lead);
     fserver.attach_replication(&fol);
   }
@@ -234,7 +237,7 @@ TEST(Replication, EpochbIsAlsoAnApplyRequestAndAcksTheCount) {
   ups[1] = {2, {4, 1}, "NetB", trace::metric::tcp_throughput_bps,
             100.0, 6.0e6, 2.0e5, 9};
   const std::string reply =
-      p.fserver.handle(v3::encode_epoch_batch_frame(ups));
+      testing::reply_of(p.fserver, v3::encode_epoch_batch_frame(ups));
   const auto hdr = v3::peek_header(reply);
   ASSERT_TRUE(hdr.has_value());
   ASSERT_EQ(hdr->op, v3::opcode::ack);
@@ -245,7 +248,7 @@ TEST(Replication, EpochbIsAlsoAnApplyRequestAndAcksTheCount) {
   EXPECT_EQ(latest->mean, 6.0e6);
   // Re-sending the same batch is deduplicated by the cursor.
   const std::string again =
-      p.fserver.handle(v3::encode_epoch_batch_frame(ups));
+      testing::reply_of(p.fserver, v3::encode_epoch_batch_frame(ups));
   EXPECT_EQ(v3::decode_ack_frame(again).count, 0u);
 }
 
@@ -259,7 +262,7 @@ TEST(Replication, ReplicationOpcodesWithoutAnEndpointDrawErrUnsupported) {
        {v3::encode_epoch_pull_frame({0, 16}),
         v3::encode_epoch_batch_frame({}),
         v3::encode_snapshot_req_frame(0), v3::encode_promote_frame()}) {
-    const std::string reply = server.handle(frame);
+    const std::string reply = testing::reply_of(server, frame);
     const auto hdr = v3::peek_header(reply);
     ASSERT_TRUE(hdr.has_value());
     ASSERT_EQ(hdr->op, v3::opcode::err);
@@ -275,11 +278,13 @@ TEST(Replication, WirePromoteFlipsTheFollowerAndRefusesRepeats) {
   ASSERT_TRUE(p.fol.poll(p.to_leader).has_value());
   const std::uint64_t cursor = p.fol.applied_seq();
 
-  const std::string ok = p.fserver.handle(v3::encode_promote_frame());
+  const std::string ok =
+      testing::reply_of(p.fserver, v3::encode_promote_frame());
   ASSERT_EQ(v3::peek_header(ok)->op, v3::opcode::ack);
   EXPECT_TRUE(p.fol.promoted());
   // A second PROMOTE is refused, like promoting the leader itself.
-  const std::string rep = p.fserver.handle(v3::encode_promote_frame());
+  const std::string rep =
+      testing::reply_of(p.fserver, v3::encode_promote_frame());
   EXPECT_EQ(v3::peek_header(rep)->op, v3::opcode::err);
   std::vector<proto::epoch_update> out;
   EXPECT_FALSE(p.lead.promote());
@@ -432,7 +437,7 @@ TEST(Replication, EvictedLogTellsTheFollowerToSnapshot) {
   // The follower's cursor (0) fell below the ring's base: poll reports
   // the truncation instead of silently skipping epochs...
   const repl::transport t = [&](std::string_view f) {
-    return lserver.handle(f);
+    return testing::reply_of(lserver, f);
   };
   EXPECT_FALSE(fol.poll(t).has_value());
   // ...and catch-up (snapshot + fenced suffix) repairs it.
@@ -506,7 +511,7 @@ TEST(ReplStress, PromotionMidStorm) {
   f2server.attach_replication(&f2);
 
   const repl::transport to_leader = [&](std::string_view f) {
-    return lserver.handle(f);
+    return testing::reply_of(lserver, f);
   };
 
   std::atomic<bool> stop{false};
@@ -528,7 +533,7 @@ TEST(ReplStress, PromotionMidStorm) {
         r.throughput_bps = 1.0e6 + 1000.0 * i;
         recs.push_back(r);
       }
-      (void)lserver.handle(v3::encode_report_batch_frame(recs));
+      (void)testing::reply_of(lserver, v3::encode_report_batch_frame(recs));
       t += 40.0;  // rollovers fire continuously under the storm
     }
   });
@@ -546,7 +551,8 @@ TEST(ReplStress, PromotionMidStorm) {
   std::thread p2(puller, std::ref(f2));
   p1.join();
   // Promotion mid-storm, through the wire path, while p2 still pulls.
-  const std::string reply = f1server.handle(v3::encode_promote_frame());
+  const std::string reply =
+      testing::reply_of(f1server, v3::encode_promote_frame());
   EXPECT_EQ(v3::peek_header(reply)->op, v3::opcode::ack);
   p2.join();
   stop.store(true, std::memory_order_relaxed);

@@ -1,16 +1,16 @@
 // Allocation regression gate for the zero-allocation reply path (ISSUE 8).
 //
-// Asserts that coordinator_server::handle_into() performs ZERO heap
-// allocations per request in steady state -- a reused reply_buffer, warmed
-// scratch vectors, short (SSO) operator names -- across the hot request
-// types: QUERY (EST reply), QUERYB, REPORT (ACK), REPORTB (ACK <n>), the
-// ERR unsupported path, (since wire protocol v3) the binary twins of
-// every hot frame, QUERY/QUERYB in both framings against a 2-shard
-// coordinator, whose frames split into one mirror batch per shard, and the
-// queued ingest path the servers run -- REPORTB (text and v3) and a REPORT
-// group handed to an asynchronous 1-shard coordinator's drain worker, and
-// a v3 REPORTB routed across an asynchronous 2-shard one, each counted up
-// to flush(). Same counting-operator-new technique as
+// Asserts that coordinator_server::handle() performs ZERO heap allocations
+// per request in steady state -- a reused reply_buffer, warmed scratch
+// vectors, short (SSO) operator names -- across the hot request types on a
+// 1-shard synchronous coordinator: QUERY (EST reply), QUERYB, REPORT (ACK),
+// REPORTB (ACK <n>), the ERR unsupported path, (since wire protocol v3) the
+// binary twins of every hot frame, QUERY/QUERYB in both framings against a
+// 2-shard coordinator, whose frames split into one mirror batch per shard,
+// and the queued ingest path the servers run -- REPORTB (text and v3) and a
+// REPORT group handed to an asynchronous 1-shard coordinator's drain
+// worker, and a v3 REPORTB routed across an asynchronous 2-shard one, each
+// counted up to flush(). Same counting-operator-new technique as
 // bench_apply_path, but kept in its own tiny executable: a global
 // operator new override must not ride along inside the gtest binary (it
 // would fight the sanitizer builds' interceptors).
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "core/coordinator.h"
 #include "core/sharded_coordinator.h"
 #include "geo/projection.h"
 #include "geo/zone_grid.h"
@@ -74,7 +73,7 @@ using namespace wiscape;
 int main() {
   const auto dep = testing::tiny_deployment();
   const geo::zone_grid grid(dep.proj(), 250.0);
-  core::coordinator coord(grid, dep.names(), core::coordinator_config{}, 5);
+  auto coord = testing::sync_coordinator(grid, dep.names(), {}, 5);
   proto::coordinator_server server(coord);
   const geo::lat_lon here = cellnet::anchors::madison;
 
@@ -93,7 +92,7 @@ int main() {
     rep.record = testing::make_record(static_cast<double>(i), "NetB", here,
                                       trace::probe_kind::udp_burst, 1.0e6);
     out.clear();
-    server.handle_into(proto::encode(rep), out);
+    server.handle(proto::request_view::detect(proto::encode(rep)), out);
     CHECK(out.view() == "ACK");
   }
 
@@ -141,16 +140,17 @@ int main() {
     rrep.record = testing::make_record(static_cast<double>(i), "NetB", here,
                                        trace::probe_kind::udp_burst, 1.0e6);
     out.clear();
-    lserver.handle_into(proto::encode(rrep), out);
+    lserver.handle(proto::request_view::detect(proto::encode(rrep)), out);
     CHECK(out.view() == "ACK");
   }
   const std::string epoch_pull_v3 = proto::v3::encode_epoch_pull_frame({0, 16});
   out.clear();
-  lserver.handle_into(epoch_pull_v3, out);
+  lserver.handle(proto::request_view::detect(epoch_pull_v3), out);
   CHECK(proto::v3::peek_header(out.view())->op == proto::v3::opcode::epochb);
   const std::string epochb_apply_v3(out.view());
   out.clear();
-  fserver.handle_into(epochb_apply_v3, out);  // first apply: real inserts
+  // First apply: real inserts.
+  fserver.handle(proto::request_view::detect(epochb_apply_v3), out);
   CHECK(proto::v3::peek_header(out.view())->op == proto::v3::opcode::ack);
 
   // The batched lookup path over more than one shard: a 2-shard
@@ -172,7 +172,7 @@ int main() {
       zrep.record = testing::make_record(static_cast<double>(i), "NetB", pos,
                                          trace::probe_kind::udp_burst, 1.0e6);
       out.clear();
-      qserver.handle_into(proto::encode(zrep), out);
+      qserver.handle(proto::request_view::detect(proto::encode(zrep)), out);
       CHECK(out.view() == "ACK");
     }
     proto::query_request zq = q;
@@ -189,11 +189,11 @@ int main() {
   const std::string queryb_frame_v3_2s =
       proto::v3::encode_query_batch_frame(qs2);
   out.clear();
-  qserver.handle_into(queryb_frame_2s, out);
+  qserver.handle(proto::request_view::detect(queryb_frame_2s), out);
   CHECK(out.view().substr(0, 6) == "ESTB 7");
   CHECK(out.view().find("\nEST zone=") != std::string_view::npos);
   out.clear();
-  qserver.handle_into(query_line_2s, out);
+  qserver.handle(proto::request_view::detect(query_line_2s), out);
   CHECK(out.view().substr(0, 4) == "EST ");
 
   // The queued ingest path the servers run: an asynchronous sharded
@@ -229,10 +229,10 @@ int main() {
                                          trace::probe_kind::udp_burst, 1.0e6);
       const std::string line = proto::encode(wrep);
       out.clear();
-      aserver.handle_into(line, out);
+      aserver.handle(proto::request_view::detect(line), out);
       CHECK(out.view() == "ACK");
       out.clear();
-      aserver2.handle_into(line, out);
+      aserver2.handle(proto::request_view::detect(line), out);
       CHECK(out.view() == "ACK");
     }
   }
@@ -259,17 +259,17 @@ int main() {
   // Sanity: the query really serves an estimate (a NONE corpus would pass
   // the allocation gate while proving nothing about EST encoding).
   out.clear();
-  server.handle_into(query_line, out);
+  server.handle(proto::request_view::detect(query_line), out);
   CHECK(out.view().substr(0, 4) == "EST ");
   out.clear();
-  server.handle_into(bogus_line, out);
+  server.handle(proto::request_view::detect(bogus_line), out);
   CHECK(out.view().substr(0, 15) == "ERR unsupported");
   out.clear();
-  server.handle_into(query_frame_v3, out);
+  server.handle(proto::request_view::detect(query_frame_v3), out);
   CHECK(proto::v3::peek_header(out.view()).has_value());
   CHECK(proto::v3::peek_header(out.view())->op == proto::v3::opcode::est);
   out.clear();
-  server.handle_into(bad_frame_v3, out);
+  server.handle(proto::request_view::detect(bad_frame_v3), out);
   CHECK(proto::v3::peek_header(out.view())->op == proto::v3::opcode::err);
 
   struct test_case {
@@ -306,7 +306,7 @@ int main() {
     if (tc.group > 0) {
       tc.srv->handle_report_group(*tc.line, tc.group, out);
     } else {
-      tc.srv->handle_into(*tc.line, out);
+      tc.srv->handle(proto::request_view::detect(*tc.line), out);
     }
     if (tc.queued != nullptr) tc.queued->flush();
   };

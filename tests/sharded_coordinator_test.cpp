@@ -516,7 +516,6 @@ TEST(ShardedCoordinatorStress, EightProducersLoseNoReports) {
   cfg.drain_batch = 64;
   sharded_coordinator sc(grid, nets, cfg, 17);
   proto::coordinator_server server(sc);
-  ASSERT_TRUE(server.concurrent());
 
   std::vector<std::thread> producers;
   producers.reserve(kThreads);
@@ -535,7 +534,7 @@ TEST(ShardedCoordinatorStress, EightProducersLoseNoReports) {
         proto::measurement_report rep;
         rep.client_id = rec.client_id;
         rep.record = rec;
-        const std::string reply = server.handle(proto::encode(rep));
+        const std::string reply = testing::reply_of(server, proto::encode(rep));
         ASSERT_EQ(reply, "ACK");
       }
     });

@@ -2,10 +2,14 @@
 // synthetic series generators.
 #pragma once
 
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "cellnet/deployment.h"
 #include "cellnet/presets.h"
+#include "core/sharded_coordinator.h"
+#include "proto/server.h"
 #include "stats/rng.h"
 #include "stats/time_series.h"
 #include "trace/dataset.h"
@@ -81,6 +85,31 @@ inline trace::measurement_record make_record(double time_s,
       break;
   }
   return r;
+}
+
+/// A 1-shard synchronous sharded_coordinator: reports apply inline on the
+/// caller's thread, so it answers exactly as core::coordinator(grid,
+/// networks, cfg, seed) would (sharded_coordinator_test holds the two
+/// bit-equal). The sequential configuration tests serve from.
+inline core::sharded_coordinator sync_coordinator(
+    geo::zone_grid grid, std::vector<std::string> networks,
+    core::coordinator_config cfg, std::uint64_t seed) {
+  core::sharded_config scfg;
+  scfg.coordinator = cfg;
+  scfg.num_shards = 1;
+  scfg.synchronous = true;
+  return core::sharded_coordinator(std::move(grid), std::move(networks), scfg,
+                                   seed);
+}
+
+/// One request through coordinator_server::handle(): the framing detected
+/// from the leading byte, the reply rendered into a fresh reply_buffer and
+/// returned as a string.
+inline std::string reply_of(proto::coordinator_server& server,
+                            std::string_view bytes) {
+  proto::reply_buffer out;
+  server.handle(proto::request_view::detect(bytes), out);
+  return std::string(out.view());
 }
 
 }  // namespace wiscape::testing

@@ -1,11 +1,12 @@
-// Unified server request API (ISSUE 10): handle(request_view, reply_buffer&)
-// is the single dispatch seam; the old handle()/handle_into() spellings are
-// thin wrappers over it. The golden corpus here pins byte-equality across
-// all three spellings for both framings -- the api_redesign must not move a
-// single reply byte.
+// The server's one request entry point, handle(request_view, reply_buffer&).
+// The golden corpus pins the exact reply bytes of every command family in
+// both framings (plus malformed inputs), on a 1-shard synchronous server and
+// on a 2-shard asynchronous one: a change that moves a single reply byte,
+// or answers differently with the shard count, fails here.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/sharded_coordinator.h"
@@ -14,6 +15,7 @@
 #include "proto/messages.h"
 #include "proto/server.h"
 #include "proto/wire_v3.h"
+#include "test_util.h"
 #include "trace/record.h"
 
 namespace wiscape {
@@ -27,15 +29,16 @@ struct corpus_fixture {
   core::sharded_coordinator coord;
   proto::coordinator_server server;
 
-  static core::sharded_config cfg() {
+  static core::sharded_config cfg(std::size_t shards, bool synchronous) {
     core::sharded_config c;
     c.coordinator.epochs.default_epoch_s = 100.0;
-    c.num_shards = 1;
-    c.synchronous = true;
+    c.num_shards = shards;
+    c.synchronous = synchronous;
     return c;
   }
 
-  corpus_fixture() : coord(grid, {"NetB"}, cfg(), 1), server(coord) {
+  explicit corpus_fixture(std::size_t shards = 1, bool synchronous = true)
+      : coord(grid, {"NetB"}, cfg(shards, synchronous), 1), server(coord) {
     // Publish one frozen epoch so QUERY draws an EST with real payload.
     std::vector<trace::measurement_record> recs;
     for (int i = 0; i < 12; ++i) {
@@ -54,7 +57,7 @@ struct corpus_fixture {
   }
 
   /// The golden corpus: every command family in both framings, plus
-  /// malformed inputs (replies must match byte-for-byte too).
+  /// malformed inputs, run in order against one coordinator.
   std::vector<std::string> corpus() const {
     trace::measurement_record rec;
     rec.time_s = 205.0;
@@ -67,15 +70,25 @@ struct corpus_fixture {
     rec.ping_sent = 10;
     const proto::measurement_report report{rec.client_id, rec};
 
+    std::vector<trace::measurement_record> batch(2, rec);
+    batch[0].time_s = 206.0;
+    batch[1].time_s = 207.0;
+    batch[1].rtt_s = 0.029;
+
     proto::query_request q;
     q.pos = rec.pos;
     q.network = "NetB";
     q.metric = trace::metric::tcp_throughput_bps;
     q.time_s = 210.0;
+    proto::query_request unknown = q;
+    unknown.network = "NoSuchNet";
+    const std::vector<proto::query_request> queries{q, unknown};
 
     std::vector<std::string> reqs;
     reqs.push_back(proto::encode(report));
+    reqs.push_back(proto::encode_report_batch(batch));
     reqs.push_back(proto::encode(q));
+    reqs.push_back(proto::encode_query_batch(queries));
     reqs.push_back(proto::encode(proto::hello_request{2}));
     reqs.push_back(proto::encode(proto::alerts_request{0, 16}));
     // (STATS is deliberately absent: its reply embeds live counter values,
@@ -83,8 +96,9 @@ struct corpus_fixture {
     reqs.push_back("REPORTB 2\ngarbage");        // malformed text
     reqs.push_back("NOSUCH arg=1");              // unknown command
     reqs.push_back(v3::encode_report_frame(report));
+    reqs.push_back(v3::encode_report_batch_frame(batch));
     reqs.push_back(v3::encode_query_frame(q));
-    reqs.push_back(v3::encode_query_batch_frame({&q, 1}));
+    reqs.push_back(v3::encode_query_batch_frame(queries));
     reqs.push_back(v3::encode_epoch_pull_frame({0, 8}));  // unattached: ERR
     reqs.push_back(v3::encode_promote_frame());           // unattached: ERR
     std::string bad = v3::encode_query_frame(q);
@@ -94,29 +108,75 @@ struct corpus_fixture {
   }
 };
 
-TEST(UnifiedHandle, AllThreeSpellingsAnswerByteIdentically) {
-  corpus_fixture fx;
-  for (const std::string& req : fx.corpus()) {
-    // Reports mutate state; run the three spellings against the same
-    // coordinator back-to-back so they see identical published state
-    // (report re-submission is idempotent for the reply bytes: ACK).
-    const std::string a = fx.server.handle(req);
-
-    proto::reply_buffer rb;
-    fx.server.handle_into(req, rb);
-    const std::string b(rb.view());
-
-    rb.clear();
-    const proto::request_view view =
-        v3::is_frame_start(req) ? proto::request_view::binary(req)
-                                : proto::request_view::text(req);
-    fx.server.handle(view, rb);
-    const std::string c(rb.view());
-
-    EXPECT_EQ(a, b) << "request: " << req.substr(0, 40);
-    EXPECT_EQ(a, c) << "request: " << req.substr(0, 40);
-    EXPECT_FALSE(a.empty());
+std::string hex(std::string_view bytes) {
+  static constexpr char digits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto u = static_cast<unsigned char>(c);
+    out.push_back(digits[u >> 4]);
+    out.push_back(digits[u & 0xf]);
   }
+  return out;
+}
+
+// The corpus replies, positional with corpus(): text replies verbatim,
+// binary reply frames as hex. Recorded once from a running server, not
+// derived from the code under test; only an intended wire change may move
+// them.
+const std::vector<std::string_view>& golden_replies() {
+  static const std::vector<std::string_view> replies{
+      "ACK",
+      "ACK 2",
+      "EST zone=0:0 net=NetB metric=tcp_throughput count=10 mean=2045000 "
+        "stddev=30276.503540974914 epoch=0 staleness_s=210 conf=0.100000000"
+        "00000001",
+      "ESTB 2\nEST zone=0:0 net=NetB metric=tcp_throughput count=10 mean="
+        "2045000 stddev=30276.503540974914 epoch=0 staleness_s=210 conf=0.1"
+        "0000000000000001\nNONE",
+      "HELLO ver=2 min=1",
+      "ALERTS 0 next=0 dropped=0",
+      "ERR parse REPORTB record 0: bad CSV field time_s: 'garbage'",
+      "ERR unsupported unsupported request: 'NOSUCH arg=1'",
+      "b30509000000000000000000000000",
+      "b30509000000010200000000000000",
+      "b30640000000010000000000000000000a000000000000000000000048343f41dd"
+        "ec033a2091dd4000000000000000000000000000406a409a9999999999b93f0400"
+        "4e657442",
+      "b3074500000002000000010000000000000000000a000000000000000000000048"
+        "343f41ddec033a2091dd4000000000000000000000000000406a409a9999999999"
+        "b93f04004e65744200",
+      "b3081b0000000118007265706c69636174696f6e206e6f74206174746163686564",
+      "b3081b0000000118007265706c69636174696f6e206e6f74206174746163686564",
+      "b30822000000001f006d616c666f726d65642062696e617279206672616d652065"
+        "6e76656c6f7065"};
+  return replies;
+}
+
+void expect_golden(std::size_t shards, bool synchronous) {
+  corpus_fixture fx(shards, synchronous);
+  const std::vector<std::string> corpus = fx.corpus();
+  ASSERT_EQ(corpus.size(), golden_replies().size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const std::string& req = corpus[i];
+    proto::reply_buffer out;
+    const proto::request_view view = proto::request_view::detect(req);
+    fx.server.handle(view, out);
+    // An asynchronous coordinator ACKs before it applies: settle every
+    // request so the next one reads the same state the 1-shard run does.
+    fx.coord.flush();
+    const bool binary = view.framing() == proto::request_view::kind::binary;
+    EXPECT_EQ(binary ? hex(out.view()) : std::string(out.view()),
+              golden_replies()[i])
+        << "request " << i << ": " << (binary ? hex(req) : req);
+  }
+}
+
+TEST(UnifiedHandle, GoldenRepliesOnOneSynchronousShard) {
+  expect_golden(1, true);
+}
+
+TEST(UnifiedHandle, GoldenRepliesOnTwoAsynchronousShards) {
+  expect_golden(2, false);
 }
 
 TEST(UnifiedHandle, DetectClassifiesByLeadingByte) {
@@ -147,10 +207,11 @@ TEST(UnifiedHandle, AdvertisedVersionIsFixedAtConstruction) {
   EXPECT_EQ(v2.advertised_version(), 2u);
   EXPECT_EQ(fx.server.advertised_version(), proto::wire_version);
 
-  const std::string hello2 = v2.handle(proto::encode(proto::hello_request{3}));
+  const std::string hello2 =
+      testing::reply_of(v2, proto::encode(proto::hello_request{3}));
   EXPECT_NE(hello2.find("ver=2"), std::string::npos);
   const std::string hello3 =
-      fx.server.handle(proto::encode(proto::hello_request{3}));
+      testing::reply_of(fx.server, proto::encode(proto::hello_request{3}));
   EXPECT_NE(hello3.find("ver=3"), std::string::npos);
 }
 

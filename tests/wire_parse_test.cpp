@@ -502,7 +502,7 @@ TEST(WireParseBatch, EmptyBatchAndTrailingNewlineTolerated) {
   EXPECT_EQ(proto::decode_report_batch("REPORTB 1\n" + csv + "\n").size(), 1u);
 }
 
-// ---- the zero-allocation encode path (handle_into's building blocks) ------
+// ---- the zero-allocation encode path (the reply path's building blocks) --
 
 TEST(WireEncodeInto, Double17ParityWithPrintf) {
   // append_double17 renders via to_chars(general, 17), which the standard

@@ -85,7 +85,8 @@ core::coordinator_config fast_epochs() {
 struct server_fixture {
   cellnet::deployment dep = testing::tiny_deployment();
   geo::zone_grid grid{dep.proj(), 250.0};
-  core::coordinator coord{grid, dep.names(), fast_epochs(), 5};
+  core::sharded_coordinator coord =
+      testing::sync_coordinator(grid, dep.names(), fast_epochs(), 5);
   coordinator_server server;
 
   /// `advertised` caps HELLO negotiation (a construction-time option now:
@@ -103,7 +104,7 @@ struct server_fixture {
       rep.record = testing::make_record(1000.0 + i * 2.0, network, pos,
                                         trace::probe_kind::udp_burst,
                                         2e6 * (1.0 + 0.01 * i));
-      server.handle(v3::encode_report_frame(rep));
+      testing::reply_of(server, v3::encode_report_frame(rep));
     }
   }
 };
@@ -403,7 +404,8 @@ TEST(WireV3Server, BinaryReportAcksAndIngests) {
   m.client_id = 7;
   m.record = testing::make_record(100.0, "NetB", here,
                                   trace::probe_kind::udp_burst, 1e6);
-  const std::string reply = fx.server.handle(v3::encode_report_frame(m));
+  const std::string reply =
+      testing::reply_of(fx.server, v3::encode_report_frame(m));
   ASSERT_TRUE(v3::is_frame_start(reply));
   EXPECT_FALSE(v3::decode_ack_frame(reply).batched);
   EXPECT_EQ(fx.server.reports_received(), 1u);
@@ -411,7 +413,7 @@ TEST(WireV3Server, BinaryReportAcksAndIngests) {
 
   std::vector<trace::measurement_record> recs(3, m.record);
   const std::string breply =
-      fx.server.handle(v3::encode_report_batch_frame(recs));
+      testing::reply_of(fx.server, v3::encode_report_batch_frame(recs));
   const v3::ack_frame ack = v3::decode_ack_frame(breply);
   EXPECT_TRUE(ack.batched);
   EXPECT_EQ(ack.count, 3u);
@@ -429,11 +431,12 @@ TEST(WireV3Server, BinaryQueryMatchesTextBitExact) {
   q.metric = trace::metric::udp_throughput_bps;
   q.time_s = 2000.0;
 
-  const std::string text = fx.server.handle(encode(q));
+  const std::string text = testing::reply_of(fx.server, encode(q));
   ASSERT_EQ(message_type(text), "EST") << text;
   const estimate_reply via_text = decode_estimate(text);
 
-  const std::string bin = fx.server.handle(v3::encode_query_frame(q));
+  const std::string bin =
+      testing::reply_of(fx.server, v3::encode_query_frame(q));
   const auto via_bin = v3::decode_estimate_frame(bin);
   ASSERT_TRUE(via_bin.has_value());
   // The text path round-trips through %.17g (exact for doubles); the
@@ -448,8 +451,8 @@ TEST(WireV3Server, BinaryQueryMatchesTextBitExact) {
   // An unpublished stream answers presence=0, the binary NONE.
   query_request miss = q;
   miss.network = "NetC";
-  const auto none =
-      v3::decode_estimate_frame(fx.server.handle(v3::encode_query_frame(miss)));
+  const auto none = v3::decode_estimate_frame(
+      testing::reply_of(fx.server, v3::encode_query_frame(miss)));
   EXPECT_FALSE(none.has_value());
 }
 
@@ -467,7 +470,7 @@ TEST(WireV3Server, BinaryQuerybPositionalWithGaps) {
   std::vector<query_request> qs{miss, hit, miss};
 
   const std::string reply =
-      fx.server.handle(v3::encode_query_batch_frame(qs));
+      testing::reply_of(fx.server, v3::encode_query_batch_frame(qs));
   const auto back = v3::decode_estimate_batch_frame(reply);
   ASSERT_EQ(back.size(), 3u);
   EXPECT_FALSE(back[0].has_value());
@@ -489,7 +492,7 @@ TEST(WireV3Server, ReplyOpcodesAsRequestsDrawUnsupported) {
   const std::string err(rb.view());
   for (const std::string& req : {ack, est, err}) {
     const v3::error_frame e =
-        v3::decode_error_frame(fx.server.handle(req));
+        v3::decode_error_frame(testing::reply_of(fx.server, req));
     EXPECT_EQ(e.code, err_code::unsupported) << e.detail;
   }
 }
@@ -498,11 +501,11 @@ TEST(WireV3Server, MalformedBinaryFramesDrawTypedErrNeverCrash) {
   server_fixture fx;
   // Envelope lie: header declares more bytes than the frame carries.
   std::string lie("\xB3\x01\xff\x00\x00\x00", 6);
-  EXPECT_EQ(v3::decode_error_frame(fx.server.handle(lie)).code,
+  EXPECT_EQ(v3::decode_error_frame(testing::reply_of(fx.server, lie)).code,
             err_code::parse);
   // Undefined opcode.
   std::string bad_op("\xB3\x1f\x00\x00\x00\x00", 6);
-  EXPECT_EQ(v3::decode_error_frame(fx.server.handle(bad_op)).code,
+  EXPECT_EQ(v3::decode_error_frame(testing::reply_of(fx.server, bad_op)).code,
             err_code::parse);
   // Truncated payload mid-record, honestly declared.
   measurement_report m;
@@ -511,7 +514,7 @@ TEST(WireV3Server, MalformedBinaryFramesDrawTypedErrNeverCrash) {
   std::string cut = v3::encode_report_frame(m).substr(0, 40);
   patch_length(cut, static_cast<std::uint32_t>(cut.size() -
                                                v3::frame_header_bytes));
-  EXPECT_EQ(v3::decode_error_frame(fx.server.handle(cut)).code,
+  EXPECT_EQ(v3::decode_error_frame(testing::reply_of(fx.server, cut)).code,
             err_code::parse);
 }
 
@@ -526,10 +529,13 @@ TEST(WireV3Server, NonFiniteTimestampRejectedAtCoordinatorSeam) {
   m.record.time_s = std::numeric_limits<double>::quiet_NaN();
   // Binary and text land at the same coordinator::report isfinite seam:
   // the wire accepts the frame (ACK), the record is rejected, not folded.
-  const std::string bin_reply = fx.server.handle(v3::encode_report_frame(m));
+  const std::string bin_reply =
+      testing::reply_of(fx.server, v3::encode_report_frame(m));
   EXPECT_EQ(v3::peek_header(bin_reply)->op, v3::opcode::ack);
   m.record.time_s = -std::numeric_limits<double>::infinity();
-  EXPECT_EQ(v3::peek_header(fx.server.handle(v3::encode_report_frame(m)))->op,
+  EXPECT_EQ(v3::peek_header(
+                testing::reply_of(fx.server, v3::encode_report_frame(m)))
+                ->op,
             v3::opcode::ack);
   EXPECT_EQ(counter_value(obs::names::kCoordReportsRejected) - rejected0, 2u);
   EXPECT_EQ(fx.coord.status_of(fx.grid.zone_of(here)).open_epoch_samples, 0u);
@@ -537,27 +543,32 @@ TEST(WireV3Server, NonFiniteTimestampRejectedAtCoordinatorSeam) {
 
 TEST(WireV3Server, HelloNegotiationCapsAtAdvertisedVersion) {
   server_fixture fx;
-  EXPECT_EQ(decode_hello_reply(fx.server.handle(encode(hello_request{})))
+  EXPECT_EQ(decode_hello_reply(
+                testing::reply_of(fx.server, encode(hello_request{})))
                 .version,
             wire_version);
   hello_request old;
   old.version = 2;
-  EXPECT_EQ(decode_hello_reply(fx.server.handle(encode(old))).version, 2u);
+  EXPECT_EQ(
+      decode_hello_reply(testing::reply_of(fx.server, encode(old))).version,
+      2u);
 
   // A v2-capped server (interop harness): v3 clients negotiate down to 2
   // and must fall back to text; the in-process handler still accepts
   // binary unconditionally (the TCP session is where the gate lives).
   server_fixture v2fx(2);
-  EXPECT_EQ(decode_hello_reply(v2fx.server.handle(encode(hello_request{})))
+  EXPECT_EQ(decode_hello_reply(
+                testing::reply_of(v2fx.server, encode(hello_request{})))
                 .version,
             2u);
   measurement_report m;
   m.client_id = 7;
   m.record = testing::make_record(100.0, "NetB", here,
                                   trace::probe_kind::udp_burst, 1e6);
-  EXPECT_EQ(
-      v3::peek_header(v2fx.server.handle(v3::encode_report_frame(m)))->op,
-      v3::opcode::ack);
+  EXPECT_EQ(v3::peek_header(
+                testing::reply_of(v2fx.server, v3::encode_report_frame(m)))
+                ->op,
+            v3::opcode::ack);
 }
 
 TEST(WireV3Server, TextRepliesByteIdenticalAcrossAdvertisedVersions) {
@@ -594,7 +605,8 @@ TEST(WireV3Server, TextRepliesByteIdenticalAcrossAdvertisedVersions) {
   corpus.push_back("REPORTB 2\nnot,csv");
 
   for (const std::string& req : corpus) {
-    EXPECT_EQ(v3srv.server.handle(req), v2srv.server.handle(req))
+    EXPECT_EQ(testing::reply_of(v3srv.server, req),
+              testing::reply_of(v2srv.server, req))
         << "diverged on: " << req;
   }
 }

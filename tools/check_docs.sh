@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Documentation hygiene gate, run as a ctest case (docs.check).
 #
-# Three mechanical checks keep the docs honest:
+# Four mechanical checks keep the docs honest:
 #  1. Every public header in src/core, src/proto, src/obs and src/net must
 #     open with a file-level doc comment (a '//' line before any code), so a
 #     reader landing on any header learns its contract before its includes.

@@ -19,7 +19,7 @@ asan_dir="${1:-build-asan}"
 ubsan_dir="${2:-build-ubsan}"
 jobs="$(nproc 2>/dev/null || echo 2)"
 
-parser_filter='WireParse*.*:ProtoCodec*.*:ProtoServer*.*:Fuzz/*.*:Csv.*'
+parser_filter='WireParse*.*:ProtoCodec*.*:ProtoServer*.*:UnifiedHandle.*:Fuzz/*.*:Csv.*'
 # The binary v3 codec reads length-prefixed fields straight out of raw
 # byte spans (memcpy'd fixed-width ints, u16-prefixed strings) -- the
 # truncation/patched-length corpus walks every cut point, so any decoder
