@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
         t.add_sample(it.zone, it.network_id, m, it.time_s, it.value, kEpochS);
       }
     }
-    sink += static_cast<double>(t.keys().size() + t.alerts().size());
+    sink += static_cast<double>(t.keys().size() + t.alerts_raised());
   };
 
   // Interleave the two stores within each rep (after an untimed warm-up)

@@ -275,7 +275,7 @@ std::size_t coordinator::report_batch(
     }
     // Pass 4: apply in arrival order. Streams and zones pass 2 did not find
     // are created here (an earlier record of the chunk may have done so).
-    const std::size_t alerts_before = table_.alerts().size();
+    const std::uint64_t alerts_before = table_.alerts_raised();
     for (std::size_t i = 0; i < live; ++i) {
       const resolved& r = chunk[i];
       const trace::measurement_record& rec = *r.rec;
@@ -305,7 +305,7 @@ std::size_t coordinator::report_batch(
         ++errors;
       }
     }
-    const std::size_t alerts_after = table_.alerts().size();
+    const std::uint64_t alerts_after = table_.alerts_raised();
     if (alerts_after > alerts_before) {
       metrics().alerts_raised.inc(alerts_after - alerts_before);
     }

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/alert_ring.h"
-#include "core/durable_state.h"
 #include "core/epoch_estimator.h"
 #include "core/estimate_mirror.h"
 #include "core/sample_planner.h"
@@ -77,7 +76,7 @@ struct zone_status {
   std::size_t open_epoch_samples = 0;
 };
 
-class coordinator : public durable_state {
+class coordinator {
  public:
   coordinator(geo::zone_grid grid, std::vector<std::string> networks,
               coordinator_config cfg, std::uint64_t seed);
@@ -90,7 +89,7 @@ class coordinator : public durable_state {
   const geo::zone_grid& grid() const noexcept { return grid_; }
   const coordinator_config& config() const noexcept { return cfg_; }
 
-  /// Raw zone-table access for tests, benches and persistence tooling.
+  /// Raw zone-table access for tests and benches.
   /// Application reads go through core::estimate_view (the sanctioned read
   /// path; see DESIGN.md "Read-side serving") -- this accessor is named to
   /// keep that boundary visible at call sites.
@@ -110,14 +109,6 @@ class coordinator : public durable_state {
   void redirect_alert_sink(alert_ring& ring) noexcept {
     alert_sink_ = &ring;
     table_.set_alert_sink(&ring);
-  }
-
-  /// All estimate-stream keys seen so far (stream-creation order).
-  std::vector<estimate_key> keys() const override { return table_.keys(); }
-
-  /// Full frozen history of one stream, oldest first (copied).
-  std::vector<epoch_estimate> history(const estimate_key& key) const override {
-    return table_.history(key);
   }
 
   /// Client check-in: "I am at `pos` at time `t`, able to probe network
@@ -173,9 +164,6 @@ class coordinator : public durable_state {
                                    trace::metric metric);
 
   zone_status status_of(const geo::zone_id& zone) const;
-  const std::vector<change_alert>& alerts() const noexcept {
-    return table_.alerts();
-  }
 
   /// Interned id a record's network would resolve to here, or
   /// trace::no_network_id if never seen. Read-only (does not intern).
@@ -183,31 +171,32 @@ class coordinator : public durable_state {
     return table_.interner().try_id(network);
   }
 
-  // ---- persistence surface (core::durable_state) --------------------------
+  // ---- enumerate and restore (sharded_coordinator's durable_state) --------
+  // sharded_coordinator calls these under the owning shard's lock.
+
+  /// All estimate-stream keys seen so far (stream-creation order).
+  std::vector<estimate_key> keys() const { return table_.keys(); }
+
+  /// Full frozen history of one stream, oldest first (copied).
+  std::vector<epoch_estimate> history(const estimate_key& key) const {
+    return table_.history(key);
+  }
+  /// Open-epoch accumulator of a stream (nullopt when absent or empty).
+  std::optional<open_epoch_state> open_state(const estimate_key& key) const {
+    return table_.open_state(key);
+  }
+
   // Restore replays saved state, it does not observe new measurements: no
   // alerts are raised, no reports_accepted counters move.
 
   /// Appends a frozen estimate to a stream's history (publishing it to the
   /// serving mirror so reads resume immediately).
-  void restore_estimate(const estimate_key& key,
-                        const epoch_estimate& e) override {
+  void restore_estimate(const estimate_key& key, const epoch_estimate& e) {
     table_.restore(key, e);
   }
   /// Restores a stream's open-epoch accumulator (see zone_table).
-  void restore_open(const estimate_key& key,
-                    const open_epoch_state& st) override {
+  void restore_open(const estimate_key& key, const open_epoch_state& st) {
     table_.restore_open(key, st);
-  }
-  /// Open-epoch accumulator of a stream (nullopt when absent or empty).
-  std::optional<open_epoch_state> open_state(
-      const estimate_key& key) const override {
-    return table_.open_state(key);
-  }
-  /// High-water alert sequence number of the current alert sink.
-  std::uint64_t alert_seq() const override { return alert_sink_->pushed(); }
-  /// Resumes alert numbering after a restart (untouched ring only).
-  void resume_alert_seq(std::uint64_t last_seq) override {
-    alert_sink_->resume_from(last_seq);
   }
 
   // ---- replication surface (src/repl, ISSUE 10) ---------------------------

@@ -4,10 +4,11 @@
 // table via table_for_test(), plus a per-flavour overload set of free
 // functions). durable_state is the replacement boundary: everything a
 // snapshot writer, WAL replayer or replication catch-up needs to read or
-// rebuild coordinator estimate state, and nothing else. Both the
-// sequential core::coordinator and the sharded core::sharded_coordinator
-// implement it, so standalone and replicated modes persist through the
-// same four verbs:
+// rebuild coordinator estimate state, and nothing else. Its one
+// implementer is core::sharded_coordinator (`num_shards = 1, synchronous
+// = true` is the sequential configuration); persist and durable_log speak
+// this interface so they need not include sharded_coordinator.h. The
+// four verbs:
 //
 //   * enumerate      -- keys() / history() / open_state()
 //   * replay frozen  -- restore_estimate() (appends + republishes, no alert)
@@ -19,10 +20,9 @@
 // ingestion counters, and resume_alert_seq is only legal before any report
 // is ingested (alert_ring::resume_from refuses otherwise).
 //
-// Thread safety follows the implementing class: sharded_coordinator takes
-// each shard's lock per call; the sequential coordinator is single-threaded
-// by contract. Callers wanting a consistent snapshot quiesce producers (or
-// flush()) first, as before.
+// Thread safety: sharded_coordinator takes the owning shard's lock per
+// call. Callers wanting a consistent snapshot quiesce producers (or
+// flush()) first.
 #pragma once
 
 #include <cstdint>

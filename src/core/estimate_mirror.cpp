@@ -51,7 +51,8 @@ void estimate_mirror::grow(std::size_t need) {
   if (old != nullptr) retired_.emplace_back(old);
 }
 
-estimate_mirror::slot* estimate_mirror::find_or_insert(std::uint64_t skey) {
+estimate_mirror::slot* estimate_mirror::find_or_insert(std::uint64_t skey,
+                                                        dentry*& fresh) {
   directory* d = dir_.load(std::memory_order_relaxed);
   const std::size_t occupied = count_.load(std::memory_order_relaxed);
   if (d == nullptr || (occupied + 1) * 2 > d->mask + 1) {
@@ -67,18 +68,16 @@ estimate_mirror::slot* estimate_mirror::find_or_insert(std::uint64_t skey) {
   }
   slots_.emplace_back();
   slot* s = &slots_.back();
-  // Publish pointer before key: a reader acquiring the key is guaranteed to
-  // see the pointer store that preceded it.
   d->entries[at].s.store(s, std::memory_order_relaxed);
-  d->entries[at].key.store(skey, std::memory_order_release);
-  count_.store(occupied + 1, std::memory_order_release);
+  fresh = &d->entries[at];
   return s;
 }
 
 void estimate_mirror::publish(std::uint64_t skey, const epoch_estimate& e,
                               std::uint64_t epoch_index) {
   if (skey == 0) return;  // out-of-range sentinel: nothing to serve
-  slot* s = find_or_insert(skey);
+  dentry* fresh = nullptr;
+  slot* s = find_or_insert(skey, fresh);
   // Seqlock writer protocol: mark the slot in flux (odd), fence, store the
   // payload, then release-publish the even sequence.
   const std::uint32_t seq = s->seq.load(std::memory_order_relaxed);
@@ -91,6 +90,14 @@ void estimate_mirror::publish(std::uint64_t skey, const epoch_estimate& e,
   s->epoch_start_s.store(e.epoch_start_s, std::memory_order_relaxed);
   s->epoch_index.store(epoch_index, std::memory_order_relaxed);
   s->seq.store(seq + 2, std::memory_order_release);
+  if (fresh != nullptr) {
+    // A new stream's key is released only now, after the pointer and the
+    // first payload: a reader that acquires the key finds a published
+    // estimate, never the slot's all-zero initial state.
+    fresh->key.store(skey, std::memory_order_release);
+    count_.store(count_.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_release);
+  }
 }
 
 const estimate_mirror::slot* estimate_mirror::probe(const directory& d,

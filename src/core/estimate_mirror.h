@@ -108,8 +108,9 @@ class estimate_mirror {
   };
 
   // Directory entry: the packed stream key plus the slot it resolves to.
-  // The key is store-released after the slot pointer, so a reader that
-  // observes the key (acquire) also observes a valid pointer.
+  // The key is store-released after the slot pointer and the slot's first
+  // payload, so a reader that observes the key (acquire) also observes a
+  // valid pointer to a published estimate.
   struct dentry {
     std::atomic<std::uint64_t> key{0};  // 0 = empty
     std::atomic<slot*> s{nullptr};
@@ -127,7 +128,10 @@ class estimate_mirror {
   /// Seqlock reader protocol over one slot.
   static void read_slot(const slot& s, published_estimate& out) noexcept;
 
-  slot* find_or_insert(std::uint64_t skey);
+  /// The slot of `skey`. A new stream gets a slot whose directory entry
+  /// holds the pointer but not yet the key: `fresh` is set to that entry,
+  /// and publish() releases the key once the first payload is written.
+  slot* find_or_insert(std::uint64_t skey, dentry*& fresh);
   void grow(std::size_t need);
 
   std::atomic<directory*> dir_{nullptr};

@@ -15,7 +15,7 @@
 // The hook decides per invocation what happens at a seam:
 //   * proceed -- the seam executes normally (the hook saw the call).
 //   * fail    -- the seam takes its natural error path: push() returns
-//                false (record dropped + counted), push_batch() refuses the
+//                false (record dropped + counted), push_owned() refuses the
 //                whole batch (all-or-nothing, so wire accounting stays
 //                exact), handle() answers an ERR reply, save throws.
 //   * stall   -- the seam sleeps briefly before proceeding (slow-consumer /
@@ -43,7 +43,7 @@ namespace wiscape::core::fault {
 /// The named seams production code guards. Append-only: scenario schedules
 /// and tick logs refer to these by name (see site_name).
 enum class site {
-  queue_push,    ///< report_queue::push / try_push / push_batch (producer edge)
+  queue_push,    ///< report_queue::push / push_owned (producer edge)
   drain_stall,   ///< sharded_coordinator drain worker, before applying a batch
   server_handle, ///< proto::coordinator_server::handle, before dispatch
   persist_save,  ///< core::save_state, before writing

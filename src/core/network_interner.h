@@ -6,7 +6,7 @@
 // cost. The interner maps each distinct operator name to a dense u16 id,
 // assigned in first-seen order, so the hot path works on a packed integer
 // key and the name is only touched at the boundaries (wire decode, persist,
-// keys()/alerts()).
+// keys(), alerts).
 //
 // Id stability: ids are append-only and never reused. An interner seeded
 // from a coordinator's `networks` vector assigns ids 0..n-1 in vector order

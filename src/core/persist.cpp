@@ -1,9 +1,9 @@
 #include "core/persist.h"
 
 #include <algorithm>
-#include <fstream>
-#include <initializer_list>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/epoch_codec.h"
@@ -14,6 +14,7 @@ namespace wiscape::core {
 namespace {
 
 constexpr std::size_t kSpillBytes = 64 * 1024;
+constexpr std::string_view kHeader = "WISCAPE-COORD v2";
 
 void sort_keys(std::vector<estimate_key>& keys) {
   // Deterministic file order: by zone, then network, then metric.
@@ -33,103 +34,57 @@ void spill(std::ostream* os, std::string& buf, std::size_t at_least) {
   buf.clear();
 }
 
-/// Renders every stream of `src` in deterministic key order: its frozen
-/// history, then its open epoch if it has one.
-template <typename Source>
-void render_streams(const Source& src, std::string& out, std::ostream* os) {
-  auto keys = src.keys();
-  sort_keys(keys);
-  for (const auto& key : keys) {
-    for (const auto& est : src.history(key)) {
-      epoch_codec::put_est(out, key, est);
-    }
-    if (const auto open = src.open_state(key)) {
-      epoch_codec::put_open(out, key, *open);
-    }
-    spill(os, out, kSpillBytes);
-  }
-}
-
+/// Renders the header, every stream in deterministic key order (its
+/// frozen history, then its open epoch if it has one) and the alert
+/// sequence high-water mark.
 void render_state(const durable_state& state, std::string& out,
                   std::ostream* os) {
   if (fault::fire(fault::site::persist_save) == fault::action::fail) {
     throw std::runtime_error("injected fault: coordinator snapshot refused");
   }
-  out += "WISCAPE-COORD v2\n";
-  render_streams(state, out, os);
+  out += kHeader;
+  out += '\n';
+  auto keys = state.keys();
+  sort_keys(keys);
+  for (const auto& key : keys) {
+    for (const auto& est : state.history(key)) {
+      epoch_codec::put_est(out, key, est);
+    }
+    if (const auto open = state.open_state(key)) {
+      epoch_codec::put_open(out, key, *open);
+    }
+    spill(os, out, kSpillBytes);
+  }
   epoch_codec::put_alert_seq(out, state.alert_seq());
   spill(os, out, 0);
 }
 
-/// Checks the header line against `headers`, then hands every body line
-/// to `apply`; a line that does not parse, or that `apply` refuses, throws.
-template <typename Apply>
-void load_lines(epoch_codec::line_reader& in, const std::string& what,
-                std::initializer_list<std::string_view> headers,
-                Apply&& apply) {
+/// Checks the header line, then restores every body line into `state`; a
+/// line that does not parse throws.
+void load_state_lines(epoch_codec::line_reader& in, durable_state& state) {
+  using kind = epoch_codec::state_line::kind;
   std::string_view line;
-  if (!in.next(line) ||
-      std::find(headers.begin(), headers.end(), line) == headers.end()) {
-    throw std::invalid_argument("not a " + what + " file (bad header)");
+  if (!in.next(line) || line != kHeader) {
+    throw std::invalid_argument("not a coordinator-state file (bad header)");
   }
-  epoch_codec::state_line rec;
+  epoch_codec::state_line r;
   while (in.next(line)) {
     if (line.empty()) continue;
-    if (!epoch_codec::parse_state_line(line, rec) || !apply(rec)) {
-      throw std::invalid_argument("malformed " + what + " line: '" +
+    if (!epoch_codec::parse_state_line(line, r)) {
+      throw std::invalid_argument("malformed coordinator-state line: '" +
                                   std::string(line) + "'");
+    }
+    if (r.tag == kind::est) {
+      state.restore_estimate(r.key, r.est);
+    } else if (r.tag == kind::open) {
+      state.restore_open(r.key, r.open);
+    } else if (r.alert_seq > 0) {
+      state.resume_alert_seq(r.alert_seq);
     }
   }
 }
 
-void load_state_lines(epoch_codec::line_reader& in, durable_state& state) {
-  using kind = epoch_codec::state_line::kind;
-  load_lines(in, "coordinator-state", {"WISCAPE-COORD v2"},
-             [&](const epoch_codec::state_line& r) {
-               if (r.tag == kind::est) {
-                 state.restore_estimate(r.key, r.est);
-               } else if (r.tag == kind::open) {
-                 state.restore_open(r.key, r.open);
-               } else if (r.alert_seq > 0) {
-                 state.resume_alert_seq(r.alert_seq);
-               }
-               return true;
-             });
-}
-
 }  // namespace
-
-void save_zone_table(std::ostream& os, const zone_table& table) {
-  std::string buf = "WISCAPE-ZONETABLE v2\n";
-  render_streams(table, buf, &os);
-  spill(&os, buf, 0);
-}
-
-void save_zone_table_file(const std::string& path, const zone_table& table) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open for writing: " + path);
-  save_zone_table(os, table);
-}
-
-zone_table load_zone_table(std::istream& is, double change_sigma_factor) {
-  using kind = epoch_codec::state_line::kind;
-  zone_table table(change_sigma_factor);
-  epoch_codec::line_reader in(is);
-  load_lines(in, "zone-table", {"WISCAPE-ZONETABLE v1", "WISCAPE-ZONETABLE v2"},
-             [&](const epoch_codec::state_line& r) {
-               if (r.tag == kind::est) table.restore(r.key, r.est);
-               if (r.tag == kind::open) table.restore_open(r.key, r.open);
-               return r.tag != kind::alert_seq;
-             });
-  return table;
-}
-
-zone_table load_zone_table_file(const std::string& path,
-                                double change_sigma_factor) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("cannot open for reading: " + path);
-  return load_zone_table(is, change_sigma_factor);
-}
 
 void save_state(std::ostream& os, const durable_state& state) {
   std::string buf;

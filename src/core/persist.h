@@ -1,27 +1,24 @@
-// Zone-table and coordinator-state persistence.
+// Coordinator-state snapshots.
 //
 // A real WiScape coordinator runs for months; its product -- the frozen
 // per-zone-epoch estimates -- must survive restarts. The format is
-// line-oriented text like the rest of the interchange surfaces
-// (one `EST <zone> <network> <metric> <epoch_start> <mean> <stddev> <n>`
-// line per frozen estimate), so operators can grep their coverage history.
-//
-// Format versions:
-//  * v1 ("WISCAPE-ZONETABLE v1"): EST lines only, fixed-precision doubles
-//    (%.3f / %.6f). Still loaded, never written.
-//  * v2 ("WISCAPE-ZONETABLE v2"): EST doubles are printed with %.17g so a
-//    save/load round trip is bit-exact, and each stream with a non-empty
-//    open (not yet frozen) epoch adds one
-//    `OPEN <zone> <network> <metric> <open_start> <n> <mean> <m2>` line
+// line-oriented text like the rest of the interchange surfaces, so
+// operators can grep their coverage history. One format is written and
+// read, headed "WISCAPE-COORD v2":
+//  * one `EST <zone> <network> <metric> <epoch_start> <mean> <stddev> <n>`
+//    line per frozen estimate, doubles printed as %.17g prints them so a
+//    save/load round trip is bit-exact;
+//  * one `OPEN <zone> <network> <metric> <open_start> <n> <mean> <m2>`
+//    line per stream with a non-empty open (not yet frozen) epoch,
 //    carrying its Welford accumulator -- a coordinator killed mid-epoch
 //    resumes exactly where it stopped instead of losing the partial epoch.
 //    Streams whose open epoch is empty write no OPEN line: an empty epoch
-//    re-aligns to floor(t / duration) * duration on the first post-restart
-//    sample, identical to a fresh stream.
-//  * Coordinator-state flavour ("WISCAPE-COORD v2"): the v2 body plus one
-//    `ALERTSEQ <pushed>` line recording the alert ring's high sequence
-//    number, so a restarted coordinator resumes alert numbering instead of
-//    restarting at 1 (which would silently rewind client cursors).
+//    re-aligns to floor(t / duration) * duration on the first
+//    post-restart sample, identical to a fresh stream;
+//  * one final `ALERTSEQ <pushed>` line recording the alert ring's high
+//    sequence number, so a restarted coordinator resumes alert numbering
+//    instead of restarting at 1 (which would silently rewind client
+//    cursors).
 //
 // Every line is rendered and parsed by core::epoch_codec, the one text
 // codec the WAL and the replication catch-up use too: std::to_chars at
@@ -29,12 +26,12 @@
 // std::from_chars parsing, one line at a time through a bounded read
 // buffer -- a loader never holds the whole file.
 //
-// Since ISSUE 10 the coordinator-state flavour is written and read through
-// the narrow core::durable_state interface (src/core/durable_state.h)
-// instead of per-coordinator overloads, so the same snapshot code serves
-// the sequential coordinator, the sharded coordinator and the replication
-// catch-up path. The crash-consistent WAL/snapshot *pair* built on top of
-// these snapshots lives in core/durable_log.h.
+// Snapshots are written and read through the narrow core::durable_state
+// interface (src/core/durable_state.h), which sharded_coordinator
+// implements; the durable_log checkpoint and recovery, the replication
+// catch-up and the scenario restart all go through it. The
+// crash-consistent WAL/snapshot *pair* built on top of these snapshots
+// lives in core/durable_log.h.
 #pragma once
 
 #include <iosfwd>
@@ -42,27 +39,13 @@
 #include <string_view>
 
 #include "core/durable_state.h"
-#include "core/zone_table.h"
 
 namespace wiscape::core {
 
-/// Writes every frozen estimate of every key plus the open-epoch accumulator
-/// of each stream that has one (v2 format; bit-exact round trip).
-void save_zone_table(std::ostream& os, const zone_table& table);
-void save_zone_table_file(const std::string& path, const zone_table& table);
-
-/// Rebuilds a zone table from a saved stream (v1 or v2 header). Restored
-/// estimates keep their history order; change alerts are not replayed (they
-/// were already acted on). Throws std::invalid_argument on malformed input
-/// and std::runtime_error when the file cannot be opened.
-zone_table load_zone_table(std::istream& is, double change_sigma_factor = 2.0);
-zone_table load_zone_table_file(const std::string& path,
-                                double change_sigma_factor = 2.0);
-
 /// Writes a coordinator's full estimate state (frozen + open epochs,
 /// deterministically sorted) plus the alert sequence high-water mark,
-/// through the durable_state interface. Quiesce producers (sharded mode:
-/// flush()) first so in-flight reports are applied. Honours the
+/// through the durable_state interface. Quiesce producers (flush()) first
+/// so in-flight reports are applied. Honours the
 /// `persist_save` fault-injection site: an injected fault throws
 /// std::runtime_error before anything is written, modelling a failed
 /// snapshot (callers must treat a throw as "no snapshot taken").

@@ -171,44 +171,12 @@ bool report_queue::push(trace::measurement_record rec) {
   return true;
 }
 
-bool report_queue::try_push(trace::measurement_record rec) {
-  if (push_fault_fails()) {
-    metrics().rejected.inc();
-    return false;
-  }
-  std::unique_lock lock(mu_);
-  if (closed_ || items_ >= capacity_) {
-    lock.unlock();
-    metrics().rejected.inc();
-    return false;
-  }
-  append_range_locked(std::make_move_iterator(&rec), 1);
-  lock.unlock();
-  not_empty_.notify_one();
-  return true;
-}
-
-std::size_t report_queue::push_batch(
-    std::span<const trace::measurement_record> recs) {
-  if (recs.empty()) return 0;
-  // The fault fires once per batch, before anything is enqueued: a refused
-  // batch is all-or-nothing, so wire-level accounting (one ERR covers the
-  // whole REPORTB frame) never half-ingests a frame.
-  if (push_fault_fails()) {
-    metrics().rejected.inc(recs.size());
-    return 0;
-  }
-  std::unique_lock lock(mu_);
-  const std::size_t pushed = feed_locked(lock, recs.begin(), recs.size());
-  lock.unlock();
-  if (pushed > 0) not_empty_.notify_all();
-  if (pushed < recs.size()) metrics().rejected.inc(recs.size() - pushed);
-  return pushed;
-}
-
 std::size_t report_queue::push_owned(batch& recs) {
   const std::size_t n = recs.size();
   if (n == 0) return 0;
+  // The fault fires once per batch, before anything is enqueued: a refused
+  // batch is all-or-nothing, so wire-level accounting (one ERR covers the
+  // whole REPORTB frame) never half-ingests a frame.
   if (push_fault_fails()) {
     recs.clear();
     metrics().rejected.inc(n);

@@ -13,8 +13,8 @@
 // REPORT group) hands the vector over by swap and gets a recycled empty
 // one back, and a consumer popping a whole batch swaps it out the same
 // way, so in steady state a frame crosses the queue without a record copy
-// or an allocation. Copied pushes (push, try_push, push_batch) fill a
-// recycled vector under the lock. Depth and capacity count records, not
+// or an allocation. A single copied record (push) fills a recycled vector
+// under the lock. Depth and capacity count records, not
 // batches: backpressure, size() and the metrics mean what they always
 // meant. Recycled vectors are kept only up to max_spares of them, each
 // holding at most max_recycled_capacity records, so one huge frame (or a
@@ -40,7 +40,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "trace/record.h"
@@ -67,30 +66,19 @@ class report_queue {
   /// enqueued, false if the queue was closed (record dropped).
   bool push(trace::measurement_record rec);
 
-  /// Non-blocking push: returns false (record dropped) when the queue is
-  /// full or closed.
-  bool try_push(trace::measurement_record rec);
-
-  /// Enqueues a copy of a whole batch under one lock acquisition (and one
-  /// metrics delta), blocking while the queue is full -- batches larger
-  /// than the remaining capacity are fed in capacity-sized gulps as
-  /// consumers make room. The batch is contiguous in FIFO order (no other
-  /// producer's records interleave within one gulp). Returns the number of
-  /// records enqueued: recs.size() on success, fewer when the queue is
-  /// closed mid-batch (the remainder is dropped), or 0 when an injected
-  /// fault fires at the core::fault queue_push site (scenario fault storms;
-  /// the fault refuses the batch whole, before anything is enqueued).
-  /// Callers must count the shortfall against their drop accounting either
-  /// way.
-  std::size_t push_batch(std::span<const trace::measurement_record> recs);
-
-  /// push_batch() for a batch the caller owns, without copying it: a batch
-  /// that fits the capacity waits until it fits whole and is then swapped
-  /// into the ring; a larger one is moved in capacity-sized gulps. Same
-  /// return value, fault and close semantics as push_batch(). On return
-  /// `recs` is always empty (its records enqueued or dropped) and, after a
-  /// swap, holds a recycled vector whose capacity the caller can refill
-  /// without allocating.
+  /// Enqueues a whole batch the caller owns under one lock acquisition
+  /// (and one metrics delta), without copying it: a batch that fits the
+  /// capacity waits until it fits whole and is then swapped into the ring,
+  /// contiguous in FIFO order (no other producer's records interleave); a
+  /// larger one is moved in capacity-sized gulps as consumers make room.
+  /// Returns the number of records enqueued: the batch size on success,
+  /// fewer when the queue is closed first (the remainder is dropped), or 0
+  /// when an injected fault fires at the core::fault queue_push site
+  /// (scenario fault storms; the fault refuses the batch whole, before
+  /// anything is enqueued). Callers must count the shortfall against their
+  /// drop accounting either way. On return `recs` is always empty (its
+  /// records enqueued or dropped) and, after a swap, holds a recycled
+  /// vector whose capacity the caller can refill without allocating.
   std::size_t push_owned(batch& recs);
 
   /// Pops up to `max_batch` records into `out` (appended), blocking until at
@@ -126,8 +114,8 @@ class report_queue {
   /// the tail batch. Call with mu_ held and n <= capacity_ - items_.
   template <class It>
   void append_range_locked(It first, std::size_t n);
-  /// Feeds n records from `first` in gulps as room appears (the
-  /// push_batch() loop). Returns the number enqueued.
+  /// Feeds n records from `first` in gulps as room appears (push_owned()
+  /// past the capacity). Returns the number enqueued.
   template <class It>
   std::size_t feed_locked(std::unique_lock<std::mutex>& lock, It first,
                           std::size_t n);

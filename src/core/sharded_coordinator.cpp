@@ -6,7 +6,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 #include "core/fault_injection.h"
 #include "obs/names.h"
@@ -351,39 +350,17 @@ std::vector<epoch_estimate> sharded_coordinator::history(
     const estimate_key& key) const {
   const shard& sh = *shards_[shard_of(key.zone)];
   std::lock_guard lock(sh.mu);
-  // Materialise from the non-copying view while the shard lock is held --
-  // the returned vector must outlive the lock, the view must not.
-  const auto view = sh.coord.table().history_view(key);
-  return {view.begin(), view.end()};
+  return sh.coord.history(key);
 }
 
 std::vector<estimate_key> sharded_coordinator::keys() const {
   std::vector<estimate_key> out;
   for (const auto& sh : shards_) {
     std::lock_guard lock(sh->mu);
-    auto shard_keys = sh->coord.table().keys();
+    auto shard_keys = sh->coord.keys();
     out.insert(out.end(), std::make_move_iterator(shard_keys.begin()),
                std::make_move_iterator(shard_keys.end()));
   }
-  return out;
-}
-
-std::vector<change_alert> sharded_coordinator::alerts() const {
-  std::vector<change_alert> out;
-  for (const auto& sh : shards_) {
-    std::lock_guard lock(sh->mu);
-    const auto& alerts = sh->coord.alerts();
-    out.insert(out.end(), alerts.begin(), alerts.end());
-  }
-  const auto order = [](const change_alert& a) {
-    return std::make_tuple(a.epoch_start_s, a.key.zone.ix, a.key.zone.iy,
-                           a.key.network, static_cast<int>(a.key.metric),
-                           a.new_mean);
-  };
-  std::sort(out.begin(), out.end(),
-            [&](const change_alert& a, const change_alert& b) {
-              return order(a) < order(b);
-            });
   return out;
 }
 

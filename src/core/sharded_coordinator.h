@@ -180,10 +180,11 @@ class sharded_coordinator : public durable_state {
   const estimate_mirror& published_of(std::size_t shard) const noexcept;
 
   /// The alert ring shared by every shard: one total order of alert
-  /// sequence numbers across the whole coordinator.
+  /// sequence numbers across the whole coordinator, and the only place
+  /// the coordinator keeps its change alerts.
   const alert_ring& alert_sink() const noexcept { return ring_; }
 
-  // ---- persistence surface (core::durable_state) --------------------------
+  // ---- persistence surface (core::durable_state, implemented only here) --
 
   /// Restores a frozen estimate into the owning shard (under its lock).
   void restore_estimate(const estimate_key& key,
@@ -226,11 +227,6 @@ class sharded_coordinator : public durable_state {
 
   /// All keys across shards (unspecified order).
   std::vector<estimate_key> keys() const override;
-
-  /// All change alerts across shards, sorted by (epoch_start_s, key) so two
-  /// runs that raised the same alerts compare equal regardless of shard
-  /// interleaving.
-  std::vector<change_alert> alerts() const;
 
   // ---- counters ----------------------------------------------------------
 

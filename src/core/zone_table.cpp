@@ -162,9 +162,11 @@ void zone_table::rollover(std::size_t index) {
     const epoch_estimate& prev = c.frozen.back();
     const double threshold = sigma_factor_ * prev.stddev;
     if (threshold > 0.0 && std::abs(e.mean - prev.mean) > threshold) {
-      alerts_.push_back(
-          {c.key, e.epoch_start_s, prev.mean, e.mean, prev.stddev});
-      if (alert_sink_ != nullptr) alert_sink_->push(alerts_.back());
+      ++alerts_raised_;
+      if (alert_sink_ != nullptr) {
+        alert_sink_->push(
+            {c.key, e.epoch_start_s, prev.mean, e.mean, prev.stddev});
+      }
     }
   }
   c.frozen.push_back(e);

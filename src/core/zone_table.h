@@ -99,6 +99,8 @@ class epoch_tap {
 };
 
 /// Raised when an epoch's estimate moved substantially vs the previous one.
+/// The table keeps no copy: it counts the alert and pushes it into its
+/// alert sink (core::alert_ring), bounded and sequenced.
 struct change_alert {
   estimate_key key;
   double epoch_start_s = 0.0;
@@ -147,10 +149,12 @@ class zone_table {
 
   /// Attaches the serving-layer sinks: every epoch rollover (and restore)
   /// publishes the frozen estimate into `mirror`, and every change alert is
-  /// additionally pushed into `alerts` with a sequence number. Either may
-  /// be null (not published). The sinks must outlive the table; writes into
-  /// them happen inside the table's own mutations, so they inherit whatever
-  /// serialisation the caller provides for those (the shard mutex).
+  /// pushed into `alerts` with a sequence number -- the ring is the only
+  /// place an alert is kept. Either may be null (not published; an alert
+  /// raised without a ring is only counted, see alerts_raised()). The
+  /// sinks must outlive the table; writes into them happen inside the
+  /// table's own mutations, so they inherit whatever serialisation the
+  /// caller provides for those (the shard mutex).
   void set_sinks(estimate_mirror* mirror, alert_ring* alerts) noexcept {
     mirror_ = mirror;
     alert_sink_ = alerts;
@@ -259,8 +263,10 @@ class zone_table {
                                                std::uint16_t network_id,
                                                trace::metric metric) const;
 
-  /// All change alerts raised so far (time order).
-  const std::vector<change_alert>& alerts() const noexcept { return alerts_; }
+  /// Change alerts raised so far, whether or not a sink was attached. The
+  /// alerts themselves live only in the alert sink, which is bounded: a
+  /// monitor that never stops must not keep every alert it ever raised.
+  std::uint64_t alerts_raised() const noexcept { return alerts_raised_; }
 
   /// All keys ever seen (stream-creation order).
   std::vector<estimate_key> keys() const;
@@ -398,7 +404,7 @@ class zone_table {
   // same (zone, network), so the last directory hit short-circuits the probe.
   mutable std::uint64_t memo_key_ = 0;  // 0 = invalid
   mutable std::size_t memo_slot_ = 0;
-  std::vector<change_alert> alerts_;
+  std::uint64_t alerts_raised_ = 0;    // change alerts raised, lifetime
   estimate_mirror* mirror_ = nullptr;  // serving-layer estimate sink
   alert_ring* alert_sink_ = nullptr;   // serving-layer alert sink
   epoch_tap* epoch_tap_ = nullptr;     // replication tap (rollovers only)

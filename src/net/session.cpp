@@ -68,14 +68,13 @@ bool starts_with_report(const byte_ring& ring, std::size_t off) {
   return true;
 }
 
-/// Would the shed policy refuse a report-class request right now? Grouping
-/// steps aside under shed so the per-line ERR overload accounting stays
-/// exactly what per-line dispatch produces.
-bool sheds_reports(const shed_state& shed) {
-  return shed.saturation >= shed.start &&
-         (shed.saturation >= shed.hard ||
-          shed.policy == shed_policy::reports_first);
+/// Counts one shed refusal of class `cls` (never control).
+void count_shed(request_class cls, pump_stats& stats) {
+  ++(cls == request_class::query ? stats.shed_queries : stats.shed_reports);
 }
+
+constexpr std::string_view overload_detail =
+    "ingest saturated; retry with backoff";
 
 }  // namespace
 
@@ -85,6 +84,29 @@ request_class classify(std::string_view type) noexcept {
   }
   if (type == "REPORT" || type == "REPORTB") return request_class::report;
   return request_class::control;
+}
+
+request_class classify(proto::v3::opcode op) noexcept {
+  switch (op) {
+    case proto::v3::opcode::query:
+    case proto::v3::opcode::queryb:
+      return request_class::query;
+    case proto::v3::opcode::report:
+    case proto::v3::opcode::reportb:
+      return request_class::report;
+    default:
+      return request_class::control;
+  }
+}
+
+bool sheds(request_class cls, const shed_state& shed) noexcept {
+  if (cls == request_class::control || shed.saturation < shed.start) {
+    return false;
+  }
+  return shed.saturation >= shed.hard ||
+         (shed.policy == shed_policy::queries_first
+              ? cls == request_class::query
+              : cls == request_class::report);
 }
 
 bool session::queue_reply(std::string_view reply) {
@@ -128,22 +150,10 @@ bool session::dispatch(std::size_t len, const shed_state& shed,
   }
 
   const request_class cls = classify(type);
-  bool do_shed = false;
-  if (cls != request_class::control && shed.saturation >= shed.start) {
-    do_shed = shed.saturation >= shed.hard ||
-              (shed.policy == shed_policy::queries_first
-                   ? cls == request_class::query
-                   : cls == request_class::report);
-  }
-  if (do_shed) {
-    if (cls == request_class::query) {
-      ++stats.shed_queries;
-    } else {
-      ++stats.shed_reports;
-    }
+  if (sheds(cls, shed)) {
+    count_shed(cls, stats);
     rb_.clear();
-    proto::encode_error_into(proto::err_code::overload,
-                             "ingest saturated; retry with backoff", rb_);
+    proto::encode_error_into(proto::err_code::overload, overload_detail, rb_);
     return queue_reply(rb_.view());
   }
 
@@ -218,34 +228,13 @@ bool session::pump_binary(const shed_state& shed, pump_stats& stats,
   binary_need_ = 0;
   const std::string_view frame = in_.linearize().substr(0, total);
 
-  // Shed classification mirrors the text path: report/reportb are
-  // report-class, query/queryb are query-class, reply opcodes (which the
-  // handler refuses anyway) are control.
-  request_class cls = request_class::control;
-  if (hdr->op == proto::v3::opcode::report ||
-      hdr->op == proto::v3::opcode::reportb) {
-    cls = request_class::report;
-  } else if (hdr->op == proto::v3::opcode::query ||
-             hdr->op == proto::v3::opcode::queryb) {
-    cls = request_class::query;
-  }
-  bool do_shed = false;
-  if (cls != request_class::control && shed.saturation >= shed.start) {
-    do_shed = shed.saturation >= shed.hard ||
-              (shed.policy == shed_policy::queries_first
-                   ? cls == request_class::query
-                   : cls == request_class::report);
-  }
+  const request_class cls = classify(hdr->op);
   bool ok;
-  if (do_shed) {
-    if (cls == request_class::query) {
-      ++stats.shed_queries;
-    } else {
-      ++stats.shed_reports;
-    }
+  if (sheds(cls, shed)) {
+    count_shed(cls, stats);
     rb_.clear();
-    proto::v3::encode_error_frame(proto::err_code::overload,
-                                  "ingest saturated; retry with backoff", rb_);
+    proto::v3::encode_error_frame(proto::err_code::overload, overload_detail,
+                                  rb_);
     ok = queue_reply_frame(rb_.view());
   } else {
     rb_.clear();
@@ -313,9 +302,9 @@ bool session::pump(const shed_state& shed, pump_stats& stats) {
     // other than hand the line to the handler (HELLO gate not yet
     // satisfied, report class being shed) so replies and accounting stay
     // byte-for-byte identical.
-    if (coalesce_reports_ && frame_lines_total_ == 1 && request_len >= 8 &&
-        (saw_hello_ || !require_hello_) && !sheds_reports(shed) &&
-        starts_with_report(in_, 0)) {
+    if (frame_lines_total_ == 1 && request_len >= 8 &&
+        (saw_hello_ || !require_hello_) &&
+        !sheds(request_class::report, shed) && starts_with_report(in_, 0)) {
       std::size_t group_end = request_len;
       std::size_t count = 1;
       while (count < proto::max_report_batch) {

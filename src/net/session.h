@@ -35,6 +35,7 @@
 
 #include "net/byte_ring.h"
 #include "proto/server.h"
+#include "proto/wire_v3.h"
 
 namespace wiscape::net {
 
@@ -64,17 +65,16 @@ enum class request_class { query, report, control };
 /// query-class, REPORT/REPORTB are report-class, everything else (CHECKIN,
 /// HELLO, STATS, unknown) is control and never shed.
 request_class classify(std::string_view type) noexcept;
+/// The same for a binary v3 request: query/queryb are query-class,
+/// report/reportb report-class, everything else (the replication opcodes,
+/// and reply opcodes the handler refuses anyway) control.
+request_class classify(proto::v3::opcode op) noexcept;
 
 /// Per-session buffer caps and protocol gates (server_config embeds one).
 struct session_limits {
   std::size_t read_buffer_bytes = 1u << 20;   ///< request cap (ring max)
   std::size_t write_buffer_bytes = 4u << 20;  ///< queued-replies cap
   bool require_hello = true;  ///< enforce HELLO-before-anything on this port
-  /// Group runs of >= 2 consecutive single-line REPORTs buffered in one
-  /// pump into one handle_report_group() call (one ingestion submit per
-  /// run instead of one per line). Replies stay byte-identical and
-  /// positional; disable to force per-line dispatch.
-  bool coalesce_reports = true;
 };
 
 /// One pump() call's view of the backpressure state. The event loop caches
@@ -86,6 +86,11 @@ struct shed_state {
   double start = 0.75;      ///< >= start: shed the policy's first class
   double hard = 0.95;       ///< >= hard: shed both classes (control serves)
 };
+
+/// True when the backpressure policy refuses a request of class `cls` right
+/// now: from `start` on the policy's first class sheds, from `hard` on both
+/// do; control never sheds. The one shed rule every framing path applies.
+bool sheds(request_class cls, const shed_state& shed) noexcept;
 
 /// What one pump() call did, for the caller's metric accounting.
 struct pump_stats {
@@ -103,8 +108,7 @@ class session {
       : in_(limits.read_buffer_bytes),
         out_(limits.write_buffer_bytes),
         handler_(&handler),
-        require_hello_(limits.require_hello),
-        coalesce_reports_(limits.coalesce_reports) {}
+        require_hello_(limits.require_hello) {}
 
   /// Receive ring: the socket (or a test) appends raw bytes here.
   byte_ring& in() noexcept { return in_; }
@@ -160,7 +164,6 @@ class session {
   byte_ring out_;
   proto::coordinator_server* handler_;
   bool require_hello_;
-  bool coalesce_reports_;
   bool saw_hello_ = false;
   close_reason reason_ = close_reason::none;
   std::uint32_t hello_version_ = 0;

@@ -13,12 +13,12 @@
 namespace wiscape::obs::names {
 
 // ---- core::report_queue ---------------------------------------------------
-/// Records successfully enqueued (push / try_push returned true). [reports]
+/// Records successfully enqueued by push / push_owned. [reports]
 inline constexpr char kQueueEnqueued[] = "core.report_queue.enqueued";
 /// Records handed to consumers by pop_batch. [reports]
 inline constexpr char kQueueDequeued[] = "core.report_queue.dequeued";
-/// Pushes refused because the queue was closed (or try_push found it
-/// full). [reports]
+/// Records refused because the queue was closed (or an injected
+/// queue_push fault refused their push). [reports]
 inline constexpr char kQueueRejected[] = "core.report_queue.rejected";
 /// Pushes that had to block for room (backpressure events): a full queue,
 /// or an owned batch (push_owned) waiting until it fits whole.

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cellnet/presets.h"
+#include "core/alert_ring.h"
 #include "core/coordinator.h"
 #include "core/network_interner.h"
 #include "core/zone_table.h"
@@ -24,6 +25,7 @@
 #include "obs/registry.h"
 #include "stats/rng.h"
 #include "trace/record.h"
+#include "test_util.h"
 
 namespace wiscape::core {
 namespace {
@@ -137,11 +139,14 @@ void expect_same_estimate(const epoch_estimate& a, const epoch_estimate& b,
 
 // Replays a corpus through both implementations and requires bit-for-bit
 // identical observable state: per-key history, latest, open-epoch sample
-// counts, and the alert stream (content and order).
+// counts, and the alert stream (content and order) -- the seed's own alert
+// list against what the fast table pushed into its ring.
 void expect_equivalent(const std::vector<apply>& corpus,
                        const std::vector<std::string>& networks = {}) {
   legacy::zone_table want(2.0);
   zone_table got(2.0, networks);
+  alert_ring ring(corpus.size() + 1);  // room for every rollover's alert
+  got.set_alert_sink(&ring);
   for (const auto& a : corpus) {
     want.add_sample(a.key, a.time_s, a.value, a.duration_s);
     got.add_sample(a.key, a.time_s, a.value, a.duration_s);
@@ -162,8 +167,9 @@ void expect_equivalent(const std::vector<apply>& corpus,
     if (wl) expect_same_estimate(*wl, *gl, "latest");
   }
   const auto& wa = want.alerts();
-  const auto& ga = got.alerts();
+  const auto ga = testing::drained_alerts(ring);
   ASSERT_EQ(wa.size(), ga.size());
+  EXPECT_EQ(got.alerts_raised(), ga.size());
   for (std::size_t i = 0; i < wa.size(); ++i) {
     EXPECT_EQ(wa[i].key, ga[i].key);
     EXPECT_EQ(wa[i].epoch_start_s, ga[i].epoch_start_s);
@@ -450,7 +456,7 @@ TEST(ZoneTableStore, RestoreThenAppendMatchesLegacy) {
   for (std::size_t i = 0; i < wh.size(); ++i) {
     expect_same_estimate(wh[i], gh[i], "restore");
   }
-  EXPECT_EQ(want.alerts().size(), got.alerts().size());
+  EXPECT_EQ(want.alerts().size(), got.alerts_raised());
 }
 
 TEST(ZoneTableStore, ManyStreamsSurviveTableGrowth) {
@@ -492,6 +498,7 @@ TEST(ApplyPathCoordinator, ReportFoldMatchesLegacyAllMetricsWalk) {
   geo::zone_grid grid(proj, 250.0);
   coordinator_config cfg;
   cfg.epochs.default_epoch_s = 120.0;
+  cfg.alert_ring_capacity = 2000 * 3;  // every record's metrics could alert
   coordinator coord(grid, {"NetB", "NetC"}, cfg, 42);
 
   // The seed fold: for each record, walk all six metrics in declaration
@@ -549,8 +556,9 @@ TEST(ApplyPathCoordinator, ReportFoldMatchesLegacyAllMetricsWalk) {
   }
   // Alert streams agree alert-for-alert (order included).
   const auto& wa = want.alerts();
-  const auto& ga = coord.table_for_test().alerts();
+  const auto ga = testing::drained_alerts(coord.alert_sink());
   ASSERT_EQ(wa.size(), ga.size());
+  EXPECT_EQ(coord.alert_sink().pushed(), ga.size());
   ASSERT_FALSE(wa.empty()) << "corpus raised no alerts; weak test";
   for (std::size_t i = 0; i < wa.size(); ++i) {
     EXPECT_EQ(wa[i].key, ga[i].key);

@@ -71,17 +71,22 @@ TEST(ZoneTable, SeparateKeysIndependent) {
 
 TEST(ZoneTable, StableMetricRaisesNoAlert) {
   zone_table t(2.0);
+  alert_ring ring;
+  t.set_alert_sink(&ring);
   stats::rng_stream r(3);
   for (int epoch = 0; epoch < 10; ++epoch) {
     for (int i = 0; i < 50; ++i) {
       t.add_sample(key_of(), epoch * 100.0 + i, r.normal(100.0, 5.0), 100.0);
     }
   }
-  EXPECT_TRUE(t.alerts().empty());
+  EXPECT_EQ(t.alerts_raised(), 0u);
+  EXPECT_EQ(ring.pushed(), 0u);
 }
 
 TEST(ZoneTable, LevelShiftRaisesAlert) {
   zone_table t(2.0);
+  alert_ring ring;
+  t.set_alert_sink(&ring);
   stats::rng_stream r(3);
   for (int i = 0; i < 50; ++i) {
     t.add_sample(key_of(), i, r.normal(100.0, 5.0), 100.0);
@@ -90,8 +95,10 @@ TEST(ZoneTable, LevelShiftRaisesAlert) {
     t.add_sample(key_of(), 100.0 + i, r.normal(150.0, 5.0), 100.0);
   }
   t.add_sample(key_of(), 250.0, 150.0, 100.0);  // force rollover of 2nd epoch
-  ASSERT_FALSE(t.alerts().empty());
-  const auto& alert = t.alerts().front();
+  const auto alerts = testing::drained_alerts(ring);
+  ASSERT_FALSE(alerts.empty());
+  EXPECT_EQ(t.alerts_raised(), alerts.size());
+  const auto& alert = alerts.front();
   EXPECT_NEAR(alert.previous_mean, 100.0, 3.0);
   EXPECT_NEAR(alert.new_mean, 150.0, 3.0);
 }

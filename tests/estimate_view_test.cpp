@@ -196,6 +196,43 @@ TEST(EstimateMirror, PublishReadRoundTripAndGrowth) {
   EXPECT_EQ(mirror.size(), streams);
 }
 
+TEST(EstimateMirror, NewStreamIsNeverReadBeforeItsFirstPublish) {
+  // Regression: a new stream's directory key was released before its first
+  // payload was written, so a reader racing that publish could find the
+  // key and read the slot's all-zero initial state -- served as an
+  // estimate of 0 samples instead of not-found. Readers chase the key the
+  // writer is about to publish; every estimate they find must be real.
+  estimate_mirror mirror;
+  constexpr std::uint64_t kStreams = 100000;
+  std::atomic<std::uint64_t> next{1};
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> unpublished_reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      published_estimate out;
+      while (!done.load(std::memory_order_relaxed)) {
+        const std::uint64_t key =
+            (1ull << 63) | next.load(std::memory_order_relaxed);
+        if (mirror.read(key, out) && out.count == 0) {
+          unpublished_reads.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  epoch_estimate e;
+  e.mean = 1.0;
+  e.samples = 1;
+  for (std::uint64_t i = 1; i <= kStreams; ++i) {
+    next.store(i, std::memory_order_relaxed);
+    mirror.publish((1ull << 63) | i, e, 0);
+  }
+  done.store(true, std::memory_order_relaxed);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(unpublished_reads.load(), 0u);
+  EXPECT_EQ(mirror.size(), kStreams);
+}
+
 TEST(EstimateMirror, ReadBatchMatchesReadKeyForKey) {
   estimate_mirror mirror;
   published_estimate sentinel;
@@ -310,8 +347,8 @@ TEST(EstimateView, SequentialAlertsMatchTableOrderWithSequences) {
   const std::vector<std::string> nets{"NetB", "NetC"};
   coordinator_config cfg = small_epoch_config();
   cfg.alert_ring_capacity = 1 << 14;  // keep everything for the comparison
-  // The view serves one synchronous shard; the raise order comes from a
-  // plain coordinator fed the same stream (sharded alerts() re-sorts).
+  // The view serves one synchronous shard; the raise order comes from the
+  // own ring of a plain coordinator fed the same stream.
   coordinator seq(grid, nets, cfg, /*seed=*/42);
   auto coord = testing::sync_coordinator(grid, nets, cfg, /*seed=*/42);
   const estimate_view view(coord);
@@ -320,7 +357,7 @@ TEST(EstimateView, SequentialAlertsMatchTableOrderWithSequences) {
     seq.report(rec);
     ASSERT_TRUE(coord.report(rec));
   }
-  const auto& table_alerts = seq.alerts();
+  const auto table_alerts = testing::drained_alerts(seq.alert_sink());
   ASSERT_FALSE(table_alerts.empty());
 
   const auto drained = view.alerts_since(0, table_alerts.size() + 10);

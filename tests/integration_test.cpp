@@ -169,7 +169,7 @@ TEST(Integration, StadiumEventDetectedByChangeAlerts) {
   }
 
   bool latency_alert = false;
-  for (const auto& alert : coord.alerts()) {
+  for (const auto& alert : testing::drained_alerts(coord.alert_sink())) {
     if (alert.key.metric == trace::metric::rtt_s &&
         alert.new_mean > alert.previous_mean) {
       latency_alert = true;

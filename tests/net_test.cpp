@@ -566,24 +566,6 @@ TEST(NetSession, ReportRunBrokenByOtherRequestClasses) {
   EXPECT_EQ(fx.server.reports_received(), 3u);
 }
 
-TEST(NetSession, CoalesceDisabledDispatchesPerLine) {
-  handler_fixture fx;
-  session_limits lim;
-  lim.require_hello = false;
-  lim.coalesce_reports = false;
-  session s(lim, fx.server);
-
-  const std::string burst = report_line(100.0) + "\n" + report_line(101.0) +
-                            "\n" + report_line(102.0) + "\n";
-  pump_stats stats;
-  ASSERT_TRUE(s.in().append(burst));
-  EXPECT_TRUE(s.pump({}, stats));
-  EXPECT_EQ(stats.dispatched, 3u);
-  EXPECT_EQ(stats.grouped_reports, 0u);
-  EXPECT_EQ(ring_text(s.out()), "ACK\nACK\nACK\n");
-  EXPECT_EQ(fx.server.reports_received(), 3u);
-}
-
 TEST(TcpServer, PipelinedRequestsCoalesceWritev) {
   handler_fixture fx;
   server_config cfg;

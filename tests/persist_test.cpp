@@ -24,156 +24,6 @@
 namespace wiscape::core {
 namespace {
 
-zone_table populated_table() {
-  zone_table t(2.0);
-  stats::rng_stream r(4);
-  const estimate_key a{{3, -2}, "NetB", trace::metric::udp_throughput_bps};
-  const estimate_key b{{0, 5}, "NetC", trace::metric::rtt_s};
-  for (int epoch = 0; epoch < 4; ++epoch) {
-    for (int i = 0; i < 20; ++i) {
-      t.add_sample(a, epoch * 100.0 + i, r.normal(1e6, 5e4), 100.0);
-      t.add_sample(b, epoch * 100.0 + i, r.normal(0.12, 0.01), 100.0);
-    }
-  }
-  return t;
-}
-
-TEST(Persist, RoundTripPreservesHistory) {
-  const auto t = populated_table();
-  std::stringstream ss;
-  save_zone_table(ss, t);
-  const auto back = load_zone_table(ss);
-
-  ASSERT_EQ(back.keys().size(), t.keys().size());
-  for (const auto& key : t.keys()) {
-    const auto orig = t.history(key);
-    const auto rest = back.history(key);
-    ASSERT_EQ(rest.size(), orig.size());
-    for (std::size_t i = 0; i < orig.size(); ++i) {
-      EXPECT_NEAR(rest[i].mean, orig[i].mean, 1e-4);
-      EXPECT_NEAR(rest[i].stddev, orig[i].stddev, 1e-4);
-      EXPECT_EQ(rest[i].samples, orig[i].samples);
-      EXPECT_NEAR(rest[i].epoch_start_s, orig[i].epoch_start_s, 1e-3);
-    }
-  }
-}
-
-TEST(Persist, RestoredTableKeepsAccumulating) {
-  const auto t = populated_table();
-  std::stringstream ss;
-  save_zone_table(ss, t);
-  auto back = load_zone_table(ss);
-
-  // New samples after a restart roll into fresh epochs with alerts intact.
-  // The v2 format carries the interrupted open epoch (20 samples at
-  // t = 300..319), so the first post-restart sample first freezes THAT
-  // epoch, then accumulates into a new one: +2 frozen estimates, not +1.
-  const estimate_key a{{3, -2}, "NetB", trace::metric::udp_throughput_bps};
-  const std::size_t before = back.history(a).size();
-  for (int i = 0; i < 10; ++i) {
-    back.add_sample(a, 1000.0 + i, 1e6, 100.0);
-  }
-  back.add_sample(a, 1200.0, 1e6, 100.0);  // rollover
-  const auto hist = back.history(a);
-  ASSERT_EQ(hist.size(), before + 2);
-  // The recovered epoch publishes all 20 pre-restart samples.
-  EXPECT_EQ(hist[before].samples, 20u);
-  EXPECT_NEAR(hist[before].epoch_start_s, 300.0, 1e-9);
-}
-
-TEST(Persist, V2RoundTripIsBitExact) {
-  const auto t = populated_table();
-  std::stringstream ss;
-  save_zone_table(ss, t);
-  const auto back = load_zone_table(ss);
-
-  // %.17g printing makes the text round trip lossless: every double
-  // compares equal bit-for-bit, and re-saving reproduces the same bytes.
-  for (const auto& key : t.keys()) {
-    const auto orig = t.history(key);
-    const auto rest = back.history(key);
-    ASSERT_EQ(rest.size(), orig.size());
-    for (std::size_t i = 0; i < orig.size(); ++i) {
-      EXPECT_EQ(rest[i].mean, orig[i].mean);
-      EXPECT_EQ(rest[i].stddev, orig[i].stddev);
-      EXPECT_EQ(rest[i].samples, orig[i].samples);
-      EXPECT_EQ(rest[i].epoch_start_s, orig[i].epoch_start_s);
-    }
-  }
-  std::stringstream again;
-  save_zone_table(again, back);
-  EXPECT_EQ(again.str(), ss.str());
-}
-
-TEST(Persist, OpenEpochStateRoundTrips) {
-  const auto t = populated_table();
-  const estimate_key a{{3, -2}, "NetB", trace::metric::udp_throughput_bps};
-  const auto open = t.open_state(a);
-  ASSERT_TRUE(open.has_value());
-  EXPECT_EQ(open->n, 20u);
-
-  std::stringstream ss;
-  save_zone_table(ss, t);
-  const auto back = load_zone_table(ss);
-  const auto restored = back.open_state(a);
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->open_start_s, open->open_start_s);
-  EXPECT_EQ(restored->n, open->n);
-  EXPECT_EQ(restored->mean, open->mean);
-  EXPECT_EQ(restored->m2, open->m2);
-}
-
-TEST(Persist, LoadsLegacyV1Header) {
-  // Pre-v2 snapshots (EST lines only, fixed precision) must keep loading.
-  std::stringstream v1(
-      "WISCAPE-ZONETABLE v1\n"
-      "EST 3:-2 NetB udp_throughput 0.000 1000000.0 50000.0 20\n");
-  const auto back = load_zone_table(v1);
-  const estimate_key a{{3, -2}, "NetB", trace::metric::udp_throughput_bps};
-  const auto hist = back.history(a);
-  ASSERT_EQ(hist.size(), 1u);
-  EXPECT_EQ(hist[0].samples, 20u);
-  EXPECT_FALSE(back.open_state(a).has_value());
-}
-
-TEST(Persist, DeterministicFileOrder) {
-  const auto t = populated_table();
-  std::stringstream s1, s2;
-  save_zone_table(s1, t);
-  save_zone_table(s2, t);
-  EXPECT_EQ(s1.str(), s2.str());
-}
-
-TEST(Persist, EmptyTableRoundTrip) {
-  zone_table t;
-  std::stringstream ss;
-  save_zone_table(ss, t);
-  const auto back = load_zone_table(ss);
-  EXPECT_TRUE(back.keys().empty());
-}
-
-TEST(Persist, RejectsMalformedInput) {
-  std::stringstream bad_header("nope\n");
-  EXPECT_THROW(load_zone_table(bad_header), std::invalid_argument);
-  std::stringstream bad_line("WISCAPE-ZONETABLE v1\nEST garbage\n");
-  EXPECT_THROW(load_zone_table(bad_line), std::invalid_argument);
-  std::stringstream bad_zone(
-      "WISCAPE-ZONETABLE v1\nEST nozone NetB rtt 0 1 1 1\n");
-  EXPECT_THROW(load_zone_table(bad_zone), std::invalid_argument);
-  std::stringstream bad_metric(
-      "WISCAPE-ZONETABLE v1\nEST 1:1 NetB warp 0 1 1 1\n");
-  EXPECT_THROW(load_zone_table(bad_metric), std::invalid_argument);
-  EXPECT_THROW(load_zone_table_file("/nonexistent/x"), std::runtime_error);
-}
-
-TEST(Persist, FileRoundTrip) {
-  const auto t = populated_table();
-  const std::string path = ::testing::TempDir() + "/wiscape_table.txt";
-  save_zone_table_file(path, t);
-  const auto back = load_zone_table_file(path);
-  EXPECT_EQ(back.keys().size(), t.keys().size());
-}
-
 // ---- the epoch-record codec ---------------------------------------------------
 
 std::uint64_t bits_of(double v) {
@@ -302,11 +152,11 @@ TEST(EpochCodec, NanFieldIsMalformedInSnapshotsLikeInTheWal) {
     sharded_coordinator c(geo::zone_grid{geo::projection{{43.0, -89.4}}, 250.0},
                           {"NetB"}, {}, 1);
     EXPECT_THROW(load_state(coord, c), std::invalid_argument) << line;
-    std::stringstream table(std::string("WISCAPE-ZONETABLE v2\n") + line + "\n");
-    EXPECT_THROW(load_zone_table(table), std::invalid_argument) << line;
   }
-  std::stringstream inf("WISCAPE-ZONETABLE v2\nEST 1:1 NetB rtt 0 inf -inf 4\n");
-  const auto back = load_zone_table(inf);
+  std::stringstream inf("WISCAPE-COORD v2\nEST 1:1 NetB rtt 0 inf -inf 4\n");
+  sharded_coordinator back(geo::zone_grid{geo::projection{{43.0, -89.4}}, 250.0},
+                           {"NetB"}, {}, 1);
+  load_state(inf, back);
   const auto hist = back.history({{1, 1}, "NetB", trace::metric::rtt_s});
   ASSERT_EQ(hist.size(), 1u);
   EXPECT_EQ(hist[0].mean, std::numeric_limits<double>::infinity());
@@ -412,21 +262,166 @@ TEST(Persist, SaveStateBytesMatchTheSnprintfRendering) {
   expect_same_state(g.coord, from_text.coord);
 }
 
-TEST(Persist, ZoneTableBytesMatchTheSnprintfRendering) {
-  const auto t = populated_table();
-  auto keys = t.keys();
-  std::sort(keys.begin(), keys.end(),
-            [](const estimate_key& a, const estimate_key& b) {
-              return a.zone < b.zone;
-            });
-  std::string want = "WISCAPE-ZONETABLE v2\n";
-  for (const auto& key : keys) {
-    for (const auto& est : t.history(key)) want += ref_est(key, est);
-    if (const auto open = t.open_state(key)) want += ref_open(key, *open);
+// A 1-shard synchronous coordinator fed four 100 s epochs of two streams
+// (zone 3:-2 on NetB by UDP burst, zone 0:5 on NetC by ping): three frozen
+// epochs each, and a fourth left open with 20 samples.
+struct populated_state {
+  geo::zone_grid grid{geo::projection{{43.0, -89.4}}, 250.0};
+  sharded_coordinator coord = empty();
+
+  /// Feeds `coord` (or a coordinator restored from its snapshot) one sample
+  /// of the NetB stream.
+  static void report_a(sharded_coordinator& c, double t, double value) {
+    c.report(testing::make_record(t, "NetB", c.grid().center({3, -2}),
+                                  trace::probe_kind::udp_burst, value));
   }
-  std::ostringstream os;
-  save_zone_table(os, t);
-  EXPECT_EQ(os.str(), want);
+  /// A fresh coordinator of the same shape, to load a snapshot into.
+  sharded_coordinator empty() const {
+    coordinator_config cfg;
+    cfg.epochs.default_epoch_s = 100.0;
+    return testing::sync_coordinator(grid, {"NetB", "NetC"}, cfg, 7);
+  }
+
+  populated_state() {
+    stats::rng_stream r(4);
+    const geo::lat_lon b = grid.center({0, 5});
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      for (int i = 0; i < 20; ++i) {
+        const double t = epoch * 100.0 + i;
+        report_a(coord, t, r.normal(1e6, 5e4));
+        coord.report(testing::make_record(t, "NetC", b, trace::probe_kind::ping,
+                                          r.normal(0.12, 0.01)));
+      }
+    }
+  }
+};
+
+const estimate_key stream_a{{3, -2}, "NetB", trace::metric::udp_throughput_bps};
+
+TEST(Persist, RoundTripPreservesHistory) {
+  const populated_state p;
+  std::stringstream ss;
+  save_state(ss, p.coord);
+  auto back = p.empty();
+  load_state(ss, back);
+
+  ASSERT_EQ(back.keys().size(), p.coord.keys().size());
+  for (const auto& key : p.coord.keys()) {
+    const auto orig = p.coord.history(key);
+    ASSERT_EQ(orig.size(), 3u);
+    const auto rest = back.history(key);
+    ASSERT_EQ(rest.size(), orig.size());
+    for (std::size_t i = 0; i < orig.size(); ++i) {
+      EXPECT_EQ(rest[i].epoch_start_s, orig[i].epoch_start_s);
+      EXPECT_EQ(rest[i].samples, orig[i].samples);
+    }
+  }
+}
+
+TEST(Persist, RestoredTableKeepsAccumulating) {
+  const populated_state p;
+  std::stringstream ss;
+  save_state(ss, p.coord);
+  auto back = p.empty();
+  load_state(ss, back);
+
+  // New samples after a restart roll into fresh epochs. The snapshot
+  // carries the interrupted open epoch (20 samples at t = 300..319), so
+  // the first post-restart sample first freezes THAT epoch, then
+  // accumulates into a new one: +2 frozen estimates, not +1.
+  const std::size_t before = back.history(stream_a).size();
+  for (int i = 0; i < 10; ++i) {
+    populated_state::report_a(back, 1000.0 + i, 1e6);
+  }
+  populated_state::report_a(back, 1200.0, 1e6);  // rollover
+  const auto hist = back.history(stream_a);
+  ASSERT_EQ(hist.size(), before + 2);
+  // The recovered epoch publishes all 20 pre-restart samples.
+  EXPECT_EQ(hist[before].samples, 20u);
+  EXPECT_EQ(hist[before].epoch_start_s, 300.0);
+  EXPECT_EQ(hist[before + 1].samples, 10u);
+}
+
+TEST(Persist, V2RoundTripIsBitExact) {
+  const populated_state p;
+  std::stringstream ss;
+  save_state(ss, p.coord);
+  auto back = p.empty();
+  load_state(ss, back);
+
+  // %.17g rendering makes the text round trip lossless: every double
+  // compares equal bit for bit, and re-saving reproduces the same bytes.
+  expect_same_state(p.coord, back);
+  std::stringstream again;
+  save_state(again, back);
+  EXPECT_EQ(again.str(), ss.str());
+}
+
+TEST(Persist, OpenEpochStateRoundTrips) {
+  const populated_state p;
+  const auto open = p.coord.open_state(stream_a);
+  ASSERT_TRUE(open.has_value());
+  EXPECT_EQ(open->n, 20u);
+
+  std::stringstream ss;
+  save_state(ss, p.coord);
+  auto back = p.empty();
+  load_state(ss, back);
+  const auto restored = back.open_state(stream_a);
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(bits_of(restored->open_start_s), bits_of(open->open_start_s));
+  EXPECT_EQ(restored->n, open->n);
+  EXPECT_EQ(bits_of(restored->mean), bits_of(open->mean));
+  EXPECT_EQ(bits_of(restored->m2), bits_of(open->m2));
+}
+
+TEST(Persist, DeterministicFileOrder) {
+  const populated_state p;
+  std::stringstream s1, s2;
+  save_state(s1, p.coord);
+  save_state(s2, p.coord);
+  EXPECT_EQ(s1.str(), s2.str());
+}
+
+TEST(Persist, EmptyTableRoundTrip) {
+  const populated_state p;
+  const auto empty = p.empty();
+  std::stringstream ss;
+  save_state(ss, empty);
+  EXPECT_EQ(ss.str(), "WISCAPE-COORD v2\nALERTSEQ 0\n");
+  auto back = p.empty();
+  load_state(ss, back);
+  EXPECT_TRUE(back.keys().empty());
+  EXPECT_EQ(back.alert_seq(), 0u);
+}
+
+TEST(Persist, RejectsMalformedInput) {
+  const populated_state p;
+  for (const char* text :
+       {"nope\n", "WISCAPE-COORD v1\nEST 1:1 NetB rtt 0 1 1 1\n",
+        "WISCAPE-COORD v2\nEST garbage\n",
+        "WISCAPE-COORD v2\nEST nozone NetB rtt 0 1 1 1\n",
+        "WISCAPE-COORD v2\nEST 1:1 NetB warp 0 1 1 1\n"}) {
+    std::stringstream bad(text);
+    auto c = p.empty();
+    EXPECT_THROW(load_state(bad, c), std::invalid_argument) << text;
+  }
+}
+
+TEST(Persist, FileRoundTrip) {
+  const populated_state p;
+  const std::string path = ::testing::TempDir() + "/wiscape_state.txt";
+  {
+    std::ofstream os(path);
+    save_state(os, p.coord);
+  }
+  auto back = p.empty();
+  {
+    std::ifstream is(path);
+    load_state(is, back);
+  }
+  expect_same_state(p.coord, back);
+  std::filesystem::remove(path);
 }
 
 TEST(Persist, FileLargerThanTheReadBufferLoadsLikeItsInMemoryText) {

@@ -81,7 +81,6 @@ TEST(ReportQueue, FullQueueBlocksProducerUntilConsumed) {
   report_queue q(2);
   ASSERT_TRUE(q.push(tagged(1, 0)));
   ASSERT_TRUE(q.push(tagged(1, 1)));
-  EXPECT_FALSE(q.try_push(tagged(1, 99)));  // full: non-blocking push fails
 
   std::atomic<bool> third_pushed{false};
   std::thread producer([&] {
@@ -133,41 +132,20 @@ TEST(ReportQueue, CloseUnblocksWaitingProducerAndConsumer) {
   blocked_consumer.join();
 }
 
+// A batch crosses whole through push_owned (the one batch push).
 TEST(ReportQueue, PushBatchEnqueuesAllInOrder) {
   report_queue q(64);
   std::vector<trace::measurement_record> batch;
   for (int i = 0; i < 10; ++i) batch.push_back(tagged(1, i));
-  EXPECT_EQ(q.push_batch(batch), 10u);
+  EXPECT_EQ(q.push_owned(batch), 10u);
+  EXPECT_TRUE(batch.empty());
   EXPECT_EQ(q.size(), 10u);
   std::vector<trace::measurement_record> out;
   EXPECT_EQ(q.pop_batch(out, 100), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(out[i].time_s, i);
-  EXPECT_EQ(q.push_batch({}), 0u);  // empty batch is a no-op
-}
-
-TEST(ReportQueue, PushBatchLargerThanCapacityFeedsThroughBackpressure) {
-  // A batch bigger than the queue's capacity must flow through in gulps as
-  // the consumer makes room, keeping order, losing nothing.
-  constexpr std::size_t kBatch = 100;
-  report_queue q(8);
-  std::vector<trace::measurement_record> batch;
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    batch.push_back(tagged(1, static_cast<double>(i)));
-  }
-  std::vector<trace::measurement_record> drained;
-  std::thread consumer([&] {
-    std::vector<trace::measurement_record> out;
-    while (drained.size() < kBatch) {
-      out.clear();
-      if (q.pop_batch(out, 16) == 0) break;
-      drained.insert(drained.end(), out.begin(), out.end());
-    }
-  });
-  EXPECT_EQ(q.push_batch(batch), kBatch);
-  q.close();
-  consumer.join();
-  ASSERT_EQ(drained.size(), kBatch);
-  for (std::size_t i = 0; i < kBatch; ++i) EXPECT_EQ(drained[i].time_s, i);
+  std::vector<trace::measurement_record> none;
+  EXPECT_EQ(q.push_owned(none), 0u);  // empty batch is a no-op
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(ReportQueue, PushBatchStaysContiguousAcrossProducers) {
@@ -182,8 +160,14 @@ TEST(ReportQueue, PushBatchStaysContiguousAcrossProducers) {
     }
     return batch;
   };
-  std::thread a([&] { EXPECT_EQ(q.push_batch(make(1)), kBatch); });
-  std::thread b([&] { EXPECT_EQ(q.push_batch(make(2)), kBatch); });
+  std::thread a([&] {
+    auto batch = make(1);
+    EXPECT_EQ(q.push_owned(batch), kBatch);
+  });
+  std::thread b([&] {
+    auto batch = make(2);
+    EXPECT_EQ(q.push_owned(batch), kBatch);
+  });
   a.join();
   b.join();
   std::vector<trace::measurement_record> out;
@@ -206,7 +190,8 @@ TEST(ReportQueue, PushBatchAfterCloseDropsEverything) {
   report_queue q(8);
   q.close();
   std::vector<trace::measurement_record> batch{tagged(1, 0), tagged(1, 1)};
-  EXPECT_EQ(q.push_batch(batch), 0u);
+  EXPECT_EQ(q.push_owned(batch), 0u);
+  EXPECT_TRUE(batch.empty());
   EXPECT_EQ(q.size(), 0u);
 }
 
@@ -218,9 +203,10 @@ TEST(ReportQueue, SizeIsALockFreeDepthReadAcrossPushesAndPops) {
   constexpr std::size_t kCap = 16;
   report_queue q(kCap);
   ASSERT_TRUE(q.push(tagged(1, 0)));
-  ASSERT_TRUE(q.try_push(tagged(1, 1)));
-  std::vector<trace::measurement_record> batch(5, tagged(2, 0));
-  ASSERT_EQ(q.push_batch(batch), 5u);
+  ASSERT_TRUE(q.push(tagged(1, 1)));
+  const std::vector<trace::measurement_record> five(5, tagged(2, 0));
+  std::vector<trace::measurement_record> batch = five;
+  ASSERT_EQ(q.push_owned(batch), 5u);
   EXPECT_EQ(q.size(), 7u);
   std::vector<trace::measurement_record> out;
   ASSERT_EQ(q.pop_batch(out, 4), 4u);
@@ -235,11 +221,12 @@ TEST(ReportQueue, SizeIsALockFreeDepthReadAcrossPushesAndPops) {
   });
   std::thread producer([&] {
     for (int i = 0; i < 2000; ++i) {
-      ASSERT_TRUE(q.push_batch(batch) == batch.size());
+      batch.assign(five.begin(), five.end());
+      ASSERT_TRUE(q.push_owned(batch) == five.size());
     }
   });
   std::size_t drained = 0;
-  while (drained < 3 + 2000 * batch.size()) {
+  while (drained < 3 + 2000 * five.size()) {
     out.clear();
     drained += q.pop_batch(out, 7);
   }
@@ -278,8 +265,9 @@ TEST(ReportQueue, FifoAcrossOwnedAndCopiedPushes) {
   ASSERT_EQ(q.push_owned(owned), 5u);
   EXPECT_TRUE(owned.empty());
   ASSERT_TRUE(q.push(tagged(1, 5)));
-  ASSERT_EQ(q.push_batch(run(1, 6, 4)), 4u);
-  ASSERT_TRUE(q.try_push(tagged(1, 10)));
+  owned = run(1, 6, 4);
+  ASSERT_EQ(q.push_owned(owned), 4u);
+  ASSERT_TRUE(q.push(tagged(1, 10)));
   owned = run(1, 11, 9);
   ASSERT_EQ(q.push_owned(owned), 9u);
   EXPECT_EQ(q.size(), 20u);

@@ -60,25 +60,13 @@ std::vector<trace::measurement_record> synthetic_stream(std::uint64_t seed,
   return out;
 }
 
-// Normalizes alert order the same way sharded_coordinator::alerts() does, so
-// sequential output can be compared shard-interleaving-free.
-std::vector<change_alert> normalized(std::vector<change_alert> alerts) {
-  const auto order = [](const change_alert& a) {
-    return std::make_tuple(a.epoch_start_s, a.key.zone.ix, a.key.zone.iy,
-                           a.key.network, static_cast<int>(a.key.metric),
-                           a.new_mean);
-  };
-  std::sort(alerts.begin(), alerts.end(),
-            [&](const change_alert& a, const change_alert& b) {
-              return order(a) < order(b);
-            });
-  return alerts;
-}
-
 coordinator_config small_epoch_config() {
   coordinator_config cfg;
   cfg.epochs.default_epoch_s = 120.0;  // many rollovers in a short stream
   cfg.default_samples_per_epoch = 10;
+  // The ring is the only alert store: big enough that the comparisons
+  // below see every alert raised.
+  cfg.alert_ring_capacity = 1 << 14;
   return cfg;
 }
 
@@ -131,8 +119,9 @@ TEST(ShardedCoordinator, MatchesSequentialForAnyShardCount) {
   for (const auto& rec : stream) seq.report(rec);
   auto seq_keys = seq.table_for_test().keys();
   ASSERT_FALSE(seq_keys.empty());
-  const auto seq_alerts = normalized(seq.alerts());
+  const auto seq_alerts = testing::sorted_alerts(seq.alert_sink());
   ASSERT_FALSE(seq_alerts.empty()) << "stream should raise change alerts";
+  ASSERT_EQ(seq_alerts.size(), seq.alert_sink().pushed());
 
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("num_shards=" + std::to_string(shards));
@@ -177,7 +166,7 @@ TEST(ShardedCoordinator, MatchesSequentialForAnyShardCount) {
       }
     }
     // ...and identical change alerts (order-normalized).
-    const auto alerts = sc.alerts();
+    const auto alerts = testing::sorted_alerts(sc.alert_sink());
     ASSERT_EQ(alerts.size(), seq_alerts.size());
     for (std::size_t i = 0; i < alerts.size(); ++i) {
       EXPECT_TRUE(same_key(alerts[i].key, seq_alerts[i].key));
@@ -243,7 +232,7 @@ TEST(ShardedCoordinator, SynchronousSingleShardReproducesSequentialExactly) {
       EXPECT_EQ(got[i].samples, want[i].samples);
     }
   }
-  EXPECT_EQ(normalized(seq.alerts()).size(), sc.alerts().size());
+  EXPECT_EQ(seq.alert_sink().pushed(), sc.alert_sink().pushed());
 }
 
 TEST(ShardedCoordinator, EpochAndTargetManagementWorkPerShard) {
@@ -394,8 +383,9 @@ void expect_same_state(sharded_coordinator& want, sharded_coordinator& got,
       EXPECT_EQ(ma->epoch_index, mb->epoch_index);
     }
   }
-  const auto aa = want.alerts();
-  const auto ab = got.alerts();
+  const auto aa = testing::sorted_alerts(want.alert_sink());
+  const auto ab = testing::sorted_alerts(got.alert_sink());
+  ASSERT_EQ(aa.size(), want.alert_sink().pushed());
   ASSERT_EQ(aa.size(), ab.size());
   for (std::size_t i = 0; i < aa.size(); ++i) {
     EXPECT_TRUE(same_key(aa[i].key, ab[i].key));
@@ -458,7 +448,7 @@ TEST(ShardedCoordinator, BatchedApplyMatchesPerRecordReport) {
         const std::uint64_t ref_rej =
             counter_value(obs::names::kCoordReportsRejected) - rej0;
         ASSERT_GT(ref_rej, 0u);
-        ASSERT_FALSE(ref.alerts().empty());
+        ASSERT_GT(ref.alert_sink().pushed(), 0u);
 
         sharded_config cfg = ref_cfg;
         cfg.synchronous = synchronous;
@@ -496,6 +486,57 @@ TEST(ShardedCoordinator, BatchedApplyMatchesPerRecordReport) {
         EXPECT_EQ(sc.reports_ingested(), stream.size());
         expect_same_state(ref, sc, zones);
       }
+    }
+  }
+}
+
+TEST(ShardedCoordinator, AlertsRaisedCountsEveryAlertPastRingEviction) {
+  // core.coordinator.alerts_raised counts from each zone table's own alert
+  // counter, not from the bounded ring shared by the shards: every
+  // >2-sigma rollover counts exactly once at any shard count, even when
+  // the ring has long evicted it.
+  const geo::projection proj = test_proj();
+  const geo::zone_grid grid(proj, 250.0);
+  constexpr std::size_t kCapacity = 8;
+  constexpr int kZones = 6;
+  constexpr int kEpochs = 12;  // the last one stays open
+  // Each zone's RTT alternates between two levels far apart against the
+  // per-epoch spread, so every frozen epoch after a zone's first alerts.
+  std::vector<trace::measurement_record> stream;
+  for (int e = 0; e < kEpochs; ++e) {
+    const double level = e % 2 == 0 ? 0.05 : 0.5;
+    for (int z = 0; z < kZones; ++z) {
+      const geo::lat_lon pos = grid.center({0, z});
+      for (int i = 0; i < 5; ++i) {
+        stream.push_back(testing::make_record(60.0 * e + i, "NetB", pos,
+                                              trace::probe_kind::ping,
+                                              level * (1.0 + 0.01 * i)));
+      }
+    }
+  }
+  const std::uint64_t raised = kZones * (kEpochs - 2);
+  ASSERT_GT(raised, kCapacity);
+
+  for (const bool synchronous : {true, false}) {
+    SCOPED_TRACE(synchronous ? "1 shard, sync" : "2 shards, async");
+    sharded_config cfg;
+    cfg.coordinator.epochs.default_epoch_s = 60.0;
+    cfg.coordinator.alert_ring_capacity = kCapacity;
+    cfg.num_shards = synchronous ? 1 : 2;
+    cfg.synchronous = synchronous;
+    sharded_coordinator sc(grid, {"NetB"}, cfg, 7);
+    const std::uint64_t before = counter_value(obs::names::kCoordAlertsRaised);
+    ASSERT_EQ(sc.report_batch(stream), stream.size());
+    sc.flush();
+    const std::uint64_t counted =
+        counter_value(obs::names::kCoordAlertsRaised) - before;
+    EXPECT_EQ(counted, sc.alert_sink().pushed());
+    EXPECT_EQ(counted, raised);
+    const alert_drain d = sc.alert_sink().drain_since(0, kCapacity);
+    EXPECT_EQ(d.dropped, raised - kCapacity);
+    EXPECT_EQ(d.alerts.size(), kCapacity);
+    for (std::size_t i = 0; i < sc.num_shards(); ++i) {
+      EXPECT_GT(sc.stats_of(i).reports_ingested, 0u) << "shard " << i;
     }
   }
 }

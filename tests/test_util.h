@@ -2,8 +2,10 @@
 // synthetic series generators.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "cellnet/deployment.h"
@@ -100,6 +102,36 @@ inline core::sharded_coordinator sync_coordinator(
   scfg.synchronous = true;
   return core::sharded_coordinator(std::move(grid), std::move(networks), scfg,
                                    seed);
+}
+
+/// Every alert `ring` still holds, drained from cursor 0, in raise
+/// (sequence) order. The ring is the only place alerts are kept: size
+/// alert_ring_capacity so that nothing a test compares is evicted.
+inline std::vector<core::change_alert> drained_alerts(
+    const core::alert_ring& ring) {
+  std::vector<core::change_alert> out;
+  for (const auto& a : ring.drain_since(0, ring.capacity()).alerts) {
+    out.push_back(a.alert);
+  }
+  return out;
+}
+
+/// drained_alerts() sorted by (epoch_start_s, key, new_mean), so alerts
+/// raised by several shards compare equal whatever order the shards
+/// interleaved them in.
+inline std::vector<core::change_alert> sorted_alerts(
+    const core::alert_ring& ring) {
+  auto out = drained_alerts(ring);
+  const auto order = [](const core::change_alert& a) {
+    return std::make_tuple(a.epoch_start_s, a.key.zone.ix, a.key.zone.iy,
+                           a.key.network, static_cast<int>(a.key.metric),
+                           a.new_mean);
+  };
+  std::sort(out.begin(), out.end(),
+            [&](const core::change_alert& a, const core::change_alert& b) {
+              return order(a) < order(b);
+            });
+  return out;
 }
 
 /// One request through coordinator_server::handle(): the framing detected

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Documentation hygiene gate, run as a ctest case (docs.check).
 #
-# Four mechanical checks keep the docs honest:
+# Five mechanical checks keep the docs honest:
 #  1. Every public header in src/core, src/proto, src/obs and src/net must
 #     open with a file-level doc comment (a '//' line before any code), so a
 #     reader landing on any header learns its contract before its includes.
@@ -14,6 +14,11 @@
 #  4. Every binary v3 opcode enumerator in src/proto/wire_v3.h must have a
 #     table row in docs/WIRE_PROTOCOL.md section 8 -- opcode values are
 #     append-only wire surface with the same lookup obligation.
+#  5. Every field of net::server_config and net::session_limits (the
+#     latter as `limits.<field>`) must have a row in docs/RUNBOOK.md's
+#     "Configuration reference" table, and every knob that table names
+#     must be an existing field -- a removed knob cannot linger in the
+#     docs, and a new one cannot ship undocumented.
 #
 # Usage: tools/check_docs.sh [repo-root]   (default: script's parent dir)
 set -eu
@@ -70,6 +75,42 @@ ops="$(sed -n '/enum class opcode/,/^};/p' src/proto/wire_v3.h |
 for o in $ops; do
   if ! grep -qF "| \`$o\` |" docs/WIRE_PROTOCOL.md; then
     echo "FAIL: v3 opcode '$o' (src/proto/wire_v3.h) has no table row in docs/WIRE_PROTOCOL.md"
+    fail=1
+  fi
+done
+
+echo "== docs/RUNBOOK.md configuration reference matches the config structs =="
+# Field names of one struct: the identifier before the initializer or ';'
+# of every member declaration line between "struct <name> {" and "};".
+struct_fields() {
+  sed -n "/^struct $2 {/,/^};/p" "$1" |
+    sed 's|//.*||' |
+    sed -n -E 's/^ +[A-Za-z_][A-Za-z0-9_:<>(), ]*[ >]([a-z_][a-z0-9_]*) *(=[^;]*|\{[^}]*\})? *; *$/\1/p'
+}
+limits_fields="$(struct_fields src/net/session.h session_limits)"
+server_fields="$(struct_fields src/net/server.h server_config)"
+[ -n "$limits_fields" ] && [ -n "$server_fields" ] ||
+  { echo "FAIL: no config fields found in src/net/session.h / src/net/server.h"; exit 1; }
+fields=""
+for f in $server_fields; do
+  # The embedded session_limits is documented field by field.
+  [ "$f" = limits ] || fields="$fields $f"
+done
+for f in $limits_fields; do fields="$fields limits.$f"; done
+# Knobs the table names: every backticked word in the first column of the
+# rows under the "Configuration reference" heading.
+knobs="$(sed -n '/^### Configuration reference/,/^#/p' docs/RUNBOOK.md |
+  sed -n 's/^| *\([^|]*\)|.*/\1/p' | grep -o '`[^`]*`' | tr -d '`')"
+[ -n "$knobs" ] || { echo "FAIL: no Configuration reference table in docs/RUNBOOK.md"; exit 1; }
+for f in $fields; do
+  if ! printf '%s\n' $knobs | grep -qxF "$f"; then
+    echo "FAIL: config field '$f' has no row in docs/RUNBOOK.md's Configuration reference"
+    fail=1
+  fi
+done
+for k in $knobs; do
+  if ! printf '%s\n' $fields | grep -qxF "$k"; then
+    echo "FAIL: docs/RUNBOOK.md's Configuration reference names '$k', which is no field of server_config or session_limits"
     fail=1
   fi
 done
