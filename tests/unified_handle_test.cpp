@@ -1,8 +1,9 @@
 // The server's one request entry point, handle(request_view, reply_buffer&).
 // The golden corpus pins the exact reply bytes of every command family in
 // both framings (plus malformed inputs), on a 1-shard synchronous server and
-// on a 2-shard asynchronous one: a change that moves a single reply byte,
-// or answers differently with the shard count, fails here.
+// on a 2-shard asynchronous one, together with each request's delta on the
+// proto.server.* counters: a change that moves a single reply byte or
+// counter tick, or answers differently with the shard count, fails here.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +13,8 @@
 #include "core/sharded_coordinator.h"
 #include "geo/projection.h"
 #include "geo/zone_grid.h"
+#include "obs/names.h"
+#include "obs/registry.h"
 #include "proto/messages.h"
 #include "proto/server.h"
 #include "proto/wire_v3.h"
@@ -104,6 +107,22 @@ struct corpus_fixture {
     std::string bad = v3::encode_query_frame(q);
     bad[1] = '\x7f';  // invalid opcode byte
     reqs.push_back(bad);
+    proto::checkin_request checkin;
+    checkin.client_id = 9;
+    checkin.pos = rec.pos;
+    checkin.time_s = 211.0;
+    checkin.active_in_zone = 1;
+    reqs.push_back(proto::encode(checkin));
+    reqs.push_back(v3::encode_snapshot_req_frame(0));    // unattached: ERR
+    reqs.push_back(v3::encode_epoch_batch_frame({}));    // unattached: ERR
+    proto::reply_buffer ack;
+    v3::encode_ack_frame(ack);
+    reqs.emplace_back(ack.view());  // a reply opcode sent as a request
+    reqs.emplace_back();            // an empty text line
+    // Envelopes whose declared payload length disagrees with the bytes.
+    reqs.push_back(v3::encode_query_frame(q) + '\0');
+    const std::string short_frame = v3::encode_query_frame(q);
+    reqs.push_back(short_frame.substr(0, short_frame.size() - 1));
     return reqs;
   }
 };
@@ -148,25 +167,102 @@ const std::vector<std::string_view>& golden_replies() {
       "b3081b0000000118007265706c69636174696f6e206e6f74206174746163686564",
       "b3081b0000000118007265706c69636174696f6e206e6f74206174746163686564",
       "b30822000000001f006d616c666f726d65642062696e617279206672616d652065"
+        "6e76656c6f7065",
+      "TASK kind=tcp net=0 tcp_bytes=0 udp_packets=0 ping_count=0",
+      "b3081b0000000118007265706c69636174696f6e206e6f74206174746163686564",
+      "b3081b0000000118007265706c69636174696f6e206e6f74206174746163686564",
+      "b308260000000123007265706c79206f70636f6465202761636b27206973206e6f"
+        "7420612072657175657374",
+      "ERR unsupported unsupported request: ''",
+      "b30822000000001f006d616c666f726d65642062696e617279206672616d652065"
+        "6e76656c6f7065",
+      "b30822000000001f006d616c666f726d65642062696e617279206672616d652065"
         "6e76656c6f7065"};
   return replies;
+}
+
+// The proto.server.* counters whose per-request deltas are pinned.
+constexpr const char* kPinnedCounters[] = {
+    obs::names::kServerLines,          obs::names::kServerBinaryFrames,
+    obs::names::kServerCheckins,       obs::names::kServerReports,
+    obs::names::kServerReportBatches,  obs::names::kServerQueries,
+    obs::names::kServerQueryBatches,   obs::names::kServerHellos,
+    obs::names::kServerAlertsRequests, obs::names::kServerErrParse,
+    obs::names::kServerErrUnsupported, obs::names::kServerErrStopped,
+    obs::names::kServerErrVersion,     obs::names::kServerErrInternal,
+    obs::names::kServerErrOverload,    obs::names::kServerReplyBytes};
+
+std::vector<std::uint64_t> pinned_counters() {
+  std::vector<std::uint64_t> v;
+  for (const char* name : kPinnedCounters) {
+    v.push_back(obs::registry::global().get_counter(name).value());
+  }
+  return v;
+}
+
+/// "lines=1 reports=1 reply_bytes=3": every pinned counter that moved since
+/// `before`, named without its "proto.server." prefix.
+std::string counter_deltas(const std::vector<std::uint64_t>& before) {
+  const std::vector<std::uint64_t> after = pinned_counters();
+  std::string out;
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    if (after[i] == before[i]) continue;
+    if (!out.empty()) out += ' ';
+    out += std::string_view(kPinnedCounters[i]).substr(13);
+    out += '=';
+    out += std::to_string(after[i] - before[i]);
+  }
+  return out;
+}
+
+// The counter deltas of each corpus request, positional with corpus().
+const std::vector<std::string_view>& golden_deltas() {
+  static const std::vector<std::string_view> deltas{
+      "lines=1 reports=1 reply_bytes=3",
+      "lines=1 reports=2 report_batches=1 reply_bytes=5",
+      "lines=1 queries=1 reply_bytes=140",
+      "lines=1 queries=2 query_batches=1 reply_bytes=152",
+      "lines=1 hellos=1 reply_bytes=17",
+      "lines=1 alerts_requests=1 reply_bytes=25",
+      "lines=1 err_parse=1 reply_bytes=59",
+      "lines=1 err_unsupported=1 reply_bytes=51",
+      "lines=1 binary_frames=1 reports=1 reply_bytes=15",
+      "lines=1 binary_frames=1 reports=2 report_batches=1 reply_bytes=15",
+      "lines=1 binary_frames=1 queries=1 reply_bytes=70",
+      "lines=1 binary_frames=1 queries=2 query_batches=1 reply_bytes=75",
+      "lines=1 binary_frames=1 err_unsupported=1 reply_bytes=33",
+      "lines=1 binary_frames=1 err_unsupported=1 reply_bytes=33",
+      "lines=1 binary_frames=1 err_parse=1 reply_bytes=40",
+      "lines=1 checkins=1 reply_bytes=58",
+      "lines=1 binary_frames=1 err_unsupported=1 reply_bytes=33",
+      "lines=1 binary_frames=1 err_unsupported=1 reply_bytes=33",
+      "lines=1 binary_frames=1 err_unsupported=1 reply_bytes=44",
+      "lines=1 err_unsupported=1 reply_bytes=39",
+      "lines=1 binary_frames=1 err_parse=1 reply_bytes=40",
+      "lines=1 binary_frames=1 err_parse=1 reply_bytes=40"};
+  return deltas;
 }
 
 void expect_golden(std::size_t shards, bool synchronous) {
   corpus_fixture fx(shards, synchronous);
   const std::vector<std::string> corpus = fx.corpus();
   ASSERT_EQ(corpus.size(), golden_replies().size());
+  ASSERT_EQ(corpus.size(), golden_deltas().size());
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     const std::string& req = corpus[i];
     proto::reply_buffer out;
     const proto::request_view view = proto::request_view::detect(req);
+    const std::vector<std::uint64_t> before = pinned_counters();
     fx.server.handle(view, out);
+    const std::string deltas = counter_deltas(before);
     // An asynchronous coordinator ACKs before it applies: settle every
     // request so the next one reads the same state the 1-shard run does.
     fx.coord.flush();
     const bool binary = view.framing() == proto::request_view::kind::binary;
     EXPECT_EQ(binary ? hex(out.view()) : std::string(out.view()),
               golden_replies()[i])
+        << "request " << i << ": " << (binary ? hex(req) : req);
+    EXPECT_EQ(deltas, golden_deltas()[i])
         << "request " << i << ": " << (binary ? hex(req) : req);
   }
 }
