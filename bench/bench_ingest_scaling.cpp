@@ -333,7 +333,9 @@ handoff_cost reportb_handoff(const geo::projection& proj, std::size_t frames,
       best.producer_ns = std::min(best.producer_ns, 1e9 * (p1 - p0) / n);
     }
     {
-      core::coordinator co(grid, nets, cfg.coordinator, bench::bench_seed);
+      core::alert_ring alerts(cfg.coordinator.alert_ring_capacity);
+      core::coordinator co(grid, nets, cfg.coordinator, bench::bench_seed,
+                           alerts);
       co.report_batch(warm);
       const double a0 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
       for (const auto& b : batches) co.report_batch(b);
@@ -380,7 +382,9 @@ int main(int argc, char** argv) {
 
   // Sequential reference: the pre-sharding code path.
   {
-    core::coordinator seq(grid, {"NetB", "NetC"}, {}, bench::bench_seed);
+    core::alert_ring alerts;
+    core::coordinator seq(grid, {"NetB", "NetC"}, {}, bench::bench_seed,
+                          alerts);
     const double t0 = now_s();
     for (const auto& rec : stream) seq.report(rec);
     const double rps = static_cast<double>(stream.size()) / (now_s() - t0);

@@ -34,17 +34,18 @@ coord_metrics& metrics() {
 }  // namespace
 
 coordinator::coordinator(geo::zone_grid grid, std::vector<std::string> networks,
-                         coordinator_config cfg, std::uint64_t seed)
+                         coordinator_config cfg, std::uint64_t seed,
+                         alert_ring& alerts)
     : grid_(std::move(grid)),
       networks_(std::move(networks)),
       cfg_(cfg),
-      ring_(cfg.alert_ring_capacity),
+      alert_sink_(&alerts),
       table_(cfg.change_sigma_factor, networks_),
       epochs_(cfg.epochs),
       planner_(cfg.planner),
       rng_(seed) {
   // Every rollover publishes into the serving-layer mirror and sequences
-  // its alert (sharded mode re-points the alert sink at a shared ring).
+  // its alert into the owner's ring.
   table_.set_sinks(&mirror_, alert_sink_);
   // networks_[i] -> interned id; the interner collapses duplicate operator
   // names to the first id, so two indices can legitimately share one.

@@ -58,8 +58,9 @@ struct coordinator_config {
   double ping_task_mb = 0.002;
   /// Change alerts retained for incremental draining via
   /// estimate_view::alerts_since (older ones are evicted and accounted as
-  /// dropped). In sharded mode the sharded_coordinator's shared ring uses
-  /// this capacity.
+  /// dropped): the capacity of the one ring a sharded_coordinator shares
+  /// across its shards. A standalone coordinator publishes into the ring
+  /// its owner passes in and ignores this field.
   std::size_t alert_ring_capacity = 1024;
 };
 
@@ -78,10 +79,12 @@ struct zone_status {
 
 class coordinator {
  public:
+  /// Publishes change alerts into `alerts`, which must outlive the
+  /// coordinator (sharded_coordinator passes the ring its shards share).
   coordinator(geo::zone_grid grid, std::vector<std::string> networks,
-              coordinator_config cfg, std::uint64_t seed);
+              coordinator_config cfg, std::uint64_t seed, alert_ring& alerts);
 
-  // The serving-layer sinks are members the zone table points into, so a
+  // The estimate mirror is a member the zone table points into, so a
   // coordinator is pinned to its address once constructed.
   coordinator(const coordinator&) = delete;
   coordinator& operator=(const coordinator&) = delete;
@@ -99,17 +102,9 @@ class coordinator {
   /// (consumed by core::estimate_view; lock-free reads).
   const estimate_mirror& published() const noexcept { return mirror_; }
 
-  /// The alert ring this coordinator's change alerts are sequenced into.
-  /// By default the coordinator's own ring; sharded_coordinator re-points
-  /// it at a ring shared across shards.
+  /// The alert ring this coordinator's change alerts are sequenced into
+  /// (the one passed to the constructor).
   const alert_ring& alert_sink() const noexcept { return *alert_sink_; }
-
-  /// Redirects alert publication (and alert_sink()) to `ring`, which must
-  /// outlive this coordinator. Call before any report is ingested.
-  void redirect_alert_sink(alert_ring& ring) noexcept {
-    alert_sink_ = &ring;
-    table_.set_alert_sink(&ring);
-  }
 
   /// Client check-in: "I am at `pos` at time `t`, able to probe network
   /// `network_index`; about `active_clients_in_zone` peers are here too."
@@ -268,11 +263,11 @@ class coordinator {
   geo::zone_grid grid_;
   std::vector<std::string> networks_;
   coordinator_config cfg_;
-  // Serving-layer sinks; constructed before table_ so set_sinks in the ctor
-  // hands the table valid addresses for the coordinator's whole lifetime.
+  // Serving-layer sinks; the mirror is constructed before table_ so
+  // set_sinks in the ctor hands the table valid addresses for the
+  // coordinator's whole lifetime.
   estimate_mirror mirror_;
-  alert_ring ring_;
-  alert_ring* alert_sink_ = &ring_;
+  alert_ring* alert_sink_;
   zone_table table_;
   // networks_[i] -> interned id (duplicate names collapse to the first id).
   std::vector<std::uint16_t> net_ids_;

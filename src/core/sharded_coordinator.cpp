@@ -45,9 +45,9 @@ std::string shard_metric(std::size_t index, const char* suffix) {
 
 struct sharded_coordinator::shard {
   shard(geo::zone_grid grid, std::vector<std::string> networks,
-        const coordinator_config& cfg, std::uint64_t seed,
+        const coordinator_config& cfg, std::uint64_t seed, alert_ring& alerts,
         std::size_t queue_capacity, std::size_t index)
-      : coord(std::move(grid), std::move(networks), cfg, seed),
+      : coord(std::move(grid), std::move(networks), cfg, seed, alerts),
         queue(queue_capacity),
         routed_metric(obs::registry::global().get_counter(
             shard_metric(index, obs::names::kShardRoutedSuffix))),
@@ -99,11 +99,11 @@ sharded_coordinator::sharded_coordinator(geo::zone_grid grid,
   const stats::rng_stream seeder(seed);
   for (std::size_t i = 0; i < cfg.num_shards; ++i) {
     const std::uint64_t shard_seed = i == 0 ? seed : seeder.fork(i).seed();
-    shards_.push_back(std::make_unique<shard>(
-        grid, networks, cfg.coordinator, shard_seed, cfg.queue_capacity, i));
     // All shards sequence their alerts through the shared ring -- one total
     // order of alert sequence numbers across the whole coordinator.
-    shards_.back()->coord.redirect_alert_sink(ring_);
+    shards_.push_back(std::make_unique<shard>(grid, networks, cfg.coordinator,
+                                              shard_seed, ring_,
+                                              cfg.queue_capacity, i));
   }
   if (!cfg_.synchronous) {
     workers_.reserve(shards_.size());

@@ -251,7 +251,7 @@ std::string_view line_client::request_view(std::string_view req) {
       // The reply's first line announces how many payload lines follow.
       std::string_view first(rx_.data(), nl);
       if (!first.empty() && first.back() == '\r') first.remove_suffix(1);
-      lines_needed += proto::reply_extra_lines(first);
+      lines_needed += proto::frame_extra_lines(first, proto::frame_side::reply);
     }
     scanned = nl + 1;
     if (lines_found == lines_needed) {
@@ -290,7 +290,8 @@ std::size_t line_client::pipeline(std::string_view block, std::size_t count) {
     }
     const std::string_view first = read_line();
     total += first.size() + 1;
-    const std::size_t extra = proto::reply_extra_lines(first);
+    const std::size_t extra =
+        proto::frame_extra_lines(first, proto::frame_side::reply);
     for (std::size_t j = 0; j < extra; ++j) total += read_line().size() + 1;
   }
   return total;

@@ -5,7 +5,7 @@
 // a persistent connection: send the request (single line or REPORTB/QUERYB
 // frame) plus the terminating newline, then read exactly one reply -- the
 // first line plus however many payload lines its header announces
-// (proto::reply_extra_lines), with the trailing newline stripped so the
+// (proto::frame_extra_lines), with the trailing newline stripped so the
 // returned string is byte-identical to what the in-process
 // proto::coordinator_server::handle() would have returned. That equivalence
 // is what lets the scenario engine and benches swap transports without

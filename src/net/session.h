@@ -1,24 +1,28 @@
 // One TCP session's protocol state machine, decoupled from its socket.
 //
 // A session owns the two byte_rings of one connection and everything the
-// transport must decide *between* the socket and proto::coordinator_server:
-//   * framing -- requests are '\n'-terminated lines, except the REPORTB /
-//     QUERYB frames whose header announces how many payload lines follow;
-//     pump() extracts exactly one complete request at a time, tolerating
-//     partial arrivals (a frame split across any number of reads) and
-//     telnet-style CRLF line endings. On a session negotiated to wire
-//     protocol v3 (or a permissive port), a request whose first byte is the
-//     binary frame magic 0xB3 is cut by its length prefix instead of by
-//     newline scan -- binary and text requests interleave freely, and the
-//     binary reply frames are queued without a line terminator (frames are
-//     self-delimiting);
-//   * HELLO gating -- when the server requires negotiation-first, any
-//     command before a successful HELLO answers "ERR version" and closes
-//     the session (docs/WIRE_PROTOCOL.md, transport rules);
-//   * backpressure -- per the shed policy, QUERY-class or REPORT-class
-//     requests are answered "ERR overload" without dispatching while the
-//     ingest pipeline is saturated, so the event loop never blocks behind
-//     a full report queue;
+// transport must decide *between* the socket and proto::coordinator_server.
+// Two framers cut requests out of the read ring, then one admission step
+// answers them:
+//   * framing -- the line framer cuts '\n'-terminated lines, except the
+//     REPORTB / QUERYB frames whose header announces how many payload lines
+//     follow (proto::frame_extra_lines), tolerating partial arrivals (a
+//     frame split across any number of reads) and telnet-style CRLF line
+//     endings. On a session negotiated to wire protocol v3 (or a permissive
+//     port), a request whose first byte is the binary frame magic 0xB3 goes
+//     to the length-prefix framer instead -- binary and text requests
+//     interleave freely. Either framer wraps its cut in a
+//     proto::request_view, which classifies the request once;
+//   * admission -- HELLO gating first: when the server requires
+//     negotiation-first, any command before a successful HELLO answers
+//     "ERR version" and closes the session (docs/WIRE_PROTOCOL.md,
+//     transport rules). Then backpressure: per the shed policy, QUERY-class
+//     or REPORT-class requests are answered "ERR overload" without
+//     dispatching while the ingest pipeline is saturated, so the event loop
+//     never blocks behind a full report queue. Then the handler, and one
+//     reply queue that terminates text replies with '\n' and leaves the
+//     self-delimiting binary frames bare. Every refusal answers in the
+//     request's framing;
 //   * bounded-buffer policy -- a request that outgrows the read ring, or
 //     replies that outgrow the write ring (a slow reader), close the
 //     session with a typed reason the server counts.
@@ -35,7 +39,6 @@
 
 #include "net/byte_ring.h"
 #include "proto/server.h"
-#include "proto/wire_v3.h"
 
 namespace wiscape::net {
 
@@ -58,17 +61,14 @@ enum class close_reason {
   shutdown,         ///< server stopping
 };
 
-/// Shed class of a request type (classify()).
+/// Shed class of a request (classify()).
 enum class request_class { query, report, control };
 
-/// Maps a message-type tag to its shed class: QUERY/QUERYB/ALERTS are
-/// query-class, REPORT/REPORTB are report-class, everything else (CHECKIN,
-/// HELLO, STATS, unknown) is control and never shed.
-request_class classify(std::string_view type) noexcept;
-/// The same for a binary v3 request: query/queryb are query-class,
-/// report/reportb report-class, everything else (the replication opcodes,
-/// and reply opcodes the handler refuses anyway) control.
-request_class classify(proto::v3::opcode op) noexcept;
+/// Maps a request's command to its shed class, in either framing:
+/// QUERY/QUERYB/ALERTS are query-class, REPORT/REPORTB are report-class,
+/// everything else (CHECKIN, HELLO, STATS, the replication opcodes, and
+/// requests the handler refuses anyway) is control and never shed.
+request_class classify(proto::command cmd) noexcept;
 
 /// Per-session buffer caps and protocol gates (server_config embeds one).
 struct session_limits {
@@ -145,20 +145,32 @@ class session {
   }
 
  private:
-  /// Appends `reply` + '\n' to out(); false = write ring overflow.
-  bool queue_reply(std::string_view reply);
-  /// Appends a self-delimiting binary reply frame (no '\n') to out();
-  /// false = write ring overflow.
-  bool queue_reply_frame(std::string_view frame);
-  /// Handles one complete request of `len` bytes (including the final
-  /// newline) sitting at the front of in(). Returns false to disconnect.
-  bool dispatch(std::size_t len, const shed_state& shed, pump_stats& stats);
-  /// The binary framing path: cuts/validates/dispatches v3 frames at the
-  /// front of in(). Sets `*progressed` when one complete frame was handled
-  /// (the pump loop re-enters for whatever follows). Returns false to
-  /// disconnect.
-  bool pump_binary(const shed_state& shed, pump_stats& stats,
-                   bool* progressed);
+  /// Appends one reply to out() -- a text reply plus its '\n', a binary
+  /// frame bare. false = write ring overflow (closes as slow_reader).
+  bool queue_reply(proto::request_view::kind framing, std::string_view reply);
+  /// Queues a final ERR in `framing` and records `why`; always false (the
+  /// caller disconnects).
+  bool refuse(proto::request_view::kind framing, proto::err_code code,
+              std::string_view detail, close_reason why);
+  /// The admission step both framers share: HELLO gate, shed decision,
+  /// handler, reply. Returns false to disconnect.
+  bool admit(proto::request_view req, const shed_state& shed,
+             pump_stats& stats);
+  /// The length-prefix framer: sets `*len` to the size of the complete v3
+  /// frame at the front of in(), or 0 while it is still arriving. Returns
+  /// false (after refusing) to disconnect.
+  bool cut_frame(std::size_t* len);
+  /// The line framer: sets `*len` to the size of the complete request at
+  /// the front of in() -- its final newline included -- or 0 while it is
+  /// still arriving. Returns false (after refusing) to disconnect.
+  bool cut_lines(std::size_t* len);
+  /// REPORT lines in the run opening with the `*len`-byte request at the
+  /// front of in(), extending `*len` to the run's end when it is >= 2 (the
+  /// run handle_report_group answers). 1 = no run.
+  std::size_t report_run(std::size_t* len, const shed_state& shed) const;
+  /// Answers a REPORT run through handle_report_group. false = disconnect.
+  bool admit_report_group(std::size_t len, std::size_t count,
+                          pump_stats& stats);
 
   byte_ring in_;
   byte_ring out_;

@@ -280,35 +280,44 @@ void encode_error_into(err_code code, std::string_view detail,
   }
 }
 
-std::size_t reply_extra_lines(std::string_view header_line) noexcept {
+std::size_t frame_extra_lines(std::string_view header_line,
+                              frame_side side) noexcept {
+  struct frame_tag {
+    std::string_view tag;
+    frame_side side;
+    std::size_t cap;
+  };
+  // STATS frames enumerate registered metrics: bounded in practice but not
+  // by a protocol constant, so they get a generous fixed ceiling.
+  static constexpr frame_tag frames[] = {
+      {"REPORTB", frame_side::request, max_report_batch},
+      {"QUERYB", frame_side::request, max_query_batch},
+      {"ESTB", frame_side::reply, max_query_batch},
+      {"ALERTS", frame_side::reply, max_alert_batch},
+      {"STATS", frame_side::reply, 65536}};
   const std::size_t sp = header_line.find_first_of(" \t\r\n");
-  const std::string_view tag =
-      sp == std::string_view::npos ? header_line : header_line.substr(0, sp);
-  std::size_t cap = 0;
-  if (tag == "ESTB") {
-    cap = max_query_batch;
-  } else if (tag == "ALERTS") {
-    cap = max_alert_batch;
-  } else if (tag == "STATS") {
-    // STATS frames enumerate registered metrics; bounded in practice but not
-    // by a protocol constant. Use a generous fixed ceiling.
-    cap = 65536;
-  } else {
-    return 0;  // single-line reply (TASK, IDLE, ACK, EST, NONE, HELLO, ERR)
+  const std::string_view tag = header_line.substr(0, sp);
+  const frame_tag* frame = nullptr;
+  for (const frame_tag& f : frames) {
+    if (f.side == side && f.tag == tag) frame = &f;
   }
-  if (sp == std::string_view::npos) return 0;
+  if (frame == nullptr) return 0;
+  const bool request = side == frame_side::request;
+  const std::size_t bad = request ? bad_frame_count : 0;
+  if (sp == std::string_view::npos) return bad;
   const std::string_view rest = header_line.substr(sp + 1);
   const std::size_t start = rest.find_first_not_of(" \t");
-  if (start == std::string_view::npos) return 0;
+  if (start == std::string_view::npos) return bad;
   std::size_t end = start;
   while (end < rest.size() && rest[end] >= '0' && rest[end] <= '9') ++end;
-  if (end == start) return 0;
   std::size_t n = 0;
-  if (std::from_chars(rest.data() + start, rest.data() + end, n).ec !=
-      std::errc{}) {
-    return 0;
+  if (end == start ||
+      std::from_chars(rest.data() + start, rest.data() + end, n).ec !=
+          std::errc{}) {
+    return bad;
   }
-  return std::min(n, cap);
+  if (n <= frame->cap) return n;
+  return request ? bad_frame_count : frame->cap;
 }
 
 std::string_view message_type(std::string_view line) {

@@ -346,15 +346,29 @@ void encode_error_into(err_code code, std::string_view detail,
 /// an ellipsis, so a multi-megabyte garbage line is never echoed verbatim.
 std::string error_excerpt(std::string_view s, std::size_t max_len = 120);
 
-/// How many payload lines follow a reply's first line on a stream
-/// transport. Single-line replies (TASK, IDLE, ACK, EST, NONE, HELLO, ERR)
-/// answer 0; the self-describing multi-line frames answer their header
-/// count: "ESTB <n>" and "STATS <n>" -> n, "ALERTS <n> next=..." -> n.
-/// A malformed or hostile header answers 0 (the caller's read loop then
-/// resynchronises on the next reply; counts are clamped to the frame caps
-/// above). Pure, zero-allocation: blocking clients use this to know when a
-/// reply is complete without protocol-specific read loops.
-std::size_t reply_extra_lines(std::string_view header_line) noexcept;
+/// Which side of an exchange a text frame header is read on.
+enum class frame_side : std::uint8_t {
+  request,  ///< REPORTB / QUERYB, read by the server's session
+  reply,    ///< ESTB / ALERTS / STATS, read by a blocking client
+};
+
+/// frame_extra_lines' answer for a request header with a bad count.
+inline constexpr std::size_t bad_frame_count = static_cast<std::size_t>(-1);
+
+/// How many payload lines follow a text frame's first line on a stream
+/// transport: the one "<TAG> <count>" rule both sides frame by. Lines
+/// whose tag opens no multi-line frame on `side` answer 0.
+///   request: "REPORTB <n>" and "QUERYB <n>" -> n. A missing or malformed
+///            count, or one above max_report_batch / max_query_batch,
+///            answers bad_frame_count: the session refuses the frame
+///            rather than misread its payload lines as requests.
+///   reply:   "ESTB <n>" and "STATS <n>" -> n, "ALERTS <n> next=..." -> n,
+///            clamped to the frame caps above. A malformed header answers
+///            0 (the caller's read loop resynchronises on the next reply).
+/// Trailing bytes after the count are the decoder's business. Pure,
+/// zero-allocation.
+std::size_t frame_extra_lines(std::string_view header_line,
+                              frame_side side) noexcept;
 
 /// The message type tag at the start of a line ("CHECKIN", "TASK", "REPORT",
 /// "REPORTB", "IDLE", "ACK", "ERR", "STATS", "QUERY", "QUERYB", "EST",

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "core/fault_injection.h"
 #include "obs/names.h"
@@ -148,7 +150,9 @@ void coordinator_server::resolve_network_ids(
   }
 }
 
-void coordinator_server::count_error(err_code code) {
+void coordinator_server::answer_error(err_code code, std::string_view detail,
+                                      request_view::kind framing,
+                                      reply_buffer& out) {
   auto& m = metrics();
   switch (code) {
     case err_code::parse:
@@ -174,6 +178,49 @@ void coordinator_server::count_error(err_code code) {
       break;
   }
   errors_.fetch_add(1, std::memory_order_relaxed);
+  encode_error_into(code, detail, framing, out);
+}
+
+void encode_error_into(err_code code, std::string_view detail,
+                       request_view::kind framing, reply_buffer& out) {
+  if (framing == request_view::kind::binary) {
+    v3::encode_error_frame(code, detail, out);
+  } else {
+    encode_error_into(code, detail, out);
+  }
+}
+
+request_view request_view::text(std::string_view line) noexcept {
+  static constexpr std::pair<std::string_view, proto::command> requests[] = {
+      {"CHECKIN", command::checkin}, {"REPORT", command::report},
+      {"REPORTB", command::reportb}, {"QUERY", command::query},
+      {"QUERYB", command::queryb},   {"ALERTS", command::alerts},
+      {"HELLO", command::hello},     {"STATS", command::stats}};
+  const std::string_view type = message_type(line);
+  for (const auto& [tag, cmd] : requests) {
+    if (type == tag) return {kind::text, cmd, line};
+  }
+  return {kind::text, command::unknown, line};
+}
+
+request_view request_view::binary(std::string_view frame) noexcept {
+  // Indexed by opcode byte; peek_header admits only defined opcodes.
+  static constexpr proto::command by_opcode[] = {
+      command::bad_envelope,                         // 0: no such opcode
+      command::report,       command::reportb,       // 1-2
+      command::query,        command::queryb,        // 3-4
+      command::reply_opcode, command::reply_opcode,  // 5-6: ack, est
+      command::reply_opcode, command::reply_opcode,  // 7-8: estb, err
+      command::epoch,        command::epochb,        // 9-10
+      command::snapshot_req, command::reply_opcode,  // 11-12: snapshot_chunk
+      command::promote};                             // 13
+  static_assert(std::size(by_opcode) ==
+                static_cast<std::size_t>(v3::opcode::promote) + 1);
+  const auto hdr = v3::peek_header(frame);
+  if (!hdr || frame.size() != v3::frame_header_bytes + hdr->payload_len) {
+    return {kind::binary, command::bad_envelope, frame};
+  }
+  return {kind::binary, by_opcode[static_cast<std::uint8_t>(hdr->op)], frame};
 }
 
 request_view request_view::detect(std::string_view data) noexcept {
@@ -181,191 +228,25 @@ request_view request_view::detect(std::string_view data) noexcept {
 }
 
 void coordinator_server::handle(request_view req, reply_buffer& out) {
-  if (req.framing() == request_view::kind::binary) {
-    handle_frame_into(req.bytes(), out);
-  } else {
-    handle_text_into(req.bytes(), out);
-  }
-}
-
-void coordinator_server::handle_text_into(std::string_view line,
-                                          reply_buffer& out) {
+  auto& m = metrics();
   const std::size_t base = out.size();
-  metrics().lines.inc();
-  const std::string_view type = message_type(line);
-  // Every ERR reply carries a stable machine-readable code; counting happens
-  // here so the per-reason counters cannot drift from the wire. A partially
-  // rendered reply (a QUERYB frame that ERRs mid-payload) is truncated back
-  // to `base` first -- ERR replaces, never appends.
-  const auto fail = [this, &out, base](err_code code, std::string_view detail) {
-    count_error(code);
+  const request_view::kind framing = req.framing();
+  const bool binary = framing == request_view::kind::binary;
+  const std::string_view bytes = req.bytes();
+  m.lines.inc();
+  if (binary) m.binary_frames.inc();
+  // ERR replaces, never appends: a partially rendered reply (a QUERYB
+  // frame that ERRs mid-payload) is truncated back to `base` first.
+  const auto fail = [&](err_code code, std::string_view detail) {
     out.truncate(base);
-    encode_error_into(code, detail, out);
+    answer_error(code, detail, framing, out);
   };
   // Scenario seam: an injected fault refuses the request before dispatch,
   // answering the typed ERR a dying transport/overloaded server would --
   // clients and accounting exercise the real rejection path. Whole-request
-  // granularity keeps REPORTB frames all-or-nothing. One relaxed load when
-  // no hook is installed.
-  if (core::fault::fire(core::fault::site::server_handle) ==
-      core::fault::action::fail) {
-    metrics().faults_injected.inc();
-    fail(err_code::internal, "injected fault: request refused");
-    metrics().reply_bytes.inc(out.size() - base);
-    return;
-  }
-  try {
-    if (type == "CHECKIN") {
-      obs::span timed(metrics().checkin_latency);
-      const auto req = decode_checkin(line);
-      const auto task =
-          coordinator_->checkin(req.pos, req.time_s, req.network_index,
-                                req.active_in_zone, req.client_id);
-      metrics().checkins.inc();
-      if (!task) {
-        out.append("IDLE");
-      } else {
-        tasks_.fetch_add(1, std::memory_order_relaxed);
-        task_assignment rep;
-        rep.kind = task->kind;
-        rep.network_index = static_cast<std::uint32_t>(task->network_index);
-        encode_into(rep, out);
-      }
-    } else if (type == "REPORT") {
-      obs::span timed(metrics().report_latency);
-      auto rep = decode_report(line);
-      resolve_network_ids({&rep.record, 1});
-      if (!coordinator_->report(rep.record)) {
-        fail(err_code::stopped, "ingestion pipeline stopped");
-      } else {
-        reports_.fetch_add(1, std::memory_order_relaxed);
-        metrics().reports.inc();
-        out.append("ACK");
-      }
-    } else if (type == "REPORTB") {
-      obs::span timed(metrics().batch_latency);
-      auto& recs = out.records_scratch_;
-      decode_report_batch_into(line, recs);
-      resolve_network_ids(recs);
-      // The pipeline takes the decoded vector itself (no copy) and leaves
-      // recs empty, so count first.
-      const std::size_t n = recs.size();
-      if (coordinator_->report_owned(recs, out.routes_scratch_) != n) {
-        fail(err_code::stopped, "ingestion pipeline stopped");
-      } else {
-        reports_.fetch_add(n, std::memory_order_relaxed);
-        metrics().reports.inc(n);
-        metrics().report_batches.inc();
-        out.append("ACK ");
-        out.append_u64(n);
-      }
-    } else if (type == "QUERY") {
-      obs::span timed(metrics().query_latency);
-      const auto q = decode_query(line);
-      metrics().queries.inc();
-      encode_into(lookup_all({&q, 1}, out)[0], q.network, out);
-    } else if (type == "QUERYB") {
-      obs::span timed(metrics().query_batch_latency);
-      auto& queries = out.queries_scratch_;
-      decode_query_batch_into(line, queries);
-      const auto lookups = lookup_all(queries, out);
-      out.append("ESTB ");
-      out.append_u64(queries.size());
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        out.append('\n');
-        encode_into(lookups[i], queries[i].network, out);
-      }
-      metrics().queries.inc(queries.size());
-      metrics().query_batches.inc();
-    } else if (type == "ALERTS") {
-      obs::span timed(metrics().alerts_latency);
-      const auto req = decode_alerts_request(line);
-      const auto drained = view_.alerts_since(
-          req.since, std::min<std::size_t>(req.max, max_alert_batch));
-      alerts_reply rep;
-      rep.alerts.reserve(drained.alerts.size());
-      for (const auto& a : drained.alerts) {
-        alert_event ev;
-        ev.seq = a.seq;
-        ev.zone = a.alert.key.zone;
-        ev.network = a.alert.key.network;
-        ev.metric = a.alert.key.metric;
-        ev.epoch_start_s = a.alert.epoch_start_s;
-        ev.previous_mean = a.alert.previous_mean;
-        ev.new_mean = a.alert.new_mean;
-        ev.previous_stddev = a.alert.previous_stddev;
-        rep.alerts.push_back(std::move(ev));
-      }
-      rep.next_seq = drained.next_seq;
-      rep.dropped = drained.dropped;
-      metrics().alerts_requests.inc();
-      encode_into(rep, out);
-    } else if (type == "HELLO") {
-      const auto req = decode_hello(line);
-      if (req.version < wire_min_version) {
-        fail(err_code::version, "client version below supported minimum");
-      } else {
-        metrics().hellos.inc();
-        hello_reply rep;
-        rep.version = std::min(req.version, opts_.advertised_version);
-        rep.min_version = wire_min_version;
-        encode_into(rep, out);
-      }
-    } else if (type == "STATS") {
-      metrics().stats_requests.inc();
-      encode_stats_into(out);
-    } else {
-      // Compose "unsupported request: '<clipped line>'" on the stack
-      // (22-byte prefix + a 120-byte excerpt + "..." + quote fits in 160);
-      // encode_error_into applies the final 120-byte detail clip, matching
-      // the historical error_excerpt composition byte-for-byte.
-      char detail[160];
-      std::size_t len = 0;
-      const auto put = [&detail, &len](std::string_view s) {
-        const std::size_t k = std::min(s.size(), sizeof detail - len);
-        std::memcpy(detail + len, s.data(), k);
-        len += k;
-      };
-      put("unsupported request: '");
-      if (line.size() <= 120) {
-        put(line);
-      } else {
-        put(line.substr(0, 120));
-        put("...");
-      }
-      put("'");
-      fail(err_code::unsupported, {detail, len});
-    }
-  } catch (const std::invalid_argument& e) {
-    // The line protocol promises a reply per request; malformed input is a
-    // client bug the server reports, not a server crash.
-    fail(err_code::parse, e.what());
-  } catch (const std::exception& e) {
-    // Defense in depth: nothing below is expected to throw anything else on
-    // wire input (the coordinator rejects bad records instead), but if it
-    // does, answer ERR rather than letting the throw escape the protocol
-    // layer and take down the transport.
-    fail(err_code::internal, e.what());
-  }
-  metrics().reply_bytes.inc(out.size() - base);
-}
-
-void coordinator_server::handle_frame_into(std::string_view frame,
-                                           reply_buffer& out) {
-  const std::size_t base = out.size();
-  auto& m = metrics();
-  m.lines.inc();
-  m.binary_frames.inc();
-  // The binary twin of handle_text_into's fail lambda: same counting, same
-  // replace-never-append discipline, but the reply is an err frame.
-  const auto fail = [this, &out, base](err_code code, std::string_view detail) {
-    count_error(code);
-    out.truncate(base);
-    v3::encode_error_frame(code, detail, out);
-  };
-  // The same scenario seam as the text path: whole-frame granularity keeps
-  // binary REPORTB all-or-nothing, and fault ordinals stay comparable
-  // across framings.
+  // granularity keeps REPORTB frames all-or-nothing, and fault ordinals
+  // stay comparable across framings. One relaxed load when no hook is
+  // installed.
   if (core::fault::fire(core::fault::site::server_handle) ==
       core::fault::action::fail) {
     m.faults_injected.inc();
@@ -374,146 +255,261 @@ void coordinator_server::handle_frame_into(std::string_view frame,
     return;
   }
   try {
-    const auto hdr = v3::peek_header(frame);
-    if (!hdr || frame.size() != v3::frame_header_bytes + hdr->payload_len) {
-      fail(err_code::parse, "malformed binary frame envelope");
-    } else {
-      switch (hdr->op) {
-        case v3::opcode::report: {
-          obs::span timed(m.report_latency);
-          auto rep = v3::decode_report_frame(frame);
-          resolve_network_ids({&rep.record, 1});
-          if (!coordinator_->report(rep.record)) {
-            fail(err_code::stopped, "ingestion pipeline stopped");
-          } else {
-            reports_.fetch_add(1, std::memory_order_relaxed);
-            m.reports.inc();
-            v3::encode_ack_frame(out);
-          }
+    switch (req.command()) {
+      case command::checkin: {
+        obs::span timed(m.checkin_latency);
+        const auto chk = decode_checkin(bytes);
+        const auto task =
+            coordinator_->checkin(chk.pos, chk.time_s, chk.network_index,
+                                  chk.active_in_zone, chk.client_id);
+        m.checkins.inc();
+        if (!task) {
+          out.append("IDLE");
+        } else {
+          tasks_.fetch_add(1, std::memory_order_relaxed);
+          task_assignment rep;
+          rep.kind = task->kind;
+          rep.network_index = static_cast<std::uint32_t>(task->network_index);
+          encode_into(rep, out);
+        }
+        break;
+      }
+      case command::report: {
+        obs::span timed(m.report_latency);
+        auto rep = binary ? v3::decode_report_frame(bytes)
+                          : decode_report(bytes);
+        resolve_network_ids({&rep.record, 1});
+        if (!coordinator_->report(rep.record)) {
+          fail(err_code::stopped, "ingestion pipeline stopped");
           break;
         }
-        case v3::opcode::reportb: {
-          obs::span timed(m.batch_latency);
-          auto& recs = out.records_scratch_;
-          v3::decode_report_batch_frame_into(frame, recs);
-          resolve_network_ids(recs);
-          const std::size_t n = recs.size();
-          if (coordinator_->report_owned(recs, out.routes_scratch_) != n) {
-            fail(err_code::stopped, "ingestion pipeline stopped");
-          } else {
-            reports_.fetch_add(n, std::memory_order_relaxed);
-            m.reports.inc(n);
-            m.report_batches.inc();
-            v3::encode_ack_frame(n, out);
-          }
+        reports_.fetch_add(1, std::memory_order_relaxed);
+        m.reports.inc();
+        if (binary) {
+          v3::encode_ack_frame(out);
+        } else {
+          out.append("ACK");
+        }
+        break;
+      }
+      case command::reportb: {
+        obs::span timed(m.batch_latency);
+        auto& recs = out.records_scratch_;
+        if (binary) {
+          v3::decode_report_batch_frame_into(bytes, recs);
+        } else {
+          decode_report_batch_into(bytes, recs);
+        }
+        resolve_network_ids(recs);
+        // The pipeline takes the decoded vector itself (no copy) and leaves
+        // recs empty, so count first.
+        const std::size_t n = recs.size();
+        if (coordinator_->report_owned(recs, out.routes_scratch_) != n) {
+          fail(err_code::stopped, "ingestion pipeline stopped");
           break;
         }
-        case v3::opcode::query: {
-          obs::span timed(m.query_latency);
-          const auto q = v3::decode_query_frame(frame);
-          m.queries.inc();
-          v3::encode_estimate_frame(lookup_all({&q, 1}, out)[0], q.network,
-                                    out);
-          break;
+        reports_.fetch_add(n, std::memory_order_relaxed);
+        m.reports.inc(n);
+        m.report_batches.inc();
+        if (binary) {
+          v3::encode_ack_frame(n, out);
+        } else {
+          out.append("ACK ");
+          out.append_u64(n);
         }
-        case v3::opcode::queryb: {
-          obs::span timed(m.query_batch_latency);
-          auto& queries = out.queries_scratch_;
-          v3::decode_query_batch_frame_into(frame, queries);
-          const auto lookups = lookup_all(queries, out);
+        break;
+      }
+      case command::query: {
+        obs::span timed(m.query_latency);
+        const auto q =
+            binary ? v3::decode_query_frame(bytes) : decode_query(bytes);
+        m.queries.inc();
+        const core::stream_lookup& l = lookup_all({&q, 1}, out)[0];
+        if (binary) {
+          v3::encode_estimate_frame(l, q.network, out);
+        } else {
+          encode_into(l, q.network, out);
+        }
+        break;
+      }
+      case command::queryb: {
+        obs::span timed(m.query_batch_latency);
+        auto& queries = out.queries_scratch_;
+        if (binary) {
+          v3::decode_query_batch_frame_into(bytes, queries);
+        } else {
+          decode_query_batch_into(bytes, queries);
+        }
+        const auto lookups = lookup_all(queries, out);
+        if (binary) {
           v3::estimate_batch_builder estb(
               static_cast<std::uint32_t>(queries.size()), out);
           for (std::size_t i = 0; i < queries.size(); ++i) {
             estb.add(lookups[i], queries[i].network);
           }
           estb.finish();
-          m.queries.inc(queries.size());
-          m.query_batches.inc();
+        } else {
+          out.append("ESTB ");
+          out.append_u64(queries.size());
+          for (std::size_t i = 0; i < queries.size(); ++i) {
+            out.append('\n');
+            encode_into(lookups[i], queries[i].network, out);
+          }
+        }
+        m.queries.inc(queries.size());
+        m.query_batches.inc();
+        break;
+      }
+      case command::alerts: {
+        obs::span timed(m.alerts_latency);
+        const auto ask = decode_alerts_request(bytes);
+        const auto drained = view_.alerts_since(
+            ask.since, std::min<std::size_t>(ask.max, max_alert_batch));
+        alerts_reply rep;
+        rep.alerts.reserve(drained.alerts.size());
+        for (const auto& a : drained.alerts) {
+          alert_event ev;
+          ev.seq = a.seq;
+          ev.zone = a.alert.key.zone;
+          ev.network = a.alert.key.network;
+          ev.metric = a.alert.key.metric;
+          ev.epoch_start_s = a.alert.epoch_start_s;
+          ev.previous_mean = a.alert.previous_mean;
+          ev.new_mean = a.alert.new_mean;
+          ev.previous_stddev = a.alert.previous_stddev;
+          rep.alerts.push_back(std::move(ev));
+        }
+        rep.next_seq = drained.next_seq;
+        rep.dropped = drained.dropped;
+        m.alerts_requests.inc();
+        encode_into(rep, out);
+        break;
+      }
+      case command::hello: {
+        const auto hello = decode_hello(bytes);
+        if (hello.version < wire_min_version) {
+          fail(err_code::version, "client version below supported minimum");
           break;
         }
-        case v3::opcode::epoch: {
-          // Replication pull: serve log records after the follower's
-          // sequence cursor. Decode-before-dispatch keeps the error
-          // classes honest (a malformed pull is parse, not unsupported).
-          const auto pull = v3::decode_epoch_pull_frame(frame);
-          if (repl_ == nullptr) {
-            fail(err_code::unsupported, "replication not attached");
-            break;
-          }
-          auto& updates = out.epochs_scratch_;
-          updates.clear();
-          const auto max = static_cast<std::uint32_t>(
-              std::min<std::uint64_t>(pull.max_records, v3::max_epoch_batch));
-          if (!repl_->pull(pull.since_seq, max, updates)) {
-            fail(err_code::stopped,
-                 "log truncated below requested seq; snapshot required");
-          } else {
-            v3::encode_epoch_batch_frame(updates, out);
-          }
+        m.hellos.inc();
+        hello_reply rep;
+        rep.version = std::min(hello.version, opts_.advertised_version);
+        rep.min_version = wire_min_version;
+        encode_into(rep, out);
+        break;
+      }
+      case command::stats:
+        m.stats_requests.inc();
+        encode_stats_into(out);
+        break;
+      case command::epoch: {
+        // Replication pull: serve log records after the follower's
+        // sequence cursor. Decode-before-dispatch keeps the error classes
+        // honest (a malformed pull is parse, not unsupported).
+        const auto pull = v3::decode_epoch_pull_frame(bytes);
+        if (repl_ == nullptr) {
+          fail(err_code::unsupported, "replication not attached");
           break;
         }
-        case v3::opcode::epochb: {
-          // An EPOCHB arriving as a request is a follower-apply: the
-          // leader->follower stream pushes the same bytes a pull returns.
-          auto& updates = out.epochs_scratch_;
-          v3::decode_epoch_batch_frame_into(frame, updates);
-          if (repl_ == nullptr) {
-            fail(err_code::unsupported, "replication not attached");
-          } else {
-            v3::encode_ack_frame(repl_->apply(updates), out);
-          }
+        auto& updates = out.epochs_scratch_;
+        updates.clear();
+        const auto max = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(pull.max_records, v3::max_epoch_batch));
+        if (!repl_->pull(pull.since_seq, max, updates)) {
+          fail(err_code::stopped,
+               "log truncated below requested seq; snapshot required");
+        } else {
+          v3::encode_epoch_batch_frame(updates, out);
+        }
+        break;
+      }
+      case command::epochb: {
+        // An EPOCHB arriving as a request is a follower-apply: the
+        // leader->follower stream pushes the same bytes a pull returns.
+        auto& updates = out.epochs_scratch_;
+        v3::decode_epoch_batch_frame_into(bytes, updates);
+        if (repl_ == nullptr) {
+          fail(err_code::unsupported, "replication not attached");
+        } else {
+          v3::encode_ack_frame(repl_->apply(updates), out);
+        }
+        break;
+      }
+      case command::snapshot_req: {
+        const std::uint64_t offset = v3::decode_snapshot_req_frame(bytes);
+        if (repl_ == nullptr) {
+          fail(err_code::unsupported, "replication not attached");
           break;
         }
-        case v3::opcode::snapshot_req: {
-          const std::uint64_t offset = v3::decode_snapshot_req_frame(frame);
-          if (repl_ == nullptr) {
-            fail(err_code::unsupported, "replication not attached");
-            break;
-          }
-          // Chunk staging allocates (snapshot bytes are cold-path by
-          // definition: catch-up happens once per join, not per request).
-          std::string data;
-          std::uint64_t total = 0;
-          bool last = false;
-          if (!repl_->snapshot(offset, data, total, last)) {
-            fail(err_code::parse, "snapshot offset beyond end");
-          } else {
-            v3::encode_snapshot_chunk_frame(offset, total, last, data, out);
-          }
-          break;
+        // Chunk staging allocates (snapshot bytes are cold-path by
+        // definition: catch-up happens once per join, not per request).
+        std::string data;
+        std::uint64_t total = 0;
+        bool last = false;
+        if (!repl_->snapshot(offset, data, total, last)) {
+          fail(err_code::parse, "snapshot offset beyond end");
+        } else {
+          v3::encode_snapshot_chunk_frame(offset, total, last, data, out);
         }
-        case v3::opcode::promote: {
-          v3::decode_promote_frame(frame);
-          if (repl_ == nullptr) {
-            fail(err_code::unsupported, "replication not attached");
-          } else if (!repl_->promote()) {
-            fail(err_code::unsupported, "promotion refused");
-          } else {
-            v3::encode_ack_frame(out);
-          }
-          break;
+        break;
+      }
+      case command::promote:
+        v3::decode_promote_frame(bytes);
+        if (repl_ == nullptr) {
+          fail(err_code::unsupported, "replication not attached");
+        } else if (!repl_->promote()) {
+          fail(err_code::unsupported, "promotion refused");
+        } else {
+          v3::encode_ack_frame(out);
         }
-        case v3::opcode::ack:
-        case v3::opcode::est:
-        case v3::opcode::estb:
-        case v3::opcode::err:
-        case v3::opcode::snapshot_chunk: {
-          // Reply opcodes arriving as requests: the binary analogue of a
-          // client sending "EST ..." -- syntactically valid, not a request.
-          char detail[64];
-          const int len =
-              std::snprintf(detail, sizeof detail,
-                            "reply opcode '%s' is not a request",
-                            v3::opcode_name(hdr->op));
-          fail(err_code::unsupported,
-               {detail, len > 0 ? static_cast<std::size_t>(len) : 0});
-          break;
+        break;
+      case command::reply_opcode: {
+        // The binary analogue of a client sending "EST ...": a valid frame,
+        // but not a request.
+        char detail[64];
+        const int len = std::snprintf(
+            detail, sizeof detail, "reply opcode '%s' is not a request",
+            v3::opcode_name(v3::peek_header(bytes)->op));
+        fail(err_code::unsupported,
+             {detail, len > 0 ? static_cast<std::size_t>(len) : 0});
+        break;
+      }
+      case command::bad_envelope:
+        fail(err_code::parse, "malformed binary frame envelope");
+        break;
+      case command::unknown: {
+        // Compose "unsupported request: '<clipped line>'" on the stack
+        // (22-byte prefix + a 120-byte excerpt + "..." + quote fits in
+        // 160); the ERR encoder applies the final 120-byte detail clip,
+        // matching the historical error_excerpt composition byte-for-byte.
+        char detail[160];
+        std::size_t len = 0;
+        const auto put = [&detail, &len](std::string_view s) {
+          const std::size_t k = std::min(s.size(), sizeof detail - len);
+          std::memcpy(detail + len, s.data(), k);
+          len += k;
+        };
+        put("unsupported request: '");
+        if (bytes.size() <= 120) {
+          put(bytes);
+        } else {
+          put(bytes.substr(0, 120));
+          put("...");
         }
+        put("'");
+        fail(err_code::unsupported, {detail, len});
+        break;
       }
     }
   } catch (const std::invalid_argument& e) {
+    // The protocol promises a reply per request; malformed input is a
+    // client bug the server reports, not a server crash.
     fail(err_code::parse, e.what());
   } catch (const std::exception& e) {
+    // Defense in depth: nothing below is expected to throw anything else on
+    // wire input (the coordinator rejects bad records instead), but if it
+    // does, answer ERR rather than letting the throw escape the protocol
+    // layer and take down the transport.
     fail(err_code::internal, e.what());
   }
   m.reply_bytes.inc(out.size() - base);
@@ -533,11 +529,10 @@ void coordinator_server::handle_report_group(std::string_view block,
   status.clear();
   errs.clear();
   // Per-line status so replies stay positional: 0 = decoded ok, 1 = parse
-  // error, 2 = injected fault, 3 = unexpected exception. Error strings for
-  // 1/3 are queued in line order (cold path; a clean group never touches
-  // them).
-  constexpr std::uint8_t st_ok = 0, st_parse = 1, st_fault = 2,
-                         st_internal = 3;
+  // error, 2 = internal error (an injected fault or an unexpected
+  // exception). Error details are queued in line order (cold path; a clean
+  // group never touches them).
+  constexpr std::uint8_t st_ok = 0, st_parse = 1, st_internal = 2;
   std::size_t pos = 0;
   for (std::size_t i = 0; i < count; ++i) {
     m.lines.inc();
@@ -552,7 +547,8 @@ void coordinator_server::handle_report_group(std::string_view block,
     if (core::fault::fire(core::fault::site::server_handle) ==
         core::fault::action::fail) {
       m.faults_injected.inc();
-      status.push_back(st_fault);
+      errs.emplace_back("injected fault: request refused");
+      status.push_back(st_internal);
       continue;
     }
     try {
@@ -585,18 +581,11 @@ void coordinator_server::handle_report_group(std::string_view block,
       out.append("ACK");
       ++n_ok;
     } else if (st == st_ok) {
-      count_error(err_code::stopped);
-      encode_error_into(err_code::stopped, "ingestion pipeline stopped", out);
-    } else if (st == st_parse) {
-      count_error(err_code::parse);
-      encode_error_into(err_code::parse, errs[err_i++], out);
-    } else if (st == st_fault) {
-      count_error(err_code::internal);
-      encode_error_into(err_code::internal, "injected fault: request refused",
-                        out);
+      answer_error(err_code::stopped, "ingestion pipeline stopped",
+                   request_view::kind::text, out);
     } else {
-      count_error(err_code::internal);
-      encode_error_into(err_code::internal, errs[err_i++], out);
+      answer_error(st == st_parse ? err_code::parse : err_code::internal,
+                   errs[err_i++], request_view::kind::text, out);
     }
     reply_bytes += out.size() - before;
     out.append('\n');

@@ -5,7 +5,9 @@
 // v3 binary frame, wrapped in a request_view (from a socket, a message
 // queue, a file of replayed traffic -- the transport is the caller's
 // business) -- to its one entry point, handle(request_view, reply_buffer&),
-// and it answers: CHECKIN/REPORT/REPORTB on the write side,
+// and it answers. The view classifies the request once, when it is made;
+// handle() then runs one body per command, whatever the framing:
+// CHECKIN/REPORT/REPORTB on the write side,
 // QUERY/QUERYB/ALERTS/HELLO on the read side (served through
 // core::estimate_view, so queries never take a shard lock), and the v3
 // replication opcodes when a replication_endpoint is attached.
@@ -38,15 +40,39 @@ std::string encode_stats();
 /// server serves STATS through). Thread-safe.
 void encode_stats_into(reply_buffer& out);
 
-/// A borrowed request plus its framing tag: the one argument shape every
-/// request enters coordinator_server::handle() with, whether it arrived as
-/// a protocol v2 text line or a v3 binary frame (ISSUE 10's unified entry
-/// point). Construct with text()/binary() when the transport already knows
-/// the framing (the TCP session's dual framer does), or detect() to apply
-/// the one-byte classification rule: 0xB3 (the v3 frame magic) is outside
-/// ASCII and every text command starts with an uppercase letter, so the
-/// first byte decides unambiguously. Borrows the bytes; nothing is
-/// retained after handle() returns.
+/// What a request asks for: decided once, when its request_view is made,
+/// so neither the transport nor the server classifies a request twice.
+/// The first eight come from text lines (all but CHECKIN, ALERTS, HELLO and
+/// STATS also as v3 frames), the replication opcodes from v3 frames only.
+enum class command : std::uint8_t {
+  checkin,
+  report,
+  reportb,
+  query,
+  queryb,
+  alerts,
+  hello,
+  stats,
+  epoch,
+  epochb,
+  snapshot_req,
+  promote,
+  reply_opcode,  ///< a v3 reply opcode (ack, est, ...) sent as a request
+  bad_envelope,  ///< frame magic, but an undefined opcode or a declared
+                 ///< payload length that disagrees with the bytes
+  unknown,       ///< a text line that opens with no request tag
+};
+
+/// A borrowed request plus its framing tag and command: the one argument
+/// shape every request enters coordinator_server::handle() with, whether
+/// it arrived as a protocol v2 text line or a v3 binary frame. Construct
+/// with text()/binary() when the transport already knows the framing (the
+/// TCP session's two framers do), or detect() to apply the one-byte rule:
+/// 0xB3 (the v3 frame magic) is outside ASCII and every text command starts
+/// with an uppercase letter, so the first byte decides unambiguously.
+/// text() classifies by the line's message_type tag, binary() by the frame
+/// header's opcode after checking the envelope length. Borrows the bytes;
+/// nothing is retained after handle() returns.
 class request_view {
  public:
   enum class kind : std::uint8_t {
@@ -55,27 +81,30 @@ class request_view {
   };
 
   /// Wraps a text line the transport has already classified.
-  static constexpr request_view text(std::string_view line) noexcept {
-    return {kind::text, line};
-  }
+  static request_view text(std::string_view line) noexcept;
   /// Wraps a complete binary frame the transport has already classified.
-  static constexpr request_view binary(std::string_view frame) noexcept {
-    return {kind::binary, frame};
-  }
+  static request_view binary(std::string_view frame) noexcept;
   /// Classifies untagged bytes (replayed traffic, tests) by the first
   /// byte: frame magic -> binary, anything else (including empty) -> text.
   static request_view detect(std::string_view data) noexcept;
 
   kind framing() const noexcept { return kind_; }
+  proto::command command() const noexcept { return command_; }
   std::string_view bytes() const noexcept { return bytes_; }
 
  private:
-  constexpr request_view(kind k, std::string_view b) noexcept
-      : kind_(k), bytes_(b) {}
+  request_view(kind k, proto::command c, std::string_view b) noexcept
+      : kind_(k), command_(c), bytes_(b) {}
 
   kind kind_;
+  proto::command command_;
   std::string_view bytes_;
 };
+
+/// Appends an ERR reply in `framing`: the "ERR <code> <detail>" line
+/// (encode_error_into) or a v3 err frame (v3::encode_error_frame).
+void encode_error_into(err_code code, std::string_view detail,
+                       request_view::kind framing, reply_buffer& out);
 
 /// The replication surface a coordinator_server dispatches the v3
 /// replication opcodes against (ISSUE 10). Implemented by src/repl's
@@ -146,7 +175,9 @@ class coordinator_server {
   /// (text replies carry no trailing newline; binary requests are answered
   /// with one complete binary frame). Every transport and the replication
   /// stream dispatch through this one method; callers holding untagged
-  /// bytes wrap them with request_view::detect().
+  /// bytes wrap them with request_view::detect(). One switch over the
+  /// view's command runs each command's body once; only the codec calls
+  /// (text or v3 decode/encode) depend on the framing.
   ///
   /// A caller that reuses one reply_buffer per connection (clear() between
   /// requests) pays zero heap allocations per request in steady state:
@@ -177,16 +208,14 @@ class coordinator_server {
   ///   malformed -> "ERR <code> <detail>" (stable code token -- see
   ///                err_code; long inputs echoed clipped, never verbatim)
   ///
-  /// Binary requests dispatch on their v3 opcode (proto/wire_v3.h) and are
-  /// answered with a binary reply frame -- ack/est/estb on success, err on
-  /// failure. Like text commands, the in-process handler accepts binary
-  /// frames unconditionally; only the TCP session gates them on the
-  /// negotiated version. Binary REPORTB decode skips number parsing
-  /// entirely and the reply path writes raw IEEE-754 bits, so v3 exchanges
-  /// keep the same zero-allocation steady state with a fraction of the
-  /// per-record cost. The replication opcodes (EPOCH pull, EPOCHB apply,
-  /// SNAPSHOT_REQ, PROMOTE) require an attached replication endpoint and
-  /// answer ERR unsupported ("replication not attached") without one.
+  /// Binary requests carry REPORT/REPORTB/QUERY/QUERYB and the replication
+  /// opcodes (proto/wire_v3.h) and are answered with a binary reply frame
+  /// -- ack/est/estb on success, err on failure. Like text commands, the
+  /// in-process handler accepts binary frames unconditionally; only the TCP
+  /// session gates them on the negotiated version. The replication opcodes
+  /// (EPOCH pull, EPOCHB apply, SNAPSHOT_REQ, PROMOTE) require an attached
+  /// replication endpoint and answer ERR unsupported ("replication not
+  /// attached") without one.
   ///
   /// The request is read as a borrowed view; nothing is retained after
   /// return. Every request is counted into the obs:: metrics registry
@@ -249,18 +278,15 @@ class coordinator_server {
   /// lookups, positional with `queries`, for the caller to encode.
   std::span<const core::stream_lookup> lookup_all(
       std::span<const query_request> queries, reply_buffer& out) const;
-  /// handle()'s text half: dispatches one protocol v2 line.
-  void handle_text_into(std::string_view line, reply_buffer& out);
-  /// handle()'s binary half: dispatches one complete v3 frame on its
-  /// opcode and appends the binary reply frame.
-  void handle_frame_into(std::string_view frame, reply_buffer& out);
   /// Sets every record's network_id from its operator name at the wire
   /// boundary, once per run of equal names, so the apply path skips the
   /// string hash (the coordinator re-validates before trusting it).
   void resolve_network_ids(std::span<trace::measurement_record> recs) const;
-  /// Counts one ERR reply: its per-reason counter and errors(). Every ERR
-  /// the server answers, in either framing, is counted here.
-  void count_error(err_code code);
+  /// Counts one ERR reply -- its per-reason counter and errors() -- and
+  /// appends it to `out` in `framing`. Every ERR the server answers goes
+  /// through here.
+  void answer_error(err_code code, std::string_view detail,
+                    request_view::kind framing, reply_buffer& out);
 
   core::sharded_coordinator* coordinator_;
   core::estimate_view view_;

@@ -499,7 +499,8 @@ TEST(ApplyPathCoordinator, ReportFoldMatchesLegacyAllMetricsWalk) {
   coordinator_config cfg;
   cfg.epochs.default_epoch_s = 120.0;
   cfg.alert_ring_capacity = 2000 * 3;  // every record's metrics could alert
-  coordinator coord(grid, {"NetB", "NetC"}, cfg, 42);
+  alert_ring alerts(cfg.alert_ring_capacity);
+  coordinator coord(grid, {"NetB", "NetC"}, cfg, 42, alerts);
 
   // The seed fold: for each record, walk all six metrics in declaration
   // order and apply those whose kind matches.
@@ -597,7 +598,8 @@ TEST(ApplyPath, NonFiniteAndSaturatedTimestampsTerminate) {
   // And the coordinator boundary rejects non-finite timestamps outright.
   geo::projection proj(cellnet::anchors::madison);
   geo::zone_grid grid(proj, 250.0);
-  coordinator coord(grid, {"NetB"}, {}, 1);
+  alert_ring alerts;
+  coordinator coord(grid, {"NetB"}, {}, 1, alerts);
   obs::counter& rejected =
       obs::registry::global().get_counter(obs::names::kCoordReportsRejected);
   const std::uint64_t rejected0 = rejected.value();

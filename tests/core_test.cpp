@@ -236,15 +236,16 @@ TEST(SamplePlanner, Validation) {
 
 // ------------------------------------------------------------ coordinator ----
 
-coordinator make_coordinator(std::uint64_t seed = 3) {
+coordinator make_coordinator(alert_ring& alerts, std::uint64_t seed = 3) {
   geo::zone_grid grid(geo::projection(here), 250.0);
   coordinator_config cfg;
   cfg.default_samples_per_epoch = 10;
-  return coordinator(std::move(grid), {"NetB", "NetC"}, cfg, seed);
+  return coordinator(std::move(grid), {"NetB", "NetC"}, cfg, seed, alerts);
 }
 
 TEST(Coordinator, IssuesTasksUntilTargetReached) {
-  auto coord = make_coordinator();
+  alert_ring alerts;
+  auto coord = make_coordinator(alerts);
   int issued = 0;
   for (int i = 0; i < 400; ++i) {
     const auto task = coord.checkin(here, 100.0 + i, 0, 1);
@@ -264,12 +265,14 @@ TEST(Coordinator, IssuesTasksUntilTargetReached) {
 
 TEST(Coordinator, SelectionProbabilityScalesWithCrowd) {
   // With many active clients, an individual checkin is rarely tasked.
-  auto coord = make_coordinator();
+  alert_ring alerts;
+  auto coord = make_coordinator(alerts);
   int tasked_alone = 0, tasked_crowded = 0;
   for (int i = 0; i < 200; ++i) {
     if (coord.checkin(here, i, 0, 1)) ++tasked_alone;
   }
-  auto coord2 = make_coordinator(4);
+  alert_ring alerts2;
+  auto coord2 = make_coordinator(alerts2, 4);
   for (int i = 0; i < 200; ++i) {
     if (coord2.checkin(here, i, 0, 1000)) ++tasked_crowded;
   }
@@ -277,7 +280,8 @@ TEST(Coordinator, SelectionProbabilityScalesWithCrowd) {
 }
 
 TEST(Coordinator, ReportRoutesMetricsToTable) {
-  auto coord = make_coordinator();
+  alert_ring alerts;
+  auto coord = make_coordinator(alerts);
   auto rec = testing::make_record(50.0, "NetB", here,
                                   trace::probe_kind::udp_burst, 2e6);
   rec.jitter_s = 0.004;
@@ -296,7 +300,8 @@ TEST(Coordinator, ReportRoutesMetricsToTable) {
 }
 
 TEST(Coordinator, FailedRecordsAreNotFoldedIn) {
-  auto coord = make_coordinator();
+  alert_ring alerts;
+  auto coord = make_coordinator(alerts);
   auto rec = testing::make_record(50.0, "NetB", here,
                                   trace::probe_kind::udp_burst, 2e6);
   rec.success = false;
@@ -312,7 +317,8 @@ TEST(Coordinator, ExtremeCoordinatesRejectedNotThrown) {
   // and the packed store throws on zones outside +/-2^23 cells. The
   // coordinator must reject such records up front -- a throw here would
   // escape an async drain worker and terminate the process.
-  auto coord = make_coordinator();
+  alert_ring alerts;
+  auto coord = make_coordinator(alerts);
   auto hostile = testing::make_record(50.0, "NetB", geo::lat_lon{1e9, -1e9},
                                       trace::probe_kind::udp_burst, 2e6);
   EXPECT_NO_THROW(coord.report(hostile));
@@ -331,7 +337,8 @@ TEST(Coordinator, InternerExhaustionRejectsNewNetworksNotThrows) {
   // free-form strings, so reports naming more than max_networks distinct
   // operators must saturate to rejection, not throw std::length_error
   // through the apply path.
-  auto coord = make_coordinator();  // seeds NetB, NetC
+  alert_ring alerts;
+  auto coord = make_coordinator(alerts);  // seeds NetB, NetC
   EXPECT_NO_THROW({
     for (std::size_t i = 0; i < network_interner::max_networks + 8; ++i) {
       coord.report(testing::make_record(10.0 + static_cast<double>(i),
@@ -350,7 +357,8 @@ TEST(Coordinator, InternerExhaustionRejectsNewNetworksNotThrows) {
 }
 
 TEST(Coordinator, RecomputeEpochsUsesHistory) {
-  auto coord = make_coordinator();
+  alert_ring alerts;
+  auto coord = make_coordinator(alerts);
   // Feed a drifty series so the Allan minimum lands at an interior epoch.
   stats::rng_stream r(9);
   for (int i = 0; i < 2000; ++i) {
@@ -370,7 +378,8 @@ TEST(Coordinator, RecomputeEpochsUsesHistory) {
 }
 
 TEST(Coordinator, RefineSampleTargetUsesPlanner) {
-  auto coord = make_coordinator();
+  alert_ring alerts;
+  auto coord = make_coordinator(alerts);
   stats::rng_stream r(9);
   for (int i = 0; i < 1500; ++i) {
     coord.report(testing::make_record(i * 10.0, "NetB", here,
@@ -386,7 +395,8 @@ TEST(Coordinator, RefineSampleTargetUsesPlanner) {
 }
 
 TEST(Coordinator, UnknownZoneStatusDefaults) {
-  auto coord = make_coordinator();
+  alert_ring alerts;
+  auto coord = make_coordinator(alerts);
   const auto status = coord.status_of(geo::zone_id{999, 999});
   EXPECT_DOUBLE_EQ(status.epoch_duration_s,
                    coord.config().epochs.default_epoch_s);
@@ -667,7 +677,8 @@ TEST(Coordinator, ClientBudgetLimitsTasking) {
   cfg.tcp_task_mb = 1.0;
   cfg.udp_task_mb = 1.0;
   cfg.ping_task_mb = 1.0;
-  coordinator coord(grid, {"NetB"}, cfg, 3);
+  alert_ring alerts;
+  coordinator coord(grid, {"NetB"}, cfg, 3, alerts);
 
   int tasked = 0;
   for (int i = 0; i < 200; ++i) {
@@ -691,7 +702,8 @@ TEST(Coordinator, AnonymousClientsNeverBudgetLimited) {
   cfg.default_samples_per_epoch = 1000;
   cfg.client_daily_budget_mb = 0.5;
   cfg.tcp_task_mb = cfg.udp_task_mb = cfg.ping_task_mb = 1.0;
-  coordinator coord(grid, {"NetB"}, cfg, 3);
+  alert_ring alerts;
+  coordinator coord(grid, {"NetB"}, cfg, 3, alerts);
   int tasked = 0;
   for (int i = 0; i < 50; ++i) {
     if (coord.checkin(here, 1000.0 + i, 0, 1, /*client_id=*/0)) ++tasked;
@@ -705,7 +717,8 @@ TEST(Coordinator, BudgetsTrackedPerClient) {
   cfg.default_samples_per_epoch = 1000;
   cfg.client_daily_budget_mb = 1.5;
   cfg.tcp_task_mb = cfg.udp_task_mb = cfg.ping_task_mb = 1.0;
-  coordinator coord(grid, {"NetB"}, cfg, 3);
+  alert_ring alerts;
+  coordinator coord(grid, {"NetB"}, cfg, 3, alerts);
   int a = 0, b = 0;
   for (int i = 0; i < 100; ++i) {
     if (coord.checkin(here, 1000.0 + i, 0, 1, 7)) ++a;

@@ -349,7 +349,8 @@ TEST(EstimateView, SequentialAlertsMatchTableOrderWithSequences) {
   cfg.alert_ring_capacity = 1 << 14;  // keep everything for the comparison
   // The view serves one synchronous shard; the raise order comes from the
   // own ring of a plain coordinator fed the same stream.
-  coordinator seq(grid, nets, cfg, /*seed=*/42);
+  alert_ring alerts(cfg.alert_ring_capacity);
+  coordinator seq(grid, nets, cfg, /*seed=*/42, alerts);
   auto coord = testing::sync_coordinator(grid, nets, cfg, /*seed=*/42);
   const estimate_view view(coord);
 
@@ -386,7 +387,8 @@ TEST(EstimateView, ShardedQueryStormIsPrefixConsistent) {
   // Sequential reference: per stream, the exact frozen history. Per-stream
   // history depends only on that stream's samples in order, and shard
   // routing preserves per-zone order, so it is interleaving-independent.
-  coordinator seq(grid, nets, ccfg, /*seed=*/42);
+  alert_ring alerts;
+  coordinator seq(grid, nets, ccfg, /*seed=*/42, alerts);
   for (const auto& rec : stream) seq.report(rec);
   struct ref_stream {
     geo::zone_id zone;
@@ -470,7 +472,8 @@ TEST(EstimateView, ShardedBatchStormIsPrefixConsistent) {
   const std::vector<std::string> nets{"NetB", "NetC"};
   const coordinator_config ccfg = small_epoch_config();
 
-  coordinator seq(grid, nets, ccfg, /*seed=*/42);
+  alert_ring alerts;
+  coordinator seq(grid, nets, ccfg, /*seed=*/42, alerts);
   for (const auto& rec : stream) seq.report(rec);
   struct ref_stream {
     stream_lookup query;
@@ -586,7 +589,8 @@ std::optional<proto::estimate_reply> reference_reply(
 // range (stream key 0), and repeats of all of them.
 std::vector<proto::query_request> query_pool(const coordinator_config& cfg,
                                              const geo::zone_grid& grid) {
-  coordinator seq(grid, {"NetB", "NetC"}, cfg, /*seed=*/42);
+  alert_ring alerts;
+  coordinator seq(grid, {"NetB", "NetC"}, cfg, /*seed=*/42, alerts);
   for (const auto& rec : synthetic_stream(/*seed=*/9, /*count=*/4000)) {
     seq.report(rec);
   }
@@ -812,7 +816,8 @@ TEST(EstimateKnowledge, MatchesFrozenDirectReadDecisions) {
   // The view serves a 1-shard synchronous coordinator; the reference reads
   // the zone table of a plain coordinator fed the same stream (the two are
   // bit-equal, see sharded_coordinator_test).
-  coordinator coord(grid, nets, small_epoch_config(), /*seed=*/42);
+  alert_ring alerts;
+  coordinator coord(grid, nets, small_epoch_config(), /*seed=*/42, alerts);
   auto served =
       testing::sync_coordinator(grid, nets, small_epoch_config(), /*seed=*/42);
   // A dense TCP-only stream over a 3x3 zone block, so the decision grid

@@ -156,7 +156,8 @@ TEST(Integration, StadiumEventDetectedByChangeAlerts) {
   geo::zone_grid grid(dep.proj(), 250.0);
   core::coordinator_config cfg;
   cfg.epochs.default_epoch_s = 1800.0;
-  core::coordinator coord(grid, dep.names(), cfg, 31);
+  core::alert_ring alerts(cfg.alert_ring_capacity);
+  core::coordinator coord(grid, dep.names(), cfg, 31, alerts);
 
   const mobility::gps_fix at_stadium{dep.proj().to_lat_lon(stadium), 0.0, 0.0};
   probe::ping_probe_params ping;

@@ -96,6 +96,43 @@ TEST(ProtoCodec, MessageTypeTagging) {
   EXPECT_EQ(message_type("garbage line"), "");
 }
 
+TEST(ProtoCodec, FrameHeaderCountsRefuseRequestsAndClampReplies) {
+  const auto request = [](std::string_view h) {
+    return frame_extra_lines(h, frame_side::request);
+  };
+  const auto reply = [](std::string_view h) {
+    return frame_extra_lines(h, frame_side::reply);
+  };
+  // Both sides read "<TAG> <count>" the same way.
+  EXPECT_EQ(request("REPORTB 3"), 3u);
+  EXPECT_EQ(request("QUERYB\t2\r"), 2u);
+  EXPECT_EQ(request("REPORTB 3 trailing"), 3u);  // the decoder's problem
+  EXPECT_EQ(reply("ESTB 2"), 2u);
+  EXPECT_EQ(reply("ALERTS 4 next=9 dropped=0"), 4u);
+  EXPECT_EQ(reply("STATS 7"), 7u);
+  // A tag opens a frame only on its own side.
+  EXPECT_EQ(request("ESTB 2"), 0u);
+  EXPECT_EQ(request("ALERTS since=0 max=4"), 0u);
+  EXPECT_EQ(reply("REPORTB 3"), 0u);
+  EXPECT_EQ(request("REPORT client=1 csv=x"), 0u);
+  EXPECT_EQ(reply("ACK 2"), 0u);
+  // Requests refuse a missing, malformed or over-cap count...
+  for (const std::string_view bad :
+       {"REPORTB", "REPORTB ", "REPORTB x", "QUERYB -1",
+        "REPORTB 99999999999999999999999", "QUERYB 4097",
+        "REPORTB 65537"}) {
+    EXPECT_EQ(request(bad), bad_frame_count) << bad;
+  }
+  EXPECT_EQ(request("QUERYB 4096"), max_query_batch);
+  EXPECT_EQ(request("REPORTB 65536"), max_report_batch);
+  // ...while replies answer 0 for a malformed header and clamp to the cap.
+  for (const std::string_view bad : {"ESTB", "ESTB ", "ESTB x", "ALERTS -1"}) {
+    EXPECT_EQ(reply(bad), 0u) << bad;
+  }
+  EXPECT_EQ(reply("ESTB 99999"), max_query_batch);
+  EXPECT_EQ(reply("ALERTS 5000 next=1 dropped=0"), max_alert_batch);
+}
+
 TEST(ProtoCodec, RejectsMalformedInput) {
   EXPECT_THROW(decode_checkin("TASK kind=udp"), std::invalid_argument);
   EXPECT_THROW(decode_checkin("CHECKIN client=1"), std::invalid_argument);

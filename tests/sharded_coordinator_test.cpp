@@ -115,7 +115,8 @@ TEST(ShardedCoordinator, MatchesSequentialForAnyShardCount) {
   const std::vector<std::string> nets{"NetB", "NetC"};
   const coordinator_config ccfg = small_epoch_config();
 
-  coordinator seq(grid, nets, ccfg, /*seed=*/42);
+  alert_ring alerts(ccfg.alert_ring_capacity);
+  coordinator seq(grid, nets, ccfg, /*seed=*/42, alerts);
   for (const auto& rec : stream) seq.report(rec);
   auto seq_keys = seq.table_for_test().keys();
   ASSERT_FALSE(seq_keys.empty());
@@ -187,7 +188,8 @@ TEST(ShardedCoordinator, SynchronousSingleShardReproducesSequentialExactly) {
   coordinator_config ccfg = small_epoch_config();
   ccfg.client_daily_budget_mb = 2.0;
 
-  coordinator seq(grid, nets, ccfg, /*seed=*/9);
+  alert_ring alerts(ccfg.alert_ring_capacity);
+  coordinator seq(grid, nets, ccfg, /*seed=*/9, alerts);
   sharded_config cfg;
   cfg.coordinator = ccfg;
   cfg.num_shards = 1;
