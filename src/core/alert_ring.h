@@ -65,12 +65,14 @@ class alert_ring {
   /// (a drain cursor behind it learns those alerts as `dropped` -- alert
   /// payloads do not survive a restart, but their accounting does, so the
   /// served+dropped==pushed ledger stays exact across process lifetimes).
-  /// Only valid on a ring nothing has been pushed into; throws
-  /// std::logic_error otherwise (resuming mid-stream would renumber live
-  /// alerts).
+  /// Only valid on a ring nothing has been pushed into since it was built
+  /// or last resumed (a follower that catches up by snapshot again
+  /// resumes again), and never backwards; throws std::logic_error
+  /// otherwise (resuming mid-stream would renumber live alerts, and
+  /// rewinding would reissue numbers cursors have passed).
   void resume_from(std::uint64_t last_seq) {
     std::lock_guard lock(mu_);
-    if (next_seq_ != 1) {
+    if (next_seq_ != base_seq_ + 1 || last_seq < base_seq_) {
       throw std::logic_error("alert_ring::resume_from on a non-fresh ring");
     }
     next_seq_ = last_seq + 1;

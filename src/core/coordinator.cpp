@@ -314,6 +314,15 @@ std::size_t coordinator::report_batch(
   return errors;
 }
 
+bool coordinator::merge_estimate(const estimate_key& key,
+                                 const epoch_estimate& e) {
+  // A zone this coordinator has not seen yet runs on the default length,
+  // as its first sample will.
+  const std::size_t zi = find_zone(zone_key(key.zone));
+  return table_.merge_estimate(
+      key, e, zi == no_zone ? cfg_.epochs.default_epoch_s : zones_[zi].epoch_s);
+}
+
 void coordinator::recompute_epochs() {
   for (zone_state& st : zones_) {
     // Use the longest per-network history in this zone. Ties go to the

@@ -184,11 +184,10 @@ class coordinator {
   // Restore replays saved state, it does not observe new measurements: no
   // alerts are raised, no reports_accepted counters move.
 
-  /// Appends a frozen estimate to a stream's history (publishing it to the
-  /// serving mirror so reads resume immediately).
-  void restore_estimate(const estimate_key& key, const epoch_estimate& e) {
-    table_.restore(key, e);
-  }
+  /// Installs a frozen estimate (snapshot load, WAL replay, replication)
+  /// with the zone's epoch length, the boundary its samples use; see
+  /// zone_table::merge_estimate.
+  bool merge_estimate(const estimate_key& key, const epoch_estimate& e);
   /// Restores a stream's open-epoch accumulator (see zone_table).
   void restore_open(const estimate_key& key, const open_epoch_state& st) {
     table_.restore_open(key, st);
@@ -199,11 +198,6 @@ class coordinator {
   /// Attaches the epoch-rollover tap (see zone_table::set_epoch_tap).
   /// Install before ingesting; the tap must outlive the coordinator.
   void set_epoch_tap(epoch_tap* tap) noexcept { table_.set_epoch_tap(tap); }
-  /// Folds a replicated frozen estimate into a stream (commutative
-  /// per-(zone, network, epoch) merge; see zone_table::merge_estimate).
-  bool merge_estimate(const estimate_key& key, const epoch_estimate& e) {
-    return table_.merge_estimate(key, e);
-  }
 
  private:
   friend class sharded_coordinator;  // internal table reads under shard lock

@@ -106,7 +106,7 @@ durable_log::~durable_log() {
 }
 
 std::uint64_t durable_log::recover(durable_state& state) {
-  std::lock_guard lock(mu_);
+  std::lock_guard walk(state_mu_);
   {
     std::ifstream snap(snapshot_path_);
     if (snap) load_state(snap, state);
@@ -141,6 +141,7 @@ std::uint64_t durable_log::recover(durable_state& state) {
   // Cut a torn tail off, or the next append would land glued to it and
   // the recovery after that would stop there, dropping every later record.
   if (ext.valid_bytes < size) {
+    std::lock_guard lock(mu_);
     if (::truncate(wal_path_.c_str(), static_cast<off_t>(ext.valid_bytes)) !=
         0) {
       throw std::runtime_error("cannot cut torn WAL tail: " + wal_path_);
@@ -203,7 +204,7 @@ void durable_log::append(std::uint64_t seq, const estimate_key& key,
 }
 
 void durable_log::checkpoint(const durable_state& state) {
-  std::lock_guard lock(mu_);
+  std::lock_guard walk(state_mu_);
   const std::string tmp = snapshot_path_ + ".tmp";
   {
     std::ofstream os(tmp, std::ios::trunc);
@@ -224,6 +225,7 @@ void durable_log::checkpoint(const durable_state& state) {
       throw std::runtime_error("snapshot write failed: " + tmp);
     }
   }
+  std::lock_guard lock(mu_);
   if (std::rename(tmp.c_str(), snapshot_path_.c_str()) != 0) {
     metrics().snapshot_failures.inc();
     throw std::runtime_error("snapshot rename failed: " + snapshot_path_);

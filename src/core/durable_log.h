@@ -20,7 +20,9 @@
 //
 // Recovery = load snapshot (if any) + replay WAL records after it. A
 // checkpoint truncates the WAL only after the renamed snapshot is on disk,
-// so every epoch is always covered by at least one of the two files.
+// so every epoch is always covered by at least one of the two files, and
+// a record covered by both installs once (durable_state::restore_estimate
+// is idempotent).
 //
 // Only *frozen* epochs ride the WAL (they are the immutable replication
 // unit); open-epoch Welford accumulators are carried by snapshots alone,
@@ -88,7 +90,11 @@ class durable_log {
   durable_log& operator=(const durable_log&) = delete;
 
   /// Loads the snapshot (if present) into `state`, then replays WAL
-  /// records through state.restore_estimate(). Returns the highest WAL
+  /// records through state.restore_estimate(). That install is idempotent
+  /// and closes the epoch it installs, so a WAL the snapshot already
+  /// covers (a crash between checkpoint()'s rename and its WAL reset)
+  /// replays as a no-op, and an epoch the snapshot saw open and the WAL
+  /// saw freeze is frozen once. Returns the highest WAL
   /// sequence applied (0 = none). A torn tail -- damage in the file's last
   /// line -- is cut off the file, so the next append follows the last
   /// whole record instead of landing glued to the torn bytes. Damage with
@@ -113,8 +119,10 @@ class durable_log {
               const epoch_estimate& est);
 
   /// Checkpoints `state`: snapshot.tmp -> rename -> WAL reset (the
-  /// append descriptor is reopened with O_TRUNC). Quiesce
-  /// producers first (the state walk is the same one save_state does). On
+  /// append descriptor is reopened with O_TRUNC). Quiesce producers first:
+  /// an epoch that freezes during the state walk (the one save_state
+  /// does) lands in the WAL the reset empties, and in the snapshot only if
+  /// the walk had not passed its stream yet. On
   /// failure -- including an injected snapshot_torn fault, which leaves a
   /// truncated temp file behind -- throws without touching the previous
   /// snapshot or the WAL.
@@ -131,7 +139,11 @@ class durable_log {
   std::string dir_;
   std::string snapshot_path_;
   std::string wal_path_;
-  std::mutex mu_;      // serialises append vs checkpoint on the wal file
+  // Lock order: state_mu_, then a shard lock (inside the state walk), then
+  // mu_. Drain workers append while holding a shard lock, so mu_ is never
+  // held while calling into a durable_state.
+  std::mutex state_mu_;  // serialises recover() and checkpoint()
+  std::mutex mu_;        // serialises the wal file: append, reset, cut
   int wal_fd_ = -1;    // the append descriptor; -1 until the first append
   std::int64_t wal_size_ = 0;  // file length after the last whole record
   std::string line_;   // reused render buffer for one WAL record

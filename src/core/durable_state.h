@@ -1,24 +1,30 @@
 // The narrow persistence surface of a coordinator (ISSUE 10).
 //
-// core::persist used to reach into coordinator internals (the raw zone
-// table via table_for_test(), plus a per-flavour overload set of free
-// functions). durable_state is the replacement boundary: everything a
-// snapshot writer, WAL replayer or replication catch-up needs to read or
-// rebuild coordinator estimate state, and nothing else. Its one
+// Everything a snapshot writer, WAL replayer or replication catch-up needs
+// to read or rebuild coordinator estimate state, and nothing else. Its one
 // implementer is core::sharded_coordinator (`num_shards = 1, synchronous
-// = true` is the sequential configuration); persist and durable_log speak
-// this interface so they need not include sharded_coordinator.h. The
-// four verbs:
+// = true` is the sequential configuration). The four verbs:
 //
 //   * enumerate      -- keys() / history() / open_state()
-//   * replay frozen  -- restore_estimate() (appends + republishes, no alert)
+//   * install frozen -- restore_estimate(), the one way a frozen epoch
+//                       enters the state (see below)
 //   * replay open    -- restore_open() (Welford accumulator, verbatim)
 //   * resume alerts  -- alert_seq() / resume_alert_seq() (sequence
 //                       numbering survives a restart; cursors never rewind)
 //
-// Restore calls replay saved state: they must not raise alerts or move
-// ingestion counters, and resume_alert_seq is only legal before any report
-// is ingested (alert_ring::resume_from refuses otherwise).
+// restore_estimate is idempotent and closes the epoch it installs
+// (core::zone_table::merge_estimate). Snapshot load, WAL replay, catch-up
+// and the follower's apply all call it, so a record two of them deliver
+// lands once, and an epoch a snapshot saw open and a later record saw
+// frozen is never frozen twice.
+//
+// Why an interface with one implementer: persist and durable_log speak it
+// so they need not include sharded_coordinator.h, and perfbench
+// fingerprints a recovered table through it.
+//
+// Install calls replay saved state: they must not raise alerts or move
+// ingestion counters, and resume_alert_seq is only legal before any alert
+// is raised (alert_ring::resume_from refuses otherwise).
 //
 // Thread safety: sharded_coordinator takes the owning shard's lock per
 // call. Callers wanting a consistent snapshot quiesce producers (or
@@ -46,9 +52,11 @@ class durable_state {
   virtual std::optional<open_epoch_state> open_state(
       const estimate_key& key) const = 0;
 
-  /// Appends a frozen estimate to a stream's history, publishing it to the
-  /// serving mirror. No alert is raised.
-  virtual void restore_estimate(const estimate_key& key,
+  /// Installs a frozen estimate and closes its epoch (see above), publishing
+  /// the stream's newest epoch to the serving mirror. No alert is raised.
+  /// Returns true when the estimate met an epoch already held
+  /// (repl.epochs_merged counts these).
+  virtual bool restore_estimate(const estimate_key& key,
                                 const epoch_estimate& e) = 0;
   /// Restores a stream's open-epoch accumulator verbatim.
   virtual void restore_open(const estimate_key& key,

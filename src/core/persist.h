@@ -54,11 +54,13 @@ void save_state(std::ostream& os, const durable_state& state);
 /// snapshot renders straight into its cache).
 void save_state(std::string& out, const durable_state& state);
 
-/// Restores state saved by save_state into a freshly constructed
-/// coordinator (same grid / networks / config). Must be called before any
-/// report is ingested: the ALERTSEQ line resumes the alert ring's
-/// numbering, which alert_ring::resume_from only permits on an untouched
-/// ring. Throws std::invalid_argument on malformed input.
+/// Restores state saved by save_state into a coordinator with the same
+/// grid / networks / config. Frozen epochs install through the idempotent
+/// durable_state::restore_estimate, so the target may already hold some
+/// of them (a follower catching up again after falling off the log). Must
+/// be called before the target raises an alert: the ALERTSEQ line resumes
+/// the alert ring's numbering, which alert_ring::resume_from only permits
+/// on an untouched ring. Throws std::invalid_argument on malformed input.
 void load_state(std::istream& is, durable_state& state);
 /// The same, parsing an in-memory rendering in place.
 void load_state(std::string_view text, durable_state& state);

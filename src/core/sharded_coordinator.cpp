@@ -364,11 +364,11 @@ std::vector<estimate_key> sharded_coordinator::keys() const {
   return out;
 }
 
-void sharded_coordinator::restore_estimate(const estimate_key& key,
+bool sharded_coordinator::restore_estimate(const estimate_key& key,
                                            const epoch_estimate& e) {
   shard& sh = owner_of(key.zone);
   std::lock_guard lock(sh.mu);
-  sh.coord.restore_estimate(key, e);
+  return sh.coord.merge_estimate(key, e);
 }
 
 void sharded_coordinator::restore_open(const estimate_key& key,
@@ -390,13 +390,6 @@ void sharded_coordinator::set_epoch_tap(epoch_tap* tap) {
     std::lock_guard lock(sh->mu);
     sh->coord.set_epoch_tap(tap);
   }
-}
-
-bool sharded_coordinator::apply_epoch(const estimate_key& key,
-                                      const epoch_estimate& e) {
-  shard& sh = owner_of(key.zone);
-  std::lock_guard lock(sh.mu);
-  return sh.coord.merge_estimate(key, e);
 }
 
 const estimate_mirror& sharded_coordinator::published_of(

@@ -186,8 +186,11 @@ class sharded_coordinator : public durable_state {
 
   // ---- persistence surface (core::durable_state, implemented only here) --
 
-  /// Restores a frozen estimate into the owning shard (under its lock).
-  void restore_estimate(const estimate_key& key,
+  /// Installs a frozen estimate into the owning shard (under its lock):
+  /// snapshot load, WAL replay, a follower applying the leader's epoch
+  /// stream, or two coordinators merging feeds from disjoint client
+  /// populations (see durable_state::restore_estimate).
+  bool restore_estimate(const estimate_key& key,
                         const epoch_estimate& e) override;
   /// Restores an open-epoch accumulator into the owning shard.
   void restore_open(const estimate_key& key,
@@ -212,12 +215,6 @@ class sharded_coordinator : public durable_state {
   /// must be thread-safe (repl::epoch_log is). Install before ingesting;
   /// pass nullptr only while the pipeline is quiescent.
   void set_epoch_tap(epoch_tap* tap);
-  /// Folds a replicated frozen estimate into the owning shard (under its
-  /// lock): a follower applying the leader's epoch stream, or two
-  /// coordinators merging feeds from disjoint client populations. Returns
-  /// true when an existing (zone, network, epoch) entry was merged, false
-  /// when the estimate was appended fresh (the fast-forward path).
-  bool apply_epoch(const estimate_key& key, const epoch_estimate& e);
 
   // ---- read-side aggregation (flush() first for a consistent view) -------
 

@@ -216,24 +216,6 @@ std::vector<epoch_estimate> zone_table::history(const estimate_key& key) const {
   return {view.begin(), view.end()};
 }
 
-void zone_table::restore(const estimate_key& key,
-                         const epoch_estimate& estimate) {
-  const std::uint16_t nid = interner_.id_of(key.network);
-  const std::uint64_t gkey = pack_group(key.zone, nid);
-  std::size_t slot = find_group(gkey);
-  if (slot == npos_index) slot = create_group(gkey);
-  const std::uint32_t val =
-      slots_[slot].streams[static_cast<std::size_t>(key.metric)];
-  const std::size_t idx =
-      val != 0 ? val - 1 : materialize_stream(slot, key.zone, nid, key.metric);
-  cold_[idx].frozen.push_back(estimate);
-  // Restored estimates serve like published ones (no alert: restore replays
-  // persisted state, it does not observe a change).
-  if (mirror_ != nullptr) {
-    mirror_->publish(cold_[idx].skey, estimate, cold_[idx].frozen.size() - 1);
-  }
-}
-
 namespace {
 
 // Chan et al. pairwise Welford combine for two frozen summaries of the
@@ -273,18 +255,23 @@ epoch_estimate combine_estimates(const epoch_estimate& x,
 }  // namespace
 
 bool zone_table::merge_estimate(const estimate_key& key,
-                                const epoch_estimate& estimate) {
-  const std::uint16_t nid = interner_.id_of(key.network);
-  const std::uint64_t gkey = pack_group(key.zone, nid);
-  std::size_t slot = find_group(gkey);
-  if (slot == npos_index) slot = create_group(gkey);
-  const std::uint32_t val =
-      slots_[slot].streams[static_cast<std::size_t>(key.metric)];
-  const std::size_t idx =
-      val != 0 ? val - 1 : materialize_stream(slot, key.zone, nid, key.metric);
+                                const epoch_estimate& estimate,
+                                double epoch_duration_s) {
+  check_duration(epoch_duration_s);
+  const std::size_t idx = find_or_create_stream(
+      key.zone, interner_.id_of(key.network), key.metric);
+  // Close the installed epoch: an open epoch at or before it (a snapshot
+  // taken while it was still open, or a stream that never saw a sample)
+  // would otherwise freeze it a second time on the next rollover.
+  hot_state& s = hot_[idx];
+  if (s.open_start_s <= estimate.epoch_start_s) {
+    s.open.reset();
+    s.open_start_s = estimate.epoch_start_s + epoch_duration_s;
+  }
   auto& frozen = cold_[idx].frozen;
-  // Scan for the slot from the tail: replicated feeds arrive in epoch
-  // order, so the match (or the append point) is almost always last.
+  // Scan for the slot from the tail: snapshots, WAL replay and replicated
+  // feeds all arrive in epoch order, so the match (or the append point) is
+  // almost always last.
   std::size_t pos = frozen.size();
   while (pos > 0 && frozen[pos - 1].epoch_start_s > estimate.epoch_start_s) {
     --pos;
@@ -292,9 +279,8 @@ bool zone_table::merge_estimate(const estimate_key& key,
   bool merged = false;
   if (pos > 0 && frozen[pos - 1].epoch_start_s == estimate.epoch_start_s) {
     epoch_estimate& cur = frozen[pos - 1];
-    // Bitwise-identical re-apply is a no-op, so the operation is
-    // idempotent: a record delivered both inside a snapshot and by the
-    // pull that follows it (they may overlap under live ingest) cannot
+    // A bitwise-equal re-delivery is a no-op: a record delivered both
+    // inside a snapshot and by the WAL or pull that follows it cannot
     // double-count. Genuinely disjoint populations differ in value and
     // still combine below.
     if (cur.mean == estimate.mean && cur.stddev == estimate.stddev &&
@@ -306,6 +292,8 @@ bool zone_table::merge_estimate(const estimate_key& key,
   } else {
     frozen.insert(frozen.begin() + static_cast<std::ptrdiff_t>(pos), estimate);
   }
+  // Installed estimates serve like published ones (no alert: they replay
+  // or replicate state, they do not observe a change).
   if (mirror_ != nullptr) {
     mirror_->publish(cold_[idx].skey, frozen.back(), frozen.size() - 1);
   }
@@ -324,15 +312,8 @@ std::optional<open_epoch_state> zone_table::open_state(
 
 void zone_table::restore_open(const estimate_key& key,
                               const open_epoch_state& state) {
-  const std::uint16_t nid = interner_.id_of(key.network);
-  const std::uint64_t gkey = pack_group(key.zone, nid);
-  std::size_t slot = find_group(gkey);
-  if (slot == npos_index) slot = create_group(gkey);
-  const std::uint32_t val =
-      slots_[slot].streams[static_cast<std::size_t>(key.metric)];
-  const std::size_t idx =
-      val != 0 ? val - 1 : materialize_stream(slot, key.zone, nid, key.metric);
-  hot_state& s = hot_[idx];
+  hot_state& s = hot_[find_or_create_stream(
+      key.zone, interner_.id_of(key.network), key.metric)];
   s.open_start_s = state.open_start_s;
   s.open.n = static_cast<std::size_t>(state.n);
   s.open.mean = state.mean;

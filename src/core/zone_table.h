@@ -87,9 +87,9 @@ struct open_epoch_state {
 /// Observer of epoch rollovers (the replication tap, ISSUE 10). Fired once
 /// per frozen estimate, right after it is appended to the stream's history
 /// and published to the mirror -- the exact replication unit the epoch
-/// stream ships to followers. restore()/merge_estimate() do NOT fire it:
-/// replayed or replicated state is not a new rollover (a follower must not
-/// re-log epochs it merely applied). Invoked inside the table's own
+/// stream ships to followers. merge_estimate() does NOT fire it: replayed
+/// or replicated state is not a new rollover (a follower must not re-log
+/// epochs it merely applied). Invoked inside the table's own
 /// mutations -- drain-worker threads in sharded mode -- so an
 /// implementation shared across shards must be thread-safe.
 class epoch_tap {
@@ -147,7 +147,7 @@ class zone_table {
            (bx << 36) | (by << 12) | static_cast<std::uint64_t>(network_id);
   }
 
-  /// Attaches the serving-layer sinks: every epoch rollover (and restore)
+  /// Attaches the serving-layer sinks: every epoch rollover (and install)
   /// publishes the frozen estimate into `mirror`, and every change alert is
   /// pushed into `alerts` with a sequence number -- the ring is the only
   /// place an alert is kept. Either may be null (not published; an alert
@@ -255,8 +255,8 @@ class zone_table {
   std::vector<epoch_estimate> history(const estimate_key& key) const;
 
   /// Non-copying view of a key's frozen history. Invalidated by the next
-  /// mutating call (add_sample/restore) -- use only while the table is
-  /// stable (e.g. under the owning shard's lock, or in single-threaded
+  /// mutating call (add_sample/merge_estimate) -- use only while the table
+  /// is stable (e.g. under the owning shard's lock, or in single-threaded
   /// tools/benches).
   std::span<const epoch_estimate> history_view(const estimate_key& key) const;
   std::span<const epoch_estimate> history_view(const geo::zone_id& zone,
@@ -271,20 +271,20 @@ class zone_table {
   /// All keys ever seen (stream-creation order).
   std::vector<estimate_key> keys() const;
 
-  /// Appends a frozen estimate to a key's history without touching the open
-  /// epoch or raising alerts (used when restoring persisted state).
-  void restore(const estimate_key& key, const epoch_estimate& estimate);
-
-  /// Folds a replicated frozen estimate into a key's history (ISSUE 10).
-  /// When an epoch with the same epoch_start_s already exists -- two feeds
-  /// covering disjoint client populations froze the same (zone, network,
-  /// epoch) -- the two Welford summaries are combined with canonically
-  /// ordered operands, so the merge is bitwise commutative across feed
-  /// arrival orders; otherwise the estimate is inserted in epoch order
-  /// (the common case appends at the tail). Like restore(): no alert, no
-  /// open-epoch touch, mirror republished so reads serve the merged tail.
-  /// Returns true when an existing epoch was merged, false on fresh insert.
-  bool merge_estimate(const estimate_key& key, const epoch_estimate& estimate);
+  /// Installs a frozen estimate -- the one way a frozen epoch enters the
+  /// table (snapshot load, WAL replay, replication) -- in epoch order. A
+  /// bitwise-equal re-delivery is a no-op, so overlapping feeds never
+  /// double-count; a different estimate for a held epoch comes from a
+  /// disjoint client population and the two Welford summaries combine,
+  /// with canonically ordered operands so the merge is bitwise commutative.
+  /// Installing epoch E closes it: an open epoch starting at or before E is
+  /// emptied and the boundary moves to E + `epoch_duration_s` (the zone's
+  /// epoch length), so no later sample can freeze E a second time. No
+  /// alert, no tap; the mirror republishes the stream's newest epoch.
+  /// Returns true when the estimate met a held epoch, false on a fresh
+  /// insert. Throws std::invalid_argument if epoch_duration_s <= 0.
+  bool merge_estimate(const estimate_key& key, const epoch_estimate& estimate,
+                      double epoch_duration_s);
 
   /// Open-epoch accumulator of a key, or nullopt when the stream is absent
   /// or its open epoch is empty (an empty open epoch carries no state worth
@@ -380,6 +380,12 @@ class zone_table {
   /// Rare path of add_sample: the sample landed past the open epoch --
   /// publish the open epoch and fast-forward the boundary.
   void cross_epochs(std::size_t index, double time_s, double epoch_duration_s);
+  /// Stream index of (zone, network id, metric), creating the group and
+  /// the stream on first sight. Same range checks (and throws) as
+  /// add_sample.
+  std::size_t find_or_create_stream(const geo::zone_id& zone,
+                                    std::uint16_t network_id,
+                                    trace::metric metric);
   /// Stream index for (group slot, metric), creating hot/cold state on
   /// first sight of this metric within the group.
   std::size_t materialize_stream(std::size_t slot, const geo::zone_id& zone,
@@ -445,19 +451,25 @@ inline std::size_t zone_table::find_group(std::uint64_t gkey) const noexcept {
   return npos_index;
 }
 
-inline void zone_table::add_sample(const geo::zone_id& zone,
-                                   std::uint16_t network_id,
-                                   trace::metric metric, double time_s,
-                                   double value, double epoch_duration_s) {
-  check_duration(epoch_duration_s);
+inline std::size_t zone_table::find_or_create_stream(
+    const geo::zone_id& zone, std::uint16_t network_id,
+    trace::metric metric) {
   const std::uint64_t gkey = pack_group(zone, network_id);
   std::size_t slot = find_group(gkey);
   if (slot == npos_index) slot = create_group(gkey);
   const std::uint32_t val =
       slots_[slot].streams[static_cast<std::size_t>(metric)];
-  const std::size_t idx =
-      val != 0 ? val - 1 : materialize_stream(slot, zone, network_id, metric);
-  fold(idx, time_s, value, epoch_duration_s);
+  return val != 0 ? val - 1
+                  : materialize_stream(slot, zone, network_id, metric);
+}
+
+inline void zone_table::add_sample(const geo::zone_id& zone,
+                                   std::uint16_t network_id,
+                                   trace::metric metric, double time_s,
+                                   double value, double epoch_duration_s) {
+  check_duration(epoch_duration_s);
+  fold(find_or_create_stream(zone, network_id, metric), time_s, value,
+       epoch_duration_s);
 }
 
 inline void zone_table::fold(std::size_t index, double time_s, double value,

@@ -145,7 +145,7 @@ std::uint64_t follower::apply(std::span<const proto::epoch_update> updates) {
     est.mean = u.mean;
     est.stddev = u.stddev;
     est.samples = static_cast<std::size_t>(u.samples);
-    const bool was_merge = coord_->apply_epoch(key, est);
+    const bool was_merge = coord_->restore_estimate(key, est);
     m.applied.inc();
     if (was_merge) m.merged.inc();
     ++applied;

@@ -11,12 +11,13 @@
 //    followers pull. Serves snapshot catch-up for joiners: offset 0
 //    captures "REPLSEQ <seq>\n" + the core::persist state rendering, so
 //    the joiner knows exactly which log suffix the snapshot covers.
-//  * follower -- applies pulled batches through the coordinator's
-//    zone_table fast-forward path (restore semantics: no alerts, no
-//    ingest counters), deduplicating by sequence cursor, so leader and
-//    follower state are bit-equal after catch-up. apply() also accepts
-//    feeds from disjoint client populations: per-(zone, network, epoch)
-//    estimates merge commutatively (core::zone_table::merge_estimate).
+//  * follower -- applies pulled batches through the coordinator's one
+//    frozen-epoch install, durable_state::restore_estimate (no alerts, no
+//    ingest counters, the installed epoch closed), deduplicating by
+//    sequence cursor, so leader and follower state are bit-equal after
+//    catch-up. apply() also accepts feeds from disjoint client
+//    populations: per-(zone, network, epoch) estimates merge commutatively
+//    (core::zone_table::merge_estimate).
 //    promote() flips the role: the follower's own epoch_log takes over
 //    the tap, sequencing continues from the applied cursor, and peers'
 //    pull cursors stay valid across the failover.
@@ -106,9 +107,10 @@ class follower : public proto::replication_endpoint {
   bool snapshot(std::uint64_t offset, std::string& data, std::uint64_t& total,
                 bool& last) override;
   /// Applies one replicated batch in order: records at or below the
-  /// cursor are duplicates (counted, skipped); fresh ones fast-forward
-  /// the zone table (repl.epochs_applied; same-epoch merges of disjoint
-  /// feeds additionally count repl.epochs_merged). Returns applied count.
+  /// cursor are duplicates (counted, skipped); fresh ones install through
+  /// durable_state::restore_estimate (repl.epochs_applied; same-epoch
+  /// merges of disjoint feeds additionally count repl.epochs_merged).
+  /// Returns applied count.
   std::uint64_t apply(std::span<const proto::epoch_update> updates) override;
   /// Takes over: wires this replica's epoch_log into the coordinator's
   /// tap and continues sequencing from the applied cursor. Idempotent
@@ -133,8 +135,9 @@ class follower : public proto::replication_endpoint {
 
   /// Full snapshot catch-up: streams SNAPSHOT_REQ/SNAPSHOT_CHUNK, loads
   /// the state into the coordinator, and advances the cursor to the
-  /// snapshot's covering sequence. Valid on a fresh follower only (the
-  /// persist loader restores, it does not merge).
+  /// snapshot's covering sequence. Valid on a fresh follower and on one
+  /// that poll() found fallen off the leader's log: the snapshot's frozen
+  /// epochs install idempotently, so epochs already applied land once.
   void catch_up(const transport& send);
 
  private:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <memory>
@@ -14,8 +16,9 @@
 #include "apps/estimate_knowledge.h"
 #include "cellnet/deployment.h"
 #include "cellnet/presets.h"
+#include "core/durable_log.h"
+#include "core/epoch_codec.h"
 #include "core/estimate_view.h"
-#include "core/persist.h"
 #include "core/sharded_coordinator.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -160,6 +163,19 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
                                                            seed);
   auto server = std::make_unique<proto::coordinator_server>(*coord);
 
+  // ---- durability: a snapshot + WAL pair for restarts ---------------------
+  // It lives in a private temporary directory, removed at teardown.
+  // Declared before the replication roles, so the leader that tees into the
+  // WAL is destroyed first.
+  struct temp_dir {
+    std::string path;
+    ~temp_dir() {
+      std::error_code ec;
+      if (!path.empty()) std::filesystem::remove_all(path, ec);
+    }
+  } wal_dir;
+  std::unique_ptr<core::durable_log> wal;
+
   // ---- replicated mode (ISSUE 10) ---------------------------------------
   // A follower coordinator rides along: the leader's server gains the
   // replication endpoint, the follower catches up by snapshot at boot and
@@ -176,11 +192,12 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
   std::vector<trace::measurement_record> acked_log;
   bool keep_acked = false;
   if (cfg.stress.replicate) {
-    if (cfg.stress.restart_tick) {
+    if (cfg.stress.restart_tick || cfg.stress.checkpoint_every > 0) {
       // The restart stressor rebuilds `coord` under the leader's attached
       // epoch tap; failover already covers the kill-and-continue story.
       throw std::invalid_argument(
-          "scenario: replicate and restart_tick cannot combine");
+          "scenario: replicate cannot combine with restart_tick or "
+          "checkpoint_every");
     }
     keep_acked = cfg.stress.kill_leader_tick.has_value();
     repl_leader = std::make_unique<repl::leader>(*coord);
@@ -190,6 +207,24 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
     fserver = std::make_unique<proto::coordinator_server>(*fcoord);
     repl_follower = std::make_unique<repl::follower>(*fcoord);
     fserver->attach_replication(repl_follower.get());
+  }
+  // The production leader's durability path: its epoch log tees every
+  // rollover into the WAL.
+  auto lead_into_wal = [&] {
+    repl_leader = std::make_unique<repl::leader>(
+        *coord, repl::default_log_capacity, wal.get());
+  };
+  if (cfg.stress.restart_tick || cfg.stress.checkpoint_every > 0) {
+    std::string dir =
+        (std::filesystem::temp_directory_path() / "wiscape-wal-XXXXXX")
+            .string();
+    if (::mkdtemp(dir.data()) == nullptr) {
+      throw std::runtime_error("scenario: cannot create a WAL directory");
+    }
+    wal_dir.path = dir;
+    wal = std::make_unique<core::durable_log>(dir);
+    keep_acked = cfg.stress.checkpoint_every > 0;
+    lead_into_wal();
   }
 
   // ---- transport ---------------------------------------------------------
@@ -278,9 +313,17 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
   // Replication traffic rides the same transport as client traffic: the
   // follower's EPOCH/SNAPSHOT_REQ frames cross the leader's server (and
   // the real socket with over_tcp). Boot-time catch-up mirrors a joiner:
-  // snapshot transfer, then the log suffix the snapshot fenced.
+  // snapshot transfer, then the log suffix the snapshot fenced. A late
+  // joiner catches up after a tick's flush instead (below).
   const repl::transport repl_transport = wire;
-  if (repl_follower) repl_follower->catch_up(repl_transport);
+  bool joined = false;
+  auto join = [&] {
+    repl_follower->catch_up(repl_transport);
+    joined = true;
+    // The snapshot covers every report ACKed so far, open epochs included.
+    acked_log.clear();
+  };
+  if (repl_follower && !cfg.stress.follower_join_tick) join();
 
   // ---- fleet -------------------------------------------------------------
   std::vector<client_state> fleet;
@@ -365,6 +408,43 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
     }
   };
 
+  // Checkpoints after a flush, so the snapshot is a function of the tick
+  // and covers every report ACKed so far. False on an injected
+  // persist_save fault (the previous snapshot and the WAL stand).
+  auto checkpoint = [&] {
+    coord->flush();
+    try {
+      wal->checkpoint(*coord);
+    } catch (const std::exception&) {
+      return false;
+    }
+    acked_log.clear();
+    return true;
+  };
+  // kill -9 semantics: no flush, no snapshot -- the coordinator dies with
+  // its ingest queues and open-epoch accumulators. The TCP front end holds
+  // a pointer into *server, so it goes first; resume_serving() restarts it
+  // over the next server.
+  bool was_tcp = false;
+  auto kill_coordinator = [&] {
+    was_tcp = tcp != nullptr;
+    if (was_tcp) {
+      wire_client.close();
+      tcp->stop();
+      tcp.reset();
+    }
+    server.reset();
+    repl_leader.reset();  // detach the tap while the coordinator is alive
+    coord->stop();
+    coord.reset();
+  };
+  auto resume_serving = [&] {
+    if (was_tcp) {
+      tcp_start();
+      tcp_connect(false);
+    }
+  };
+
   // Clock slack for the staleness bound: tick quantisation plus (nearly all
   // of) the skew distribution when clocks are skewed.
   const double slack_s = cfg.tick_s + 1.0 + 6.0 * cfg.stress.clock_skew_sigma_s;
@@ -373,59 +453,41 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
     const double T0 = static_cast<double>(t) * cfg.tick_s;
     bool restarted = false;
 
-    // ---- coordinator kill + restore mid-run ------------------------------
-    if (cfg.stress.restart_tick && *cfg.stress.restart_tick == t) {
-      coord->flush();
-      std::stringstream snap_io;
-      bool saved = true;
-      try {
-        core::save_state(snap_io, *coord);
-      } catch (const std::exception&) {
-        saved = false;  // injected persist_save fault: skip the restart
-      }
-      if (saved) {
-        // The TCP front end holds a pointer into *server: tear it down
-        // first, rebuild it over the restored handler, reconnect.
-        const bool was_tcp = tcp != nullptr;
-        if (was_tcp) {
-          wire_client.close();
-          tcp->stop();
-          tcp.reset();
-        }
-        server.reset();
-        coord->stop();
-        coord.reset();
-        coord = std::make_unique<core::sharded_coordinator>(grid, names, scfg,
-                                                            seed);
-        core::load_state(snap_io, *coord);
-        server = std::make_unique<proto::coordinator_server>(*coord);
-        if (was_tcp) {
-          tcp_start();
-          tcp_connect(false);
-        }
-        restarted = true;
-      }
+    // ---- WAL checkpoint ----------------------------------------------------
+    if (cfg.stress.checkpoint_every > 0 && t > 0 &&
+        t % cfg.stress.checkpoint_every == 0) {
+      (void)checkpoint();
+    }
+
+    // ---- coordinator kill + recovery mid-run -----------------------------
+    // Recovery from the last checkpoint + the WAL. Without periodic
+    // checkpoints the restart is a clean shutdown that checkpoints first
+    // (an injected persist_save fault skips it). With them it is a kill -9
+    // -- no flush, no snapshot -- and client-assisted replay below rebuilds
+    // the open epochs the dead coordinator lost.
+    bool recovered = false;
+    if (cfg.stress.restart_tick && *cfg.stress.restart_tick == t &&
+        (cfg.stress.checkpoint_every > 0 || checkpoint())) {
+      kill_coordinator();
+      coord = std::make_unique<core::sharded_coordinator>(grid, names, scfg,
+                                                          seed);
+      const std::uint64_t last = wal->recover(*coord);
+      lead_into_wal();
+      repl_leader->log().reset(last + 1);
+      server = std::make_unique<proto::coordinator_server>(*coord);
+      resume_serving();
+      restarted = true;
+      recovered = cfg.stress.checkpoint_every > 0;
     }
 
     // ---- leader kill + follower promotion --------------------------------
-    // kill -9 semantics: no flush, no snapshot -- the leader dies with its
-    // ingest queues and open-epoch accumulators. Every epoch frozen through
-    // the previous tick already reached the follower via that tick's
-    // post-flush poll, so only open state is lost; client-assisted replay
-    // below rebuilds it bit-identically from the driver's ACK log.
-    bool killed = false;
+    // Every epoch frozen through the previous tick already reached the
+    // follower via that tick's post-flush poll, so only open state is lost;
+    // client-assisted replay below rebuilds it bit-identically from the
+    // driver's ACK log.
     if (repl_follower && cfg.stress.kill_leader_tick &&
         *cfg.stress.kill_leader_tick == t && !repl_follower->promoted()) {
-      const bool was_tcp = tcp != nullptr;
-      if (was_tcp) {
-        wire_client.close();
-        tcp->stop();
-        tcp.reset();
-      }
-      server.reset();
-      repl_leader.reset();  // detach the tap while the old leader is alive
-      coord->stop();
-      coord.reset();
+      kill_coordinator();
       // Promote through the unified wire path -- the same PROMOTE frame an
       // operator's failover tooling would send.
       const std::string reply =
@@ -435,17 +497,8 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
       }
       coord = std::move(fcoord);
       server = std::move(fserver);
-      // The promoted coordinator's alert ring starts fresh: replicated
-      // epochs never fire alerts (the fast-forward path has no tap), so
-      // the consumer ledger resets with it.
-      served_total = 0;
-      dropped_total = 0;
-      cursor = 0;
-      if (was_tcp) {
-        tcp_start();
-        tcp_connect(false);
-      }
-      killed = true;
+      resume_serving();
+      recovered = true;
     }
 
     // ---- proactive connection churn --------------------------------------
@@ -461,17 +514,25 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
     const std::uint64_t dropped0 = dropped_ctr.value();
     std::uint64_t submitted = 0, acked = 0, erred = 0, refused = 0;
 
-    // ---- client-assisted replay (paper's core mechanism, post-failover) --
+    // ---- client-assisted replay (paper's core mechanism, post-recovery) --
     // Clients hold their ACKed reports until the epoch containing them is
-    // published; after a failover each re-submits the suffix the promoted
-    // coordinator has not frozen. The driver plays all clients here: a
+    // published; after a failover or a kill -9 each re-submits the suffix
+    // the recovered coordinator has not frozen. The driver plays all
+    // clients here, from the reports ACKed since the state the recovered
+    // coordinator loaded was captured (the follower's catch-up, the last
+    // checkpoint): earlier ones are in that state, frozen or open. A
     // record is replayed iff its aligned epoch is at or past the stream's
     // frozen high-water mark. Metric sets are disjoint per probe kind, so
     // every metric of a record shares one stream history and the first
     // metric decides for all. Replay preserves ACK order, which is
     // per-stream ingest order, so the rebuilt open accumulators (and
     // every later rollover) are bit-equal to an uninterrupted run's.
-    if (killed) {
+    if (recovered) {
+      // The recovered alert ring starts over (fresh after a failover, at
+      // the last checkpoint's mark after a kill -9): so does the ledger.
+      served_total = 0;
+      dropped_total = 0;
+      cursor = 0;
       keep_acked = false;
       std::vector<trace::measurement_record> replay;
       for (const trace::measurement_record& rec : acked_log) {
@@ -774,7 +835,10 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
     // round (a stalled replica link); the staleness bound below tolerates
     // a few consecutive skips.
     std::uint64_t repl_applied = 0;
-    if (repl_follower && !repl_follower->promoted()) {
+    if (repl_follower && !joined && cfg.stress.follower_join_tick == t) {
+      join();
+    }
+    if (joined && !repl_follower->promoted()) {
       const std::optional<std::uint64_t> applied =
           repl_follower->poll(repl_transport);
       if (!applied) {
@@ -958,6 +1022,21 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
            << "\n";
     }
     out.final_estb = estb.str();
+  }
+  // Final table: every stream's frozen history and open epoch, sorted --
+  // rendered here rather than by save_state, whose persist_save fault
+  // site a scenario's schedule may still arm.
+  {
+    std::vector<core::estimate_key> keys = coord->keys();
+    std::sort(keys.begin(), keys.end(), key_less{});
+    for (const core::estimate_key& k : keys) {
+      for (const core::epoch_estimate& e : coord->history(k)) {
+        core::epoch_codec::put_est(out.final_table, k, e);
+      }
+      if (const auto open = coord->open_state(k)) {
+        core::epoch_codec::put_open(out.final_table, k, *open);
+      }
+    }
   }
 
   out.tick_log = log.str();

@@ -13,7 +13,7 @@
 // (role, client, tick), so the same (config, seed) produces a byte-identical
 // tick log -- including runs with injected faults (scenario/injector.h keys
 // fault decisions on deterministic invocation ordinals) and runs that kill
-// and restore the coordinator mid-run through core::persist. The tick log
+// and recover the coordinator mid-run through core::durable_log. The tick log
 // records only driver-deterministic quantities; worker-side timing counters
 // (drain batches, queue high-water) are deliberately excluded.
 //
@@ -66,10 +66,18 @@ struct stressors {
   std::size_t alert_ring_capacity = 1024;
   std::uint64_t alert_drain_every = 1;
   std::uint32_t alert_drain_max = 256;
-  /// Kill the coordinator at the start of this tick, snapshot through
-  /// core::persist, rebuild, restore, continue. Use with
-  /// checkin_driven=false (shard task-rng state is not persisted).
+  /// Restart the coordinator at the start of this tick: checkpoint through
+  /// core::durable_log, kill, rebuild, recover, continue. The coordinator's
+  /// epoch log tees every rollover into the log's WAL (in a temporary
+  /// directory). Use with checkin_driven=false (shard task-rng state is
+  /// not persisted).
   std::optional<std::uint64_t> restart_tick;
+  /// Checkpoint at the start of every Nth tick instead (0 = only at the
+  /// restart). The restart is then a kill -9 between checkpoints -- no
+  /// flush, no snapshot -- recovered from the last checkpoint + the WAL,
+  /// and client-assisted replay re-submits the ACKed records the
+  /// recovered coordinator lacks.
+  std::uint64_t checkpoint_every = 0;
   /// Replicated mode (ISSUE 10): run a follower coordinator alongside the
   /// leader, snapshot-catch-up at start, pull the epoch stream (EPOCH ->
   /// EPOCHB frames through the leader's server) after every tick's flush,
@@ -86,6 +94,10 @@ struct stressors {
   /// bit-equal to an uninterrupted run's (the leader_kill regression
   /// compares through final_estb).
   std::optional<std::uint64_t> kill_leader_tick;
+  /// With replicate: the follower snapshot-catches-up after this tick's
+  /// flush, with epochs open on the leader, instead of at boot (nullopt).
+  /// It polls from then on.
+  std::optional<std::uint64_t> follower_join_tick;
   /// Deliberately corrupt the driver's ack count at this tick -- proves the
   /// report-accounting invariant catches a real discrepancy.
   std::optional<std::uint64_t> sabotage_tick;
@@ -142,6 +154,11 @@ struct scenario_result {
   /// (the restart regression compares an interrupted run against an
   /// uninterrupted one through this field).
   std::string final_estb;
+  /// Deterministic teardown dump of the whole table: every stream's frozen
+  /// history and open epoch in the snapshot's EST/OPEN line format, sorted
+  /// by (zone, network, metric). Unlike final_estb it shows an epoch
+  /// frozen twice, or an open accumulator that differs.
+  std::string final_table;
 };
 
 /// Runs one scenario to completion. The obs:: registry is process-global,

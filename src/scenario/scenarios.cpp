@@ -22,7 +22,8 @@ std::vector<std::string> scenario_names() {
   return {"baseline",        "flash_crowd", "operator_outage",
           "clock_skew",      "hostile_clients", "restart_mid_storm",
           "qoe_churn",       "slow_consumer",   "fault_storm",
-          "connection_churn", "wire_v3",        "leader_kill"};
+          "connection_churn", "wire_v3",        "leader_kill",
+          "wal_restart",     "follower_joins_late"};
 }
 
 scenario_config make_scenario(const std::string& name) {
@@ -144,6 +145,32 @@ scenario_config make_scenario(const std::string& name) {
     cfg.stress.faults.push_back(
         {core::fault::site::replica_lag, 3, 4, 0.25,
          core::fault::action::fail});
+    return cfg;
+  }
+  if (name == "wal_restart") {
+    // A WAL under a flash-crowd storm, checkpointed every 8 ticks. At tick
+    // 22 -- mid-epoch, 6 ticks past the last checkpoint, which saw epoch
+    // 900 open before it froze into the WAL -- the coordinator dies kill
+    // -9 style and recovers from snapshot + WAL. Client-assisted replay
+    // rebuilds the open epochs; the final table must bit-equal an
+    // uninterrupted run's (the regression compares final_table).
+    cfg.stress.flash_crowd = true;
+    cfg.stress.checkpoint_every = 8;
+    cfg.stress.restart_tick = 22;
+    // Shard task-rng state is not persisted.
+    cfg.checkin_driven = false;
+    return cfg;
+  }
+  if (name == "follower_joins_late") {
+    // leader_kill with a follower that snapshot-catches-up at tick 7, with
+    // epoch 300 open on the leader, and pulls that epoch frozen three
+    // ticks later. After the tick-20 failover and client-assisted replay
+    // the final table must bit-equal an uninterrupted run's.
+    cfg.stress.flash_crowd = true;
+    cfg.stress.replicate = true;
+    cfg.stress.follower_join_tick = 7;
+    cfg.stress.kill_leader_tick = 20;
+    cfg.checkin_driven = false;
     return cfg;
   }
   std::string known;

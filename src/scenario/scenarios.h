@@ -27,6 +27,16 @@
 //                        epoll front end, with proactive reconnects every
 //                        4 ticks, an accept_fail storm and read/write
 //                        stalls (net/server.h fault seams)
+//   wire_v3           -- hot traffic in binary v3 frames over loopback TCP
+//                        with injected frame truncations
+//   leader_kill       -- a replicated flash crowd whose leader dies at tick
+//                        20; the follower is promoted and client replay
+//                        rebuilds the lost open epochs
+//   wal_restart       -- a flash crowd over a checkpointed WAL, killed
+//                        mid-epoch at tick 22 and recovered from snapshot +
+//                        WAL plus client replay
+//   follower_joins_late -- leader_kill with the follower catching up at
+//                        tick 7, while epochs are open
 #pragma once
 
 #include <string>

@@ -445,7 +445,7 @@ TEST(ZoneTableStore, RestoreThenAppendMatchesLegacy) {
   const auto key = key_of(2, 2, "NetC", trace::metric::loss_rate);
   const epoch_estimate est{120.0, 0.25, 0.04, 17};
   want.restore(key, est);
-  got.restore(key, est);
+  got.merge_estimate(key, est, 120.0);
   for (double t = 400.0; t < 1000.0; t += 35.0) {
     want.add_sample(key, t, 0.3, 120.0);
     got.add_sample(key, t, 0.3, 120.0);

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -157,11 +158,11 @@ struct repl_pair {
     return c;
   }
 
-  repl_pair()
+  explicit repl_pair(std::size_t log_capacity = repl::default_log_capacity)
       : scfg(sync_cfg()),
         lc(grid, {"NetB", "NetC"}, scfg, 1),
         lserver(lc),
-        lead(lc),
+        lead(lc, log_capacity),
         fc(grid, {"NetB", "NetC"}, scfg, 1),
         fserver(fc),
         fol(fc),
@@ -172,11 +173,13 @@ struct repl_pair {
     fserver.attach_replication(&fol);
   }
 
-  /// Feeds `n` tcp_download records per epoch across `epochs` epochs of
-  /// 100 s, rolling each epoch over as the next one's samples arrive.
-  void ingest(double mean, int epochs, int n = 8, double x = 200.0) {
+  /// Feeds `n` tcp_download records per epoch across epochs [first,
+  /// epochs) of 100 s, rolling each epoch over as the next one's samples
+  /// arrive.
+  void ingest(double mean, int epochs, int n = 8, double x = 200.0,
+              int first = 0) {
     std::vector<trace::measurement_record> recs;
-    for (int e = 0; e < epochs; ++e) {
+    for (int e = first; e < epochs; ++e) {
       for (int i = 0; i < n; ++i) {
         trace::measurement_record r;
         r.time_s = 100.0 * e + 2.0 * i;
@@ -446,6 +449,48 @@ TEST(Replication, EvictedLogTellsTheFollowerToSnapshot) {
   EXPECT_EQ(fc.history(k).size(), lc.history(k).size());
 }
 
+// ---- each frozen epoch lands once -------------------------------------------
+
+TEST(Replication, CatchUpAfterFallingOffTheLogAppliesEachEpochOnce) {
+  repl_pair p(/*log_capacity=*/2);
+  // Epochs 0, 100 and 200 freeze; 200's jump in mean raises an alert.
+  p.ingest(1.0e6, 2);
+  p.ingest(2.0e6, 4, 8, 200.0, 2);
+  p.fol.catch_up(p.to_leader);
+  ASSERT_TRUE(p.fol.poll(p.to_leader).has_value());
+  p.ingest(1.0e6, 9, 8, 200.0, 4);  // five more rollovers overrun the log
+  EXPECT_FALSE(p.fol.poll(p.to_leader).has_value());
+  // The snapshot repeats the epochs the follower already holds, and its
+  // alert mark moved on while the follower raised none.
+  p.fol.catch_up(p.to_leader);
+  ASSERT_TRUE(p.fol.poll(p.to_leader).has_value());
+  p.expect_states_bit_equal();
+  EXPECT_EQ(testing::estimate_state(p.fc), testing::estimate_state(p.lc));
+  EXPECT_GT(p.lc.alert_seq(), 1u);
+  EXPECT_EQ(p.fc.alert_seq(), p.lc.alert_seq());
+}
+
+TEST(Replication, FollowerPromotedAfterAMidEpochCatchUpFreezesEachEpochOnce) {
+  repl_pair p;
+  const auto recs = testing::reports_at(
+      p.proj.to_lat_lon(geo::xy{200.0, 100.0}),
+      {10, 20, 30, 40, 50, 60, 70, 80, 110, 120, 130, 140, 200});
+  const std::span<const trace::measurement_record> all(recs);
+  // The uninterrupted run: epoch 0 with 8 samples, epoch 100 with 4.
+  core::sharded_coordinator want(p.grid, {"NetB", "NetC"}, p.scfg, 1);
+  want.report_batch(all);
+
+  p.lc.report_batch(all.first(4));
+  p.fol.catch_up(p.to_leader);  // the snapshot carries epoch 0 open
+  p.lc.report_batch(all.subspan(4, 5));  // epoch 0 freezes; 100 opens
+  ASSERT_TRUE(p.fol.poll(p.to_leader).has_value());
+  ASSERT_TRUE(p.fol.promote());
+  // The leader dies with epoch 100 open. Clients re-submit the reports
+  // ACKed since the catch-up whose epoch the follower has not frozen.
+  p.fc.report_batch(all.subspan(8));
+  EXPECT_EQ(testing::estimate_state(p.fc), testing::estimate_state(want));
+}
+
 // ---- commutative + idempotent merges ---------------------------------------
 
 TEST(ZoneTableMerge, DisjointFeedsMergeCommutatively) {
@@ -454,11 +499,11 @@ TEST(ZoneTableMerge, DisjointFeedsMergeCommutatively) {
   const core::epoch_estimate b = make_est(300.0, 0.05, 4);
 
   core::zone_table ab(2.0);
-  ab.merge_estimate(k, a);
-  ab.merge_estimate(k, b);
+  ab.merge_estimate(k, a, 300.0);
+  ab.merge_estimate(k, b, 300.0);
   core::zone_table ba(2.0);
-  ba.merge_estimate(k, b);
-  ba.merge_estimate(k, a);
+  ba.merge_estimate(k, b, 300.0);
+  ba.merge_estimate(k, a, 300.0);
 
   const auto ra = ab.latest(k);
   const auto rb = ba.latest(k);
@@ -478,8 +523,8 @@ TEST(ZoneTableMerge, BitIdenticalReApplyIsIdempotent) {
   // First delivery inserts a fresh epoch (merge_estimate reports false:
   // nothing combined); the bit-identical re-delivery is absorbed as a
   // merge-with-self no-op (reports true).
-  ASSERT_FALSE(t.merge_estimate(k, e));
-  ASSERT_TRUE(t.merge_estimate(k, e));
+  ASSERT_FALSE(t.merge_estimate(k, e, 300.0));
+  ASSERT_TRUE(t.merge_estimate(k, e, 300.0));
   const auto latest = t.latest(k);
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->samples, 25u);

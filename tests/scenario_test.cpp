@@ -94,6 +94,7 @@ TEST(Scenario, RestartMidStormServesBitEqualEstimates) {
   ASSERT_TRUE(b.passed);
   EXPECT_FALSE(a.final_estb.empty());
   EXPECT_EQ(a.final_estb, b.final_estb);
+  EXPECT_EQ(a.final_table, b.final_table);
 }
 
 // ---- leader-failover regression -------------------------------------------
@@ -118,6 +119,51 @@ TEST(Scenario, LeaderKillFailsOverToBitEqualEstimates) {
   ASSERT_TRUE(a.passed) << scenario::to_string(a.violations.front());
   ASSERT_TRUE(b.passed);
   EXPECT_FALSE(a.final_estb.empty());
+  EXPECT_EQ(a.final_estb, b.final_estb);
+  EXPECT_EQ(a.final_table, b.final_table);
+}
+
+// ---- recovery installs each frozen epoch once -----------------------------
+// A WAL recovery whose last checkpoint saw an epoch open that froze before
+// the kill, and a follower that caught up while epochs were open and
+// pulled them frozen later, must both end in the uninterrupted run's
+// table: no epoch frozen twice, every open accumulator bit-equal.
+
+TEST(Scenario, WalRestartRecoversToTheUninterruptedTable) {
+  const scenario::scenario_config interrupted =
+      scenario::make_scenario("wal_restart");
+  scenario::scenario_config uninterrupted = interrupted;
+  uninterrupted.stress.restart_tick.reset();
+  uninterrupted.stress.checkpoint_every = 0;
+
+  const scenario::scenario_result a =
+      scenario::run_scenario(interrupted, 2024);
+  const scenario::scenario_result b =
+      scenario::run_scenario(uninterrupted, 2024);
+  ASSERT_TRUE(a.passed) << scenario::to_string(a.violations.front());
+  ASSERT_TRUE(b.passed);
+  EXPECT_NE(a.tick_log.find("restart=1"), std::string::npos);
+  EXPECT_FALSE(a.final_table.empty());
+  EXPECT_EQ(a.final_table, b.final_table);
+  EXPECT_EQ(a.final_estb, b.final_estb);
+}
+
+TEST(Scenario, FollowerJoiningLateFailsOverToTheUninterruptedTable) {
+  const scenario::scenario_config interrupted =
+      scenario::make_scenario("follower_joins_late");
+  scenario::scenario_config uninterrupted = interrupted;
+  uninterrupted.stress.replicate = false;
+  uninterrupted.stress.kill_leader_tick.reset();
+  uninterrupted.stress.follower_join_tick.reset();
+
+  const scenario::scenario_result a =
+      scenario::run_scenario(interrupted, 2024);
+  const scenario::scenario_result b =
+      scenario::run_scenario(uninterrupted, 2024);
+  ASSERT_TRUE(a.passed) << scenario::to_string(a.violations.front());
+  ASSERT_TRUE(b.passed);
+  EXPECT_FALSE(a.final_table.empty());
+  EXPECT_EQ(a.final_table, b.final_table);
   EXPECT_EQ(a.final_estb, b.final_estb);
 }
 

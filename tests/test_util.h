@@ -3,6 +3,7 @@
 #pragma once
 
 #include <algorithm>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -10,6 +11,7 @@
 
 #include "cellnet/deployment.h"
 #include "cellnet/presets.h"
+#include "core/persist.h"
 #include "core/sharded_coordinator.h"
 #include "proto/server.h"
 #include "stats/rng.h"
@@ -87,6 +89,29 @@ inline trace::measurement_record make_record(double time_s,
       break;
   }
   return r;
+}
+
+/// Successful NetB tcp_download reports from `pos` at `times`, the
+/// throughput rising 1 kbps per report: one stream per metric, whose
+/// epochs are easy to count.
+inline std::vector<trace::measurement_record> reports_at(
+    geo::lat_lon pos, std::initializer_list<double> times) {
+  std::vector<trace::measurement_record> out;
+  for (const double t : times) {
+    const double bps = 1.0e6 + 1000.0 * static_cast<double>(out.size());
+    out.push_back(
+        make_record(t, "NetB", pos, trace::probe_kind::tcp_download, bps));
+  }
+  return out;
+}
+
+/// Every stream's frozen history and open epoch in the snapshot's format
+/// and key order: core::save_state without its ALERTSEQ line. Two states
+/// equal here serve the same estimates and resume the same open epochs.
+inline std::string estimate_state(const core::durable_state& st) {
+  std::string out;
+  core::save_state(out, st);
+  return out.substr(0, out.rfind("ALERTSEQ"));
 }
 
 /// A 1-shard synchronous sharded_coordinator: reports apply inline on the

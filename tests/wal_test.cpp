@@ -15,6 +15,7 @@
 #include <limits>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,7 +27,9 @@
 #include "geo/zone_grid.h"
 #include "obs/names.h"
 #include "obs/registry.h"
+#include "repl/epoch_log.h"
 #include "scenario/injector.h"
+#include "test_util.h"
 
 namespace wiscape {
 namespace {
@@ -68,7 +71,7 @@ std::string render_corpus(const std::vector<wal_record>& recs,
                           std::vector<std::size_t>& ends) {
   static int runs = 0;
   const std::string dir =
-      testing::TempDir() + "wal_corpus_" + std::to_string(++runs);
+      ::testing::TempDir() + "wal_corpus_" + std::to_string(++runs);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   std::vector<std::size_t> sizes;
@@ -261,7 +264,7 @@ struct pair_fixture {
   geo::zone_grid grid{proj, 250.0};
 
   pair_fixture() {
-    dir = testing::TempDir() + "wal_pair_" +
+    dir = ::testing::TempDir() + "wal_pair_" +
           std::to_string(reinterpret_cast<std::uintptr_t>(this));
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
@@ -521,6 +524,76 @@ TEST(DurableLog, TornCheckpointPreservesSnapshotAndWal) {
   EXPECT_EQ(dl.recover(b), recs[2].seq);
   const core::estimate_key& k = recs[0].key;
   EXPECT_EQ(b.history(k).size(), a.history(k).size());
+}
+
+// ---- recovery installs each frozen epoch once -------------------------------
+
+core::coordinator_config epochs_of_100s() {
+  core::coordinator_config cfg;
+  cfg.epochs.default_epoch_s = 100.0;
+  return cfg;
+}
+
+TEST(DurableLog, RecoverClosesTheEpochTheSnapshotSawOpen) {
+  pair_fixture fx;
+  const auto recs = testing::reports_at(
+      fx.proj.to_lat_lon(geo::xy{200.0, 100.0}),
+      {10, 20, 30, 40, 50, 60, 70, 80, 110, 120, 130, 140, 200});
+  const std::span<const trace::measurement_record> all(recs);
+  // The uninterrupted run: epoch 0 with 8 samples, epoch 100 with 4.
+  core::sharded_coordinator want =
+      testing::sync_coordinator(fx.grid, {"NetB"}, epochs_of_100s(), 1);
+  want.report_batch(all);
+  const core::estimate_key k{fx.grid.zone_of(recs[0].pos), "NetB",
+                             trace::metric::tcp_throughput_bps};
+  ASSERT_EQ(want.history(k).size(), 2u);
+
+  {
+    // The leader checkpoints with epoch 0 open (4 samples), then epoch 0
+    // freezes into the WAL, then it dies with epoch 100 open.
+    core::durable_log dl(fx.dir);
+    core::sharded_coordinator lead =
+        testing::sync_coordinator(fx.grid, {"NetB"}, epochs_of_100s(), 1);
+    repl::epoch_log tee(16, &dl);
+    lead.set_epoch_tap(&tee);
+    lead.report_batch(all.first(4));
+    dl.checkpoint(lead);
+    lead.report_batch(all.subspan(4, 5));
+    lead.set_epoch_tap(nullptr);
+  }
+  core::durable_log dl(fx.dir);
+  core::sharded_coordinator got =
+      testing::sync_coordinator(fx.grid, {"NetB"}, epochs_of_100s(), 1);
+  dl.recover(got);
+  // Clients re-submit the reports ACKed since the checkpoint whose epoch
+  // the recovered coordinator has not frozen, then carry on.
+  got.report_batch(all.subspan(8));
+  EXPECT_EQ(testing::estimate_state(got), testing::estimate_state(want));
+}
+
+TEST(DurableLog, CrashBetweenSnapshotRenameAndWalResetRecoversEachEpochOnce) {
+  pair_fixture fx;
+  core::durable_log dl(fx.dir);
+  core::sharded_coordinator a =
+      testing::sync_coordinator(fx.grid, {"NetB"}, epochs_of_100s(), 1);
+  repl::epoch_log tee(16, &dl);
+  a.set_epoch_tap(&tee);
+  // Epochs 0, 100 and 200 freeze into the WAL; epoch 300 stays open.
+  a.report_batch(testing::reports_at(
+      fx.proj.to_lat_lon(geo::xy{200.0, 100.0}), {10, 110, 120, 210, 310}));
+  a.set_epoch_tap(nullptr);
+  const std::string before = testing::estimate_state(a);
+  const std::string wal = read_file(dl.wal_path());
+  dl.checkpoint(a);
+  // The crash: the new snapshot was renamed into place, the WAL it covers
+  // was never reset.
+  std::ofstream(dl.wal_path(), std::ios::binary | std::ios::trunc) << wal;
+
+  core::sharded_coordinator b =
+      testing::sync_coordinator(fx.grid, {"NetB"}, epochs_of_100s(), 1);
+  core::durable_log again(fx.dir);
+  again.recover(b);
+  EXPECT_EQ(testing::estimate_state(b), before);
 }
 
 }  // namespace

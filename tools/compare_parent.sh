@@ -9,7 +9,9 @@
 #     quickstart, operator_watch and remote_coordinator examples;
 #  3. diffs every run_a/*.ticklog and every example's output (with
 #     scheduling-dependent figures masked), and exits non-zero naming the
-#     first file that differs.
+#     first file that differs or that the working tree no longer produces.
+#     A tick log only the working tree produces (a scenario added since
+#     <rev>) has nothing to compare against: it is listed as new.
 #
 # The worktree is reused by later runs (re-pointed at <rev>); remove it with
 # `git worktree remove --force <work-dir>`.
@@ -60,14 +62,13 @@ run_tree "$root" "$root/build" "$work/compare/head"
 
 parent="$work/compare/parent"
 head="$work/compare/head"
-if [ "$(cd "$parent/scenarios/run_a" && ls)" != \
-     "$(cd "$head/scenarios/run_a" && ls)" ]; then
-  echo "DIFFERS: the set of scenarios/run_a tick logs" >&2
-  exit 1
-fi
 n=0
 for rel in $(cd "$parent" && ls scenarios/run_a/*.ticklog) \
            quickstart.out operator_watch.out remote_coordinator.out; do
+  if [ ! -e "$head/$rel" ]; then
+    echo "MISSING: $rel (the working tree no longer produces it)" >&2
+    exit 1
+  fi
   if ! cmp -s "$parent/$rel" "$head/$rel"; then
     echo "DIFFERS: $rel" >&2
     diff "$parent/$rel" "$head/$rel" 2>&1 | head -10 >&2 || true
@@ -75,4 +76,12 @@ for rel in $(cd "$parent" && ls scenarios/run_a/*.ticklog) \
   fi
   n=$((n + 1))
 done
-echo "identical: $n files (tick logs at seed $seed and example outputs)"
+added=0
+for rel in $(cd "$head" && ls scenarios/run_a/*.ticklog); do
+  if [ ! -e "$parent/$rel" ]; then
+    echo "new: $rel (no scenario of that name at $rev)"
+    added=$((added + 1))
+  fi
+done
+echo "identical: $n files (tick logs at seed $seed and example outputs);" \
+  "new: $added tick logs"
