@@ -15,16 +15,26 @@
 //    coordinator_server, with the raw in-memory drain rate (no wire layer
 //    at all) printed as the ceiling. Acceptance: batched frames beat
 //    per-line ingestion (> 1x).
+//  * recovery: a seeded warm state of `streams` streams (two frozen epochs
+//    and one open epoch each, like perfbench's) saved with save_state,
+//    plus a short WAL. Times the snapshot parse alone (epoch_codec, no
+//    table), the installs alone (pre-parsed lines into a fresh
+//    coordinator), load_state into a fresh coordinator, and
+//    durable_log::recover of the on-disk pair, and prints the parse share
+//    of a load -- whether text parsing still matters on a cold start.
 //
 // Machine-readable results go to bench_wire_parse.jsonl in the working
 // directory (one JSON object per line; schema in EXPERIMENTS.md).
 //
-//   ./bench_wire_parse [reports] [batch]
+//   ./bench_wire_parse [reports] [batch] [streams]
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -32,6 +42,9 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/durable_log.h"
+#include "core/epoch_codec.h"
+#include "core/persist.h"
 #include "core/sharded_coordinator.h"
 #include "geo/projection.h"
 #include "proto/messages.h"
@@ -175,6 +188,230 @@ void jsonl_result(std::ofstream& out, const char* mode, std::size_t batch,
       << ",\"reports_per_s\":" << buf << "}\n";
 }
 
+// ---- recovery leg -----------------------------------------------------------
+
+constexpr int kRecoverReps = 5;
+constexpr double kRecoverEpochS = 300.0;
+constexpr int kFrozenEpochs = 2;  // per stream, snapshot and WAL alike
+
+core::sharded_config recovery_config() {
+  core::sharded_config cfg;
+  cfg.coordinator.epochs.default_epoch_s = kRecoverEpochS;
+  cfg.num_shards = 1;
+  cfg.synchronous = true;
+  return cfg;
+}
+
+/// Every (network, metric) stream of zone (ix, iy), in a fixed order.
+template <class Fn>
+void for_each_stream(int ix, int iy, Fn&& fn) {
+  for (const char* net : {"NetB", "NetC"}) {
+    for (std::size_t m = 0; m < trace::metric_count; ++m) {
+      fn(core::estimate_key{{ix, iy}, net, static_cast<trace::metric>(m)});
+    }
+  }
+}
+
+/// A seeded estimate for epoch `e`: throughput-scale doubles that render
+/// with all 17 significant digits, as a live table's do.
+core::epoch_estimate warm_estimate(stats::rng_stream& rng, int e) {
+  return {kRecoverEpochS * e, rng.uniform(1e5, 3e6), rng.uniform(0.0, 1e5),
+          static_cast<std::size_t>(rng.uniform_int(2, 16))};
+}
+
+/// The warm state: `side` x `side` zones whose every stream holds
+/// kFrozenEpochs frozen epochs and one open epoch.
+void fill_warm_state(core::durable_state& state, int side) {
+  stats::rng_stream rng(bench::bench_seed);
+  for (int ix = 0; ix < side; ++ix) {
+    for (int iy = 0; iy < side; ++iy) {
+      for_each_stream(ix, iy, [&](const core::estimate_key& key) {
+        for (int e = 0; e < kFrozenEpochs; ++e) {
+          state.restore_estimate(key, warm_estimate(rng, e));
+        }
+        state.restore_open(key, {kFrozenEpochs * kRecoverEpochS, 2,
+                                 rng.uniform(1e5, 3e6), rng.uniform(0.0, 1e9)});
+      });
+    }
+  }
+}
+
+/// Appends the short WAL: kFrozenEpochs frozen epochs for each stream of a
+/// row of zones outside the snapshot's grid. Returns the records written.
+std::size_t append_wal(core::durable_log& dl, int side) {
+  stats::rng_stream rng(bench::bench_seed + 1);
+  std::uint64_t seq = 0;
+  for (int ix = 0; ix < side; ++ix) {
+    for_each_stream(ix, side + 1, [&](const core::estimate_key& key) {
+      for (int e = 0; e < kFrozenEpochs; ++e) {
+        dl.append(++seq, key, warm_estimate(rng, e));
+      }
+    });
+  }
+  return seq;
+}
+
+/// Parses every body line of a snapshot rendering (no table), keeping the
+/// parsed lines in `out` when given; returns the lines parsed.
+std::size_t parse_snapshot(std::string_view text,
+                           std::vector<core::epoch_codec::state_line>* out) {
+  core::epoch_codec::line_reader in(text);
+  std::string_view line;
+  in.next(line);  // the header
+  core::epoch_codec::state_line rec;
+  std::size_t n = 0;
+  while (in.next(line)) {
+    if (!core::epoch_codec::parse_state_line(line, rec)) {
+      throw std::runtime_error("unparsable snapshot line");
+    }
+    if (out != nullptr) out->push_back(rec);
+    ++n;
+  }
+  return n;
+}
+
+/// Installs pre-parsed snapshot lines the way load_state does.
+void install(const std::vector<core::epoch_codec::state_line>& lines,
+             core::durable_state& state) {
+  using kind = core::epoch_codec::state_line::kind;
+  for (const auto& r : lines) {
+    if (r.tag == kind::est) {
+      state.restore_estimate(r.key, r.est);
+    } else if (r.tag == kind::open) {
+      state.restore_open(r.key, r.open);
+    } else if (r.alert_seq > 0) {
+      state.resume_alert_seq(r.alert_seq);
+    }
+  }
+}
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+void jsonl_recover(std::ofstream& out, const char* mode, std::size_t streams,
+                   std::size_t lines, double seconds) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "\"seconds\":%.6f,\"lines_per_s\":%.0f",
+                seconds, static_cast<double>(lines) / seconds);
+  out << "{\"bench\":\"wire_parse\",\"mode\":\"" << mode
+      << "\",\"streams\":" << streams << ",\"lines\":" << lines << "," << buf
+      << "}\n";
+}
+
+/// The recovery leg; returns false when a table rebuilt from the snapshot
+/// does not render back to it, or a recovery misses a stream or a WAL
+/// record.
+bool recovery_leg(const geo::zone_grid& grid, std::size_t target_streams,
+                  std::ofstream& jsonl) {
+  // Two networks x every metric per zone, side x side zones.
+  const double zones =
+      static_cast<double>(target_streams) / (2 * trace::metric_count);
+  const int side =
+      std::max(1, static_cast<int>(std::lround(std::sqrt(zones))));
+  const auto fresh = [&] {
+    return std::make_unique<core::sharded_coordinator>(
+        grid, std::vector<std::string>{"NetB", "NetC"}, recovery_config(),
+        bench::bench_seed);
+  };
+  auto warm = fresh();
+  fill_warm_state(*warm, side);
+  const std::size_t streams = warm->keys().size();
+  std::string text;
+  core::save_state(text, *warm);
+
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "wiscape_bench_recover_XXXXXX")
+                        .string();
+  if (mkdtemp(dir.data()) == nullptr) {
+    throw std::runtime_error("mkdtemp failed");
+  }
+  std::size_t wal_records = 0;
+  {
+    core::durable_log dl(dir);
+    dl.checkpoint(*warm);
+    wal_records = append_wal(dl, side);
+  }
+  warm.reset();
+
+  std::vector<core::epoch_codec::state_line> parsed;
+  const std::size_t lines = parse_snapshot(text, &parsed);
+  const std::size_t wal_streams = wal_records / kFrozenEpochs;
+
+  // The four measurements are interleaved within each rep, so drift on a
+  // shared host hits every column alike; each column is a median. Tables
+  // are built, checked and torn down outside the timed regions.
+  const auto renders_back = [&](const core::durable_state& state) {
+    std::string again;
+    core::save_state(again, state);
+    return again == text;
+  };
+  std::vector<double> parse_s, install_s, load_s, recover_s;
+  bool ok = true;
+  for (int r = 0; r < kRecoverReps; ++r) {
+    double t0 = now_s();
+    const std::size_t n = parse_snapshot(text, nullptr);
+    parse_s.push_back(now_s() - t0);
+    ok = ok && n == lines;
+
+    auto a = fresh();
+    t0 = now_s();
+    install(parsed, *a);
+    install_s.push_back(now_s() - t0);
+    ok = ok && (r > 0 || renders_back(*a));
+    a.reset();
+
+    auto b = fresh();
+    t0 = now_s();
+    core::load_state(std::string_view(text), *b);
+    load_s.push_back(now_s() - t0);
+    ok = ok && (r > 0 || renders_back(*b));
+    b.reset();
+
+    auto c = fresh();
+    t0 = now_s();
+    core::durable_log dl(dir);
+    const std::uint64_t last = dl.recover(*c);
+    recover_s.push_back(now_s() - t0);
+    ok = ok && last == wal_records && c->keys().size() == streams + wal_streams;
+  }
+  std::filesystem::remove_all(dir);
+
+  const double parse = median_of(parse_s);
+  const double inst = median_of(install_s);
+  const double load = median_of(load_s);
+  const double rec = median_of(recover_s);
+  const auto rate = [](std::size_t n, double s) {
+    return static_cast<double>(n) / s;
+  };
+  std::printf("  recovery of a warm state: %zu streams, %zu snapshot lines "
+              "(%.1f MB), %zu WAL records; median of %d runs:\n",
+              streams, lines, static_cast<double>(text.size()) / 1e6,
+              wal_records, kRecoverReps);
+  std::printf("    snapshot parse only:                 %8.3f s  "
+              "%11.0f lines/s\n",
+              parse, rate(lines, parse));
+  std::printf("    installs only (pre-parsed lines):    %8.3f s  "
+              "%11.0f lines/s\n",
+              inst, rate(lines, inst));
+  std::printf("    load_state (parse + install):        %8.3f s  "
+              "%11.0f lines/s  (parse share %.0f%%)\n",
+              load, rate(lines, load), 100.0 * parse / load);
+  std::printf("    durable_log::recover (snapshot+WAL): %8.3f s  "
+              "%11.0f lines/s\n\n",
+              rec, rate(lines + wal_records, rec));
+  bench::report("recovery parse share of a snapshot load", "-",
+                bench::fmt_pct(parse / load, 0));
+
+  jsonl_recover(jsonl, "snapshot_parse", streams, lines, parse);
+  jsonl_recover(jsonl, "snapshot_install", streams, lines, inst);
+  jsonl_recover(jsonl, "snapshot_load", streams, lines, load);
+  jsonl_recover(jsonl, "durable_recover", streams + wal_streams,
+                lines + wal_records, rec);
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -182,6 +419,8 @@ int main(int argc, char** argv) {
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 200'000;
   const std::size_t batch =
       argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 64;
+  const std::size_t recover_streams =
+      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 110'000;
   constexpr int kReps = 5;
 
   bench::banner("Wire parse - zero-allocation decode fast path + REPORTB",
@@ -321,7 +560,13 @@ int main(int argc, char** argv) {
   jsonl_result(jsonl, "e2e_report", 1, stream.size(), wire_single_rps);
   jsonl_result(jsonl, "e2e_reportb", batch, stream.size(), wire_batch_rps);
 
+  std::printf("\n");
+  const bool recovered = recovery_leg(grid, recover_streams, jsonl);
+  if (!recovered) {
+    std::fprintf(stderr, "recovered table differs from the saved one\n");
+  }
+
   // The checksum keeps the compiler honest; print it so it is truly live.
   std::fprintf(stderr, "# checksum %.1f\n", sink);
-  return 0;
+  return recovered ? 0 : 1;
 }

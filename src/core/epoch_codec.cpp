@@ -1,6 +1,6 @@
 #include "core/epoch_codec.h"
 
-#include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstring>
@@ -13,7 +13,18 @@ namespace wiscape::core::epoch_codec {
 
 namespace {
 
-constexpr std::string_view kSpace = " \t\r\v\f";
+// The byte classes of the field scan: true for the five separators ' ',
+// '\t', '\r', '\v' and '\f'. Every other byte -- '\n', NUL, and any byte
+// >= 0x80 -- belongs to a field.
+constexpr std::array<bool, 256> kSeparator = [] {
+  std::array<bool, 256> t{};
+  for (const unsigned char c : {' ', '\t', '\r', '\v', '\f'}) t[c] = true;
+  return t;
+}();
+
+bool is_separator(char c) noexcept {
+  return kSeparator[static_cast<unsigned char>(c)];
+}
 
 // FNV-1a over the WAL record body: cheap, dependency-free, and plenty to
 // tell "record the writer finished" from "record the crash cut" -- the
@@ -48,14 +59,16 @@ void put_key_fields(std::string& out, const estimate_key& key, Nums... vs) {
   ((out += ' ', put_num(out, vs)), ...);
 }
 
-/// Pops the next whitespace-separated field off `rest` (empty: none left).
+/// Pops the next separator-delimited field off `rest` (empty: none left):
+/// one byte-class scan over the separators, then one over the field.
 std::string_view pop(std::string_view& rest) noexcept {
-  const std::size_t b = std::min(rest.find_first_not_of(kSpace), rest.size());
-  rest.remove_prefix(b);
-  const std::size_t e = std::min(rest.find_first_of(kSpace), rest.size());
-  const std::string_view field = rest.substr(0, e);
-  rest.remove_prefix(e);
-  return field;
+  const char* p = rest.data();
+  const char* const end = p + rest.size();
+  while (p != end && is_separator(*p)) ++p;
+  const char* const field = p;
+  while (p != end && !is_separator(*p)) ++p;
+  rest = std::string_view(p, static_cast<std::size_t>(end - p));
+  return std::string_view(field, static_cast<std::size_t>(p - field));
 }
 
 /// Parses all of `s` as one number; a trailing byte or a NaN rejects it.

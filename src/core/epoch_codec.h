@@ -9,8 +9,11 @@
 //    ones the old snprintf renderers wrote, and every double parses back
 //    bit-exactly.
 //  * Parsing reads fields in place from a std::string_view with
-//    std::from_chars. Fields are whitespace-separated, each must parse
-//    whole, and a line must carry exactly its fields. A `nan` field is
+//    std::from_chars. Fields are separated, and a line may be padded, by
+//    runs of exactly five bytes: ' ', '\t', '\r', '\v' and '\f'; every
+//    other byte belongs to a field. Each field must parse whole, and a
+//    line must carry exactly its fields (a WAL line ends with its fixed
+//    ` C<8 hex digits>` suffix). A `nan` field is
 //    malformed everywhere (a snapshot load throws, WAL replay stops there
 //    as at a torn tail): a NaN estimate carries nothing and cannot
 //    round-trip its payload.

@@ -36,6 +36,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -330,14 +331,20 @@ class zone_table {
     void reset() noexcept { *this = epoch_accum{}; }
   };
 
+  // open_start_s of a stream with no epoch yet. Every finite start --
+  // negative ones included, for streams whose data time starts before 0 --
+  // is a real epoch boundary, and -inf is <= every epoch an install closes.
+  static constexpr double kNoEpoch = -std::numeric_limits<double>::infinity();
+
   // Per-stream state is split hot/cold so the per-sample apply touches as
   // few cache lines as possible: `hot_state` (32 bytes) is everything the
   // happy path reads and writes; the frozen history and the unpacked key
   // live in a parallel cold vector only rollovers and readers visit.
   struct hot_state {
     epoch_accum open;                 // accumulating epoch
-    double open_start_s = -1.0;       // <0: no epoch started yet
+    double open_start_s = kNoEpoch;   // start of the open epoch
   };
+  static_assert(sizeof(hot_state) == 32);
   struct cold_state {
     std::vector<epoch_estimate> frozen;
     estimate_key key;                 // unpacked, for keys()/alerts
@@ -475,7 +482,7 @@ inline void zone_table::add_sample(const geo::zone_id& zone,
 inline void zone_table::fold(std::size_t index, double time_s, double value,
                              double epoch_duration_s) {
   hot_state& s = hot_[index];
-  if (s.open_start_s < 0.0) {
+  if (s.open_start_s == kNoEpoch) {
     // Align the first epoch boundary to a multiple of the duration so
     // different clients agree on epoch edges.
     s.open_start_s = std::floor(time_s / epoch_duration_s) * epoch_duration_s;

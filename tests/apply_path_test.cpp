@@ -488,6 +488,47 @@ TEST(ZoneTableStore, ManyStreamsSurviveTableGrowth) {
   }
 }
 
+// Epochs before t=0 are real epochs: they freeze, and an install closes
+// them. The legacy oracle above treats any negative start as "no epoch
+// yet" (so such a stream re-aligns on every sample and freezes nothing
+// until t >= 0), so these cases are pinned directly.
+TEST(ZoneTableStore, EpochsBeforeTimeZeroFreezeLikeLaterOnes) {
+  zone_table t(2.0);
+  const auto key = key_of(0, 0, "NetB");
+  for (const double time : {-250.0, -240.0, -150.0, -140.0, -50.0, 10.0,
+                            20.0, 110.0}) {
+    t.add_sample(key, time, time, 100.0);
+  }
+  const auto hist = t.history(key);
+  const std::vector<std::pair<double, std::size_t>> want = {
+      {-300.0, 2}, {-200.0, 2}, {-100.0, 1}, {0.0, 2}};
+  ASSERT_EQ(hist.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(hist[i].epoch_start_s, want[i].first) << i;
+    EXPECT_EQ(hist[i].samples, want[i].second) << i;
+  }
+  EXPECT_EQ(hist[0].mean, -245.0);
+  EXPECT_EQ(t.open_epoch_samples(key), 1u);  // t=110 opened [100, 200)
+}
+
+TEST(ZoneTableStore, InstallingAnEpochBeforeTimeZeroClosesIt) {
+  zone_table t(2.0);
+  const auto key = key_of(0, 0, "NetB");
+  const epoch_estimate installed{-300.0, 4.0, 0.5, 3};
+  EXPECT_FALSE(t.merge_estimate(key, installed, 100.0));
+  // A late sample from the installed epoch lands in the open epoch after
+  // it, so the rollover below freezes -200 and never -300 a second time.
+  t.add_sample(key, -280.0, 9.0, 100.0);
+  t.add_sample(key, -150.0, 11.0, 100.0);
+  t.add_sample(key, -50.0, 1.0, 100.0);
+  const auto hist = t.history(key);
+  ASSERT_EQ(hist.size(), 2u);
+  expect_same_estimate(hist[0], installed, "installed");
+  EXPECT_EQ(hist[1].epoch_start_s, -200.0);
+  EXPECT_EQ(hist[1].samples, 2u);
+  EXPECT_EQ(hist[1].mean, 10.0);
+}
+
 // ---------------------------------------------------------------------------
 // Coordinator-level fold: metrics_of() must preserve the seed's per-record
 // metric fold order (alert order is observable), and the wire-cached

@@ -180,6 +180,221 @@ TEST(EpochCodec, RejectsTrailingAndMissingFields) {
   EXPECT_FALSE(epoch_codec::parse_state_line("", rec));
 }
 
+// ---- the separator set: ' ', '\t', '\r', '\v', '\f' and nothing else ---------
+
+const std::string kSeparatorBytes = " \t\r\v\f";
+// Whitespace in some other character set, and the bytes a line ends with:
+// all of them belong to a field.
+const std::string kFieldBytes = std::string("\n\0\x85\xA0", 4);
+
+/// `fields` joined by `gap`, between `lead` and `trail`; `odd_gap`, when
+/// set, replaces the gap before field `odd_at` (0 = the leading padding,
+/// fields.size() = the trailing padding).
+std::string spaced(const std::vector<std::string>& fields, std::string_view lead,
+                   std::string_view gap, std::string_view trail,
+                   std::size_t odd_at = std::string::npos,
+                   std::string_view odd_gap = {}) {
+  std::string out;
+  for (std::size_t i = 0; i <= fields.size(); ++i) {
+    const std::string_view edge = i == 0 ? lead : i == fields.size() ? trail : gap;
+    out += i == odd_at ? odd_gap : edge;
+    if (i < fields.size()) out += fields[i];
+  }
+  return out;
+}
+
+/// `body` with the WAL checksum suffix ` C<fnv1a32 %08x>` it must carry.
+std::string wal_line(const std::string& body) {
+  std::uint32_t h = 2166136261u;
+  for (const char c : body) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 16777619u;
+  }
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), " C%08x", h);
+  return body + crc;
+}
+
+const std::vector<std::string> kEstFields = {"EST", "1:-1", "NetB", "rtt",
+                                             "0",   "1",    "2",    "3"};
+const std::vector<std::string> kOpenFields = {"OPEN", "1:-1", "NetB", "rtt",
+                                              "0",    "2",    "1",    "5"};
+const std::vector<std::string> kAlertFields = {"ALERTSEQ", "9"};
+const std::vector<std::string> kWalFields = {"W", "7", "1:-1", "NetB", "rtt",
+                                             "0", "1", "2",    "3"};
+
+bool parses_as_canonical_state_line(const std::string& line) {
+  epoch_codec::state_line rec;
+  if (!epoch_codec::parse_state_line(line, rec)) return false;
+  const estimate_key key{{1, -1}, "NetB", trace::metric::rtt_s};
+  switch (rec.tag) {
+    case epoch_codec::state_line::kind::est:
+      return rec.key == key && rec.est.epoch_start_s == 0.0 &&
+             rec.est.mean == 1.0 && rec.est.stddev == 2.0 &&
+             rec.est.samples == 3;
+    case epoch_codec::state_line::kind::open:
+      return rec.key == key && rec.open.open_start_s == 0.0 &&
+             rec.open.n == 2 && rec.open.mean == 1.0 && rec.open.m2 == 5.0;
+    case epoch_codec::state_line::kind::alert_seq:
+      return rec.alert_seq == 9;
+  }
+  return false;
+}
+
+bool parses_as_canonical_wal(const std::string& line) {
+  std::uint64_t seq = 0;
+  estimate_key key;
+  epoch_estimate est;
+  return epoch_codec::parse_wal(line, seq, key, est) && seq == 7 &&
+         key == estimate_key{{1, -1}, "NetB", trace::metric::rtt_s} &&
+         est.epoch_start_s == 0.0 && est.mean == 1.0 && est.stddev == 2.0 &&
+         est.samples == 3;
+}
+
+TEST(EpochCodec, EachSeparatorDelimitsEveryFieldAndPadsEveryLine) {
+  std::vector<std::string> gaps;
+  for (const char c : kSeparatorBytes) gaps.emplace_back(1, c);
+  gaps.push_back(kSeparatorBytes);  // all five in one run
+  for (const std::string& gap : gaps) {
+    const std::string shown = ::testing::PrintToString(gap);
+    for (const auto* fields : {&kEstFields, &kOpenFields, &kAlertFields}) {
+      EXPECT_TRUE(parses_as_canonical_state_line(spaced(*fields, "", gap, "")))
+          << shown;
+      EXPECT_TRUE(parses_as_canonical_state_line(spaced(*fields, gap, gap, gap)))
+          << shown;
+      // One odd gap among single spaces, at every position.
+      for (std::size_t at = 0; at <= fields->size(); ++at) {
+        EXPECT_TRUE(parses_as_canonical_state_line(
+            spaced(*fields, "", " ", "", at, gap)))
+            << shown << " at " << at;
+      }
+    }
+    // A WAL line's checksummed body follows the same rule, padding
+    // included; the ` C<hex>` suffix that ends the line is fixed bytes.
+    EXPECT_TRUE(parses_as_canonical_wal(wal_line(spaced(kWalFields, gap, gap, gap))))
+        << shown;
+    for (std::size_t at = 0; at <= kWalFields.size(); ++at) {
+      EXPECT_TRUE(parses_as_canonical_wal(
+          wal_line(spaced(kWalFields, "", " ", "", at, gap))))
+          << shown << " at " << at;
+    }
+  }
+  const std::string wal = wal_line(spaced(kWalFields, "", " ", ""));
+  EXPECT_FALSE(parses_as_canonical_wal(wal + " "));
+  EXPECT_FALSE(parses_as_canonical_wal(
+      std::string(wal).replace(wal.rfind(" C"), 1, "\t")));
+}
+
+TEST(EpochCodec, OtherWhitespaceAndLineBytesAreFieldBytes) {
+  for (const char c : kFieldBytes) {
+    const std::string bad(1, c);
+    const std::string shown = ::testing::PrintToString(bad);
+    for (const auto* fields : {&kEstFields, &kOpenFields, &kAlertFields}) {
+      // As the only gap, as padding, and in place of one single space.
+      EXPECT_FALSE(parses_as_canonical_state_line(spaced(*fields, "", bad, "")))
+          << shown;
+      for (std::size_t at = 0; at <= fields->size(); ++at) {
+        EXPECT_FALSE(parses_as_canonical_state_line(
+            spaced(*fields, "", " ", "", at, bad)))
+            << shown << " at " << at;
+      }
+    }
+    for (std::size_t at = 0; at <= kWalFields.size(); ++at) {
+      EXPECT_FALSE(parses_as_canonical_wal(
+          wal_line(spaced(kWalFields, "", " ", "", at, bad))))
+          << shown << " at " << at;
+    }
+  }
+}
+
+TEST(EpochCodec, SeededRecordsRoundTripBitIdentical) {
+  std::mt19937_64 gen(22);
+  const std::vector<double> awkward = awkward_doubles();
+  const auto any_double = [&] {
+    for (;;) {
+      const std::uint64_t r = gen();
+      const double v =
+          r % 4 == 0 ? awkward[(r >> 8) % awkward.size()] : from_bits(gen());
+      if (!std::isnan(v)) return v;  // NaN is malformed by design
+    }
+  };
+  const auto any_count = [&] {
+    const std::uint64_t r = gen();
+    return r % 8 == 0 ? std::numeric_limits<std::uint64_t>::max()
+           : r % 8 == 1 ? std::uint64_t{0}
+                        : gen() >> (gen() % 64);
+  };
+  const auto any_coord = [&] {
+    const std::uint64_t r = gen();
+    return r % 8 == 0   ? std::numeric_limits<int>::min()
+           : r % 8 == 1 ? std::numeric_limits<int>::max()
+                        : static_cast<int>(static_cast<std::uint32_t>(gen()));
+  };
+  // Network names of any bytes but the separators and '\n' (a line's end).
+  const auto any_network = [&] {
+    std::string net(1 + gen() % 24, 'x');
+    for (char& c : net) {
+      do {
+        c = static_cast<char>(gen());
+      } while (c == '\n' || kSeparatorBytes.find(c) != std::string::npos);
+    }
+    return net;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const estimate_key key{{any_coord(), any_coord()},
+                           any_network(),
+                           static_cast<trace::metric>(gen() % trace::metric_count)};
+    const epoch_estimate est{any_double(), any_double(), any_double(),
+                             static_cast<std::size_t>(any_count())};
+    const open_epoch_state open{any_double(), any_count(), any_double(),
+                                any_double()};
+    const std::uint64_t seq = any_count();
+
+    std::string text;
+    epoch_codec::put_est(text, key, est);
+    epoch_codec::put_open(text, key, open);
+    epoch_codec::put_alert_seq(text, seq);
+    epoch_codec::put_wal(text, seq, key, est);
+    epoch_codec::line_reader in{std::string_view(text)};
+    std::string_view line;
+    epoch_codec::state_line rec;
+
+    ASSERT_TRUE(in.next(line) && epoch_codec::parse_state_line(line, rec)) << line;
+    ASSERT_EQ(rec.tag, epoch_codec::state_line::kind::est);
+    EXPECT_EQ(rec.key, key);
+    EXPECT_EQ(bits_of(rec.est.epoch_start_s), bits_of(est.epoch_start_s));
+    EXPECT_EQ(bits_of(rec.est.mean), bits_of(est.mean));
+    EXPECT_EQ(bits_of(rec.est.stddev), bits_of(est.stddev));
+    EXPECT_EQ(rec.est.samples, est.samples);
+
+    ASSERT_TRUE(in.next(line) && epoch_codec::parse_state_line(line, rec)) << line;
+    ASSERT_EQ(rec.tag, epoch_codec::state_line::kind::open);
+    EXPECT_EQ(rec.key, key);
+    EXPECT_EQ(bits_of(rec.open.open_start_s), bits_of(open.open_start_s));
+    EXPECT_EQ(rec.open.n, open.n);
+    EXPECT_EQ(bits_of(rec.open.mean), bits_of(open.mean));
+    EXPECT_EQ(bits_of(rec.open.m2), bits_of(open.m2));
+
+    ASSERT_TRUE(in.next(line) && epoch_codec::parse_state_line(line, rec)) << line;
+    ASSERT_EQ(rec.tag, epoch_codec::state_line::kind::alert_seq);
+    EXPECT_EQ(rec.alert_seq, seq);
+
+    std::uint64_t wal_seq = 0;
+    estimate_key wal_key;
+    epoch_estimate wal_est;
+    ASSERT_TRUE(in.next(line) &&
+                epoch_codec::parse_wal(line, wal_seq, wal_key, wal_est))
+        << line;
+    EXPECT_EQ(wal_seq, seq);
+    EXPECT_EQ(wal_key, key);
+    EXPECT_EQ(bits_of(wal_est.epoch_start_s), bits_of(est.epoch_start_s));
+    EXPECT_EQ(bits_of(wal_est.mean), bits_of(est.mean));
+    EXPECT_EQ(bits_of(wal_est.stddev), bits_of(est.stddev));
+    EXPECT_EQ(wal_est.samples, est.samples);
+    EXPECT_FALSE(in.next(line));
+  }
+}
+
 /// A coordinator, empty or (streams > 0) filled from a fixed seed with
 /// frozen histories, open epochs and an alert high-water mark, awkward
 /// doubles mixed into the fields.
