@@ -4,6 +4,8 @@
 // the product -- all inside one test binary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "apps/multihoming.h"
@@ -177,6 +179,144 @@ TEST(Integration, StadiumEventDetectedByChangeAlerts) {
     }
   }
   EXPECT_TRUE(latency_alert);
+}
+
+// ---- the planning history on paced data -----------------------------------
+
+// Feeds `recs` to a coordinator with `cfg` and to one whose target never
+// binds (default_samples_per_epoch = SIZE_MAX), after checking that the
+// data is paced: no planning stream of the first ever holds more than its
+// target in an open epoch. Both must then plan the same: the same Allan
+// epochs from recompute_epochs and the same first NKLD sample targets.
+void expect_paced_plans_match(
+    const geo::zone_grid& grid, const std::vector<std::string>& nets,
+    const core::coordinator_config& cfg,
+    const std::vector<trace::measurement_record>& recs) {
+  core::coordinator_config unbounded = cfg;
+  unbounded.default_samples_per_epoch = SIZE_MAX;
+  core::alert_ring alerts_a(cfg.alert_ring_capacity);
+  core::alert_ring alerts_b(cfg.alert_ring_capacity);
+  core::coordinator a(grid, nets, cfg, 77, alerts_a);
+  core::coordinator b(grid, nets, unbounded, 77, alerts_b);
+
+  std::vector<geo::zone_id> zones;
+  std::size_t accepted = 0, at_target = 0;
+  for (const auto& rec : recs) {
+    a.report(rec);
+    b.report(rec);
+    if (!rec.success) continue;
+    ++accepted;
+    const geo::zone_id z = grid.zone_of(rec.pos);
+    if (std::find(zones.begin(), zones.end(), z) == zones.end()) {
+      zones.push_back(z);
+    }
+    // The planning stream: the kind's first metric.
+    const std::size_t open = a.table_for_test().open_epoch_samples(
+        {z, rec.network, trace::metrics_of(rec.kind).front()});
+    ASSERT_LE(open, cfg.default_samples_per_epoch)
+        << "the feed is not paced at t=" << rec.time_s;
+    if (open == cfg.default_samples_per_epoch) ++at_target;
+  }
+  ASSERT_GT(accepted, 200u);
+  // Some planning stream fills its epoch to exactly the target: the gate's
+  // boundary sample is in play.
+  ASSERT_GT(at_target, 0u);
+
+  a.recompute_epochs();
+  b.recompute_epochs();
+  std::size_t moved = 0, refined = 0;
+  for (const auto& z : zones) {
+    const double epoch = a.status_of(z).epoch_duration_s;
+    EXPECT_EQ(epoch, b.status_of(z).epoch_duration_s);
+    if (epoch != cfg.epochs.default_epoch_s) ++moved;
+    for (const auto& net : nets) {
+      // The history is per network (the metric argument is not a key).
+      const std::size_t ta =
+          a.refine_sample_target(z, net, trace::metric::rtt_s);
+      const std::size_t tb =
+          b.refine_sample_target(z, net, trace::metric::rtt_s);
+      if (tb == SIZE_MAX) {
+        // Too little history to plan from: both keep their target.
+        EXPECT_EQ(ta, cfg.default_samples_per_epoch);
+      } else {
+        EXPECT_EQ(ta, tb);
+        ++refined;
+      }
+    }
+  }
+  // Not vacuous: some zone re-estimated its epoch, some stream planned.
+  EXPECT_GT(moved, 0u);
+  EXPECT_GT(refined, 0u);
+}
+
+TEST(Integration, PacedFleetPlansTheSameAsAnUnboundedTarget) {
+  // The FullWiscapeLoopPublishesEstimates fleet, over a longer day and
+  // with a target of 2: the coordinator tasks the two clients, so no
+  // planning stream ever holds more than its target in an epoch.
+  const auto dep = testing::tiny_deployment();
+  probe::probe_engine engine(dep, 21);
+  geo::zone_grid grid(dep.proj(), 250.0);
+  core::coordinator_config cfg;
+  cfg.default_samples_per_epoch = 2;
+  cfg.epochs.default_epoch_s = 600.0;
+  auto driver = testing::sync_coordinator(grid, dep.names(), cfg, 31);
+  std::vector<geo::polyline> routes{geo::straight_route(
+      dep.proj().to_lat_lon({-1200.0, 0.0}),
+      dep.proj().to_lat_lon({1200.0, 0.0}), 4)};
+  mobility::fleet fleet(std::move(routes), 1, mobility::transit_bus_params(),
+                        stats::rng_stream(8));
+  core::client_agent agent_b(driver, engine, 0);
+  core::client_agent agent_c(driver, engine, 1);
+  std::vector<trace::measurement_record> recs;
+  for (double t = 6.0 * 3600; t < 22.0 * 3600; t += 60.0) {
+    const auto fix = fleet.fix_at(0, t);
+    if (!fix) continue;
+    for (auto* agent : {&agent_b, &agent_c}) {
+      if (auto rec = agent->step(*fix, 2)) recs.push_back(*rec);
+    }
+  }
+  expect_paced_plans_match(grid, dep.names(), cfg, recs);
+}
+
+TEST(Integration, PacedMorningPlansTheSameAsAnUnboundedTarget) {
+  // The tcp_coordinator example's seeded morning: a record every 2 s,
+  // cycling over a 7x7 block of zones, both operators and three probe
+  // kinds, so each planning stream sees one record every 588 s -- at most
+  // 2 in a 600 s epoch. A target of 2 is then met exactly in some epochs.
+  const auto dep = testing::tiny_deployment();
+  probe::probe_engine engine(dep, 11);
+  geo::zone_grid grid(dep.proj(), 250.0);
+  core::coordinator_config cfg;
+  cfg.default_samples_per_epoch = 2;
+  cfg.epochs.default_epoch_s = 600.0;
+  probe::tcp_probe_params tcp;
+  tcp.bytes = 60'000;
+  probe::udp_probe_params udp;
+  udp.packets = 20;
+  probe::ping_probe_params ping;
+  ping.count = 4;
+  std::vector<trace::measurement_record> recs;
+  for (std::size_t i = 0; i < 4096; ++i) {
+    mobility::gps_fix fix;
+    fix.pos = dep.proj().to_lat_lon(
+        {-1500.0 + static_cast<double>(i % 7) * 500.0,
+         -1500.0 + static_cast<double>((i / 7) % 7) * 500.0});
+    fix.time_s = 7 * 3600.0 + static_cast<double>(i) * 2.0;
+    const std::size_t net = i % 2;
+    switch (i % 3) {
+      case 0:
+        recs.push_back(engine.tcp_probe(net, fix, tcp, probe::laptop_device()));
+        break;
+      case 1:
+        recs.push_back(engine.udp_probe(net, fix, udp, probe::phone_device()));
+        break;
+      default:
+        recs.push_back(
+            engine.ping_probe(net, fix, ping, probe::phone_device()));
+        break;
+    }
+  }
+  expect_paced_plans_match(grid, dep.names(), cfg, recs);
 }
 
 }  // namespace
