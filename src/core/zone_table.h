@@ -239,6 +239,11 @@ class zone_table {
     check_duration(epoch_duration_s);
     fold(stream, time_s, value, epoch_duration_s);
   }
+  /// Samples in the open epoch of a stream found by stream_of() (the
+  /// coordinator reads it right after a fold, from the line just written).
+  std::size_t open_samples(std::size_t stream) const noexcept {
+    return hot_[stream].open.n;
+  }
 
   /// Latest frozen estimate for a key (nullopt before the first rollover).
   std::optional<epoch_estimate> latest(const estimate_key& key) const;

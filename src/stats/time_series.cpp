@@ -24,13 +24,22 @@ std::vector<double> time_series::values() const {
   return out;
 }
 
-std::vector<running_stats> time_series::bin_stats(double bin_s) const {
-  if (!(bin_s > 0.0)) throw std::invalid_argument("bin width must be positive");
-  if (empty()) return {};
+std::vector<sample> time_series::sorted_samples() const {
   const auto live = samples();
   std::vector<sample> sorted(live.begin(), live.end());
   std::sort(sorted.begin(), sorted.end(),
             [](const sample& a, const sample& b) { return a.time_s < b.time_s; });
+  return sorted;
+}
+
+std::vector<running_stats> time_series::bin_stats(double bin_s) const {
+  return bin_sorted_stats(sorted_samples(), bin_s);
+}
+
+std::vector<running_stats> time_series::bin_sorted_stats(
+    std::span<const sample> sorted, double bin_s) {
+  if (!(bin_s > 0.0)) throw std::invalid_argument("bin width must be positive");
+  if (sorted.empty()) return {};
   const double t0 = sorted.front().time_s;
   std::vector<running_stats> bins;
   std::size_t current_bin = 0;

@@ -4,12 +4,15 @@
 // time granularities (10 s vs 30 min bins in Table 4, variable tau for the
 // Allan deviation in Fig 6); time_series provides that re-binning.
 //
-// Bounded-history callers (core::coordinator's per-zone epoch-estimation
-// windows) trim with drop_oldest(), which advances an offset into the
+// Bounded-history callers (core::coordinator's per-zone planning history,
+// which appends at most a zone's sample target per planning stream and
+// epoch) trim with drop_oldest(), which advances an offset into the
 // backing vector instead of copying the surviving half into a fresh
 // allocation; the dead prefix is compacted in place (one element move, no
 // allocation) only once it outgrows the live window, so steady-state
-// add/trim cycles touch the allocator not at all.
+// add/trim cycles touch the allocator not at all. A caller binning one
+// series at many widths (the Allan curve) sorts it once with
+// sorted_samples() and bins the copy with bin_sorted_stats().
 #pragma once
 
 #include <span>
@@ -61,6 +64,17 @@ class time_series {
 
   /// Like bin_means but returns full per-bin summary stats.
   std::vector<running_stats> bin_stats(double bin_s) const;
+
+  /// The live samples in time order: the one sorted copy every binning
+  /// call makes (std::sort on time, so tied samples land in the same order
+  /// on every call over the same series).
+  std::vector<sample> sorted_samples() const;
+
+  /// bin_stats over samples already in time order (sorted_samples()), so a
+  /// caller binning one series at many widths sorts it once. Throws
+  /// std::invalid_argument if bin_s <= 0.
+  static std::vector<running_stats> bin_sorted_stats(
+      std::span<const sample> sorted, double bin_s);
 
   /// Restricts to samples with time in [t0, t1).
   time_series between(double t0, double t1) const;
