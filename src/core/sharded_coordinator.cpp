@@ -329,6 +329,14 @@ zone_status sharded_coordinator::status_of(const geo::zone_id& zone) const {
   return sh.coord.status_of(zone);
 }
 
+std::vector<stats::sample> sharded_coordinator::history_for_test(
+    const geo::zone_id& zone) const {
+  const shard& sh = *shards_[shard_of(zone)];
+  std::lock_guard lock(sh.mu);
+  const auto live = sh.coord.history_for_test(zone);
+  return {live.begin(), live.end()};
+}
+
 double sharded_coordinator::client_spend_mb(std::uint64_t client_id,
                                             double time_s) const {
   double total = 0.0;

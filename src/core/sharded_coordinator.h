@@ -155,6 +155,10 @@ class sharded_coordinator : public durable_state {
 
   zone_status status_of(const geo::zone_id& zone) const;
 
+  /// The owning shard's coordinator::history_for_test, copied under its
+  /// lock. For tests.
+  std::vector<stats::sample> history_for_test(const geo::zone_id& zone) const;
+
   /// Total MB charged against a client today, summed across shards (each
   /// shard accounts the check-ins it answered).
   double client_spend_mb(std::uint64_t client_id, double time_s) const;
