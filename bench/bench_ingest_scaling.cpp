@@ -247,16 +247,23 @@ struct handoff_cost {
   double server_ns = 0.0;    ///< process CPU: decode + hand-off + apply
   double producer_ns = 0.0;  ///< the handling thread alone (decode + hand-off)
   double apply_ns = 0.0;     ///< coordinator::report_batch alone, one thread
+  double gated_share = 0.0;  ///< measured records the history gate skips
 };
 
 /// v3 REPORTB frames of 64 records, drawn uniformly over a warm 96x96-zone
 /// table (~110k streams, the perfbench ingest shape): through
 /// coordinator_server into an asynchronous 1-shard coordinator, and the
-/// same decoded batches straight into a coordinator.
+/// same decoded batches straight into a coordinator. Every other zone (a
+/// checkerboard) is warmed to its samples_target on each planning stream,
+/// so the measured records landing there take the planning-history gate
+/// (coordinator::report_batch appends a record to the history only while
+/// its planning stream's open epoch holds at most the target); the other
+/// zones hold 8 samples per stream and append.
 handoff_cost reportb_handoff(const geo::projection& proj, std::size_t frames,
                              int reps) {
   constexpr int kSide = 96;
   constexpr std::size_t kFrame = 64;
+  constexpr std::size_t kKinds = 4;
   const geo::zone_grid grid(proj, 250.0);
   const std::vector<std::string> nets{"NetB", "NetC"};
   std::vector<geo::lat_lon> centers;
@@ -265,59 +272,87 @@ handoff_cost reportb_handoff(const geo::projection& proj, std::size_t frames,
       centers.push_back(grid.center({ix, iy}));
     }
   }
-  stats::rng_stream rng(bench::bench_seed);
-  const auto record = [&](double t, const geo::lat_lon& pos,
-                          const std::string& net, trace::probe_kind kind) {
+  core::sharded_config cfg;
+  cfg.num_shards = 1;
+  cfg.queue_capacity = 65536;
+  cfg.coordinator.epochs.default_epoch_s = 1800.0;
+  const std::size_t target = cfg.coordinator.default_samples_per_epoch;
+  const auto record = [](stats::rng_stream& g, double t,
+                         const geo::lat_lon& pos, const std::string& net,
+                         std::size_t kind) {
     trace::measurement_record r;
     r.time_s = t;
     r.network = net;
     r.pos = pos;
-    r.kind = kind;
+    r.kind = static_cast<trace::probe_kind>(kind);
     r.success = true;
-    r.throughput_bps = 1e6 * (1.0 + rng.uniform());
+    r.throughput_bps = 1e6 * (1.0 + g.uniform());
     r.loss_rate = 0.01;
     r.jitter_s = 0.001;
     r.rtt_s = 0.1;
     return r;
   };
-  // Warm: every zone x operator x probe kind, inside one 30-min epoch.
-  std::vector<trace::measurement_record> warm;
-  for (const auto& c : centers) {
-    for (const auto& net : nets) {
-      for (int k = 0; k < 4; ++k) {
-        for (int j = 0; j < 8; ++j) {
-          warm.push_back(
-              record(18001.0, c, net, static_cast<trace::probe_kind>(k)));
-        }
+  // Each probe kind has its own planning stream per (zone, operator): the
+  // kinds' metric sets are disjoint. open[] counts their open-epoch samples.
+  const auto stream = [&](std::size_t zone, std::size_t net,
+                          std::size_t kind) {
+    return (zone * nets.size() + net) * kKinds + kind;
+  };
+  std::vector<std::size_t> open(centers.size() * nets.size() * kKinds);
+  for (std::size_t z = 0; z < centers.size(); ++z) {
+    const bool flooded = (z % kSide + z / kSide) % 2 == 0;
+    for (std::size_t net = 0; net < nets.size(); ++net) {
+      for (std::size_t k = 0; k < kKinds; ++k) {
+        open[stream(z, net, k)] = flooded ? target : 8;
       }
     }
   }
+  // Warm, inside one 30-min epoch, in bounded chunks (the flooded zones
+  // alone take ~3.7M records).
+  const auto warm_up = [&](auto& coord) {
+    stats::rng_stream g(bench::bench_seed + 1);
+    std::vector<trace::measurement_record> chunk;
+    for (std::size_t z = 0; z < centers.size(); ++z) {
+      for (std::size_t net = 0; net < nets.size(); ++net) {
+        for (std::size_t k = 0; k < kKinds; ++k) {
+          for (std::size_t j = 0; j < open[stream(z, net, k)]; ++j) {
+            chunk.push_back(record(g, 18001.0, centers[z], nets[net], k));
+            if (chunk.size() == 4096) {
+              coord.report_batch(chunk);
+              chunk.clear();
+            }
+          }
+        }
+      }
+    }
+    coord.report_batch(chunk);
+  };
+  stats::rng_stream rng(bench::bench_seed);
+  std::size_t gated = 0;
   std::vector<std::string> wire;
   std::vector<std::vector<trace::measurement_record>> batches;
   for (std::size_t f = 0; f < frames; ++f) {
     std::vector<trace::measurement_record> b;
     for (std::size_t i = 0; i < kFrame; ++i) {
-      b.push_back(record(
-          18100.0 + 0.01 * static_cast<double>(f),
-          centers[static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(centers.size()) - 1))],
-          nets[rng.uniform_int(0, 1)],
-          static_cast<trace::probe_kind>(rng.uniform_int(0, 3))));
+      const auto z = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(centers.size()) - 1));
+      const auto net = static_cast<std::size_t>(rng.uniform_int(0, 1));
+      const auto k = static_cast<std::size_t>(rng.uniform_int(0, 3));
+      // Past the target once this record is folded: the gate skips it.
+      if (++open[stream(z, net, k)] > target) ++gated;
+      b.push_back(record(rng, 18100.0 + 0.01 * static_cast<double>(f),
+                         centers[z], nets[net], k));
     }
     wire.push_back(proto::v3::encode_report_batch_frame(b));
     batches.push_back(std::move(b));
   }
-  core::sharded_config cfg;
-  cfg.num_shards = 1;
-  cfg.queue_capacity = 65536;
-  cfg.coordinator.epochs.default_epoch_s = 1800.0;
   const double n = static_cast<double>(frames * kFrame);
-  handoff_cost best{1e300, 1e300, 1e300};
+  handoff_cost best{1e300, 1e300, 1e300, static_cast<double>(gated) / n};
   for (int r = 0; r < reps; ++r) {
     {
       core::sharded_coordinator sc(grid, nets, cfg, bench::bench_seed);
       proto::coordinator_server server(sc);
-      sc.report_batch(warm);
+      warm_up(sc);
       sc.flush();
       proto::reply_buffer out;
       const double c0 = cpu_s(CLOCK_PROCESS_CPUTIME_ID);
@@ -336,7 +371,7 @@ handoff_cost reportb_handoff(const geo::projection& proj, std::size_t frames,
       core::alert_ring alerts(cfg.coordinator.alert_ring_capacity);
       core::coordinator co(grid, nets, cfg.coordinator, bench::bench_seed,
                            alerts);
-      co.report_batch(warm);
+      warm_up(co);
       const double a0 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
       for (const auto& b : batches) co.report_batch(b);
       const double a1 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
@@ -459,8 +494,11 @@ int main(int argc, char** argv) {
       "(best of 3, CPU ns/record):\n"
       "    server (decode + hand-off + apply): %7.1f\n"
       "    handling thread (decode + hand-off): %6.1f\n"
-      "    apply alone (coordinator::report_batch): %6.1f\n",
-      handoff.server_ns, handoff.producer_ns, handoff.apply_ns);
+      "    apply alone (coordinator::report_batch): %6.1f\n"
+      "    records past their planning stream's target (history gate): "
+      "%.1f%%\n",
+      handoff.server_ns, handoff.producer_ns, handoff.apply_ns,
+      100.0 * handoff.gated_share);
   {
     char buf[256];
     std::snprintf(buf, sizeof buf,
@@ -469,9 +507,10 @@ int main(int argc, char** argv) {
                   "\"frames\":%zu,\"records_per_frame\":64,"
                   "\"server_cpu_ns_per_rec\":%.1f,"
                   "\"producer_cpu_ns_per_rec\":%.1f,"
-                  "\"apply_cpu_ns_per_rec\":%.1f}\n",
+                  "\"apply_cpu_ns_per_rec\":%.1f,"
+                  "\"gated_share\":%.4f}\n",
                   kHandoffFrames, handoff.server_ns, handoff.producer_ns,
-                  handoff.apply_ns);
+                  handoff.apply_ns, handoff.gated_share);
     jsonl << buf;
   }
 

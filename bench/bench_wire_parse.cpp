@@ -10,7 +10,7 @@
 //  * fast parser: the current std::string_view + std::from_chars decoder,
 //    one REPORT line at a time. Acceptance: >= 5x the seed parser.
 //  * batched parser: REPORTB frames of `batch` records decoded with
-//    decode_report_batch.
+//    decode_report_batch_into (one reused vector, as the server decodes).
 //  * end-to-end: REPORT lines vs REPORTB frames through a 4-shard
 //    coordinator_server, with the raw in-memory drain rate (no wire layer
 //    at all) printed as the ceiling. Acceptance: batched frames beat
@@ -463,11 +463,11 @@ int main(int argc, char** argv) {
       sink += proto::decode_report(line).record.time_s;
     }
   };
+  std::vector<trace::measurement_record> decoded;
   const auto batch_pass = [&] {
     for (const auto& frame : frames) {
-      for (const auto& rec : proto::decode_report_batch(frame)) {
-        sink += rec.time_s;
-      }
+      proto::decode_report_batch_into(frame, decoded);
+      for (const auto& rec : decoded) sink += rec.time_s;
     }
   };
 

@@ -59,7 +59,7 @@ enum class site {
                  ///< the record is written (a full disk / dying volume), so
                  ///< the tail of the log stays exactly the last fsync'd
                  ///< record; stall sleeps briefly
-  replica_lag,   ///< repl::follower pull edge (driver thread): fail skips
+  replica_lag,   ///< repl::replica::poll edge (driver thread): fail skips
                  ///< this replication round entirely, so the follower falls
                  ///< one pull interval further behind; stall sleeps briefly
   snapshot_torn, ///< core::durable_log snapshot checkpoint: fail writes a

@@ -221,8 +221,6 @@ std::string encode_report_batch(
   return out;
 }
 
-std::string encode_idle() { return "IDLE"; }
-
 namespace {
 // The single table every err_code conversion is driven from: one row per
 // code, in enum order (static_asserted below so a new code cannot be added
@@ -253,17 +251,6 @@ std::optional<err_code> err_code_from_string(std::string_view s) noexcept {
     if (row.token == s) return row.code;
   }
   return std::nullopt;
-}
-
-std::string encode_error(err_code code, std::string_view detail) {
-  const std::string_view token = to_string(code);
-  std::string out;
-  out.reserve(4 + token.size() + 1 + std::min<std::size_t>(detail.size(), 124));
-  out += "ERR ";
-  out += token;
-  out += ' ';
-  out += error_excerpt(detail);
-  return out;
 }
 
 void encode_error_into(err_code code, std::string_view detail,
@@ -452,13 +439,6 @@ measurement_report decode_report(std::string_view line) {
   m.client_id = v;
   m.record = trace::from_csv(line.substr(csv_pos + 5));
   return m;
-}
-
-std::vector<trace::measurement_record> decode_report_batch(
-    std::string_view frame) {
-  std::vector<trace::measurement_record> out;
-  decode_report_batch_into(frame, out);
-  return out;
 }
 
 void decode_report_batch_into(std::string_view frame,
@@ -759,8 +739,6 @@ void encode_into(const core::stream_lookup& l, std::string_view network,
                l.est.confidence, out);
 }
 
-std::string encode_none() { return "NONE"; }
-
 estimate_reply decode_estimate(std::string_view line) {
   token_cursor c{line};
   expect_tag(c, "EST", line);
@@ -829,12 +807,6 @@ std::string encode_query_batch(std::span<const query_request> qs) {
   return out;
 }
 
-std::vector<query_request> decode_query_batch(std::string_view frame) {
-  std::vector<query_request> out;
-  decode_query_batch_into(frame, out);
-  return out;
-}
-
 void decode_query_batch_into(std::string_view frame,
                              std::vector<query_request>& out) {
   out.clear();
@@ -866,20 +838,6 @@ void decode_query_batch_into(std::string_view frame,
                                 std::to_string(n) + ", got " +
                                 std::to_string(out.size()) + " queries");
   }
-}
-
-std::string encode_estimate_batch(
-    std::span<const std::optional<estimate_reply>> replies) {
-  std::string out = "ESTB " + std::to_string(replies.size());
-  for (const auto& r : replies) {
-    out += '\n';
-    if (r.has_value()) {
-      out += encode(*r);
-    } else {
-      out += "NONE";
-    }
-  }
-  return out;
 }
 
 std::vector<std::optional<estimate_reply>> decode_estimate_batch(

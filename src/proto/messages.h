@@ -311,17 +311,11 @@ void encode_into(const estimate_reply& m, reply_buffer& out);
 /// QUERY and QUERYB line through this.
 void encode_into(const core::stream_lookup& l, std::string_view network,
                  reply_buffer& out);
-/// The QUERY reply when the stream has no published estimate yet.
-std::string encode_none();
 
 /// Encodes a batch of lookups as one "QUERYB <n>" frame: a header line
 /// followed by n QUERY payload lines (the k=v fields without the QUERY
 /// tag), '\n'-separated, no trailing newline.
 std::string encode_query_batch(std::span<const query_request> qs);
-/// Encodes the QUERYB answer as one "ESTB <n>" frame: n lines, each a full
-/// "EST k=v ..." line or "NONE", positionally matching the request.
-std::string encode_estimate_batch(
-    std::span<const std::optional<estimate_reply>> replies);
 
 /// Encodes an alert drain request as one "ALERTS since=<n> max=<n>" line.
 std::string encode(const alerts_request& m);
@@ -331,14 +325,9 @@ std::string encode(const alerts_reply& m);
 /// Appends the ALERTS reply frame to `out`.
 void encode_into(const alerts_reply& m, reply_buffer& out);
 
-/// The coordinator's answer to a check-in when no task is issued.
-std::string encode_idle();
-
-/// The server's reply to a malformed or rejected request:
-/// "ERR <code> <detail>". The detail is clipped to 120 bytes.
-std::string encode_error(err_code code, std::string_view detail);
-/// Appends the "ERR <code> <detail>" line to `out` (detail clipped to 120
-/// bytes, same as encode_error) without heap traffic.
+/// The server's reply to a malformed or rejected request: appends the
+/// "ERR <code> <detail>" line to `out` (detail clipped to 120 bytes, as
+/// error_excerpt clips it) without heap traffic.
 void encode_error_into(err_code code, std::string_view detail,
                        reply_buffer& out);
 
@@ -385,16 +374,13 @@ task_assignment decode_task(std::string_view line);
 /// Parses a REPORT line. Throws std::invalid_argument on any missing or
 /// malformed field (including the embedded CSV record).
 measurement_report decode_report(std::string_view line);
-/// Parses a REPORTB frame into its records. All-or-nothing: throws
+/// Parses a REPORTB frame into caller-owned storage: `out` is cleared and
+/// refilled, reusing its capacity across frames (the zero-allocation
+/// steady-state form; record names stay in SSO). All-or-nothing: throws
 /// std::invalid_argument when the header is malformed, the count disagrees
 /// with the payload lines, the count exceeds max_report_batch, or any
-/// payload line fails to decode.
-std::vector<trace::measurement_record> decode_report_batch(
-    std::string_view frame);
-/// decode_report_batch into caller-owned storage: `out` is cleared and
-/// refilled, reusing its capacity across frames (the zero-allocation
-/// steady-state form; record names stay in SSO). Payload lines tolerate a
-/// trailing '\r' (telnet-framed batches), same as single-line requests.
+/// payload line fails to decode. Payload lines tolerate a trailing '\r'
+/// (telnet-framed batches), same as single-line requests.
 void decode_report_batch_into(std::string_view frame,
                               std::vector<trace::measurement_record>& out);
 
@@ -410,17 +396,15 @@ query_request decode_query(std::string_view line);
 /// Parses an EST reply line.
 estimate_reply decode_estimate(std::string_view line);
 
-/// Parses a QUERYB frame. All-or-nothing, same discipline as
-/// decode_report_batch: throws when the header is malformed, the count
-/// disagrees with the payload lines or exceeds max_query_batch, or any
-/// payload line fails to decode.
-std::vector<query_request> decode_query_batch(std::string_view frame);
-/// decode_query_batch into caller-owned storage (cleared and refilled,
-/// capacity reused): the zero-allocation steady-state form.
+/// Parses a QUERYB frame into caller-owned storage (cleared and refilled,
+/// capacity reused). All-or-nothing, same discipline as
+/// decode_report_batch_into: throws when the header is malformed, the
+/// count disagrees with the payload lines or exceeds max_query_batch, or
+/// any payload line fails to decode.
 void decode_query_batch_into(std::string_view frame,
                              std::vector<query_request>& out);
 /// Parses an ESTB reply frame into per-request results (nullopt for NONE
-/// lines). All-or-nothing, same error discipline as decode_query_batch.
+/// lines). All-or-nothing, same error discipline as decode_query_batch_into.
 std::vector<std::optional<estimate_reply>> decode_estimate_batch(
     std::string_view frame);
 

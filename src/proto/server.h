@@ -107,8 +107,8 @@ void encode_error_into(err_code code, std::string_view detail,
                        request_view::kind framing, reply_buffer& out);
 
 /// The replication surface a coordinator_server dispatches the v3
-/// replication opcodes against (ISSUE 10). Implemented by src/repl's
-/// leader/follower roles; declared here because the server owns all wire
+/// replication opcodes against. Implemented by repl::replica (one type
+/// for every role); declared here because the server owns all wire
 /// encode/decode -- implementations exchange typed records only and never
 /// see frame bytes, so proto does not depend on repl. All methods must be
 /// thread-safe: the server dispatches from many transport threads.
@@ -133,9 +133,10 @@ class replication_endpoint {
   virtual bool snapshot(std::uint64_t offset, std::string& data,
                         std::uint64_t& total, bool& last) = 0;
 
-  /// Applies a replicated batch (an EPOCHB frame arriving as a request on
-  /// a follower). Returns the number of records applied -- duplicates the
-  /// follower has already seen are skipped and not counted.
+  /// Applies a replicated batch (an EPOCHB frame arriving as a request).
+  /// Returns the number of records applied -- duplicates the follower has
+  /// already seen are skipped and not counted, and a leading endpoint
+  /// applies none.
   virtual std::uint64_t apply(std::span<const epoch_update> updates) = 0;
 
   /// PROMOTE: assume leadership. Returns false when refused (already the

@@ -36,95 +36,74 @@ repl_metrics& metrics() {
   return m;
 }
 
-/// Captures the catch-up snapshot: "REPLSEQ <seq>\n" + the persist state
-/// rendering. `seq` is read *before* the state walk -- every record at or
-/// below it rolled over before the walk started, so it is covered by the
-/// snapshot; records that land mid-walk may appear in both the snapshot
-/// and the pull that follows, which the idempotent re-apply absorbs.
-void capture_snapshot(const core::sharded_coordinator& coord,
-                      std::uint64_t seq, std::string& cache) {
-  // Rendered in place: the cache keeps its capacity from capture to
-  // capture. A failed render empties it, so a follower mid-fetch gets an
-  // out-of-range error rather than a torn body.
-  cache.assign("REPLSEQ ");
-  cache += std::to_string(seq);
-  cache += '\n';
-  try {
-    core::save_state(cache, coord);
-  } catch (...) {
-    cache.clear();
-    throw;
+/// One request -> reply exchange of the pull/catch-up client half:
+/// returns the reply frame, or nullopt for ERR stopped when `stopped_ok`
+/// (the leader's log no longer reaches the cursor). Throws
+/// std::runtime_error naming `what` on a malformed reply or any other ERR.
+std::optional<std::string> exchange(const transport& send,
+                                    std::string_view frame, const char* what,
+                                    bool stopped_ok) {
+  std::string reply = send(frame);
+  const auto hdr = v3::peek_header(reply);
+  if (!hdr) {
+    throw std::runtime_error(std::string(what) + ": malformed reply frame");
   }
+  if (hdr->op != v3::opcode::err) return reply;
+  const auto err = v3::decode_error_frame(reply);
+  if (stopped_ok && err.code == proto::err_code::stopped) return std::nullopt;
+  throw std::runtime_error(std::string(what) + " failed: " + err.detail);
+}
+}  // namespace
+
+replica::replica(core::sharded_coordinator& coord, role r,
+                 std::size_t log_capacity, core::durable_log* wal)
+    : coord_(&coord), log_(log_capacity, wal), role_(r) {
+  if (r == role::leader) coord_->set_epoch_tap(&log_);
 }
 
-/// Serves one bounded slice of the captured snapshot.
-bool serve_chunk(const std::string& cache, std::uint64_t offset,
-                 std::string& data, std::uint64_t& total, bool& last) {
-  total = cache.size();
+replica::~replica() {
+  if (promoted()) coord_->set_epoch_tap(nullptr);
+}
+
+bool replica::pull(std::uint64_t since_seq, std::uint32_t max_records,
+                   std::vector<proto::epoch_update>& out) {
+  return log_.pull(since_seq, max_records, out);
+}
+
+bool replica::snapshot(std::uint64_t offset, std::string& data,
+                       std::uint64_t& total, bool& last) {
+  std::lock_guard lock(mu_);
+  if (offset == 0) {
+    // "REPLSEQ <seq>\n" + the persist state rendering, in place (the cache
+    // keeps its capacity from capture to capture). The fence is read
+    // *before* the state walk: every record at or below it is covered by
+    // the snapshot; records that land mid-walk may appear in both the
+    // snapshot and the pull that follows, which the idempotent re-apply
+    // absorbs. A failed render empties the cache, so a follower mid-fetch
+    // gets an out-of-range error rather than a torn body.
+    snap_cache_.assign("REPLSEQ ");
+    snap_cache_ += std::to_string(std::max(applied_seq(), log_.last_seq()));
+    snap_cache_ += '\n';
+    try {
+      core::save_state(snap_cache_, *coord_);
+    } catch (...) {
+      snap_cache_.clear();
+      throw;
+    }
+  }
+  total = snap_cache_.size();
   if (offset > total) return false;
-  const std::size_t len = std::min<std::uint64_t>(
-      v3::max_snapshot_chunk, total - offset);
-  data.assign(cache, static_cast<std::size_t>(offset), len);
+  const std::size_t len =
+      std::min<std::uint64_t>(v3::max_snapshot_chunk, total - offset);
+  data.assign(snap_cache_, static_cast<std::size_t>(offset), len);
   last = offset + len == total;
   metrics().snapshot_chunks.inc();
   return true;
 }
-}  // namespace
 
-leader::leader(core::sharded_coordinator& coord, std::size_t log_capacity,
-               core::durable_log* wal)
-    : coord_(&coord), log_(log_capacity, wal) {
-  coord_->set_epoch_tap(&log_);
-}
-
-leader::~leader() { coord_->set_epoch_tap(nullptr); }
-
-bool leader::pull(std::uint64_t since_seq, std::uint32_t max_records,
-                  std::vector<proto::epoch_update>& out) {
-  return log_.pull(since_seq, max_records, out);
-}
-
-bool leader::snapshot(std::uint64_t offset, std::string& data,
-                      std::uint64_t& total, bool& last) {
-  std::lock_guard lock(snap_mu_);
-  if (offset == 0) capture_snapshot(*coord_, log_.last_seq(), snap_cache_);
-  return serve_chunk(snap_cache_, offset, data, total, last);
-}
-
-std::uint64_t leader::apply(std::span<const proto::epoch_update> updates) {
-  (void)updates;
-  return 0;
-}
-
-follower::follower(core::sharded_coordinator& coord, std::size_t log_capacity,
-                   core::durable_log* wal)
-    : coord_(&coord), log_(log_capacity, wal) {}
-
-follower::~follower() {
-  if (promoted_.load(std::memory_order_acquire)) {
-    coord_->set_epoch_tap(nullptr);
-  }
-}
-
-bool follower::pull(std::uint64_t since_seq, std::uint32_t max_records,
-                    std::vector<proto::epoch_update>& out) {
-  return log_.pull(since_seq, max_records, out);
-}
-
-bool follower::snapshot(std::uint64_t offset, std::string& data,
-                        std::uint64_t& total, bool& last) {
-  std::lock_guard lock(apply_mu_);
-  if (offset == 0) {
-    capture_snapshot(
-        *coord_,
-        std::max(applied_seq_.load(std::memory_order_acquire), log_.last_seq()),
-        snap_cache_);
-  }
-  return serve_chunk(snap_cache_, offset, data, total, last);
-}
-
-std::uint64_t follower::apply(std::span<const proto::epoch_update> updates) {
-  std::lock_guard lock(apply_mu_);
+std::uint64_t replica::apply(std::span<const proto::epoch_update> updates) {
+  std::lock_guard lock(mu_);
+  if (role_.load(std::memory_order_relaxed) == role::leader) return 0;
   auto& m = metrics();
   std::uint64_t applied = 0;
   std::uint64_t cursor = applied_seq_.load(std::memory_order_relaxed);
@@ -155,19 +134,19 @@ std::uint64_t follower::apply(std::span<const proto::epoch_update> updates) {
   return applied;
 }
 
-bool follower::promote() {
-  std::lock_guard lock(apply_mu_);
-  if (promoted_.load(std::memory_order_relaxed)) return false;
+bool replica::promote() {
+  std::lock_guard lock(mu_);
+  if (role_.load(std::memory_order_relaxed) == role::leader) return false;
   // Continue the leader's sequencing: a peer whose pull cursor is the old
   // leader's seq N keeps pulling from N here without a gap or an overlap.
   log_.reset(applied_seq_.load(std::memory_order_relaxed) + 1);
   coord_->set_epoch_tap(&log_);
-  promoted_.store(true, std::memory_order_release);
+  role_.store(role::leader, std::memory_order_release);
   metrics().promotions.inc();
   return true;
 }
 
-std::optional<std::uint64_t> follower::poll(const transport& send) {
+std::optional<std::uint64_t> replica::poll(const transport& send) {
   // The scenario's stalled-replica-link model: skip this round entirely;
   // the next poll's cursor pulls everything missed (staleness grows,
   // nothing is lost).
@@ -181,17 +160,10 @@ std::optional<std::uint64_t> follower::poll(const transport& send) {
     v3::epoch_pull p;
     p.since_seq = applied_seq();
     p.max_records = static_cast<std::uint32_t>(v3::max_epoch_batch);
-    const std::string reply = send(v3::encode_epoch_pull_frame(p));
-    const auto hdr = v3::peek_header(reply);
-    if (!hdr) {
-      throw std::runtime_error("replication pull: malformed reply frame");
-    }
-    if (hdr->op == v3::opcode::err) {
-      const auto err = v3::decode_error_frame(reply);
-      if (err.code == proto::err_code::stopped) return std::nullopt;
-      throw std::runtime_error("replication pull failed: " + err.detail);
-    }
-    const auto updates = v3::decode_epoch_batch_frame(reply);
+    const auto reply = exchange(send, v3::encode_epoch_pull_frame(p),
+                                "replication pull", /*stopped_ok=*/true);
+    if (!reply) return std::nullopt;
+    const auto updates = v3::decode_epoch_batch_frame(*reply);
     applied += apply(updates);
     // A short batch means the stream is drained through the leader's
     // current tail; a full one may have more behind it.
@@ -199,20 +171,13 @@ std::optional<std::uint64_t> follower::poll(const transport& send) {
   }
 }
 
-void follower::catch_up(const transport& send) {
+void replica::catch_up(const transport& send) {
   std::string snap;
   std::uint64_t offset = 0;
   for (;;) {
-    const std::string reply = send(v3::encode_snapshot_req_frame(offset));
-    const auto hdr = v3::peek_header(reply);
-    if (!hdr) {
-      throw std::runtime_error("replication catch-up: malformed reply frame");
-    }
-    if (hdr->op == v3::opcode::err) {
-      const auto err = v3::decode_error_frame(reply);
-      throw std::runtime_error("replication catch-up failed: " + err.detail);
-    }
-    const auto chunk = v3::decode_snapshot_chunk_frame(reply);
+    const auto reply = exchange(send, v3::encode_snapshot_req_frame(offset),
+                                "replication catch-up", /*stopped_ok=*/false);
+    const auto chunk = v3::decode_snapshot_chunk_frame(*reply);
     if (chunk.offset != offset) {
       throw std::runtime_error("replication catch-up: offset mismatch");
     }
@@ -233,7 +198,7 @@ void follower::catch_up(const transport& send) {
   if (parsed.ec != std::errc{} || parsed.ptr != last) {
     throw std::runtime_error("replication catch-up: malformed REPLSEQ header");
   }
-  std::lock_guard lock(apply_mu_);
+  std::lock_guard lock(mu_);
   core::load_state(std::string_view(snap).substr(nl + 1), *coord_);
   applied_seq_.store(seq, std::memory_order_release);
 }

@@ -1,28 +1,33 @@
-// Replicated-coordinator roles: the leader that streams epoch rollovers
-// and the follower that applies them and can take over (ISSUE 10).
+// One replica of the replicated coordinator. The node that streams epoch
+// rollovers and the nodes that mirror them are one type told apart by a
+// role, and promotion flips that role in place.
 //
-// Both roles implement proto::replication_endpoint, so a
+// A replica implements proto::replication_endpoint, so a
 // coordinator_server with one attached serves the v3 replication opcodes
 // (EPOCH/EPOCHB/SNAPSHOT_REQ/PROMOTE) with no repl-specific wire code --
-// the server owns all encode/decode, the roles exchange typed records.
+// the server owns all encode/decode, the replica exchanges typed records.
 //
-//  * leader -- wires an epoch_log into the serving sharded coordinator's
-//    epoch tap; every rollover becomes one sequenced epoch_update that
-//    followers pull. Serves snapshot catch-up for joiners: offset 0
-//    captures "REPLSEQ <seq>\n" + the core::persist state rendering, so
-//    the joiner knows exactly which log suffix the snapshot covers.
-//  * follower -- applies pulled batches through the coordinator's one
-//    frozen-epoch install, durable_state::restore_estimate (no alerts, no
-//    ingest counters, the installed epoch closed), deduplicating by
-//    sequence cursor, so leader and follower state are bit-equal after
-//    catch-up. apply() also accepts feeds from disjoint client
-//    populations: per-(zone, network, epoch) estimates merge commutatively
-//    (core::zone_table::merge_estimate).
-//    promote() flips the role: the follower's own epoch_log takes over
-//    the tap, sequencing continues from the applied cursor, and peers'
-//    pull cursors stay valid across the failover.
+//  * leading -- its epoch_log sits in the serving sharded coordinator's
+//    epoch tap: every rollover becomes one sequenced epoch_update that
+//    followers pull. It applies nothing: a pushed EPOCHB draws ACK 0,
+//    whether the replica was built leading or promoted.
+//  * following -- applies pulled (or pushed) batches through the
+//    coordinator's one frozen-epoch install,
+//    durable_state::restore_estimate (no alerts, no ingest counters, the
+//    installed epoch closed), deduplicating by sequence cursor, so leader
+//    and follower state are bit-equal after catch-up. Feeds from disjoint
+//    client populations merge commutatively per (zone, network, epoch)
+//    (core::zone_table::merge_estimate). promote() makes it lead: its own
+//    epoch_log takes over the tap and sequencing continues from the
+//    applied cursor, so peers' pull cursors stay valid across the
+//    failover.
 //
-// The pull/catch-up client half (poll(), catch_up()) drives any
+// Every role serves pulls from its own log (empty while following:
+// applied records are not re-logged) and snapshot catch-up for joiners:
+// offset 0 captures "REPLSEQ <seq>\n" + the core::persist state
+// rendering, fenced at max(applied cursor, last logged seq), so the
+// joiner knows exactly which log suffix the snapshot covers. The
+// pull/catch-up client half (poll(), catch_up()) drives any
 // request->reply transport that ships complete v3 frames -- the TCP
 // line_client, an in-process server, a test lambda.
 #pragma once
@@ -49,22 +54,38 @@ namespace wiscape::repl {
 /// coordinator_server::handle both satisfy).
 using transport = std::function<std::string(std::string_view)>;
 
-/// The serving side of the replication stream. Borrows the coordinator
-/// (and the optional WAL); both must outlive the leader. Construction
-/// attaches the epoch tap -- rollovers stream from that point on.
-class leader : public proto::replication_endpoint {
- public:
-  explicit leader(core::sharded_coordinator& coord,
-                  std::size_t log_capacity = default_log_capacity,
-                  core::durable_log* wal = nullptr);
-  /// Detaches the tap, so rollovers after destruction touch no freed log.
-  ~leader() override;
+/// Whether a replica serves the epoch stream or mirrors one.
+enum class role : std::uint8_t { follower, leader };
 
-  leader(const leader&) = delete;
-  leader& operator=(const leader&) = delete;
+/// Borrows the coordinator (and the optional WAL its log tees into); both
+/// must outlive the replica. Thread-safe: the server may dispatch
+/// apply()/promote()/snapshot() from many transport threads.
+class replica : public proto::replication_endpoint {
+ public:
+  /// A leading replica attaches the epoch tap here, so rollovers stream
+  /// from construction on. A following one mirrors into its (initially
+  /// empty, non-ingesting) coordinator; after promote() the same
+  /// coordinator ingests as the new leader.
+  replica(core::sharded_coordinator& coord, role r,
+          std::size_t log_capacity = default_log_capacity,
+          core::durable_log* wal = nullptr);
+  /// Detaches the tap if this replica leads, so rollovers after
+  /// destruction touch no freed log.
+  ~replica() override;
+
+  replica(const replica&) = delete;
+  replica& operator=(const replica&) = delete;
 
   /// The replication log (e.g. to reset() sequencing after WAL recovery).
   epoch_log& log() noexcept { return log_; }
+  /// Last applied log sequence (the pull cursor).
+  std::uint64_t applied_seq() const noexcept {
+    return applied_seq_.load(std::memory_order_acquire);
+  }
+  /// True while this replica leads: built leading, or promoted.
+  bool promoted() const noexcept {
+    return role_.load(std::memory_order_acquire) == role::leader;
+  }
 
   bool pull(std::uint64_t since_seq, std::uint32_t max_records,
             std::vector<proto::epoch_update>& out) override;
@@ -74,56 +95,16 @@ class leader : public proto::replication_endpoint {
   /// captured bytes.
   bool snapshot(std::uint64_t offset, std::string& data, std::uint64_t& total,
                 bool& last) override;
-  /// A leader never applies a replicated batch; answers 0 applied.
-  std::uint64_t apply(std::span<const proto::epoch_update> updates) override;
-  /// Already the leader: promotion is refused.
-  bool promote() override { return false; }
-
- private:
-  core::sharded_coordinator* coord_;
-  epoch_log log_;
-  std::mutex snap_mu_;      // guards the catch-up snapshot capture
-  std::string snap_cache_;  // "REPLSEQ <n>\n" + persist state rendering
-};
-
-/// The applying side. Borrows the (initially empty, non-ingesting)
-/// coordinator it mirrors the leader's state into; after promote() the
-/// same coordinator starts ingesting as the new leader. Thread-safe: the
-/// server may dispatch apply()/promote() from many transport threads.
-class follower : public proto::replication_endpoint {
- public:
-  explicit follower(core::sharded_coordinator& coord,
-                    std::size_t log_capacity = default_log_capacity,
-                    core::durable_log* wal = nullptr);
-  ~follower() override;
-
-  follower(const follower&) = delete;
-  follower& operator=(const follower&) = delete;
-
-  /// Serves a peer's pull from this replica's own log -- empty before
-  /// promotion (applied records are not re-logged), live after it.
-  bool pull(std::uint64_t since_seq, std::uint32_t max_records,
-            std::vector<proto::epoch_update>& out) override;
-  bool snapshot(std::uint64_t offset, std::string& data, std::uint64_t& total,
-                bool& last) override;
-  /// Applies one replicated batch in order: records at or below the
-  /// cursor are duplicates (counted, skipped); fresh ones install through
-  /// durable_state::restore_estimate (repl.epochs_applied; same-epoch
-  /// merges of disjoint feeds additionally count repl.epochs_merged).
-  /// Returns applied count.
+  /// While following, applies one replicated batch in order: records at
+  /// or below the cursor are duplicates (counted, skipped); fresh ones
+  /// install through durable_state::restore_estimate (repl.epochs_applied;
+  /// same-epoch merges of disjoint feeds also count repl.epochs_merged).
+  /// A leading replica applies nothing. Returns the applied count.
   std::uint64_t apply(std::span<const proto::epoch_update> updates) override;
   /// Takes over: wires this replica's epoch_log into the coordinator's
-  /// tap and continues sequencing from the applied cursor. Idempotent
-  /// calls after the first are refused (false), matching the leader.
+  /// tap and continues sequencing from the applied cursor. Refused (false)
+  /// by a leading replica, so promotion is one-shot.
   bool promote() override;
-
-  /// Last applied log sequence (the pull cursor).
-  std::uint64_t applied_seq() const noexcept {
-    return applied_seq_.load(std::memory_order_acquire);
-  }
-  bool promoted() const noexcept {
-    return promoted_.load(std::memory_order_acquire);
-  }
 
   /// One pull round against the leader: EPOCH frames until a short batch
   /// drains the stream, applying each reply. Returns records applied;
@@ -143,10 +124,26 @@ class follower : public proto::replication_endpoint {
  private:
   core::sharded_coordinator* coord_;
   epoch_log log_;
-  std::mutex apply_mu_;     // orders apply()/promote() across server threads
-  std::string snap_cache_;  // catch-up snapshot capture (post-promotion)
+  std::mutex mu_;  // orders apply/promote/catch-up; guards snap_cache_
+  std::string snap_cache_;  // "REPLSEQ <n>\n" + persist state rendering
   std::atomic<std::uint64_t> applied_seq_{0};
-  std::atomic<bool> promoted_{false};
+  std::atomic<role> role_;
+};
+
+// perfbench/ is held byte-stable so every revision is measured by the same
+// driver, and it spells `repl::leader(coord, cap, wal)` and
+// `repl::follower(coord)`; these names only fix the constructor's role.
+struct leader : replica {
+  explicit leader(core::sharded_coordinator& coord,
+                  std::size_t log_capacity = default_log_capacity,
+                  core::durable_log* wal = nullptr)
+      : replica(coord, role::leader, log_capacity, wal) {}
+};
+struct follower : replica {
+  explicit follower(core::sharded_coordinator& coord,
+                    std::size_t log_capacity = default_log_capacity,
+                    core::durable_log* wal = nullptr)
+      : replica(coord, role::follower, log_capacity, wal) {}
 };
 
 }  // namespace wiscape::repl

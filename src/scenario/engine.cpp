@@ -184,8 +184,8 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
   // while its coordinator is still alive).
   std::unique_ptr<core::sharded_coordinator> fcoord;
   std::unique_ptr<proto::coordinator_server> fserver;
-  std::unique_ptr<repl::leader> repl_leader;
-  std::unique_ptr<repl::follower> repl_follower;
+  std::unique_ptr<repl::replica> repl_leader;
+  std::unique_ptr<repl::replica> repl_follower;
   // Client-assisted replay buffer: every record the leader ACKed, in ACK
   // order, kept until the kill so the promoted follower can rebuild the
   // open-epoch accumulators the dead leader never streamed.
@@ -200,19 +200,20 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
           "checkpoint_every");
     }
     keep_acked = cfg.stress.kill_leader_tick.has_value();
-    repl_leader = std::make_unique<repl::leader>(*coord);
+    repl_leader = std::make_unique<repl::replica>(*coord, repl::role::leader);
     server->attach_replication(repl_leader.get());
     fcoord = std::make_unique<core::sharded_coordinator>(grid, names, scfg,
                                                          seed);
     fserver = std::make_unique<proto::coordinator_server>(*fcoord);
-    repl_follower = std::make_unique<repl::follower>(*fcoord);
+    repl_follower =
+        std::make_unique<repl::replica>(*fcoord, repl::role::follower);
     fserver->attach_replication(repl_follower.get());
   }
   // The production leader's durability path: its epoch log tees every
   // rollover into the WAL.
   auto lead_into_wal = [&] {
-    repl_leader = std::make_unique<repl::leader>(
-        *coord, repl::default_log_capacity, wal.get());
+    repl_leader = std::make_unique<repl::replica>(
+        *coord, repl::role::leader, repl::default_log_capacity, wal.get());
   };
   if (cfg.stress.restart_tick || cfg.stress.checkpoint_every > 0) {
     std::string dir =

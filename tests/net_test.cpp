@@ -1119,7 +1119,7 @@ TEST(TcpServer, FollowerCatchUpAndPollOverRealSockets) {
   scfg.coordinator.epochs.default_epoch_s = 100.0;
   core::sharded_coordinator lcoord(grid, dep.names(), scfg, 5);
   proto::coordinator_server lserver(lcoord);
-  repl::leader lead(lcoord);
+  repl::replica lead(lcoord, repl::role::leader);
   lserver.attach_replication(&lead);
 
   server_config cfg;
@@ -1141,7 +1141,7 @@ TEST(TcpServer, FollowerCatchUpAndPollOverRealSockets) {
   ingest(0.0, 60);  // epochs frozen before the follower exists
 
   core::sharded_coordinator fcoord(grid, dep.names(), scfg, 5);
-  repl::follower fol(fcoord);
+  repl::replica fol(fcoord, repl::role::follower);
 
   line_client client;
   client.connect("127.0.0.1", srv.port());

@@ -92,7 +92,7 @@ TEST(ProtoCodec, ReportRoundTripCarriesRecord) {
 TEST(ProtoCodec, MessageTypeTagging) {
   EXPECT_EQ(message_type(encode(checkin_request{})), "CHECKIN");
   EXPECT_EQ(message_type(encode(task_assignment{})), "TASK");
-  EXPECT_EQ(message_type(encode_idle()), "IDLE");
+  EXPECT_EQ(message_type("IDLE"), "IDLE");
   EXPECT_EQ(message_type("garbage line"), "");
 }
 
@@ -190,7 +190,7 @@ TEST(ProtoServer, AnswersUnknownRequestsWithErr) {
                                          dep.names(), {}, 5);
   coordinator_server server(coord);
   EXPECT_EQ(message_type(testing::reply_of(server, "HELLO")), "ERR");
-  EXPECT_EQ(message_type(testing::reply_of(server, encode_idle())), "ERR");
+  EXPECT_EQ(message_type(testing::reply_of(server, "IDLE")), "ERR");
   EXPECT_EQ(server.errors(), 2u);
 }
 
@@ -664,18 +664,22 @@ TEST(ProtoCodecV2, QueryBatchAllOrNothing) {
   }
   const std::string frame = encode_query_batch(qs);
   EXPECT_EQ(message_type(frame), "QUERYB");
-  const auto back = decode_query_batch(frame);
+  using queries = std::vector<query_request>;
+  const auto back = testing::into<queries>(decode_query_batch_into, frame);
   ASSERT_EQ(back.size(), 3u);
   EXPECT_EQ(back[1].network, "NetC");
 
   // One bad payload line poisons the whole frame (all-or-nothing).
   std::string poisoned = frame;
   poisoned.replace(poisoned.find("lat="), 4, "bat=");
-  EXPECT_THROW(decode_query_batch(poisoned), std::invalid_argument);
-  // Count mismatches in either direction are rejected.
-  EXPECT_THROW(decode_query_batch("QUERYB 2\n" + encode(qs[0])),
+  EXPECT_THROW(testing::into<queries>(decode_query_batch_into, poisoned),
                std::invalid_argument);
-  EXPECT_THROW(decode_query_batch("QUERYB 90000"), std::invalid_argument);
+  // Count mismatches in either direction are rejected.
+  EXPECT_THROW(testing::into<queries>(decode_query_batch_into,
+                                      "QUERYB 2\n" + encode(qs[0])),
+               std::invalid_argument);
+  EXPECT_THROW(testing::into<queries>(decode_query_batch_into, "QUERYB 90000"),
+               std::invalid_argument);
 }
 
 TEST(ProtoCodecV2, EstimateBatchPreservesPositionsAndGaps) {
@@ -684,9 +688,7 @@ TEST(ProtoCodecV2, EstimateBatchPreservesPositionsAndGaps) {
   est.network = "NetB";
   est.metric = trace::metric::jitter_s;
   est.mean = 0.25;
-  std::vector<std::optional<estimate_reply>> replies{std::nullopt, est,
-                                                     std::nullopt};
-  const std::string frame = encode_estimate_batch(replies);
+  const std::string frame = "ESTB 3\nNONE\n" + encode(est) + "\nNONE";
   EXPECT_EQ(message_type(frame), "ESTB");
   const auto back = decode_estimate_batch(frame);
   ASSERT_EQ(back.size(), 3u);
@@ -736,15 +738,16 @@ TEST(ProtoCodecV2, ErrorCodesAreTableDrivenAndClipped) {
     const auto back = err_code_from_string(token);
     ASSERT_TRUE(back.has_value()) << token;
     EXPECT_EQ(*back, code);
-    const std::string line = encode_error(code, "why");
-    EXPECT_EQ(message_type(line), "ERR");
-    EXPECT_EQ(line, "ERR " + std::string(token) + " why");
+    reply_buffer line;
+    encode_error_into(code, "why", line);
+    EXPECT_EQ(message_type(line.view()), "ERR");
+    EXPECT_EQ(line.view(), "ERR " + std::string(token) + " why");
   }
   EXPECT_FALSE(err_code_from_string("nonsense").has_value());
   // Hostile detail is clipped, never echoed verbatim.
-  const std::string huge = encode_error(err_code::parse,
-                                        std::string(1 << 16, 'x'));
-  EXPECT_LT(huge.size(), 256u);
+  reply_buffer huge;
+  encode_error_into(err_code::parse, std::string(1 << 16, 'x'), huge);
+  EXPECT_LT(huge.view().size(), 256u);
 }
 
 TEST(ProtoServerV2, HelloNegotiatesAndGatesOldClients) {

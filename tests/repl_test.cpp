@@ -144,10 +144,10 @@ struct repl_pair {
   core::sharded_config scfg;
   core::sharded_coordinator lc;
   proto::coordinator_server lserver;
-  repl::leader lead;
+  repl::replica lead;
   core::sharded_coordinator fc;
   proto::coordinator_server fserver;
-  repl::follower fol;
+  repl::replica fol;
   repl::transport to_leader;
 
   static core::sharded_config sync_cfg() {
@@ -162,10 +162,10 @@ struct repl_pair {
       : scfg(sync_cfg()),
         lc(grid, {"NetB", "NetC"}, scfg, 1),
         lserver(lc),
-        lead(lc, log_capacity),
+        lead(lc, repl::role::leader, log_capacity),
         fc(grid, {"NetB", "NetC"}, scfg, 1),
         fserver(fc),
-        fol(fc),
+        fol(fc, repl::role::follower),
         to_leader([this](std::string_view f) {
           return testing::reply_of(lserver, f);
         }) {
@@ -318,6 +318,49 @@ TEST(Replication, WirePromoteFlipsTheFollowerAndRefusesRepeats) {
   EXPECT_EQ(out.front().seq, cursor + 1);
 }
 
+TEST(Replication, PromotedReplicaAppliesNoPushedEpochsAndALeaderRefusesPromote) {
+  repl_pair p;
+  p.ingest(1.0e6, 3);
+  p.fol.catch_up(p.to_leader);
+  ASSERT_TRUE(p.fol.poll(p.to_leader).has_value());
+  const std::uint64_t cursor = p.fol.applied_seq();
+  ASSERT_EQ(v3::peek_header(testing::reply_of(p.fserver,
+                                              v3::encode_promote_frame()))
+                ->op,
+            v3::opcode::ack);
+
+  // The old leader, unaware of the failover, pushes epochs past the
+  // promoted replica's cursor: one for a stream it holds, one for a
+  // stream it has never seen. A leading replica installs neither.
+  const core::estimate_key held = p.fc.keys().front();
+  const std::size_t held_epochs = p.fc.history(held).size();
+  const core::estimate_key unseen{{9, 9}, "NetC", trace::metric::rtt_s};
+  std::vector<proto::epoch_update> ups(2);
+  ups[0] = {cursor + 1, held.zone, held.network, held.metric,
+            5000.0,     7.0e6,     1.0e5,        12};
+  ups[1] = {cursor + 2, unseen.zone, unseen.network, unseen.metric,
+            5000.0,     0.25,        0.01,           4};
+  auto& applied = obs::registry::global().get_counter(
+      obs::names::kReplEpochsApplied);
+  const std::uint64_t applied0 = applied.value();
+  const std::string reply =
+      testing::reply_of(p.fserver, v3::encode_epoch_batch_frame(ups));
+  ASSERT_EQ(v3::peek_header(reply)->op, v3::opcode::ack);
+  EXPECT_EQ(v3::decode_ack_frame(reply).count, 0u);
+  EXPECT_EQ(applied.value(), applied0);
+  EXPECT_EQ(p.fol.applied_seq(), cursor);
+  EXPECT_EQ(p.fc.history(held).size(), held_epochs);
+  EXPECT_FALSE(p.fc.latest(unseen).has_value());
+
+  // PROMOTE to a replica built leading is refused the same way.
+  const std::string refused =
+      testing::reply_of(p.lserver, v3::encode_promote_frame());
+  ASSERT_EQ(v3::peek_header(refused)->op, v3::opcode::err);
+  EXPECT_EQ(v3::decode_error_frame(refused).code,
+            proto::err_code::unsupported);
+  EXPECT_TRUE(p.lead.promoted());
+}
+
 TEST(Replication, SnapshotCatchUpStreamsInBoundedChunks) {
   repl_pair p;
   // Enough frozen history that the persist rendering crosses several
@@ -427,10 +470,10 @@ TEST(Replication, EvictedLogTellsTheFollowerToSnapshot) {
   core::sharded_config scfg = repl_pair::sync_cfg();
   core::sharded_coordinator lc(grid, {"NetB"}, scfg, 1);
   proto::coordinator_server lserver(lc);
-  repl::leader lead(lc, /*log_capacity=*/2);
+  repl::replica lead(lc, repl::role::leader, /*log_capacity=*/2);
   lserver.attach_replication(&lead);
   core::sharded_coordinator fc(grid, {"NetB"}, scfg, 1);
-  repl::follower fol(fc);
+  repl::replica fol(fc, repl::role::follower);
 
   const core::estimate_key k{{2, 2}, "NetB", trace::metric::rtt_s};
   for (int i = 0; i < 6; ++i) {
@@ -543,16 +586,16 @@ TEST(ReplStress, PromotionMidStorm) {
   scfg.num_shards = 4;  // asynchronous: drain workers race the pullers
   core::sharded_coordinator lc(grid, {"NetB", "NetC"}, scfg, 1);
   proto::coordinator_server lserver(lc);
-  repl::leader lead(lc);
+  repl::replica lead(lc, repl::role::leader);
   lserver.attach_replication(&lead);
 
   core::sharded_coordinator f1c(grid, {"NetB", "NetC"}, scfg, 1);
   proto::coordinator_server f1server(f1c);
-  repl::follower f1(f1c);
+  repl::replica f1(f1c, repl::role::follower);
   f1server.attach_replication(&f1);
   core::sharded_coordinator f2c(grid, {"NetB", "NetC"}, scfg, 1);
   proto::coordinator_server f2server(f2c);
-  repl::follower f2(f2c);
+  repl::replica f2(f2c, repl::role::follower);
   f2server.attach_replication(&f2);
 
   const repl::transport to_leader = [&](std::string_view f) {
@@ -582,7 +625,7 @@ TEST(ReplStress, PromotionMidStorm) {
       t += 40.0;  // rollovers fire continuously under the storm
     }
   });
-  auto puller = [&](repl::follower& f) {
+  auto puller = [&](repl::replica& f) {
     f.catch_up(to_leader);
     // Poll until real records have flowed -- the writer needs wall time
     // to cross epoch boundaries -- but stay bounded so a broken feed

@@ -149,11 +149,11 @@ int main() {
   repl_cfg.coordinator.epochs.default_epoch_s = 100.0;
   core::sharded_coordinator lcoord(grid, dep.names(), repl_cfg, 6);
   proto::coordinator_server lserver(lcoord);
-  repl::leader lead(lcoord);
+  repl::replica lead(lcoord, repl::role::leader);
   lserver.attach_replication(&lead);
   core::sharded_coordinator fcoord(grid, dep.names(), repl_cfg, 6);
   proto::coordinator_server fserver(fcoord);
-  repl::follower fol(fcoord);
+  repl::replica fol(fcoord, repl::role::follower);
   fserver.attach_replication(&fol);
   for (int i = 0; i < 2000; ++i) {  // ~19 rollovers into the leader's log
     proto::measurement_report rrep;

@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cellnet/deployment.h"
@@ -167,6 +168,18 @@ inline std::string reply_of(proto::coordinator_server& server,
   proto::reply_buffer out;
   server.handle(proto::request_view::detect(bytes), out);
   return std::string(out.view());
+}
+
+/// What an `_into` codec leaves in a fresh `Out`: tests read the
+/// zero-allocation codecs' results through this instead of a copying
+/// flavour kept for them, e.g.
+///   into<std::vector<proto::query_request>>(proto::decode_query_batch_into,
+///                                           frame)
+template <typename Out, typename Codec, typename... Args>
+Out into(Codec&& codec, Args&&... args) {
+  Out out;
+  std::forward<Codec>(codec)(std::forward<Args>(args)..., out);
+  return out;
 }
 
 }  // namespace wiscape::testing

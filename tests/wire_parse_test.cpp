@@ -31,6 +31,8 @@
 namespace wiscape {
 namespace {
 
+using records = std::vector<trace::measurement_record>;
+
 // ---- the seed decoder/encoder, frozen as the reference --------------------
 namespace legacy {
 
@@ -390,7 +392,9 @@ TEST(WireParseMalformed, ReportAndBatchCorpusThrows) {
   }
   for (const auto& line : corpus) {
     if (line.rfind("REPORTB", 0) == 0) {
-      EXPECT_THROW(proto::decode_report_batch(line), std::invalid_argument)
+      EXPECT_THROW(
+          testing::into<records>(proto::decode_report_batch_into, line),
+          std::invalid_argument)
           << line;
     }
   }
@@ -485,7 +489,8 @@ TEST(WireParseBatch, ReportBatchRoundTrips) {
   for (int i = 0; i < 64; ++i) recs.push_back(random_record(rng, i));
   const std::string frame = proto::encode_report_batch(recs);
   EXPECT_EQ(proto::message_type(frame), "REPORTB");
-  const auto back = proto::decode_report_batch(frame);
+  const auto back =
+      testing::into<records>(proto::decode_report_batch_into, frame);
   ASSERT_EQ(back.size(), recs.size());
   for (std::size_t i = 0; i < recs.size(); ++i) {
     // Through the CSV schema the payload is quantized exactly like a single
@@ -495,11 +500,16 @@ TEST(WireParseBatch, ReportBatchRoundTrips) {
 }
 
 TEST(WireParseBatch, EmptyBatchAndTrailingNewlineTolerated) {
-  EXPECT_TRUE(proto::decode_report_batch("REPORTB 0").empty());
+  EXPECT_TRUE(
+      testing::into<records>(proto::decode_report_batch_into, "REPORTB 0")
+          .empty());
   const std::string csv = trace::to_csv(testing::make_record(
       1.0, "NetB", {43.0, -89.4}, trace::probe_kind::udp_burst, 1e6));
   // A transport that delivers the terminal newline still decodes.
-  EXPECT_EQ(proto::decode_report_batch("REPORTB 1\n" + csv + "\n").size(), 1u);
+  EXPECT_EQ(testing::into<records>(proto::decode_report_batch_into,
+                                   "REPORTB 1\n" + csv + "\n")
+                .size(),
+            1u);
 }
 
 // ---- the zero-allocation encode path (the reply path's building blocks) --
@@ -612,7 +622,8 @@ TEST(WireEncodeInto, EncodeErrorIntoMatchesEncodeError) {
           std::string_view("")}) {
       out.clear();
       proto::encode_error_into(code, detail, out);
-      EXPECT_EQ(out.view(), proto::encode_error(code, detail));
+      EXPECT_EQ(out.view(), "ERR " + std::string(proto::to_string(code)) +
+                                " " + proto::error_excerpt(detail));
     }
   }
 }
@@ -624,7 +635,8 @@ TEST(WireParseBatch, DecodeBatchIntoMatchesAndReusesCapacity) {
                                         trace::probe_kind::udp_burst, 1e6));
   }
   const std::string frame = proto::encode_report_batch(recs);
-  const auto via_copy = proto::decode_report_batch(frame);
+  const auto via_copy =
+      testing::into<records>(proto::decode_report_batch_into, frame);
 
   std::vector<trace::measurement_record> into;
   proto::decode_report_batch_into(frame, into);
@@ -648,7 +660,8 @@ TEST(WireParseBatch, DecodeBatchIntoMatchesAndReusesCapacity) {
   qs[1].network = "NetA";
   qs[1].metric = trace::metric::loss_rate;
   const std::string qframe = proto::encode_query_batch(qs);
-  const auto q_copy = proto::decode_query_batch(qframe);
+  const auto q_copy = testing::into<std::vector<proto::query_request>>(
+      proto::decode_query_batch_into, qframe);
   std::vector<proto::query_request> q_into;
   proto::decode_query_batch_into(qframe, q_into);
   proto::decode_query_batch_into(qframe, q_into);
@@ -675,8 +688,10 @@ TEST(WireParseBatch, CrlfFramesToleratedAtDecoderLevel) {
     else crlf += c;
   }
   crlf += "\r\n";
-  const auto plain = proto::decode_report_batch(frame);
-  const auto tolerant = proto::decode_report_batch(crlf);
+  const auto plain =
+      testing::into<records>(proto::decode_report_batch_into, frame);
+  const auto tolerant =
+      testing::into<records>(proto::decode_report_batch_into, crlf);
   ASSERT_EQ(tolerant.size(), plain.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     expect_same_record(tolerant[i], plain[i]);

@@ -83,14 +83,16 @@ echo "== binary v3 framing under TSan =="
 "$build_dir"/tests/wiscape_tests \
   --gtest_filter='WireV3Codec.*:WireV3Server.*:NetSession.Binary*:NetSession.PartialBinary*:NetSession.NegotiatedV*:TcpServer.MixedTextAndBinary*:TcpServer.BinaryRequestFrame*'
 
-# Replication (DESIGN.md section 7): leader + two followers, puller
-# threads pulling/catching up against the 4-shard ingest storm, and a
-# wire PROMOTE mid-storm while the second puller is still in flight --
-# the epoch tap, the sequenced log, and the apply/promote mutex are the
-# cross-thread seams this vets. The leader_kill scenario rerun drives
-# the same failover through the scenario engine's full stack.
+# Replication (DESIGN.md section 7): a leading and two following
+# replicas, puller threads pulling/catching up against the 4-shard ingest
+# storm, and a wire PROMOTE mid-storm while the second puller is still in
+# flight -- the epoch tap, the sequenced log, and the replica's one
+# apply/promote/catch-up mutex are the cross-thread seams this vets. The
+# leader_kill scenario rerun drives the same failover through the
+# scenario engine's full stack; wal_restart and follower_joins_late drive
+# a replica through a WAL restart and a late catch-up.
 echo "== replication under TSan =="
 "$build_dir"/tests/wiscape_tests \
-  --gtest_filter='ReplStress.PromotionMidStorm:Replication.*:EpochLog.*:ZoneTableMerge.*:TcpServer.FollowerCatchUp*:Scenario.LeaderKill*'
+  --gtest_filter='ReplStress.PromotionMidStorm:Replication.*:EpochLog.*:ZoneTableMerge.*:TcpServer.FollowerCatchUp*:Scenario.LeaderKill*:Scenario.WalRestart*:Scenario.FollowerJoiningLate*'
 
 echo "TSan run clean."
