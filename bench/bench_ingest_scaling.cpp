@@ -201,6 +201,9 @@ double run_replay_batched(const geo::zone_grid& grid,
   return static_cast<double>(stream.size()) / dt;
 }
 
+/// The obs overhead acceptance bar, percent.
+constexpr double kOverheadBarPct = 5.0;
+
 /// Paired best-of-`reps` raw-drain throughput with obs instrumentation on
 /// and off. The two variants are interleaved within each rep (after one
 /// untimed warm-up) so scheduler drift on a shared host hits both columns
@@ -210,6 +213,13 @@ struct raw_pair {
   double on = 0.0;        ///< best instrumented reports/s
   double off = 0.0;       ///< best uninstrumented reports/s
   double overhead = 0.0;  ///< median of per-rep paired overhead, percent
+  double overhead_min = 0.0;  ///< spread of the per-rep paired overheads
+  double overhead_max = 0.0;
+  /// False when the spread straddles the bar: the reps disagree on which
+  /// side of it the code is, so the median alone decides nothing.
+  bool resolved() const noexcept {
+    return !(overhead_min <= kOverheadBarPct && overhead_max > kOverheadBarPct);
+  }
 };
 
 raw_pair best_raw_pair(const geo::zone_grid& grid,
@@ -231,7 +241,11 @@ raw_pair best_raw_pair(const geo::zone_grid& grid,
     if (off > 0) overheads.push_back(100.0 * (off - on) / off);
   }
   std::sort(overheads.begin(), overheads.end());
-  if (!overheads.empty()) best.overhead = overheads[overheads.size() / 2];
+  if (!overheads.empty()) {
+    best.overhead = overheads[overheads.size() / 2];
+    best.overhead_min = overheads.front();
+    best.overhead_max = overheads.back();
+  }
   return best;
 }
 
@@ -434,10 +448,14 @@ int main(int argc, char** argv) {
   constexpr int kReps = 5;
   std::printf(
       "  raw drain (CPU-bound; scales with cores), interleaved best of %d "
-      "runs:\n"
+      "runs;\n"
+      "  overhead: median [min, max] of the per-run paired overheads, "
+      "\"unresolved\" when\n"
+      "  that spread straddles the %.0f%% bar:\n"
       "                   obs enabled   obs disabled   overhead\n",
-      kReps);
-  double raw1 = 0.0, raw4 = 0.0, raw4_off = 0.0, raw4_overhead = 0.0;
+      kReps, kOverheadBarPct);
+  double raw1 = 0.0, raw4 = 0.0, raw4_off = 0.0;
+  raw_pair pair4;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     const raw_pair pair = best_raw_pair(grid, stream, threads, kReps);
     const double rps = pair.on, rps_off = pair.off;
@@ -445,15 +463,23 @@ int main(int argc, char** argv) {
     if (threads == 4) {
       raw4 = rps;
       raw4_off = rps_off;
-      raw4_overhead = pair.overhead;
+      pair4 = pair;
     }
     std::printf(
-        "    %zu thread(s): %11.0f %14.0f reports/s  %+5.1f%%  (%.2fx vs 1 "
-        "thread)\n",
-        threads, rps, rps_off, pair.overhead,
+        "    %zu thread(s): %11.0f %14.0f reports/s  %+5.1f%% [%+5.1f, "
+        "%+5.1f]%s  (%.2fx vs 1 thread)\n",
+        threads, rps, rps_off, pair.overhead, pair.overhead_min,
+        pair.overhead_max, pair.resolved() ? "" : " unresolved",
         raw1 > 0 ? rps / raw1 : 1.0);
     jsonl_result(jsonl, "raw", threads, true, stream.size(), rps);
     jsonl_result(jsonl, "raw", threads, false, stream.size(), rps_off);
+    jsonl << "{\"bench\":\"ingest_scaling\",\"mode\":\"obs_pair\","
+             "\"threads\":"
+          << threads << ",\"overhead_pct\":" << bench::fmt(pair.overhead, 2)
+          << ",\"overhead_min_pct\":" << bench::fmt(pair.overhead_min, 2)
+          << ",\"overhead_max_pct\":" << bench::fmt(pair.overhead_max, 2)
+          << ",\"resolved\":" << (pair.resolved() ? "true" : "false")
+          << "}\n";
   }
 
   // Replay uses a lighter stream: each line also pays the wire latency.
@@ -514,7 +540,7 @@ int main(int argc, char** argv) {
     jsonl << buf;
   }
 
-  const double overhead_pct = raw4_overhead;
+  const double overhead_pct = pair4.overhead;
   std::printf("\n");
   bench::report("fleet replay speedup, 4 threads vs 1", "> 1x",
                 bench::fmt(rep1 > 0 ? rep4 / rep1 : 0.0) + "x");
@@ -531,7 +557,10 @@ int main(int argc, char** argv) {
            "\"threads\":4,\"obs_on_reports_per_s\":"
         << static_cast<long long>(raw4)
         << ",\"obs_off_reports_per_s\":" << static_cast<long long>(raw4_off)
-        << ",\"overhead_pct\":" << bench::fmt(overhead_pct, 2) << "}\n";
+        << ",\"overhead_pct\":" << bench::fmt(overhead_pct, 2)
+        << ",\"overhead_min_pct\":" << bench::fmt(pair4.overhead_min, 2)
+        << ",\"overhead_max_pct\":" << bench::fmt(pair4.overhead_max, 2)
+        << "}\n";
   obs::write_snapshot_json(jsonl, obs::registry::global(), 0,
                            now_s() - t_start);
   return 0;

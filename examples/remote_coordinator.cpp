@@ -35,6 +35,7 @@
 #include "mobility/fleet.h"
 #include "mobility/route_gen.h"
 #include "obs/snapshot_writer.h"
+#include "proto/client.h"
 #include "proto/server.h"
 
 using namespace wiscape;
@@ -78,13 +79,14 @@ int main(int argc, char** argv) {
   // replay below. Swap in a socket and nothing else changes.
   int shown = 0;
   std::vector<std::string> report_lines;
-  auto transport = [&](const std::string& line) {
+  const proto::transport transport = [&](std::string_view line) {
     std::string reply = call(server, line);
-    if (proto::message_type(line) == "REPORT") report_lines.push_back(line);
+    if (proto::message_type(line) == "REPORT") report_lines.emplace_back(line);
     if (shown < 6 && proto::message_type(reply) == "TASK") {
       ++shown;
-      std::printf("  wire> %.60s...\n  wire< %s\n", line.c_str(),
-                  reply.c_str());
+      std::printf("  wire> %.*s...\n  wire< %s\n",
+                  static_cast<int>(std::min<std::size_t>(60, line.size())),
+                  line.data(), reply.c_str());
     }
     return reply;
   };
@@ -128,7 +130,7 @@ int main(int argc, char** argv) {
   // Read the product back over the same wire: negotiate a protocol version,
   // then issue one QUERYB per 4096-query chunk -- one query per estimate
   // stream the coordinator materialised, positioned at the zone center.
-  proto::remote_query_client query_client(transport);
+  proto::client query_client(transport);
   const auto hello = query_client.hello();
   std::printf("  negotiated wire protocol v%u (server minimum v%u)\n",
               hello.version, hello.min_version);
@@ -142,7 +144,7 @@ int main(int argc, char** argv) {
     q.time_s = last_t;
     queries.push_back(q);
   }
-  const auto count_published = [&queries](proto::remote_query_client& client) {
+  const auto count_published = [&queries](proto::client& client) {
     int published = 0;
     for (std::size_t i = 0; i < queries.size(); i += proto::max_query_batch) {
       const std::span<const proto::query_request> chunk(
@@ -178,8 +180,8 @@ int main(int argc, char** argv) {
   // Same QUERYB sweep against the concurrent server: these lookups read the
   // shards' lock-free estimate mirrors, so they would not stall ingestion
   // even if the morning were still streaming in.
-  proto::remote_query_client sharded_query(
-      [&](const std::string& line) { return call(concurrent_server, line); });
+  proto::client sharded_query(
+      [&](std::string_view line) { return call(concurrent_server, line); });
   const int sharded_published = count_published(sharded_query);
   std::printf("\nconcurrent replay (%zu shards):\n", sharded.num_shards());
   std::printf(

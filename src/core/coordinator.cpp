@@ -187,8 +187,8 @@ std::size_t coordinator::report_batch(
     std::uint16_t nid;
     std::uint64_t gkey;
     std::size_t zone;  // zones_ index; no_zone: new, created at apply
-    // The record's history series when it exists (prefetch only: pass 4
-    // may grow the vector holding it).
+    // The record's planning-stream history series when it exists
+    // (prefetch only: pass 4 may grow the vector holding it).
     const stats::time_series* series;
     // Stream index per metric of the record, or zone_table::no_stream.
     std::size_t streams[trace::metric_count];
@@ -242,8 +242,9 @@ std::size_t coordinator::report_batch(
     for (std::size_t i = 0; i < live; ++i) {
       resolved& r = chunk[i];
       r.zone = find_zone(zone_key(r.z));
-      r.series = r.zone != no_zone && r.nid < zones_[r.zone].history.size()
-                     ? &zones_[r.zone].history[r.nid]
+      const std::size_t si = series_of(r.nid, r.rec->kind);
+      r.series = r.zone != no_zone && si < zones_[r.zone].history.size()
+                     ? &zones_[r.zone].history[si]
                      : nullptr;
       if (r.series != nullptr) __builtin_prefetch(r.series);
       const auto ms = trace::metrics_of(r.rec->kind);
@@ -278,16 +279,17 @@ std::size_t coordinator::report_batch(
             table_.add_sample(r.z, r.nid, ms[j], rec.time_s, v, st.epoch_s);
           }
         }
-        // The planning history takes the kind's planning metric (ms[0])
-        // and only the samples checkin() would have asked for: while the
-        // planning stream's open epoch holds at most the zone's target,
+        // The planning stream's series takes the kind's planning metric
+        // (ms[0]) and only the samples checkin() would have asked for:
+        // while the stream's open epoch holds at most the zone's target,
         // this record included.
         const std::size_t plan = r.streams[0] != zone_table::no_stream
                                      ? r.streams[0]
                                      : table_.stream_of(r.gkey, ms[0]);
         if (table_.open_samples(plan) > st.samples_target) continue;
-        if (r.nid >= st.history.size()) st.history.resize(r.nid + 1);
-        auto& series = st.history[r.nid];
+        const std::size_t si = series_of(r.nid, rec.kind);
+        if (si >= st.history.size()) st.history.resize(si + 1);
+        auto& series = st.history[si];
         series.add(rec.time_s, trace::value_of(rec, ms[0]));
         if (series.size() > cfg_.history_cap) {
           // Drop the oldest half to bound memory while keeping a long
@@ -316,9 +318,7 @@ bool coordinator::merge_estimate(const estimate_key& key,
 }
 
 const stats::time_series* coordinator::longest_history(const zone_state& st) {
-  // Ties go to the lowest network id (the vector replaces the seed's
-  // unordered_map, whose tie order was unspecified; strictly-longest winners
-  // are unchanged).
+  // Ties go to the lowest series index (network id, then probe kind).
   const stats::time_series* best = nullptr;
   for (const auto& series : st.history) {
     if (!best || series.size() > best->size()) best = &series;
@@ -334,22 +334,30 @@ void coordinator::recompute_epochs() {
   }
 }
 
+const stats::time_series* coordinator::series_for(const geo::zone_id& zone,
+                                                  std::string_view network,
+                                                  trace::metric metric) const {
+  const std::size_t zi = find_zone(zone_key(zone));
+  // Allocation-free lookup: networks with no history were never interned
+  // (or never reported into this zone).
+  const std::uint16_t nid = table_.interner().try_id(network);
+  if (zi == no_zone || nid == network_interner::npos) return nullptr;
+  const std::size_t si = series_of(nid, trace::kind_for(metric));
+  const auto& history = zones_[zi].history;
+  return si < history.size() ? &history[si] : nullptr;
+}
+
 std::size_t coordinator::refine_sample_target(const geo::zone_id& zone,
                                               std::string_view network,
                                               trace::metric metric) {
   const std::size_t zi = find_zone(zone_key(zone));
   if (zi == no_zone) return cfg_.default_samples_per_epoch;
   zone_state& st = zones_[zi];
-  // Allocation-free lookup: networks with no history were never interned
-  // (or never reported into this zone).
-  const std::uint16_t nid = table_.interner().try_id(network);
-  (void)metric;  // histories are keyed per network on the planning metric
-  if (nid == network_interner::npos || nid >= st.history.size() ||
-      st.history[nid].size() < cfg_.planner.step * 4) {
+  const stats::time_series* series = series_for(zone, network, metric);
+  if (series == nullptr || series->size() < cfg_.planner.step * 4) {
     return st.samples_target;
   }
-  const auto values = st.history[nid].values();
-  st.samples_target = planner_.samples_needed(values, rng_);
+  st.samples_target = planner_.samples_needed(series->values(), rng_);
   return st.samples_target;
 }
 
@@ -359,6 +367,13 @@ std::span<const stats::sample> coordinator::history_for_test(
   if (zi == no_zone) return {};
   const stats::time_series* best = longest_history(zones_[zi]);
   return best ? best->samples() : std::span<const stats::sample>{};
+}
+
+std::span<const stats::sample> coordinator::history_for_test(
+    const geo::zone_id& zone, std::string_view network,
+    trace::metric metric) const {
+  const stats::time_series* series = series_for(zone, network, metric);
+  return series ? series->samples() : std::span<const stats::sample>{};
 }
 
 zone_status coordinator::status_of(const geo::zone_id& zone) const {

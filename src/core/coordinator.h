@@ -45,15 +45,15 @@ struct coordinator_config {
   double change_sigma_factor = 2.0;
   epoch_config epochs{};
   planner_config planner{};
-  /// Planning-history length (samples) per (zone, network) kept for epoch
+  /// Planning-history length (samples) per planning stream -- (zone,
+  /// network, probe kind), one unit per series -- kept for epoch
   /// re-estimation and sample planning; past it the oldest half is
   /// dropped. The history takes at most a zone's target per planning
-  /// stream and epoch (see report_batch), so a series whose network
-  /// reports k probe kinds in the zone (one planning stream each) gains at
-  /// most k * samples_target per epoch, and its window -- history_cap / 2
-  /// to history_cap samples once it has trimmed -- covers at least
-  /// history_cap / (2 k samples_target) epochs however hard the zone is
-  /// flooded.
+  /// stream and epoch (see report_batch), so a series gains at most
+  /// samples_target per epoch, and its window -- history_cap / 2 to
+  /// history_cap samples once it has trimmed -- covers at least
+  /// history_cap / (2 samples_target) epochs however hard the zone is
+  /// flooded, whichever probe kinds the network reports there.
   std::size_t history_cap = 4096;
   /// Per-client measurement budget, MB per day (0 = unlimited). The
   /// coordinator stops tasking a client whose day's probes already cost
@@ -107,10 +107,16 @@ class coordinator {
   const zone_table& table_for_test() const noexcept { return table_; }
 
   /// The zone's planning history that recompute_epochs() scans -- its
-  /// longest per-network series, oldest first; empty for a zone without
+  /// longest per-stream series, oldest first; empty for a zone without
   /// one. For tests: valid until the next report.
   std::span<const stats::sample> history_for_test(
       const geo::zone_id& zone) const;
+  /// The series refine_sample_target(zone, network, metric) reads: the
+  /// planning stream of the probe kind that carries `metric`. Empty when
+  /// it has none. For tests: valid until the next report.
+  std::span<const stats::sample> history_for_test(const geo::zone_id& zone,
+                                                  std::string_view network,
+                                                  trace::metric metric) const;
 
   /// The serving-layer mirror every epoch rollover publishes into
   /// (consumed by core::estimate_view; lock-free reads).
@@ -169,8 +175,10 @@ class coordinator {
   /// (Allan minimum). Cheap enough to call periodically.
   void recompute_epochs();
 
-  /// Refines a zone's sample target from collected history via the NKLD
-  /// planner. No-op (returns current target) when history is too small.
+  /// Refines a zone's sample target via the NKLD planner from the history
+  /// of the planning stream that carries `metric` (the network's series
+  /// for trace::kind_for(metric)). No-op (returns current target) when
+  /// that series is too small.
   std::size_t refine_sample_target(const geo::zone_id& zone,
                                    std::string_view network,
                                    trace::metric metric);
@@ -222,13 +230,26 @@ class coordinator {
   struct zone_state {
     double epoch_s;
     std::size_t samples_target;
-    // Metric history used for epoch/NKLD estimation, indexed by the table's
-    // interned network id (dense: most zones see every operator).
+    // Planning history used for epoch/NKLD estimation: one series per
+    // planning stream, indexed by series_of(interned network id, probe
+    // kind) (dense: most zones see every operator).
     std::vector<stats::time_series> history;
   };
 
-  /// The zone's longest per-network history series (ties go to the lowest
-  /// network id), or nullptr when it has none.
+  /// Probe kinds: the planning streams per (zone, network).
+  static constexpr std::size_t probe_kinds = 4;
+  /// zone_state::history index of a planning stream.
+  static std::size_t series_of(std::uint16_t nid,
+                               trace::probe_kind kind) noexcept {
+    return nid * probe_kinds + static_cast<std::size_t>(kind);
+  }
+  /// The series of one planning stream, or nullptr when it has none.
+  const stats::time_series* series_for(const geo::zone_id& zone,
+                                       std::string_view network,
+                                       trace::metric metric) const;
+
+  /// The zone's longest per-stream history series (ties go to the lowest
+  /// series index), or nullptr when it has none.
   static const stats::time_series* longest_history(const zone_state& st);
 
   /// Internal-only raw table access (sharded_coordinator's read-side

@@ -17,6 +17,7 @@
 #include <utility>
 
 #include "core/fault_injection.h"
+#include "proto/client.h"
 #include "proto/wire_v3.h"
 
 namespace wiscape::net {
@@ -298,14 +299,8 @@ std::size_t line_client::pipeline(std::string_view block, std::size_t count) {
 }
 
 proto::hello_reply line_client::hello(std::uint32_t version) {
-  proto::hello_request req;
-  req.version = version;
-  const std::string reply = request(proto::encode(req));
-  if (proto::message_type(reply) != "HELLO") {
-    throw std::runtime_error("line_client: HELLO rejected: " +
-                             proto::error_excerpt(reply));
-  }
-  return proto::decode_hello_reply(reply);
+  return proto::client([this](std::string_view req) { return request(req); })
+      .hello(version);
 }
 
 }  // namespace wiscape::net

@@ -79,8 +79,9 @@ class line_client {
   /// server's per-wake reply coalescing.
   std::size_t pipeline(std::string_view block, std::size_t count);
 
-  /// HELLO handshake convenience; throws std::runtime_error when the server
-  /// answers anything but HELLO.
+  /// HELLO handshake convenience (a proto::client exchange over this
+  /// connection); throws proto::reply_error when the server answers ERR and
+  /// std::runtime_error on any other reply but HELLO.
   proto::hello_reply hello(std::uint32_t version = proto::wire_version);
 
  private:

@@ -209,10 +209,10 @@ request_view request_view::binary(std::string_view frame) noexcept {
       command::bad_envelope,                         // 0: no such opcode
       command::report,       command::reportb,       // 1-2
       command::query,        command::queryb,        // 3-4
-      command::reply_opcode, command::reply_opcode,  // 5-6: ack, est
-      command::reply_opcode, command::reply_opcode,  // 7-8: estb, err
+      command::stray_reply,  command::stray_reply,   // 5-6: ack, est
+      command::stray_reply,  command::stray_reply,   // 7-8: estb, err
       command::epoch,        command::epochb,        // 9-10
-      command::snapshot_req, command::reply_opcode,  // 11-12: snapshot_chunk
+      command::snapshot_req, command::stray_reply,   // 11-12: snapshot_chunk
       command::promote};                             // 13
   static_assert(std::size(by_opcode) ==
                 static_cast<std::size_t>(v3::opcode::promote) + 1);
@@ -463,7 +463,7 @@ void coordinator_server::handle(request_view req, reply_buffer& out) {
           v3::encode_ack_frame(out);
         }
         break;
-      case command::reply_opcode: {
+      case command::stray_reply: {
         // The binary analogue of a client sending "EST ...": a valid frame,
         // but not a request.
         char detail[64];
@@ -597,96 +597,6 @@ void coordinator_server::handle_report_group(std::string_view block,
   // reply_bytes counts reply payloads, not the '\n' separators, so the
   // counter matches what count handle() calls would have recorded.
   m.reply_bytes.inc(reply_bytes);
-}
-
-std::optional<trace::measurement_record> remote_agent::step(
-    const mobility::gps_fix& fix, std::uint32_t network_index,
-    std::uint32_t active_in_zone) {
-  checkin_request req;
-  req.client_id = client_id_;
-  req.pos = fix.pos;
-  req.time_s = fix.time_s;
-  req.network_index = network_index;
-  req.active_in_zone = active_in_zone;
-  req.device = device_.name;
-
-  const std::string reply = send_(encode(req));
-  if (message_type(reply) != "TASK") return std::nullopt;
-  const auto task = decode_task(reply);
-
-  trace::measurement_record rec;
-  switch (task.kind) {
-    case trace::probe_kind::tcp_download: {
-      probe::tcp_probe_params params;
-      if (task.tcp_bytes > 0) params.bytes = task.tcp_bytes;
-      rec = engine_->tcp_probe(task.network_index, fix, params, device_);
-      break;
-    }
-    case trace::probe_kind::udp_burst: {
-      probe::udp_probe_params params;
-      if (task.udp_packets > 0) params.packets = task.udp_packets;
-      rec = engine_->udp_probe(task.network_index, fix, params, device_);
-      break;
-    }
-    case trace::probe_kind::udp_uplink: {
-      probe::udp_probe_params params;
-      if (task.udp_packets > 0) params.packets = task.udp_packets;
-      rec = engine_->udp_uplink_probe(task.network_index, fix, params, device_);
-      break;
-    }
-    case trace::probe_kind::ping: {
-      probe::ping_probe_params params;
-      if (task.ping_count > 0) params.count = task.ping_count;
-      rec = engine_->ping_probe(task.network_index, fix, params, device_);
-      break;
-    }
-  }
-
-  rec.client_id = client_id_;
-  measurement_report rep;
-  rep.client_id = client_id_;
-  rep.record = rec;
-  send_(encode(rep));
-  return rec;
-}
-
-std::string remote_query_client::roundtrip(const std::string& request,
-                                           std::string_view expect) {
-  std::string reply = send_(request);
-  if (message_type(reply) != expect) {
-    throw std::runtime_error("remote query failed: " + error_excerpt(reply));
-  }
-  return reply;
-}
-
-hello_reply remote_query_client::hello(std::uint32_t version) {
-  hello_request req;
-  req.version = version;
-  return decode_hello_reply(roundtrip(encode(req), "HELLO"));
-}
-
-std::optional<estimate_reply> remote_query_client::query(
-    const query_request& q) {
-  const std::string reply = send_(encode(q));
-  const std::string_view type = message_type(reply);
-  if (type == "NONE") return std::nullopt;
-  if (type != "EST") {
-    throw std::runtime_error("remote query failed: " + error_excerpt(reply));
-  }
-  return decode_estimate(reply);
-}
-
-std::vector<std::optional<estimate_reply>> remote_query_client::query_batch(
-    std::span<const query_request> queries) {
-  return decode_estimate_batch(roundtrip(encode_query_batch(queries), "ESTB"));
-}
-
-alerts_reply remote_query_client::alerts(std::uint64_t since,
-                                         std::uint32_t max) {
-  alerts_request req;
-  req.since = since;
-  req.max = max;
-  return decode_alerts_reply(roundtrip(encode(req), "ALERTS"));
 }
 
 }  // namespace wiscape::proto

@@ -1,4 +1,4 @@
-// A transport-agnostic coordinator server and its client-side counterparts.
+// A transport-agnostic coordinator server.
 //
 // coordinator_server turns the in-process core::sharded_coordinator into a
 // protocol service: hand it any request -- a protocol v2 text line or a
@@ -10,15 +10,13 @@
 // CHECKIN/REPORT/REPORTB on the write side,
 // QUERY/QUERYB/ALERTS/HELLO on the read side (served through
 // core::estimate_view, so queries never take a shard lock), and the v3
-// replication opcodes when a replication_endpoint is attached.
-// remote_agent is the write-side client shim (check-in / execute /
-// report cycle); remote_query_client is the read-side one (negotiate,
-// look up estimates, drain alerts) -- both against any `send` function.
+// replication opcodes when a replication_endpoint is attached. The
+// client half -- devices, replicas, drivers -- is proto::client
+// (proto/client.h).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -26,7 +24,6 @@
 
 #include "core/estimate_view.h"
 #include "core/sharded_coordinator.h"
-#include "probe/engine.h"
 #include "proto/messages.h"
 
 namespace wiscape::proto {
@@ -57,7 +54,7 @@ enum class command : std::uint8_t {
   epochb,
   snapshot_req,
   promote,
-  reply_opcode,  ///< a v3 reply opcode (ack, est, ...) sent as a request
+  stray_reply,   ///< a v3 reply opcode (ack, est, ...) sent as a request
   bad_envelope,  ///< frame magic, but an undefined opcode or a declared
                  ///< payload length that disagrees with the bytes
   unknown,       ///< a text line that opens with no request tag
@@ -296,70 +293,6 @@ class coordinator_server {
   std::atomic<std::uint64_t> reports_{0};
   std::atomic<std::uint64_t> tasks_{0};
   std::atomic<std::uint64_t> errors_{0};
-};
-
-/// Client-side agent speaking the line protocol through a caller-supplied
-/// transport (`send` delivers a request line and returns the response line).
-class remote_agent {
- public:
-  /// Delivers one request line, returns the response line. The agent is as
-  /// thread-safe as this function plus the probe engine (in practice:
-  /// confine one agent to one thread).
-  using transport = std::function<std::string(const std::string&)>;
-
-  remote_agent(probe::probe_engine& engine, transport send,
-               std::uint64_t client_id,
-               probe::device_profile device = probe::laptop_device())
-      : engine_(&engine),
-        send_(std::move(send)),
-        client_id_(client_id),
-        device_(std::move(device)) {}
-
-  /// One opportunistic cycle: check in, execute any assigned task, report.
-  /// Returns the record when a probe ran.
-  std::optional<trace::measurement_record> step(
-      const mobility::gps_fix& fix, std::uint32_t network_index,
-      std::uint32_t active_in_zone = 4);
-
- private:
-  probe::probe_engine* engine_;
-  transport send_;
-  std::uint64_t client_id_;
-  probe::device_profile device_;
-};
-
-/// Client-side query shim speaking the read half of protocol v2 through a
-/// caller-supplied transport. Holds no state beyond the transport; as
-/// thread-safe as `send` is.
-class remote_query_client {
- public:
-  /// Delivers one request (possibly multi-line) and returns the reply.
-  using transport = std::function<std::string(const std::string&)>;
-
-  explicit remote_query_client(transport send) : send_(std::move(send)) {}
-
-  /// HELLO handshake: offers `version` (default: ours) and returns the
-  /// server's negotiated reply. Throws std::runtime_error when the server
-  /// rejects the version (ERR version) or replies with anything unexpected.
-  hello_reply hello(std::uint32_t version = wire_version);
-
-  /// One estimate lookup; nullopt when the server answered NONE (stream
-  /// unknown or no epoch published yet). Throws std::runtime_error on ERR.
-  std::optional<estimate_reply> query(const query_request& q);
-
-  /// Batched flavour: one QUERYB frame, replies positional with the
-  /// requests. Throws std::runtime_error on ERR.
-  std::vector<std::optional<estimate_reply>> query_batch(
-      std::span<const query_request> queries);
-
-  /// Drains change alerts after cursor `since` (feed the reply's next_seq
-  /// back in to continue). Throws std::runtime_error on ERR.
-  alerts_reply alerts(std::uint64_t since, std::uint32_t max = 256);
-
- private:
-  std::string roundtrip(const std::string& request, std::string_view expect);
-
-  transport send_;
 };
 
 }  // namespace wiscape::proto

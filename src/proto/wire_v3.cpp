@@ -506,13 +506,6 @@ void encode_estimate_frame(const core::stream_lookup& l,
   end_frame(out, at);
 }
 
-void encode_estimate_batch_frame(
-    std::span<const std::optional<estimate_reply>> reps, reply_buffer& out) {
-  estimate_batch_builder b(static_cast<std::uint32_t>(reps.size()), out);
-  for (const auto& rep : reps) b.add(rep);
-  b.finish();
-}
-
 estimate_batch_builder::estimate_batch_builder(std::uint32_t count,
                                                reply_buffer& out)
     : out_(&out), at_(begin_frame(out, opcode::estb)) {
@@ -585,12 +578,6 @@ void encode_promote_frame(reply_buffer& out) {
   end_frame(out, at);
 }
 
-std::string encode_report_frame(const measurement_report& m) {
-  reply_buffer out;
-  encode_report_frame(m, out);
-  return std::string(out.view());
-}
-
 std::string encode_report_batch_frame(
     std::span<const trace::measurement_record> recs) {
   reply_buffer out;
@@ -613,24 +600,6 @@ std::string encode_query_batch_frame(std::span<const query_request> qs) {
 std::string encode_epoch_pull_frame(const epoch_pull& p) {
   reply_buffer out;
   encode_epoch_pull_frame(p, out);
-  return std::string(out.view());
-}
-
-std::string encode_epoch_batch_frame(std::span<const epoch_update> updates) {
-  reply_buffer out;
-  encode_epoch_batch_frame(updates, out);
-  return std::string(out.view());
-}
-
-std::string encode_snapshot_req_frame(std::uint64_t offset) {
-  reply_buffer out;
-  encode_snapshot_req_frame(offset, out);
-  return std::string(out.view());
-}
-
-std::string encode_promote_frame() {
-  reply_buffer out;
-  encode_promote_frame(out);
   return std::string(out.view());
 }
 
@@ -659,13 +628,6 @@ void decode_report_batch_frame_into(
   require_done(r);
 }
 
-std::vector<trace::measurement_record> decode_report_batch_frame(
-    std::string_view frame) {
-  std::vector<trace::measurement_record> out;
-  decode_report_batch_frame_into(frame, out);
-  return out;
-}
-
 query_request decode_query_frame(std::string_view frame) {
   reader r{payload_of(frame, opcode::query)};
   query_request q;
@@ -686,12 +648,6 @@ void decode_query_batch_frame_into(std::string_view frame,
     get_query(r, out.back());
   }
   require_done(r);
-}
-
-std::vector<query_request> decode_query_batch_frame(std::string_view frame) {
-  std::vector<query_request> out;
-  decode_query_batch_frame_into(frame, out);
-  return out;
 }
 
 ack_frame decode_ack_frame(std::string_view frame) {
@@ -747,12 +703,6 @@ void decode_epoch_batch_frame_into(std::string_view frame,
     get_epoch(r, out.back());
   }
   require_done(r);
-}
-
-std::vector<epoch_update> decode_epoch_batch_frame(std::string_view frame) {
-  std::vector<epoch_update> out;
-  decode_epoch_batch_frame_into(frame, out);
-  return out;
 }
 
 std::uint64_t decode_snapshot_req_frame(std::string_view frame) {

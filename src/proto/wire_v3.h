@@ -170,8 +170,6 @@ void encode_ack_frame(std::uint64_t count, reply_buffer& out);
 /// NONE) as a presence flag of 0.
 void encode_estimate_frame(const std::optional<estimate_reply>& rep,
                            reply_buffer& out);
-void encode_estimate_batch_frame(
-    std::span<const std::optional<estimate_reply>> reps, reply_buffer& out);
 /// EST reply for one estimate_view::lookup_batch element, written straight
 /// from the lookup (`network` is the queried name): the same bytes as the
 /// estimate_reply form for the matching reply, presence flag 0 on a miss.
@@ -216,17 +214,14 @@ void encode_snapshot_chunk_frame(std::uint64_t offset, std::uint64_t total,
 /// PROMOTE request (empty payload).
 void encode_promote_frame(reply_buffer& out);
 
-/// std::string-returning conveniences for clients and tests (thin wrappers
-/// over the _into forms, like the text codec's encode() family).
-std::string encode_report_frame(const measurement_report& m);
+/// std::string-returning conveniences for the benches and perfbench's
+/// load generators (thin wrappers over the _into forms above). Clients
+/// encode through proto::client, which stages frames in a reply_buffer.
 std::string encode_report_batch_frame(
     std::span<const trace::measurement_record> recs);
 std::string encode_query_frame(const query_request& q);
 std::string encode_query_batch_frame(std::span<const query_request> qs);
 std::string encode_epoch_pull_frame(const epoch_pull& p);
-std::string encode_epoch_batch_frame(std::span<const epoch_update> updates);
-std::string encode_snapshot_req_frame(std::uint64_t offset);
-std::string encode_promote_frame();
 
 // ---- decoders -------------------------------------------------------------
 // `frame` is one complete frame, header included; the header's declared
@@ -239,12 +234,9 @@ std::string encode_promote_frame();
 measurement_report decode_report_frame(std::string_view frame);
 void decode_report_batch_frame_into(std::string_view frame,
                                     std::vector<trace::measurement_record>& out);
-std::vector<trace::measurement_record> decode_report_batch_frame(
-    std::string_view frame);
 query_request decode_query_frame(std::string_view frame);
 void decode_query_batch_frame_into(std::string_view frame,
                                    std::vector<query_request>& out);
-std::vector<query_request> decode_query_batch_frame(std::string_view frame);
 ack_frame decode_ack_frame(std::string_view frame);
 std::optional<estimate_reply> decode_estimate_frame(std::string_view frame);
 std::vector<std::optional<estimate_reply>> decode_estimate_batch_frame(
@@ -253,7 +245,6 @@ error_frame decode_error_frame(std::string_view frame);
 epoch_pull decode_epoch_pull_frame(std::string_view frame);
 void decode_epoch_batch_frame_into(std::string_view frame,
                                    std::vector<epoch_update>& out);
-std::vector<epoch_update> decode_epoch_batch_frame(std::string_view frame);
 std::uint64_t decode_snapshot_req_frame(std::string_view frame);
 /// The returned chunk's `data` views into `frame`; copy before the frame's
 /// backing bytes are reused.

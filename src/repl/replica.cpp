@@ -35,24 +35,6 @@ repl_metrics& metrics() {
                         reg.get_counter(obs::names::kReplLagSkips)};
   return m;
 }
-
-/// One request -> reply exchange of the pull/catch-up client half:
-/// returns the reply frame, or nullopt for ERR stopped when `stopped_ok`
-/// (the leader's log no longer reaches the cursor). Throws
-/// std::runtime_error naming `what` on a malformed reply or any other ERR.
-std::optional<std::string> exchange(const transport& send,
-                                    std::string_view frame, const char* what,
-                                    bool stopped_ok) {
-  std::string reply = send(frame);
-  const auto hdr = v3::peek_header(reply);
-  if (!hdr) {
-    throw std::runtime_error(std::string(what) + ": malformed reply frame");
-  }
-  if (hdr->op != v3::opcode::err) return reply;
-  const auto err = v3::decode_error_frame(reply);
-  if (stopped_ok && err.code == proto::err_code::stopped) return std::nullopt;
-  throw std::runtime_error(std::string(what) + " failed: " + err.detail);
-}
 }  // namespace
 
 replica::replica(core::sharded_coordinator& coord, role r,
@@ -155,15 +137,17 @@ std::optional<std::uint64_t> replica::poll(const transport& send) {
     metrics().lag_skips.inc();
     return 0;
   }
+  proto::client leader(send, proto::client::framing::v3);
   std::uint64_t applied = 0;
   for (;;) {
-    v3::epoch_pull p;
-    p.since_seq = applied_seq();
-    p.max_records = static_cast<std::uint32_t>(v3::max_epoch_batch);
-    const auto reply = exchange(send, v3::encode_epoch_pull_frame(p),
-                                "replication pull", /*stopped_ok=*/true);
-    if (!reply) return std::nullopt;
-    const auto updates = v3::decode_epoch_batch_frame(*reply);
+    std::span<const proto::epoch_update> updates;
+    try {
+      updates = leader.pull(applied_seq(),
+                            static_cast<std::uint32_t>(v3::max_epoch_batch));
+    } catch (const proto::reply_error& e) {
+      if (e.code() == proto::err_code::stopped) return std::nullopt;
+      throw;
+    }
     applied += apply(updates);
     // A short batch means the stream is drained through the leader's
     // current tail; a full one may have more behind it.
@@ -172,12 +156,13 @@ std::optional<std::uint64_t> replica::poll(const transport& send) {
 }
 
 void replica::catch_up(const transport& send) {
+  proto::client leader(send, proto::client::framing::v3);
   std::string snap;
   std::uint64_t offset = 0;
   for (;;) {
-    const auto reply = exchange(send, v3::encode_snapshot_req_frame(offset),
-                                "replication catch-up", /*stopped_ok=*/false);
-    const auto chunk = v3::decode_snapshot_chunk_frame(*reply);
+    // The chunk's bytes alias the client's reply; appending them is the
+    // one copy each chunk takes.
+    const v3::snapshot_chunk chunk = leader.snapshot(offset);
     if (chunk.offset != offset) {
       throw std::runtime_error("replication catch-up: offset mismatch");
     }

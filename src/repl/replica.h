@@ -27,14 +27,13 @@
 // offset 0 captures "REPLSEQ <seq>\n" + the core::persist state
 // rendering, fenced at max(applied cursor, last logged seq), so the
 // joiner knows exactly which log suffix the snapshot covers. The
-// pull/catch-up client half (poll(), catch_up()) drives any
-// request->reply transport that ships complete v3 frames -- the TCP
-// line_client, an in-process server, a test lambda.
+// pull/catch-up client half (poll(), catch_up()) speaks through a
+// proto::client over any transport that ships complete v3 frames -- the
+// TCP line_client, an in-process server, a test lambda.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -44,15 +43,17 @@
 
 #include "core/durable_log.h"
 #include "core/sharded_coordinator.h"
+#include "proto/client.h"
 #include "proto/server.h"
 #include "repl/epoch_log.h"
 
 namespace wiscape::repl {
 
-/// Delivers one complete v3 request frame and returns the complete reply
-/// frame (the shape line_client::request_frame and an in-process
-/// coordinator_server::handle both satisfy).
-using transport = std::function<std::string(std::string_view)>;
+/// The one transport type, proto::transport: delivers one complete v3
+/// request frame and returns the complete reply frame (the shape
+/// line_client::request_frame and an in-process coordinator_server::handle
+/// both satisfy). The repl:: name stays because perfbench spells it.
+using transport = proto::transport;
 
 /// Whether a replica serves the epoch stream or mirrors one.
 enum class role : std::uint8_t { follower, leader };
@@ -111,7 +112,8 @@ class replica : public proto::replication_endpoint {
   /// nullopt when the leader's log no longer reaches the cursor (ERR
   /// stopped -- run catch_up()). The replica_lag fault site skips the
   /// round entirely (repl.lag_skips), modelling a stalled replica link.
-  /// Throws std::runtime_error on any other ERR or a malformed reply.
+  /// Throws proto::reply_error on any other ERR, std::runtime_error on a
+  /// malformed reply.
   std::optional<std::uint64_t> poll(const transport& send);
 
   /// Full snapshot catch-up: streams SNAPSHOT_REQ/SNAPSHOT_CHUNK, loads
@@ -119,6 +121,8 @@ class replica : public proto::replication_endpoint {
   /// snapshot's covering sequence. Valid on a fresh follower and on one
   /// that poll() found fallen off the leader's log: the snapshot's frozen
   /// epochs install idempotently, so epochs already applied land once.
+  /// Throws proto::reply_error on an ERR, std::runtime_error on a
+  /// malformed or inconsistent chunk sequence.
   void catch_up(const transport& send);
 
  private:

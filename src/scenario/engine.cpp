@@ -24,6 +24,7 @@
 #include "net/server.h"
 #include "obs/names.h"
 #include "obs/registry.h"
+#include "proto/client.h"
 #include "proto/messages.h"
 #include "proto/server.h"
 #include "proto/wire_v3.h"
@@ -62,42 +63,6 @@ struct client_state {
   bool active = true;
   std::uint64_t id = 0;
 };
-
-// The opcode of a binary reply frame. A reply the server produced always
-// carries a valid header; anything else reads as an error frame so
-// accounting stays conservative.
-proto::v3::opcode reply_opcode(std::string_view reply) {
-  const auto hdr = proto::v3::peek_header(reply);
-  return hdr ? hdr->op : proto::v3::opcode::err;
-}
-
-// True when a reply -- a text line or a v3 frame, told apart by its leading
-// byte -- accepted the request: "ACK ..." or an ack frame.
-bool is_ack(std::string_view reply) {
-  return proto::v3::is_frame_start(reply)
-             ? reply_opcode(reply) == proto::v3::opcode::ack
-             : proto::message_type(reply) == "ACK";
-}
-
-// True when a reply, in either framing, is an ERR that refused the request
-// before dispatch (internal from an injected server_handle fault, parse,
-// unsupported, overload): its records never reached the coordinator.
-// "ERR stopped" frames did reach it and account through
-// accepted/rejected/dropped.
-bool refused_before_dispatch(std::string_view reply) {
-  std::optional<proto::err_code> code;
-  if (proto::v3::is_frame_start(reply)) {
-    if (reply_opcode(reply) == proto::v3::opcode::err) {
-      code = proto::v3::decode_error_frame(reply).code;
-    }
-  } else if (proto::message_type(reply) == "ERR") {
-    const std::string_view rest = reply.substr(4);
-    code = proto::err_code_from_string(rest.substr(0, rest.find(' ')));
-  }
-  return code == proto::err_code::internal || code == proto::err_code::parse ||
-         code == proto::err_code::unsupported ||
-         code == proto::err_code::overload;
-}
 
 // Continuity window of one tracked stream, for the staleness invariant.
 // Gap fast-forward legitimately publishes old epochs right after a feeding
@@ -317,6 +282,16 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
   // snapshot transfer, then the log suffix the snapshot fenced. A late
   // joiner catches up after a tick's flush instead (below).
   const repl::transport repl_transport = wire;
+  // Every other exchange the driver makes goes through a proto::client:
+  // control commands and the hostile replays over text, the fleet's
+  // reports and queries over the hot-path client (v3 frames with
+  // wire_v3), and the follower's own QUERY and PROMOTE in process.
+  proto::client text_client(wire);
+  proto::client hot_client(wire, cfg.stress.wire_v3
+                                     ? proto::client::framing::v3
+                                     : proto::client::framing::text);
+  proto::client follower_client(
+      [&](std::string_view req) { return local(*fserver, req); });
   bool joined = false;
   auto join = [&] {
     repl_follower->catch_up(repl_transport);
@@ -376,36 +351,47 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
   std::uint64_t served_total = 0, dropped_total = 0, cursor = 0;
   std::vector<obs::metric_sample> prev_snapshot;
   std::ostringstream log;
-  std::string replay_frame;           // previous tick's first fleet frame
-  std::size_t replay_count = 0;
+  // The previous tick's first fleet REPORTB frame, replayed verbatim.
+  std::vector<trace::measurement_record> replay_recs;
 
   auto note = [&](const char* inv, std::uint64_t tick, std::string detail) {
     out.violations.push_back(violation{inv, tick, seed, std::move(detail)});
   };
 
-  // Sends records over the wire in REPORTB frames of at most 32 and folds
-  // the replies into the tick's accounting. The server ACKs a frame
-  // all-or-nothing, so a frame's records land wholly in acked or erred.
-  // With wire_v3 the frames (and replies) are binary; the classification
-  // is the same, keyed on opcode instead of the reply's type tag.
-  auto submit = [&](std::span<const trace::measurement_record> recs,
-                    std::uint64_t& acked, std::uint64_t& erred,
-                    std::uint64_t& refused) {
+  // The tick's report ledger. Every report the driver sends is counted
+  // here by account(): `send` delivers `recs` as one REPORT or REPORTB
+  // through a client, and the server ACKs a frame all-or-nothing, so a
+  // frame's records land wholly in acked or erred. An ERR stopped reached
+  // the coordinator and accounts through accepted/rejected/dropped; every
+  // other ERR (an injected server_handle fault, parse, unsupported,
+  // overload) refused the records before dispatch. ACKed records join the
+  // replay log when `log_acked`.
+  struct tick_tally {
+    std::uint64_t submitted = 0, acked = 0, erred = 0, refused = 0;
+  } tally;
+  auto account = [&](std::span<const trace::measurement_record> recs,
+                     bool log_acked, const auto& send) {
+    tally.submitted += recs.size();
+    try {
+      send();
+    } catch (const proto::reply_error& e) {
+      tally.erred += recs.size();
+      if (e.code() != proto::err_code::stopped) tally.refused += recs.size();
+      return;
+    }
+    tally.acked += recs.size();
+    if (log_acked && keep_acked) {
+      acked_log.insert(acked_log.end(), recs.begin(), recs.end());
+    }
+  };
+  // Sends records in REPORTB frames of at most 32 through `via`.
+  auto submit = [&](proto::client& via,
+                    std::span<const trace::measurement_record> recs,
+                    bool log_acked = true) {
     for (std::size_t off = 0; off < recs.size(); off += 32) {
-      const std::size_t n = std::min<std::size_t>(32, recs.size() - off);
-      const auto chunk = recs.subspan(off, n);
-      const std::string reply =
-          wire(cfg.stress.wire_v3 ? proto::v3::encode_report_batch_frame(chunk)
-                                  : proto::encode_report_batch(chunk));
-      if (is_ack(reply)) {
-        acked += n;
-        if (keep_acked) {
-          acked_log.insert(acked_log.end(), chunk.begin(), chunk.end());
-        }
-      } else {
-        erred += n;
-        if (refused_before_dispatch(reply)) refused += n;
-      }
+      const auto chunk =
+          recs.subspan(off, std::min<std::size_t>(32, recs.size() - off));
+      account(chunk, log_acked, [&] { (void)via.report_batch(chunk); });
     }
   };
 
@@ -491,9 +477,9 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
       kill_coordinator();
       // Promote through the unified wire path -- the same PROMOTE frame an
       // operator's failover tooling would send.
-      const std::string reply =
-          local(*fserver, proto::v3::encode_promote_frame());
-      if (!is_ack(reply)) {
+      try {
+        follower_client.promote();
+      } catch (const proto::reply_error&) {
         note("leader_failover", t, "wire PROMOTE was refused");
       }
       coord = std::move(fcoord);
@@ -513,7 +499,7 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
     const std::uint64_t rejected0 = rejected_ctr.value();
     const std::uint64_t apply_err0 = apply_err_ctr.value();
     const std::uint64_t dropped0 = dropped_ctr.value();
-    std::uint64_t submitted = 0, acked = 0, erred = 0, refused = 0;
+    tally = {};
 
     // ---- client-assisted replay (paper's core mechanism, post-recovery) --
     // Clients hold their ACKed reports until the epoch containing them is
@@ -550,8 +536,7 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
           replay.push_back(rec);
         }
       }
-      submitted += replay.size();
-      submit(replay, acked, erred, refused);
+      submit(hot_client, replay);
       acked_log.clear();
       acked_log.shrink_to_fit();
     }
@@ -575,7 +560,11 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
         chk.time_s = T0 + c.skew_s;
         chk.network_index = static_cast<std::uint32_t>(c.op);
         chk.active_in_zone = 4;
-        (void)wire(proto::encode(chk));
+        try {
+          (void)text_client.checkin(chk);
+        } catch (const proto::reply_error&) {
+          // An injected fault refused the check-in; the client reports anyway.
+        }
       }
       for (int r = 0; r < 2; ++r) {
         const double tt = T0 + 7.0 + 23.0 * r;
@@ -638,40 +627,21 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
           }
         }
         batch.push_back(std::move(rec));
-        ++submitted;
       }
     }
     if (!batch.empty()) {
       // First record rides the single-REPORT path; the rest batch.
-      const proto::measurement_report first{batch.front().client_id,
-                                            batch.front()};
-      const std::string reply =
-          wire(cfg.stress.wire_v3 ? proto::v3::encode_report_frame(first)
-                                  : proto::encode(first));
-      if (is_ack(reply)) {
-        ++acked;
-        if (keep_acked) acked_log.push_back(batch.front());
-      } else {
-        ++erred;
-        if (refused_before_dispatch(reply)) ++refused;
-      }
-      submit(std::span(batch).subspan(1), acked, erred, refused);
+      account(std::span(batch).first(1), true, [&] {
+        hot_client.report({batch.front().client_id, batch.front()});
+      });
+      submit(hot_client, std::span(batch).subspan(1));
     }
 
     // ---- hostile clients -------------------------------------------------
     if (cfg.stress.hostile) {
       // Replay of a previously ACKed frame: duplicates flow through the
       // normal accounting (the coordinator has no replay window by design).
-      if (!replay_frame.empty()) {
-        const std::string reply = wire(replay_frame);
-        submitted += replay_count;
-        if (proto::message_type(reply) == "ACK") {
-          acked += replay_count;
-        } else {
-          erred += replay_count;
-          if (refused_before_dispatch(reply)) refused += replay_count;
-        }
-      }
+      submit(text_client, replay_recs, false);
       // Absurd coordinates: NaN and +-1e308 saturate the zone grid and must
       // land in the rejected counter, never throw.
       std::vector<trace::measurement_record> bad;
@@ -693,8 +663,7 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
         }
         bad.push_back(std::move(rec));
       }
-      submitted += bad.size();
-      submit(bad, acked, erred, refused);
+      submit(hot_client, bad);
       // Malformed frames: must draw a typed ERR, carry no records.
       for (const std::string_view junk :
            {std::string_view("REPORTB 3\ngarbage"),
@@ -721,17 +690,7 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
           rec.ping_sent = 10;
           dup.push_back(std::move(rec));
         }
-        const std::string frame = proto::encode_report_batch(dup);
-        for (int rep = 0; rep < 2; ++rep) {
-          const std::string reply = wire(frame);
-          submitted += dup.size();
-          if (proto::message_type(reply) == "ACK") {
-            acked += dup.size();
-          } else {
-            erred += dup.size();
-            if (refused_before_dispatch(reply)) refused += dup.size();
-          }
-        }
+        for (int rep = 0; rep < 2; ++rep) submit(text_client, dup, false);
       }
       // Interner-exhaustion flood: thousands of one-off operator names
       // pinned to a single zone. The owning shard's interner caps out and
@@ -751,15 +710,14 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
           rec.throughput_bps = 5.0e5;
           flood.push_back(std::move(rec));
         }
-        submitted += flood.size();
-        submit(flood, acked, erred, refused);
+        submit(hot_client, flood);
       }
     }
     // Stash this tick's first frame for next tick's replay.
     if (cfg.stress.hostile && batch.size() > 1) {
-      replay_count = std::min<std::size_t>(32, batch.size() - 1);
-      replay_frame = proto::encode_report_batch(
-          std::span(batch).subspan(1, replay_count));
+      const auto first_frame = std::span(batch).subspan(
+          1, std::min<std::size_t>(32, batch.size() - 1));
+      replay_recs.assign(first_frame.begin(), first_frame.end());
     }
 
     // ---- QoE-driven churn ------------------------------------------------
@@ -787,21 +745,13 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
       q.network = names[fleet.front().op];
       q.metric = trace::metric::tcp_throughput_bps;
       q.time_s = now;
-      if (cfg.stress.wire_v3) {
-        const std::string reply = wire(proto::v3::encode_query_frame(q));
-        if (reply_opcode(reply) != proto::v3::opcode::est) {
-          note("query_reply", t,
-               "binary QUERY drew opcode '" +
-                   std::string(proto::v3::opcode_name(reply_opcode(reply))) +
-                   "' instead of est");
-        }
-      } else {
-        const std::string reply = wire(proto::encode(q));
-        const std::string_view type = proto::message_type(reply);
-        if (type != "EST" && type != "NONE") {
-          note("query_reply", t, "QUERY drew '" + std::string(type) +
-                                     "' instead of EST/NONE");
-        }
+      try {
+        (void)hot_client.query(q);  // EST or NONE
+      } catch (const proto::reply_error& e) {
+        note("query_reply", t,
+             std::string(cfg.stress.wire_v3 ? "binary " : "") +
+                 "QUERY drew ERR " + std::string(proto::to_string(e.code())) +
+                 " instead of EST/NONE");
       }
     }
     for (const client_state& c : fleet) {
@@ -809,7 +759,9 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
     }
 
     // ---- deliberate sabotage (proves the checker catches a real lie) -----
-    if (cfg.stress.sabotage_tick && *cfg.stress.sabotage_tick == t) ++acked;
+    if (cfg.stress.sabotage_tick && *cfg.stress.sabotage_tick == t) {
+      ++tally.acked;
+    }
 
     // ---- invariants ------------------------------------------------------
     coord->flush();  // make the counter deltas exact for this tick
@@ -817,15 +769,15 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
     // ---- alert consumer (after flush: the set of alerts visible at the
     // drain is a function of the tick, not of worker timing) --------------
     if ((t + 1) % cfg.stress.alert_drain_every == 0) {
-      const std::string reply = wire(
-          proto::encode(proto::alerts_request{cursor, cfg.stress.alert_drain_max}));
       // An injected server_handle fault answers ERR: the consumer simply
       // makes no progress this tick (the ledger stays consistent).
-      if (proto::message_type(reply) == "ALERTS") {
-        const proto::alerts_reply drained = proto::decode_alerts_reply(reply);
+      try {
+        const proto::alerts_reply drained =
+            text_client.alerts(cursor, cfg.stress.alert_drain_max);
         served_total += drained.alerts.size();
         dropped_total += drained.dropped;
         cursor = drained.next_seq;
+      } catch (const proto::reply_error&) {
       }
     }
 
@@ -873,11 +825,15 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
           q.network = key.network;
           q.metric = key.metric;
           q.time_s = T0 + cfg.tick_s;
-          const std::string reply = local(*fserver, proto::encode(q));
-          if (proto::message_type(reply) != "EST") {
+          std::string_view drew;
+          try {
+            if (!follower_client.query(q)) drew = "NONE";
+          } catch (const proto::reply_error&) {
+            drew = "ERR";
+          }
+          if (!drew.empty()) {
             note("replica_query", t,
-                 "follower QUERY drew '" +
-                     std::string(proto::message_type(reply)) +
+                 "follower QUERY drew '" + std::string(drew) +
                      "' instead of EST");
           }
         }
@@ -886,10 +842,10 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
     }
 
     tick_accounting acct;
-    acct.submitted = submitted;
-    acct.acked = acked;
-    acct.erred = erred;
-    acct.refused = refused;
+    acct.submitted = tally.submitted;
+    acct.acked = tally.acked;
+    acct.erred = tally.erred;
+    acct.refused = tally.refused;
     acct.accepted_delta = accepted_ctr.value() - accepted0;
     acct.rejected_delta = rejected_ctr.value() - rejected0;
     acct.dropped_delta = dropped_ctr.value() - dropped0;
@@ -951,8 +907,9 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
     prev_snapshot = std::move(snap_now);
 
     // ---- tick log (driver-deterministic fields only) ---------------------
-    log << "tick=" << t << " submitted=" << submitted << " acked=" << acked
-        << " erred=" << erred << " accepted=" << acct.accepted_delta
+    log << "tick=" << t << " submitted=" << tally.submitted
+        << " acked=" << tally.acked << " erred=" << tally.erred
+        << " accepted=" << acct.accepted_delta
         << " rejected=" << acct.rejected_delta
         << " streams=" << coord->keys().size()
         << " alerts=" << coord->alert_sink().pushed()
@@ -983,13 +940,14 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
   const std::uint64_t pushed = coord->alert_sink().pushed();
   for (int spin = 0; cursor < pushed && spin < 10000; ++spin) {
     const std::uint64_t before = cursor;
-    const std::string reply =
-        wire(proto::encode(proto::alerts_request{cursor, 256}));
-    if (proto::message_type(reply) != "ALERTS") continue;  // injected fault
-    const proto::alerts_reply drained = proto::decode_alerts_reply(reply);
-    served_total += drained.alerts.size();
-    dropped_total += drained.dropped;
-    cursor = drained.next_seq;
+    try {
+      const proto::alerts_reply drained = text_client.alerts(cursor, 256);
+      served_total += drained.alerts.size();
+      dropped_total += drained.dropped;
+      cursor = drained.next_seq;
+    } catch (const proto::reply_error&) {
+      continue;  // injected fault
+    }
     if (cursor == before) break;  // no progress: let the checker report it
   }
   if (auto d = check_alert_accounting(

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/anomaly.h"
 #include "core/client_agent.h"
@@ -439,12 +440,12 @@ TEST(Coordinator, UnknownZoneStatusDefaults) {
 TEST(Coordinator, FloodedZoneKeepsTheTargetPerEpochInItsHistory) {
   // Reports keep arriving past the zone's target in most epochs. The
   // planning history takes each planning stream's first min(n, target)
-  // samples of an epoch -- what checkin() would have asked for. A (zone,
-  // network) series holds one planning stream per probe kind, so it gains
-  // at most kinds * target samples per epoch, and its window (history_cap
-  // / 2 to history_cap samples once it has trimmed) covers at least
-  // history_cap / (2 * kinds * target) epochs -- not the few epochs' worth
-  // of flood an ungated history would hold.
+  // samples of an epoch -- what checkin() would have asked for. Each
+  // planning stream -- (zone, network, probe kind) -- has a series of its
+  // own, so a series gains at most target samples per epoch, and its
+  // window (history_cap / 2 to history_cap samples once it has trimmed)
+  // covers at least history_cap / (2 * target) epochs -- not the few
+  // epochs' worth of flood an ungated history would hold.
   alert_ring alerts;
   geo::zone_grid grid(geo::projection(here), 250.0);
   coordinator_config cfg;
@@ -455,13 +456,13 @@ TEST(Coordinator, FloodedZoneKeepsTheTargetPerEpochInItsHistory) {
   const double t0 = 8 * 3600.0;  // an epoch boundary
 
   // Feeds `per_epoch[e]` reports of each of `kinds`, interleaved, into
-  // `pos`'s zone over epoch e, evenly spaced; returns what the gated
-  // history should hold, oldest first: each kind's first min(n, target)
-  // reports of each epoch.
+  // `pos`'s zone over epoch e, evenly spaced; returns what each kind's
+  // gated series should hold, oldest first (positional with `kinds`): its
+  // first min(n, target) reports of each epoch.
   const auto feed = [&](const geo::lat_lon& pos,
                         const std::vector<std::size_t>& per_epoch,
                         const std::vector<trace::probe_kind>& kinds) {
-    std::vector<stats::sample> gated;
+    std::vector<std::vector<stats::sample>> gated(kinds.size());
     for (std::size_t e = 0; e < per_epoch.size(); ++e) {
       const std::size_t n = per_epoch[e] * kinds.size();
       const double dt = epoch / static_cast<double>(n);
@@ -471,7 +472,9 @@ TEST(Coordinator, FloodedZoneKeepsTheTargetPerEpochInItsHistory) {
         const double v = 1e6 + 10.0 * static_cast<double>(e * 100000 + i);
         coord.report(testing::make_record(t, "NetB", pos,
                                           kinds[i % kinds.size()], v));
-        if (i / kinds.size() < target) gated.push_back({t, v});
+        if (i / kinds.size() < target) {
+          gated[i % kinds.size()].push_back({t, v});
+        }
       }
     }
     return gated;
@@ -496,7 +499,7 @@ TEST(Coordinator, FloodedZoneKeepsTheTargetPerEpochInItsHistory) {
   // samples trim once (at the 4,097th), leaving the window nearly full.
   const geo::lat_lon flooded = here;
   const auto gated = feed(flooded, std::vector<std::size_t>(61, 12 * target),
-                          {trace::probe_kind::udp_burst});
+                          {trace::probe_kind::udp_burst})[0];
   const auto h = coord.history_for_test(grid.zone_of(flooded));
   ASSERT_GT(h.size(), cfg.history_cap - target);
   ASSERT_LE(h.size(), cfg.history_cap);
@@ -507,11 +510,10 @@ TEST(Coordinator, FloodedZoneKeepsTheTargetPerEpochInItsHistory) {
   EXPECT_GE(h.back().time_s - h.front().time_s,
             static_cast<double>(cfg.history_cap / target) * epoch);
 
-  // The same flood in all four kinds: four planning streams feed the one
-  // NetB series, 4 x target per epoch. 24,400 gated samples trim ten
-  // times, leaving 3,920. The window covers at least history_cap / (2 * 4
-  // * target) epochs, and -- the kinds count -- no more than history_cap /
-  // (4 * target) + 1, far short of the one-kind window's 40.
+  // The same flood in all four kinds: four planning streams, four series,
+  // each gated exactly like the one-kind flood's. A kind no longer shares
+  // its window with the others: each series holds the one-kind bound, not
+  // a quarter of it.
   const geo::lat_lon all_kinds = grid.center(
       {grid.zone_of(here).ix + 6, grid.zone_of(here).iy});
   const std::vector<trace::probe_kind> kinds{
@@ -519,12 +521,16 @@ TEST(Coordinator, FloodedZoneKeepsTheTargetPerEpochInItsHistory) {
       trace::probe_kind::ping, trace::probe_kind::udp_uplink};
   const auto gated4 = feed(all_kinds, std::vector<std::size_t>(61, 12 * target),
                            kinds);
-  const auto h4 = coord.history_for_test(grid.zone_of(all_kinds));
-  ASSERT_GT(h4.size(), cfg.history_cap / 2);
-  ASSERT_LE(h4.size(), cfg.history_cap);
-  expect_suffix(h4, gated4);
-  EXPECT_GE(epochs_covered(h4), cfg.history_cap / (2 * kinds.size() * target));
-  EXPECT_LE(epochs_covered(h4), cfg.history_cap / (kinds.size() * target) + 1);
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    SCOPED_TRACE(trace::to_string(kinds[k]));
+    const auto hk = coord.history_for_test(grid.zone_of(all_kinds), "NetB",
+                                           trace::metrics_of(kinds[k])[0]);
+    ASSERT_GT(hk.size(), cfg.history_cap - target);
+    ASSERT_LE(hk.size(), cfg.history_cap);
+    expect_suffix(hk, gated4[k]);
+    EXPECT_GE(epochs_covered(hk), cfg.history_cap / (2 * target));
+    EXPECT_LE(epochs_covered(hk), cfg.history_cap / target + 1);
+  }
 
   // Epochs below the target keep every sample; flooded ones the first
   // `target`. No trim here: the whole gated series is the window.
@@ -535,10 +541,71 @@ TEST(Coordinator, FloodedZoneKeepsTheTargetPerEpochInItsHistory) {
     per_epoch.push_back(e % 2 == 0 ? target / 3 : 12 * target);
   }
   const auto mixed_gated =
-      feed(mixed, per_epoch, {trace::probe_kind::udp_burst});
+      feed(mixed, per_epoch, {trace::probe_kind::udp_burst})[0];
   const auto hm = coord.history_for_test(grid.zone_of(mixed));
   ASSERT_EQ(hm.size(), mixed_gated.size());
   expect_suffix(hm, mixed_gated);
+}
+
+TEST(Coordinator, PlanningHistoryKeepsOneUnitPerSeries) {
+  // tcp bit/s, udp bit/s and ping RTT seconds cycle into one zone. Each
+  // planning stream keeps a series of its own, in one unit, and
+  // refine_sample_target(metric) plans from the series of its metric: its
+  // answer equals that of a coordinator fed the metric's kind alone.
+  geo::zone_grid grid(geo::projection(here), 250.0);
+  const geo::zone_id zone = grid.zone_of(here);
+  const std::vector<trace::probe_kind> kinds{trace::probe_kind::tcp_download,
+                                             trace::probe_kind::udp_burst,
+                                             trace::probe_kind::ping};
+  std::vector<trace::measurement_record> recs;
+  stats::rng_stream rng(17);
+  for (int i = 0; i < 600; ++i) {
+    const trace::probe_kind kind = kinds[i % 3];
+    const double v = kind == trace::probe_kind::ping
+                         ? rng.lognormal(std::log(0.12), 0.4)
+                     : kind == trace::probe_kind::tcp_download
+                         ? rng.normal(1.2e6, 2.0e5)
+                         : rng.uniform(4.0e5, 9.0e5);
+    recs.push_back(testing::make_record(8 * 3600.0 + i, "NetB", here, kind, v));
+  }
+  // A target no epoch reaches, so the history keeps every sample.
+  coordinator_config cfg;
+  cfg.default_samples_per_epoch = 1000;
+  struct planner_run {
+    alert_ring alerts;
+    coordinator coord;
+    planner_run(const geo::zone_grid& g, const coordinator_config& c)
+        : coord(g, {"NetB", "NetC"}, c, 5, alerts) {}
+  };
+  const auto fed = [&](trace::metric only, bool all_kinds) {
+    auto run = std::make_unique<planner_run>(grid, cfg);
+    for (const auto& r : recs) {
+      if (all_kinds || r.kind == trace::kind_for(only)) run->coord.report(r);
+    }
+    return run;
+  };
+  for (const trace::metric m : {trace::metric::tcp_throughput_bps,
+                                trace::metric::udp_throughput_bps,
+                                trace::metric::rtt_s}) {
+    SCOPED_TRACE(trace::to_string(m));
+    const auto mixed = fed(m, true);
+    const auto alone = fed(m, false);
+    // One unit per series: exactly the metric's values, in arrival order.
+    std::vector<stats::sample> want;
+    for (const auto& r : recs) {
+      if (r.kind == trace::kind_for(m)) {
+        want.push_back({r.time_s, trace::value_of(r, m)});
+      }
+    }
+    const auto series = mixed->coord.history_for_test(zone, "NetB", m);
+    ASSERT_EQ(series.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(series[i].time_s, want[i].time_s) << i;
+      EXPECT_EQ(series[i].value, want[i].value) << i;
+    }
+    EXPECT_EQ(mixed->coord.refine_sample_target(zone, "NetB", m),
+              alone->coord.refine_sample_target(zone, "NetB", m));
+  }
 }
 
 // ---------------------------------------------------------------- anomaly ----

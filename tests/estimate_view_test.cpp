@@ -694,7 +694,10 @@ TEST(EstimateView, BatchedQueriesAreByteIdenticalToPerKeyLookups) {
                 n - frame_hits);
 
       proto::reply_buffer want_v3;
-      proto::v3::encode_estimate_batch_frame(want, want_v3);
+      proto::v3::estimate_batch_builder estb(
+          static_cast<std::uint32_t>(want.size()), want_v3);
+      for (const auto& r : want) estb.add(r);
+      estb.finish();
       out.clear();
       server.handle(proto::request_view::binary(
                         proto::v3::encode_query_batch_frame(frame)),

@@ -230,17 +230,19 @@ void expect_paced_plans_match(
     EXPECT_EQ(epoch, b.status_of(z).epoch_duration_s);
     if (epoch != cfg.epochs.default_epoch_s) ++moved;
     for (const auto& net : nets) {
-      // The history is per network (the metric argument is not a key).
-      const std::size_t ta =
-          a.refine_sample_target(z, net, trace::metric::rtt_s);
-      const std::size_t tb =
-          b.refine_sample_target(z, net, trace::metric::rtt_s);
-      if (tb == SIZE_MAX) {
-        // Too little history to plan from: both keep their target.
-        EXPECT_EQ(ta, cfg.default_samples_per_epoch);
-      } else {
-        EXPECT_EQ(ta, tb);
-        ++refined;
+      // One history series per planning stream: each kind's first metric.
+      for (const trace::metric m : {trace::metric::tcp_throughput_bps,
+                                    trace::metric::udp_throughput_bps,
+                                    trace::metric::rtt_s}) {
+        const std::size_t ta = a.refine_sample_target(z, net, m);
+        const std::size_t tb = b.refine_sample_target(z, net, m);
+        if (tb == SIZE_MAX) {
+          // Too little history to plan from: both keep their target.
+          EXPECT_EQ(ta, cfg.default_samples_per_epoch);
+        } else {
+          EXPECT_EQ(ta, tb);
+          ++refined;
+        }
       }
     }
   }
@@ -250,9 +252,11 @@ void expect_paced_plans_match(
 }
 
 TEST(Integration, PacedFleetPlansTheSameAsAnUnboundedTarget) {
-  // The FullWiscapeLoopPublishesEstimates fleet, over a longer day and
-  // with a target of 2: the coordinator tasks the two clients, so no
-  // planning stream ever holds more than its target in an epoch.
+  // The FullWiscapeLoopPublishesEstimates fleet, over two service days
+  // (so some planning stream's series outgrows the 32 samples an Allan
+  // scan needs) and with a target of 2: the coordinator tasks the two
+  // clients, so no planning stream ever holds more than its target in an
+  // epoch.
   const auto dep = testing::tiny_deployment();
   probe::probe_engine engine(dep, 21);
   geo::zone_grid grid(dep.proj(), 250.0);
@@ -268,7 +272,7 @@ TEST(Integration, PacedFleetPlansTheSameAsAnUnboundedTarget) {
   core::client_agent agent_b(driver, engine, 0);
   core::client_agent agent_c(driver, engine, 1);
   std::vector<trace::measurement_record> recs;
-  for (double t = 6.0 * 3600; t < 22.0 * 3600; t += 60.0) {
+  for (double t = 6.0 * 3600; t < 46.0 * 3600; t += 60.0) {
     const auto fix = fleet.fix_at(0, t);
     if (!fix) continue;
     for (auto* agent : {&agent_b, &agent_c}) {
@@ -279,10 +283,12 @@ TEST(Integration, PacedFleetPlansTheSameAsAnUnboundedTarget) {
 }
 
 TEST(Integration, PacedMorningPlansTheSameAsAnUnboundedTarget) {
-  // The tcp_coordinator example's seeded morning: a record every 2 s,
-  // cycling over a 7x7 block of zones, both operators and three probe
-  // kinds, so each planning stream sees one record every 588 s -- at most
-  // 2 in a 600 s epoch. A target of 2 is then met exactly in some epochs.
+  // The tcp_coordinator example's seeded morning, three times as long: a
+  // record every 2 s, cycling over a 7x7 block of zones, both operators
+  // and three probe kinds, so each planning stream sees one record every
+  // 588 s -- at most 2 in a 600 s epoch. A target of 2 is then met exactly
+  // in some epochs, and each stream's series grows past the 32 samples an
+  // Allan scan needs.
   const auto dep = testing::tiny_deployment();
   probe::probe_engine engine(dep, 11);
   geo::zone_grid grid(dep.proj(), 250.0);
@@ -296,7 +302,7 @@ TEST(Integration, PacedMorningPlansTheSameAsAnUnboundedTarget) {
   probe::ping_probe_params ping;
   ping.count = 4;
   std::vector<trace::measurement_record> recs;
-  for (std::size_t i = 0; i < 4096; ++i) {
+  for (std::size_t i = 0; i < 3 * 4096; ++i) {
     mobility::gps_fix fix;
     fix.pos = dep.proj().to_lat_lon(
         {-1500.0 + static_cast<double>(i % 7) * 500.0,

@@ -275,7 +275,7 @@ TEST(NetSession, ClassifyRequestClasses) {
   };
   EXPECT_EQ(frame_class(binary_query_frame()), request_class::query);
   EXPECT_EQ(frame_class(binary_report_frame(1)), request_class::report);
-  EXPECT_EQ(frame_class(proto::v3::encode_promote_frame()),
+  EXPECT_EQ(frame_class(testing::frame_of(proto::v3::encode_promote_frame)),
             request_class::control);
 }
 

@@ -6,6 +6,7 @@
 
 #include "obs/names.h"
 #include "obs/registry.h"
+#include "proto/client.h"
 #include "proto/messages.h"
 #include "proto/server.h"
 #include "test_util.h"
@@ -325,11 +326,11 @@ TEST(ProtoEndToEnd, RemoteAgentDrivesFullLoop) {
   auto coord = testing::sync_coordinator(grid, dep.names(), cfg, 5);
   coordinator_server server(coord);
 
-  auto transport = [&server](const std::string& line) {
+  const transport send = [&server](std::string_view line) {
     return testing::reply_of(server, line);
   };
-  remote_agent agent_b(engine, transport, 101);
-  remote_agent agent_phone(engine, transport, 102, probe::phone_device());
+  remote_agent agent_b(engine, send, 101);
+  remote_agent agent_phone(engine, send, 102, probe::phone_device());
 
   const geo::lat_lon loc = dep.proj().to_lat_lon({150.0, -150.0});
   int ran = 0;
@@ -885,17 +886,18 @@ TEST(ProtoServerV2, RemoteQueryClientSpeaksTheProtocol) {
   cfg.epochs.default_epoch_s = 120.0;
   auto coord = testing::sync_coordinator(grid, dep.names(), cfg, 5);
   coordinator_server server(coord);
-  remote_query_client client(
-      [&](const std::string& line) { return testing::reply_of(server, line); });
+  client remote(
+      [&](std::string_view line) { return testing::reply_of(server, line); });
 
-  EXPECT_EQ(client.hello().version, wire_version);
-  EXPECT_THROW(client.hello(0), std::runtime_error);
+  EXPECT_EQ(remote.hello().version, wire_version);
+  EXPECT_THROW(remote.hello(0), std::runtime_error);
+  EXPECT_THROW(remote.hello(0), reply_error);
 
   query_request q;
   q.pos = dep.proj().to_lat_lon({0.0, 0.0});
   q.network = dep.names()[0];
   q.metric = trace::metric::rtt_s;
-  EXPECT_FALSE(client.query(q).has_value());  // nothing published yet
+  EXPECT_FALSE(remote.query(q).has_value());  // nothing published yet
 
   for (int i = 0; i < 300; ++i) {
     measurement_report rep;
@@ -904,16 +906,16 @@ TEST(ProtoServerV2, RemoteQueryClientSpeaksTheProtocol) {
                                       trace::probe_kind::ping, 0.08);
     testing::reply_of(server, encode(rep));
   }
-  const auto est = client.query(q);
+  const auto est = remote.query(q);
   ASSERT_TRUE(est.has_value());
   EXPECT_GT(est->count, 0u);
 
   const std::vector<query_request> batch{q, q};
-  const auto replies = client.query_batch(batch);
+  const auto replies = remote.query_batch(batch);
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_TRUE(replies[0].has_value());
 
-  const auto alerts = client.alerts(0);
+  const auto alerts = remote.alerts(0);
   EXPECT_EQ(alerts.dropped, 0u);
 }
 

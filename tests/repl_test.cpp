@@ -96,8 +96,9 @@ TEST(WireV3Repl, EpochPullAndBatchRoundTrip) {
             300.0, 1.0e6 / 3.0, 123.456, 41};
   ups[1] = {2, {0, 5}, "NetC", trace::metric::rtt_s,
             600.0, 0.125, 0.0078125, 7};
-  const std::string bf = v3::encode_epoch_batch_frame(ups);
-  const std::vector<proto::epoch_update> rb = v3::decode_epoch_batch_frame(bf);
+  const std::string bf = testing::frame_of(v3::encode_epoch_batch_frame, ups);
+  const auto rb = testing::into<std::vector<proto::epoch_update>>(
+      v3::decode_epoch_batch_frame_into, bf);
   ASSERT_EQ(rb.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(rb[i].seq, ups[i].seq);
@@ -114,7 +115,7 @@ TEST(WireV3Repl, EpochPullAndBatchRoundTrip) {
 }
 
 TEST(WireV3Repl, SnapshotAndPromoteFramesRoundTrip) {
-  const std::string rf = v3::encode_snapshot_req_frame(4096);
+  const std::string rf = testing::frame_of(v3::encode_snapshot_req_frame, 4096);
   EXPECT_EQ(v3::decode_snapshot_req_frame(rf), 4096u);
 
   proto::reply_buffer out;
@@ -127,7 +128,7 @@ TEST(WireV3Repl, SnapshotAndPromoteFramesRoundTrip) {
   EXPECT_TRUE(c.last);
   EXPECT_EQ(c.data, payload);
 
-  const std::string pf = v3::encode_promote_frame();
+  const std::string pf = testing::frame_of(v3::encode_promote_frame);
   EXPECT_NO_THROW(v3::decode_promote_frame(pf));
   // A PROMOTE with payload bytes is malformed.
   std::string bad = pf;
@@ -240,7 +241,8 @@ TEST(Replication, EpochbIsAlsoAnApplyRequestAndAcksTheCount) {
   ups[1] = {2, {4, 1}, "NetB", trace::metric::tcp_throughput_bps,
             100.0, 6.0e6, 2.0e5, 9};
   const std::string reply =
-      testing::reply_of(p.fserver, v3::encode_epoch_batch_frame(ups));
+      testing::reply_of(p.fserver,
+                        testing::frame_of(v3::encode_epoch_batch_frame, ups));
   const auto hdr = v3::peek_header(reply);
   ASSERT_TRUE(hdr.has_value());
   ASSERT_EQ(hdr->op, v3::opcode::ack);
@@ -251,7 +253,8 @@ TEST(Replication, EpochbIsAlsoAnApplyRequestAndAcksTheCount) {
   EXPECT_EQ(latest->mean, 6.0e6);
   // Re-sending the same batch is deduplicated by the cursor.
   const std::string again =
-      testing::reply_of(p.fserver, v3::encode_epoch_batch_frame(ups));
+      testing::reply_of(p.fserver,
+                        testing::frame_of(v3::encode_epoch_batch_frame, ups));
   EXPECT_EQ(v3::decode_ack_frame(again).count, 0u);
 }
 
@@ -263,8 +266,10 @@ TEST(Replication, ReplicationOpcodesWithoutAnEndpointDrawErrUnsupported) {
 
   for (const std::string& frame :
        {v3::encode_epoch_pull_frame({0, 16}),
-        v3::encode_epoch_batch_frame({}),
-        v3::encode_snapshot_req_frame(0), v3::encode_promote_frame()}) {
+        testing::frame_of(v3::encode_epoch_batch_frame,
+                          std::span<const proto::epoch_update>()),
+        testing::frame_of(v3::encode_snapshot_req_frame, 0),
+        testing::frame_of(v3::encode_promote_frame)}) {
     const std::string reply = testing::reply_of(server, frame);
     const auto hdr = v3::peek_header(reply);
     ASSERT_TRUE(hdr.has_value());
@@ -282,12 +287,12 @@ TEST(Replication, WirePromoteFlipsTheFollowerAndRefusesRepeats) {
   const std::uint64_t cursor = p.fol.applied_seq();
 
   const std::string ok =
-      testing::reply_of(p.fserver, v3::encode_promote_frame());
+      testing::reply_of(p.fserver, testing::frame_of(v3::encode_promote_frame));
   ASSERT_EQ(v3::peek_header(ok)->op, v3::opcode::ack);
   EXPECT_TRUE(p.fol.promoted());
   // A second PROMOTE is refused, like promoting the leader itself.
   const std::string rep =
-      testing::reply_of(p.fserver, v3::encode_promote_frame());
+      testing::reply_of(p.fserver, testing::frame_of(v3::encode_promote_frame));
   EXPECT_EQ(v3::peek_header(rep)->op, v3::opcode::err);
   std::vector<proto::epoch_update> out;
   EXPECT_FALSE(p.lead.promote());
@@ -324,10 +329,9 @@ TEST(Replication, PromotedReplicaAppliesNoPushedEpochsAndALeaderRefusesPromote) 
   p.fol.catch_up(p.to_leader);
   ASSERT_TRUE(p.fol.poll(p.to_leader).has_value());
   const std::uint64_t cursor = p.fol.applied_seq();
-  ASSERT_EQ(v3::peek_header(testing::reply_of(p.fserver,
-                                              v3::encode_promote_frame()))
-                ->op,
-            v3::opcode::ack);
+  const std::string promoted = testing::reply_of(
+      p.fserver, testing::frame_of(v3::encode_promote_frame));
+  ASSERT_EQ(v3::peek_header(promoted)->op, v3::opcode::ack);
 
   // The old leader, unaware of the failover, pushes epochs past the
   // promoted replica's cursor: one for a stream it holds, one for a
@@ -344,7 +348,8 @@ TEST(Replication, PromotedReplicaAppliesNoPushedEpochsAndALeaderRefusesPromote) 
       obs::names::kReplEpochsApplied);
   const std::uint64_t applied0 = applied.value();
   const std::string reply =
-      testing::reply_of(p.fserver, v3::encode_epoch_batch_frame(ups));
+      testing::reply_of(p.fserver,
+                        testing::frame_of(v3::encode_epoch_batch_frame, ups));
   ASSERT_EQ(v3::peek_header(reply)->op, v3::opcode::ack);
   EXPECT_EQ(v3::decode_ack_frame(reply).count, 0u);
   EXPECT_EQ(applied.value(), applied0);
@@ -354,7 +359,7 @@ TEST(Replication, PromotedReplicaAppliesNoPushedEpochsAndALeaderRefusesPromote) 
 
   // PROMOTE to a replica built leading is refused the same way.
   const std::string refused =
-      testing::reply_of(p.lserver, v3::encode_promote_frame());
+      testing::reply_of(p.lserver, testing::frame_of(v3::encode_promote_frame));
   ASSERT_EQ(v3::peek_header(refused)->op, v3::opcode::err);
   EXPECT_EQ(v3::decode_error_frame(refused).code,
             proto::err_code::unsupported);
@@ -640,7 +645,7 @@ TEST(ReplStress, PromotionMidStorm) {
   p1.join();
   // Promotion mid-storm, through the wire path, while p2 still pulls.
   const std::string reply =
-      testing::reply_of(f1server, v3::encode_promote_frame());
+      testing::reply_of(f1server, testing::frame_of(v3::encode_promote_frame));
   EXPECT_EQ(v3::peek_header(reply)->op, v3::opcode::ack);
   p2.join();
   stop.store(true, std::memory_order_relaxed);

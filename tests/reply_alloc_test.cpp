@@ -271,7 +271,8 @@ int main() {
 
   // The binary v3 twins of every hot frame, plus a malformed binary frame
   // (undefined opcode) that draws the typed binary ERR reply.
-  const std::string report_frame_v3 = proto::v3::encode_report_frame(rep);
+  const std::string report_frame_v3 =
+      testing::frame_of(proto::v3::encode_report_frame, rep);
   const std::string reportb_frame_v3 = proto::v3::encode_report_batch_frame(recs);
   const std::string query_frame_v3 = proto::v3::encode_query_frame(q);
   const std::string queryb_frame_v3 = proto::v3::encode_query_batch_frame(qs);

@@ -182,4 +182,14 @@ Out into(Codec&& codec, Args&&... args) {
   return out;
 }
 
+/// What a frame encoder appending to a reply_buffer writes into a fresh
+/// one, as a string: the copying form the v3 codec keeps only for benches,
+/// e.g. frame_of(proto::v3::encode_report_frame, report).
+template <typename Codec, typename... Args>
+std::string frame_of(Codec&& codec, Args&&... args) {
+  return std::string(into<proto::reply_buffer>(std::forward<Codec>(codec),
+                                                std::forward<Args>(args)...)
+                         .view());
+}
+
 }  // namespace wiscape::testing

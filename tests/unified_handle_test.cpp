@@ -98,12 +98,12 @@ struct corpus_fixture {
     // so repeated calls can never be byte-stable.)
     reqs.push_back("REPORTB 2\ngarbage");        // malformed text
     reqs.push_back("NOSUCH arg=1");              // unknown command
-    reqs.push_back(v3::encode_report_frame(report));
+    reqs.push_back(testing::frame_of(v3::encode_report_frame, report));
     reqs.push_back(v3::encode_report_batch_frame(batch));
     reqs.push_back(v3::encode_query_frame(q));
     reqs.push_back(v3::encode_query_batch_frame(queries));
     reqs.push_back(v3::encode_epoch_pull_frame({0, 8}));  // unattached: ERR
-    reqs.push_back(v3::encode_promote_frame());           // unattached: ERR
+    reqs.push_back(testing::frame_of(v3::encode_promote_frame));  // ditto
     std::string bad = v3::encode_query_frame(q);
     bad[1] = '\x7f';  // invalid opcode byte
     reqs.push_back(bad);
@@ -113,8 +113,10 @@ struct corpus_fixture {
     checkin.time_s = 211.0;
     checkin.active_in_zone = 1;
     reqs.push_back(proto::encode(checkin));
-    reqs.push_back(v3::encode_snapshot_req_frame(0));    // unattached: ERR
-    reqs.push_back(v3::encode_epoch_batch_frame({}));    // unattached: ERR
+    // Unattached: ERR.
+    reqs.push_back(testing::frame_of(v3::encode_snapshot_req_frame, 0));
+    reqs.push_back(testing::frame_of(v3::encode_epoch_batch_frame,
+                                     std::span<const proto::epoch_update>()));
     proto::reply_buffer ack;
     v3::encode_ack_frame(ack);
     reqs.emplace_back(ack.view());  // a reply opcode sent as a request
@@ -280,7 +282,7 @@ TEST(UnifiedHandle, DetectClassifiesByLeadingByte) {
   EXPECT_EQ(text.framing(), proto::request_view::kind::text);
   EXPECT_EQ(text.bytes(), "QUERY x=1");
 
-  const std::string frame = v3::encode_promote_frame();
+  const std::string frame = testing::frame_of(v3::encode_promote_frame);
   const proto::request_view bin = proto::request_view::detect(frame);
   EXPECT_EQ(bin.framing(), proto::request_view::kind::binary);
   EXPECT_EQ(bin.bytes(), frame);

@@ -104,7 +104,8 @@ struct server_fixture {
       rep.record = testing::make_record(1000.0 + i * 2.0, network, pos,
                                         trace::probe_kind::udp_burst,
                                         2e6 * (1.0 + 0.01 * i));
-      testing::reply_of(server, v3::encode_report_frame(rep));
+      testing::reply_of(server,
+                        testing::frame_of(v3::encode_report_frame, rep));
     }
   }
 };
@@ -115,7 +116,7 @@ TEST(WireV3Codec, ReportRoundTripBitExact) {
   measurement_report m;
   m.client_id = (1ull << 63) + 7;
   m.record = tricky_record();
-  const std::string frame = v3::encode_report_frame(m);
+  const std::string frame = testing::frame_of(v3::encode_report_frame, m);
   ASSERT_TRUE(v3::is_frame_start(frame));
   const auto hdr = v3::peek_header(frame);
   ASSERT_TRUE(hdr.has_value());
@@ -152,7 +153,8 @@ TEST(WireV3Codec, NanPayloadFloatsTravelAsRawBits) {
   m.record = tricky_record();
   m.record.time_s = std::numeric_limits<double>::quiet_NaN();
   m.record.rtt_s = std::numeric_limits<double>::infinity();
-  const auto back = v3::decode_report_frame(v3::encode_report_frame(m));
+  const auto back =
+      v3::decode_report_frame(testing::frame_of(v3::encode_report_frame, m));
   EXPECT_EQ(bits(back.record.time_s), bits(m.record.time_s));
   EXPECT_EQ(bits(back.record.rtt_s), bits(m.record.rtt_s));
 }
@@ -164,8 +166,8 @@ TEST(WireV3Codec, ReportBatchRoundTrip) {
     recs.back().time_s = 100.0 + i;
     recs.back().network = i % 2 ? "NetB" : "NetC";
   }
-  const auto back =
-      v3::decode_report_batch_frame(v3::encode_report_batch_frame(recs));
+  const auto back = testing::into<std::vector<trace::measurement_record>>(
+      v3::decode_report_batch_frame_into, v3::encode_report_batch_frame(recs));
   ASSERT_EQ(back.size(), recs.size());
   for (std::size_t i = 0; i < recs.size(); ++i) {
     EXPECT_EQ(bits(back[i].time_s), bits(recs[i].time_s));
@@ -190,7 +192,8 @@ TEST(WireV3Codec, QueryRoundTripBitExact) {
   std::vector<query_request> qs{q, q};
   qs[1].metric = trace::metric::loss_rate;
   qs[1].network = "NetB";
-  const auto bb = v3::decode_query_batch_frame(v3::encode_query_batch_frame(qs));
+  const auto bb = testing::into<std::vector<query_request>>(
+      v3::decode_query_batch_frame_into, v3::encode_query_batch_frame(qs));
   ASSERT_EQ(bb.size(), 2u);
   EXPECT_EQ(bb[1].metric, trace::metric::loss_rate);
   EXPECT_EQ(bb[1].network, "NetB");
@@ -250,17 +253,28 @@ TEST(WireV3Codec, EstimateBatchBuilderMatchesWholeBatchEncoder) {
   std::vector<std::optional<estimate_reply>> reps{est, std::nullopt, est};
   reps[2]->zone = {4, 5};
 
-  reply_buffer whole;
-  v3::encode_estimate_batch_frame(reps, whole);
+  // The whole-batch frame, assembled independently of the builder: the
+  // estb header, the u32 count, then each element exactly as a single EST
+  // frame carries it.
+  std::string whole{static_cast<char>(v3::frame_magic),
+                    static_cast<char>(v3::opcode::estb), 0, 0, 0, 0};
+  whole.append(std::string_view("\x03\0\0\0", 4));
+  for (const auto& r : reps) {
+    reply_buffer one;
+    v3::encode_estimate_frame(r, one);
+    whole.append(one.view().substr(v3::frame_header_bytes));
+  }
+  patch_length(whole, static_cast<std::uint32_t>(whole.size() -
+                                                 v3::frame_header_bytes));
 
   reply_buffer streamed;
   v3::estimate_batch_builder b(static_cast<std::uint32_t>(reps.size()),
                                streamed);
   for (const auto& r : reps) b.add(r);
   b.finish();
-  EXPECT_EQ(std::string(whole.view()), std::string(streamed.view()));
+  EXPECT_EQ(whole, std::string(streamed.view()));
 
-  const auto back = v3::decode_estimate_batch_frame(whole.view());
+  const auto back = v3::decode_estimate_batch_frame(whole);
   ASSERT_EQ(back.size(), 3u);
   EXPECT_TRUE(back[0].has_value());
   EXPECT_FALSE(back[1].has_value());
@@ -312,7 +326,8 @@ TEST(WireV3Codec, TruncationAtEveryBoundaryThrowsNeverCrashes) {
   std::vector<query_request> qs{q, q};
 
   for (const std::string& frame :
-       {v3::encode_report_frame(m), v3::encode_report_batch_frame(recs),
+       {testing::frame_of(v3::encode_report_frame, m),
+        v3::encode_report_batch_frame(recs),
         v3::encode_query_frame(q), v3::encode_query_batch_frame(qs)}) {
     // Raw prefixes: the envelope check (declared vs present bytes) throws.
     for (std::size_t cut = 0; cut < frame.size(); ++cut) {
@@ -330,10 +345,14 @@ TEST(WireV3Codec, TruncationAtEveryBoundaryThrowsNeverCrashes) {
         switch (op) {
           case v3::opcode::report: (void)v3::decode_report_frame(t); break;
           case v3::opcode::reportb:
-            (void)v3::decode_report_batch_frame(t);
+            (void)testing::into<std::vector<trace::measurement_record>>(
+                v3::decode_report_batch_frame_into, t);
             break;
           case v3::opcode::query: (void)v3::decode_query_frame(t); break;
-          default: (void)v3::decode_query_batch_frame(t); break;
+          default:
+            (void)testing::into<std::vector<query_request>>(
+                v3::decode_query_batch_frame_into, t);
+            break;
         }
         FAIL() << "patched truncation at " << cut << " decoded";
       } catch (const std::invalid_argument&) {
@@ -383,7 +402,7 @@ TEST(WireV3Codec, FieldRangeValidation) {
   measurement_report m;
   m.client_id = 1;
   m.record = tricky_record();
-  std::string frame = v3::encode_report_frame(m);
+  std::string frame = testing::frame_of(v3::encode_report_frame, m);
   // kind byte sits right after time/lat/lon/speed (4 f64) + client (u64):
   // flip it past udp_uplink and the decoder must refuse.
   const std::size_t kind_at = v3::frame_header_bytes + 8 /*client*/ + 40;
@@ -405,7 +424,8 @@ TEST(WireV3Server, BinaryReportAcksAndIngests) {
   m.record = testing::make_record(100.0, "NetB", here,
                                   trace::probe_kind::udp_burst, 1e6);
   const std::string reply =
-      testing::reply_of(fx.server, v3::encode_report_frame(m));
+      testing::reply_of(fx.server,
+                        testing::frame_of(v3::encode_report_frame, m));
   ASSERT_TRUE(v3::is_frame_start(reply));
   EXPECT_FALSE(v3::decode_ack_frame(reply).batched);
   EXPECT_EQ(fx.server.reports_received(), 1u);
@@ -511,7 +531,7 @@ TEST(WireV3Server, MalformedBinaryFramesDrawTypedErrNeverCrash) {
   measurement_report m;
   m.client_id = 1;
   m.record = tricky_record();
-  std::string cut = v3::encode_report_frame(m).substr(0, 40);
+  std::string cut = testing::frame_of(v3::encode_report_frame, m).substr(0, 40);
   patch_length(cut, static_cast<std::uint32_t>(cut.size() -
                                                v3::frame_header_bytes));
   EXPECT_EQ(v3::decode_error_frame(testing::reply_of(fx.server, cut)).code,
@@ -530,11 +550,13 @@ TEST(WireV3Server, NonFiniteTimestampRejectedAtCoordinatorSeam) {
   // Binary and text land at the same coordinator::report isfinite seam:
   // the wire accepts the frame (ACK), the record is rejected, not folded.
   const std::string bin_reply =
-      testing::reply_of(fx.server, v3::encode_report_frame(m));
+      testing::reply_of(fx.server,
+                        testing::frame_of(v3::encode_report_frame, m));
   EXPECT_EQ(v3::peek_header(bin_reply)->op, v3::opcode::ack);
   m.record.time_s = -std::numeric_limits<double>::infinity();
   EXPECT_EQ(v3::peek_header(
-                testing::reply_of(fx.server, v3::encode_report_frame(m)))
+                testing::reply_of(
+                    fx.server, testing::frame_of(v3::encode_report_frame, m)))
                 ->op,
             v3::opcode::ack);
   EXPECT_EQ(counter_value(obs::names::kCoordReportsRejected) - rejected0, 2u);
@@ -566,7 +588,8 @@ TEST(WireV3Server, HelloNegotiationCapsAtAdvertisedVersion) {
   m.record = testing::make_record(100.0, "NetB", here,
                                   trace::probe_kind::udp_burst, 1e6);
   EXPECT_EQ(v3::peek_header(
-                testing::reply_of(v2fx.server, v3::encode_report_frame(m)))
+                testing::reply_of(
+                    v2fx.server, testing::frame_of(v3::encode_report_frame, m)))
                 ->op,
             v3::opcode::ack);
 }

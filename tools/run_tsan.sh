@@ -90,9 +90,10 @@ echo "== binary v3 framing under TSan =="
 # apply/promote/catch-up mutex are the cross-thread seams this vets. The
 # leader_kill scenario rerun drives the same failover through the
 # scenario engine's full stack; wal_restart and follower_joins_late drive
-# a replica through a WAL restart and a late catch-up.
+# a replica through a WAL restart and a late catch-up. The replicas pull
+# and catch up through proto::client, whose suite reruns here.
 echo "== replication under TSan =="
 "$build_dir"/tests/wiscape_tests \
-  --gtest_filter='ReplStress.PromotionMidStorm:Replication.*:EpochLog.*:ZoneTableMerge.*:TcpServer.FollowerCatchUp*:Scenario.LeaderKill*:Scenario.WalRestart*:Scenario.FollowerJoiningLate*'
+  --gtest_filter='ReplStress.PromotionMidStorm:Replication.*:EpochLog.*:ZoneTableMerge.*:ProtoClient.*:TcpServer.FollowerCatchUp*:Scenario.LeaderKill*:Scenario.WalRestart*:Scenario.FollowerJoiningLate*'
 
 echo "TSan run clean."
