@@ -17,7 +17,8 @@
 // drain is run twice, with obs:: instrumentation enabled and disabled, and
 // the regression is reported (acceptance: <= 5%). A fourth prices the
 // REPORTB ingest path on a table far past the caches, in CPU per record:
-// server total, the handling thread alone, and the apply alone.
+// server total, the handling thread alone, and the apply alone -- without a
+// planner, as the servers run, and with one started.
 // Machine-readable results go to bench_ingest_scaling.jsonl in the working
 // directory (one JSON object per line; schema in EXPERIMENTS.md), followed
 // by a full obs metrics snapshot line for the instrumented runs.
@@ -261,18 +262,19 @@ struct handoff_cost {
   double server_ns = 0.0;    ///< process CPU: decode + hand-off + apply
   double producer_ns = 0.0;  ///< the handling thread alone (decode + hand-off)
   double apply_ns = 0.0;     ///< coordinator::report_batch alone, one thread
-  double gated_share = 0.0;  ///< measured records the history gate skips
+  double planned_apply_ns = 0.0;  ///< the same with start_planning()
+  double gated_share = 0.0;  ///< planned: measured records the gate skips
 };
 
 /// v3 REPORTB frames of 64 records, drawn uniformly over a warm 96x96-zone
 /// table (~110k streams, the perfbench ingest shape): through
 /// coordinator_server into an asynchronous 1-shard coordinator, and the
-/// same decoded batches straight into a coordinator. Every other zone (a
-/// checkerboard) is warmed to its samples_target on each planning stream,
-/// so the measured records landing there take the planning-history gate
-/// (coordinator::report_batch appends a record to the history only while
-/// its planning stream's open epoch holds at most the target); the other
-/// zones hold 8 samples per stream and append.
+/// same decoded batches straight into a coordinator, without a planner and
+/// with one started. Every other zone (a checkerboard) is warmed to its
+/// samples_target on each planning stream, so with a planner the measured
+/// records landing there take the planning-history gate (zone_planner::offer
+/// keeps a record only while its planning stream's open epoch holds at most
+/// the target); the other zones hold 8 samples per stream and append.
 handoff_cost reportb_handoff(const geo::projection& proj, std::size_t frames,
                              int reps) {
   constexpr int kSide = 96;
@@ -361,7 +363,8 @@ handoff_cost reportb_handoff(const geo::projection& proj, std::size_t frames,
     batches.push_back(std::move(b));
   }
   const double n = static_cast<double>(frames * kFrame);
-  handoff_cost best{1e300, 1e300, 1e300, static_cast<double>(gated) / n};
+  handoff_cost best{1e300, 1e300, 1e300, 1e300,
+                    static_cast<double>(gated) / n};
   for (int r = 0; r < reps; ++r) {
     {
       core::sharded_coordinator sc(grid, nets, cfg, bench::bench_seed);
@@ -381,15 +384,17 @@ handoff_cost reportb_handoff(const geo::projection& proj, std::size_t frames,
       best.server_ns = std::min(best.server_ns, 1e9 * (c1 - c0) / n);
       best.producer_ns = std::min(best.producer_ns, 1e9 * (p1 - p0) / n);
     }
-    {
+    for (const bool planned : {false, true}) {
       core::alert_ring alerts(cfg.coordinator.alert_ring_capacity);
       core::coordinator co(grid, nets, cfg.coordinator, bench::bench_seed,
                            alerts);
+      if (planned) co.start_planning();
       warm_up(co);
       const double a0 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
       for (const auto& b : batches) co.report_batch(b);
       const double a1 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
-      best.apply_ns = std::min(best.apply_ns, 1e9 * (a1 - a0) / n);
+      double& ns = planned ? best.planned_apply_ns : best.apply_ns;
+      ns = std::min(ns, 1e9 * (a1 - a0) / n);
     }
   }
   return best;
@@ -521,12 +526,13 @@ int main(int argc, char** argv) {
       "    server (decode + hand-off + apply): %7.1f\n"
       "    handling thread (decode + hand-off): %6.1f\n"
       "    apply alone (coordinator::report_batch): %6.1f\n"
-      "    records past their planning stream's target (history gate): "
-      "%.1f%%\n",
+      "    apply alone, planner started: %6.1f  (%.1f%% of the records "
+      "past their\n"
+      "      planning stream's target: the history gate skips them)\n",
       handoff.server_ns, handoff.producer_ns, handoff.apply_ns,
-      100.0 * handoff.gated_share);
+      handoff.planned_apply_ns, 100.0 * handoff.gated_share);
   {
-    char buf[256];
+    char buf[384];
     std::snprintf(buf, sizeof buf,
                   "{\"bench\":\"ingest_scaling\","
                   "\"mode\":\"reportb_handoff\","
@@ -534,9 +540,11 @@ int main(int argc, char** argv) {
                   "\"server_cpu_ns_per_rec\":%.1f,"
                   "\"producer_cpu_ns_per_rec\":%.1f,"
                   "\"apply_cpu_ns_per_rec\":%.1f,"
+                  "\"planned_apply_cpu_ns_per_rec\":%.1f,"
                   "\"gated_share\":%.4f}\n",
                   kHandoffFrames, handoff.server_ns, handoff.producer_ns,
-                  handoff.apply_ns, handoff.gated_share);
+                  handoff.apply_ns, handoff.planned_apply_ns,
+                  handoff.gated_share);
     jsonl << buf;
   }
 
@@ -548,8 +556,13 @@ int main(int argc, char** argv) {
                 bench::fmt(rep4 > 0 ? repb4 / rep4 : 0.0) + "x");
   bench::report("raw drain speedup, 4 threads vs 1 (1 core => ~1x)", "-",
                 bench::fmt(raw1 > 0 ? raw4 / raw1 : 0.0) + "x");
+  // The median with its spread: a bar the reps straddle is not decided.
   bench::report("obs instrumentation overhead, raw drain 4 threads",
-                "<= 5%", bench::fmt(overhead_pct, 1) + "%");
+                "<= 5%",
+                bench::fmt(overhead_pct, 1) + "% [" +
+                    bench::fmt(pair4.overhead_min, 1) + ", " +
+                    bench::fmt(pair4.overhead_max, 1) + "]" +
+                    (pair4.resolved() ? "" : " unresolved"));
 
   // Machine-readable coda: the overhead pair and a full metrics snapshot of
   // everything this process counted (the ingest-scaling metrics columns).

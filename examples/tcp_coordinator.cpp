@@ -121,9 +121,13 @@ int main(int argc, char** argv) {
   scfg.coordinator.default_samples_per_epoch = 12;
   scfg.coordinator.epochs.default_epoch_s = 600.0;
   core::sharded_coordinator coord(grid, dep.names(), scfg, seed);
+  // Plan each zone the paper's way: epochs at the Allan minimum (Sec
+  // 3.2.2), sample targets by NKLD (Sec 3.3).
+  coord.start_planning();
   proto::coordinator_server server(coord);
 
-  // Pre-seed estimates so QUERYs answer something out of the box.
+  // Pre-seed estimates so QUERYs answer something out of the box, then
+  // plan every seeded zone from them.
   const auto morning = make_morning(dep, seed, 4096);
   std::size_t accepted = 0;
   for (const auto& rec : morning) {
@@ -133,6 +137,9 @@ int main(int argc, char** argv) {
   }
   coord.flush();
   coord.recompute_epochs();
+  for (const auto& key : coord.keys()) {
+    coord.refine_sample_target(key.zone, key.network, key.metric);
+  }
   std::printf("seeded %zu reports into %zu estimate streams\n", accepted,
               coord.keys().size());
 

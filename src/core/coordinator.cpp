@@ -41,8 +41,6 @@ coordinator::coordinator(geo::zone_grid grid, std::vector<std::string> networks,
       cfg_(cfg),
       alert_sink_(&alerts),
       table_(cfg.change_sigma_factor, networks_),
-      epochs_(cfg.epochs),
-      planner_(cfg.planner),
       rng_(seed) {
   // Every rollover publishes into the serving-layer mirror and sequences
   // its alert into the owner's ring.
@@ -53,60 +51,36 @@ coordinator::coordinator(geo::zone_grid grid, std::vector<std::string> networks,
   for (const auto& n : networks_) net_ids_.push_back(table_.interner().try_id(n));
 }
 
-std::size_t coordinator::find_zone(std::uint64_t key) const noexcept {
-  if (zone_mask_ == 0) return no_zone;
-  std::size_t slot = static_cast<std::size_t>(zone_table::mix64(key)) &
-                     zone_mask_;
-  while (zone_slots_[slot].index != 0) {
-    if (zone_slots_[slot].key == key) return zone_slots_[slot].index - 1;
-    slot = (slot + 1) & zone_mask_;
+void coordinator::start_planning() {
+  if (!plan_) {
+    plan_ = std::make_unique<zone_planner>(cfg_.epochs, cfg_.planner,
+                                           cfg_.default_samples_per_epoch);
   }
-  return no_zone;
 }
 
-void coordinator::place_zone(const zone_slot& e) noexcept {
-  std::size_t slot =
-      static_cast<std::size_t>(zone_table::mix64(e.key)) & zone_mask_;
-  while (zone_slots_[slot].index != 0) slot = (slot + 1) & zone_mask_;
-  zone_slots_[slot] = e;
-}
-
-std::size_t coordinator::zone_index(const geo::zone_id& z) {
-  const std::uint64_t key = zone_key(z);
-  const std::size_t found = find_zone(key);
-  if (found != no_zone) return found;
-  // Keep the directory at most half full: linear probing degrades sharply
-  // past that.
-  if ((zones_.size() + 1) * 2 > zone_slots_.size()) {
-    const std::size_t cap = zone_slots_.empty() ? 64 : zone_slots_.size() * 2;
-    const std::vector<zone_slot> old =
-        std::exchange(zone_slots_, std::vector<zone_slot>(cap));
-    zone_mask_ = cap - 1;
-    for (const zone_slot& e : old) {
-      if (e.index != 0) place_zone(e);
-    }
+zone_status coordinator::plan_of(const geo::zone_id& z) const noexcept {
+  if (!plan_) {
+    return {cfg_.epochs.default_epoch_s, cfg_.default_samples_per_epoch, 0};
   }
-  zones_.push_back(zone_state{cfg_.epochs.default_epoch_s,
-                              cfg_.default_samples_per_epoch,
-                              {}});
-  place_zone(zone_slot{key, static_cast<std::uint32_t>(zones_.size())});
-  return zones_.size() - 1;
+  const auto& st = plan_->plan_of(z);
+  return {st.epoch_s, st.samples_target, 0};
 }
 
 std::optional<measurement_task> coordinator::checkin(
     const geo::lat_lon& pos, double time_s, std::size_t network_index,
     std::size_t active_clients_in_zone, std::uint64_t client_id) {
   metrics().checkins.inc();
-  const geo::zone_id z = grid_.zone_of(pos);
-  zone_state& st = state_of(z);
   if (network_index >= networks_.size()) return std::nullopt;
+  const geo::zone_id z = grid_.zone_of(pos);
+  // Reads the zone's plan without creating it: only accepted records do.
+  const std::size_t target = plan_of(z).samples_target;
 
-  // How many samples has the open epoch of this zone's planning stream
-  // accumulated? (Tracked on the probe kind we would issue next.)
+  // How many samples has the open epoch of this zone's planning stream --
+  // the first metric of the probe kind we would issue next -- accumulated?
   const auto kind = static_cast<trace::probe_kind>(task_counter_ % 3);
   const std::size_t have = table_.open_epoch_samples(
-      z, net_ids_[network_index], planning_metric(kind));
-  if (have >= st.samples_target) return std::nullopt;
+      z, net_ids_[network_index], trace::metrics_of(kind).front());
+  if (have >= target) return std::nullopt;
 
   // Per-client budget guard: a device that already spent its day's
   // allowance is left alone (Sec 3.4's overhead knob).
@@ -139,7 +113,7 @@ std::optional<measurement_task> coordinator::checkin(
     }
   }
 
-  const std::size_t remaining = st.samples_target - have;
+  const std::size_t remaining = target - have;
   // Expected samples this epoch ~= p * active clients * checkins left; the
   // paper's minimal form: select each active client with probability
   // remaining/active (clamped).
@@ -186,10 +160,6 @@ std::size_t coordinator::report_batch(
     geo::zone_id z;
     std::uint16_t nid;
     std::uint64_t gkey;
-    std::size_t zone;  // zones_ index; no_zone: new, created at apply
-    // The record's planning-stream history series when it exists
-    // (prefetch only: pass 4 may grow the vector holding it).
-    const stats::time_series* series;
     // Stream index per metric of the record, or zone_table::no_stream.
     std::size_t streams[trace::metric_count];
   };
@@ -199,7 +169,7 @@ std::size_t coordinator::report_batch(
     const std::size_t n = std::min(apply_chunk, recs.size() - base);
     // Pass 1: validate and resolve in arrival order (interning a new
     // network name is a mutation, and ids are handed out first come first
-    // served), putting both directory slots in flight. Wire-reachable
+    // served), putting each group's directory slot in flight. Wire-reachable
     // validity checks come before any state mutation: a zone outside the
     // store's packed cell range (absurd coordinates), a NaN/inf timestamp
     // (it would poison a stream's epoch boundary) or an exhausted network
@@ -229,7 +199,6 @@ std::size_t coordinator::report_batch(
         r.z = z;
         r.nid = nid;
         r.gkey = zone_table::group_key(z, nid);
-        prefetch_zone(zone_key(z));
         table_.prefetch_group(r.gkey);
       } catch (const std::exception&) {
         ++errors;
@@ -237,16 +206,9 @@ std::size_t coordinator::report_batch(
     }
     if (rejected > 0) metrics().reports_rejected.inc(rejected);
     if (live > 0) metrics().reports_accepted.inc(live);
-    // Pass 2: probe the cached directories; every accumulator and history
-    // entry in flight.
+    // Pass 2: probe the cached directory; every accumulator in flight.
     for (std::size_t i = 0; i < live; ++i) {
       resolved& r = chunk[i];
-      r.zone = find_zone(zone_key(r.z));
-      const std::size_t si = series_of(r.nid, r.rec->kind);
-      r.series = r.zone != no_zone && si < zones_[r.zone].history.size()
-                     ? &zones_[r.zone].history[si]
-                     : nullptr;
-      if (r.series != nullptr) __builtin_prefetch(r.series);
       const auto ms = trace::metrics_of(r.rec->kind);
       for (std::size_t j = 0; j < ms.size(); ++j) {
         r.streams[j] = table_.stream_of(r.gkey, ms[j]);
@@ -255,47 +217,32 @@ std::size_t coordinator::report_batch(
         }
       }
     }
-    // Pass 3: every history tail in flight.
-    for (std::size_t i = 0; i < live; ++i) {
-      if (chunk[i].series == nullptr) continue;
-      const auto tail = chunk[i].series->samples();
-      __builtin_prefetch(tail.data() + tail.size(), 1);
-    }
-    // Pass 4: apply in arrival order. Streams and zones pass 2 did not find
-    // are created here (an earlier record of the chunk may have done so).
+    // Pass 3: apply in arrival order. Streams pass 2 did not find are
+    // created here (an earlier record of the chunk may have done so), and
+    // with a planner so is the record's zone plan.
     const std::uint64_t alerts_before = table_.alerts_raised();
     for (std::size_t i = 0; i < live; ++i) {
       const resolved& r = chunk[i];
       const trace::measurement_record& rec = *r.rec;
       try {
-        zone_state& st =
-            zones_[r.zone != no_zone ? r.zone : zone_index(r.z)];
+        auto* st = plan_ ? &plan_->state_of(r.z) : nullptr;
+        const double epoch_s = st ? st->epoch_s : cfg_.epochs.default_epoch_s;
         const auto ms = trace::metrics_of(rec.kind);
         for (std::size_t j = 0; j < ms.size(); ++j) {
           const double v = trace::value_of(rec, ms[j]);
           if (r.streams[j] != zone_table::no_stream) {
-            table_.add_to_stream(r.streams[j], rec.time_s, v, st.epoch_s);
+            table_.add_to_stream(r.streams[j], rec.time_s, v, epoch_s);
           } else {
-            table_.add_sample(r.z, r.nid, ms[j], rec.time_s, v, st.epoch_s);
+            table_.add_sample(r.z, r.nid, ms[j], rec.time_s, v, epoch_s);
           }
         }
-        // The planning stream's series takes the kind's planning metric
-        // (ms[0]) and only the samples checkin() would have asked for:
-        // while the stream's open epoch holds at most the zone's target,
-        // this record included.
+        if (st == nullptr) continue;
+        // The planning stream: the kind's first metric.
         const std::size_t plan = r.streams[0] != zone_table::no_stream
                                      ? r.streams[0]
                                      : table_.stream_of(r.gkey, ms[0]);
-        if (table_.open_samples(plan) > st.samples_target) continue;
-        const std::size_t si = series_of(r.nid, rec.kind);
-        if (si >= st.history.size()) st.history.resize(si + 1);
-        auto& series = st.history[si];
-        series.add(rec.time_s, trace::value_of(rec, ms[0]));
-        if (series.size() > cfg_.history_cap) {
-          // Drop the oldest half to bound memory while keeping a long
-          // window.
-          series.drop_oldest(series.size() / 2);
-        }
+        plan_->offer(*st, r.nid, rec.kind, rec.time_s,
+                     trace::value_of(rec, ms[0]), table_.open_samples(plan));
       } catch (const std::exception&) {
         ++errors;
       }
@@ -310,82 +257,25 @@ std::size_t coordinator::report_batch(
 
 bool coordinator::merge_estimate(const estimate_key& key,
                                  const epoch_estimate& e) {
-  // A zone this coordinator has not seen yet runs on the default length,
-  // as its first sample will.
-  const std::size_t zi = find_zone(zone_key(key.zone));
-  return table_.merge_estimate(
-      key, e, zi == no_zone ? cfg_.epochs.default_epoch_s : zones_[zi].epoch_s);
-}
-
-const stats::time_series* coordinator::longest_history(const zone_state& st) {
-  // Ties go to the lowest series index (network id, then probe kind).
-  const stats::time_series* best = nullptr;
-  for (const auto& series : st.history) {
-    if (!best || series.size() > best->size()) best = &series;
-  }
-  return best;
+  // A zone without a plan runs on the default length, as its samples do.
+  return table_.merge_estimate(key, e, plan_of(key.zone).epoch_duration_s);
 }
 
 void coordinator::recompute_epochs() {
-  for (zone_state& st : zones_) {
-    const stats::time_series* best = longest_history(st);
-    if (!best || best->size() < 32) continue;
-    st.epoch_s = epochs_.epoch_for(*best);
-  }
-}
-
-const stats::time_series* coordinator::series_for(const geo::zone_id& zone,
-                                                  std::string_view network,
-                                                  trace::metric metric) const {
-  const std::size_t zi = find_zone(zone_key(zone));
-  // Allocation-free lookup: networks with no history were never interned
-  // (or never reported into this zone).
-  const std::uint16_t nid = table_.interner().try_id(network);
-  if (zi == no_zone || nid == network_interner::npos) return nullptr;
-  const std::size_t si = series_of(nid, trace::kind_for(metric));
-  const auto& history = zones_[zi].history;
-  return si < history.size() ? &history[si] : nullptr;
+  if (plan_) plan_->recompute_epochs();
 }
 
 std::size_t coordinator::refine_sample_target(const geo::zone_id& zone,
                                               std::string_view network,
                                               trace::metric metric) {
-  const std::size_t zi = find_zone(zone_key(zone));
-  if (zi == no_zone) return cfg_.default_samples_per_epoch;
-  zone_state& st = zones_[zi];
-  const stats::time_series* series = series_for(zone, network, metric);
-  if (series == nullptr || series->size() < cfg_.planner.step * 4) {
-    return st.samples_target;
-  }
-  st.samples_target = planner_.samples_needed(series->values(), rng_);
-  return st.samples_target;
-}
-
-std::span<const stats::sample> coordinator::history_for_test(
-    const geo::zone_id& zone) const {
-  const std::size_t zi = find_zone(zone_key(zone));
-  if (zi == no_zone) return {};
-  const stats::time_series* best = longest_history(zones_[zi]);
-  return best ? best->samples() : std::span<const stats::sample>{};
-}
-
-std::span<const stats::sample> coordinator::history_for_test(
-    const geo::zone_id& zone, std::string_view network,
-    trace::metric metric) const {
-  const stats::time_series* series = series_for(zone, network, metric);
-  return series ? series->samples() : std::span<const stats::sample>{};
+  if (!plan_) return cfg_.default_samples_per_epoch;
+  // Allocation-free lookup: a network never interned has no history.
+  return plan_->refine_sample_target(
+      zone, table_.interner().try_id(network), metric, rng_);
 }
 
 zone_status coordinator::status_of(const geo::zone_id& zone) const {
-  zone_status out;
-  const std::size_t zi = find_zone(zone_key(zone));
-  if (zi == no_zone) {
-    out.epoch_duration_s = cfg_.epochs.default_epoch_s;
-    out.samples_target = cfg_.default_samples_per_epoch;
-    return out;
-  }
-  out.epoch_duration_s = zones_[zi].epoch_s;
-  out.samples_target = zones_[zi].samples_target;
+  zone_status out = plan_of(zone);
   // Report the fullest open stream across networks/metrics for this zone.
   for (const std::uint16_t nid : net_ids_) {
     for (const trace::metric m :

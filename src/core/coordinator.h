@@ -4,9 +4,9 @@
 // measurement tasks with a probability tuned so each zone-epoch accumulates
 // just enough samples (the sample_planner's count), no more. Reported
 // measurements flow into the zone_table, whose epoch rollovers publish
-// estimates and raise >2-sigma change alerts. Epoch durations are
-// re-estimated per zone via the Allan minimum from a planning history that
-// keeps, per zone-epoch, only the samples the plan asked for.
+// estimates and raise >2-sigma change alerts. Epochs are re-estimated per
+// zone via the Allan minimum only with a planner (start_planning()); without
+// one every zone runs on the configured defaults and no per-zone state.
 //
 // Thread safety: NOT thread-safe, by design -- a coordinator is a
 // deterministic sequential state machine (same seed + same call sequence =>
@@ -22,17 +22,16 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "core/alert_ring.h"
-#include "core/epoch_estimator.h"
 #include "core/estimate_mirror.h"
-#include "core/sample_planner.h"
+#include "core/zone_planner.h"
 #include "core/zone_table.h"
-#include "stats/time_series.h"
 #include "trace/record.h"
 
 namespace wiscape::core {
@@ -45,16 +44,6 @@ struct coordinator_config {
   double change_sigma_factor = 2.0;
   epoch_config epochs{};
   planner_config planner{};
-  /// Planning-history length (samples) per planning stream -- (zone,
-  /// network, probe kind), one unit per series -- kept for epoch
-  /// re-estimation and sample planning; past it the oldest half is
-  /// dropped. The history takes at most a zone's target per planning
-  /// stream and epoch (see report_batch), so a series gains at most
-  /// samples_target per epoch, and its window -- history_cap / 2 to
-  /// history_cap samples once it has trimmed -- covers at least
-  /// history_cap / (2 samples_target) epochs however hard the zone is
-  /// flooded, whichever probe kinds the network reports there.
-  std::size_t history_cap = 4096;
   /// Per-client measurement budget, MB per day (0 = unlimited). The
   /// coordinator stops tasking a client whose day's probes already cost
   /// this much -- the Sec 3.4 bandwidth/energy-cost knob made explicit.
@@ -106,17 +95,11 @@ class coordinator {
   /// keep that boundary visible at call sites.
   const zone_table& table_for_test() const noexcept { return table_; }
 
-  /// The zone's planning history that recompute_epochs() scans -- its
-  /// longest per-stream series, oldest first; empty for a zone without
-  /// one. For tests: valid until the next report.
-  std::span<const stats::sample> history_for_test(
-      const geo::zone_id& zone) const;
-  /// The series refine_sample_target(zone, network, metric) reads: the
-  /// planning stream of the probe kind that carries `metric`. Empty when
-  /// it has none. For tests: valid until the next report.
-  std::span<const stats::sample> history_for_test(const geo::zone_id& zone,
-                                                  std::string_view network,
-                                                  trace::metric metric) const;
+  /// Attaches a zone_planner: accepted records then feed their zone's plan,
+  /// and recompute_epochs() / refine_sample_target() take effect. Call
+  /// before ingesting; a second call is a no-op.
+  void start_planning();
+  const zone_planner* planner() const noexcept { return plan_.get(); }
 
   /// The serving-layer mirror every epoch rollover publishes into
   /// (consumed by core::estimate_view; lock-free reads).
@@ -147,38 +130,35 @@ class coordinator {
   }
 
   /// Ingests completed measurements in order. Each record updates the zone
-  /// table (all metrics it carries) and, while its planning stream's open
-  /// epoch holds at most the zone's samples_target (this record included:
-  /// the rule checkin() tasks by), its zone's planning history -- the
-  /// samples the coordinator would have asked for, and no more. Never
-  /// throws: failed probes, non-finite times, zones outside
-  /// the store's packed cell range, and records arriving after the network
-  /// interner is exhausted are counted into
-  /// `core.coordinator.reports_rejected` and dropped, and a record whose
-  /// apply throws anyway is dropped alone (the rest of the batch applies).
-  /// Returns the number of records dropped by a throw -- zero unless the
-  /// apply path has a bug; sharded_coordinator counts them into
-  /// `core.sharded.apply_errors`.
+  /// table (all metrics it carries) and, with a planner, is offered to its
+  /// zone's planning history (zone_planner::offer). Never throws: failed
+  /// probes, non-finite times, zones outside the store's packed cell range,
+  /// and records arriving after the network interner is exhausted are
+  /// counted into `core.coordinator.reports_rejected` and dropped, and a
+  /// record whose apply throws anyway is dropped alone (the rest of the
+  /// batch applies). Returns the number of records dropped by a throw --
+  /// zero unless the apply path has a bug; sharded_coordinator counts them
+  /// into `core.sharded.apply_errors`.
   ///
   /// The batch is applied in chunks of apply_chunk records, in passes that
   /// overlap the cache misses of a whole chunk: validate every record,
-  /// resolve its zone and network id and prefetch both directory slots;
-  /// probe the directories and prefetch each record's stream accumulators
-  /// and history entry; prefetch each history tail; then apply in arrival
-  /// order. The result is exactly that of applying the records one by one.
+  /// resolve its zone and network id and prefetch its group's directory
+  /// slot; probe the directory and prefetch each record's stream
+  /// accumulators; then apply in arrival order. The result is exactly that
+  /// of applying the records one by one.
   std::size_t report_batch(std::span<const trace::measurement_record> recs);
 
   /// Records resolved ahead of being applied (see report_batch).
   static constexpr std::size_t apply_chunk = 64;
 
   /// Re-estimates the epoch duration of every zone with enough history
-  /// (Allan minimum). Cheap enough to call periodically.
+  /// (Allan minimum). No-op without a planner.
   void recompute_epochs();
 
   /// Refines a zone's sample target via the NKLD planner from the history
   /// of the planning stream that carries `metric` (the network's series
-  /// for trace::kind_for(metric)). No-op (returns current target) when
-  /// that series is too small.
+  /// for trace::kind_for(metric)). No-op (returns current target) without
+  /// a planner or when that series is too small.
   std::size_t refine_sample_target(const geo::zone_id& zone,
                                    std::string_view network,
                                    trace::metric metric);
@@ -227,73 +207,9 @@ class coordinator {
  private:
   friend class sharded_coordinator;  // internal table reads under shard lock
 
-  struct zone_state {
-    double epoch_s;
-    std::size_t samples_target;
-    // Planning history used for epoch/NKLD estimation: one series per
-    // planning stream, indexed by series_of(interned network id, probe
-    // kind) (dense: most zones see every operator).
-    std::vector<stats::time_series> history;
-  };
-
-  /// Probe kinds: the planning streams per (zone, network).
-  static constexpr std::size_t probe_kinds = 4;
-  /// zone_state::history index of a planning stream.
-  static std::size_t series_of(std::uint16_t nid,
-                               trace::probe_kind kind) noexcept {
-    return nid * probe_kinds + static_cast<std::size_t>(kind);
-  }
-  /// The series of one planning stream, or nullptr when it has none.
-  const stats::time_series* series_for(const geo::zone_id& zone,
-                                       std::string_view network,
-                                       trace::metric metric) const;
-
-  /// The zone's longest per-stream history series (ties go to the lowest
-  /// series index), or nullptr when it has none.
-  static const stats::time_series* longest_history(const zone_state& st);
-
-  /// Internal-only raw table access (sharded_coordinator's read-side
-  /// aggregation under the shard lock).
-  const zone_table& table() const noexcept { return table_; }
-
-  // Zone directory: open addressing (linear probing, at most half full)
-  // from a zone's packed key to its index in zones_ -- the zone_table
-  // gslot layout, one 16-byte slot per zone, so a batch can prefetch a
-  // record's slot before it probes.
-  struct zone_slot {
-    std::uint64_t key = 0;    // zone_key()
-    std::uint32_t index = 0;  // zones_ index + 1; 0 = empty slot
-  };
-  static constexpr std::size_t no_zone = static_cast<std::size_t>(-1);
-
-  /// ix:32 | iy:32. Any zone packs (check-ins and reads accept zones the
-  /// estimate store's range rejects), so emptiness lives in the index.
-  static std::uint64_t zone_key(const geo::zone_id& z) noexcept {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(z.ix))
-            << 32) |
-           static_cast<std::uint32_t>(z.iy);
-  }
-  void prefetch_zone(std::uint64_t key) const noexcept {
-    if (zone_mask_ != 0) {
-      __builtin_prefetch(
-          &zone_slots_[static_cast<std::size_t>(zone_table::mix64(key)) &
-                       zone_mask_]);
-    }
-  }
-  /// zones_ index of a zone, or no_zone.
-  std::size_t find_zone(std::uint64_t key) const noexcept;
-  /// zones_ index of a zone, created with the configured defaults on first
-  /// sight (may grow the directory; zones_ indices stay valid).
-  std::size_t zone_index(const geo::zone_id& z);
-  /// Inserts a directory entry (its key must be absent; room must exist).
-  void place_zone(const zone_slot& e) noexcept;
-  zone_state& state_of(const geo::zone_id& z) { return zones_[zone_index(z)]; }
-  /// The primary metric driving sampling decisions for a probe kind: its
-  /// first metric in trace::metrics_of order. checkin() tasks by this
-  /// stream's open-epoch count and report_batch() gates the history on it.
-  static trace::metric planning_metric(trace::probe_kind k) noexcept {
-    return trace::metrics_of(k).front();
-  }
+  /// The zone's epoch length and sample target: its plan's, or the
+  /// defaults. Creates no plan.
+  zone_status plan_of(const geo::zone_id& z) const noexcept;
   /// The record's interned network id: the wire-cached id when it checks
   /// out against our interner, else a (possibly interning) name lookup.
   /// Returns network_interner::npos -- never throws -- when the interner
@@ -311,12 +227,8 @@ class coordinator {
   zone_table table_;
   // networks_[i] -> interned id (duplicate names collapse to the first id).
   std::vector<std::uint16_t> net_ids_;
-  epoch_estimator epochs_;
-  sample_planner planner_;
   stats::rng_stream rng_;
-  std::vector<zone_state> zones_;       // dense, zone-creation order
-  std::vector<zone_slot> zone_slots_;  // the directory, pow2 slots
-  std::size_t zone_mask_ = 0;          // zone_slots_.size() - 1; 0 = none
+  std::unique_ptr<zone_planner> plan_;  // null until start_planning()
   // Round-robin over probe kinds so every metric family gets samples.
   std::uint64_t task_counter_ = 0;
 

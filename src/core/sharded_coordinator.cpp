@@ -309,6 +309,13 @@ void sharded_coordinator::stop() {
   workers_.clear();
 }
 
+void sharded_coordinator::start_planning() {
+  for (auto& sh : shards_) {
+    std::lock_guard lock(sh->mu);
+    sh->coord.start_planning();
+  }
+}
+
 void sharded_coordinator::recompute_epochs() {
   for (auto& sh : shards_) {
     std::lock_guard lock(sh->mu);
@@ -333,7 +340,8 @@ std::vector<stats::sample> sharded_coordinator::history_for_test(
     const geo::zone_id& zone) const {
   const shard& sh = *shards_[shard_of(zone)];
   std::lock_guard lock(sh.mu);
-  const auto live = sh.coord.history_for_test(zone);
+  if (sh.coord.planner() == nullptr) return {};
+  const auto live = sh.coord.planner()->history_for_test(zone);
   return {live.begin(), live.end()};
 }
 
@@ -351,7 +359,7 @@ std::optional<epoch_estimate> sharded_coordinator::latest(
     const estimate_key& key) const {
   const shard& sh = *shards_[shard_of(key.zone)];
   std::lock_guard lock(sh.mu);
-  return sh.coord.table().latest(key);
+  return sh.coord.table_.latest(key);
 }
 
 std::vector<epoch_estimate> sharded_coordinator::history(

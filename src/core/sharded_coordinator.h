@@ -5,12 +5,12 @@
 // streams (Sec 3.4), which makes ingestion embarrassingly shardable by
 // zone: every CHECKIN and REPORT touches exactly one zone, so zones are
 // mapped to N shards by zone_id hash and each shard owns a full
-// coordinator (zone_table + sample_planner + epoch state) behind its own
-// mutex. Check-ins are answered synchronously on the caller's thread
-// (clients wait for their task); reports flow through one bounded
-// report_queue per shard into a worker-thread pool, and each worker drains
-// its shard's queue in batches so one lock acquisition is amortised over
-// many reports.
+// coordinator (zone_table, and after start_planning() a zone_planner)
+// behind its own mutex. Check-ins are answered synchronously on the
+// caller's thread (clients wait for their task); reports flow through one
+// bounded report_queue per shard into a worker-thread pool, and each worker
+// drains its shard's queue in batches so one lock acquisition is amortised
+// over many reports.
 //
 // Determinism: a report's effect depends only on its zone's prior samples,
 // and each shard has exactly one drain worker, so per-zone arrival order is
@@ -144,6 +144,10 @@ class sharded_coordinator : public durable_state {
   /// destructor calls it.
   void stop();
 
+  /// Attaches a zone_planner to every shard (under each shard's lock; see
+  /// coordinator::start_planning). Call before ingesting.
+  void start_planning();
+
   /// Re-estimates epoch durations on every shard (under each shard's lock).
   void recompute_epochs();
 
@@ -155,8 +159,8 @@ class sharded_coordinator : public durable_state {
 
   zone_status status_of(const geo::zone_id& zone) const;
 
-  /// The owning shard's coordinator::history_for_test, copied under its
-  /// lock. For tests.
+  /// The owning shard's zone_planner::history_for_test(zone), copied under
+  /// its lock; empty without a planner. For tests.
   std::vector<stats::sample> history_for_test(const geo::zone_id& zone) const;
 
   /// Total MB charged against a client today, summed across shards (each
@@ -173,9 +177,6 @@ class sharded_coordinator : public durable_state {
   std::uint16_t network_id_of(std::string_view network) const noexcept {
     return wire_ids_.try_id(network);
   }
-
-  /// The frozen wire-boundary interner itself (read-only).
-  const network_interner& wire_interner() const noexcept { return wire_ids_; }
 
   // ---- serving layer (lock-free; consumed by core::estimate_view) --------
 

@@ -187,7 +187,7 @@ class zone_table {
   /// splitmix64 finalizer: full-avalanche mix of a packed key, so linear
   /// probing sees well-scattered slots even for clustered zone coordinates.
   /// Every open-addressed directory over zone keys (this table's, the
-  /// coordinator's zone directory, the estimate mirror's) hashes with it.
+  /// zone planner's directory, the estimate mirror's) hashes with it.
   static std::uint64_t mix64(std::uint64_t x) noexcept {
     x += 0x9e3779b97f4a7c15ull;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;

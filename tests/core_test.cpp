@@ -10,6 +10,7 @@
 #include "core/epoch_estimator.h"
 #include "core/sample_planner.h"
 #include "core/validation.h"
+#include "core/zone_planner.h"
 #include "core/zone_table.h"
 #include "test_util.h"
 
@@ -392,6 +393,7 @@ TEST(Coordinator, InternerExhaustionRejectsNewNetworksNotThrows) {
 TEST(Coordinator, RecomputeEpochsUsesHistory) {
   alert_ring alerts;
   auto coord = make_coordinator(alerts);
+  coord.start_planning();
   // Feed a drifty series so the Allan minimum lands at an interior epoch.
   stats::rng_stream r(9);
   for (int i = 0; i < 2000; ++i) {
@@ -413,6 +415,7 @@ TEST(Coordinator, RecomputeEpochsUsesHistory) {
 TEST(Coordinator, RefineSampleTargetUsesPlanner) {
   alert_ring alerts;
   auto coord = make_coordinator(alerts);
+  coord.start_planning();
   stats::rng_stream r(9);
   for (int i = 0; i < 1500; ++i) {
     coord.report(testing::make_record(i * 10.0, "NetB", here,
@@ -430,11 +433,53 @@ TEST(Coordinator, RefineSampleTargetUsesPlanner) {
 TEST(Coordinator, UnknownZoneStatusDefaults) {
   alert_ring alerts;
   auto coord = make_coordinator(alerts);
+  coord.start_planning();
   const auto status = coord.status_of(geo::zone_id{999, 999});
   EXPECT_DOUBLE_EQ(status.epoch_duration_s,
                    coord.config().epochs.default_epoch_s);
   EXPECT_EQ(status.samples_target, coord.config().default_samples_per_epoch);
-  EXPECT_TRUE(coord.history_for_test(geo::zone_id{999, 999}).empty());
+  EXPECT_TRUE(
+      coord.planner()->history_for_test(geo::zone_id{999, 999}).empty());
+}
+
+TEST(Coordinator, CheckinStormCreatesNoZonePlans) {
+  // Check-ins over 20,000 distinct zones, a third of them naming an
+  // operator index past the configured list (refused: IDLE, no draw). A
+  // planning coordinator answers exactly as one without a planner -- and
+  // as the rule checkin() documents: one rng draw per check-in it may task
+  // at p = target / active clients, the probe kind round-robin over the
+  // tasks issued -- and keeps no zone plan for any of them: only accepted
+  // records create plans.
+  alert_ring alerts_a, alerts_b;
+  auto planned = make_coordinator(alerts_a);
+  auto unplanned = make_coordinator(alerts_b);
+  planned.start_planning();
+  const geo::projection proj(here);
+  constexpr std::size_t kActive = 25;  // p = 10 / 25
+  stats::rng_stream draws(3);          // make_coordinator's seed
+  std::uint64_t issued = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const geo::lat_lon pos = proj.to_lat_lon(
+        {500.0 * static_cast<double>(i % 200),
+         500.0 * static_cast<double>(i / 200)});
+    const std::size_t net = i % 3 == 2 ? (i % 2 == 0 ? 2 : 99) : i % 2;
+    const double t = 8 * 3600.0 + i;
+    const auto a = planned.checkin(pos, t, net, kActive);
+    const auto b = unplanned.checkin(pos, t, net, kActive);
+    ASSERT_EQ(a.has_value(), b.has_value()) << i;
+    const bool want = net < 2 && draws.chance(10.0 / kActive);
+    ASSERT_EQ(a.has_value(), want) << i;
+    if (!a) continue;
+    EXPECT_EQ(a->kind, b->kind);
+    EXPECT_EQ(a->kind, static_cast<trace::probe_kind>(issued++ % 3));
+    EXPECT_EQ(a->network_index, net);
+  }
+  EXPECT_GT(issued, 5000u);
+  EXPECT_EQ(planned.planner()->zones(), 0u);
+  // Not vacuous: an accepted record does create its zone's plan.
+  planned.report(testing::make_record(9 * 3600.0, "NetB", here,
+                                      trace::probe_kind::udp_burst, 1e6));
+  EXPECT_EQ(planned.planner()->zones(), 1u);
 }
 
 TEST(Coordinator, FloodedZoneKeepsTheTargetPerEpochInItsHistory) {
@@ -451,6 +496,9 @@ TEST(Coordinator, FloodedZoneKeepsTheTargetPerEpochInItsHistory) {
   coordinator_config cfg;
   cfg.epochs.default_epoch_s = 600.0;
   coordinator coord(grid, {"NetB", "NetC"}, cfg, 3, alerts);
+  coord.start_planning();
+  const zone_planner& plan = *coord.planner();
+  constexpr std::size_t history_cap = zone_planner::history_cap;
   const std::size_t target = cfg.default_samples_per_epoch;
   const double epoch = cfg.epochs.default_epoch_s;
   const double t0 = 8 * 3600.0;  // an epoch boundary
@@ -500,15 +548,15 @@ TEST(Coordinator, FloodedZoneKeepsTheTargetPerEpochInItsHistory) {
   const geo::lat_lon flooded = here;
   const auto gated = feed(flooded, std::vector<std::size_t>(61, 12 * target),
                           {trace::probe_kind::udp_burst})[0];
-  const auto h = coord.history_for_test(grid.zone_of(flooded));
-  ASSERT_GT(h.size(), cfg.history_cap - target);
-  ASSERT_LE(h.size(), cfg.history_cap);
+  const auto h = plan.history_for_test(grid.zone_of(flooded));
+  ASSERT_GT(h.size(), history_cap - target);
+  ASSERT_LE(h.size(), history_cap);
   expect_suffix(h, gated);
   // Nearly full, the window spans history_cap / target epochs of data
   // time. Ungated, 4,096 samples of this flood would cover 4096 / 1200 < 4
   // epochs -- a tenth of it.
   EXPECT_GE(h.back().time_s - h.front().time_s,
-            static_cast<double>(cfg.history_cap / target) * epoch);
+            static_cast<double>(history_cap / target) * epoch);
 
   // The same flood in all four kinds: four planning streams, four series,
   // each gated exactly like the one-kind flood's. A kind no longer shares
@@ -523,13 +571,15 @@ TEST(Coordinator, FloodedZoneKeepsTheTargetPerEpochInItsHistory) {
                            kinds);
   for (std::size_t k = 0; k < kinds.size(); ++k) {
     SCOPED_TRACE(trace::to_string(kinds[k]));
-    const auto hk = coord.history_for_test(grid.zone_of(all_kinds), "NetB",
-                                           trace::metrics_of(kinds[k])[0]);
-    ASSERT_GT(hk.size(), cfg.history_cap - target);
-    ASSERT_LE(hk.size(), cfg.history_cap);
+    const auto hk =
+        plan.history_for_test(grid.zone_of(all_kinds),
+                              coord.network_id_of("NetB"),
+                              trace::metrics_of(kinds[k])[0]);
+    ASSERT_GT(hk.size(), history_cap - target);
+    ASSERT_LE(hk.size(), history_cap);
     expect_suffix(hk, gated4[k]);
-    EXPECT_GE(epochs_covered(hk), cfg.history_cap / (2 * target));
-    EXPECT_LE(epochs_covered(hk), cfg.history_cap / target + 1);
+    EXPECT_GE(epochs_covered(hk), history_cap / (2 * target));
+    EXPECT_LE(epochs_covered(hk), history_cap / target + 1);
   }
 
   // Epochs below the target keep every sample; flooded ones the first
@@ -542,7 +592,7 @@ TEST(Coordinator, FloodedZoneKeepsTheTargetPerEpochInItsHistory) {
   }
   const auto mixed_gated =
       feed(mixed, per_epoch, {trace::probe_kind::udp_burst})[0];
-  const auto hm = coord.history_for_test(grid.zone_of(mixed));
+  const auto hm = plan.history_for_test(grid.zone_of(mixed));
   ASSERT_EQ(hm.size(), mixed_gated.size());
   expect_suffix(hm, mixed_gated);
 }
@@ -575,7 +625,9 @@ TEST(Coordinator, PlanningHistoryKeepsOneUnitPerSeries) {
     alert_ring alerts;
     coordinator coord;
     planner_run(const geo::zone_grid& g, const coordinator_config& c)
-        : coord(g, {"NetB", "NetC"}, c, 5, alerts) {}
+        : coord(g, {"NetB", "NetC"}, c, 5, alerts) {
+      coord.start_planning();
+    }
   };
   const auto fed = [&](trace::metric only, bool all_kinds) {
     auto run = std::make_unique<planner_run>(grid, cfg);
@@ -597,7 +649,8 @@ TEST(Coordinator, PlanningHistoryKeepsOneUnitPerSeries) {
         want.push_back({r.time_s, trace::value_of(r, m)});
       }
     }
-    const auto series = mixed->coord.history_for_test(zone, "NetB", m);
+    const auto series = mixed->coord.planner()->history_for_test(
+        zone, mixed->coord.network_id_of("NetB"), m);
     ASSERT_EQ(series.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(series[i].time_s, want[i].time_s) << i;
@@ -606,6 +659,34 @@ TEST(Coordinator, PlanningHistoryKeepsOneUnitPerSeries) {
     EXPECT_EQ(mixed->coord.refine_sample_target(zone, "NetB", m),
               alone->coord.refine_sample_target(zone, "NetB", m));
   }
+}
+
+TEST(ZonePlanner, LongestSeriesTiesGoToTheLowestNetworkThenKind) {
+  // recompute_epochs() scans a zone's longest series; between series of
+  // equal length the lowest network id wins, then the lowest probe kind.
+  zone_planner plan(epoch_config{}, planner_config{}, 100);
+  const geo::zone_id z{3, 4};
+  // Each series' samples carry its (network, kind) in their value.
+  const auto feed = [&](std::uint16_t nid, trace::probe_kind kind,
+                        std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      plan.offer(plan.state_of(z), nid, kind, static_cast<double>(i),
+                 10.0 * nid + static_cast<double>(kind), 1);
+    }
+  };
+  const auto longest_value = [&] {
+    const auto h = plan.history_for_test(z);
+    return h.empty() ? -1.0 : h.front().value;
+  };
+  feed(1, trace::probe_kind::tcp_download, 40);
+  EXPECT_EQ(longest_value(), 10.0);
+  feed(0, trace::probe_kind::udp_uplink, 40);  // lower network id
+  EXPECT_EQ(longest_value(), 3.0);
+  feed(0, trace::probe_kind::udp_burst, 40);  // same network, lower kind
+  EXPECT_EQ(longest_value(), 1.0);
+  feed(1, trace::probe_kind::ping, 41);  // strictly longer wins outright
+  EXPECT_EQ(longest_value(), 12.0);
+  EXPECT_EQ(plan.zones(), 1u);
 }
 
 // ---------------------------------------------------------------- anomaly ----

@@ -32,6 +32,7 @@ TEST(Integration, FullWiscapeLoopPublishesEstimates) {
   cfg.default_samples_per_epoch = 6;
   cfg.epochs.default_epoch_s = 600.0;
   auto coord = testing::sync_coordinator(grid, dep.names(), cfg, 31);
+  coord.start_planning();
 
   // Two clients (one per network) riding one bus line.
   std::vector<geo::polyline> routes{geo::straight_route(
@@ -198,6 +199,8 @@ void expect_paced_plans_match(
   core::alert_ring alerts_b(cfg.alert_ring_capacity);
   core::coordinator a(grid, nets, cfg, 77, alerts_a);
   core::coordinator b(grid, nets, unbounded, 77, alerts_b);
+  a.start_planning();
+  b.start_planning();
 
   std::vector<geo::zone_id> zones;
   std::size_t accepted = 0, at_target = 0;

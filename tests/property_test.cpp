@@ -163,6 +163,11 @@ struct planner_case {
   const char* label;
 };
 
+// The label names each case: as the test name (the generator below) and as
+// the value CMake's test discovery appends to it, so neither carries the
+// struct's raw bytes (a pointer among them, which changes every run).
+void PrintTo(const planner_case& c, std::ostream* os) { *os << c.label; }
+
 class PlannerSweep : public ::testing::TestWithParam<planner_case> {};
 
 TEST_P(PlannerSweep, SubsetMeanConvergesToPopulationMean) {
@@ -189,7 +194,10 @@ TEST_P(PlannerSweep, SubsetMeanConvergesToPopulationMean) {
 INSTANTIATE_TEST_SUITE_P(
     Populations, PlannerSweep,
     ::testing::Values(planner_case{0.05, "calm"}, planner_case{0.15, "city"},
-                      planner_case{0.30, "wild"}));
+                      planner_case{0.30, "wild"}),
+    [](const ::testing::TestParamInfo<planner_case>& info) {
+      return std::string(info.param.label);
+    });
 
 // -------------------------------------------------- dominance gap sweep ----
 

@@ -80,12 +80,9 @@ int main() {
   proto::reply_buffer out;
 
   // Publish estimates: stream reports across several epochs so QUERY at
-  // the stream's tail answers EST, not NONE. One report a second puts
-  // 1,800 into each 30-min epoch, far past the zone's 100-sample target,
-  // so the coordinator's planning history takes only each epoch's first
-  // 100. The counted reports below all land at t=19999, in an open epoch
-  // already past its target: they never append to the history. The
-  // append path is counted on hserver below.
+  // the stream's tail answers EST, not NONE. `coord` plans nothing (no
+  // planner, as the servers run); the planning history's append path is
+  // counted on hserver below.
   for (int i = 0; i < 20000; ++i) {
     proto::measurement_report rep;
     rep.client_id = 7;
@@ -96,21 +93,28 @@ int main() {
     CHECK(out.view() == "ACK");
   }
 
-  // The planning history's append path: a coordinator whose sample target
-  // never binds appends every report, and a 64-sample history_cap puts the
-  // series through a trim (and, once its dead prefix outgrows the live
-  // window, an in-place compaction) every few dozen reports. Warmed past
-  // several such cycles in one open epoch, the counted reports append,
-  // trim and compact at the series' steady-state capacity.
+  // The planning history's append path: a planning coordinator whose
+  // sample target never binds appends every report to one series. Past
+  // zone_planner::history_cap (4,096) the series trims to half every
+  // 2,048 appends, and every other trim also compacts it in place (its
+  // dead prefix outgrew the live window), from its 4,097th append on:
+  // trims at appends 4,097 + 2,048 k, compacting at odd k. kHistWarm
+  // reports, all in the epoch t=19999 is in, put the counted requests
+  // below past several such cycles, at the series' steady-state capacity:
+  // with the one sanity REPORT and each case's 3 warm-up requests, the
+  // counted REPORT window (appends 10,105-10,304) trims and compacts at the
+  // 10,241st, and the counted v3 REPORTB window (16 appends a frame,
+  // 10,353-13,352) trims at the 12,289th.
+  constexpr int kHistWarm = 10100;
   core::coordinator_config hist_cfg;
   hist_cfg.default_samples_per_epoch = SIZE_MAX;
-  hist_cfg.history_cap = 64;
   auto hcoord = testing::sync_coordinator(grid, dep.names(), hist_cfg, 14);
+  hcoord.start_planning();
   proto::coordinator_server hserver(hcoord);
-  for (int i = 19000; i < 20000; ++i) {  // all in the epoch t=19999 is in
+  for (int i = 0; i < kHistWarm; ++i) {
     proto::measurement_report hrep;
     hrep.client_id = 15;
-    hrep.record = testing::make_record(static_cast<double>(i), "NetB", here,
+    hrep.record = testing::make_record(19800.0 + 0.0195 * i, "NetB", here,
                                        trace::probe_kind::udp_burst, 1.0e6);
     out.clear();
     hserver.handle(proto::request_view::detect(proto::encode(hrep)), out);
@@ -301,7 +305,13 @@ int main() {
   out.clear();
   hserver.handle(proto::request_view::detect(report_line), out);
   CHECK(out.view() == "ACK");
-  CHECK(hcoord.history_for_test(grid.zone_of(here)).size() != hist_before);
+  const std::size_t hist_now =
+      hcoord.history_for_test(grid.zone_of(here)).size();
+  CHECK(hist_now != hist_before);
+  // The next trim falls inside the counted REPORT window: after that
+  // case's 3 warm-up requests, within its 200 counted ones.
+  const std::size_t to_trim = core::zone_planner::history_cap + 1 - hist_now;
+  CHECK(to_trim > 3 && to_trim <= 203);
 
   struct test_case {
     const char* name;

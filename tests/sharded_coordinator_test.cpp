@@ -244,6 +244,7 @@ TEST(ShardedCoordinator, EpochAndTargetManagementWorkPerShard) {
   cfg.coordinator = small_epoch_config();
   cfg.num_shards = 4;
   sharded_coordinator sc(grid, nets, cfg, 3);
+  sc.start_planning();
 
   const auto stream = synthetic_stream(5, 2000);
   for (const auto& rec : stream) {
@@ -275,7 +276,9 @@ TEST(ShardedCoordinator, EpochAndTargetManagementWorkPerShard) {
 // jumps inside chunks, wire-cached ids that are right, missing and wrong,
 // an unknown operator, and zones and streams first seen mid-chunk so both
 // directories grow while a chunk is in flight. A run of distinct operator
-// names in one zone saturates that shard's interner part way through.
+// names in one zone saturates that shard's interner part way through, and a
+// long tail of one planning stream fills its history past
+// zone_planner::history_cap, so it trims inside a chunk.
 std::vector<trace::measurement_record> apply_equivalence_stream() {
   stats::rng_stream rng(2026);
   const geo::projection proj = test_proj();
@@ -284,9 +287,9 @@ std::vector<trace::measurement_record> apply_equivalence_stream() {
   int flood = 0;
   for (std::size_t i = 0; i < 3000; ++i) {
     const double t = 100.0 + static_cast<double>(i) * 0.5;
-    // Half the records keep to a hot 3x3 neighbourhood (long histories,
-    // trimmed inside chunks); the rest keep finding new zones as their
-    // neighbourhood widens over the stream.
+    // Half the records keep to a hot 3x3 neighbourhood (long histories);
+    // the rest keep finding new zones as their neighbourhood widens over
+    // the stream.
     const int reach = rng.chance(0.5) ? 1 : 1 + static_cast<int>(i / 150);
     const geo::xy xy{443.0 * rng.uniform_int(-reach, reach),
                      443.0 * rng.uniform_int(-reach, reach)};
@@ -333,6 +336,15 @@ std::vector<trace::measurement_record> apply_equivalence_stream() {
       }
     }
   }
+  // The tail: 12 udp_burst reports per 30 s epoch in one hot zone for 420
+  // epochs. The planning history keeps each epoch's first 10 (the target),
+  // 4,200 in all, so the series trims once.
+  const auto hot = proj.to_lat_lon({0.0, 0.0});
+  for (std::size_t i = 0; i < 420 * 12; ++i) {
+    out.push_back(testing::make_record(
+        2100.0 + 2.5 * static_cast<double>(i), "NetB", hot,
+        trace::probe_kind::udp_burst, 1.5e6 * (1.0 + 0.05 * rng.normal())));
+  }
   return out;
 }
 
@@ -340,11 +352,10 @@ std::uint64_t counter_value(const char* name) {
   return obs::registry::global().get_counter(name).value();
 }
 
-// Everything a coordinator publishes or keeps: tables (keys, frozen
-// histories, open epochs), alerts, the serving mirror, and the per-zone
-// epoch state the history drives (after recompute_epochs).
-void expect_same_state(sharded_coordinator& want, sharded_coordinator& got,
-                       const std::vector<geo::zone_id>& zones) {
+// Everything a coordinator publishes: tables (keys, frozen histories, open
+// epochs), alerts and the serving mirror.
+void expect_same_estimates(sharded_coordinator& want,
+                           sharded_coordinator& got) {
   const auto sorted_keys = [](sharded_coordinator& c) {
     auto keys = c.keys();
     std::sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
@@ -395,6 +406,15 @@ void expect_same_state(sharded_coordinator& want, sharded_coordinator& got,
     EXPECT_EQ(aa[i].new_mean, ab[i].new_mean);
     EXPECT_EQ(aa[i].previous_mean, ab[i].previous_mean);
   }
+}
+
+// Everything a coordinator publishes or keeps: its estimates, and the
+// per-zone epoch state the planning history drives (after
+// recompute_epochs).
+void expect_same_state(sharded_coordinator& want, sharded_coordinator& got,
+                       const std::vector<geo::zone_id>& zones) {
+  expect_same_estimates(want, got);
+  if (::testing::Test::HasFatalFailure()) return;
   // The epoch-estimation histories surface through what they drive: the
   // NKLD sample targets and the Allan epoch durations.
   want.recompute_epochs();
@@ -432,21 +452,21 @@ TEST(ShardedCoordinator, BatchedApplyMatchesPerRecordReport) {
   }
   coordinator_config ccfg = small_epoch_config();
   ccfg.epochs.default_epoch_s = 30.0;  // rollovers inside every chunk
-  ccfg.history_cap = 64;               // history trims inside chunks too
   {
     // The planning history keeps only the samples under a zone's target
-    // per epoch; the stream is sparse enough that series still reach the
-    // cap and trim.
+    // per epoch; the stream's tail still fills a series to the cap, and it
+    // trims.
     sharded_config one;
     one.coordinator = ccfg;
     one.num_shards = 1;
     one.synchronous = true;
     sharded_coordinator sc(grid, nets, one, 42);
+    sc.start_planning();
     std::size_t at_cap = 0;
     for (const auto& r : stream) {
       ASSERT_TRUE(sc.report(r));
       if (sc.history_for_test(grid.zone_of(r.pos)).size() ==
-          ccfg.history_cap) {
+          zone_planner::history_cap) {
         ++at_cap;
       }
     }
@@ -466,6 +486,7 @@ TEST(ShardedCoordinator, BatchedApplyMatchesPerRecordReport) {
         // The reference: one report() per record, applied inline. Built
         // fresh each time: the comparison draws its planner rng.
         sharded_coordinator ref(grid, nets, ref_cfg, 42);
+        ref.start_planning();
         const std::uint64_t acc0 =
             counter_value(obs::names::kCoordReportsAccepted);
         const std::uint64_t rej0 =
@@ -483,6 +504,7 @@ TEST(ShardedCoordinator, BatchedApplyMatchesPerRecordReport) {
         cfg.queue_capacity = 512;
         cfg.drain_batch = 100;  // drains split into 64 + 36 record chunks
         sharded_coordinator sc(grid, nets, cfg, 42);
+        sc.start_planning();
         const std::uint64_t a0 =
             counter_value(obs::names::kCoordReportsAccepted);
         const std::uint64_t r0 =
@@ -515,6 +537,50 @@ TEST(ShardedCoordinator, BatchedApplyMatchesPerRecordReport) {
         expect_same_state(ref, sc, zones);
       }
     }
+  }
+}
+
+TEST(ShardedCoordinator, StartingAPlannerChangesNoEstimateUntilAPlanIsTaken) {
+  // The planner only records: until recompute_epochs() or
+  // refine_sample_target() moves a plan, a planning coordinator publishes
+  // bit for bit what one without a planner does. Without one, both calls
+  // are no-ops and every zone reports the configured defaults.
+  const auto stream = apply_equivalence_stream();
+  const geo::zone_grid grid(test_proj(), 250.0);
+  const std::vector<std::string> nets{"NetB", "NetC"};
+  coordinator_config ccfg = small_epoch_config();
+  ccfg.epochs.default_epoch_s = 30.0;
+  for (const bool synchronous : {true, false}) {
+    SCOPED_TRACE(synchronous ? "1 sync shard" : "4 async shards");
+    sharded_config cfg;
+    cfg.coordinator = ccfg;
+    cfg.num_shards = synchronous ? 1 : 4;
+    cfg.synchronous = synchronous;
+    sharded_coordinator planned(grid, nets, cfg, 42);
+    sharded_coordinator unplanned(grid, nets, cfg, 42);
+    planned.start_planning();
+    for (const auto& r : stream) {
+      ASSERT_TRUE(planned.report(r));
+      ASSERT_TRUE(unplanned.report(r));
+    }
+    planned.flush();
+    unplanned.flush();
+    expect_same_estimates(planned, unplanned);
+
+    unplanned.recompute_epochs();
+    for (const auto& r : stream) {
+      const geo::zone_id z = grid.zone_of(r.pos);
+      const auto st = unplanned.status_of(z);
+      ASSERT_EQ(st.epoch_duration_s, ccfg.epochs.default_epoch_s);
+      ASSERT_EQ(st.samples_target, ccfg.default_samples_per_epoch);
+      ASSERT_EQ(unplanned.refine_sample_target(z, "NetB",
+                                               trace::metric::rtt_s),
+                ccfg.default_samples_per_epoch);
+      ASSERT_TRUE(unplanned.history_for_test(z).empty());
+    }
+    // The planned twin did keep a history to plan from.
+    EXPECT_FALSE(
+        planned.history_for_test(grid.zone_of(stream.back().pos)).empty());
   }
 }
 
