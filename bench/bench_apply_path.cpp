@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
     sink += static_cast<double>(t.num_streams() + t.alerts().size());
   };
   const auto dense_pass = [&] {
-    core::zone_table t(2.0, networks);
+    core::zone_table t(networks);
     // One sample after another, pricing the store alone: the production
     // apply (coordinator::report_batch) also overlaps the misses of a
     // 64-record chunk, which bench_ingest_scaling's REPORTB leg prices.
@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
   // the happy path -- and must not allocate at all.
   std::uint64_t dense_allocs = 0, dense_bytes = 0, seed_allocs = 0;
   {
-    core::zone_table t(2.0, networks);
+    core::zone_table t(networks);
     seed_store::zone_table st(2.0);
     const double last_t = stream.back().time_s;
     const double pinned =
@@ -341,7 +341,7 @@ int main(int argc, char** argv) {
     return now_s() - t0;
   };
   const auto gap_dense_s = [&](double k) {
-    core::zone_table t(2.0, networks);
+    core::zone_table t(networks);
     t.add_sample({0, 0}, 0, trace::metric::tcp_throughput_bps, 30.0, 1.0,
                  kEpochS);
     const double t0 = now_s();

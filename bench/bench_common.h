@@ -6,6 +6,8 @@
 // once per build directory and reused by later benches.
 #pragma once
 
+#include <time.h>
+
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,6 +51,17 @@ trace::dataset segment_dataset();
 /// returns the reply as a new string -- the allocating call shape the
 /// in-process baselines time.
 std::string reply_of(proto::coordinator_server& server, std::string_view bytes);
+
+/// CPU seconds consumed so far on `clock`: CLOCK_PROCESS_CPUTIME_ID for
+/// every thread of the process, CLOCK_THREAD_CPUTIME_ID for the caller.
+/// Unlike a wall-clock rate, a difference of two readings does not count
+/// time the host gave to other processes.
+inline double cpu_s(clockid_t clock) {
+  timespec ts;
+  clock_gettime(clock, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
 
 // ---------------------------------------------------------------- output ----
 

@@ -15,8 +15,9 @@
 //
 // A third measurement prices the observability layer (ISSUE 2): every raw
 // drain is run twice, with obs:: instrumentation enabled and disabled, and
-// the regression is reported (acceptance: <= 5%). A fourth prices the
-// REPORTB ingest path on a table far past the caches, in CPU per record:
+// the regression in process CPU per report is reported (acceptance: <= 5%).
+// A fourth prices the REPORTB ingest path on a table far past the caches, in
+// CPU per record:
 // server total, the handling thread alone, and the apply alone -- without a
 // planner, as the servers run, and with one started.
 // Machine-readable results go to bench_ingest_scaling.jsonl in the working
@@ -88,17 +89,24 @@ core::sharded_config pipeline_config(std::size_t threads) {
   cfg.num_shards = threads;
   cfg.synchronous = false;
   cfg.queue_capacity = 4096;
-  cfg.drain_batch = 64;
   return cfg;
 }
 
+/// One raw drain: wall-clock reports/s and process CPU ns per report, both
+/// from first push to flush.
+struct raw_run {
+  double rps = 0.0;
+  double cpu_ns = 0.0;
+};
+
 /// Raw drain: `threads` producers enqueue slices of the stream into a
-/// `threads`-shard pipeline; returns reports/sec from first push to flush.
-double run_raw(const geo::zone_grid& grid,
-               const std::vector<trace::measurement_record>& stream,
-               std::size_t threads) {
+/// `threads`-shard pipeline.
+raw_run run_raw(const geo::zone_grid& grid,
+                const std::vector<trace::measurement_record>& stream,
+                std::size_t threads) {
   core::sharded_coordinator sc(grid, {"NetB", "NetC"},
                                pipeline_config(threads), bench::bench_seed);
+  const double c0 = bench::cpu_s(CLOCK_PROCESS_CPUTIME_ID);
   const double t0 = now_s();
   std::vector<std::thread> producers;
   producers.reserve(threads);
@@ -112,7 +120,9 @@ double run_raw(const geo::zone_grid& grid,
   for (auto& th : producers) th.join();
   sc.flush();
   const double dt = now_s() - t0;
-  return static_cast<double>(stream.size()) / dt;
+  const double cpu = bench::cpu_s(CLOCK_PROCESS_CPUTIME_ID) - c0;
+  const auto n = static_cast<double>(stream.size());
+  return {n / dt, 1e9 * cpu / n};
 }
 
 /// Fleet replay: each producer is one client transport delivering encoded
@@ -205,15 +215,19 @@ double run_replay_batched(const geo::zone_grid& grid,
 /// The obs overhead acceptance bar, percent.
 constexpr double kOverheadBarPct = 5.0;
 
-/// Paired best-of-`reps` raw-drain throughput with obs instrumentation on
-/// and off. The two variants are interleaved within each rep (after one
-/// untimed warm-up) so scheduler drift on a shared host hits both columns
-/// equally, and best-of damps one-off noise -- we are measuring the code,
-/// not the machine's worst moment.
+/// Paired raw drains with obs instrumentation on and off. The two variants
+/// are interleaved within each rep (after one untimed warm-up) so scheduler
+/// drift on a shared host hits both columns equally. The overhead is priced
+/// in process CPU per report, not wall-clock rate: CPU time does not count
+/// the time slices other processes take, which dominate a wall-clock ratio
+/// on a shared host.
 struct raw_pair {
   double on = 0.0;        ///< best instrumented reports/s
   double off = 0.0;       ///< best uninstrumented reports/s
-  double overhead = 0.0;  ///< median of per-rep paired overhead, percent
+  double on_cpu_ns = 0.0;   ///< median instrumented CPU ns per report
+  double off_cpu_ns = 0.0;  ///< median uninstrumented CPU ns per report
+  /// Median of the per-rep paired CPU-per-report overheads, percent.
+  double overhead = 0.0;
   double overhead_min = 0.0;  ///< spread of the per-rep paired overheads
   double overhead_max = 0.0;
   /// False when the spread straddles the bar: the reps disagree on which
@@ -227,34 +241,36 @@ raw_pair best_raw_pair(const geo::zone_grid& grid,
                        const std::vector<trace::measurement_record>& stream,
                        std::size_t threads, int reps) {
   raw_pair best;
-  std::vector<double> overheads;
+  std::vector<double> overheads, on_cpu, off_cpu;
   (void)run_raw(grid, stream, threads);  // warm-up (page faults, allocator)
   for (int r = 0; r < reps; ++r) {
-    const double on = run_raw(grid, stream, threads);
+    const raw_run on = run_raw(grid, stream, threads);
     obs::set_enabled(false);
-    const double off = run_raw(grid, stream, threads);
+    const raw_run off = run_raw(grid, stream, threads);
     obs::set_enabled(true);
-    best.on = std::max(best.on, on);
-    best.off = std::max(best.off, off);
+    best.on = std::max(best.on, on.rps);
+    best.off = std::max(best.off, off.rps);
+    on_cpu.push_back(on.cpu_ns);
+    off_cpu.push_back(off.cpu_ns);
     // Each rep's on/off runs are back-to-back, so their ratio cancels the
     // slow scheduler/thermal drift a shared host superimposes on the raw
     // numbers; the median across reps discards one-off outliers.
-    if (off > 0) overheads.push_back(100.0 * (off - on) / off);
+    if (off.cpu_ns > 0) {
+      overheads.push_back(100.0 * (on.cpu_ns - off.cpu_ns) / off.cpu_ns);
+    }
   }
-  std::sort(overheads.begin(), overheads.end());
+  const auto median = [](std::vector<double>& v) {
+    std::sort(v.begin(), v.end());
+    return v.empty() ? 0.0 : v[v.size() / 2];
+  };
+  best.on_cpu_ns = median(on_cpu);
+  best.off_cpu_ns = median(off_cpu);
+  best.overhead = median(overheads);
   if (!overheads.empty()) {
-    best.overhead = overheads[overheads.size() / 2];
     best.overhead_min = overheads.front();
     best.overhead_max = overheads.back();
   }
   return best;
-}
-
-double cpu_s(clockid_t clock) {
-  timespec ts;
-  clock_gettime(clock, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 /// CPU per record of the ingest path the servers run, best of `reps`.
@@ -372,15 +388,15 @@ handoff_cost reportb_handoff(const geo::projection& proj, std::size_t frames,
       warm_up(sc);
       sc.flush();
       proto::reply_buffer out;
-      const double c0 = cpu_s(CLOCK_PROCESS_CPUTIME_ID);
-      const double p0 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
+      const double c0 = bench::cpu_s(CLOCK_PROCESS_CPUTIME_ID);
+      const double p0 = bench::cpu_s(CLOCK_THREAD_CPUTIME_ID);
       for (const auto& f : wire) {
         out.clear();
         server.handle(proto::request_view::binary(f), out);
       }
-      const double p1 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
+      const double p1 = bench::cpu_s(CLOCK_THREAD_CPUTIME_ID);
       sc.flush();
-      const double c1 = cpu_s(CLOCK_PROCESS_CPUTIME_ID);
+      const double c1 = bench::cpu_s(CLOCK_PROCESS_CPUTIME_ID);
       best.server_ns = std::min(best.server_ns, 1e9 * (c1 - c0) / n);
       best.producer_ns = std::min(best.producer_ns, 1e9 * (p1 - p0) / n);
     }
@@ -390,9 +406,9 @@ handoff_cost reportb_handoff(const geo::projection& proj, std::size_t frames,
                            alerts);
       if (planned) co.start_planning();
       warm_up(co);
-      const double a0 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
+      const double a0 = bench::cpu_s(CLOCK_THREAD_CPUTIME_ID);
       for (const auto& b : batches) co.report_batch(b);
-      const double a1 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
+      const double a1 = bench::cpu_s(CLOCK_THREAD_CPUTIME_ID);
       double& ns = planned ? best.planned_apply_ns : best.apply_ns;
       ns = std::min(ns, 1e9 * (a1 - a0) / n);
     }
@@ -454,10 +470,12 @@ int main(int argc, char** argv) {
   std::printf(
       "  raw drain (CPU-bound; scales with cores), interleaved best of %d "
       "runs;\n"
-      "  overhead: median [min, max] of the per-run paired overheads, "
-      "\"unresolved\" when\n"
-      "  that spread straddles the %.0f%% bar:\n"
-      "                   obs enabled   obs disabled   overhead\n",
+      "  overhead: median [min, max] of the per-run paired overheads in "
+      "process CPU\n"
+      "  per report, \"unresolved\" when that spread straddles the %.0f%% "
+      "bar:\n"
+      "                   obs enabled   obs disabled   CPU ns/report on/off"
+      "   overhead\n",
       kReps, kOverheadBarPct);
   double raw1 = 0.0, raw4 = 0.0, raw4_off = 0.0;
   raw_pair pair4;
@@ -471,16 +489,19 @@ int main(int argc, char** argv) {
       pair4 = pair;
     }
     std::printf(
-        "    %zu thread(s): %11.0f %14.0f reports/s  %+5.1f%% [%+5.1f, "
-        "%+5.1f]%s  (%.2fx vs 1 thread)\n",
-        threads, rps, rps_off, pair.overhead, pair.overhead_min,
-        pair.overhead_max, pair.resolved() ? "" : " unresolved",
-        raw1 > 0 ? rps / raw1 : 1.0);
+        "    %zu thread(s): %11.0f %14.0f reports/s  %7.0f %7.0f  %+5.1f%% "
+        "[%+5.1f, %+5.1f]%s  (%.2fx vs 1 thread)\n",
+        threads, rps, rps_off, pair.on_cpu_ns, pair.off_cpu_ns, pair.overhead,
+        pair.overhead_min, pair.overhead_max,
+        pair.resolved() ? "" : " unresolved", raw1 > 0 ? rps / raw1 : 1.0);
     jsonl_result(jsonl, "raw", threads, true, stream.size(), rps);
     jsonl_result(jsonl, "raw", threads, false, stream.size(), rps_off);
     jsonl << "{\"bench\":\"ingest_scaling\",\"mode\":\"obs_pair\","
              "\"threads\":"
-          << threads << ",\"overhead_pct\":" << bench::fmt(pair.overhead, 2)
+          << threads
+          << ",\"on_cpu_ns_per_rec\":" << bench::fmt(pair.on_cpu_ns, 1)
+          << ",\"off_cpu_ns_per_rec\":" << bench::fmt(pair.off_cpu_ns, 1)
+          << ",\"overhead_pct\":" << bench::fmt(pair.overhead, 2)
           << ",\"overhead_min_pct\":" << bench::fmt(pair.overhead_min, 2)
           << ",\"overhead_max_pct\":" << bench::fmt(pair.overhead_max, 2)
           << ",\"resolved\":" << (pair.resolved() ? "true" : "false")
@@ -557,7 +578,7 @@ int main(int argc, char** argv) {
   bench::report("raw drain speedup, 4 threads vs 1 (1 core => ~1x)", "-",
                 bench::fmt(raw1 > 0 ? raw4 / raw1 : 0.0) + "x");
   // The median with its spread: a bar the reps straddle is not decided.
-  bench::report("obs instrumentation overhead, raw drain 4 threads",
+  bench::report("obs overhead, CPU per report, raw drain 4 threads",
                 "<= 5%",
                 bench::fmt(overhead_pct, 1) + "% [" +
                     bench::fmt(pair4.overhead_min, 1) + ", " +
@@ -570,6 +591,8 @@ int main(int argc, char** argv) {
            "\"threads\":4,\"obs_on_reports_per_s\":"
         << static_cast<long long>(raw4)
         << ",\"obs_off_reports_per_s\":" << static_cast<long long>(raw4_off)
+        << ",\"on_cpu_ns_per_rec\":" << bench::fmt(pair4.on_cpu_ns, 1)
+        << ",\"off_cpu_ns_per_rec\":" << bench::fmt(pair4.off_cpu_ns, 1)
         << ",\"overhead_pct\":" << bench::fmt(overhead_pct, 2)
         << ",\"overhead_min_pct\":" << bench::fmt(pair4.overhead_min, 2)
         << ",\"overhead_max_pct\":" << bench::fmt(pair4.overhead_max, 2)

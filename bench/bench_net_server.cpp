@@ -116,7 +116,6 @@ core::sharded_config pipeline_config() {
   cfg.num_shards = 4;
   cfg.synchronous = false;
   cfg.queue_capacity = 4096;
-  cfg.drain_batch = 64;
   return cfg;
 }
 
@@ -201,10 +200,10 @@ int main(int argc, char** argv) {
   ncfg.event_loops = loops;
   ncfg.limits.require_hello = false;  // sized legs skip the handshake
   ncfg.max_sessions = sessions + 64;
-  // The kernel silently caps listen backlogs at somaxconn; an overflowed
-  // accept queue drops final ACKs and strands connections in SYN-ACK
-  // retransmit backoff, so the connect loop below also paces itself.
-  ncfg.listen_backlog = static_cast<int>(std::min<std::size_t>(sessions, 4096));
+  // The kernel silently caps the listen backlog (tcp_server::listen_backlog)
+  // at somaxconn; an overflowed accept queue drops final ACKs and strands
+  // connections in SYN-ACK retransmit backoff, so the connect loop below
+  // also paces itself.
   net::tcp_server tcp(server, ncfg);
   tcp.start();
 

@@ -100,7 +100,6 @@ core::sharded_config pipeline_config() {
   cfg.num_shards = 4;
   cfg.synchronous = false;
   cfg.queue_capacity = 4096;
-  cfg.drain_batch = 64;
   return cfg;
 }
 

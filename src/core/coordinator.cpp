@@ -40,7 +40,7 @@ coordinator::coordinator(geo::zone_grid grid, std::vector<std::string> networks,
       networks_(std::move(networks)),
       cfg_(cfg),
       alert_sink_(&alerts),
-      table_(cfg.change_sigma_factor, networks_),
+      table_(networks_),
       rng_(seed) {
   // Every rollover publishes into the serving-layer mirror and sequences
   // its alert into the owner's ring.
@@ -84,21 +84,7 @@ std::optional<measurement_task> coordinator::checkin(
 
   // Per-client budget guard: a device that already spent its day's
   // allowance is left alone (Sec 3.4's overhead knob).
-  double task_mb = 0.0;
-  switch (kind) {
-    case trace::probe_kind::tcp_download:
-      task_mb = cfg_.tcp_task_mb;
-      break;
-    case trace::probe_kind::udp_burst:
-      task_mb = cfg_.udp_task_mb;
-      break;
-    case trace::probe_kind::ping:
-      task_mb = cfg_.ping_task_mb;
-      break;
-    case trace::probe_kind::udp_uplink:
-      task_mb = cfg_.udp_task_mb;
-      break;
-  }
+  const double cost_mb = task_mb[static_cast<std::size_t>(kind)];
   budget_state* budget = nullptr;
   if (client_id != 0 && cfg_.client_daily_budget_mb > 0.0) {
     budget = &budgets_[client_id];
@@ -107,7 +93,7 @@ std::optional<measurement_task> coordinator::checkin(
       budget->day = day;
       budget->spent_mb = 0.0;
     }
-    if (budget->spent_mb + task_mb > cfg_.client_daily_budget_mb) {
+    if (budget->spent_mb + cost_mb > cfg_.client_daily_budget_mb) {
       metrics().budget_exhausted.inc();
       return std::nullopt;
     }
@@ -123,7 +109,7 @@ std::optional<measurement_task> coordinator::checkin(
   if (!rng_.chance(p)) return std::nullopt;
 
   ++task_counter_;
-  if (budget != nullptr) budget->spent_mb += task_mb;
+  if (budget != nullptr) budget->spent_mb += cost_mb;
   metrics().tasks_issued.inc();
   return measurement_task{kind, network_index};
 }

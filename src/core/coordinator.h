@@ -21,6 +21,7 @@
 // fetch-add per event; observation only, never behaviour.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -37,22 +38,15 @@
 namespace wiscape::core {
 
 struct coordinator_config {
-  double zone_radius_m = 250.0;  ///< the paper's chosen zone scale
   /// Samples wanted per zone-epoch before planner-refined counts exist
   /// ("around 100 measurement samples", Sec 1).
   std::size_t default_samples_per_epoch = 100;
-  double change_sigma_factor = 2.0;
   epoch_config epochs{};
   planner_config planner{};
   /// Per-client measurement budget, MB per day (0 = unlimited). The
   /// coordinator stops tasking a client whose day's probes already cost
   /// this much -- the Sec 3.4 bandwidth/energy-cost knob made explicit.
   double client_daily_budget_mb = 0.0;
-  /// Estimated cost charged per issued task, by probe kind (MB). Defaults
-  /// price a 1 MB TCP download, a 100x1200 B UDP burst and a ping train.
-  double tcp_task_mb = 1.02;
-  double udp_task_mb = 0.12;
-  double ping_task_mb = 0.002;
   /// Change alerts retained for incremental draining via
   /// estimate_view::alerts_since (older ones are evicted and accounted as
   /// dropped): the capacity of the one ring a sharded_coordinator shares
@@ -123,6 +117,11 @@ class coordinator {
 
   /// MB charged against a client's budget today (diagnostics / tests).
   double client_spend_mb(std::uint64_t client_id, double time_s) const;
+
+  /// Estimated cost charged per issued task (MB), indexed by
+  /// trace::probe_kind: a 1 MB TCP download, a 100x1200 B UDP burst, a ping
+  /// train, and a UDP uplink burst priced as the downlink one.
+  static constexpr std::array<double, 4> task_mb{1.02, 0.12, 0.002, 0.12};
 
   /// Ingests one completed measurement: report_batch() over a batch of one.
   void report(const trace::measurement_record& rec) {

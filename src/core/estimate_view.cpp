@@ -38,8 +38,8 @@ served_estimate estimate_view::serve(const published_estimate& p,
   if (now_s >= 0.0) {
     out.staleness_s = std::max(0.0, now_s - p.epoch_start_s);
   }
-  const double target = cfg_.target_samples > 0.0 ? cfg_.target_samples : 1.0;
-  out.confidence = std::min(1.0, static_cast<double>(p.count) / target);
+  out.confidence =
+      std::min(1.0, static_cast<double>(p.count) / target_samples);
   return out;
 }
 

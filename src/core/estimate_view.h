@@ -38,13 +38,6 @@
 
 namespace wiscape::core {
 
-struct view_config {
-  /// Sample count at which an estimate is considered fully trustworthy
-  /// ("around 100 measurement samples", paper Sec 1). confidence =
-  /// min(1, count / target_samples).
-  double target_samples = 100.0;
-};
-
 /// One served estimate: the frozen triple plus serving context.
 struct served_estimate {
   std::uint64_t count = 0;        ///< samples in the frozen epoch
@@ -71,9 +64,13 @@ class estimate_view {
  public:
   /// Serves a sharded coordinator (borrowed; must outlive the view).
   /// lookup()/alerts_since() are safe from any thread while ingestion runs.
-  explicit estimate_view(const sharded_coordinator& coord,
-                         view_config cfg = {})
-      : coordinator_(&coord), cfg_(cfg) {}
+  explicit estimate_view(const sharded_coordinator& coord)
+      : coordinator_(&coord) {}
+
+  /// Sample count at which an estimate is considered fully trustworthy
+  /// ("around 100 measurement samples", paper Sec 1): confidence =
+  /// min(1, count / target_samples).
+  static constexpr double target_samples = 100.0;
 
   /// Latest published estimate of a stream, or nullopt before its first
   /// epoch rollover. `now_s` (the caller's clock) prices staleness_s;
@@ -115,8 +112,6 @@ class estimate_view {
   /// tools and enumeration, never the query hot path.
   std::vector<estimate_key> keys() const { return coordinator_->keys(); }
 
-  const view_config& config() const noexcept { return cfg_; }
-
  private:
   /// The mirror that serves `zone`: its owning shard's.
   const estimate_mirror& mirror_of(const geo::zone_id& zone) const noexcept {
@@ -127,7 +122,6 @@ class estimate_view {
                         double now_s) const noexcept;
 
   const sharded_coordinator* coordinator_;
-  view_config cfg_;
 };
 
 }  // namespace wiscape::core

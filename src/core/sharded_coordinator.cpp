@@ -244,10 +244,10 @@ void sharded_coordinator::apply_locked(
 
 void sharded_coordinator::drain_loop(shard& sh) {
   std::vector<trace::measurement_record> batch;
-  batch.reserve(cfg_.drain_batch);
+  batch.reserve(drain_batch);
   for (;;) {
     batch.clear();
-    if (sh.queue.pop_batch(batch, cfg_.drain_batch) == 0) return;
+    if (sh.queue.pop_batch(batch, drain_batch) == 0) return;
     // Scenario seam: a slow-consumer stressor stalls the drain worker here
     // (outside the shard lock), backing the queue up against producers.
     // Timing-only -- the batch is always applied; which records exist and
@@ -428,7 +428,7 @@ std::size_t sharded_coordinator::queue_depth() const {
 }
 
 double sharded_coordinator::ingest_saturation() const noexcept {
-  if (cfg_.synchronous || cfg_.queue_capacity == 0) return 0.0;
+  if (cfg_.synchronous) return 0.0;
   std::size_t worst = 0;
   for (const auto& sh : shards_) worst = std::max(worst, sh->queue.size());
   return std::min(1.0, static_cast<double>(worst) /

@@ -63,7 +63,6 @@ struct sharded_config {
   /// per shard.
   bool synchronous = false;
   std::size_t queue_capacity = 4096;  ///< per shard
-  std::size_t drain_batch = 64;       ///< max reports applied per lock hold
 };
 
 /// Read-only per-shard ingestion counters, for benches and tools.
@@ -90,6 +89,9 @@ class sharded_coordinator : public durable_state {
   const geo::zone_grid& grid() const noexcept { return grid_; }
   const sharded_config& config() const noexcept { return cfg_; }
   std::size_t num_shards() const noexcept { return shards_.size(); }
+
+  /// Most reports one drain round applies under a shard's lock.
+  static constexpr std::size_t drain_batch = 64;
 
   /// Which shard owns a zone / position (zone_id hash mod num_shards).
   std::size_t shard_of(const geo::zone_id& zone) const noexcept;

@@ -160,7 +160,7 @@ void zone_table::rollover(std::size_t index) {
 
   if (!c.frozen.empty()) {
     const epoch_estimate& prev = c.frozen.back();
-    const double threshold = sigma_factor_ * prev.stddev;
+    const double threshold = change_sigma_factor * prev.stddev;
     if (threshold > 0.0 && std::abs(e.mean - prev.mean) > threshold) {
       ++alerts_raised_;
       if (alert_sink_ != nullptr) {

@@ -112,13 +112,15 @@ struct change_alert {
 
 class zone_table {
  public:
-  /// `change_sigma_factor`: alert threshold in units of the previous epoch's
-  /// stddev (paper suggests 2). `networks` pre-interns the coordinator's
-  /// operator list so ids 0..n-1 match the vector order on every shard;
-  /// networks first seen in reports are interned on the cold path.
-  explicit zone_table(double change_sigma_factor = 2.0,
-                      const std::vector<std::string>& networks = {})
-      : sigma_factor_(change_sigma_factor), interner_(networks) {}
+  /// Alert threshold in units of the previous epoch's stddev ("more than
+  /// twice the standard deviation", Sec 3.4).
+  static constexpr double change_sigma_factor = 2.0;
+
+  /// `networks` pre-interns the coordinator's operator list so ids 0..n-1
+  /// match the vector order on every shard; networks first seen in reports
+  /// are interned on the cold path.
+  explicit zone_table(const std::vector<std::string>& networks = {})
+      : interner_(networks) {}
 
   /// True when `zone` fits the packed +/-2^23 cell range. Callers feeding
   /// wire-derived coordinates must reject out-of-range zones up front:
@@ -411,7 +413,6 @@ class zone_table {
 
   static constexpr std::size_t npos_index = static_cast<std::size_t>(-1);
 
-  double sigma_factor_;
   network_interner interner_;
   std::vector<hot_state> hot_;         // dense, stream-creation-ordered
   std::vector<cold_state> cold_;       // parallel to hot_

@@ -80,8 +80,7 @@ void throw_errno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
-int make_listener(const std::string& address, std::uint16_t port,
-                  int backlog) {
+int make_listener(const std::string& address, std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                           0);
   if (fd < 0) throw_errno("socket");
@@ -103,7 +102,7 @@ int make_listener(const std::string& address, std::uint16_t port,
                                 address + "'");
   }
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0 ||
-      ::listen(fd, backlog) < 0) {
+      ::listen(fd, tcp_server::listen_backlog) < 0) {
     const int err = errno;
     ::close(fd);
     throw std::system_error(err, std::generic_category(), "bind/listen");
@@ -144,8 +143,7 @@ struct tcp_server::event_loop {
   std::uint32_t pumps_since_refresh = 0;
 
   event_loop(tcp_server* srv, std::uint16_t port) : server(srv) {
-    const auto& cfg = srv->cfg_;
-    listen_fd = make_listener(cfg.bind_address, port, cfg.listen_backlog);
+    listen_fd = make_listener(srv->cfg_.bind_address, port);
     epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     if (epoll_fd < 0) throw_errno("epoll_create1");
     wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
@@ -183,10 +181,10 @@ struct tcp_server::event_loop {
 
   shed_state shed() {
     const auto& cfg = server->cfg_;
-    if (pumps_since_refresh++ % cfg.saturation_refresh_every == 0) {
+    if (pumps_since_refresh++ % saturation_refresh_every == 0) {
       saturation = cfg.ingest_saturation ? cfg.ingest_saturation() : 0.0;
     }
-    return {cfg.policy, saturation, cfg.shed_start, cfg.shed_hard};
+    return {saturation};
   }
 
   void accept_all() {
@@ -387,7 +385,7 @@ struct tcp_server::event_loop {
         m.bytes_in.inc(static_cast<std::size_t>(n));
         drained += static_cast<std::size_t>(n);
         if (static_cast<std::size_t>(n) == offered &&
-            drained < server->cfg_.read_drain_budget_bytes) {
+            drained < read_drain_budget_bytes) {
           continue;
         }
         break;  // short read: the socket is drained (level-trigger re-arms)
@@ -495,7 +493,6 @@ struct tcp_server::event_loop {
 tcp_server::tcp_server(proto::coordinator_server& handler, server_config cfg)
     : handler_(&handler), cfg_(std::move(cfg)) {
   if (cfg_.event_loops == 0) cfg_.event_loops = 1;
-  if (cfg_.saturation_refresh_every == 0) cfg_.saturation_refresh_every = 1;
 }
 
 tcp_server::~tcp_server() { stop(); }

@@ -10,7 +10,7 @@
 // Every loop dispatches into the one coordinator_server, whose handle() is
 // safe from any number of threads.
 //
-// Per-session behaviour (framing, HELLO gating, shed policy, buffer caps)
+// Per-session behaviour (framing, HELLO gating, shed rule, buffer caps)
 // lives in net::session; this layer owns the sockets: accept with
 // per-connection caps, level-triggered read/write readiness, drain-on-
 // disconnect (buffered complete requests are still answered and flushed
@@ -20,7 +20,7 @@
 // Backpressure: the loop samples `ingest_saturation` (typically
 // core::sharded_coordinator::ingest_saturation) every
 // `saturation_refresh_every` pump calls and passes the cached value to the
-// sessions' shed policy, so an overloaded pipeline answers typed
+// sessions' shed rule, so an overloaded pipeline answers typed
 // "ERR overload" instead of stalling the event loop behind a full queue.
 //
 // Fault seams (core::fault): `accept_fail` closes a just-accepted socket,
@@ -50,25 +50,11 @@ struct server_config {
   std::uint16_t port = 0;                  ///< 0 = ephemeral; see port()
   std::size_t event_loops = 2;             ///< epoll threads (>=1)
   std::size_t max_sessions = 65536;        ///< accept cap, across all loops
-  session_limits limits{};                 ///< per-session buffer caps/gates
-  shed_policy policy = shed_policy::queries_first;
-  double shed_start = 0.75;  ///< saturation >= start: shed the first class
-  double shed_hard = 0.95;   ///< saturation >= hard: shed both classes
+  session_limits limits{};                 ///< per-session protocol gates
   /// Ingest saturation source in [0, 1] (bind
   /// core::sharded_coordinator::ingest_saturation here). Empty = never shed.
   std::function<double()> ingest_saturation{};
-  /// Pump calls between saturation refreshes (the value is cached per loop
-  /// so sessions never call into the coordinator on the fast path).
-  std::uint32_t saturation_refresh_every = 64;
-  /// Most bytes one epoll wake drains from a single socket before replies
-  /// are dispatched and flushed. Reads continue past the first readv only
-  /// while each one completely fills the offered buffers (the kernel queue
-  /// looks deep), so a pipelining client is answered with one writev per
-  /// wake instead of one per 16 KiB, and the cap keeps one firehose session
-  /// from starving its loop's neighbours.
-  std::size_t read_drain_budget_bytes = 256 * 1024;
   double idle_timeout_s = 300.0;  ///< <= 0 disables the idle sweep
-  int listen_backlog = 1024;
 };
 
 /// The epoll TCP server. start() binds and spawns the loops; stop() (or the
@@ -103,6 +89,20 @@ class tcp_server {
   }
 
   const server_config& config() const noexcept { return cfg_; }
+
+  /// Pump calls between saturation refreshes (the value is cached per loop
+  /// so sessions never call into the coordinator on the fast path).
+  static constexpr std::uint32_t saturation_refresh_every = 64;
+  /// Most bytes one epoll wake drains from a single socket before replies
+  /// are dispatched and flushed. Reads continue past the first readv only
+  /// while each one completely fills the offered buffers (the kernel queue
+  /// looks deep), so a pipelining client is answered with one writev per
+  /// wake instead of one per 16 KiB, and the cap keeps one firehose session
+  /// from starving its loop's neighbours.
+  static constexpr std::size_t read_drain_budget_bytes = 256 * 1024;
+  /// Pending-accept queue per listener; the kernel clamps it to
+  /// net.core.somaxconn.
+  static constexpr int listen_backlog = 4096;
 
  private:
   struct event_loop;

@@ -63,13 +63,10 @@ request_class classify(proto::command cmd) noexcept {
 }
 
 bool sheds(request_class cls, const shed_state& shed) noexcept {
-  if (cls == request_class::control || shed.saturation < shed.start) {
+  if (cls == request_class::control || shed.saturation < shed_start) {
     return false;
   }
-  return shed.saturation >= shed.hard ||
-         (shed.policy == shed_policy::queries_first
-              ? cls == request_class::query
-              : cls == request_class::report);
+  return cls == request_class::query || shed.saturation >= shed_hard;
 }
 
 bool session::queue_reply(proto::request_view::kind framing,

@@ -16,10 +16,10 @@
 //   * admission -- HELLO gating first: when the server requires
 //     negotiation-first, any command before a successful HELLO answers
 //     "ERR version" and closes the session (docs/WIRE_PROTOCOL.md,
-//     transport rules). Then backpressure: per the shed policy, QUERY-class
-//     or REPORT-class requests are answered "ERR overload" without
-//     dispatching while the ingest pipeline is saturated, so the event loop
-//     never blocks behind a full report queue. Then the handler, and one
+//     transport rules). Then backpressure: while the ingest pipeline is
+//     saturated, QUERY-class (then also REPORT-class) requests are answered
+//     "ERR overload" without dispatching, so the event loop never blocks
+//     behind a full report queue. Then the handler, and one
 //     reply queue that terminates text replies with '\n' and leaves the
 //     self-delimiting binary frames bare. Every refusal answers in the
 //     request's framing;
@@ -41,12 +41,6 @@
 #include "proto/server.h"
 
 namespace wiscape::net {
-
-/// Which class of request the backpressure policy sheds first.
-enum class shed_policy {
-  queries_first,  ///< protect ingest: shed QUERY/QUERYB/ALERTS before reports
-  reports_first,  ///< protect serving: shed REPORT/REPORTB before queries
-};
 
 /// Why a session ended (drives the per-reason disconnect counters).
 enum class close_reason {
@@ -70,26 +64,27 @@ enum class request_class { query, report, control };
 /// requests the handler refuses anyway) is control and never shed.
 request_class classify(proto::command cmd) noexcept;
 
-/// Per-session buffer caps and protocol gates (server_config embeds one).
+/// Per-session protocol gates (server_config embeds one).
 struct session_limits {
-  std::size_t read_buffer_bytes = 1u << 20;   ///< request cap (ring max)
-  std::size_t write_buffer_bytes = 4u << 20;  ///< queued-replies cap
   bool require_hello = true;  ///< enforce HELLO-before-anything on this port
 };
+
+/// Saturation from which query-class requests shed (protects ingest).
+inline constexpr double shed_start = 0.75;
+/// Saturation from which report-class requests shed too.
+inline constexpr double shed_hard = 0.95;
 
 /// One pump() call's view of the backpressure state. The event loop caches
 /// the saturation value (refreshing it every few dispatches) so sessions
 /// never call into the coordinator on the fast path.
 struct shed_state {
-  shed_policy policy = shed_policy::queries_first;
   double saturation = 0.0;  ///< core::sharded_coordinator::ingest_saturation
-  double start = 0.75;      ///< >= start: shed the policy's first class
-  double hard = 0.95;       ///< >= hard: shed both classes (control serves)
 };
 
-/// True when the backpressure policy refuses a request of class `cls` right
-/// now: from `start` on the policy's first class sheds, from `hard` on both
-/// do; control never sheds. The one shed rule every framing path applies.
+/// True when backpressure refuses a request of class `cls` right now: from
+/// shed_start on query-class requests shed, from shed_hard on report-class
+/// ones too; control never sheds. The one shed rule every framing path
+/// applies.
 bool sheds(request_class cls, const shed_state& shed) noexcept;
 
 /// What one pump() call did, for the caller's metric accounting.
@@ -104,9 +99,16 @@ struct pump_stats {
 
 class session {
  public:
+  /// Request cap: a request that outgrows the read ring disconnects
+  /// (close_reason::oversize). Holds the largest REPORTB frame.
+  static constexpr std::size_t read_buffer_bytes = 1u << 20;
+  /// Queued-replies cap: replies that outgrow the write ring disconnect
+  /// (close_reason::slow_reader). Holds a full STATS dump or ESTB frame.
+  static constexpr std::size_t write_buffer_bytes = 4u << 20;
+
   session(const session_limits& limits, proto::coordinator_server& handler)
-      : in_(limits.read_buffer_bytes),
-        out_(limits.write_buffer_bytes),
+      : in_(read_buffer_bytes),
+        out_(write_buffer_bytes),
         handler_(&handler),
         require_hello_(limits.require_hello) {}
 

@@ -182,10 +182,10 @@ inline constexpr char kNetHelloViolations[] = "net.server.hello_violations";
 /// Connections refused at accept because max_sessions was reached.
 /// [connections]
 inline constexpr char kNetCapacityRejects[] = "net.server.capacity_rejects";
-/// QUERY/QUERYB/ALERTS requests answered "ERR overload" by the shed policy
+/// QUERY/QUERYB/ALERTS requests answered "ERR overload" by the shed rule
 /// instead of being dispatched. [requests]
 inline constexpr char kNetShedQueries[] = "net.server.shed_queries";
-/// REPORT/REPORTB requests answered "ERR overload" by the shed policy
+/// REPORT/REPORTB requests answered "ERR overload" by the shed rule
 /// instead of being dispatched. [requests]
 inline constexpr char kNetShedReports[] = "net.server.shed_reports";
 /// Bytes read off client sockets. [bytes]

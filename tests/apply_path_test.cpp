@@ -144,7 +144,7 @@ void expect_same_estimate(const epoch_estimate& a, const epoch_estimate& b,
 void expect_equivalent(const std::vector<apply>& corpus,
                        const std::vector<std::string>& networks = {}) {
   legacy::zone_table want(2.0);
-  zone_table got(2.0, networks);
+  zone_table got(networks);
   alert_ring ring(corpus.size() + 1);  // room for every rollover's alert
   got.set_alert_sink(&ring);
   for (const auto& a : corpus) {
@@ -259,7 +259,7 @@ TEST(ApplyPathEquivalence, DurationChangeBoundaryIsIteratedNotSnapped) {
   };
   expect_equivalent(corpus);
 
-  zone_table t(2.0);
+  zone_table t;
   for (const auto& a : corpus) t.add_sample(a.key, a.time_s, a.value, a.duration_s);
   const auto hist = t.history(key);
   ASSERT_EQ(hist.size(), 3u);
@@ -294,7 +294,7 @@ TEST(ApplyPathGap, TrillionEpochGapAppliesInConstantTime) {
   // the fused jump must land on the exact same boundary the iterated walk
   // would reach (all quantities are exactly representable: integral d, and
   // the boundary stays a multiple of d below 2^53).
-  zone_table t(2.0, {"NetB"});
+  zone_table t({"NetB"});
   const auto key = key_of(0, 0, "NetB");
   const double d = 60.0;
   t.add_sample(key, 30.0, 1.0, d);  // opens epoch [0, 60)
@@ -319,7 +319,7 @@ TEST(ApplyPathGap, GapFastForwardCounterIncrements) {
   auto& gap = obs::registry::global().get_counter(
       obs::names::kZoneTableGapFastForwards);
   const std::uint64_t before = gap.value();
-  zone_table t(2.0);
+  zone_table t;
   const auto key = key_of(0, 0, "NetB");
   t.add_sample(key, 0.0, 1.0, 60.0);
   t.add_sample(key, 60.0 * 5000.0, 2.0, 60.0);
@@ -384,7 +384,7 @@ TEST(NetworkInterner, TryInternAssignsIdsBelowCapacity) {
 // zone_table surface
 
 TEST(ZoneTableStore, HistoryViewAliasesStorageAndMatchesCopy) {
-  zone_table t(2.0, {"NetB"});
+  zone_table t({"NetB"});
   const auto key = key_of(0, 0, "NetB");
   for (int i = 0; i < 10; ++i) {
     t.add_sample(key, 60.0 * static_cast<double>(i), 1.0 + i, 60.0);
@@ -421,7 +421,7 @@ TEST(ZoneTableStore, OutOfRangeNetworkIdThrowsInsteadOfAliasing) {
   // Regression: pack_group used to mask network_id & 0xFFF, so feeding
   // network_interner::npos (0xFFFF) to the id-keyed write path silently
   // landed the sample on valid id 4095's streams. It must throw instead.
-  zone_table t(2.0, {"NetB"});
+  zone_table t({"NetB"});
   const geo::zone_id z{0, 0};
   const auto m = trace::metric::tcp_throughput_bps;
   t.add_sample(z, 0, m, 0.0, 1.0, 60.0);
@@ -462,7 +462,7 @@ TEST(ZoneTableStore, RestoreThenAppendMatchesLegacy) {
 TEST(ZoneTableStore, ManyStreamsSurviveTableGrowth) {
   // Push well past the initial 64-slot index so every stream survives
   // several rehashes with its history intact.
-  zone_table t(2.0);
+  zone_table t;
   legacy::zone_table want(2.0);
   for (int ix = 0; ix < 20; ++ix) {
     for (int iy = 0; iy < 20; ++iy) {
@@ -493,7 +493,7 @@ TEST(ZoneTableStore, ManyStreamsSurviveTableGrowth) {
 // yet" (so such a stream re-aligns on every sample and freezes nothing
 // until t >= 0), so these cases are pinned directly.
 TEST(ZoneTableStore, EpochsBeforeTimeZeroFreezeLikeLaterOnes) {
-  zone_table t(2.0);
+  zone_table t;
   const auto key = key_of(0, 0, "NetB");
   for (const double time : {-250.0, -240.0, -150.0, -140.0, -50.0, 10.0,
                             20.0, 110.0}) {
@@ -512,7 +512,7 @@ TEST(ZoneTableStore, EpochsBeforeTimeZeroFreezeLikeLaterOnes) {
 }
 
 TEST(ZoneTableStore, InstallingAnEpochBeforeTimeZeroClosesIt) {
-  zone_table t(2.0);
+  zone_table t;
   const auto key = key_of(0, 0, "NetB");
   const epoch_estimate installed{-300.0, 4.0, 0.5, 3};
   EXPECT_FALSE(t.merge_estimate(key, installed, 100.0));
@@ -545,7 +545,7 @@ TEST(ApplyPathCoordinator, ReportFoldMatchesLegacyAllMetricsWalk) {
 
   // The seed fold: for each record, walk all six metrics in declaration
   // order and apply those whose kind matches.
-  legacy::zone_table want(cfg.change_sigma_factor);
+  legacy::zone_table want(zone_table::change_sigma_factor);
   static constexpr trace::metric all_metrics[] = {
       trace::metric::tcp_throughput_bps, trace::metric::udp_throughput_bps,
       trace::metric::loss_rate, trace::metric::jitter_s, trace::metric::rtt_s,
@@ -625,7 +625,7 @@ TEST(ApplyPath, NonFiniteAndSaturatedTimestampsTerminate) {
   // saturation, so the rollover walk never advanced. add_sample must
   // terminate for ANY double, because the coordinator boundary is the only
   // validation layer and direct zone_table users have none.
-  core::zone_table table(2.0, {"NetB"});
+  core::zone_table table({"NetB"});
   const geo::zone_id z{1, 1};
   const auto nid = table.interner().id_of("NetB");
   for (const double poison :

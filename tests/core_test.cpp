@@ -72,7 +72,7 @@ TEST(ZoneTable, SeparateKeysIndependent) {
 }
 
 TEST(ZoneTable, StableMetricRaisesNoAlert) {
-  zone_table t(2.0);
+  zone_table t;
   alert_ring ring;
   t.set_alert_sink(&ring);
   stats::rng_stream r(3);
@@ -86,7 +86,7 @@ TEST(ZoneTable, StableMetricRaisesNoAlert) {
 }
 
 TEST(ZoneTable, LevelShiftRaisesAlert) {
-  zone_table t(2.0);
+  zone_table t;
   alert_ring ring;
   t.set_alert_sink(&ring);
   stats::rng_stream r(3);
@@ -955,14 +955,22 @@ TEST(ClientAgent, StepRunsProbeAndReports) {
   EXPECT_GT(status.open_epoch_samples, 0u);
 }
 
+// Per-task costs by probe kind; checkin issues kinds in the cycle
+// tcp_download, udp_burst, ping.
+constexpr double task_cost(trace::probe_kind kind) {
+  return coordinator::task_mb[static_cast<std::size_t>(kind)];
+}
+constexpr double tcp_mb = task_cost(trace::probe_kind::tcp_download);
+constexpr double udp_mb = task_cost(trace::probe_kind::udp_burst);
+constexpr double ping_mb = task_cost(trace::probe_kind::ping);
+
 TEST(Coordinator, ClientBudgetLimitsTasking) {
   geo::zone_grid grid(geo::projection(here), 250.0);
   coordinator_config cfg;
   cfg.default_samples_per_epoch = 1000;  // zone never satisfied
-  cfg.client_daily_budget_mb = 2.5;
-  cfg.tcp_task_mb = 1.0;
-  cfg.udp_task_mb = 1.0;
-  cfg.ping_task_mb = 1.0;
+  // Two whole cycles fit; the seventh task, a TCP download, would overrun.
+  const double cycle_mb = tcp_mb + udp_mb + ping_mb;
+  cfg.client_daily_budget_mb = 2.0 * cycle_mb + 0.5 * tcp_mb;
   alert_ring alerts;
   coordinator coord(grid, {"NetB"}, cfg, 3, alerts);
 
@@ -970,24 +978,22 @@ TEST(Coordinator, ClientBudgetLimitsTasking) {
   for (int i = 0; i < 200; ++i) {
     if (coord.checkin(here, 1000.0 + i, 0, 1, /*client_id=*/42)) ++tasked;
   }
-  // 2.5 MB budget at 1 MB per task => exactly 2 tasks today.
-  EXPECT_EQ(tasked, 2);
-  EXPECT_NEAR(coord.client_spend_mb(42, 1000.0), 2.0, 1e-9);
+  EXPECT_EQ(tasked, 6);
+  EXPECT_NEAR(coord.client_spend_mb(42, 1000.0), 2.0 * cycle_mb, 1e-9);
 
   // A new day resets the allowance.
   int next_day = 0;
   for (int i = 0; i < 200; ++i) {
     if (coord.checkin(here, 86400.0 + 1000.0 + i, 0, 1, 42)) ++next_day;
   }
-  EXPECT_EQ(next_day, 2);
+  EXPECT_EQ(next_day, 6);
 }
 
 TEST(Coordinator, AnonymousClientsNeverBudgetLimited) {
   geo::zone_grid grid(geo::projection(here), 250.0);
   coordinator_config cfg;
   cfg.default_samples_per_epoch = 1000;
-  cfg.client_daily_budget_mb = 0.5;
-  cfg.tcp_task_mb = cfg.udp_task_mb = cfg.ping_task_mb = 1.0;
+  cfg.client_daily_budget_mb = 0.5 * tcp_mb;  // not even the first task fits
   alert_ring alerts;
   coordinator coord(grid, {"NetB"}, cfg, 3, alerts);
   int tasked = 0;
@@ -1001,8 +1007,11 @@ TEST(Coordinator, BudgetsTrackedPerClient) {
   geo::zone_grid grid(geo::projection(here), 250.0);
   coordinator_config cfg;
   cfg.default_samples_per_epoch = 1000;
-  cfg.client_daily_budget_mb = 1.5;
-  cfg.tcp_task_mb = cfg.udp_task_mb = cfg.ping_task_mb = 1.0;
+  // Each client can afford one TCP download. Clients 7 and 8 alternate, so
+  // 7 gets the TCP task, 8 the UDP one, 7 is refused the ping (it would
+  // overrun its own spend), 8 gets it, and both are refused the next TCP
+  // download. One shared allowance would have refused 8's UDP task.
+  cfg.client_daily_budget_mb = tcp_mb;
   alert_ring alerts;
   coordinator coord(grid, {"NetB"}, cfg, 3, alerts);
   int a = 0, b = 0;
@@ -1011,7 +1020,9 @@ TEST(Coordinator, BudgetsTrackedPerClient) {
     if (coord.checkin(here, 1000.0 + i, 0, 1, 8)) ++b;
   }
   EXPECT_EQ(a, 1);
-  EXPECT_EQ(b, 1);
+  EXPECT_EQ(b, 2);
+  EXPECT_DOUBLE_EQ(coord.client_spend_mb(7, 1000.0), tcp_mb);
+  EXPECT_DOUBLE_EQ(coord.client_spend_mb(8, 1000.0), udp_mb + ping_mb);
   EXPECT_DOUBLE_EQ(coord.client_spend_mb(99, 1000.0), 0.0);
 }
 

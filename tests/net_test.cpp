@@ -1,5 +1,5 @@
 // The TCP front end: byte_ring mechanics, the socket-free session state
-// machine (framing, HELLO gating, shed policy, bounded buffers), and the
+// machine (framing, HELLO gating, shed rule, bounded buffers), and the
 // epoll server end-to-end over real loopback sockets (round trips, idle
 // timeout mid-frame, drain-on-disconnect, concurrent sessions).
 #include <gtest/gtest.h>
@@ -195,10 +195,11 @@ TEST(NetSession, OversizedLineDisconnects) {
   handler_fixture fx;
   session_limits lim;
   lim.require_hello = false;
-  lim.read_buffer_bytes = 256;
   session s(lim, fx.server);
 
-  ASSERT_TRUE(s.in().append(std::string(256, 'x')));  // no newline, ring full
+  // No newline and the ring full: the line can never complete.
+  ASSERT_TRUE(s.in().append(std::string(session::read_buffer_bytes, 'x')));
+  EXPECT_EQ(s.in().headroom(), 0u);
   pump_stats stats;
   EXPECT_FALSE(s.pump({}, stats));
   EXPECT_EQ(s.reason(), close_reason::oversize);
@@ -245,16 +246,26 @@ TEST(NetSession, SlowReaderDisconnects) {
   handler_fixture fx;
   session_limits lim;
   lim.require_hello = false;
-  lim.write_buffer_bytes = 64;  // a STATS dump cannot fit
   session s(lim, fx.server);
 
-  ASSERT_TRUE(s.in().append("STATS\n"));
+  // One STATS dump sizes the rest; replies are never drained, and counters
+  // only grow, so this many more dumps overflow the write ring.
   pump_stats stats;
+  ASSERT_TRUE(s.in().append("STATS\n"));
+  ASSERT_TRUE(s.pump({}, stats));
+  const std::size_t dump_bytes = s.out().size();
+  ASSERT_GT(dump_bytes, 1u);
+  std::string requests;
+  for (std::size_t i = 0; i <= session::write_buffer_bytes / dump_bytes; ++i) {
+    requests += "STATS\n";
+  }
+  ASSERT_TRUE(s.in().append(requests));
   EXPECT_FALSE(s.pump({}, stats));
   EXPECT_EQ(s.reason(), close_reason::slow_reader);
+  EXPECT_LE(s.out().size(), session::write_buffer_bytes);
 }
 
-// ---- shed policy --------------------------------------------------------
+// ---- shed rule ----------------------------------------------------------
 
 TEST(NetSession, ClassifyRequestClasses) {
   const auto text_class = [](std::string_view line) {
@@ -280,14 +291,32 @@ TEST(NetSession, ClassifyRequestClasses) {
 }
 
 TEST(NetSession, ShedPolicyAccounting) {
+  // The rule at each threshold's edges, by class.
+  struct row {
+    double saturation;
+    bool query, report, control;  // sheds?
+  };
+  const row table[] = {
+      {0.74, false, false, false},
+      {0.75, true, false, false},
+      {0.94, true, false, false},
+      {0.95, true, true, false},
+  };
+  for (const row& r : table) {
+    SCOPED_TRACE("saturation=" + std::to_string(r.saturation));
+    const shed_state at{r.saturation};
+    EXPECT_EQ(sheds(request_class::query, at), r.query);
+    EXPECT_EQ(sheds(request_class::report, at), r.report);
+    EXPECT_EQ(sheds(request_class::control, at), r.control);
+  }
+
   handler_fixture fx;
   session_limits lim;
   lim.require_hello = false;
   session s(lim, fx.server);
 
   shed_state shed;
-  shed.policy = shed_policy::queries_first;
-  shed.saturation = 0.8;  // past start, below hard
+  shed.saturation = 0.8;  // past shed_start, below shed_hard
 
   pump_stats stats;
   // Query-class sheds without dispatching; report-class still lands.
@@ -301,30 +330,19 @@ TEST(NetSession, ShedPolicyAccounting) {
   EXPECT_EQ(fx.server.reports_received(), 2u);
   EXPECT_NE(ring_text(s.out()).find("ERR overload"), std::string::npos);
 
-  // reports_first inverts which class is protected.
+  // Past shed_hard both classes shed; control still serves.
   session s2(lim, fx.server);
-  shed.policy = shed_policy::reports_first;
+  shed.saturation = 0.99;
   pump_stats stats2;
-  ASSERT_TRUE(s2.in().append(report_frame(2) + "\n"));
   ASSERT_TRUE(s2.in().append("QUERY lat=43.07 lon=-89.4 net=NetB "
                              "metric=tcp_throughput t=1\n"));
+  ASSERT_TRUE(s2.in().append(report_frame(2) + "\n"));
+  ASSERT_TRUE(s2.in().append("STATS\n"));
   EXPECT_TRUE(s2.pump(shed, stats2));
+  EXPECT_EQ(stats2.shed_queries, 1u);
   EXPECT_EQ(stats2.shed_reports, 1u);  // one REPORTB frame, one decision
-  EXPECT_EQ(stats2.shed_queries, 0u);
-  EXPECT_EQ(stats2.dispatched, 1u);
-
-  // Past the hard threshold both classes shed; control still serves.
-  session s3(lim, fx.server);
-  shed.saturation = 0.99;
-  pump_stats stats3;
-  ASSERT_TRUE(s3.in().append("QUERY lat=43.07 lon=-89.4 net=NetB "
-                             "metric=tcp_throughput t=1\n"));
-  ASSERT_TRUE(s3.in().append(report_frame(1) + "\n"));
-  ASSERT_TRUE(s3.in().append("STATS\n"));
-  EXPECT_TRUE(s3.pump(shed, stats3));
-  EXPECT_EQ(stats3.shed_queries, 1u);
-  EXPECT_EQ(stats3.shed_reports, 1u);
-  EXPECT_EQ(stats3.dispatched, 1u);  // the STATS
+  EXPECT_EQ(stats2.dispatched, 1u);    // the STATS
+  EXPECT_EQ(fx.server.reports_received(), 2u);
 }
 
 // ---- real sockets -------------------------------------------------------
@@ -442,14 +460,14 @@ TEST(TcpServer, OversizedRequestDisconnectsAndCounts) {
   server_config cfg;
   cfg.event_loops = 1;
   cfg.limits.require_hello = false;
-  cfg.limits.read_buffer_bytes = 512;
   tcp_server srv(fx.server, cfg);
   srv.start();
 
   const std::uint64_t oversize0 =
       counter_value(obs::names::kNetOversizeDisconnects);
   const int fd = raw_connect(srv.port());
-  send_all(fd, std::string(2048, 'x'));  // no newline ever
+  // No newline ever, and more than the read ring holds.
+  send_all(fd, std::string(session::read_buffer_bytes + 1024, 'x'));
   EXPECT_TRUE(eof_within(fd, 5.0));
   ::close(fd);
   EXPECT_GE(counter_value(obs::names::kNetOversizeDisconnects), oversize0 + 1);
@@ -479,8 +497,7 @@ TEST(TcpServer, ShedsQueriesUnderSaturation) {
   server_config cfg;
   cfg.event_loops = 1;
   cfg.limits.require_hello = false;
-  cfg.ingest_saturation = [] { return 0.9; };
-  cfg.saturation_refresh_every = 1;
+  cfg.ingest_saturation = [] { return 0.9; };  // the first pump samples it
   tcp_server srv(fx.server, cfg);
   srv.start();
 
@@ -489,7 +506,7 @@ TEST(TcpServer, ShedsQueriesUnderSaturation) {
   client.connect("127.0.0.1", srv.port());
   EXPECT_EQ(client.request("ALERTS since=0 max=4").substr(0, 12),
             "ERR overload");
-  // Report-class still lands under queries_first.
+  // Report-class still lands below shed_hard.
   EXPECT_EQ(proto::message_type(client.request(report_frame(2))), "ACK");
   EXPECT_GE(counter_value(obs::names::kNetShedQueries), shed0 + 1);
   client.close();
@@ -870,12 +887,13 @@ TEST(NetSession, OversizedBinaryFrameDisconnects) {
   handler_fixture fx;
   session_limits lim;
   lim.require_hello = false;
-  lim.read_buffer_bytes = 256;
   session s(lim, fx.server);
 
-  // A 6-byte header declaring a 1 MiB payload: refused from the header
-  // alone -- the declared length is never buffered or allocated.
-  std::string hdr("\xB3\x02\x00\x00\x10\x00", 6);
+  // A 6-byte header declaring a 2 MiB payload, past the 1 MiB read ring:
+  // refused from the header alone -- the declared length is never buffered
+  // or allocated.
+  static_assert(session::read_buffer_bytes < (2u << 20));
+  std::string hdr("\xB3\x02\x00\x00\x20\x00", 6);
   pump_stats stats;
   ASSERT_TRUE(s.in().append(hdr));
   EXPECT_FALSE(s.pump({}, stats));
@@ -910,7 +928,6 @@ TEST(NetSession, BinaryFramesShedByOpcodeClass) {
   session s(lim, fx.server);
 
   shed_state shed;
-  shed.policy = shed_policy::queries_first;
   shed.saturation = 0.8;
 
   pump_stats stats;
@@ -933,10 +950,10 @@ TEST(NetSession, BinaryFramesShedByOpcodeClass) {
 // ---- the session transcript ----------------------------------------------
 
 // One mixed byte stream through a gated session, in two phases: the first
-// unsaturated, the second at saturation 0.8 under queries_first. It covers
-// the HELLO gate, a grouped REPORT run with a malformed line, a text QUERYB
-// frame, binary REPORTB and QUERY frames, a shed query in each framing, a
-// lone REPORT and a hostile frame header that closes the session.
+// unsaturated, the second at saturation 0.8, which sheds queries only. It
+// covers the HELLO gate, a grouped REPORT run with a malformed line, a text
+// QUERYB frame, binary REPORTB and QUERY frames, a shed query in each
+// framing, a lone REPORT and a hostile frame header that closes the session.
 struct transcript_phase {
   std::string bytes;
   double saturation;
@@ -982,7 +999,6 @@ transcript_run run_transcript(std::size_t split_phase, std::size_t cut) {
   bool open = true;
   for (std::size_t p = 0; p < phases.size() && open; ++p) {
     shed_state shed;
-    shed.policy = shed_policy::queries_first;
     shed.saturation = phases[p].saturation;
     const std::string_view bytes = phases[p].bytes;
     const std::size_t at = p == split_phase ? cut : bytes.size();

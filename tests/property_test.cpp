@@ -19,6 +19,8 @@
 #include "geo/zone_grid.h"
 #include "probe/engine.h"
 #include "proto/messages.h"
+#include "proto/wire_v3.h"
+#include "repl/replica.h"
 #include "trace/hygiene.h"
 #include "stats/allan.h"
 #include "stats/histogram.h"
@@ -396,6 +398,169 @@ TEST_P(FuzzSweep, HostileRecordsNeverThrowAndAlwaysAccount) {
   EXPECT_EQ(reg.get_counter(obs::names::kShardedApplyErrors).value(),
             apply_err0);
   (void)erred_records;
+}
+
+// A served pair for the request fuzzer: a leader replica over a warm
+// coordinator whose log holds a few epoch rollovers, and a follower replica
+// over an empty one, each behind its own coordinator_server.
+struct fuzz_servers {
+  geo::projection proj{cellnet::anchors::madison};
+  geo::zone_grid grid{proj, 250.0};
+  core::sharded_coordinator lc;
+  proto::coordinator_server lserver;
+  repl::replica lead;
+  core::sharded_coordinator fc;
+  proto::coordinator_server fserver;
+  repl::replica fol;
+
+  static core::sharded_config cfg() {
+    core::sharded_config c;
+    c.coordinator.epochs.default_epoch_s = 100.0;
+    c.num_shards = 1;
+    c.synchronous = true;
+    return c;
+  }
+
+  fuzz_servers()
+      : lc(grid, {"NetB", "NetC"}, cfg(), 1),
+        lserver(lc),
+        lead(lc, repl::role::leader),
+        fc(grid, {"NetB", "NetC"}, cfg(), 1),
+        fserver(fc),
+        fol(fc, repl::role::follower) {
+    lserver.attach_replication(&lead);
+    fserver.attach_replication(&fol);
+    std::vector<trace::measurement_record> recs;
+    for (int i = 0; i < 40; ++i) recs.push_back(record(10.0 * i));
+    lc.report_batch(recs);
+  }
+
+  trace::measurement_record record(double t) const {
+    trace::measurement_record r;
+    r.time_s = t;
+    r.network = "NetB";
+    r.pos = proj.to_lat_lon(geo::xy{120.0, 80.0});
+    r.client_id = 3;
+    r.kind = trace::probe_kind::tcp_download;
+    r.success = true;
+    r.throughput_bps = 2.0e6 + 1.0e3 * t;
+    return r;
+  }
+
+  /// One valid request of every command family, text and v3, replication
+  /// opcodes included: the seeds the fuzzer mutates.
+  std::vector<std::string> valid_requests() const {
+    const trace::measurement_record rec = record(405.0);
+    const proto::measurement_report report{rec.client_id, rec};
+    const std::vector<trace::measurement_record> batch{rec, record(406.0)};
+    proto::query_request q;
+    q.pos = rec.pos;
+    q.network = "NetB";
+    q.metric = trace::metric::tcp_throughput_bps;
+    q.time_s = 410.0;
+    const std::vector<proto::query_request> queries{q, q};
+    proto::checkin_request checkin;
+    checkin.client_id = 9;
+    checkin.pos = rec.pos;
+    checkin.time_s = 411.0;
+    checkin.active_in_zone = 1;
+    proto::epoch_update up;
+    up.seq = 1;
+    up.zone = grid.zone_of(rec.pos);
+    up.network = "NetB";
+    up.epoch_start_s = 0.0;
+    up.mean = 2.0e6;
+    up.stddev = 1.0e4;
+    up.samples = 10;
+    proto::epoch_update up2 = up;
+    up2.seq = 2;
+    up2.epoch_start_s = 100.0;
+    const std::vector<proto::epoch_update> updates{up, up2};
+
+    return {proto::encode(report),
+            proto::encode_report_batch(batch),
+            proto::encode(q),
+            proto::encode_query_batch(queries),
+            proto::encode(proto::hello_request{3}),
+            proto::encode(proto::alerts_request{0, 16}),
+            proto::encode(checkin),
+            "STATS",
+            testing::frame_of(proto::v3::encode_report_frame, report),
+            proto::v3::encode_report_batch_frame(batch),
+            proto::v3::encode_query_frame(q),
+            proto::v3::encode_query_batch_frame(queries),
+            proto::v3::encode_epoch_pull_frame({0, 8}),
+            testing::frame_of(proto::v3::encode_epoch_batch_frame,
+                              std::span<const proto::epoch_update>(updates)),
+            testing::frame_of(proto::v3::encode_snapshot_req_frame, 0),
+            testing::frame_of(proto::v3::encode_promote_frame)};
+  }
+};
+
+/// Checks handle()'s contract on one input: it never throws, appends a
+/// non-empty reply (one whole v3 frame for a binary request), and counts at
+/// most one error.
+void expect_one_answer(proto::coordinator_server& server,
+                       const std::string& input, proto::reply_buffer& rb) {
+  SCOPED_TRACE("input of " + std::to_string(input.size()) + " bytes");
+  const proto::request_view req = proto::request_view::detect(input);
+  const std::uint64_t errors0 = server.errors();
+  rb.clear();
+  ASSERT_NO_THROW(server.handle(req, rb));
+  const std::string_view reply = rb.view();
+  ASSERT_FALSE(reply.empty());
+  if (req.framing() == proto::request_view::kind::binary) {
+    const auto hdr = proto::v3::peek_header(reply);
+    ASSERT_TRUE(hdr.has_value());
+    EXPECT_EQ(reply.size(),
+              proto::v3::frame_header_bytes + hdr->payload_len);
+  }
+  EXPECT_LE(server.errors() - errors0, 1u);
+}
+
+TEST_P(FuzzSweep, HandleAnswersEveryRequestOnce) {
+  stats::rng_stream rng(GetParam());
+  fuzz_servers fx;
+  const std::vector<std::string> seeds = fx.valid_requests();
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto byte = [&] {
+    return static_cast<char>(rng.uniform_int(0, 255));
+  };
+  proto::reply_buffer rb;
+  for (int i = 0; i < 3000; ++i) {
+    std::string input;
+    const int shape = static_cast<int>(rng.uniform_int(0, 3));
+    if (shape == 0) {
+      // Random bytes, a third of them behind the binary frame magic.
+      const std::size_t len = pick(64);
+      if (rng.chance(1.0 / 3.0)) input.push_back('\xB3');
+      for (std::size_t k = 0; k < len; ++k) input.push_back(byte());
+    } else {
+      input = seeds[pick(seeds.size())];
+      if (shape != 2 && !input.empty()) {  // byte flips
+        const std::size_t flips = 1 + pick(4);
+        for (std::size_t k = 0; k < flips; ++k) {
+          input[pick(input.size())] ^= static_cast<char>(1 + pick(255));
+        }
+      }
+      if (shape != 1) input.resize(pick(input.size() + 1));  // truncation
+      // Half the mangled frames get their length prefix rewritten to fit,
+      // so the payload decoders, not the envelope check, meet the damage.
+      if (proto::v3::is_frame_start(input) &&
+          input.size() >= proto::v3::frame_header_bytes && rng.chance(0.5)) {
+        const std::size_t len = input.size() - proto::v3::frame_header_bytes;
+        for (std::size_t k = 0; k < 4; ++k) {
+          input[2 + k] = static_cast<char>((len >> (8 * k)) & 0xff);
+        }
+      }
+    }
+    expect_one_answer(fx.lserver, input, rb);
+    expect_one_answer(fx.fserver, input, rb);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, FuzzSweep,

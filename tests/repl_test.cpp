@@ -546,10 +546,10 @@ TEST(ZoneTableMerge, DisjointFeedsMergeCommutatively) {
   const core::epoch_estimate a = make_est(300.0, 0.02, 17);
   const core::epoch_estimate b = make_est(300.0, 0.05, 4);
 
-  core::zone_table ab(2.0);
+  core::zone_table ab;
   ab.merge_estimate(k, a, 300.0);
   ab.merge_estimate(k, b, 300.0);
-  core::zone_table ba(2.0);
+  core::zone_table ba;
   ba.merge_estimate(k, b, 300.0);
   ba.merge_estimate(k, a, 300.0);
 
@@ -567,7 +567,7 @@ TEST(ZoneTableMerge, BitIdenticalReApplyIsIdempotent) {
   // frozen epoch; re-applying it must be a no-op, not a double-count.
   const core::estimate_key k{{1, 1}, "NetB", trace::metric::jitter_s};
   const core::epoch_estimate e = make_est(600.0, 0.004, 25);
-  core::zone_table t(2.0);
+  core::zone_table t;
   // First delivery inserts a fresh epoch (merge_estimate reports false:
   // nothing combined); the bit-identical re-delivery is absorbed as a
   // merge-with-self no-op (reports true).

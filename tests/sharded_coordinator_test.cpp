@@ -87,7 +87,6 @@ TEST(ShardedCoordinator, HostileRecordsDoNotKillDrainWorkers) {
   cfg.num_shards = 4;
   cfg.synchronous = false;
   cfg.queue_capacity = 256;
-  cfg.drain_batch = 32;
   sharded_coordinator sc(grid, nets, cfg, /*seed=*/42);
 
   const auto good = synthetic_stream(/*seed=*/5, /*count=*/600);
@@ -131,7 +130,6 @@ TEST(ShardedCoordinator, MatchesSequentialForAnyShardCount) {
     cfg.num_shards = shards;
     cfg.synchronous = false;
     cfg.queue_capacity = 256;
-    cfg.drain_batch = 32;
     sharded_coordinator sc(grid, nets, cfg, /*seed=*/42);
     for (const auto& rec : stream) ASSERT_TRUE(sc.report(rec));
     sc.flush();
@@ -502,7 +500,6 @@ TEST(ShardedCoordinator, BatchedApplyMatchesPerRecordReport) {
         sharded_config cfg = ref_cfg;
         cfg.synchronous = synchronous;
         cfg.queue_capacity = 512;
-        cfg.drain_batch = 100;  // drains split into 64 + 36 record chunks
         sharded_coordinator sc(grid, nets, cfg, 42);
         sc.start_planning();
         const std::uint64_t a0 =
@@ -648,7 +645,6 @@ TEST(ShardedCoordinatorStress, EightProducersLoseNoReports) {
   cfg.coordinator = small_epoch_config();
   cfg.num_shards = 4;
   cfg.queue_capacity = 512;  // small: exercises producer backpressure
-  cfg.drain_batch = 64;
   sharded_coordinator sc(grid, nets, cfg, 17);
   proto::coordinator_server server(sc);
 

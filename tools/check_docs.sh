@@ -16,9 +16,12 @@
 #     append-only wire surface with the same lookup obligation.
 #  5. Every field of net::server_config and net::session_limits (the
 #     latter as `limits.<field>`) must have a row in docs/RUNBOOK.md's
-#     "Configuration reference" table, and every knob that table names
-#     must be an existing field -- a removed knob cannot linger in the
-#     docs, and a new one cannot ship undocumented.
+#     "Configuration reference" table, and every field of
+#     core::sharded_config and core::coordinator_config (the latter as
+#     `coordinator.<field>`) one in its "Coordinator configuration" table;
+#     every knob either table names must be an existing field -- a removed
+#     knob cannot linger in the docs, and a new one cannot ship
+#     undocumented.
 #
 # Usage: tools/check_docs.sh [repo-root]   (default: script's parent dir)
 set -eu
@@ -79,7 +82,7 @@ for o in $ops; do
   fi
 done
 
-echo "== docs/RUNBOOK.md configuration reference matches the config structs =="
+echo "== docs/RUNBOOK.md configuration tables match the config structs =="
 # Field names of one struct: the identifier before the initializer or ';'
 # of every member declaration line between "struct <name> {" and "};".
 struct_fields() {
@@ -87,33 +90,49 @@ struct_fields() {
     sed 's|//.*||' |
     sed -n -E 's/^ +[A-Za-z_][A-Za-z0-9_:<>(), ]*[ >]([a-z_][a-z0-9_]*) *(=[^;]*|\{[^}]*\})? *; *$/\1/p'
 }
+# check_table <heading> <structs> <fields>: the knobs the table under
+# "### <heading>" names (every backticked word in the first column of its
+# rows) must be exactly <fields>.
+check_table() {
+  knobs="$(sed -n "/^### $1/,/^#/p" docs/RUNBOOK.md |
+    sed -n 's/^| *\([^|]*\)|.*/\1/p' | grep -o '`[^`]*`' | tr -d '`')"
+  [ -n "$knobs" ] || { echo "FAIL: no $1 table in docs/RUNBOOK.md"; exit 1; }
+  for f in $3; do
+    if ! printf '%s\n' $knobs | grep -qxF "$f"; then
+      echo "FAIL: config field '$f' has no row in docs/RUNBOOK.md's $1"
+      fail=1
+    fi
+  done
+  for k in $knobs; do
+    if ! printf '%s\n' $3 | grep -qxF "$k"; then
+      echo "FAIL: docs/RUNBOOK.md's $1 names '$k', which is no field of $2"
+      fail=1
+    fi
+  done
+}
+# prefixed <prefix> <fields>: each field as <prefix>.<field>.
+prefixed() {
+  for f in $2; do printf '%s.%s\n' "$1" "$f"; done
+}
+
 limits_fields="$(struct_fields src/net/session.h session_limits)"
 server_fields="$(struct_fields src/net/server.h server_config)"
 [ -n "$limits_fields" ] && [ -n "$server_fields" ] ||
   { echo "FAIL: no config fields found in src/net/session.h / src/net/server.h"; exit 1; }
-fields=""
-for f in $server_fields; do
-  # The embedded session_limits is documented field by field.
-  [ "$f" = limits ] || fields="$fields $f"
-done
-for f in $limits_fields; do fields="$fields limits.$f"; done
-# Knobs the table names: every backticked word in the first column of the
-# rows under the "Configuration reference" heading.
-knobs="$(sed -n '/^### Configuration reference/,/^#/p' docs/RUNBOOK.md |
-  sed -n 's/^| *\([^|]*\)|.*/\1/p' | grep -o '`[^`]*`' | tr -d '`')"
-[ -n "$knobs" ] || { echo "FAIL: no Configuration reference table in docs/RUNBOOK.md"; exit 1; }
-for f in $fields; do
-  if ! printf '%s\n' $knobs | grep -qxF "$f"; then
-    echo "FAIL: config field '$f' has no row in docs/RUNBOOK.md's Configuration reference"
-    fail=1
-  fi
-done
-for k in $knobs; do
-  if ! printf '%s\n' $fields | grep -qxF "$k"; then
-    echo "FAIL: docs/RUNBOOK.md's Configuration reference names '$k', which is no field of server_config or session_limits"
-    fail=1
-  fi
-done
+# The embedded session_limits is documented field by field.
+check_table "Configuration reference" "server_config or session_limits" \
+  "$(printf '%s\n' $server_fields | grep -vxF limits)
+$(prefixed limits "$limits_fields")"
+
+sharded_fields="$(struct_fields src/core/sharded_coordinator.h sharded_config)"
+coord_fields="$(struct_fields src/core/coordinator.h coordinator_config)"
+[ -n "$sharded_fields" ] && [ -n "$coord_fields" ] ||
+  { echo "FAIL: no config fields found in src/core/sharded_coordinator.h / src/core/coordinator.h"; exit 1; }
+# The embedded coordinator_config has one row of its own plus one per
+# field; its nested epochs/planner structs are one row each.
+check_table "Coordinator configuration" "sharded_config or coordinator_config" \
+  "$sharded_fields
+$(prefixed coordinator "$coord_fields")"
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
