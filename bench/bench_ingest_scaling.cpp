@@ -15,7 +15,8 @@
 //
 // A third measurement prices the observability layer (ISSUE 2): every raw
 // drain is run twice, with obs:: instrumentation enabled and disabled, and
-// the regression in process CPU per report is reported (acceptance: <= 5%).
+// the regression in the drain workers' thread CPU per report is reported
+// (acceptance: <= 5%).
 // A fourth prices the REPORTB ingest path on a table far past the caches, in
 // CPU per record:
 // server total, the handling thread alone, and the apply alone -- without a
@@ -92,8 +93,8 @@ core::sharded_config pipeline_config(std::size_t threads) {
   return cfg;
 }
 
-/// One raw drain: wall-clock reports/s and process CPU ns per report, both
-/// from first push to flush.
+/// One raw drain: wall-clock reports/s and the drain workers' thread CPU
+/// ns per report, both from first push to flush.
 struct raw_run {
   double rps = 0.0;
   double cpu_ns = 0.0;
@@ -106,7 +107,7 @@ raw_run run_raw(const geo::zone_grid& grid,
                 std::size_t threads) {
   core::sharded_coordinator sc(grid, {"NetB", "NetC"},
                                pipeline_config(threads), bench::bench_seed);
-  const double c0 = bench::cpu_s(CLOCK_PROCESS_CPUTIME_ID);
+  const double c0 = sc.drain_cpu_s();
   const double t0 = now_s();
   std::vector<std::thread> producers;
   producers.reserve(threads);
@@ -120,7 +121,7 @@ raw_run run_raw(const geo::zone_grid& grid,
   for (auto& th : producers) th.join();
   sc.flush();
   const double dt = now_s() - t0;
-  const double cpu = bench::cpu_s(CLOCK_PROCESS_CPUTIME_ID) - c0;
+  const double cpu = sc.drain_cpu_s() - c0;
   const auto n = static_cast<double>(stream.size());
   return {n / dt, 1e9 * cpu / n};
 }
@@ -218,14 +219,16 @@ constexpr double kOverheadBarPct = 5.0;
 /// Paired raw drains with obs instrumentation on and off. The two variants
 /// are interleaved within each rep (after one untimed warm-up) so scheduler
 /// drift on a shared host hits both columns equally. The overhead is priced
-/// in process CPU per report, not wall-clock rate: CPU time does not count
-/// the time slices other processes take, which dominate a wall-clock ratio
-/// on a shared host.
+/// in the drain workers' thread CPU per report (pthread_getcpuclockid), not
+/// wall-clock rate or process CPU: CPU time does not count the time slices
+/// other processes take, which dominate a wall-clock ratio on a shared
+/// host, and the workers' clocks leave out the producers and the
+/// producer/drain hand-off wake-ups, whose count follows scheduling.
 struct raw_pair {
   double on = 0.0;        ///< best instrumented reports/s
   double off = 0.0;       ///< best uninstrumented reports/s
-  double on_cpu_ns = 0.0;   ///< median instrumented CPU ns per report
-  double off_cpu_ns = 0.0;  ///< median uninstrumented CPU ns per report
+  double on_cpu_ns = 0.0;   ///< median instrumented drain CPU ns per report
+  double off_cpu_ns = 0.0;  ///< median uninstrumented drain CPU ns per report
   /// Median of the per-rep paired CPU-per-report overheads, percent.
   double overhead = 0.0;
   double overhead_min = 0.0;  ///< spread of the per-rep paired overheads
@@ -470,12 +473,12 @@ int main(int argc, char** argv) {
   std::printf(
       "  raw drain (CPU-bound; scales with cores), interleaved best of %d "
       "runs;\n"
-      "  overhead: median [min, max] of the per-run paired overheads in "
-      "process CPU\n"
-      "  per report, \"unresolved\" when that spread straddles the %.0f%% "
-      "bar:\n"
-      "                   obs enabled   obs disabled   CPU ns/report on/off"
-      "   overhead\n",
+      "  overhead: median [min, max] of the per-run paired overheads in the "
+      "drain\n"
+      "  workers' thread CPU per report, \"unresolved\" when that spread "
+      "straddles the %.0f%% bar:\n"
+      "                   obs enabled   obs disabled   drain CPU ns/report "
+      "on/off   overhead\n",
       kReps, kOverheadBarPct);
   double raw1 = 0.0, raw4 = 0.0, raw4_off = 0.0;
   raw_pair pair4;
@@ -578,7 +581,7 @@ int main(int argc, char** argv) {
   bench::report("raw drain speedup, 4 threads vs 1 (1 core => ~1x)", "-",
                 bench::fmt(raw1 > 0 ? raw4 / raw1 : 0.0) + "x");
   // The median with its spread: a bar the reps straddle is not decided.
-  bench::report("obs overhead, CPU per report, raw drain 4 threads",
+  bench::report("obs overhead, drain CPU per report, 4 threads",
                 "<= 5%",
                 bench::fmt(overhead_pct, 1) + "% [" +
                     bench::fmt(pair4.overhead_min, 1) + ", " +

@@ -17,11 +17,13 @@
 //    per-line ingestion (> 1x).
 //  * recovery: a seeded warm state of `streams` streams (two frozen epochs
 //    and one open epoch each, like perfbench's) saved with save_state,
-//    plus a short WAL. Times the snapshot parse alone (epoch_codec, no
-//    table), the installs alone (pre-parsed lines into a fresh
-//    coordinator), load_state into a fresh coordinator, and
-//    durable_log::recover of the on-disk pair, and prints the parse share
-//    of a load -- whether text parsing still matters on a cold start.
+//    plus a short WAL. Times the binary snapshot decode alone (load_state
+//    into a sink that keeps no table), the installs alone (pre-decoded
+//    records into a fresh coordinator), load_state into a fresh
+//    coordinator, the save_state render a checkpoint writes, and
+//    durable_log::recover of the on-disk pair, and prints the decode share
+//    of a load. A table rebuilt from the snapshot must render back to its
+//    exact bytes.
 //
 // Machine-readable results go to bench_wire_parse.jsonl in the working
 // directory (one JSON object per line; schema in EXPERIMENTS.md).
@@ -35,6 +37,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -43,7 +46,6 @@
 
 #include "bench_common.h"
 #include "core/durable_log.h"
-#include "core/epoch_codec.h"
 #include "core/persist.h"
 #include "core/sharded_coordinator.h"
 #include "geo/projection.h"
@@ -250,38 +252,65 @@ std::size_t append_wal(core::durable_log& dl, int side) {
   return seq;
 }
 
-/// Parses every body line of a snapshot rendering (no table), keeping the
-/// parsed lines in `out` when given; returns the lines parsed.
-std::size_t parse_snapshot(std::string_view text,
-                           std::vector<core::epoch_codec::state_line>* out) {
-  core::epoch_codec::line_reader in(text);
-  std::string_view line;
-  in.next(line);  // the header
-  core::epoch_codec::state_line rec;
-  std::size_t n = 0;
-  while (in.next(line)) {
-    if (!core::epoch_codec::parse_state_line(line, rec)) {
-      throw std::runtime_error("unparsable snapshot line");
-    }
-    if (out != nullptr) out->push_back(rec);
-    ++n;
-  }
-  return n;
-}
+/// One install a snapshot load makes: a frozen epoch, or (`open`) an open
+/// accumulator.
+struct install_record {
+  core::estimate_key key;
+  bool open = false;
+  core::epoch_estimate est;
+  core::open_epoch_state acc;
+};
 
-/// Installs pre-parsed snapshot lines the way load_state does.
-void install(const std::vector<core::epoch_codec::state_line>& lines,
-             core::durable_state& state) {
-  using kind = core::epoch_codec::state_line::kind;
-  for (const auto& r : lines) {
-    if (r.tag == kind::est) {
+/// A durable_state that keeps no table: load_state into it times the
+/// decode alone, and it can keep what it was handed for replay.
+class install_sink final : public core::durable_state {
+ public:
+  explicit install_sink(std::vector<install_record>* keep) : keep_(keep) {}
+
+  std::vector<core::estimate_key> keys() const override { return {}; }
+  std::vector<core::epoch_estimate> history(
+      const core::estimate_key&) const override {
+    return {};
+  }
+  std::optional<core::open_epoch_state> open_state(
+      const core::estimate_key&) const override {
+    return std::nullopt;
+  }
+  bool restore_estimate(const core::estimate_key& key,
+                        const core::epoch_estimate& e) override {
+    ++installs_;
+    if (keep_ != nullptr) keep_->push_back({key, false, e, {}});
+    return false;
+  }
+  void restore_open(const core::estimate_key& key,
+                    const core::open_epoch_state& st) override {
+    ++installs_;
+    if (keep_ != nullptr) keep_->push_back({key, true, {}, st});
+  }
+  std::uint64_t alert_seq() const override { return alert_seq_; }
+  void resume_alert_seq(std::uint64_t last_seq) override {
+    alert_seq_ = last_seq;
+  }
+
+  std::size_t installs() const noexcept { return installs_; }
+
+ private:
+  std::vector<install_record>* keep_;
+  std::size_t installs_ = 0;
+  std::uint64_t alert_seq_ = 0;
+};
+
+/// Replays pre-decoded installs the way load_state makes them.
+void install(const std::vector<install_record>& records,
+             std::uint64_t alert_seq, core::durable_state& state) {
+  for (const auto& r : records) {
+    if (r.open) {
+      state.restore_open(r.key, r.acc);
+    } else {
       state.restore_estimate(r.key, r.est);
-    } else if (r.tag == kind::open) {
-      state.restore_open(r.key, r.open);
-    } else if (r.alert_seq > 0) {
-      state.resume_alert_seq(r.alert_seq);
     }
   }
+  if (alert_seq > 0) state.resume_alert_seq(alert_seq);
 }
 
 double median_of(std::vector<double> v) {
@@ -290,13 +319,13 @@ double median_of(std::vector<double> v) {
 }
 
 void jsonl_recover(std::ofstream& out, const char* mode, std::size_t streams,
-                   std::size_t lines, double seconds) {
+                   std::size_t records, double seconds) {
   char buf[96];
-  std::snprintf(buf, sizeof buf, "\"seconds\":%.6f,\"lines_per_s\":%.0f",
-                seconds, static_cast<double>(lines) / seconds);
+  std::snprintf(buf, sizeof buf, "\"seconds\":%.6f,\"records_per_s\":%.0f",
+                seconds, static_cast<double>(records) / seconds);
   out << "{\"bench\":\"wire_parse\",\"mode\":\"" << mode
-      << "\",\"streams\":" << streams << ",\"lines\":" << lines << "," << buf
-      << "}\n";
+      << "\",\"streams\":" << streams << ",\"records\":" << records << ","
+      << buf << "}\n";
 }
 
 /// The recovery leg; returns false when a table rebuilt from the snapshot
@@ -317,8 +346,8 @@ bool recovery_leg(const geo::zone_grid& grid, std::size_t target_streams,
   auto warm = fresh();
   fill_warm_state(*warm, side);
   const std::size_t streams = warm->keys().size();
-  std::string text;
-  core::save_state(text, *warm);
+  std::string bytes;
+  core::save_state(bytes, *warm);
 
   std::string dir = (std::filesystem::temp_directory_path() /
                      "wiscape_bench_recover_XXXXXX")
@@ -332,41 +361,52 @@ bool recovery_leg(const geo::zone_grid& grid, std::size_t target_streams,
     dl.checkpoint(*warm);
     wal_records = append_wal(dl, side);
   }
-  warm.reset();
 
-  std::vector<core::epoch_codec::state_line> parsed;
-  const std::size_t lines = parse_snapshot(text, &parsed);
+  std::vector<install_record> decoded;
+  install_sink keeper(&decoded);
+  core::load_state(std::string_view(bytes), keeper);
+  const std::uint64_t alert_seq = keeper.alert_seq();
+  const std::size_t records = decoded.size();
   const std::size_t wal_streams = wal_records / kFrozenEpochs;
 
-  // The four measurements are interleaved within each rep, so drift on a
+  // The five measurements are interleaved within each rep, so drift on a
   // shared host hits every column alike; each column is a median. Tables
   // are built, checked and torn down outside the timed regions.
   const auto renders_back = [&](const core::durable_state& state) {
     std::string again;
     core::save_state(again, state);
-    return again == text;
+    return again == bytes;
   };
-  std::vector<double> parse_s, install_s, load_s, recover_s;
+  std::vector<double> decode_s, install_s, load_s, render_s, recover_s;
+  std::string rendered;
+  rendered.reserve(bytes.size());
   bool ok = true;
   for (int r = 0; r < kRecoverReps; ++r) {
+    install_sink sink(nullptr);
     double t0 = now_s();
-    const std::size_t n = parse_snapshot(text, nullptr);
-    parse_s.push_back(now_s() - t0);
-    ok = ok && n == lines;
+    core::load_state(std::string_view(bytes), sink);
+    decode_s.push_back(now_s() - t0);
+    ok = ok && sink.installs() == records;
 
     auto a = fresh();
     t0 = now_s();
-    install(parsed, *a);
+    install(decoded, alert_seq, *a);
     install_s.push_back(now_s() - t0);
     ok = ok && (r > 0 || renders_back(*a));
     a.reset();
 
     auto b = fresh();
     t0 = now_s();
-    core::load_state(std::string_view(text), *b);
+    core::load_state(std::string_view(bytes), *b);
     load_s.push_back(now_s() - t0);
     ok = ok && (r > 0 || renders_back(*b));
     b.reset();
+
+    rendered.clear();
+    t0 = now_s();
+    core::save_state(rendered, *warm);
+    render_s.push_back(now_s() - t0);
+    ok = ok && rendered == bytes;
 
     auto c = fresh();
     t0 = now_s();
@@ -375,39 +415,45 @@ bool recovery_leg(const geo::zone_grid& grid, std::size_t target_streams,
     recover_s.push_back(now_s() - t0);
     ok = ok && last == wal_records && c->keys().size() == streams + wal_streams;
   }
+  warm.reset();
   std::filesystem::remove_all(dir);
 
-  const double parse = median_of(parse_s);
+  const double decode = median_of(decode_s);
   const double inst = median_of(install_s);
   const double load = median_of(load_s);
+  const double render = median_of(render_s);
   const double rec = median_of(recover_s);
   const auto rate = [](std::size_t n, double s) {
     return static_cast<double>(n) / s;
   };
-  std::printf("  recovery of a warm state: %zu streams, %zu snapshot lines "
-              "(%.1f MB), %zu WAL records; median of %d runs:\n",
-              streams, lines, static_cast<double>(text.size()) / 1e6,
+  std::printf("  recovery of a warm state: %zu streams, %zu snapshot records "
+              "(%.1f MB binary), %zu WAL records; median of %d runs:\n",
+              streams, records, static_cast<double>(bytes.size()) / 1e6,
               wal_records, kRecoverReps);
-  std::printf("    snapshot parse only:                 %8.3f s  "
-              "%11.0f lines/s\n",
-              parse, rate(lines, parse));
-  std::printf("    installs only (pre-parsed lines):    %8.3f s  "
-              "%11.0f lines/s\n",
-              inst, rate(lines, inst));
-  std::printf("    load_state (parse + install):        %8.3f s  "
-              "%11.0f lines/s  (parse share %.0f%%)\n",
-              load, rate(lines, load), 100.0 * parse / load);
+  std::printf("    snapshot decode only:                %8.3f s  "
+              "%11.0f records/s\n",
+              decode, rate(records, decode));
+  std::printf("    installs only (pre-decoded records): %8.3f s  "
+              "%11.0f records/s\n",
+              inst, rate(records, inst));
+  std::printf("    load_state (decode + install):       %8.3f s  "
+              "%11.0f records/s  (decode share %.0f%%)\n",
+              load, rate(records, load), 100.0 * decode / load);
+  std::printf("    save_state render (checkpoint):      %8.3f s  "
+              "%11.0f records/s\n",
+              render, rate(records, render));
   std::printf("    durable_log::recover (snapshot+WAL): %8.3f s  "
-              "%11.0f lines/s\n\n",
-              rec, rate(lines + wal_records, rec));
-  bench::report("recovery parse share of a snapshot load", "-",
-                bench::fmt_pct(parse / load, 0));
+              "%11.0f records/s\n\n",
+              rec, rate(records + wal_records, rec));
+  bench::report("recovery decode share of a snapshot load", "-",
+                bench::fmt_pct(decode / load, 0));
 
-  jsonl_recover(jsonl, "snapshot_parse", streams, lines, parse);
-  jsonl_recover(jsonl, "snapshot_install", streams, lines, inst);
-  jsonl_recover(jsonl, "snapshot_load", streams, lines, load);
+  jsonl_recover(jsonl, "snapshot_decode", streams, records, decode);
+  jsonl_recover(jsonl, "snapshot_install", streams, records, inst);
+  jsonl_recover(jsonl, "snapshot_load", streams, records, load);
+  jsonl_recover(jsonl, "snapshot_render", streams, records, render);
   jsonl_recover(jsonl, "durable_recover", streams + wal_streams,
-                lines + wal_records, rec);
+                records + wal_records, rec);
   return ok;
 }
 

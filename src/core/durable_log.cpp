@@ -4,10 +4,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include "core/epoch_codec.h"
 #include "core/fault_injection.h"
@@ -45,6 +47,39 @@ wal_metrics& metrics() {
 /// One write(2) of all of `s`; false on an error or a short write.
 bool write_whole(int fd, std::string_view s) {
   return ::write(fd, s.data(), s.size()) == static_cast<ssize_t>(s.size());
+}
+
+/// Opens `path` into `in`; false only when there is no such file. A file
+/// that is there but cannot be opened (a symlink loop, a permission) is
+/// not an absent one: recovering without it would let the next checkpoint
+/// overwrite the state it holds, so that throws.
+bool open_existing(const std::string& path, const char* what,
+                   std::ifstream& in) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    const int err = errno;
+    if (err == ENOENT) return false;
+    throw std::runtime_error(std::string("cannot open ") + what + ": " +
+                             path + ": " +
+                             std::generic_category().message(err));
+  }
+  ::close(fd);
+  in.open(path, std::ios::binary);
+  if (!in.is_open()) {
+    throw std::runtime_error(std::string("cannot open ") + what + ": " +
+                             path);
+  }
+  return true;
+}
+
+/// fsync(2)s `path` (a file, or with O_DIRECTORY a directory); false on
+/// any failure.
+bool sync_path(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | flags);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
 }
 
 }  // namespace
@@ -107,12 +142,14 @@ durable_log::~durable_log() {
 
 std::uint64_t durable_log::recover(durable_state& state) {
   std::lock_guard walk(state_mu_);
-  {
-    std::ifstream snap(snapshot_path_);
-    if (snap) load_state(snap, state);
-  }
-  std::ifstream wal(wal_path_);
-  if (!wal) return 0;
+  // Both files are opened before anything loads: an unreadable WAL must
+  // not leave a half-recovered state behind either.
+  std::ifstream snap;
+  std::ifstream wal;
+  const bool have_snap = open_existing(snapshot_path_, "snapshot", snap);
+  const bool have_wal = open_existing(wal_path_, "WAL", wal);
+  if (have_snap) load_state(snap, state);
+  if (!have_wal) return 0;
   wal_extent ext;
   const std::uint64_t last = wal_replay(
       wal,
@@ -207,7 +244,7 @@ void durable_log::checkpoint(const durable_state& state) {
   std::lock_guard walk(state_mu_);
   const std::string tmp = snapshot_path_ + ".tmp";
   {
-    std::ofstream os(tmp, std::ios::trunc);
+    std::ofstream os(tmp, std::ios::trunc | std::ios::binary);
     if (!os) throw std::runtime_error("cannot open snapshot: " + tmp);
     if (fault::fire(fault::site::snapshot_torn) == fault::action::fail) {
       // Model the crash mid-checkpoint: leave a truncated temp file (a
@@ -219,16 +256,29 @@ void durable_log::checkpoint(const durable_state& state) {
       throw std::runtime_error("injected fault: snapshot checkpoint torn");
     }
     save_state(os, state);
-    os.flush();
+    os.close();
     if (!os) {
       metrics().snapshot_failures.inc();
       throw std::runtime_error("snapshot write failed: " + tmp);
     }
   }
+  // The snapshot's bytes are on disk before the rename publishes them, and
+  // the rename is before the WAL they cover is emptied: a power cut at any
+  // point leaves the old pair or the new snapshot whole.
+  if (!sync_path(tmp, 0)) {
+    metrics().snapshot_failures.inc();
+    throw std::runtime_error("snapshot fsync failed: " + tmp);
+  }
   std::lock_guard lock(mu_);
   if (std::rename(tmp.c_str(), snapshot_path_.c_str()) != 0) {
     metrics().snapshot_failures.inc();
     throw std::runtime_error("snapshot rename failed: " + snapshot_path_);
+  }
+  if (!sync_path(dir_, O_DIRECTORY)) {
+    // The rename may not survive a power cut, so the WAL keeps what it
+    // covers; recovery installs records both files hold once.
+    metrics().snapshot_failures.inc();
+    throw std::runtime_error("snapshot directory fsync failed: " + dir_);
   }
   // The snapshot now covers everything; reset the WAL to just its header.
   try {

@@ -4,11 +4,11 @@
 // when the process dies; the replication tentpole needs recovery that is
 // O(epochs-since-snapshot), not O(lost-work). The pair:
 //
-//  * Snapshot -- the full durable_state rendered by core::persist
-//    (save_state), written to `<dir>/snapshot.tmp` and atomically renamed
-//    to `<dir>/snapshot`, so a crash mid-checkpoint always leaves the
-//    previous snapshot intact (the snapshot_torn fault site models exactly
-//    that crash).
+//  * Snapshot -- the full durable_state in core::persist's binary format
+//    (save_state), written to `<dir>/snapshot.tmp`, fsynced, atomically
+//    renamed to `<dir>/snapshot` and the directory fsynced, so a crash
+//    mid-checkpoint always leaves the previous snapshot intact (the
+//    snapshot_torn fault site models exactly that crash).
 //  * WAL -- one line per frozen epoch appended as rollovers happen:
 //    `W <seq> <zone> <network> <metric> <epoch_start> <mean> <stddev> <n>
 //    C<fnv1a32>`, rendered and parsed by core::epoch_codec (doubles in
@@ -19,10 +19,10 @@
 //    garbage (counted in core.persist.wal_truncated).
 //
 // Recovery = load snapshot (if any) + replay WAL records after it. A
-// checkpoint truncates the WAL only after the renamed snapshot is on disk,
-// so every epoch is always covered by at least one of the two files, and
-// a record covered by both installs once (durable_state::restore_estimate
-// is idempotent).
+// checkpoint truncates the WAL only after the snapshot's bytes and its
+// rename are synced to disk, so every epoch is always covered by at least
+// one of the two files, and a record covered by both installs once
+// (durable_state::restore_estimate is idempotent).
 //
 // Only *frozen* epochs ride the WAL (they are the immutable replication
 // unit); open-epoch Welford accumulators are carried by snapshots alone,
@@ -33,8 +33,8 @@
 // on its first append and holds until it is destroyed (checkpoint()
 // reopens it with O_TRUNC after the rename); a record is rendered into a
 // reused buffer and written with one write(2). A returned append has
-// reached the OS -- it survives a process crash, not a power cut (no
-// fsync).
+// reached the OS -- it survives a process crash, not a power cut (appends
+// are not fsynced).
 //
 // wal_replay is the stream-level reader recovery runs; the durable_log
 // class manages the on-disk pair, is the one WAL writer, and is
@@ -101,8 +101,12 @@ class durable_log {
   /// whole lines after it (bit rot, not a crash mid-write), or a read that
   /// ends before the file does (an I/O error), throws std::runtime_error
   /// and leaves the file as it was: cutting there would delete records
-  /// that are intact. Call on a freshly constructed coordinator, before
-  /// any ingest.
+  /// that are intact. Only a file that does not exist (ENOENT) counts as
+  /// absent: one that exists but cannot be opened (a symlink loop, a
+  /// permission) throws std::runtime_error naming it before anything is
+  /// loaded, and both files are left as they are. A damaged snapshot
+  /// throws std::invalid_argument (core::load_state). Call on a freshly
+  /// constructed coordinator, before any ingest.
   std::uint64_t recover(durable_state& state);
 
   /// Appends one frozen epoch to the WAL: one write(2) on the held
@@ -118,8 +122,11 @@ class durable_log {
   void append(std::uint64_t seq, const estimate_key& key,
               const epoch_estimate& est);
 
-  /// Checkpoints `state`: snapshot.tmp -> rename -> WAL reset (the
-  /// append descriptor is reopened with O_TRUNC). Quiesce producers first:
+  /// Checkpoints `state`: snapshot.tmp -> fsync -> rename -> fsync of the
+  /// directory -> WAL reset (the append descriptor is reopened with
+  /// O_TRUNC). A failed fsync throws before the WAL is reset, so the
+  /// previous pair, or the new snapshot with a WAL it covers, recovers.
+  /// Quiesce producers first:
   /// an epoch that freezes during the state walk (the one save_state
   /// does) lands in the WAL the reset empties, and in the snapshot only if
   /// the walk had not passed its stream yet. On

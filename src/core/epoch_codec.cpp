@@ -130,12 +130,6 @@ void put_open(std::string& out, const estimate_key& key,
   out += '\n';
 }
 
-void put_alert_seq(std::string& out, std::uint64_t seq) {
-  out += "ALERTSEQ ";
-  put_num(out, seq);
-  out += '\n';
-}
-
 void put_wal(std::string& out, std::uint64_t seq, const estimate_key& key,
              const epoch_estimate& est) {
   const std::size_t start = out.size();
@@ -150,23 +144,6 @@ void put_wal(std::string& out, std::uint64_t seq, const estimate_key& key,
     crc[9 - i] = "0123456789abcdef"[(sum >> (4 * i)) & 0xfu];
   }
   out.append(crc, sizeof(crc) - 1);
-}
-
-bool parse_state_line(std::string_view line, state_line& out) {
-  const std::string_view tag = pop(line);
-  if (tag == "EST") {
-    out.tag = state_line::kind::est;
-    return parse_key_fields(line, out.key, out.est.epoch_start_s, out.est.mean,
-                            out.est.stddev, out.est.samples);
-  }
-  if (tag == "OPEN") {
-    out.tag = state_line::kind::open;
-    return parse_key_fields(line, out.key, out.open.open_start_s, out.open.n,
-                            out.open.mean, out.open.m2);
-  }
-  out.tag = state_line::kind::alert_seq;
-  return tag == "ALERTSEQ" && parse_whole(pop(line), out.alert_seq) &&
-         pop(line).empty();
 }
 
 bool parse_wal(std::string_view line, std::uint64_t& seq, estimate_key& key,

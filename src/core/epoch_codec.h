@@ -1,22 +1,22 @@
-// The one text codec for frozen-epoch records: snapshot lines
-// (core::persist: EST / OPEN / ALERTSEQ), WAL records (core::durable_log:
-// `W <seq> ... C<fnv1a32>`) and, through persist, the replication
-// catch-up snapshot all render and parse here.
+// The one text codec for frozen-epoch records: WAL records
+// (core::durable_log: `W <seq> ... C<fnv1a32>`) render and parse here, and
+// the EST / OPEN lines of the text table dump (core::estimate_table_text)
+// render here. Snapshots are binary (core::persist) and never pass
+// through this codec.
 //
 //  * Rendering appends to a std::string with std::to_chars. Doubles use
 //    the general format at precision 17, which the standard specifies to
 //    match printf("%.17g") character for character: the bytes are the
 //    ones the old snprintf renderers wrote, and every double parses back
 //    bit-exactly.
-//  * Parsing reads fields in place from a std::string_view with
-//    std::from_chars. Fields are separated, and a line may be padded, by
-//    runs of exactly five bytes: ' ', '\t', '\r', '\v' and '\f'; every
+//  * Parsing reads a WAL line's fields in place from a std::string_view
+//    with std::from_chars. Fields are separated, and a line may be padded,
+//    by runs of exactly five bytes: ' ', '\t', '\r', '\v' and '\f'; every
 //    other byte belongs to a field. Each field must parse whole, and a
-//    line must carry exactly its fields (a WAL line ends with its fixed
-//    ` C<8 hex digits>` suffix). A `nan` field is
-//    malformed everywhere (a snapshot load throws, WAL replay stops there
-//    as at a torn tail): a NaN estimate carries nothing and cannot
-//    round-trip its payload.
+//    line must carry exactly its fields and end with its fixed
+//    ` C<8 hex digits>` suffix. A `nan` field is malformed (WAL replay
+//    stops there as at a torn tail): a NaN estimate carries nothing and
+//    cannot round-trip its payload.
 //  * line_reader hands out lines from a stream through one bounded buffer
 //    (grown only for a line longer than it), or from in-memory text
 //    without copying it.
@@ -40,25 +40,11 @@ void put_est(std::string& out, const estimate_key& key,
 /// `OPEN <zone> <network> <metric> <open_start> <n> <mean> <m2>\n`
 void put_open(std::string& out, const estimate_key& key,
               const open_epoch_state& st);
-/// `ALERTSEQ <seq>\n`
-void put_alert_seq(std::string& out, std::uint64_t seq);
 /// `W <seq> <zone> <network> <metric> <epoch_start> <mean> <stddev> <n>
 /// C<fnv1a32 of everything before " C", %08x>\n`
 void put_wal(std::string& out, std::uint64_t seq, const estimate_key& key,
              const epoch_estimate& est);
 
-/// One parsed snapshot body line; only the members of `tag` are set.
-struct state_line {
-  enum class kind { est, open, alert_seq };
-  kind tag = kind::est;
-  estimate_key key;
-  epoch_estimate est;
-  open_epoch_state open;
-  std::uint64_t alert_seq = 0;
-};
-
-/// Parses one snapshot body line (no newline); false if malformed.
-bool parse_state_line(std::string_view line, state_line& out);
 /// Parses one WAL line (no newline); false if cut, corrupt or malformed.
 bool parse_wal(std::string_view line, std::uint64_t& seq, estimate_key& key,
                epoch_estimate& est);

@@ -1,9 +1,15 @@
 #include "core/persist.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstring>
+#include <istream>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/epoch_codec.h"
@@ -13,8 +19,121 @@ namespace wiscape::core {
 
 namespace {
 
+constexpr std::string_view kMagic = "WISCAPE-COORD ";
+constexpr std::string_view kHeader = "WISCAPE-COORD v3\n";
 constexpr std::size_t kSpillBytes = 64 * 1024;
-constexpr std::string_view kHeader = "WISCAPE-COORD v2";
+/// ix, iy, network index, metric, flags and the frozen count.
+constexpr std::size_t kBlockBytes = 16;
+/// One frozen epoch, or the open accumulator: four 8-byte fields.
+constexpr std::size_t kEpochBytes = 32;
+/// Block count, alert sequence and checksum.
+constexpr std::size_t kTrailerBytes = 24;
+constexpr std::uint8_t kHasOpen = 1;
+
+constexpr std::uint64_t kFoldMul = 0x9e3779b97f4a7c15ull;  // odd
+constexpr std::uint64_t kFoldSeed = 0x5749534341504533ull;
+
+// Fixed-width little-endian fields, doubles as their raw bits.
+template <typename T>
+char* store(char* p, T v) noexcept {
+  if constexpr (std::is_floating_point_v<T>) {
+    return store(p, std::bit_cast<std::uint64_t>(v));
+  } else {
+    using U = std::make_unsigned_t<T>;
+    auto u = static_cast<U>(v);
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(p, &u, sizeof(U));
+    } else {
+      for (std::size_t i = 0; i < sizeof(U); ++i) {
+        p[i] = static_cast<char>((u >> (8 * i)) & 0xffu);
+      }
+    }
+    return p + sizeof(U);
+  }
+}
+
+template <typename T>
+T load(const char*& p) noexcept {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::bit_cast<double>(load<std::uint64_t>(p));
+  } else {
+    using U = std::make_unsigned_t<T>;
+    U u = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&u, p, sizeof(U));
+    } else {
+      for (std::size_t i = 0; i < sizeof(U); ++i) {
+        u = static_cast<U>(u | static_cast<U>(static_cast<unsigned char>(p[i]))
+                                   << (8 * i));
+      }
+    }
+    p += sizeof(U);
+    return static_cast<T>(u);
+  }
+}
+
+/// Appends `fields` back to back.
+template <typename... Fields>
+void put(std::string& out, Fields... fields) {
+  char buf[(sizeof(Fields) + ...)];
+  char* p = buf;
+  ((p = store(p, fields)), ...);
+  out.append(buf, sizeof(buf));
+}
+
+/// A double field; NaN is refused.
+double load_not_nan(const char*& p) {
+  const double v = load<double>(p);
+  if (std::isnan(v)) {
+    throw std::invalid_argument("coordinator-state file holds a NaN field");
+  }
+  return v;
+}
+
+/// The running snapshot checksum, fed in pieces of any length: one lane
+/// folding each little-endian 8-byte word w as h = (h ^ w) * K, h ^= h >>
+/// 32 (each step a bijection of h, so a change inside one word always
+/// changes the sum), then the zero-padded tail word and the byte count.
+class folder {
+ public:
+  void feed(const char* p, std::size_t n) noexcept {
+    bytes_ += n;
+    if (tail_n_ > 0) {
+      const std::size_t k = std::min(n, sizeof(tail_) - tail_n_);
+      std::memcpy(tail_ + tail_n_, p, k);
+      tail_n_ += k;
+      p += k;
+      n -= k;
+      if (tail_n_ < sizeof(tail_)) return;
+      const char* t = tail_;
+      h_ = step(h_, load<std::uint64_t>(t));
+      tail_n_ = 0;
+    }
+    std::uint64_t h = h_;
+    for (; n >= 8; n -= 8) h = step(h, load<std::uint64_t>(p));
+    h_ = h;
+    std::memcpy(tail_, p, n);
+    tail_n_ = n;
+  }
+
+  std::uint64_t value() const noexcept {
+    char last[8] = {};
+    std::memcpy(last, tail_, tail_n_);
+    const char* t = last;
+    return step(step(h_, load<std::uint64_t>(t)), bytes_);
+  }
+
+ private:
+  static std::uint64_t step(std::uint64_t h, std::uint64_t w) noexcept {
+    h = (h ^ w) * kFoldMul;
+    return h ^ (h >> 32);
+  }
+
+  std::uint64_t h_ = kFoldSeed;
+  std::uint64_t bytes_ = 0;
+  char tail_[8] = {};
+  std::size_t tail_n_ = 0;
+};
 
 void sort_keys(std::vector<estimate_key>& keys) {
   // Deterministic file order: by zone, then network, then metric.
@@ -26,63 +145,260 @@ void sort_keys(std::vector<estimate_key>& keys) {
             });
 }
 
-/// Writes `buf` into `os` (when there is one) once it holds `at_least`
-/// bytes, so a stream save never holds more than about one spill of text.
-void spill(std::ostream* os, std::string& buf, std::size_t at_least) {
-  if (os == nullptr || buf.size() < at_least) return;
-  os->write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  buf.clear();
-}
-
-/// Renders the header, every stream in deterministic key order (its
-/// frozen history, then its open epoch if it has one) and the alert
-/// sequence high-water mark.
+/// Renders the header, the name table, one block per stream in key order
+/// and the trailer, checksumming every byte; a stream save writes out
+/// about one spill at a time.
 void render_state(const durable_state& state, std::string& out,
                   std::ostream* os) {
   if (fault::fire(fault::site::persist_save) == fault::action::fail) {
     throw std::runtime_error("injected fault: coordinator snapshot refused");
   }
-  out += kHeader;
-  out += '\n';
   auto keys = state.keys();
   sort_keys(keys);
+  // The distinct networks, sorted: a handful, however many streams.
+  std::vector<std::string_view> names;
   for (const auto& key : keys) {
-    for (const auto& est : state.history(key)) {
-      epoch_codec::put_est(out, key, est);
+    const auto at = std::lower_bound(names.begin(), names.end(), key.network);
+    if (at == names.end() || *at != key.network) {
+      names.insert(at, key.network);
     }
-    if (const auto open = state.open_state(key)) {
-      epoch_codec::put_open(out, key, *open);
-    }
-    spill(os, out, kSpillBytes);
   }
-  epoch_codec::put_alert_seq(out, state.alert_seq());
-  spill(os, out, 0);
+  if (names.size() > 0xffff) {
+    throw std::runtime_error("coordinator snapshot: more than 65535 networks");
+  }
+
+  folder sum;
+  std::size_t fed = out.size();  // `out` may hold a prefix of its own
+  const auto spill = [&](std::size_t at_least) {
+    if (out.size() - fed < at_least) return;
+    sum.feed(out.data() + fed, out.size() - fed);
+    fed = out.size();
+    if (os == nullptr) return;
+    os->write(out.data(), static_cast<std::streamsize>(out.size()));
+    out.clear();
+    fed = 0;
+  };
+
+  out += kHeader;
+  put(out, static_cast<std::uint16_t>(names.size()));
+  for (const std::string_view name : names) {
+    if (name.size() > 0xffff) {
+      throw std::runtime_error("coordinator snapshot: network name over "
+                               "65535 bytes");
+    }
+    put(out, static_cast<std::uint16_t>(name.size()));
+    out += name;
+  }
+  std::uint64_t blocks = 0;
+  for (const auto& key : keys) {
+    const auto history = state.history(key);
+    const auto open = state.open_state(key);
+    if (history.empty() && !open) continue;
+    const auto net = static_cast<std::uint16_t>(
+        std::lower_bound(names.begin(), names.end(), key.network) -
+        names.begin());
+    put(out, static_cast<std::int32_t>(key.zone.ix),
+        static_cast<std::int32_t>(key.zone.iy), net,
+        static_cast<std::uint8_t>(key.metric),
+        static_cast<std::uint8_t>(open ? kHasOpen : 0),
+        static_cast<std::uint32_t>(history.size()));
+    for (const auto& est : history) {
+      put(out, est.epoch_start_s, est.mean, est.stddev,
+          static_cast<std::uint64_t>(est.samples));
+    }
+    if (open) put(out, open->open_start_s, open->n, open->mean, open->m2);
+    ++blocks;
+    spill(kSpillBytes);
+  }
+  put(out, blocks, state.alert_seq());
+  spill(0);
+  put(out, sum.value());
+  spill(0);
 }
 
-/// Checks the header line, then restores every body line into `state`; a
-/// line that does not parse throws.
-void load_state_lines(epoch_codec::line_reader& in, durable_state& state) {
-  using kind = epoch_codec::state_line::kind;
-  std::string_view line;
-  if (!in.next(line) || line != kHeader) {
-    throw std::invalid_argument("not a coordinator-state file (bad header)");
+/// The bytes of a snapshot, from a stream through one bounded buffer
+/// (checksummed as they are consumed) or in place from memory.
+class byte_source {
+ public:
+  explicit byte_source(std::istream& is)
+      : is_(&is), buf_(snapshot_buffer_size, '\0'), data_(buf_.data()) {}
+  explicit byte_source(std::string_view bytes) noexcept
+      : data_(bytes.data()), end_(bytes.size()), eof_(true) {}
+
+  /// Up to `n` (<= snapshot_buffer_size) of the next bytes, unconsumed.
+  std::string_view peek(std::size_t n) {
+    while (end_ - pos_ < n && !eof_) refill();
+    return {data_ + pos_, std::min(n, end_ - pos_)};
   }
-  epoch_codec::state_line r;
-  while (in.next(line)) {
-    if (line.empty()) continue;
-    if (!epoch_codec::parse_state_line(line, r)) {
-      throw std::invalid_argument("malformed coordinator-state line: '" +
-                                  std::string(line) + "'");
+  /// The next `n` bytes, consumed; throws when the input ends first.
+  const char* take(std::size_t n, const char* what) {
+    if (peek(n).size() < n) {
+      throw std::invalid_argument(std::string("coordinator-state file cut "
+                                              "inside its ") +
+                                  what);
     }
-    if (r.tag == kind::est) {
-      state.restore_estimate(r.key, r.est);
-    } else if (r.tag == kind::open) {
-      state.restore_open(r.key, r.open);
-    } else if (r.alert_seq > 0) {
-      state.resume_alert_seq(r.alert_seq);
-    }
+    const char* p = data_ + pos_;
+    pos_ += n;
+    return p;
   }
+  /// True when exactly `n` bytes are left.
+  bool left_exactly(std::size_t n) {
+    return peek(n + 1).size() == n && eof_;
+  }
+  /// False only when `n` bytes are known not to remain (in memory).
+  bool may_hold(std::uint64_t n) const noexcept {
+    return is_ != nullptr || n <= end_ - pos_;
+  }
+  /// The checksum of every byte consumed so far.
+  std::uint64_t consumed_sum() noexcept {
+    sum_.feed(data_ + fed_, pos_ - fed_);
+    fed_ = pos_;
+    return sum_.value();
+  }
+
+ private:
+  void refill() {
+    // Checksum the consumed bytes, move the unread ones to the front and
+    // top the buffer up.
+    sum_.feed(data_ + fed_, pos_ - fed_);
+    const std::size_t keep = end_ - pos_;
+    std::memmove(buf_.data(), buf_.data() + pos_, keep);
+    pos_ = fed_ = 0;
+    end_ = keep;
+    const std::streamsize got = is_->rdbuf()->sgetn(
+        buf_.data() + end_, static_cast<std::streamsize>(buf_.size() - end_));
+    eof_ = got <= 0;
+    if (!eof_) end_ += static_cast<std::size_t>(got);
+  }
+
+  std::istream* is_ = nullptr;
+  std::string buf_;             // stream mode: the bounded read buffer
+  const char* data_ = nullptr;  // buf_.data() or the bytes in memory
+  std::size_t pos_ = 0;         // first unconsumed byte
+  std::size_t end_ = 0;         // end of the valid bytes
+  std::size_t fed_ = 0;         // first byte not yet checksummed
+  bool eof_ = false;
+  folder sum_;
+};
+
+/// Refuses anything but the v3 header line, naming another version.
+void check_header(std::string_view head) {
+  if (head == kHeader) return;
+  if (head.size() < kHeader.size() && kHeader.starts_with(head)) {
+    throw std::invalid_argument("coordinator-state file cut inside its header");
+  }
+  if (head.starts_with(kMagic)) {
+    std::string_view version = head.substr(kMagic.size());
+    version = version.substr(0, version.find('\n'));
+    throw std::invalid_argument("coordinator-state file version '" +
+                                std::string(version) +
+                                "' is not supported; this build reads v3");
+  }
+  throw std::invalid_argument("not a coordinator-state file (bad header)");
 }
+
+/// Reads a whole snapshot from `in` into `state`, installing each epoch as
+/// it is decoded. Without `verify_checksum` the trailer's checksum is taken
+/// as read (a pass over the same bytes verified it).
+void read_state(byte_source& in, durable_state& state, bool verify_checksum) {
+  check_header(in.peek(kHeader.size()));
+  in.take(kHeader.size(), "header");
+
+  const char* p = in.take(2, "network table");
+  const std::size_t networks = load<std::uint16_t>(p);
+  if (!in.may_hold(2 * networks)) {
+    throw std::invalid_argument("coordinator-state file: network count "
+                                "larger than the file");
+  }
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < networks; ++i) {
+    p = in.take(2, "network table");
+    const std::size_t len = load<std::uint16_t>(p);
+    names.emplace_back(in.take(len, "network table"), len);
+  }
+
+  std::uint64_t blocks = 0;
+  estimate_key key;
+  std::size_t key_net = names.size();  // the name `key` holds, if any
+  while (!in.left_exactly(kTrailerBytes)) {
+    p = in.take(kBlockBytes, "stream block");
+    key.zone.ix = load<std::int32_t>(p);
+    key.zone.iy = load<std::int32_t>(p);
+    const std::size_t net = load<std::uint16_t>(p);
+    const std::uint8_t metric = load<std::uint8_t>(p);
+    const std::uint8_t flags = load<std::uint8_t>(p);
+    const std::uint32_t frozen = load<std::uint32_t>(p);
+    if (net >= names.size() || metric >= trace::metric_count ||
+        (flags & ~kHasOpen) != 0 || !zone_table::zone_in_range(key.zone)) {
+      throw std::invalid_argument("coordinator-state file: malformed stream "
+                                  "block " + std::to_string(blocks));
+    }
+    if (!in.may_hold(std::uint64_t{frozen} * kEpochBytes)) {
+      throw std::invalid_argument("coordinator-state file: frozen count "
+                                  "larger than the file");
+    }
+    if (net != key_net) {
+      key.network = names[net];
+      key_net = net;
+    }
+    key.metric = static_cast<trace::metric>(metric);
+    for (std::uint32_t i = 0; i < frozen; ++i) {
+      p = in.take(kEpochBytes, "stream block");
+      epoch_estimate est;
+      est.epoch_start_s = load_not_nan(p);
+      est.mean = load_not_nan(p);
+      est.stddev = load_not_nan(p);
+      est.samples = static_cast<std::size_t>(load<std::uint64_t>(p));
+      state.restore_estimate(key, est);
+    }
+    if ((flags & kHasOpen) != 0) {
+      p = in.take(kEpochBytes, "stream block");
+      open_epoch_state open;
+      open.open_start_s = load_not_nan(p);
+      open.n = load<std::uint64_t>(p);
+      open.mean = load_not_nan(p);
+      open.m2 = load_not_nan(p);
+      state.restore_open(key, open);
+    }
+    ++blocks;
+  }
+
+  p = in.take(kTrailerBytes - 8, "trailer");
+  const std::uint64_t count = load<std::uint64_t>(p);
+  const std::uint64_t alert_seq = load<std::uint64_t>(p);
+  const std::uint64_t computed = verify_checksum ? in.consumed_sum() : 0;
+  p = in.take(8, "trailer");
+  const std::uint64_t stored = load<std::uint64_t>(p);
+  if (verify_checksum && computed != stored) {
+    throw std::invalid_argument("coordinator-state file checksum mismatch");
+  }
+  if (count != blocks) {
+    throw std::invalid_argument("coordinator-state file: trailer counts " +
+                                std::to_string(count) + " streams, read " +
+                                std::to_string(blocks));
+  }
+  if (alert_seq > 0) state.resume_alert_seq(alert_seq);
+}
+
+/// A durable_state that holds nothing: the in-memory load's checking pass
+/// reads into it.
+class discard_state final : public durable_state {
+ public:
+  std::vector<estimate_key> keys() const override { return {}; }
+  std::vector<epoch_estimate> history(const estimate_key&) const override {
+    return {};
+  }
+  std::optional<open_epoch_state> open_state(
+      const estimate_key&) const override {
+    return std::nullopt;
+  }
+  bool restore_estimate(const estimate_key&, const epoch_estimate&) override {
+    return false;
+  }
+  void restore_open(const estimate_key&, const open_epoch_state&) override {}
+  std::uint64_t alert_seq() const override { return 0; }
+  void resume_alert_seq(std::uint64_t) override {}
+};
 
 }  // namespace
 
@@ -96,13 +412,33 @@ void save_state(std::string& out, const durable_state& state) {
 }
 
 void load_state(std::istream& is, durable_state& state) {
-  epoch_codec::line_reader in(is);
-  load_state_lines(in, state);
+  byte_source in(is);
+  read_state(in, state, true);
 }
 
-void load_state(std::string_view text, durable_state& state) {
-  epoch_codec::line_reader in(text);
-  load_state_lines(in, state);
+void load_state(std::string_view bytes, durable_state& state) {
+  // Refuse a damaged input before the first install: a first pass checks
+  // every field and the checksum and installs nothing.
+  byte_source check(bytes);
+  discard_state nothing;
+  read_state(check, nothing, true);
+  byte_source in(bytes);
+  read_state(in, state, false);
+}
+
+std::string estimate_table_text(const durable_state& state) {
+  auto keys = state.keys();
+  sort_keys(keys);
+  std::string out;
+  for (const auto& key : keys) {
+    for (const auto& est : state.history(key)) {
+      epoch_codec::put_est(out, key, est);
+    }
+    if (const auto open = state.open_state(key)) {
+      epoch_codec::put_open(out, key, *open);
+    }
+  }
+  return out;
 }
 
 }  // namespace wiscape::core

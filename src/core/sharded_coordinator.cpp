@@ -1,5 +1,8 @@
 #include "core/sharded_coordinator.h"
 
+#include <pthread.h>
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
@@ -433,6 +436,22 @@ double sharded_coordinator::ingest_saturation() const noexcept {
   for (const auto& sh : shards_) worst = std::max(worst, sh->queue.size());
   return std::min(1.0, static_cast<double>(worst) /
                            static_cast<double>(cfg_.queue_capacity));
+}
+
+double sharded_coordinator::drain_cpu_s() const {
+  double total = 0.0;
+  for (const auto& w : workers_) {
+    // native_handle() is non-const only because it hands out the handle.
+    clockid_t clock{};
+    timespec ts{};
+    if (pthread_getcpuclockid(const_cast<std::thread&>(w).native_handle(),
+                              &clock) == 0 &&
+        clock_gettime(clock, &ts) == 0) {
+      total += static_cast<double>(ts.tv_sec) +
+               1e-9 * static_cast<double>(ts.tv_nsec);
+    }
+  }
+  return total;
 }
 
 shard_stats sharded_coordinator::stats_of(std::size_t shard_index) const {

@@ -254,6 +254,12 @@ class sharded_coordinator : public durable_state {
   /// holds); safe from any thread.
   double ingest_saturation() const noexcept;
 
+  /// CPU seconds the drain workers have used so far, summed over their
+  /// threads' CPU clocks (0 when synchronous or stopped): the apply side's
+  /// cost alone, without the producers' or the hand-off's. Not safe
+  /// concurrently with stop().
+  double drain_cpu_s() const;
+
  private:
   struct shard;
 

@@ -77,7 +77,7 @@ struct epoch_estimate {
 /// The open (not yet frozen) epoch of one stream, in the exact Welford form
 /// the accumulator carries -- persisted verbatim so a restored coordinator's
 /// next rollover publishes bit-for-bit what the uninterrupted one would
-///// (core::persist round-trips these at full %.17g precision).
+/// (core::persist round-trips their raw IEEE-754 bits).
 struct open_epoch_state {
   double open_start_s = 0.0;
   std::uint64_t n = 0;

@@ -16,6 +16,10 @@ namespace wiscape::repl {
 namespace v3 = proto::v3;
 
 namespace {
+
+/// Fetches of one catch-up body before a refusal is final.
+constexpr int kCatchUpAttempts = 4;
+
 struct repl_metrics {
   obs::counter& snapshot_chunks;
   obs::counter& promotions;
@@ -157,35 +161,47 @@ std::optional<std::uint64_t> replica::poll(const transport& send) {
 
 void replica::catch_up(const transport& send) {
   proto::client leader(send, proto::client::framing::v3);
-  std::string snap;
-  std::uint64_t offset = 0;
-  for (;;) {
-    // The chunk's bytes alias the client's reply; appending them is the
-    // one copy each chunk takes.
-    const v3::snapshot_chunk chunk = leader.snapshot(offset);
-    if (chunk.offset != offset) {
-      throw std::runtime_error("replication catch-up: offset mismatch");
+  for (int attempt = 1;; ++attempt) {
+    std::string snap;
+    std::uint64_t offset = 0;
+    for (;;) {
+      // The chunk's bytes alias the client's reply; appending them is the
+      // one copy each chunk takes.
+      const v3::snapshot_chunk chunk = leader.snapshot(offset);
+      if (chunk.offset != offset) {
+        throw std::runtime_error("replication catch-up: offset mismatch");
+      }
+      snap.append(chunk.data);
+      offset += chunk.data.size();
+      if (chunk.last) break;
+      if (chunk.data.empty()) {
+        throw std::runtime_error("replication catch-up: empty non-final chunk");
+      }
     }
-    snap.append(chunk.data);
-    offset += chunk.data.size();
-    if (chunk.last) break;
-    if (chunk.data.empty()) {
-      throw std::runtime_error("replication catch-up: empty non-final chunk");
+    const std::size_t nl = snap.find('\n');
+    if (nl == std::string::npos || snap.compare(0, 8, "REPLSEQ ") != 0) {
+      throw std::runtime_error("replication catch-up: missing REPLSEQ header");
     }
+    std::uint64_t seq = 0;
+    const char* last = snap.data() + nl;
+    const auto parsed = std::from_chars(snap.data() + 8, last, seq);
+    if (parsed.ec != std::errc{} || parsed.ptr != last) {
+      throw std::runtime_error(
+          "replication catch-up: malformed REPLSEQ header");
+    }
+    std::lock_guard lock(mu_);
+    try {
+      core::load_state(std::string_view(snap).substr(nl + 1), *coord_);
+    } catch (const std::invalid_argument&) {
+      // Another joiner's offset-0 request re-captures the leader's cache,
+      // so a body fetched across it is torn. load_state refuses it before
+      // installing anything; fetch it again.
+      if (attempt == kCatchUpAttempts) throw;
+      continue;
+    }
+    applied_seq_.store(seq, std::memory_order_release);
+    return;
   }
-  const std::size_t nl = snap.find('\n');
-  if (nl == std::string::npos || snap.compare(0, 8, "REPLSEQ ") != 0) {
-    throw std::runtime_error("replication catch-up: missing REPLSEQ header");
-  }
-  std::uint64_t seq = 0;
-  const char* last = snap.data() + nl;
-  const auto parsed = std::from_chars(snap.data() + 8, last, seq);
-  if (parsed.ec != std::errc{} || parsed.ptr != last) {
-    throw std::runtime_error("replication catch-up: malformed REPLSEQ header");
-  }
-  std::lock_guard lock(mu_);
-  core::load_state(std::string_view(snap).substr(nl + 1), *coord_);
-  applied_seq_.store(seq, std::memory_order_release);
 }
 
 }  // namespace wiscape::repl

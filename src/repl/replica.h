@@ -121,7 +121,11 @@ class replica : public proto::replication_endpoint {
   /// snapshot's covering sequence. Valid on a fresh follower and on one
   /// that poll() found fallen off the leader's log: the snapshot's frozen
   /// epochs install idempotently, so epochs already applied land once.
-  /// Throws proto::reply_error on an ERR, std::runtime_error on a
+  /// A body core::load_state refuses -- torn because another joiner's
+  /// offset-0 request re-captured the leader's cache mid-fetch, or
+  /// damaged -- installs nothing and is fetched again, up to 4 fetches in
+  /// all; the last refusal throws std::invalid_argument with the table as
+  /// it was. Throws proto::reply_error on an ERR, std::runtime_error on a
   /// malformed or inconsistent chunk sequence.
   void catch_up(const transport& send);
 

@@ -17,8 +17,8 @@
 #include "cellnet/deployment.h"
 #include "cellnet/presets.h"
 #include "core/durable_log.h"
-#include "core/epoch_codec.h"
 #include "core/estimate_view.h"
+#include "core/persist.h"
 #include "core/sharded_coordinator.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -982,21 +982,8 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
     }
     out.final_estb = estb.str();
   }
-  // Final table: every stream's frozen history and open epoch, sorted --
-  // rendered here rather than by save_state, whose persist_save fault
-  // site a scenario's schedule may still arm.
-  {
-    std::vector<core::estimate_key> keys = coord->keys();
-    std::sort(keys.begin(), keys.end(), key_less{});
-    for (const core::estimate_key& k : keys) {
-      for (const core::epoch_estimate& e : coord->history(k)) {
-        core::epoch_codec::put_est(out.final_table, k, e);
-      }
-      if (const auto open = coord->open_state(k)) {
-        core::epoch_codec::put_open(out.final_table, k, *open);
-      }
-    }
-  }
+  // Final table: every stream's frozen history and open epoch, as text.
+  out.final_table = core::estimate_table_text(*coord);
 
   out.tick_log = log.str();
   out.passed = out.violations.empty();

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -64,20 +65,123 @@ std::string ref_open(const estimate_key& key, const open_epoch_state& st) {
   return buf;
 }
 
-std::string ref_state(const durable_state& state) {
-  auto keys = state.keys();
+void sort_like_persist(std::vector<estimate_key>& keys) {
   std::sort(keys.begin(), keys.end(),
             [](const estimate_key& a, const estimate_key& b) {
               if (a.zone != b.zone) return a.zone < b.zone;
               if (a.network != b.network) return a.network < b.network;
               return static_cast<int>(a.metric) < static_cast<int>(b.metric);
             });
-  std::string out = "WISCAPE-COORD v2\n";
+}
+
+/// The text table dump the way the snprintf renderers wrote it.
+std::string ref_table_text(const durable_state& state) {
+  auto keys = state.keys();
+  sort_like_persist(keys);
+  std::string out;
   for (const auto& key : keys) {
     for (const auto& est : state.history(key)) out += ref_est(key, est);
     if (const auto open = state.open_state(key)) out += ref_open(key, *open);
   }
-  return out + "ALERTSEQ " + std::to_string(state.alert_seq()) + "\n";
+  return out;
+}
+
+// ---- an independent reference of the v3 snapshot layout ---------------------
+
+/// One stream's block, as the reference encoder takes it.
+struct ref_block {
+  estimate_key key;
+  std::vector<epoch_estimate> frozen;
+  std::optional<open_epoch_state> open;
+};
+
+void ref_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+  }
+}
+
+/// The checksum from its definition: each little-endian word, then the
+/// zero-padded tail word, then the length.
+std::uint64_t ref_checksum(std::string_view b) {
+  const auto step = [](std::uint64_t h, std::uint64_t w) {
+    h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+    return h ^ (h >> 32);
+  };
+  const auto word_at = [&](std::size_t i) {
+    std::uint64_t w = 0;
+    for (std::size_t k = 0; k < 8 && i + k < b.size(); ++k) {
+      w |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[i + k]))
+           << (8 * k);
+    }
+    return w;
+  };
+  std::uint64_t h = 0x5749534341504533ull;
+  std::size_t i = 0;
+  for (; i + 8 <= b.size(); i += 8) h = step(h, word_at(i));
+  h = step(h, word_at(i));
+  return step(h, b.size());
+}
+
+/// Rewrites the last 8 bytes of `bytes` as the checksum of the rest, so a
+/// structural change meets the loader's field checks, not its checksum.
+std::string resealed(std::string bytes) {
+  bytes.resize(bytes.size() - 8);
+  ref_le(bytes, ref_checksum(bytes), 8);
+  return bytes;
+}
+
+/// Encodes `blocks`, in the order given, field by field.
+std::string ref_snapshot(const std::vector<ref_block>& blocks,
+                         std::uint64_t alert_seq) {
+  std::vector<std::string> names;
+  for (const auto& b : blocks) names.push_back(b.key.network);
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  std::string out = "WISCAPE-COORD v3\n";
+  ref_le(out, names.size(), 2);
+  for (const auto& n : names) {
+    ref_le(out, n.size(), 2);
+    out += n;
+  }
+  for (const auto& b : blocks) {
+    const auto net = std::find(names.begin(), names.end(), b.key.network);
+    ref_le(out, static_cast<std::uint32_t>(b.key.zone.ix), 4);
+    ref_le(out, static_cast<std::uint32_t>(b.key.zone.iy), 4);
+    ref_le(out, static_cast<std::uint64_t>(net - names.begin()), 2);
+    ref_le(out, static_cast<std::uint64_t>(b.key.metric), 1);
+    ref_le(out, b.open ? 1 : 0, 1);
+    ref_le(out, b.frozen.size(), 4);
+    for (const auto& e : b.frozen) {
+      ref_le(out, bits_of(e.epoch_start_s), 8);
+      ref_le(out, bits_of(e.mean), 8);
+      ref_le(out, bits_of(e.stddev), 8);
+      ref_le(out, e.samples, 8);
+    }
+    if (b.open) {
+      ref_le(out, bits_of(b.open->open_start_s), 8);
+      ref_le(out, b.open->n, 8);
+      ref_le(out, bits_of(b.open->mean), 8);
+      ref_le(out, bits_of(b.open->m2), 8);
+    }
+  }
+  ref_le(out, blocks.size(), 8);
+  ref_le(out, alert_seq, 8);
+  ref_le(out, ref_checksum(out), 8);
+  return out;
+}
+
+/// `state`'s streams in snapshot order; a stream with neither a frozen
+/// nor an open epoch has no block.
+std::string ref_snapshot(const durable_state& state) {
+  auto keys = state.keys();
+  sort_like_persist(keys);
+  std::vector<ref_block> blocks;
+  for (const auto& key : keys) {
+    ref_block b{key, state.history(key), state.open_state(key)};
+    if (!b.frozen.empty() || b.open) blocks.push_back(std::move(b));
+  }
+  return ref_snapshot(blocks, state.alert_seq());
 }
 
 // Doubles a renderer is most likely to get wrong, beside random bits.
@@ -105,16 +209,15 @@ std::vector<double> random_doubles(std::size_t n) {
   return v;
 }
 
-/// Renders `v` into every double field of an EST line and parses it back.
-bool est_round_trip(double v, epoch_estimate& back) {
+/// Renders `v` into every double field of a WAL record and parses it back.
+bool wal_round_trip(double v, epoch_estimate& back) {
   std::string line;
-  epoch_codec::put_est(line, {{-4, 7}, "NetB", trace::metric::rtt_s},
+  epoch_codec::put_wal(line, 5, {{-4, 7}, "NetB", trace::metric::rtt_s},
                        {v, v, v, 3});
   line.pop_back();  // the newline
-  epoch_codec::state_line rec;
-  if (!epoch_codec::parse_state_line(line, rec)) return false;
-  back = rec.est;
-  return rec.tag == epoch_codec::state_line::kind::est;
+  std::uint64_t seq = 0;
+  estimate_key key;
+  return epoch_codec::parse_wal(line, seq, key, back) && seq == 5;
 }
 
 TEST(EpochCodec, DoublesRenderLikePrintfAndParseBackBitExact) {
@@ -129,10 +232,10 @@ TEST(EpochCodec, DoublesRenderLikePrintfAndParseBackBitExact) {
     epoch_estimate back;
     if (std::isnan(v)) {
       ++nans;
-      EXPECT_FALSE(est_round_trip(v, back));  // pinned: NaN is malformed
+      EXPECT_FALSE(wal_round_trip(v, back));  // pinned: NaN is malformed
       continue;
     }
-    ASSERT_TRUE(est_round_trip(v, back)) << got;
+    ASSERT_TRUE(wal_round_trip(v, back)) << got;
     EXPECT_EQ(bits_of(back.epoch_start_s), bits_of(v)) << got;
     EXPECT_EQ(bits_of(back.mean), bits_of(v)) << got;
     EXPECT_EQ(bits_of(back.stddev), bits_of(v)) << got;
@@ -140,44 +243,48 @@ TEST(EpochCodec, DoublesRenderLikePrintfAndParseBackBitExact) {
   EXPECT_GT(nans, 0u);  // the random patterns did reach the NaN space
 }
 
-TEST(EpochCodec, NanFieldIsMalformedInSnapshotsLikeInTheWal) {
-  // A NaN estimate carries nothing and cannot round-trip its payload, so a
-  // `nan` field is rejected in every position (the WAL side is pinned in
-  // wal_test.cpp); `inf` parses back exactly.
-  for (const char* line : {"EST 1:1 NetB rtt nan 1 1 1", "EST 1:1 NetB rtt 0 -nan 1 1",
-                           "EST 1:1 NetB rtt 0 1 NaN 1",
-                           "OPEN 1:1 NetB rtt 0 2 nan 1",
-                           "OPEN 1:1 NetB rtt 0 2 1 nan(0x1)"}) {
-    std::stringstream coord(std::string("WISCAPE-COORD v2\n") + line + "\n");
-    sharded_coordinator c(geo::zone_grid{geo::projection{{43.0, -89.4}}, 250.0},
-                          {"NetB"}, {}, 1);
-    EXPECT_THROW(load_state(coord, c), std::invalid_argument) << line;
-  }
-  std::stringstream inf("WISCAPE-COORD v2\nEST 1:1 NetB rtt 0 inf -inf 4\n");
-  sharded_coordinator back(geo::zone_grid{geo::projection{{43.0, -89.4}}, 250.0},
-                           {"NetB"}, {}, 1);
-  load_state(inf, back);
-  const auto hist = back.history({{1, 1}, "NetB", trace::metric::rtt_s});
-  ASSERT_EQ(hist.size(), 1u);
-  EXPECT_EQ(hist[0].mean, std::numeric_limits<double>::infinity());
-  EXPECT_EQ(hist[0].stddev, -std::numeric_limits<double>::infinity());
+sharded_coordinator one_network_coordinator() {
+  return sharded_coordinator(
+      geo::zone_grid{geo::projection{{43.0, -89.4}}, 250.0}, {"NetB"}, {}, 1);
 }
 
-TEST(EpochCodec, RejectsTrailingAndMissingFields) {
-  epoch_codec::state_line rec;
-  EXPECT_TRUE(epoch_codec::parse_state_line("EST 1:-1 NetB rtt 0 1 1 1", rec));
-  EXPECT_TRUE(epoch_codec::parse_state_line(" EST\t1:-1 NetB rtt 0 1 1 1 ", rec));
-  EXPECT_FALSE(epoch_codec::parse_state_line("EST 1:-1 NetB rtt 0 1 1", rec));
-  EXPECT_FALSE(epoch_codec::parse_state_line("EST 1:-1 NetB rtt 0 1 1 1 9", rec));
-  EXPECT_FALSE(epoch_codec::parse_state_line("EST 1:-1 NetB rtt 0 1 1 1x", rec));
-  EXPECT_FALSE(epoch_codec::parse_state_line("EST 1:-1x NetB rtt 0 1 1 1", rec));
-  EXPECT_FALSE(epoch_codec::parse_state_line("EST 1:-1 NetB rtt 0 1 1 -1", rec));
-  EXPECT_FALSE(epoch_codec::parse_state_line("EST 1:-1 NetB rtt 0 1e999 1 1", rec));
-  EXPECT_FALSE(epoch_codec::parse_state_line("ALERTSEQ", rec));
-  EXPECT_FALSE(epoch_codec::parse_state_line("ALERTSEQ 1 2", rec));
-  EXPECT_TRUE(epoch_codec::parse_state_line("ALERTSEQ 18446744073709551615", rec));
-  EXPECT_EQ(rec.alert_seq, 18446744073709551615ull);
-  EXPECT_FALSE(epoch_codec::parse_state_line("", rec));
+TEST(EpochCodec, NanFieldIsMalformedInSnapshotsLikeInTheWal) {
+  // A NaN estimate carries nothing and cannot round-trip its payload, so a
+  // NaN in any double field of a snapshot, frozen or open, is refused from
+  // a stream and in memory alike (the WAL side is pinned in wal_test.cpp);
+  // +-inf loads back exactly.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const estimate_key key{{1, 1}, "NetB", trace::metric::rtt_s};
+  std::vector<ref_block> bad;
+  for (int field = 0; field < 3; ++field) {
+    epoch_estimate e{0.0, 1.0, 1.0, 1};
+    (field == 0 ? e.epoch_start_s : field == 1 ? e.mean : e.stddev) =
+        field == 1 ? -nan : nan;
+    bad.push_back({key, {e}, std::nullopt});
+  }
+  for (int field = 0; field < 3; ++field) {
+    open_epoch_state o{0.0, 2, 1.0, 1.0};
+    (field == 0 ? o.open_start_s : field == 1 ? o.mean : o.m2) =
+        from_bits(bits_of(nan) | 1);  // with a payload
+    bad.push_back({key, {}, o});
+  }
+  for (const auto& b : bad) {
+    const std::string bytes = ref_snapshot({b}, 0);
+    auto c = one_network_coordinator();
+    std::istringstream is(bytes);
+    EXPECT_THROW(load_state(is, c), std::invalid_argument);
+    EXPECT_THROW(load_state(std::string_view(bytes), c), std::invalid_argument);
+  }
+  const std::string infs =
+      ref_snapshot({{key, {{0.0, inf, -inf, 4}}, std::nullopt}}, 0);
+  auto back = one_network_coordinator();
+  std::istringstream is(infs);
+  load_state(is, back);
+  const auto hist = back.history(key);
+  ASSERT_EQ(hist.size(), 1u);
+  EXPECT_EQ(hist[0].mean, inf);
+  EXPECT_EQ(hist[0].stddev, -inf);
 }
 
 // ---- the separator set: ' ', '\t', '\r', '\v', '\f' and nothing else ---------
@@ -215,31 +322,8 @@ std::string wal_line(const std::string& body) {
   return body + crc;
 }
 
-const std::vector<std::string> kEstFields = {"EST", "1:-1", "NetB", "rtt",
-                                             "0",   "1",    "2",    "3"};
-const std::vector<std::string> kOpenFields = {"OPEN", "1:-1", "NetB", "rtt",
-                                              "0",    "2",    "1",    "5"};
-const std::vector<std::string> kAlertFields = {"ALERTSEQ", "9"};
 const std::vector<std::string> kWalFields = {"W", "7", "1:-1", "NetB", "rtt",
                                              "0", "1", "2",    "3"};
-
-bool parses_as_canonical_state_line(const std::string& line) {
-  epoch_codec::state_line rec;
-  if (!epoch_codec::parse_state_line(line, rec)) return false;
-  const estimate_key key{{1, -1}, "NetB", trace::metric::rtt_s};
-  switch (rec.tag) {
-    case epoch_codec::state_line::kind::est:
-      return rec.key == key && rec.est.epoch_start_s == 0.0 &&
-             rec.est.mean == 1.0 && rec.est.stddev == 2.0 &&
-             rec.est.samples == 3;
-    case epoch_codec::state_line::kind::open:
-      return rec.key == key && rec.open.open_start_s == 0.0 &&
-             rec.open.n == 2 && rec.open.mean == 1.0 && rec.open.m2 == 5.0;
-    case epoch_codec::state_line::kind::alert_seq:
-      return rec.alert_seq == 9;
-  }
-  return false;
-}
 
 bool parses_as_canonical_wal(const std::string& line) {
   std::uint64_t seq = 0;
@@ -251,26 +335,38 @@ bool parses_as_canonical_wal(const std::string& line) {
          est.samples == 3;
 }
 
+TEST(EpochCodec, RejectsTrailingAndMissingFields) {
+  const auto parses = [](const std::string& body) {
+    std::uint64_t seq = 0;
+    estimate_key key;
+    epoch_estimate est;
+    return epoch_codec::parse_wal(wal_line(body), seq, key, est);
+  };
+  EXPECT_TRUE(parses("W 7 1:-1 NetB rtt 0 1 1 1"));
+  EXPECT_TRUE(parses(" W\t7 1:-1 NetB rtt 0 1 1 1 "));
+  EXPECT_FALSE(parses("W 7 1:-1 NetB rtt 0 1 1"));
+  EXPECT_FALSE(parses("W 7 1:-1 NetB rtt 0 1 1 1 9"));
+  EXPECT_FALSE(parses("W 7 1:-1 NetB rtt 0 1 1 1x"));
+  EXPECT_FALSE(parses("W 7 1:-1x NetB rtt 0 1 1 1"));
+  EXPECT_FALSE(parses("W 7 1:-1 NetB rtt 0 1 1 -1"));
+  EXPECT_FALSE(parses("W 7 1:-1 NetB rtt 0 1e999 1 1"));
+  EXPECT_FALSE(parses("W 1:-1 NetB rtt 0 1 1 1"));
+  EXPECT_FALSE(parses("W 18446744073709551616 1:-1 NetB rtt 0 1 1 1"));
+  EXPECT_TRUE(parses("W 18446744073709551615 1:-1 NetB rtt 0 1 1 1"));
+  EXPECT_FALSE(parses("X 7 1:-1 NetB rtt 0 1 1 1"));
+  EXPECT_FALSE(parses(""));
+}
+
 TEST(EpochCodec, EachSeparatorDelimitsEveryFieldAndPadsEveryLine) {
   std::vector<std::string> gaps;
   for (const char c : kSeparatorBytes) gaps.emplace_back(1, c);
   gaps.push_back(kSeparatorBytes);  // all five in one run
   for (const std::string& gap : gaps) {
     const std::string shown = ::testing::PrintToString(gap);
-    for (const auto* fields : {&kEstFields, &kOpenFields, &kAlertFields}) {
-      EXPECT_TRUE(parses_as_canonical_state_line(spaced(*fields, "", gap, "")))
-          << shown;
-      EXPECT_TRUE(parses_as_canonical_state_line(spaced(*fields, gap, gap, gap)))
-          << shown;
-      // One odd gap among single spaces, at every position.
-      for (std::size_t at = 0; at <= fields->size(); ++at) {
-        EXPECT_TRUE(parses_as_canonical_state_line(
-            spaced(*fields, "", " ", "", at, gap)))
-            << shown << " at " << at;
-      }
-    }
-    // A WAL line's checksummed body follows the same rule, padding
-    // included; the ` C<hex>` suffix that ends the line is fixed bytes.
+    // The checksummed body, padding included, takes any run of them; the
+    // ` C<hex>` suffix that ends the line is fixed bytes.
+    EXPECT_TRUE(parses_as_canonical_wal(wal_line(spaced(kWalFields, "", gap, ""))))
+        << shown;
     EXPECT_TRUE(parses_as_canonical_wal(wal_line(spaced(kWalFields, gap, gap, gap))))
         << shown;
     for (std::size_t at = 0; at <= kWalFields.size(); ++at) {
@@ -289,16 +385,9 @@ TEST(EpochCodec, OtherWhitespaceAndLineBytesAreFieldBytes) {
   for (const char c : kFieldBytes) {
     const std::string bad(1, c);
     const std::string shown = ::testing::PrintToString(bad);
-    for (const auto* fields : {&kEstFields, &kOpenFields, &kAlertFields}) {
-      // As the only gap, as padding, and in place of one single space.
-      EXPECT_FALSE(parses_as_canonical_state_line(spaced(*fields, "", bad, "")))
-          << shown;
-      for (std::size_t at = 0; at <= fields->size(); ++at) {
-        EXPECT_FALSE(parses_as_canonical_state_line(
-            spaced(*fields, "", " ", "", at, bad)))
-            << shown << " at " << at;
-      }
-    }
+    // As the only gap, and in place of one single space or the padding.
+    EXPECT_FALSE(parses_as_canonical_wal(wal_line(spaced(kWalFields, "", bad, ""))))
+        << shown;
     for (std::size_t at = 0; at <= kWalFields.size(); ++at) {
       EXPECT_FALSE(parses_as_canonical_wal(
           wal_line(spaced(kWalFields, "", " ", "", at, bad))))
@@ -346,38 +435,12 @@ TEST(EpochCodec, SeededRecordsRoundTripBitIdentical) {
                            static_cast<trace::metric>(gen() % trace::metric_count)};
     const epoch_estimate est{any_double(), any_double(), any_double(),
                              static_cast<std::size_t>(any_count())};
-    const open_epoch_state open{any_double(), any_count(), any_double(),
-                                any_double()};
     const std::uint64_t seq = any_count();
 
     std::string text;
-    epoch_codec::put_est(text, key, est);
-    epoch_codec::put_open(text, key, open);
-    epoch_codec::put_alert_seq(text, seq);
     epoch_codec::put_wal(text, seq, key, est);
     epoch_codec::line_reader in{std::string_view(text)};
     std::string_view line;
-    epoch_codec::state_line rec;
-
-    ASSERT_TRUE(in.next(line) && epoch_codec::parse_state_line(line, rec)) << line;
-    ASSERT_EQ(rec.tag, epoch_codec::state_line::kind::est);
-    EXPECT_EQ(rec.key, key);
-    EXPECT_EQ(bits_of(rec.est.epoch_start_s), bits_of(est.epoch_start_s));
-    EXPECT_EQ(bits_of(rec.est.mean), bits_of(est.mean));
-    EXPECT_EQ(bits_of(rec.est.stddev), bits_of(est.stddev));
-    EXPECT_EQ(rec.est.samples, est.samples);
-
-    ASSERT_TRUE(in.next(line) && epoch_codec::parse_state_line(line, rec)) << line;
-    ASSERT_EQ(rec.tag, epoch_codec::state_line::kind::open);
-    EXPECT_EQ(rec.key, key);
-    EXPECT_EQ(bits_of(rec.open.open_start_s), bits_of(open.open_start_s));
-    EXPECT_EQ(rec.open.n, open.n);
-    EXPECT_EQ(bits_of(rec.open.mean), bits_of(open.mean));
-    EXPECT_EQ(bits_of(rec.open.m2), bits_of(open.m2));
-
-    ASSERT_TRUE(in.next(line) && epoch_codec::parse_state_line(line, rec)) << line;
-    ASSERT_EQ(rec.tag, epoch_codec::state_line::kind::alert_seq);
-    EXPECT_EQ(rec.alert_seq, seq);
 
     std::uint64_t wal_seq = 0;
     estimate_key wal_key;
@@ -457,24 +520,30 @@ void expect_same_state(const durable_state& a, const durable_state& b) {
   EXPECT_EQ(a.alert_seq(), b.alert_seq());
 }
 
-TEST(Persist, SaveStateBytesMatchTheSnprintfRendering) {
+TEST(Persist, SaveStateBytesMatchTheReferenceEncoder) {
   const golden_state g(400);
-  const std::string want = ref_state(g.coord);
+  const std::string want = ref_snapshot(g.coord);
   std::ostringstream os;
   save_state(os, g.coord);
   EXPECT_EQ(os.str(), want);
   std::string in_memory = "prefix ";
   save_state(in_memory, g.coord);  // appends
   EXPECT_EQ(in_memory, "prefix " + want);
+  EXPECT_EQ(want.substr(0, want.find('\n')), "WISCAPE-COORD v3");
 
-  // A snapshot rendered the old way loads bit-equal, from a stream and in
-  // place alike.
-  golden_state from_stream(0), from_text(0);
+  // The reference's bytes load bit-equal, from a stream and in place.
+  golden_state from_stream(0), from_memory(0);
   std::istringstream is(want);
   load_state(is, from_stream.coord);
-  load_state(std::string_view(want), from_text.coord);
+  load_state(std::string_view(want), from_memory.coord);
   expect_same_state(g.coord, from_stream.coord);
-  expect_same_state(g.coord, from_text.coord);
+  expect_same_state(g.coord, from_memory.coord);
+}
+
+TEST(Persist, TableTextMatchesTheSnprintfRendering) {
+  const golden_state g(400);
+  EXPECT_EQ(estimate_table_text(g.coord), ref_table_text(g.coord));
+  EXPECT_EQ(estimate_table_text(golden_state(0).coord), "");
 }
 
 // A 1-shard synchronous coordinator fed four 100 s epochs of two streams
@@ -557,19 +626,45 @@ TEST(Persist, RestoredTableKeepsAccumulating) {
   EXPECT_EQ(hist[before + 1].samples, 10u);
 }
 
-TEST(Persist, V2RoundTripIsBitExact) {
-  const populated_state p;
+TEST(Persist, RoundTripIsBitExact) {
+  // Raw IEEE-754 bits make the round trip lossless: every double compares
+  // equal bit for bit -- +-0, +-inf, subnormals and DBL_MAX among them --
+  // and re-saving reproduces the same bytes.
+  golden_state g(400);
+  const std::vector<double> awkward = awkward_doubles();
+  for (std::size_t i = 0; i < awkward.size(); ++i) {
+    const double v = awkward[i];
+    const estimate_key key{{static_cast<int>(i), 500}, "NetB",
+                           trace::metric::rtt_s};
+    g.coord.restore_estimate(key, {v, v, v, i});
+    g.coord.restore_open(key, {v, i + 1, v, v});
+  }
   std::stringstream ss;
-  save_state(ss, p.coord);
-  auto back = p.empty();
-  load_state(ss, back);
-
-  // %.17g rendering makes the text round trip lossless: every double
-  // compares equal bit for bit, and re-saving reproduces the same bytes.
-  expect_same_state(p.coord, back);
+  save_state(ss, g.coord);
+  golden_state back(0);
+  load_state(ss, back.coord);
+  expect_same_state(g.coord, back.coord);
+  for (std::size_t i = 0; i < awkward.size(); ++i) {
+    const estimate_key key{{static_cast<int>(i), 500}, "NetB",
+                           trace::metric::rtt_s};
+    const auto hist = back.coord.history(key);
+    ASSERT_EQ(hist.size(), 1u);
+    EXPECT_EQ(bits_of(hist[0].epoch_start_s), bits_of(awkward[i]));
+    EXPECT_EQ(bits_of(hist[0].mean), bits_of(awkward[i]));
+    const auto open = back.coord.open_state(key);
+    ASSERT_TRUE(open.has_value());
+    EXPECT_EQ(bits_of(open->m2), bits_of(awkward[i]));
+  }
   std::stringstream again;
-  save_state(again, back);
+  save_state(again, back.coord);
   EXPECT_EQ(again.str(), ss.str());
+
+  const populated_state p;
+  std::stringstream ps;
+  save_state(ps, p.coord);
+  auto pb = p.empty();
+  load_state(ps, pb);
+  expect_same_state(p.coord, pb);
 }
 
 TEST(Persist, OpenEpochStateRoundTrips) {
@@ -603,24 +698,78 @@ TEST(Persist, EmptyTableRoundTrip) {
   const auto empty = p.empty();
   std::stringstream ss;
   save_state(ss, empty);
-  EXPECT_EQ(ss.str(), "WISCAPE-COORD v2\nALERTSEQ 0\n");
+  // The header, an empty name table and the trailer.
+  EXPECT_EQ(ss.str(), ref_snapshot({}, 0));
+  EXPECT_EQ(ss.str().size(), 17u + 2u + 24u);
   auto back = p.empty();
   load_state(ss, back);
   EXPECT_TRUE(back.keys().empty());
   EXPECT_EQ(back.alert_seq(), 0u);
 }
 
+/// Expects both load flavours to refuse `bytes` with std::invalid_argument
+/// whose message holds `says`, the in-memory one before any install.
+void expect_refused(const populated_state& p, const std::string& bytes,
+                    const std::string& says = "") {
+  SCOPED_TRACE(::testing::PrintToString(bytes.substr(0, 40)));
+  auto c = p.empty();
+  std::istringstream is(bytes);
+  try {
+    load_state(is, c);
+    ADD_FAILURE() << "stream load accepted it";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(says), std::string::npos) << e.what();
+  }
+  auto m = p.empty();
+  try {
+    load_state(std::string_view(bytes), m);
+    ADD_FAILURE() << "in-memory load accepted it";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(says), std::string::npos) << e.what();
+  }
+  EXPECT_TRUE(m.keys().empty());
+}
+
 TEST(Persist, RejectsMalformedInput) {
   const populated_state p;
-  for (const char* text :
-       {"nope\n", "WISCAPE-COORD v1\nEST 1:1 NetB rtt 0 1 1 1\n",
-        "WISCAPE-COORD v2\nEST garbage\n",
-        "WISCAPE-COORD v2\nEST nozone NetB rtt 0 1 1 1\n",
-        "WISCAPE-COORD v2\nEST 1:1 NetB warp 0 1 1 1\n"}) {
-    std::stringstream bad(text);
+  // Not a snapshot, or an older one: a v2 text snapshot is refused by its
+  // version, not read.
+  expect_refused(p, "", "header");
+  expect_refused(p, "nope\n", "header");
+  expect_refused(p, "WISCAPE-COORD v1\nEST 1:1 NetB rtt 0 1 1 1\n", "'v1'");
+  expect_refused(p, "WISCAPE-COORD v2\nEST 1:1 NetB rtt 0 1 1 1\nALERTSEQ 0\n",
+                 "'v2'");
+  expect_refused(p, "WISCAPE-COORD v2\nALERTSEQ 0\n", "'v2'");
+
+  // Fields out of range in a file whose checksum holds. One NetB block at
+  // 0:0: the name table ends at byte 25, the block's network index is at
+  // 33, its metric at 35, its flags at 36, its frozen count at 37.
+  const estimate_key key{{0, 0}, "NetB", trace::metric::rtt_s};
+  const std::string good =
+      ref_snapshot({{key, {{0.0, 1.0, 0.5, 3}}, std::nullopt}}, 0);
+  {
     auto c = p.empty();
-    EXPECT_THROW(load_state(bad, c), std::invalid_argument) << text;
+    load_state(std::string_view(good), c);
+    ASSERT_EQ(c.history(key).size(), 1u);
   }
+  const auto with = [&](std::size_t at, char byte) {
+    std::string b = good;
+    b[at] = byte;
+    return resealed(b);
+  };
+  expect_refused(p, with(33, 1), "malformed stream block");   // no name 1
+  expect_refused(p, with(35, 6), "malformed stream block");   // no metric 6
+  expect_refused(p, with(36, 2), "malformed stream block");   // unknown flag
+  expect_refused(p, with(36, 1), "cut");                      // open missing
+  expect_refused(p, with(37, 2));                             // 2 epochs?
+  expect_refused(p, with(good.size() - 24, 2), "trailer counts");
+  std::string names = good;
+  names[17] = names[18] = '\xff';  // 65535 names?
+  expect_refused(p, resealed(names), "network");
+  expect_refused(p, resealed(good + std::string(8, '\0')), "");
+  std::string flipped = good;
+  flipped[50] ^= 0x10;
+  expect_refused(p, flipped, "checksum");
 }
 
 TEST(Persist, FileRoundTrip) {
@@ -645,7 +794,7 @@ TEST(Persist, FileLargerThanTheReadBufferLoadsLikeItsInMemoryText) {
   const golden_state g(6000);
   std::string text;
   save_state(text, g.coord);
-  ASSERT_GT(text.size(), 4 * epoch_codec::line_reader::buffer_size);
+  ASSERT_GT(text.size(), 4 * snapshot_buffer_size);
   const std::string path = ::testing::TempDir() + "/wiscape_big_state.txt";
   {
     std::ofstream os(path);
@@ -689,8 +838,7 @@ TEST(EpochCodec, LineReaderHandsOutTheSameLinesAtEveryRefillBoundary) {
   // offset of the lines; one line longer than the read buffer makes the
   // reader grow it.
   const golden_state g(12);
-  std::string text;
-  save_state(text, g.coord);
+  std::string text = estimate_table_text(g.coord);
   text += std::string(epoch_codec::line_reader::buffer_size + 300, 'x') +
           "\n\n" + "tail without newline";
   std::vector<std::string> want;
@@ -736,6 +884,46 @@ TEST(EpochCodec, LineReaderHandsOutTheSameLinesAtEveryRefillBoundary) {
   EXPECT_FALSE(in.next(line));
   epoch_codec::line_reader empty{std::string_view()};
   EXPECT_FALSE(empty.next(line));
+}
+
+TEST(Persist, StreamLoadsAlikeAtEveryReadSize) {
+  // Every read size moves the loader's refills, and the checksum's carried
+  // partial word, across every field of the blocks.
+  const golden_state g(40);
+  std::string bytes;
+  save_state(bytes, g.coord);
+  for (std::size_t k = 1; k <= 80; ++k) {
+    trickle_buf buf(bytes, k);
+    std::istream is(&buf);
+    golden_state back(0);
+    load_state(is, back.coord);
+    expect_same_state(g.coord, back.coord);
+    if (::testing::Test::HasFailure()) FAIL() << "read size " << k;
+  }
+}
+
+TEST(Persist, SnapshotCutAtAnyByteIsRefused) {
+  // A cut at a block boundary leaves whole blocks that decode, and a cut
+  // inside a field leaves a shorter file, so neither may load: the
+  // trailer's count and checksum refuse every cut, from a stream and in
+  // memory, and the in-memory load installs nothing first.
+  const populated_state p;
+  std::string bytes;
+  save_state(bytes, p.coord);
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::string part = bytes.substr(0, cut);
+    auto c = p.empty();
+    std::istringstream is(part);
+    EXPECT_THROW(load_state(is, c), std::invalid_argument) << "cut at " << cut;
+    auto m = p.empty();
+    EXPECT_THROW(load_state(std::string_view(part), m), std::invalid_argument)
+        << "cut at " << cut;
+    EXPECT_TRUE(m.keys().empty()) << "cut at " << cut;
+  }
+  auto whole = p.empty();
+  std::istringstream is(bytes);
+  load_state(is, whole);
+  expect_same_state(p.coord, whole);
 }
 
 TEST(MetricFromString, RoundTripsAllMetrics) {

@@ -7,10 +7,12 @@
 
 #include <limits>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/dominance.h"
+#include "core/persist.h"
 #include "core/sample_planner.h"
 #include "core/sharded_coordinator.h"
 #include "obs/names.h"
@@ -561,6 +563,117 @@ TEST_P(FuzzSweep, HandleAnswersEveryRequestOnce) {
     expect_one_answer(fx.fserver, input, rb);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST_P(FuzzSweep, SnapshotLoaderRefusesDamageWithInvalidArgumentOnly) {
+  // Every truncation of a small valid snapshot, single-byte flips, and
+  // random bytes after a valid header line. Both load flavours refuse each
+  // with std::invalid_argument (any other exception fails the test), and
+  // the in-memory one installs nothing first.
+  stats::rng_stream rng(GetParam());
+  fuzz_servers fx;
+  std::string good;
+  core::save_state(good, fx.lc);
+  const std::size_t header = good.find('\n') + 1;
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  core::sharded_coordinator untouched(fx.grid, {"NetB", "NetC"},
+                                      fuzz_servers::cfg(), 1);
+  const auto expect_refused = [&](const std::string& bytes) {
+    SCOPED_TRACE("input of " + std::to_string(bytes.size()) + " bytes");
+    core::sharded_coordinator target(fx.grid, {"NetB", "NetC"},
+                                     fuzz_servers::cfg(), 1);
+    std::istringstream is(bytes);
+    EXPECT_THROW(core::load_state(is, target), std::invalid_argument);
+    EXPECT_THROW(core::load_state(std::string_view(bytes), untouched),
+                 std::invalid_argument);
+    EXPECT_TRUE(untouched.keys().empty());
+  };
+  for (std::size_t cut = 0; cut < good.size(); ++cut) {
+    expect_refused(good.substr(0, cut));
+    if (::testing::Test::HasFailure()) return;
+  }
+  for (int i = 0; i < 300; ++i) {
+    std::string flipped = good;
+    flipped[pick(flipped.size())] ^= static_cast<char>(1 + pick(255));
+    expect_refused(flipped);
+    std::string noise = good.substr(0, header);
+    const std::size_t len = pick(256);
+    for (std::size_t k = 0; k < len; ++k) {
+      noise.push_back(static_cast<char>(pick(256)));
+    }
+    expect_refused(noise);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST_P(FuzzSweep, DamagedCatchUpLeavesTheFollowerAsItWas) {
+  // The follower holds the leader's table from one catch-up; the leader
+  // moves on; then the catch-up body it serves reaches the follower cut,
+  // with flipped snapshot bytes, or with noise after the snapshot's
+  // header line. Each is refused and leaves the follower's keys,
+  // histories, open epochs, cursor and alert mark as they were.
+  stats::rng_stream rng(GetParam());
+  fuzz_servers fx;
+  const repl::transport to_leader = [&](std::string_view frame) {
+    return testing::reply_of(fx.lserver, frame);
+  };
+  fx.fol.catch_up(to_leader);
+  std::vector<trace::measurement_record> more;
+  for (int i = 40; i < 70; ++i) more.push_back(fx.record(10.0 * i));
+  fx.lc.report_batch(more);
+
+  std::string body, data;
+  std::uint64_t total = 0;
+  for (bool last = false; !last;) {
+    ASSERT_TRUE(fx.lead.snapshot(body.size(), data, total, last));
+    body += data;
+  }
+  const std::size_t snap_at = body.find('\n') + 1;
+  const std::size_t header = body.find('\n', snap_at) + 1;
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const std::string table = testing::estimate_state(fx.fc);
+  const std::uint64_t cursor = fx.fol.applied_seq();
+  const std::uint64_t alerts = fx.fc.alert_seq();
+  ASSERT_NE(table, testing::estimate_state(fx.lc));
+
+  for (int i = 0; i < 200; ++i) {
+    std::string damaged = body;
+    const int shape = static_cast<int>(rng.uniform_int(0, 2));
+    if (shape == 0) {
+      damaged.resize(pick(body.size()));
+    } else if (shape == 1) {
+      const std::size_t flips = 1 + pick(4);
+      for (std::size_t k = 0; k < flips; ++k) {
+        damaged[snap_at + pick(body.size() - snap_at)] ^=
+            static_cast<char>(1 + pick(255));
+      }
+    } else {
+      damaged.resize(header);
+      const std::size_t len = pick(body.size());
+      for (std::size_t k = 0; k < len; ++k) {
+        damaged.push_back(static_cast<char>(pick(256)));
+      }
+    }
+    const repl::transport send = [&](std::string_view) {
+      return testing::frame_of(proto::v3::encode_snapshot_chunk_frame, 0,
+                               damaged.size(), true, damaged);
+    };
+    SCOPED_TRACE("shape " + std::to_string(shape) + ", " +
+                 std::to_string(damaged.size()) + " bytes");
+    EXPECT_ANY_THROW(fx.fol.catch_up(send));
+    EXPECT_EQ(testing::estimate_state(fx.fc), table);
+    EXPECT_EQ(fx.fol.applied_seq(), cursor);
+    EXPECT_EQ(fx.fc.alert_seq(), alerts);
+    if (::testing::Test::HasFailure()) return;
+  }
+  fx.fol.catch_up(to_leader);
+  EXPECT_EQ(testing::estimate_state(fx.fc), testing::estimate_state(fx.lc));
 }
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, FuzzSweep,

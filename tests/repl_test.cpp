@@ -368,20 +368,23 @@ TEST(Replication, PromotedReplicaAppliesNoPushedEpochsAndALeaderRefusesPromote) 
 
 TEST(Replication, SnapshotCatchUpStreamsInBoundedChunks) {
   repl_pair p;
-  // Enough frozen history that the persist rendering crosses several
-  // 16 KiB chunks.
-  for (int z = 0; z < 40; ++z) {
+  // Enough frozen history that the snapshot crosses several 16 KiB
+  // chunks.
+  for (int z = 0; z < 120; ++z) {
     for (int e = 0; e < 10; ++e) {
       p.lc.restore_estimate(
           {{z, 3}, "NetB", trace::metric::udp_throughput_bps},
           make_est(100.0 * e, 1.0e6 + 13.0 * z + e, 21));
     }
   }
+  std::string rendering;
+  core::save_state(rendering, p.lc);
+  ASSERT_GT(rendering.size(), 2 * proto::v3::max_snapshot_chunk);
   auto& chunks = obs::registry::global().get_counter(
       obs::names::kReplSnapshotChunks);
   const std::uint64_t before = chunks.value();
   p.fol.catch_up(p.to_leader);
-  EXPECT_GE(chunks.value() - before, 2u);
+  EXPECT_GE(chunks.value() - before, 3u);
   p.expect_states_bit_equal();
 }
 
@@ -393,7 +396,7 @@ TEST(Replication, SnapshotChunksCarryReplseqAndThePersistRendering) {
                           make_est(100.0 * z + 0.1, 1.0 / (z + 3.0), 7));
   }
   // The chunks reassemble to exactly "REPLSEQ <seq>\n" + save_state's
-  // bytes (which persist_test.cpp pins to the %.17g rendering).
+  // bytes (which persist_test.cpp pins to a reference encoder).
   std::ostringstream state;
   core::save_state(state, p.lc);
   const std::string want = "REPLSEQ " +
@@ -435,9 +438,9 @@ TEST(Replication, FailedSnapshotCaptureLeavesNoTornBodyToServe) {
 
 TEST(Replication, CatchUpRejectsAMalformedReplseqHeader) {
   repl_pair p;
-  for (const char* bad : {"REPLSEQ x\nWISCAPE-COORD v2\n",
-                          "REPLSEQ 12 \nWISCAPE-COORD v2\n",
-                          "REPLSEQ \nWISCAPE-COORD v2\n", "REPLSEQ 3"}) {
+  for (const char* bad : {"REPLSEQ x\nWISCAPE-COORD v3\n",
+                          "REPLSEQ 12 \nWISCAPE-COORD v3\n",
+                          "REPLSEQ \nWISCAPE-COORD v3\n", "REPLSEQ 3"}) {
     const repl::transport send = [&](std::string_view) {
       proto::reply_buffer frame;
       proto::v3::encode_snapshot_chunk_frame(0, std::string_view(bad).size(),
@@ -447,6 +450,41 @@ TEST(Replication, CatchUpRejectsAMalformedReplseqHeader) {
     EXPECT_THROW(p.fol.catch_up(send), std::runtime_error) << bad;
   }
   EXPECT_EQ(p.fol.applied_seq(), 0u);
+}
+
+TEST(Replication, CatchUpFetchesABodyTornByAnotherJoinersCaptureAgain) {
+  // Every offset-0 request re-captures the leader's one snapshot cache, so
+  // a follower mid-fetch when another joiner starts reads the rest of its
+  // body from the newer capture. The torn body is refused before anything
+  // installs, and the follower fetches the whole body again.
+  repl_pair p;
+  for (int z = 0; z < 120; ++z) {
+    for (int e = 0; e < 10; ++e) {
+      p.lc.restore_estimate(
+          {{z, 3}, "NetB", trace::metric::udp_throughput_bps},
+          make_est(100.0 * e, 1.0e6 + 13.0 * z + e, 21));
+    }
+  }
+  int recaptures = 0;
+  const repl::transport racing = [&](std::string_view frame) {
+    const auto hdr = v3::peek_header(frame);
+    if (recaptures == 0 && hdr && hdr->op == v3::opcode::snapshot_req &&
+        v3::decode_snapshot_req_frame(frame) > 0) {
+      // The leader moves on, and another joiner's request captures it.
+      p.lc.restore_estimate({{0, 3}, "NetB", trace::metric::rtt_s},
+                            make_est(0.0, 0.25, 4));
+      std::string data;
+      std::uint64_t total = 0;
+      bool last = false;
+      EXPECT_TRUE(p.lead.snapshot(0, data, total, last));
+      ++recaptures;
+    }
+    return testing::reply_of(p.lserver, frame);
+  };
+  p.fol.catch_up(racing);
+  EXPECT_EQ(recaptures, 1);
+  p.expect_states_bit_equal();
+  EXPECT_EQ(testing::estimate_state(p.fc), testing::estimate_state(p.lc));
 }
 
 TEST(Replication, ReplicaLagFaultSkipsThePollRound) {

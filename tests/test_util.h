@@ -106,13 +106,12 @@ inline std::vector<trace::measurement_record> reports_at(
   return out;
 }
 
-/// Every stream's frozen history and open epoch in the snapshot's format
-/// and key order: core::save_state without its ALERTSEQ line. Two states
-/// equal here serve the same estimates and resume the same open epochs.
+/// Every stream's frozen history and open epoch as text lines, in the
+/// snapshot's key order (core::estimate_table_text), so a failing
+/// comparison diffs readably. Two states equal here serve the same
+/// estimates and resume the same open epochs.
 inline std::string estimate_state(const core::durable_state& st) {
-  std::string out;
-  core::save_state(out, st);
-  return out.substr(0, out.rfind("ALERTSEQ"));
+  return core::estimate_table_text(st);
 }
 
 /// A 1-shard synchronous sharded_coordinator: reports apply inline on the

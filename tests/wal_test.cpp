@@ -526,6 +526,45 @@ TEST(DurableLog, TornCheckpointPreservesSnapshotAndWal) {
   EXPECT_EQ(b.history(k).size(), a.history(k).size());
 }
 
+TEST(DurableLog, RecoverRefusesASnapshotOrWalItCannotOpen) {
+  // Only a missing file is an absent one. A snapshot or WAL that is there
+  // but cannot be opened -- here a symlink loop, ELOOP even for root --
+  // throws naming it, installs nothing and leaves both files as they were;
+  // recovering past it would let the next checkpoint overwrite the state
+  // it holds.
+  for (const bool loop_the_snapshot : {true, false}) {
+    pair_fixture fx;
+    const std::vector<wal_record> recs = corpus_records();
+    {
+      core::durable_log dl(fx.dir);
+      core::sharded_coordinator a = fx.make_coord();
+      a.restore_estimate(recs[0].key, recs[0].est);
+      dl.checkpoint(a);
+      dl.append(recs[1].seq, recs[1].key, recs[1].est);
+    }
+    core::durable_log dl(fx.dir);
+    const std::string& looped =
+        loop_the_snapshot ? dl.snapshot_path() : dl.wal_path();
+    const std::string& other =
+        loop_the_snapshot ? dl.wal_path() : dl.snapshot_path();
+    const std::string kept = read_file(other);
+    std::filesystem::remove(looped);
+    std::filesystem::create_symlink(looped, looped);
+
+    core::sharded_coordinator b = fx.make_coord();
+    try {
+      dl.recover(b);
+      ADD_FAILURE() << "recovered past an unopenable " << looped;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(looped), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(b.keys().empty());
+    EXPECT_TRUE(std::filesystem::is_symlink(looped));
+    EXPECT_EQ(read_file(other), kept);
+  }
+}
+
 // ---- recovery installs each frozen epoch once -------------------------------
 
 core::coordinator_config epochs_of_100s() {

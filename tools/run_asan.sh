@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # AddressSanitizer + UndefinedBehaviorSanitizer run for the wire parsers
-# and the durable-state text codec.
+# and the durable-state codecs.
 #
 # The zero-allocation decode fast path works on raw std::string_view spans
 # with std::from_chars -- exactly the kind of code where an off-by-one reads
@@ -34,11 +34,13 @@ store_filter='ApplyPath*.*:NetworkInterner.*:ZoneTableStore.*'
 # ring's wraparound arithmetic, and the QUERY/QUERYB/ALERTS codecs under
 # query stress.
 query_filter='EstimateView.*:EstimateMirror.*:AlertRing.*:EstimateKnowledge.*'
-# The durable layer: snapshot, WAL and catch-up text all go through the
-# epoch-record codec, whose line reader hands out raw spans across
-# read-buffer refills and whose field parser runs std::from_chars over
-# them -- the torn-tail corpus and the every-buffer-size reader test walk
-# each boundary an overread would hide behind.
+# The durable layer: the binary snapshot loader (disk recovery and
+# catch-up) takes fixed-width fields out of a bounded read buffer across
+# refills, and the WAL's epoch-record text codec hands out raw line spans
+# across refills and runs std::from_chars over them -- the cut-at-every-
+# byte snapshot corpus, the every-read-size loader test, the torn-tail
+# corpus and the every-buffer-size reader test walk each boundary an
+# overread would hide behind.
 durable_filter='Persist.*:EpochCodec.*:Wal.*:DurableLog.*:Replication.*'
 
 run_tree() {
@@ -68,7 +70,7 @@ run_tree() {
   echo "== query path / estimate view suites under $kind sanitizer =="
   "$dir"/tests/wiscape_tests --gtest_filter="$query_filter"
 
-  echo "== durable state (snapshot / WAL / catch-up codec) suites under $kind sanitizer =="
+  echo "== durable state (snapshot / WAL / catch-up codecs) suites under $kind sanitizer =="
   "$dir"/tests/wiscape_tests --gtest_filter="$durable_filter"
 }
 
