@@ -53,11 +53,12 @@ class alert_ring {
   alert_ring(const alert_ring&) = delete;
   alert_ring& operator=(const alert_ring&) = delete;
 
-  /// Appends one alert, assigning the next sequence number.
-  void push(const change_alert& a) {
+  /// Appends one alert, assigning and returning the next sequence number.
+  std::uint64_t push(const change_alert& a) {
     std::lock_guard lock(mu_);
     const std::uint64_t seq = next_seq_++;
     ring_[static_cast<std::size_t>((seq - 1) % capacity_)] = {seq, a};
+    return seq;
   }
 
   /// Resumes sequence numbering after a restart: the next push gets
@@ -77,6 +78,18 @@ class alert_ring {
     }
     next_seq_ = last_seq + 1;
     base_seq_ = last_seq;
+  }
+
+  /// resume_from for a ring that may have numbered alerts of its own (a
+  /// promoted follower): resumes only when resume_from would accept
+  /// `last_seq` and it is ahead of pushed(), and returns whether it did.
+  /// Otherwise the ring keeps its numbering. Never throws.
+  bool resume_ahead(std::uint64_t last_seq) {
+    std::lock_guard lock(mu_);
+    if (next_seq_ != base_seq_ + 1 || last_seq <= base_seq_) return false;
+    next_seq_ = last_seq + 1;
+    base_seq_ = last_seq;
+    return true;
   }
 
   /// Alerts with sequence > `since`, oldest first, at most `max` of them.

@@ -4,7 +4,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -21,7 +23,15 @@ namespace wiscape::core {
 
 namespace {
 
-constexpr char kWalHeader[] = "WISCAPE-WAL v1";
+constexpr std::string_view kWalMagic = "WISCAPE-WAL ";
+constexpr std::string_view kWalHeader = "WISCAPE-WAL v2\n";
+/// A record's frame around its bytes: the u32 length before, the u64
+/// checksum after.
+constexpr std::size_t kLenBytes = 4;
+constexpr std::size_t kSumBytes = 8;
+/// The longest frame, and so the most a crash mid-append can leave torn.
+constexpr std::size_t kMaxFrame =
+    kLenBytes + epoch_codec::max_record_bytes + kSumBytes;
 
 struct wal_metrics {
   obs::counter& appends;
@@ -82,51 +92,110 @@ bool sync_path(const std::string& path, int flags) {
   return ok;
 }
 
+/// The length of the whole frame `bytes` opens, its record decoded into
+/// `u`; 0 when it opens none: cut short, a length no record can have, a
+/// checksum that disagrees, or a record that does not decode whole or has
+/// a NaN field (a NaN estimate carries nothing and cannot round-trip its
+/// payload).
+std::size_t whole_frame(std::string_view bytes, epoch_update& u) {
+  if (bytes.size() < kLenBytes) return 0;
+  const char* p = bytes.data();
+  const std::uint32_t len = epoch_codec::load<std::uint32_t>(p);
+  if (len < epoch_codec::min_record_bytes ||
+      len > epoch_codec::max_record_bytes ||
+      bytes.size() < kLenBytes + len + kSumBytes) {
+    return 0;
+  }
+  const char* sum = p + len;
+  if (epoch_codec::load<std::uint64_t>(sum) !=
+      epoch_codec::checksum(bytes.substr(0, kLenBytes + len))) {
+    return 0;
+  }
+  try {
+    if (epoch_codec::get_record(bytes.substr(kLenBytes, len), u) != len) {
+      return 0;
+    }
+  } catch (const std::invalid_argument&) {
+    return 0;
+  }
+  if (std::isnan(u.est.epoch_start_s) || std::isnan(u.est.mean) ||
+      std::isnan(u.est.stddev)) {
+    return 0;
+  }
+  return kLenBytes + len + kSumBytes;
+}
+
+/// The damaged bytes at the front of `in`: up to the next whole frame, or
+/// to the end of the stream when none follows within the longest frame a
+/// crash could tear (capped there when more bytes follow). A crash tears
+/// only the record being appended, so a damaged frame the span does not
+/// take to the end -- a whole record after it, or more bytes than one
+/// record -- is damage inside the file, even when its length (itself
+/// damaged) claims it runs past the end.
+std::size_t damage_span(epoch_codec::byte_source& in) {
+  const std::string_view rest = in.peek(2 * kMaxFrame);
+  const std::size_t reach = std::min(rest.size(), kMaxFrame);
+  epoch_update u;
+  for (std::size_t k = 1; k < reach; ++k) {
+    if (whole_frame(rest.substr(k), u) != 0) return k;
+  }
+  return reach;
+}
+
+/// Throws when `wal` opens with the header line of another version (as
+/// long as this one), naming it; leaves the stream at its start.
+void refuse_other_version(std::ifstream& wal, const std::string& path) {
+  std::string head(kWalHeader.size(), '\0');
+  const auto got = wal.read(head.data(), std::ssize(head)).gcount();
+  head.resize(static_cast<std::size_t>(got));
+  wal.clear();
+  wal.seekg(0);
+  if (head.starts_with(kWalMagic) && head.ends_with('\n') &&
+      head != kWalHeader) {
+    const std::string version =
+        head.substr(kWalMagic.size(), head.size() - kWalMagic.size() - 1);
+    throw std::runtime_error("WAL version '" + version +
+                             "' is not supported; this build reads v2: " +
+                             path);
+  }
+}
+
 }  // namespace
 
-std::uint64_t wal_replay(
-    std::istream& is,
-    const std::function<void(std::uint64_t, const estimate_key&,
-                             const epoch_estimate&)>& apply,
-    wal_extent* extent) {
-  // A final line the input cut before its newline is the classic torn
-  // tail: the reader reports it as cut, and replay stops there. An empty
-  // stream is an empty log; a damaged header leaves nothing to replay.
-  epoch_codec::line_reader in(is);
-  std::string_view line;
-  const auto span_of = [&] { return line.size() + (in.cut() ? 0 : 1); };
-  const bool any = in.next(line);
-  bool torn = any && (in.cut() || line != kWalHeader);
-  std::uint64_t valid = any && !torn ? span_of() : 0;
-  std::uint64_t read = any ? span_of() : 0;
+std::uint64_t wal_replay(std::istream& is,
+                         const std::function<void(const epoch_update&)>& apply,
+                         wal_extent* extent) {
+  // An empty stream is an empty log; a damaged or cut header leaves
+  // nothing to replay.
+  epoch_codec::byte_source in(is, 2 * kMaxFrame);
+  const std::string_view head = in.peek(kWalHeader.size());
+  bool torn = !head.empty() && head != kWalHeader;
+  std::uint64_t valid = 0;
+  if (!torn) {
+    in.take(head.size());
+    valid = head.size();
+  }
   std::uint64_t last_seq = 0;
-  std::uint64_t seq = 0;
-  estimate_key key;
-  epoch_estimate est;
-  while (!torn && in.next(line)) {
-    read += span_of();
-    if (line.empty()) {
-      valid += 1;
-      continue;
-    }
-    // Any record that is cut or fails its checksum (mid-record cut, bit
-    // rot, a record the writer never finished) ends the valid prefix.
-    if (in.cut() || !epoch_codec::parse_wal(line, seq, key, est)) {
-      torn = true;
-      break;
-    }
-    apply(seq, key, est);
-    last_seq = seq;
-    valid += line.size() + 1;
+  epoch_update u;
+  while (!torn) {
+    const std::string_view rest = in.peek(kMaxFrame);
+    if (rest.empty()) break;
+    const std::size_t frame = whole_frame(rest, u);
+    torn = frame == 0;
+    if (torn) break;
+    apply(u);
+    last_seq = u.seq;
+    in.take(frame);
+    valid += frame;
     metrics().replayed.inc();
   }
   if (torn) metrics().truncated.inc();
   if (extent != nullptr) {
     // Whatever follows the damage tells a torn tail from damage inside
     // the file.
-    const std::uint64_t stop = read;
-    while (in.next(line)) read += span_of();
-    *extent = {valid, read, read - stop};
+    const std::uint64_t damaged = torn ? damage_span(in) : 0;
+    const std::uint64_t read = valid + in.drain();
+    *extent = {valid, read, read - (valid + damaged)};
   }
   return last_seq;
 }
@@ -148,15 +217,21 @@ std::uint64_t durable_log::recover(durable_state& state) {
   std::ifstream wal;
   const bool have_snap = open_existing(snapshot_path_, "snapshot", snap);
   const bool have_wal = open_existing(wal_path_, "WAL", wal);
+  if (have_wal) refuse_other_version(wal, wal_path_);
   if (have_snap) load_state(snap, state);
   if (!have_wal) return 0;
   wal_extent ext;
+  std::uint64_t alert_mark = 0;
   const std::uint64_t last = wal_replay(
       wal,
-      [&](std::uint64_t, const estimate_key& key, const epoch_estimate& est) {
-        state.restore_estimate(key, est);
+      [&](const epoch_update& u) {
+        state.restore_estimate(u.key, u.est);
+        alert_mark = std::max(alert_mark, u.alert_seq);
       },
       &ext);
+  // Nothing has raised an alert since the snapshot's mark resumed the
+  // ring, and the mark only moves forward.
+  if (alert_mark > state.alert_seq()) state.resume_alert_seq(alert_mark);
   struct stat st {};
   if (::stat(wal_path_.c_str(), &st) != 0) {
     throw std::runtime_error("cannot stat WAL: " + wal_path_);
@@ -204,39 +279,43 @@ void durable_log::open_wal(int flags) {
   }
   wal_size_ = st.st_size;
   if (wal_size_ == 0) {
-    const std::string header = std::string(kWalHeader) + "\n";
-    if (!write_whole(fd, header)) {
+    if (!write_whole(fd, kWalHeader)) {
       // Leave the file empty, not a partial header, for the next open.
       [[maybe_unused]] const int cut = ::ftruncate(fd, 0);
       ::close(fd);
       throw std::runtime_error("WAL header write failed: " + wal_path_);
     }
-    wal_size_ = static_cast<std::int64_t>(header.size());
+    wal_size_ = static_cast<std::int64_t>(kWalHeader.size());
   }
   wal_fd_ = fd;
 }
 
 void durable_log::append(std::uint64_t seq, const estimate_key& key,
-                         const epoch_estimate& est) {
+                         const epoch_estimate& est, std::uint64_t alert_seq) {
   std::lock_guard lock(mu_);
   if (fault::fire(fault::site::wal_append) == fault::action::fail) {
     metrics().append_failures.inc();
     throw std::runtime_error("injected fault: WAL append refused");
   }
   if (wal_fd_ < 0) open_wal(0);
-  line_.clear();
-  epoch_codec::put_wal(line_, seq, key, est);
-  if (!write_whole(wal_fd_, line_)) {
+  record_.assign(kLenBytes, '\0');
+  epoch_codec::put_record(record_, seq, key, est, alert_seq);
+  epoch_codec::store(record_.data(),
+                     static_cast<std::uint32_t>(record_.size() - kLenBytes));
+  char sum[kSumBytes];
+  epoch_codec::store(sum, epoch_codec::checksum(record_));
+  record_.append(sum, kSumBytes);
+  if (!write_whole(wal_fd_, record_)) {
     // A short write (a full disk) can leave part of the record behind.
     // Cut it off, or the next record would land glued to it and replay
-    // would stop at the merged line, dropping every later append. Should
+    // would stop at the merged bytes, dropping every later append. Should
     // the cut fail too, replay stops at the partial record, as after a
     // crash mid-write.
     [[maybe_unused]] const int cut = ::ftruncate(wal_fd_, wal_size_);
     metrics().append_failures.inc();
     throw std::runtime_error("WAL append failed: " + wal_path_);
   }
-  wal_size_ += static_cast<std::int64_t>(line_.size());
+  wal_size_ += static_cast<std::int64_t>(record_.size());
   metrics().appends.inc();
 }
 

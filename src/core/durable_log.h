@@ -1,28 +1,35 @@
-// Crash-consistent WAL/snapshot persistence pair (ISSUE 10).
+// Crash-consistent WAL/snapshot persistence pair.
 //
 // core::persist's one-shot snapshots lose everything since the last save
-// when the process dies; the replication tentpole needs recovery that is
-// O(epochs-since-snapshot), not O(lost-work). The pair:
+// when the process dies; recovery must be O(epochs-since-snapshot), not
+// O(lost-work). The pair:
 //
 //  * Snapshot -- the full durable_state in core::persist's binary format
 //    (save_state), written to `<dir>/snapshot.tmp`, fsynced, atomically
 //    renamed to `<dir>/snapshot` and the directory fsynced, so a crash
 //    mid-checkpoint always leaves the previous snapshot intact (the
 //    snapshot_torn fault site models exactly that crash).
-//  * WAL -- one line per frozen epoch appended as rollovers happen:
-//    `W <seq> <zone> <network> <metric> <epoch_start> <mean> <stddev> <n>
-//    C<fnv1a32>`, rendered and parsed by core::epoch_codec (doubles in
-//    the bytes %.17g prints) so replay is bit-exact.
-//    The trailing checksum covers the whole body, so a torn tail -- a cut
-//    at any byte, mid-record or mid-checksum -- is detected and recovery
-//    stops at the last complete record instead of crashing or replaying
-//    garbage (counted in core.persist.wal_truncated).
+//  * WAL -- the ASCII line `WISCAPE-WAL v2\n`, then one record per frozen
+//    epoch appended as rollovers happen: a u32 length, the record's bytes
+//    (core::epoch_codec's epoch record, byte for byte the EPOCHB element
+//    of the same update) and a u64 checksum (epoch_codec::checksum) of
+//    the length and the record, all little-endian. Doubles travel as
+//    their bits, so replay is bit-exact. A torn tail -- a cut at any
+//    byte -- fails its length or checksum, and recovery stops at the last
+//    complete record instead of crashing or replaying garbage (counted in
+//    core.persist.wal_truncated). A v1 (text) WAL is refused by its
+//    version.
 //
 // Recovery = load snapshot (if any) + replay WAL records after it. A
 // checkpoint truncates the WAL only after the snapshot's bytes and its
 // rename are synced to disk, so every epoch is always covered by at least
 // one of the two files, and a record covered by both installs once
-// (durable_state::restore_estimate is idempotent).
+// (durable_state::restore_estimate is idempotent). Each record carries the
+// alert number its freeze took (0: none), so recovery resumes alert
+// numbering after the larger of the snapshot's mark and the highest
+// number replayed: a consumer's drain cursor never sees a number reissued
+// to another alert, except one it drained before its freeze's append
+// reached the WAL.
 //
 // Only *frozen* epochs ride the WAL (they are the immutable replication
 // unit); open-epoch Welford accumulators are carried by snapshots alone,
@@ -31,7 +38,7 @@
 //
 // Appends go through one O_APPEND file descriptor the durable_log opens
 // on its first append and holds until it is destroyed (checkpoint()
-// reopens it with O_TRUNC after the rename); a record is rendered into a
+// reopens it with O_TRUNC after the rename); a record is encoded into a
 // reused buffer and written with one write(2). A returned append has
 // reached the OS -- it survives a process crash, not a power cut (appends
 // are not fsynced).
@@ -49,6 +56,7 @@
 #include <string>
 
 #include "core/durable_state.h"
+#include "core/epoch_codec.h"
 
 namespace wiscape::core {
 
@@ -61,24 +69,26 @@ struct wal_extent {
   std::uint64_t valid_bytes = 0;
   /// Every byte read from the stream, damaged or not.
   std::uint64_t read_bytes = 0;
-  /// Bytes after the line replay stopped at. 0 when nothing is damaged or
-  /// the damage is the stream's tail; more means records follow it.
+  /// Bytes from the first whole record after the damage replay stopped at
+  /// (or from the longest record past it, when none follows that closely)
+  /// to the end. 0 when nothing is damaged or the damage is the stream's
+  /// tail; more means records follow it.
   std::uint64_t after_damage = 0;
 };
 
-/// Replays a WAL stream: `apply(seq, key, est)` per complete, checksum-
-/// valid record, in file order. Recovery is tolerant of torn tails -- a
-/// truncated or corrupt record (or a cut mid-line) stops replay at the
-/// last good record, counts core.persist.wal_truncated once, and returns
-/// normally; it never throws on damage and never applies a damaged
-/// record. Returns the highest sequence number applied (0 = none). When
-/// `extent` is given it receives what the replay covered (see wal_extent);
-/// the stream is then read to its end.
-std::uint64_t wal_replay(
-    std::istream& is,
-    const std::function<void(std::uint64_t, const estimate_key&,
-                             const epoch_estimate&)>& apply,
-    wal_extent* extent = nullptr);
+/// Replays a WAL stream: `apply(record)` per complete, checksum-valid
+/// record, in file order. Recovery is tolerant of torn tails -- a cut or
+/// corrupt record, a length no record can have, or a NaN field stops
+/// replay at the last good record, counts core.persist.wal_truncated once,
+/// and returns normally; it never throws on damage and never applies a
+/// damaged record. A header of another version is damage here
+/// (durable_log::recover refuses it by name first). Returns the highest
+/// sequence number applied (0 = none). When `extent` is given it receives
+/// what the replay covered (see wal_extent); the stream is then read to
+/// its end.
+std::uint64_t wal_replay(std::istream& is,
+                         const std::function<void(const epoch_update&)>& apply,
+                         wal_extent* extent = nullptr);
 
 /// The on-disk pair: `<dir>/snapshot` + `<dir>/wal`. `dir` must exist.
 class durable_log {
@@ -90,15 +100,18 @@ class durable_log {
   durable_log& operator=(const durable_log&) = delete;
 
   /// Loads the snapshot (if present) into `state`, then replays WAL
-  /// records through state.restore_estimate(). That install is idempotent
+  /// records through state.restore_estimate(), and resumes alert numbering
+  /// after the highest alert_seq replayed when that is past the snapshot's
+  /// mark. That install is idempotent
   /// and closes the epoch it installs, so a WAL the snapshot already
   /// covers (a crash between checkpoint()'s rename and its WAL reset)
   /// replays as a no-op, and an epoch the snapshot saw open and the WAL
   /// saw freeze is frozen once. Returns the highest WAL
   /// sequence applied (0 = none). A torn tail -- damage in the file's last
-  /// line -- is cut off the file, so the next append follows the last
+  /// record -- is cut off the file, so the next append follows the last
   /// whole record instead of landing glued to the torn bytes. Damage with
-  /// whole lines after it (bit rot, not a crash mid-write), or a read that
+  /// bytes after the damaged record (bit rot, not a crash mid-write), a
+  /// WAL of another version (named in the error), or a read that
   /// ends before the file does (an I/O error), throws std::runtime_error
   /// and leaves the file as it was: cutting there would delete records
   /// that are intact. Only a file that does not exist (ENOENT) counts as
@@ -119,8 +132,9 @@ class durable_log {
   /// the previous record -- a full-disk model. An I/O error also throws;
   /// a short write is cut back off the file first, so the next append
   /// does not land glued to a partial record.
+  /// `alert_seq` is the number of the alert the freeze raised (0: none).
   void append(std::uint64_t seq, const estimate_key& key,
-              const epoch_estimate& est);
+              const epoch_estimate& est, std::uint64_t alert_seq = 0);
 
   /// Checkpoints `state`: snapshot.tmp -> fsync -> rename -> fsync of the
   /// directory -> WAL reset (the append descriptor is reopened with
@@ -153,7 +167,7 @@ class durable_log {
   std::mutex mu_;        // serialises the wal file: append, reset, cut
   int wal_fd_ = -1;    // the append descriptor; -1 until the first append
   std::int64_t wal_size_ = 0;  // file length after the last whole record
-  std::string line_;   // reused render buffer for one WAL record
+  std::string record_;  // reused buffer for one framed WAL record
 };
 
 }  // namespace wiscape::core

@@ -1,15 +1,12 @@
 #include "core/persist.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstring>
 #include <istream>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "core/epoch_codec.h"
@@ -30,47 +27,10 @@ constexpr std::size_t kEpochBytes = 32;
 constexpr std::size_t kTrailerBytes = 24;
 constexpr std::uint8_t kHasOpen = 1;
 
-constexpr std::uint64_t kFoldMul = 0x9e3779b97f4a7c15ull;  // odd
-constexpr std::uint64_t kFoldSeed = 0x5749534341504533ull;
-
-// Fixed-width little-endian fields, doubles as their raw bits.
-template <typename T>
-char* store(char* p, T v) noexcept {
-  if constexpr (std::is_floating_point_v<T>) {
-    return store(p, std::bit_cast<std::uint64_t>(v));
-  } else {
-    using U = std::make_unsigned_t<T>;
-    auto u = static_cast<U>(v);
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(p, &u, sizeof(U));
-    } else {
-      for (std::size_t i = 0; i < sizeof(U); ++i) {
-        p[i] = static_cast<char>((u >> (8 * i)) & 0xffu);
-      }
-    }
-    return p + sizeof(U);
-  }
-}
-
-template <typename T>
-T load(const char*& p) noexcept {
-  if constexpr (std::is_floating_point_v<T>) {
-    return std::bit_cast<double>(load<std::uint64_t>(p));
-  } else {
-    using U = std::make_unsigned_t<T>;
-    U u = 0;
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(&u, p, sizeof(U));
-    } else {
-      for (std::size_t i = 0; i < sizeof(U); ++i) {
-        u = static_cast<U>(u | static_cast<U>(static_cast<unsigned char>(p[i]))
-                                   << (8 * i));
-      }
-    }
-    p += sizeof(U);
-    return static_cast<T>(u);
-  }
-}
+using epoch_codec::byte_source;
+using epoch_codec::folder;
+using epoch_codec::load;
+using epoch_codec::store;
 
 /// Appends `fields` back to back.
 template <typename... Fields>
@@ -89,51 +49,6 @@ double load_not_nan(const char*& p) {
   }
   return v;
 }
-
-/// The running snapshot checksum, fed in pieces of any length: one lane
-/// folding each little-endian 8-byte word w as h = (h ^ w) * K, h ^= h >>
-/// 32 (each step a bijection of h, so a change inside one word always
-/// changes the sum), then the zero-padded tail word and the byte count.
-class folder {
- public:
-  void feed(const char* p, std::size_t n) noexcept {
-    bytes_ += n;
-    if (tail_n_ > 0) {
-      const std::size_t k = std::min(n, sizeof(tail_) - tail_n_);
-      std::memcpy(tail_ + tail_n_, p, k);
-      tail_n_ += k;
-      p += k;
-      n -= k;
-      if (tail_n_ < sizeof(tail_)) return;
-      const char* t = tail_;
-      h_ = step(h_, load<std::uint64_t>(t));
-      tail_n_ = 0;
-    }
-    std::uint64_t h = h_;
-    for (; n >= 8; n -= 8) h = step(h, load<std::uint64_t>(p));
-    h_ = h;
-    std::memcpy(tail_, p, n);
-    tail_n_ = n;
-  }
-
-  std::uint64_t value() const noexcept {
-    char last[8] = {};
-    std::memcpy(last, tail_, tail_n_);
-    const char* t = last;
-    return step(step(h_, load<std::uint64_t>(t)), bytes_);
-  }
-
- private:
-  static std::uint64_t step(std::uint64_t h, std::uint64_t w) noexcept {
-    h = (h ^ w) * kFoldMul;
-    return h ^ (h >> 32);
-  }
-
-  std::uint64_t h_ = kFoldSeed;
-  std::uint64_t bytes_ = 0;
-  char tail_[8] = {};
-  std::size_t tail_n_ = 0;
-};
 
 void sort_keys(std::vector<estimate_key>& keys) {
   // Deterministic file order: by zone, then network, then metric.
@@ -216,70 +131,16 @@ void render_state(const durable_state& state, std::string& out,
   spill(0);
 }
 
-/// The bytes of a snapshot, from a stream through one bounded buffer
-/// (checksummed as they are consumed) or in place from memory.
-class byte_source {
- public:
-  explicit byte_source(std::istream& is)
-      : is_(&is), buf_(snapshot_buffer_size, '\0'), data_(buf_.data()) {}
-  explicit byte_source(std::string_view bytes) noexcept
-      : data_(bytes.data()), end_(bytes.size()), eof_(true) {}
-
-  /// Up to `n` (<= snapshot_buffer_size) of the next bytes, unconsumed.
-  std::string_view peek(std::size_t n) {
-    while (end_ - pos_ < n && !eof_) refill();
-    return {data_ + pos_, std::min(n, end_ - pos_)};
+/// The next `n` bytes of `in`, consumed; throws naming `what` when the
+/// input ends first.
+const char* take(byte_source& in, std::size_t n, const char* what) {
+  const char* p = in.take(n);
+  if (p == nullptr) {
+    throw std::invalid_argument(
+        std::string("coordinator-state file cut inside its ") + what);
   }
-  /// The next `n` bytes, consumed; throws when the input ends first.
-  const char* take(std::size_t n, const char* what) {
-    if (peek(n).size() < n) {
-      throw std::invalid_argument(std::string("coordinator-state file cut "
-                                              "inside its ") +
-                                  what);
-    }
-    const char* p = data_ + pos_;
-    pos_ += n;
-    return p;
-  }
-  /// True when exactly `n` bytes are left.
-  bool left_exactly(std::size_t n) {
-    return peek(n + 1).size() == n && eof_;
-  }
-  /// False only when `n` bytes are known not to remain (in memory).
-  bool may_hold(std::uint64_t n) const noexcept {
-    return is_ != nullptr || n <= end_ - pos_;
-  }
-  /// The checksum of every byte consumed so far.
-  std::uint64_t consumed_sum() noexcept {
-    sum_.feed(data_ + fed_, pos_ - fed_);
-    fed_ = pos_;
-    return sum_.value();
-  }
-
- private:
-  void refill() {
-    // Checksum the consumed bytes, move the unread ones to the front and
-    // top the buffer up.
-    sum_.feed(data_ + fed_, pos_ - fed_);
-    const std::size_t keep = end_ - pos_;
-    std::memmove(buf_.data(), buf_.data() + pos_, keep);
-    pos_ = fed_ = 0;
-    end_ = keep;
-    const std::streamsize got = is_->rdbuf()->sgetn(
-        buf_.data() + end_, static_cast<std::streamsize>(buf_.size() - end_));
-    eof_ = got <= 0;
-    if (!eof_) end_ += static_cast<std::size_t>(got);
-  }
-
-  std::istream* is_ = nullptr;
-  std::string buf_;             // stream mode: the bounded read buffer
-  const char* data_ = nullptr;  // buf_.data() or the bytes in memory
-  std::size_t pos_ = 0;         // first unconsumed byte
-  std::size_t end_ = 0;         // end of the valid bytes
-  std::size_t fed_ = 0;         // first byte not yet checksummed
-  bool eof_ = false;
-  folder sum_;
-};
+  return p;
+}
 
 /// Refuses anything but the v3 header line, naming another version.
 void check_header(std::string_view head) {
@@ -302,9 +163,9 @@ void check_header(std::string_view head) {
 /// as read (a pass over the same bytes verified it).
 void read_state(byte_source& in, durable_state& state, bool verify_checksum) {
   check_header(in.peek(kHeader.size()));
-  in.take(kHeader.size(), "header");
+  take(in, kHeader.size(), "header");
 
-  const char* p = in.take(2, "network table");
+  const char* p = take(in, 2, "network table");
   const std::size_t networks = load<std::uint16_t>(p);
   if (!in.may_hold(2 * networks)) {
     throw std::invalid_argument("coordinator-state file: network count "
@@ -312,16 +173,16 @@ void read_state(byte_source& in, durable_state& state, bool verify_checksum) {
   }
   std::vector<std::string> names;
   for (std::size_t i = 0; i < networks; ++i) {
-    p = in.take(2, "network table");
+    p = take(in, 2, "network table");
     const std::size_t len = load<std::uint16_t>(p);
-    names.emplace_back(in.take(len, "network table"), len);
+    names.emplace_back(take(in, len, "network table"), len);
   }
 
   std::uint64_t blocks = 0;
   estimate_key key;
   std::size_t key_net = names.size();  // the name `key` holds, if any
   while (!in.left_exactly(kTrailerBytes)) {
-    p = in.take(kBlockBytes, "stream block");
+    p = take(in, kBlockBytes, "stream block");
     key.zone.ix = load<std::int32_t>(p);
     key.zone.iy = load<std::int32_t>(p);
     const std::size_t net = load<std::uint16_t>(p);
@@ -343,7 +204,7 @@ void read_state(byte_source& in, durable_state& state, bool verify_checksum) {
     }
     key.metric = static_cast<trace::metric>(metric);
     for (std::uint32_t i = 0; i < frozen; ++i) {
-      p = in.take(kEpochBytes, "stream block");
+      p = take(in, kEpochBytes, "stream block");
       epoch_estimate est;
       est.epoch_start_s = load_not_nan(p);
       est.mean = load_not_nan(p);
@@ -352,7 +213,7 @@ void read_state(byte_source& in, durable_state& state, bool verify_checksum) {
       state.restore_estimate(key, est);
     }
     if ((flags & kHasOpen) != 0) {
-      p = in.take(kEpochBytes, "stream block");
+      p = take(in, kEpochBytes, "stream block");
       open_epoch_state open;
       open.open_start_s = load_not_nan(p);
       open.n = load<std::uint64_t>(p);
@@ -363,11 +224,11 @@ void read_state(byte_source& in, durable_state& state, bool verify_checksum) {
     ++blocks;
   }
 
-  p = in.take(kTrailerBytes - 8, "trailer");
+  p = take(in, kTrailerBytes - 8, "trailer");
   const std::uint64_t count = load<std::uint64_t>(p);
   const std::uint64_t alert_seq = load<std::uint64_t>(p);
   const std::uint64_t computed = verify_checksum ? in.consumed_sum() : 0;
-  p = in.take(8, "trailer");
+  p = take(in, 8, "trailer");
   const std::uint64_t stored = load<std::uint64_t>(p);
   if (verify_checksum && computed != stored) {
     throw std::invalid_argument("coordinator-state file checksum mismatch");
@@ -412,7 +273,7 @@ void save_state(std::string& out, const durable_state& state) {
 }
 
 void load_state(std::istream& is, durable_state& state) {
-  byte_source in(is);
+  byte_source in(is, snapshot_buffer_size);
   read_state(in, state, true);
 }
 

@@ -25,7 +25,8 @@
 //    client cursors), and a u64 checksum of every byte before it, folded
 //    a word at a time (h = (h ^ w) * K, h ^= h >> 32 per little-endian
 //    word, then the zero-padded tail word and the byte count; each step
-//    is a bijection of h, so a change inside one word always shows).
+//    is a bijection of h, so a change inside one word always shows). The
+//    fold is core::epoch_codec's, which the WAL records use too.
 //
 // Loading refuses, with std::invalid_argument and nothing else, any input
 // that is not exactly such a file: a bad or older header (a v2 text

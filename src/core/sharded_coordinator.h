@@ -214,6 +214,11 @@ class sharded_coordinator : public durable_state {
   void resume_alert_seq(std::uint64_t last_seq) override {
     ring_.resume_from(last_seq);
   }
+  /// alert_ring::resume_ahead on the shared ring: a promoted follower's
+  /// resume, which leaves numbering of the follower's own alone.
+  bool resume_alert_seq_ahead(std::uint64_t last_seq) {
+    return ring_.resume_ahead(last_seq);
+  }
 
   // ---- replication surface (src/repl, ISSUE 10) ---------------------------
 

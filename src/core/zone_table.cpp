@@ -158,13 +158,14 @@ void zone_table::rollover(std::size_t index) {
   e.stddev = s.open.stddev();
   e.samples = s.open.n;
 
+  std::uint64_t alert_seq = 0;
   if (!c.frozen.empty()) {
     const epoch_estimate& prev = c.frozen.back();
     const double threshold = change_sigma_factor * prev.stddev;
     if (threshold > 0.0 && std::abs(e.mean - prev.mean) > threshold) {
       ++alerts_raised_;
       if (alert_sink_ != nullptr) {
-        alert_sink_->push(
+        alert_seq = alert_sink_->push(
             {c.key, e.epoch_start_s, prev.mean, e.mean, prev.stddev});
       }
     }
@@ -173,7 +174,7 @@ void zone_table::rollover(std::size_t index) {
   if (mirror_ != nullptr) {
     mirror_->publish(c.skey, e, c.frozen.size() - 1);
   }
-  if (epoch_tap_ != nullptr) epoch_tap_->on_epoch(c.key, e);
+  if (epoch_tap_ != nullptr) epoch_tap_->on_epoch(c.key, e, alert_seq);
   s.open.reset();
   metrics().rollovers.inc();
 }

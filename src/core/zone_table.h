@@ -92,11 +92,23 @@ struct open_epoch_state {
 /// or replicated state is not a new rollover (a follower must not re-log
 /// epochs it merely applied). Invoked inside the table's own
 /// mutations -- drain-worker threads in sharded mode -- so an
-/// implementation shared across shards must be thread-safe.
+/// implementation shared across shards must be thread-safe. The table
+/// calls the three-argument form; a tap overrides one of the two, and each
+/// form's default forwards to the other.
 class epoch_tap {
  public:
   virtual ~epoch_tap() = default;
-  virtual void on_epoch(const estimate_key& key, const epoch_estimate& est) = 0;
+  /// One frozen epoch and the number alert_ring::push gave the change
+  /// alert its freeze raised (0: none, or no alert sink).
+  virtual void on_epoch(const estimate_key& key, const epoch_estimate& est,
+                        std::uint64_t alert_seq) {
+    (void)alert_seq;
+    on_epoch(key, est);
+  }
+  /// The same for a tap that keeps no alert numbers.
+  virtual void on_epoch(const estimate_key& key, const epoch_estimate& est) {
+    on_epoch(key, est, 0);
+  }
 };
 
 /// Raised when an epoch's estimate moved substantially vs the previous one.

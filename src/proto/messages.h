@@ -35,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/epoch_codec.h"
 #include "core/estimate_view.h"
 #include "geo/lat_lon.h"
 #include "geo/zone_grid.h"
@@ -122,22 +123,11 @@ struct estimate_reply {
   double confidence = 0.0;
 };
 
-/// One replicated frozen epoch (ISSUE 10): the leader log's sequence
-/// number (the follower's dedup key) plus the (zone, network, metric)
-/// stream key and the published estimate. Travels in v3 EPOCHB frames with
-/// doubles as raw IEEE bits, so a follower's applied state is bit-equal to
-/// the leader's. Lives here (not wire_v3.h) because reply_buffer stages
-/// decode scratch of it.
-struct epoch_update {
-  std::uint64_t seq = 0;
-  geo::zone_id zone;
-  std::string network;
-  trace::metric metric = trace::metric::tcp_throughput_bps;
-  double epoch_start_s = 0.0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  std::uint64_t samples = 0;
-};
+/// One replicated frozen epoch: core::epoch_codec's record, which v3
+/// EPOCHB frames carry with doubles as raw IEEE bits, so a follower's
+/// applied state is bit-equal to the leader's. Named here (not in
+/// wire_v3.h) because reply_buffer stages decode scratch of it.
+using epoch_update = core::epoch_update;
 
 /// Client -> coordinator: incremental alert drain ("ALERTS since=<seq>
 /// [max=<n>]").

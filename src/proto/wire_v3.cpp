@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/epoch_codec.h"
+
 namespace wiscape::proto::v3 {
 
 namespace {
@@ -348,40 +350,6 @@ std::optional<estimate_reply> get_estimate(reader& r) {
   return rep;
 }
 
-// One epoch_update's fixed-width prefix (seq + zone + metric + estimate);
-// the trailing str16 network adds at least its 2-byte length prefix.
-constexpr std::size_t epoch_fixed_bytes = 49;
-constexpr std::size_t min_epoch_bytes = epoch_fixed_bytes + 2;
-
-void put_epoch(reply_buffer& out, const epoch_update& u) {
-  put_u64(out, u.seq);
-  put_i32(out, u.zone.ix);
-  put_i32(out, u.zone.iy);
-  put_u8(out, static_cast<std::uint8_t>(u.metric));
-  put_f64(out, u.epoch_start_s);
-  put_f64(out, u.mean);
-  put_f64(out, u.stddev);
-  put_u64(out, u.samples);
-  put_str16(out, u.network);
-}
-
-void get_epoch(reader& r, epoch_update& u) {
-  r.need(epoch_fixed_bytes, "epoch fixed fields");
-  u.seq = r.u64_raw();
-  u.zone.ix = r.i32_raw();
-  u.zone.iy = r.i32_raw();
-  const std::uint8_t metric = r.u8_raw();
-  if (metric > static_cast<std::uint8_t>(trace::metric::uplink_throughput_bps)) {
-    throw std::invalid_argument("bad metric byte " + std::to_string(metric));
-  }
-  u.metric = static_cast<trace::metric>(metric);
-  u.epoch_start_s = r.f64_raw();
-  u.mean = r.f64_raw();
-  u.stddev = r.f64_raw();
-  u.samples = r.u64_raw();
-  u.network = r.str16("epoch.network");
-}
-
 /// Rejects a batch count before any allocation: over the protocol cap, or
 /// impossibly large for the bytes actually present (every element costs at
 /// least `min_bytes` on the wire).
@@ -551,7 +519,10 @@ void encode_epoch_batch_frame(std::span<const epoch_update> updates,
                               reply_buffer& out) {
   const std::size_t at = begin_frame(out, opcode::epochb);
   put_u32(out, static_cast<std::uint32_t>(updates.size()));
-  for (const auto& u : updates) put_epoch(out, u);
+  for (const auto& u : updates) {
+    core::epoch_codec::put_record(out.storage(), u.seq, u.key, u.est,
+                                  u.alert_seq);
+  }
   end_frame(out, at);
 }
 
@@ -695,12 +666,13 @@ void decode_epoch_batch_frame_into(std::string_view frame,
                                    std::vector<epoch_update>& out) {
   reader r{payload_of(frame, opcode::epochb)};
   const std::uint32_t n = r.u32("epochb.count");
-  check_count(n, max_epoch_batch, min_epoch_bytes, r.left(), "epochb");
+  check_count(n, max_epoch_batch, core::epoch_codec::min_record_bytes,
+              r.left(), "epochb");
   out.clear();
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     out.emplace_back();
-    get_epoch(r, out.back());
+    r.pos += core::epoch_codec::get_record(r.buf.substr(r.pos), out.back());
   }
   require_done(r);
 }

@@ -130,9 +130,9 @@ inline constexpr std::size_t max_epoch_batch = 4096;
 /// well under any session read-buffer cap while catch-up streams it.
 inline constexpr std::size_t max_snapshot_chunk = 16 * 1024;
 
-// The epoch_update element an EPOCHB frame carries is a shared proto type
-// (proto/messages.h, next to estimate_reply): reply_buffer stages decode
-// scratch of it, so it must be complete where reply_buffer is.
+// The epoch_update element an EPOCHB frame carries is core::epoch_codec's
+// record (named in proto/messages.h, where reply_buffer stages decode
+// scratch of it); the WAL writes the same bytes.
 
 /// Decoded EPOCH pull request: "send records with seq > since_seq, at most
 /// max_records of them".

@@ -30,27 +30,20 @@ epoch_log::epoch_log(std::size_t capacity, core::durable_log* wal)
     : cap_(std::max<std::size_t>(capacity, 1)), wal_(wal) {}
 
 void epoch_log::on_epoch(const core::estimate_key& key,
-                         const core::epoch_estimate& e) {
-  proto::epoch_update u;
-  u.zone = key.zone;
-  u.network = key.network;
-  u.metric = key.metric;
-  u.epoch_start_s = e.epoch_start_s;
-  u.mean = e.mean;
-  u.stddev = e.stddev;
-  u.samples = e.samples;
+                         const core::epoch_estimate& e,
+                         std::uint64_t alert_seq) {
   std::lock_guard lock(mu_);
-  u.seq = next_seq_++;
+  const std::uint64_t seq = next_seq_++;
   if (wal_ != nullptr) {
     // Durability is best-effort from the tap: the failure (including the
     // wal_append fault site) is already counted by the WAL layer, and a
     // rollover must never throw back into the ingest path.
     try {
-      wal_->append(u.seq, key, e);
+      wal_->append(seq, key, e, alert_seq);
     } catch (const std::exception&) {
     }
   }
-  ring_.push_back(std::move(u));
+  ring_.push_back({seq, key, e, alert_seq});
   metrics().logged.inc();
   if (ring_.size() > cap_) {
     ring_.pop_front();
@@ -87,11 +80,6 @@ void epoch_log::reset(std::uint64_t next_seq) {
 std::uint64_t epoch_log::last_seq() const {
   std::lock_guard lock(mu_);
   return next_seq_ - 1;
-}
-
-std::uint64_t epoch_log::base_seq() const {
-  std::lock_guard lock(mu_);
-  return ring_.empty() ? next_seq_ : ring_.front().seq;
 }
 
 }  // namespace wiscape::repl

@@ -3,7 +3,8 @@
 //
 // Every rollover on the serving coordinator lands here as one
 // proto::epoch_update with a monotonically increasing sequence number --
-// the unit of replication and the follower's dedup cursor. Followers pull
+// the unit of replication and the follower's dedup cursor -- and the
+// number of the alert its freeze raised. Followers pull
 // suffixes of this log (EPOCH -> EPOCHB over wire v3); a follower whose
 // cursor has fallen below the ring's retained base is told to snapshot
 // catch-up instead (pull() returns false).
@@ -37,14 +38,14 @@ class epoch_log : public core::epoch_tap {
   explicit epoch_log(std::size_t capacity = default_log_capacity,
                      core::durable_log* wal = nullptr);
 
-  /// The tap: assigns the next sequence number, retains the record
-  /// (evicting the oldest past capacity, counted in repl.log_evicted),
-  /// and tees it into the WAL when one is attached. A WAL append failure
-  /// (including the wal_append fault) is counted and swallowed -- the
-  /// in-memory log stays authoritative for replication; durability
-  /// degrades, ingest does not.
-  void on_epoch(const core::estimate_key& key,
-                const core::epoch_estimate& e) override;
+  /// The tap: assigns the next sequence number, retains the record with
+  /// the freeze's alert number (evicting the oldest past capacity, counted
+  /// in repl.log_evicted), and tees it into the WAL when one is attached.
+  /// A WAL append failure (including the wal_append fault) is counted and
+  /// swallowed -- the in-memory log stays authoritative for replication;
+  /// durability degrades, ingest does not.
+  void on_epoch(const core::estimate_key& key, const core::epoch_estimate& e,
+                std::uint64_t alert_seq = 0) override;
 
   /// Appends up to `max` records with seq > since_seq, in sequence order.
   /// Returns false when since_seq is below the retained base (records the
@@ -60,9 +61,6 @@ class epoch_log : public core::epoch_tap {
 
   /// Highest sequence assigned (0 = none yet).
   std::uint64_t last_seq() const;
-  /// Lowest sequence still retained (next_seq when empty: pulls from
-  /// base-1 or later succeed with an empty batch).
-  std::uint64_t base_seq() const;
 
  private:
   mutable std::mutex mu_;

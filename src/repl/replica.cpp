@@ -101,20 +101,12 @@ std::uint64_t replica::apply(std::span<const proto::epoch_update> updates) {
       m.duplicates.inc();
       continue;
     }
-    core::estimate_key key;
-    key.zone = u.zone;
-    key.network = u.network;
-    key.metric = u.metric;
-    core::epoch_estimate est;
-    est.epoch_start_s = u.epoch_start_s;
-    est.mean = u.mean;
-    est.stddev = u.stddev;
-    est.samples = static_cast<std::size_t>(u.samples);
-    const bool was_merge = coord_->restore_estimate(key, est);
+    const bool was_merge = coord_->restore_estimate(u.key, u.est);
     m.applied.inc();
     if (was_merge) m.merged.inc();
     ++applied;
     if (u.seq > cursor) cursor = u.seq;
+    alert_mark_ = std::max(alert_mark_, u.alert_seq);
   }
   applied_seq_.store(cursor, std::memory_order_release);
   return applied;
@@ -126,6 +118,9 @@ bool replica::promote() {
   // Continue the leader's sequencing: a peer whose pull cursor is the old
   // leader's seq N keeps pulling from N here without a gap or an overlap.
   log_.reset(applied_seq_.load(std::memory_order_relaxed) + 1);
+  // And its alert numbering, after the highest alert applied, unless this
+  // coordinator numbered alerts of its own.
+  coord_->resume_alert_seq_ahead(alert_mark_);
   coord_->set_epoch_tap(&log_);
   role_.store(role::leader, std::memory_order_release);
   metrics().promotions.inc();

@@ -20,7 +20,8 @@
 //    (core::zone_table::merge_estimate). promote() makes it lead: its own
 //    epoch_log takes over the tap and sequencing continues from the
 //    applied cursor, so peers' pull cursors stay valid across the
-//    failover.
+//    failover, and alert numbering continues after the highest alert
+//    number applied, so a consumer's drain cursor stays valid too.
 //
 // Every role serves pulls from its own log (empty while following:
 // applied records are not re-logged) and snapshot catch-up for joiners:
@@ -103,8 +104,11 @@ class replica : public proto::replication_endpoint {
   /// A leading replica applies nothing. Returns the applied count.
   std::uint64_t apply(std::span<const proto::epoch_update> updates) override;
   /// Takes over: wires this replica's epoch_log into the coordinator's
-  /// tap and continues sequencing from the applied cursor. Refused (false)
-  /// by a leading replica, so promotion is one-shot.
+  /// tap, continues sequencing from the applied cursor, and resumes alert
+  /// numbering after the highest alert_seq applied (not when the
+  /// coordinator has raised alerts of its own since its ring was built or
+  /// last resumed: it keeps its numbering). Refused (false) by a leading
+  /// replica, so promotion is one-shot. Never throws.
   bool promote() override;
 
   /// One pull round against the leader: EPOCH frames until a short batch
@@ -135,6 +139,7 @@ class replica : public proto::replication_endpoint {
   std::mutex mu_;  // orders apply/promote/catch-up; guards snap_cache_
   std::string snap_cache_;  // "REPLSEQ <n>\n" + persist state rendering
   std::atomic<std::uint64_t> applied_seq_{0};
+  std::uint64_t alert_mark_ = 0;  // highest alert_seq applied; under mu_
   std::atomic<role> role_;
 };
 

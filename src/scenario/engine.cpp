@@ -515,11 +515,6 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
     // per-stream ingest order, so the rebuilt open accumulators (and
     // every later rollover) are bit-equal to an uninterrupted run's.
     if (recovered) {
-      // The recovered alert ring starts over (fresh after a failover, at
-      // the last checkpoint's mark after a kill -9): so does the ledger.
-      served_total = 0;
-      dropped_total = 0;
-      cursor = 0;
       keep_acked = false;
       std::vector<trace::measurement_record> replay;
       for (const trace::measurement_record& rec : acked_log) {

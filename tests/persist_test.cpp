@@ -209,15 +209,16 @@ std::vector<double> random_doubles(std::size_t n) {
   return v;
 }
 
-/// Renders `v` into every double field of a WAL record and parses it back.
-bool wal_round_trip(double v, epoch_estimate& back) {
-  std::string line;
-  epoch_codec::put_wal(line, 5, {{-4, 7}, "NetB", trace::metric::rtt_s},
-                       {v, v, v, 3});
-  line.pop_back();  // the newline
-  std::uint64_t seq = 0;
-  estimate_key key;
-  return epoch_codec::parse_wal(line, seq, key, back) && seq == 5;
+/// Encodes `v` into every double field of an epoch record and decodes it
+/// back.
+epoch_estimate record_round_trip(double v) {
+  std::string bytes;
+  epoch_codec::put_record(bytes, 5, {{-4, 7}, "NetB", trace::metric::rtt_s},
+                          {v, v, v, 3}, 0);
+  epoch_update back;
+  EXPECT_EQ(epoch_codec::get_record(bytes, back), bytes.size());
+  EXPECT_EQ(back.seq, 5u);
+  return back.est;
 }
 
 TEST(EpochCodec, DoublesRenderLikePrintfAndParseBackBitExact) {
@@ -229,13 +230,10 @@ TEST(EpochCodec, DoublesRenderLikePrintfAndParseBackBitExact) {
     std::string got;
     epoch_codec::put_double(got, v);
     ASSERT_EQ(got, ref_double(v)) << "bits " << std::hex << bits_of(v);
-    epoch_estimate back;
-    if (std::isnan(v)) {
-      ++nans;
-      EXPECT_FALSE(wal_round_trip(v, back));  // pinned: NaN is malformed
-      continue;
-    }
-    ASSERT_TRUE(wal_round_trip(v, back)) << got;
+    // The record carries raw bits: every pattern, NaN payloads included,
+    // comes back as it went (WAL replay refuses NaN; wal_test.cpp).
+    nans += std::isnan(v) ? 1 : 0;
+    const epoch_estimate back = record_round_trip(v);
     EXPECT_EQ(bits_of(back.epoch_start_s), bits_of(v)) << got;
     EXPECT_EQ(bits_of(back.mean), bits_of(v)) << got;
     EXPECT_EQ(bits_of(back.stddev), bits_of(v)) << got;
@@ -287,125 +285,12 @@ TEST(EpochCodec, NanFieldIsMalformedInSnapshotsLikeInTheWal) {
   EXPECT_EQ(hist[0].stddev, -inf);
 }
 
-// ---- the separator set: ' ', '\t', '\r', '\v', '\f' and nothing else ---------
-
-const std::string kSeparatorBytes = " \t\r\v\f";
-// Whitespace in some other character set, and the bytes a line ends with:
-// all of them belong to a field.
-const std::string kFieldBytes = std::string("\n\0\x85\xA0", 4);
-
-/// `fields` joined by `gap`, between `lead` and `trail`; `odd_gap`, when
-/// set, replaces the gap before field `odd_at` (0 = the leading padding,
-/// fields.size() = the trailing padding).
-std::string spaced(const std::vector<std::string>& fields, std::string_view lead,
-                   std::string_view gap, std::string_view trail,
-                   std::size_t odd_at = std::string::npos,
-                   std::string_view odd_gap = {}) {
-  std::string out;
-  for (std::size_t i = 0; i <= fields.size(); ++i) {
-    const std::string_view edge = i == 0 ? lead : i == fields.size() ? trail : gap;
-    out += i == odd_at ? odd_gap : edge;
-    if (i < fields.size()) out += fields[i];
-  }
-  return out;
-}
-
-/// `body` with the WAL checksum suffix ` C<fnv1a32 %08x>` it must carry.
-std::string wal_line(const std::string& body) {
-  std::uint32_t h = 2166136261u;
-  for (const char c : body) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 16777619u;
-  }
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), " C%08x", h);
-  return body + crc;
-}
-
-const std::vector<std::string> kWalFields = {"W", "7", "1:-1", "NetB", "rtt",
-                                             "0", "1", "2",    "3"};
-
-bool parses_as_canonical_wal(const std::string& line) {
-  std::uint64_t seq = 0;
-  estimate_key key;
-  epoch_estimate est;
-  return epoch_codec::parse_wal(line, seq, key, est) && seq == 7 &&
-         key == estimate_key{{1, -1}, "NetB", trace::metric::rtt_s} &&
-         est.epoch_start_s == 0.0 && est.mean == 1.0 && est.stddev == 2.0 &&
-         est.samples == 3;
-}
-
-TEST(EpochCodec, RejectsTrailingAndMissingFields) {
-  const auto parses = [](const std::string& body) {
-    std::uint64_t seq = 0;
-    estimate_key key;
-    epoch_estimate est;
-    return epoch_codec::parse_wal(wal_line(body), seq, key, est);
-  };
-  EXPECT_TRUE(parses("W 7 1:-1 NetB rtt 0 1 1 1"));
-  EXPECT_TRUE(parses(" W\t7 1:-1 NetB rtt 0 1 1 1 "));
-  EXPECT_FALSE(parses("W 7 1:-1 NetB rtt 0 1 1"));
-  EXPECT_FALSE(parses("W 7 1:-1 NetB rtt 0 1 1 1 9"));
-  EXPECT_FALSE(parses("W 7 1:-1 NetB rtt 0 1 1 1x"));
-  EXPECT_FALSE(parses("W 7 1:-1x NetB rtt 0 1 1 1"));
-  EXPECT_FALSE(parses("W 7 1:-1 NetB rtt 0 1 1 -1"));
-  EXPECT_FALSE(parses("W 7 1:-1 NetB rtt 0 1e999 1 1"));
-  EXPECT_FALSE(parses("W 1:-1 NetB rtt 0 1 1 1"));
-  EXPECT_FALSE(parses("W 18446744073709551616 1:-1 NetB rtt 0 1 1 1"));
-  EXPECT_TRUE(parses("W 18446744073709551615 1:-1 NetB rtt 0 1 1 1"));
-  EXPECT_FALSE(parses("X 7 1:-1 NetB rtt 0 1 1 1"));
-  EXPECT_FALSE(parses(""));
-}
-
-TEST(EpochCodec, EachSeparatorDelimitsEveryFieldAndPadsEveryLine) {
-  std::vector<std::string> gaps;
-  for (const char c : kSeparatorBytes) gaps.emplace_back(1, c);
-  gaps.push_back(kSeparatorBytes);  // all five in one run
-  for (const std::string& gap : gaps) {
-    const std::string shown = ::testing::PrintToString(gap);
-    // The checksummed body, padding included, takes any run of them; the
-    // ` C<hex>` suffix that ends the line is fixed bytes.
-    EXPECT_TRUE(parses_as_canonical_wal(wal_line(spaced(kWalFields, "", gap, ""))))
-        << shown;
-    EXPECT_TRUE(parses_as_canonical_wal(wal_line(spaced(kWalFields, gap, gap, gap))))
-        << shown;
-    for (std::size_t at = 0; at <= kWalFields.size(); ++at) {
-      EXPECT_TRUE(parses_as_canonical_wal(
-          wal_line(spaced(kWalFields, "", " ", "", at, gap))))
-          << shown << " at " << at;
-    }
-  }
-  const std::string wal = wal_line(spaced(kWalFields, "", " ", ""));
-  EXPECT_FALSE(parses_as_canonical_wal(wal + " "));
-  EXPECT_FALSE(parses_as_canonical_wal(
-      std::string(wal).replace(wal.rfind(" C"), 1, "\t")));
-}
-
-TEST(EpochCodec, OtherWhitespaceAndLineBytesAreFieldBytes) {
-  for (const char c : kFieldBytes) {
-    const std::string bad(1, c);
-    const std::string shown = ::testing::PrintToString(bad);
-    // As the only gap, and in place of one single space or the padding.
-    EXPECT_FALSE(parses_as_canonical_wal(wal_line(spaced(kWalFields, "", bad, ""))))
-        << shown;
-    for (std::size_t at = 0; at <= kWalFields.size(); ++at) {
-      EXPECT_FALSE(parses_as_canonical_wal(
-          wal_line(spaced(kWalFields, "", " ", "", at, bad))))
-          << shown << " at " << at;
-    }
-  }
-}
-
 TEST(EpochCodec, SeededRecordsRoundTripBitIdentical) {
   std::mt19937_64 gen(22);
   const std::vector<double> awkward = awkward_doubles();
   const auto any_double = [&] {
-    for (;;) {
-      const std::uint64_t r = gen();
-      const double v =
-          r % 4 == 0 ? awkward[(r >> 8) % awkward.size()] : from_bits(gen());
-      if (!std::isnan(v)) return v;  // NaN is malformed by design
-    }
+    const std::uint64_t r = gen();
+    return r % 4 == 0 ? awkward[(r >> 8) % awkward.size()] : from_bits(gen());
   };
   const auto any_count = [&] {
     const std::uint64_t r = gen();
@@ -419,43 +304,57 @@ TEST(EpochCodec, SeededRecordsRoundTripBitIdentical) {
            : r % 8 == 1 ? std::numeric_limits<int>::max()
                         : static_cast<int>(static_cast<std::uint32_t>(gen()));
   };
-  // Network names of any bytes but the separators and '\n' (a line's end).
+  // Network names of any bytes, up to one past the 65535 the record keeps.
   const auto any_network = [&] {
-    std::string net(1 + gen() % 24, 'x');
-    for (char& c : net) {
-      do {
-        c = static_cast<char>(gen());
-      } while (c == '\n' || kSeparatorBytes.find(c) != std::string::npos);
-    }
+    const std::uint64_t r = gen();
+    std::string net(r % 512 == 0 ? 0x10000 : gen() % 24, 'x');
+    for (char& c : net) c = static_cast<char>(gen());
     return net;
   };
+  std::string bytes;
+  std::vector<epoch_update> want;
   for (int i = 0; i < 20000; ++i) {
     const estimate_key key{{any_coord(), any_coord()},
                            any_network(),
                            static_cast<trace::metric>(gen() % trace::metric_count)};
     const epoch_estimate est{any_double(), any_double(), any_double(),
                              static_cast<std::size_t>(any_count())};
-    const std::uint64_t seq = any_count();
-
-    std::string text;
-    epoch_codec::put_wal(text, seq, key, est);
-    epoch_codec::line_reader in{std::string_view(text)};
-    std::string_view line;
-
-    std::uint64_t wal_seq = 0;
-    estimate_key wal_key;
-    epoch_estimate wal_est;
-    ASSERT_TRUE(in.next(line) &&
-                epoch_codec::parse_wal(line, wal_seq, wal_key, wal_est))
-        << line;
-    EXPECT_EQ(wal_seq, seq);
-    EXPECT_EQ(wal_key, key);
-    EXPECT_EQ(bits_of(wal_est.epoch_start_s), bits_of(est.epoch_start_s));
-    EXPECT_EQ(bits_of(wal_est.mean), bits_of(est.mean));
-    EXPECT_EQ(bits_of(wal_est.stddev), bits_of(est.stddev));
-    EXPECT_EQ(wal_est.samples, est.samples);
-    EXPECT_FALSE(in.next(line));
+    want.push_back({any_count(), key, est, any_count()});
+    epoch_codec::put_record(bytes, want.back().seq, key, est,
+                            want.back().alert_seq);
+    if (want.back().key.network.size() > 0xffff) {
+      want.back().key.network.resize(0xffff);  // clipped
+    }
   }
+  // Back to back, each record decodes whole and bit-identical.
+  std::string_view rest = bytes;
+  for (const epoch_update& w : want) {
+    epoch_update got;
+    const std::size_t took = epoch_codec::get_record(rest, got);
+    ASSERT_EQ(took, epoch_codec::min_record_bytes + w.key.network.size());
+    rest.remove_prefix(took);
+    EXPECT_EQ(got.seq, w.seq);
+    EXPECT_EQ(got.key, w.key);
+    EXPECT_EQ(bits_of(got.est.epoch_start_s), bits_of(w.est.epoch_start_s));
+    EXPECT_EQ(bits_of(got.est.mean), bits_of(w.est.mean));
+    EXPECT_EQ(bits_of(got.est.stddev), bits_of(w.est.stddev));
+    EXPECT_EQ(got.est.samples, w.est.samples);
+    EXPECT_EQ(got.alert_seq, w.alert_seq);
+  }
+  EXPECT_TRUE(rest.empty());
+  // A cut anywhere inside a record, or a metric byte out of range, is
+  // refused with std::invalid_argument.
+  epoch_update got;
+  const std::string_view first(bytes.data(), epoch_codec::min_record_bytes +
+                                                 want[0].key.network.size());
+  for (std::size_t cut = 0; cut < first.size(); ++cut) {
+    EXPECT_THROW(epoch_codec::get_record(first.substr(0, cut), got),
+                 std::invalid_argument)
+        << cut;
+  }
+  std::string bad(first);
+  bad[16] = static_cast<char>(trace::metric_count);
+  EXPECT_THROW(epoch_codec::get_record(bad, got), std::invalid_argument);
 }
 
 /// A coordinator, empty or (streams > 0) filled from a fixed seed with
@@ -832,59 +731,6 @@ class trickle_buf : public std::streambuf {
   std::size_t k_;
   std::size_t pos_ = 0;
 };
-
-TEST(EpochCodec, LineReaderHandsOutTheSameLinesAtEveryRefillBoundary) {
-  // Every read size from 1 byte up moves the refill boundary across every
-  // offset of the lines; one line longer than the read buffer makes the
-  // reader grow it.
-  const golden_state g(12);
-  std::string text = estimate_table_text(g.coord);
-  text += std::string(epoch_codec::line_reader::buffer_size + 300, 'x') +
-          "\n\n" + "tail without newline";
-  std::vector<std::string> want;
-  std::size_t pos = 0;
-  for (std::size_t nl; (nl = text.find('\n', pos)) != std::string::npos;
-       pos = nl + 1) {
-    want.push_back(text.substr(pos, nl - pos));
-  }
-  want.push_back(text.substr(pos));
-
-  // Only the final line (no newline after it) reads as cut.
-  auto drain = [](epoch_codec::line_reader& in, std::size_t& cuts) {
-    std::vector<std::string> got;
-    std::string_view line;
-    cuts = 0;
-    while (in.next(line)) {
-      got.emplace_back(line);
-      cuts += in.cut() ? 1 : 0;
-    }
-    return got;
-  };
-  std::size_t cuts = 0;
-  for (std::size_t k = 1; k <= 320; ++k) {
-    trickle_buf buf(text, k);
-    std::istream is(&buf);
-    epoch_codec::line_reader in(is);
-    ASSERT_EQ(drain(in, cuts), want) << "read size " << k;
-    EXPECT_EQ(cuts, 1u);
-    EXPECT_TRUE(in.cut());
-  }
-  epoch_codec::line_reader whole{std::string_view(text)};
-  EXPECT_EQ(drain(whole, cuts), want);
-  EXPECT_EQ(cuts, 1u);
-
-  // A newline-terminated text ends clean; an empty one has no lines.
-  std::istringstream clean("a\nb\n");
-  epoch_codec::line_reader in(clean);
-  std::string_view line;
-  ASSERT_TRUE(in.next(line));
-  ASSERT_TRUE(in.next(line));
-  EXPECT_EQ(line, "b");
-  EXPECT_FALSE(in.cut());
-  EXPECT_FALSE(in.next(line));
-  epoch_codec::line_reader empty{std::string_view()};
-  EXPECT_FALSE(empty.next(line));
-}
 
 TEST(Persist, StreamLoadsAlikeAtEveryReadSize) {
   // Every read size moves the loader's refills, and the checksum's carried

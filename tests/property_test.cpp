@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <sstream>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "core/dominance.h"
+#include "core/durable_log.h"
 #include "core/persist.h"
 #include "core/sample_planner.h"
 #include "core/sharded_coordinator.h"
@@ -468,15 +471,12 @@ struct fuzz_servers {
     checkin.active_in_zone = 1;
     proto::epoch_update up;
     up.seq = 1;
-    up.zone = grid.zone_of(rec.pos);
-    up.network = "NetB";
-    up.epoch_start_s = 0.0;
-    up.mean = 2.0e6;
-    up.stddev = 1.0e4;
-    up.samples = 10;
+    up.key = {grid.zone_of(rec.pos), "NetB",
+              trace::metric::tcp_throughput_bps};
+    up.est = {0.0, 2.0e6, 1.0e4, 10};
     proto::epoch_update up2 = up;
     up2.seq = 2;
-    up2.epoch_start_s = 100.0;
+    up2.est.epoch_start_s = 100.0;
     const std::vector<proto::epoch_update> updates{up, up2};
 
     return {proto::encode(report),
@@ -674,6 +674,102 @@ TEST_P(FuzzSweep, DamagedCatchUpLeavesTheFollowerAsItWas) {
   }
   fx.fol.catch_up(to_leader);
   EXPECT_EQ(testing::estimate_state(fx.fc), testing::estimate_state(fx.lc));
+}
+
+TEST_P(FuzzSweep, WalReplayAppliesOnlyAWholePrefix) {
+  // A seeded binary WAL, cut at every byte, with 1-4 bytes flipped, and
+  // with noise after a whole record. Replay never throws, applies exactly
+  // the whole records before the first damaged byte, and reports a valid
+  // prefix that ends on a record boundary.
+  stats::rng_stream rng(GetParam());
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::vector<core::epoch_update> recs;
+  for (std::uint64_t i = 1; i <= 12; ++i) {
+    core::epoch_update u;
+    u.seq = i;
+    u.key = {{static_cast<int>(pick(64)) - 32, static_cast<int>(pick(64))},
+             std::string(1 + pick(12), static_cast<char>('A' + pick(26))),
+             static_cast<trace::metric>(pick(trace::metric_count))};
+    u.est = {100.0 * static_cast<double>(i), rng.normal(1.0e6, 1.0e5),
+             rng.uniform(0.0, 1.0e4), 1 + pick(1000)};
+    u.alert_seq = pick(2) == 0 ? 0 : i;
+    recs.push_back(u);
+  }
+  const std::string dir = ::testing::TempDir() + "fuzz_wal_" +
+                          std::to_string(GetParam());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::vector<std::size_t> ends;  // where the header and each record end
+  std::string good;
+  {
+    core::durable_log dl(dir);
+    for (const core::epoch_update& u : recs) {
+      dl.append(u.seq, u.key, u.est, u.alert_seq);
+      ends.push_back(std::filesystem::file_size(dl.wal_path()));
+    }
+    std::ifstream is(dl.wal_path(), std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  std::filesystem::remove_all(dir);
+  ends.insert(ends.begin(), good.find('\n') + 1);
+
+  // `whole`: the records wholly before the first damaged byte.
+  const auto expect_prefix = [&](const std::string& bytes, std::size_t whole) {
+    SCOPED_TRACE("input of " + std::to_string(bytes.size()) + " bytes");
+    std::istringstream is(bytes);
+    std::vector<core::epoch_update> got;
+    core::wal_extent ext;
+    std::uint64_t last = 0;
+    EXPECT_NO_THROW(last = core::wal_replay(
+                        is, [&](const core::epoch_update& u) { got.push_back(u); },
+                        &ext));
+    ASSERT_EQ(got.size(), whole);
+    for (std::size_t i = 0; i < whole; ++i) {
+      EXPECT_EQ(got[i].seq, recs[i].seq);
+      EXPECT_EQ(got[i].key, recs[i].key);
+      EXPECT_EQ(got[i].est.mean, recs[i].est.mean);
+      EXPECT_EQ(got[i].est.samples, recs[i].est.samples);
+      EXPECT_EQ(got[i].alert_seq, recs[i].alert_seq);
+    }
+    EXPECT_EQ(last, whole == 0 ? 0u : recs[whole - 1].seq);
+    EXPECT_EQ(ext.read_bytes, bytes.size());
+    // On a record boundary: the header's end with at least the header
+    // whole, else 0.
+    EXPECT_EQ(ext.valid_bytes,
+              bytes.compare(0, ends[0], good, 0, ends[0]) == 0 ? ends[whole]
+                                                               : 0u);
+  };
+  const auto whole_before = [&](std::size_t at) {
+    std::size_t n = 0;
+    while (n + 1 < ends.size() && ends[n + 1] <= at) ++n;
+    return n;
+  };
+  for (std::size_t cut = 0; cut <= good.size(); ++cut) {
+    expect_prefix(good.substr(0, cut), whole_before(cut));
+    if (::testing::Test::HasFailure()) return;
+  }
+  for (int i = 0; i < 300; ++i) {
+    std::string flipped = good;
+    const std::size_t flips = 1 + pick(4);
+    std::size_t first = good.size();
+    for (std::size_t k = 0; k < flips; ++k) {
+      const std::size_t at = pick(good.size());
+      flipped[at] ^= static_cast<char>(1 + pick(255));
+      first = std::min(first, at);
+    }
+    expect_prefix(flipped, whole_before(first));
+    const std::size_t keep = ends[pick(ends.size())];
+    std::string noisy = good.substr(0, keep);
+    const std::size_t len = 1 + pick(256);
+    for (std::size_t k = 0; k < len; ++k) {
+      noisy.push_back(static_cast<char>(pick(256)));
+    }
+    expect_prefix(noisy, whole_before(keep));
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, FuzzSweep,

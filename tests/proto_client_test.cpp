@@ -215,7 +215,7 @@ TEST(ProtoClient, ReplicationRequestsAreV3FramesInEitherFraming) {
     ASSERT_EQ(updates.size(), want.size());
     ASSERT_EQ(updates.size(), 2u);
     EXPECT_EQ(updates[1].seq, want[1].seq);
-    EXPECT_EQ(updates[1].mean, want[1].mean);
+    EXPECT_EQ(updates[1].est.mean, want[1].est.mean);
 
     const v3::snapshot_chunk chunk = c.snapshot(0);
     EXPECT_EQ(lead_side.last_request(),

@@ -51,18 +51,20 @@ TEST(EpochLog, SequencesRecordsAndServesSuffixes) {
   repl::epoch_log log(/*capacity=*/4);
   const core::estimate_key k{{1, 2}, "NetB", trace::metric::rtt_s};
   for (int i = 1; i <= 6; ++i) {
-    log.on_epoch(k, make_est(100.0 * i, 0.1 * i, 10));
+    log.on_epoch(k, make_est(100.0 * i, 0.1 * i, 10), i == 5 ? 42 : 0);
   }
   EXPECT_EQ(log.last_seq(), 6u);
-  EXPECT_EQ(log.base_seq(), 3u);  // 1 and 2 evicted past capacity
 
   std::vector<proto::epoch_update> out;
-  // A cursor still inside the retained window pulls the suffix in order.
+  // 1 and 2 were evicted past capacity: a cursor at base-1 = 2 pulls the
+  // retained suffix in order, with each freeze's alert number.
   ASSERT_TRUE(log.pull(2, 100, out));
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out.front().seq, 3u);
   EXPECT_EQ(out.back().seq, 6u);
-  EXPECT_EQ(out.front().network, "NetB");
+  EXPECT_EQ(out.front().key, k);
+  EXPECT_EQ(out[2].alert_seq, 42u);
+  EXPECT_EQ(out[1].alert_seq, 0u);
   // A cursor below the retained base means snapshot catch-up.
   out.clear();
   EXPECT_FALSE(log.pull(1, 100, out));
@@ -77,7 +79,11 @@ TEST(EpochLog, SequencesRecordsAndServesSuffixes) {
 
   log.reset(10);
   EXPECT_EQ(log.last_seq(), 9u);
-  EXPECT_EQ(log.base_seq(), 10u);
+  // The base is now 10: a pull from 8 is below it, one from 9 is drained.
+  out.clear();
+  EXPECT_FALSE(log.pull(8, 100, out));
+  ASSERT_TRUE(log.pull(9, 100, out));
+  EXPECT_TRUE(out.empty());
   log.on_epoch(k, make_est(700.0, 0.7, 10));
   EXPECT_EQ(log.last_seq(), 10u);
 }
@@ -92,25 +98,25 @@ TEST(WireV3Repl, EpochPullAndBatchRoundTrip) {
   EXPECT_EQ(back.max_records, 512u);
 
   std::vector<proto::epoch_update> ups(2);
-  ups[0] = {1, {3, -2}, "NetB", trace::metric::udp_throughput_bps,
-            300.0, 1.0e6 / 3.0, 123.456, 41};
-  ups[1] = {2, {0, 5}, "NetC", trace::metric::rtt_s,
-            600.0, 0.125, 0.0078125, 7};
+  ups[0] = {1,
+            {{3, -2}, "NetB", trace::metric::udp_throughput_bps},
+            {300.0, 1.0e6 / 3.0, 123.456, 41},
+            9};
+  ups[1] = {2, {{0, 5}, "NetC", trace::metric::rtt_s},
+            {600.0, 0.125, 0.0078125, 7}};
   const std::string bf = testing::frame_of(v3::encode_epoch_batch_frame, ups);
   const auto rb = testing::into<std::vector<proto::epoch_update>>(
       v3::decode_epoch_batch_frame_into, bf);
   ASSERT_EQ(rb.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(rb[i].seq, ups[i].seq);
-    EXPECT_EQ(rb[i].zone.ix, ups[i].zone.ix);
-    EXPECT_EQ(rb[i].zone.iy, ups[i].zone.iy);
-    EXPECT_EQ(rb[i].network, ups[i].network);
-    EXPECT_EQ(rb[i].metric, ups[i].metric);
+    EXPECT_EQ(rb[i].key, ups[i].key);
     // Raw IEEE-754 bits on the wire: bit-exact by construction.
-    EXPECT_EQ(rb[i].epoch_start_s, ups[i].epoch_start_s);
-    EXPECT_EQ(rb[i].mean, ups[i].mean);
-    EXPECT_EQ(rb[i].stddev, ups[i].stddev);
-    EXPECT_EQ(rb[i].samples, ups[i].samples);
+    EXPECT_EQ(rb[i].est.epoch_start_s, ups[i].est.epoch_start_s);
+    EXPECT_EQ(rb[i].est.mean, ups[i].est.mean);
+    EXPECT_EQ(rb[i].est.stddev, ups[i].est.stddev);
+    EXPECT_EQ(rb[i].est.samples, ups[i].est.samples);
+    EXPECT_EQ(rb[i].alert_seq, ups[i].alert_seq);
   }
 }
 
@@ -236,10 +242,10 @@ TEST(Replication, FollowerCatchUpAndPollTrackTheLeaderBitExactly) {
 TEST(Replication, EpochbIsAlsoAnApplyRequestAndAcksTheCount) {
   repl_pair p;
   std::vector<proto::epoch_update> ups(2);
-  ups[0] = {1, {4, 1}, "NetB", trace::metric::tcp_throughput_bps,
-            0.0, 5.0e6, 1.0e5, 12};
-  ups[1] = {2, {4, 1}, "NetB", trace::metric::tcp_throughput_bps,
-            100.0, 6.0e6, 2.0e5, 9};
+  ups[0] = {1, {{4, 1}, "NetB", trace::metric::tcp_throughput_bps},
+            {0.0, 5.0e6, 1.0e5, 12}};
+  ups[1] = {2, {{4, 1}, "NetB", trace::metric::tcp_throughput_bps},
+            {100.0, 6.0e6, 2.0e5, 9}};
   const std::string reply =
       testing::reply_of(p.fserver,
                         testing::frame_of(v3::encode_epoch_batch_frame, ups));
@@ -340,10 +346,8 @@ TEST(Replication, PromotedReplicaAppliesNoPushedEpochsAndALeaderRefusesPromote) 
   const std::size_t held_epochs = p.fc.history(held).size();
   const core::estimate_key unseen{{9, 9}, "NetC", trace::metric::rtt_s};
   std::vector<proto::epoch_update> ups(2);
-  ups[0] = {cursor + 1, held.zone, held.network, held.metric,
-            5000.0,     7.0e6,     1.0e5,        12};
-  ups[1] = {cursor + 2, unseen.zone, unseen.network, unseen.metric,
-            5000.0,     0.25,        0.01,           4};
+  ups[0] = {cursor + 1, held, {5000.0, 7.0e6, 1.0e5, 12}};
+  ups[1] = {cursor + 2, unseen, {5000.0, 0.25, 0.01, 4}};
   auto& applied = obs::registry::global().get_counter(
       obs::names::kReplEpochsApplied);
   const std::uint64_t applied0 = applied.value();
@@ -575,6 +579,62 @@ TEST(Replication, FollowerPromotedAfterAMidEpochCatchUpFreezesEachEpochOnce) {
   // ACKed since the catch-up whose epoch the follower has not frozen.
   p.fc.report_batch(all.subspan(8));
   EXPECT_EQ(testing::estimate_state(p.fc), testing::estimate_state(want));
+}
+
+/// Eight reports of epoch `e` (100 s) at `level` with a small spread, on
+/// the zone repl_pair::ingest feeds.
+void feed_epoch(repl_pair& p, core::sharded_coordinator& c, int e,
+                double level) {
+  std::vector<trace::measurement_record> recs;
+  for (int i = 0; i < 8; ++i) {
+    recs.push_back(testing::make_record(
+        100.0 * e + 2.0 * i, "NetB", p.proj.to_lat_lon(geo::xy{200.0, 100.0}),
+        trace::probe_kind::tcp_download, level + 1000.0 * i));
+  }
+  c.report_batch(recs);
+  c.flush();
+}
+
+TEST(Replication, PromotionResumesAlertNumberingAtTheHighestApplied) {
+  // Epochs alternate between two levels far apart, so every freeze after
+  // the first raises a change alert on the leader.
+  repl_pair p;
+  const auto level = [](int e) { return e % 2 == 0 ? 1.0e6 : 5.0e6; };
+  for (int e = 0; e <= 2; ++e) feed_epoch(p, p.lc, e, level(e));
+  ASSERT_EQ(p.lc.alert_seq(), 1u);
+  p.fol.catch_up(p.to_leader);  // the snapshot's mark: alert 1
+  for (int e = 3; e <= 4; ++e) feed_epoch(p, p.lc, e, level(e));
+  ASSERT_EQ(p.lc.alert_seq(), 3u);
+  ASSERT_TRUE(p.fol.poll(p.to_leader).has_value());  // alerts 2 and 3
+  EXPECT_EQ(p.fc.alert_seq(), 1u);  // applying raises no alert
+
+  // A consumer drained the leader to cursor 3; the leader dies, and the
+  // follower is promoted over the wire.
+  ASSERT_EQ(p.lc.alert_sink().drain_since(0).next_seq, 3u);
+  const std::string promoted = testing::reply_of(
+      p.fserver, testing::frame_of(v3::encode_promote_frame));
+  ASSERT_EQ(v3::peek_header(promoted)->op, v3::opcode::ack);
+  EXPECT_EQ(p.fc.alert_seq(), 3u);
+  // Epoch 400 was open at the kill; its reports come again and epoch 500
+  // freezes it: the consumer's cursor 3 reads alert 4 next.
+  feed_epoch(p, p.fc, 4, level(4));
+  feed_epoch(p, p.fc, 5, level(5));
+  const core::alert_drain d = p.fc.alert_sink().drain_since(3);
+  ASSERT_EQ(d.alerts.size(), 1u);
+  EXPECT_EQ(d.alerts.front().seq, 4u);
+  EXPECT_EQ(d.dropped, 0u);
+
+  // A follower that numbered alerts of its own keeps its numbering, and
+  // PROMOTE still succeeds.
+  repl_pair q;
+  for (int e = 0; e <= 4; ++e) feed_epoch(q, q.lc, e, level(e));
+  ASSERT_TRUE(q.fol.poll(q.to_leader).has_value());
+  for (int e = 0; e <= 2; ++e) feed_epoch(q, q.fc, e + 10, level(e));
+  const std::uint64_t own = q.fc.alert_seq();
+  ASSERT_GT(own, 0u);
+  ASSERT_LT(own, 3u);  // behind the highest alert applied
+  ASSERT_TRUE(q.fol.promote());
+  EXPECT_EQ(q.fc.alert_seq(), own);
 }
 
 // ---- commutative + idempotent merges ---------------------------------------

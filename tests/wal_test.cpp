@@ -1,15 +1,16 @@
-// Crash-consistency tests for the WAL/snapshot pair (ISSUE 10).
+// Crash-consistency tests for the WAL/snapshot pair.
 //
 // The torn-write corpus is the core: a WAL stream cut at EVERY byte
-// offset -- mid-header, mid-record, mid-checksum, and at each record
-// boundary -- must recover to exactly the last complete record, count
-// core.persist.wal_truncated once per damaged tail, and never crash.
+// offset -- mid-header, mid-length, mid-record, mid-checksum, and at each
+// record boundary -- must recover to exactly the last complete record,
+// count core.persist.wal_truncated once per damaged tail, and never crash.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <csignal>
 #include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -21,12 +22,14 @@
 #include <vector>
 
 #include "core/durable_log.h"
+#include "core/epoch_codec.h"
 #include "core/fault_injection.h"
 #include "core/sharded_coordinator.h"
 #include "geo/projection.h"
 #include "geo/zone_grid.h"
 #include "obs/names.h"
 #include "obs/registry.h"
+#include "proto/wire_v3.h"
 #include "repl/epoch_log.h"
 #include "scenario/injector.h"
 #include "test_util.h"
@@ -34,11 +37,9 @@
 namespace wiscape {
 namespace {
 
-struct wal_record {
-  std::uint64_t seq;
-  core::estimate_key key;
-  core::epoch_estimate est;
-};
+using wal_record = core::epoch_update;
+
+const std::string kHeader = "WISCAPE-WAL v2\n";
 
 std::vector<wal_record> corpus_records() {
   std::vector<wal_record> recs;
@@ -47,11 +48,11 @@ std::vector<wal_record> corpus_records() {
     r.seq = i;
     r.key = {{static_cast<int>(i % 3), -1}, "NetB",
              trace::metric::udp_throughput_bps};
-    // Deliberately awkward doubles: %.17g must round-trip them bit-exactly.
     r.est.epoch_start_s = 300.0 * static_cast<double>(i) + 0.125;
     r.est.mean = 1.0e6 / 3.0 + static_cast<double>(i);
     r.est.stddev = 7.0 / 9.0;
     r.est.samples = 11 * i;
+    r.alert_seq = i % 2 == 0 ? 100 + i : 0;
     recs.push_back(std::move(r));
   }
   return recs;
@@ -62,6 +63,31 @@ std::string read_file(const std::string& path) {
   std::ostringstream text;
   text << is.rdbuf();
   return text.str();
+}
+
+void append(core::durable_log& dl, const wal_record& r) {
+  dl.append(r.seq, r.key, r.est, r.alert_seq);
+}
+
+/// The bytes of `r` as the one element of an EPOCHB frame.
+std::string epochb_element(const wal_record& r) {
+  const std::string frame = testing::frame_of(
+      proto::v3::encode_epoch_batch_frame, std::span<const wal_record>(&r, 1));
+  return frame.substr(proto::v3::frame_header_bytes + 4);  // after the count
+}
+
+std::string le_bytes(std::uint64_t v, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += static_cast<char>((v >> (8 * i)) & 0xff);
+  return out;
+}
+
+/// One framed WAL record: u32 length, the EPOCHB element, u64 checksum of
+/// the two.
+std::string ref_frame(const wal_record& r) {
+  const std::string element = epochb_element(r);
+  const std::string body = le_bytes(element.size(), 4) + element;
+  return body + le_bytes(core::epoch_codec::checksum(body), 8);
 }
 
 // Writes the corpus through a durable_log -- the one WAL writer -- and
@@ -79,15 +105,26 @@ std::string render_corpus(const std::vector<wal_record>& recs,
   {
     core::durable_log dl(dir);
     for (const wal_record& r : recs) {
-      dl.append(r.seq, r.key, r.est);
+      append(dl, r);
       sizes.push_back(std::filesystem::file_size(dl.wal_path()));
     }
     full = read_file(dl.wal_path());
   }
   std::filesystem::remove_all(dir);
-  ends.assign(1, full.find('\n') + 1);  // "zero records complete" boundary
+  ends.assign(1, kHeader.size());  // "zero records complete" boundary
   ends.insert(ends.end(), sizes.begin(), sizes.end());
   return full;
+}
+
+void expect_same_record(const wal_record& got, const wal_record& want) {
+  EXPECT_EQ(got.seq, want.seq);
+  EXPECT_EQ(got.key, want.key);
+  EXPECT_EQ(std::signbit(got.est.mean), std::signbit(want.est.mean));
+  EXPECT_EQ(got.est.epoch_start_s, want.est.epoch_start_s);
+  EXPECT_EQ(got.est.mean, want.est.mean);
+  EXPECT_EQ(got.est.stddev, want.est.stddev);
+  EXPECT_EQ(got.est.samples, want.est.samples);
+  EXPECT_EQ(got.alert_seq, want.alert_seq);
 }
 
 obs::counter& truncated_counter() {
@@ -106,7 +143,7 @@ TEST(Wal, TornTailCorpusRecoversToLastCompleteRecord) {
       ++complete;
     }
     // A clean cut lands exactly on a boundary (including the empty file
-    // and the header line); anything else is a torn tail.
+    // and the header); anything else is a torn tail.
     const bool clean =
         cut == 0 || (cut >= ends.front() &&
                      std::find(ends.begin(), ends.end(), cut) != ends.end());
@@ -116,12 +153,7 @@ TEST(Wal, TornTailCorpusRecoversToLastCompleteRecord) {
     const std::uint64_t before = truncated_counter().value();
     core::wal_extent ext{~0ull, ~0ull, ~0ull};
     const std::uint64_t last = core::wal_replay(
-        is,
-        [&](std::uint64_t seq, const core::estimate_key& key,
-            const core::epoch_estimate& est) {
-          applied.push_back({seq, key, est});
-        },
-        &ext);
+        is, [&](const wal_record& r) { applied.push_back(r); }, &ext);
     const std::uint64_t torn_delta = truncated_counter().value() - before;
     // The valid prefix ends at the last whole record (0 while the header
     // itself is incomplete); every cut is the stream's tail.
@@ -134,14 +166,9 @@ TEST(Wal, TornTailCorpusRecoversToLastCompleteRecord) {
     EXPECT_EQ(last, complete == 0 ? 0u : recs[complete - 1].seq)
         << "cut at byte " << cut;
     EXPECT_EQ(torn_delta, clean ? 0u : 1u) << "cut at byte " << cut;
-    // Replayed records are bit-exact, never partially parsed.
+    // Replayed records are bit-exact, never partially decoded.
     for (std::size_t i = 0; i < applied.size(); ++i) {
-      EXPECT_EQ(applied[i].seq, recs[i].seq);
-      EXPECT_EQ(applied[i].key.network, recs[i].key.network);
-      EXPECT_EQ(applied[i].est.epoch_start_s, recs[i].est.epoch_start_s);
-      EXPECT_EQ(applied[i].est.mean, recs[i].est.mean);
-      EXPECT_EQ(applied[i].est.stddev, recs[i].est.stddev);
-      EXPECT_EQ(applied[i].est.samples, recs[i].est.samples);
+      expect_same_record(applied[i], recs[i]);
     }
   }
 }
@@ -150,18 +177,15 @@ TEST(Wal, BitRotInsideAValidLengthRecordIsCaughtByTheChecksum) {
   const std::vector<wal_record> recs = corpus_records();
   std::vector<std::size_t> ends;
   std::string full = render_corpus(recs, ends);
-  // Flip one digit inside the THIRD record's body: same length, bad sum.
-  full[ends[2] + 3] = full[ends[2] + 3] == '1' ? '2' : '1';
+  // Flip one bit of the THIRD record's mean: same length, bad sum.
+  full[ends[2] + 4 + 30] ^= 0x10;
 
   std::istringstream is(full);
   std::size_t applied = 0;
   const std::uint64_t before = truncated_counter().value();
   core::wal_extent ext;
   const std::uint64_t last = core::wal_replay(
-      is,
-      [&](std::uint64_t, const core::estimate_key&,
-          const core::epoch_estimate&) { ++applied; },
-      &ext);
+      is, [&](const wal_record&) { ++applied; }, &ext);
   EXPECT_EQ(applied, 2u);  // stops before the rotten record
   EXPECT_EQ(last, 2u);
   EXPECT_EQ(truncated_counter().value() - before, 1u);
@@ -172,27 +196,8 @@ TEST(Wal, BitRotInsideAValidLengthRecordIsCaughtByTheChecksum) {
   EXPECT_EQ(ext.after_damage, full.size() - ends[3]);
 }
 
-// The snprintf renderer the codec replaced: the byte reference every WAL
-// written so far was produced by.
-std::string ref_record(const wal_record& r) {
-  char body[320];
-  std::snprintf(body, sizeof(body), "W %llu %s %s %s %.17g %.17g %.17g %zu",
-                static_cast<unsigned long long>(r.seq),
-                geo::to_string(r.key.zone).c_str(), r.key.network.c_str(),
-                trace::to_string(r.key.metric).c_str(), r.est.epoch_start_s,
-                r.est.mean, r.est.stddev, r.est.samples);
-  std::uint32_t h = 2166136261u;  // FNV-1a
-  for (const char* c = body; *c != '\0'; ++c) {
-    h ^= static_cast<unsigned char>(*c);
-    h *= 16777619u;
-  }
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), " C%08x\n", h);
-  return std::string(body) + crc;
-}
-
-// The corpus plus records whose fields are the doubles a renderer is most
-// likely to get wrong.
+// The corpus plus records whose fields are the doubles a decimal renderer
+// would most likely get wrong.
 std::vector<wal_record> awkward_records() {
   std::vector<wal_record> recs = corpus_records();
   const double inf = std::numeric_limits<double>::infinity();
@@ -205,53 +210,46 @@ std::vector<wal_record> awkward_records() {
     r.seq = ++seq;
     r.key = {{-17, 2048}, "NetC", trace::metric::uplink_throughput_bps};
     r.est = {v, -v, v, static_cast<std::size_t>(seq) * 1000003u};
+    r.alert_seq = seq * 7;
     recs.push_back(r);
   }
   return recs;
 }
 
+// The name dates from the text WAL, whose records were the snprintf
+// rendering; a record is now a length, the EPOCHB element of the same
+// update, and a checksum, and the test pins those bytes.
 TEST(Wal, RecordBytesMatchTheSnprintfRenderingAndReplayBitExact) {
   const std::vector<wal_record> recs = awkward_records();
-  std::string want = "WISCAPE-WAL v1\n";
-  for (const wal_record& r : recs) want += ref_record(r);
+  std::string want = kHeader;
+  for (const wal_record& r : recs) want += ref_frame(r);
   std::vector<std::size_t> ends;
   ASSERT_EQ(render_corpus(recs, ends), want);
 
   std::istringstream is(want);
   std::vector<wal_record> back;
   const std::uint64_t before = truncated_counter().value();
-  core::wal_replay(is, [&](std::uint64_t seq, const core::estimate_key& key,
-                           const core::epoch_estimate& est) {
-    back.push_back({seq, key, est});
-  });
+  core::wal_replay(is, [&](const wal_record& r) { back.push_back(r); });
   EXPECT_EQ(truncated_counter().value(), before);
   ASSERT_EQ(back.size(), recs.size());
   for (std::size_t i = 0; i < recs.size(); ++i) {
-    EXPECT_EQ(back[i].seq, recs[i].seq);
-    EXPECT_EQ(back[i].key, recs[i].key);
-    EXPECT_EQ(std::signbit(back[i].est.mean), std::signbit(recs[i].est.mean));
-    EXPECT_EQ(back[i].est.epoch_start_s, recs[i].est.epoch_start_s);
-    EXPECT_EQ(back[i].est.mean, recs[i].est.mean);
-    EXPECT_EQ(back[i].est.stddev, recs[i].est.stddev);
-    EXPECT_EQ(back[i].est.samples, recs[i].est.samples);
+    expect_same_record(back[i], recs[i]);
   }
 }
 
 TEST(Wal, ChecksummedNanRecordEndsReplayLikeATornTail) {
-  // Same rule as the snapshot loader (persist_test.cpp): a `nan` field is
-  // malformed. The writer renders it (as %.17g would) with a valid
-  // checksum; replay applies the records before it and stops there.
+  // Same rule as the snapshot loader (persist_test.cpp): a NaN field is
+  // malformed. The writer encodes it with a valid checksum; replay applies
+  // the records before it and stops there.
   std::vector<wal_record> recs = corpus_records();
   recs[2].est.mean = std::numeric_limits<double>::quiet_NaN();
   std::vector<std::size_t> ends;
   const std::string full = render_corpus(recs, ends);
-  ASSERT_NE(full.find(" nan "), std::string::npos);
+  ASSERT_EQ(full.size(), ends.back());  // every record was written whole
   std::istringstream is(full);
   std::size_t applied = 0;
   const std::uint64_t before = truncated_counter().value();
-  EXPECT_EQ(core::wal_replay(is, [&](std::uint64_t, const core::estimate_key&,
-                                     const core::epoch_estimate&) { ++applied; }),
-            2u);
+  EXPECT_EQ(core::wal_replay(is, [&](const wal_record&) { ++applied; }), 2u);
   EXPECT_EQ(applied, 2u);
   EXPECT_EQ(truncated_counter().value() - before, 1u);
 }
@@ -285,14 +283,14 @@ TEST(DurableLog, AppendCheckpointRecoverRoundTrip) {
   // First three epochs land in the coordinator AND the WAL...
   for (std::size_t i = 0; i < 3; ++i) {
     a.restore_estimate(recs[i].key, recs[i].est);
-    dl.append(recs[i].seq, recs[i].key, recs[i].est);
+    append(dl, recs[i]);
   }
   // ...then a checkpoint folds them into the snapshot and resets the WAL...
   dl.checkpoint(a);
   // ...and two more ride the fresh WAL only.
   for (std::size_t i = 3; i < recs.size(); ++i) {
     a.restore_estimate(recs[i].key, recs[i].est);
-    dl.append(recs[i].seq, recs[i].key, recs[i].est);
+    append(dl, recs[i]);
   }
 
   core::sharded_coordinator b = fx.make_coord();
@@ -312,32 +310,28 @@ TEST(DurableLog, AppendCheckpointRecoverRoundTrip) {
   }
 }
 
+// Named, like the record-bytes test, for the text WAL; the file is now
+// the header and the framed EPOCHB elements.
 TEST(DurableLog, AppendedFileIsTheSnprintfRenderingAcrossACheckpoint) {
   pair_fixture fx;
   const std::vector<wal_record> recs = awkward_records();
-  core::sharded_coordinator a = fx.make_coord();
+  core::sharded_coordinator empty = fx.make_coord();
   {
     core::durable_log dl(fx.dir);
-    for (std::size_t i = 0; i < 4; ++i) dl.append(recs[i].seq, recs[i].key, recs[i].est);
-    dl.checkpoint(a);
+    for (std::size_t i = 0; i < 4; ++i) append(dl, recs[i]);
+    dl.checkpoint(empty);
     // The held descriptor was reopened truncated: only the header is left,
     // and later appends land after it.
-    EXPECT_EQ(read_file(dl.wal_path()), "WISCAPE-WAL v1\n");
-    for (std::size_t i = 4; i < recs.size(); ++i) {
-      dl.append(recs[i].seq, recs[i].key, recs[i].est);
-    }
+    EXPECT_EQ(read_file(dl.wal_path()), kHeader);
+    for (std::size_t i = 4; i < recs.size(); ++i) append(dl, recs[i]);
   }
   // A second log over the same directory appends after the existing tail
   // without a second header.
   core::durable_log again(fx.dir);
-  again.append(recs.size() + 1, recs[0].key, recs[0].est);
-
-  std::string want = "WISCAPE-WAL v1\n";
-  for (std::size_t i = 4; i < recs.size(); ++i) want += ref_record(recs[i]);
-  wal_record last = recs[0];
-  last.seq = recs.size() + 1;
-  want += ref_record(last);
-  EXPECT_EQ(read_file(again.wal_path()), want);
+  append(again, recs[0]);
+  std::string want = kHeader;
+  for (std::size_t i = 4; i < recs.size(); ++i) want += ref_frame(recs[i]);
+  EXPECT_EQ(read_file(again.wal_path()), want + ref_frame(recs[0]));
 }
 
 TEST(DurableLog, InjectedAppendFaultLeavesTheTailIntact) {
@@ -375,7 +369,7 @@ TEST(DurableLog, InjectedFaultOnTheFirstAppendWritesNoHeaderEither) {
   EXPECT_FALSE(std::filesystem::exists(dl.wal_path()));
   dl.append(recs[0].seq, recs[0].key, recs[0].est);
   EXPECT_EQ(std::filesystem::file_size(dl.wal_path()),
-            std::string("WISCAPE-WAL v1\n").size() + ref_record(recs[0]).size());
+            kHeader.size() + ref_frame(recs[0]).size());
 }
 
 TEST(DurableLog, ShortWriteIsCutOffSoTheNextAppendRecovers) {
@@ -404,10 +398,7 @@ TEST(DurableLog, ShortWriteIsCutOffSoTheNextAppendRecovers) {
   std::vector<std::uint64_t> seqs;
   std::ifstream is(dl.wal_path());
   const std::uint64_t before = truncated_counter().value();
-  core::wal_replay(is, [&](std::uint64_t seq, const core::estimate_key&,
-                           const core::epoch_estimate&) {
-    seqs.push_back(seq);
-  });
+  core::wal_replay(is, [&](const wal_record& r) { seqs.push_back(r.seq); });
   EXPECT_EQ(seqs, (std::vector<std::uint64_t>{recs[0].seq, recs[2].seq}));
   EXPECT_EQ(truncated_counter().value(), before);
 }
@@ -424,7 +415,7 @@ TEST(DurableLog, RecoverCutsATornTailSoTheNextAppendSurvives) {
   }
   // A crash mid-write: the second record lost its last bytes.
   const std::string whole = read_file(wal_path);
-  const std::size_t last_whole = whole.size() - ref_record(recs[1]).size();
+  const std::size_t last_whole = whole.size() - ref_frame(recs[1]).size();
   std::filesystem::resize_file(wal_path, whole.size() - 7);
 
   {
@@ -447,7 +438,7 @@ TEST(DurableLog, RecoverCutsATornTailSoTheNextAppendSurvives) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->mean, recs[2].est.mean);
   EXPECT_EQ(read_file(wal_path), whole.substr(0, last_whole) +
-                                     ref_record(recs[2]));
+                                     ref_frame(recs[2]));
 }
 
 TEST(DurableLog, RecoverCutsATornHeaderSoTheNextAppendRewritesIt) {
@@ -466,35 +457,38 @@ TEST(DurableLog, RecoverCutsATornHeaderSoTheNextAppendRewritesIt) {
 
   core::sharded_coordinator b = fx.make_coord();
   EXPECT_EQ(core::durable_log(fx.dir).recover(b), recs[0].seq);
-  EXPECT_EQ(read_file(wal_path), "WISCAPE-WAL v1\n" + ref_record(recs[0]));
+  EXPECT_EQ(read_file(wal_path), kHeader + ref_frame(recs[0]));
 }
 
 TEST(DurableLog, RecoverRefusesToCutWholeRecordsAfterMidFileDamage) {
-  pair_fixture fx;
-  const std::vector<wal_record> recs = corpus_records();
-  std::string wal_path;
-  {
-    core::durable_log dl(fx.dir);
-    for (const wal_record& r : recs) dl.append(r.seq, r.key, r.est);
-    wal_path = dl.wal_path();
-  }
-  // Bit rot in the second record: same length, bad checksum, and three
-  // whole records after it.
-  std::string bytes = read_file(wal_path);
-  const std::size_t at = bytes.find(ref_record(recs[1])) + 3;
-  bytes[at] = bytes[at] == '1' ? '2' : '1';
-  {
-    std::ofstream os(wal_path, std::ios::binary | std::ios::trunc);
-    os << bytes;
-  }
+  // Bit rot in the second record, with three whole records after it: in
+  // its body (same length, bad checksum), and in its length, which then
+  // claims the record runs past the end of the file.
+  for (const std::size_t offset : {std::size_t{4 + 30}, std::size_t{1}}) {
+    pair_fixture fx;
+    const std::vector<wal_record> recs = corpus_records();
+    std::string wal_path;
+    {
+      core::durable_log dl(fx.dir);
+      for (const wal_record& r : recs) append(dl, r);
+      wal_path = dl.wal_path();
+    }
+    std::string bytes = read_file(wal_path);
+    const std::size_t at = bytes.find(ref_frame(recs[1])) + offset;
+    bytes[at] ^= 0x10;
+    {
+      std::ofstream os(wal_path, std::ios::binary | std::ios::trunc);
+      os << bytes;
+    }
 
-  core::durable_log dl(fx.dir);
-  core::sharded_coordinator a = fx.make_coord();
-  EXPECT_THROW(dl.recover(a), std::runtime_error);
-  // Nothing was cut: every record after the damage is still on disk.
-  EXPECT_EQ(read_file(wal_path), bytes);
-  for (std::size_t i = 2; i < recs.size(); ++i) {
-    EXPECT_NE(bytes.find(ref_record(recs[i])), std::string::npos) << i;
+    core::durable_log dl(fx.dir);
+    core::sharded_coordinator a = fx.make_coord();
+    EXPECT_THROW(dl.recover(a), std::runtime_error) << offset;
+    // Nothing was cut: every record after the damage is still on disk.
+    EXPECT_EQ(read_file(wal_path), bytes);
+    for (std::size_t i = 2; i < recs.size(); ++i) {
+      EXPECT_NE(bytes.find(ref_frame(recs[i])), std::string::npos) << i;
+    }
   }
 }
 
@@ -505,7 +499,7 @@ TEST(DurableLog, TornCheckpointPreservesSnapshotAndWal) {
   const std::vector<wal_record> recs = corpus_records();
   for (std::size_t i = 0; i < 2; ++i) {
     a.restore_estimate(recs[i].key, recs[i].est);
-    dl.append(recs[i].seq, recs[i].key, recs[i].est);
+    append(dl, recs[i]);
   }
   dl.checkpoint(a);  // a good snapshot to protect
   a.restore_estimate(recs[2].key, recs[2].est);
@@ -633,6 +627,84 @@ TEST(DurableLog, CrashBetweenSnapshotRenameAndWalResetRecoversEachEpochOnce) {
   core::durable_log again(fx.dir);
   again.recover(b);
   EXPECT_EQ(testing::estimate_state(b), before);
+}
+
+TEST(DurableLog, RecoverRefusesAV1TextWalByItsVersion) {
+  // The text WAL an older build wrote: recovery names its version before
+  // loading anything, and leaves both files as they were.
+  pair_fixture fx;
+  const std::vector<wal_record> recs = corpus_records();
+  core::durable_log dl(fx.dir);
+  {
+    core::sharded_coordinator a = fx.make_coord();
+    a.restore_estimate(recs[0].key, recs[0].est);
+    dl.checkpoint(a);
+  }
+  const std::string v1 =
+      "WISCAPE-WAL v1\nW 1 1:-1 NetB udp 300.125 333334.33333333331 "
+      "0.77777777777777779 11 C8f0e4b1d\n";
+  std::ofstream(dl.wal_path(), std::ios::binary | std::ios::trunc) << v1;
+  core::sharded_coordinator b = fx.make_coord();
+  try {
+    dl.recover(b);
+    ADD_FAILURE() << "recovered from a v1 WAL";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version 'v1'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(b.keys().empty());
+  EXPECT_EQ(read_file(dl.wal_path()), v1);
+}
+
+// ---- alert numbering across a kill -9 ---------------------------------------
+
+/// Reports of one zone, one per 10 s over [t0, t0 + 100): `level` with a
+/// 1% spread, so each epoch of 100 s has a spread the next can leave.
+std::vector<trace::measurement_record> epoch_of(const pair_fixture& fx,
+                                                double t0, double level) {
+  std::vector<trace::measurement_record> out;
+  for (int k = 0; k < 10; ++k) {
+    out.push_back(testing::make_record(
+        t0 + 10.0 * k + 1.0, "NetB", fx.proj.to_lat_lon(geo::xy{200.0, 100.0}),
+        trace::probe_kind::tcp_download, level * (1.0 + 0.01 * (k % 3))));
+  }
+  return out;
+}
+
+TEST(DurableLog, AlertNumberingResumesAtTheLastAlertPushed) {
+  // Epochs alternate between two levels far apart, so every freeze after
+  // the first raises a change alert. The checkpoint holds alert 1; alerts
+  // 2-4 freeze into the WAL only; then the process dies.
+  pair_fixture fx;
+  {
+    core::durable_log dl(fx.dir);
+    core::sharded_coordinator lead =
+        testing::sync_coordinator(fx.grid, {"NetB"}, epochs_of_100s(), 1);
+    repl::epoch_log tee(16, &dl);
+    lead.set_epoch_tap(&tee);
+    for (int e = 0; e <= 2; ++e) {
+      lead.report_batch(epoch_of(fx, 100.0 * e, e % 2 == 0 ? 1.0e6 : 5.0e6));
+    }
+    ASSERT_EQ(lead.alert_seq(), 1u);
+    dl.checkpoint(lead);
+    for (int e = 3; e <= 5; ++e) {
+      lead.report_batch(epoch_of(fx, 100.0 * e, e % 2 == 0 ? 1.0e6 : 5.0e6));
+    }
+    ASSERT_EQ(lead.alert_seq(), 4u);
+    lead.set_epoch_tap(nullptr);
+  }
+  core::sharded_coordinator got =
+      testing::sync_coordinator(fx.grid, {"NetB"}, epochs_of_100s(), 1);
+  core::durable_log(fx.dir).recover(got);
+  EXPECT_EQ(got.alert_seq(), 4u);
+  // Epoch 500 was open at the kill; its reports come again, and epoch 600
+  // freezes it: the next alert is 5, not a number a consumer has seen.
+  got.report_batch(epoch_of(fx, 500.0, 5.0e6));
+  got.report_batch(epoch_of(fx, 600.0, 1.0e6));
+  const core::alert_drain d = got.alert_sink().drain_since(4);
+  ASSERT_EQ(d.alerts.size(), 1u);
+  EXPECT_EQ(d.alerts.front().seq, 5u);
+  EXPECT_EQ(d.alerts.front().alert.epoch_start_s, 500.0);
 }
 
 }  // namespace

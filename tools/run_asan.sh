@@ -36,12 +36,11 @@ store_filter='ApplyPath*.*:NetworkInterner.*:ZoneTableStore.*'
 query_filter='EstimateView.*:EstimateMirror.*:AlertRing.*:EstimateKnowledge.*'
 # The durable layer: the binary snapshot loader (disk recovery and
 # catch-up) takes fixed-width fields out of a bounded read buffer across
-# refills, and the WAL's epoch-record text codec hands out raw line spans
-# across refills and runs std::from_chars over them -- the cut-at-every-
-# byte snapshot corpus, the every-read-size loader test, the torn-tail
-# corpus and the every-buffer-size reader test walk each boundary an
-# overread would hide behind.
-durable_filter='Persist.*:EpochCodec.*:Wal.*:DurableLog.*:Replication.*'
+# refills, and WAL replay takes length-framed epoch records out of
+# another and decodes them in place -- the cut-at-every-byte snapshot
+# corpus, the every-read-size loader test, the torn-tail corpus and the
+# WAL replay fuzz sweep walk each boundary an overread would hide behind.
+durable_filter='Persist.*:EpochCodec.*:Wal.*:DurableLog.*:Replication.*:Fuzz/FuzzSweep.WalReplay*'
 
 run_tree() {
   dir="$1"
