@@ -19,7 +19,8 @@
 //    and one open epoch each, like perfbench's) saved with save_state,
 //    plus a short WAL. Times the binary snapshot decode alone (load_state
 //    into a sink that keeps no table), the installs alone (pre-decoded
-//    records into a fresh coordinator), load_state into a fresh
+//    stream blocks, one restore_stream each after the stream-count hint,
+//    into a fresh coordinator), load_state into a fresh
 //    coordinator, the save_state render a checkpoint writes, and
 //    durable_log::recover of the on-disk pair, and prints the decode share
 //    of a load. A table rebuilt from the snapshot must render back to its
@@ -38,6 +39,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -252,13 +254,12 @@ std::size_t append_wal(core::durable_log& dl, int side) {
   return seq;
 }
 
-/// One install a snapshot load makes: a frozen epoch, or (`open`) an open
-/// accumulator.
+/// One install a snapshot load makes: a stream's frozen epochs and its
+/// open accumulator, if any.
 struct install_record {
   core::estimate_key key;
-  bool open = false;
-  core::epoch_estimate est;
-  core::open_epoch_state acc;
+  std::vector<core::epoch_estimate> frozen;
+  std::optional<core::open_epoch_state> open;
 };
 
 /// A durable_state that keeps no table: load_state into it times the
@@ -276,39 +277,43 @@ class install_sink final : public core::durable_state {
       const core::estimate_key&) const override {
     return std::nullopt;
   }
-  bool restore_estimate(const core::estimate_key& key,
-                        const core::epoch_estimate& e) override {
-    ++installs_;
-    if (keep_ != nullptr) keep_->push_back({key, false, e, {}});
-    return false;
+  std::size_t restore_stream(const core::estimate_key& key,
+                             std::span<const core::epoch_estimate> frozen,
+                             const core::open_epoch_state* open) override {
+    records_ += frozen.size() + (open != nullptr ? 1 : 0);
+    if (keep_ != nullptr) {
+      keep_->push_back({key, {frozen.begin(), frozen.end()},
+                        open != nullptr
+                            ? std::optional<core::open_epoch_state>(*open)
+                            : std::nullopt});
+    }
+    return 0;
   }
-  void restore_open(const core::estimate_key& key,
-                    const core::open_epoch_state& st) override {
-    ++installs_;
-    if (keep_ != nullptr) keep_->push_back({key, true, {}, st});
-  }
+  void reserve_streams(std::size_t streams) override { hint_ = streams; }
   std::uint64_t alert_seq() const override { return alert_seq_; }
   void resume_alert_seq(std::uint64_t last_seq) override {
     alert_seq_ = last_seq;
   }
 
-  std::size_t installs() const noexcept { return installs_; }
+  /// Frozen epochs and open accumulators handed over so far.
+  std::size_t records() const noexcept { return records_; }
+  /// The last reserve_streams hint.
+  std::size_t hint() const noexcept { return hint_; }
 
  private:
   std::vector<install_record>* keep_;
-  std::size_t installs_ = 0;
+  std::size_t records_ = 0;
+  std::size_t hint_ = 0;
   std::uint64_t alert_seq_ = 0;
 };
 
-/// Replays pre-decoded installs the way load_state makes them.
+/// Replays pre-decoded installs the way load_state makes them: the
+/// stream-count hint, then one install per stream block.
 void install(const std::vector<install_record>& records,
              std::uint64_t alert_seq, core::durable_state& state) {
+  state.reserve_streams(records.size());
   for (const auto& r : records) {
-    if (r.open) {
-      state.restore_open(r.key, r.acc);
-    } else {
-      state.restore_estimate(r.key, r.est);
-    }
+    state.restore_stream(r.key, r.frozen, r.open ? &*r.open : nullptr);
   }
   if (alert_seq > 0) state.resume_alert_seq(alert_seq);
 }
@@ -366,7 +371,7 @@ bool recovery_leg(const geo::zone_grid& grid, std::size_t target_streams,
   install_sink keeper(&decoded);
   core::load_state(std::string_view(bytes), keeper);
   const std::uint64_t alert_seq = keeper.alert_seq();
-  const std::size_t records = decoded.size();
+  const std::size_t records = keeper.records();
   const std::size_t wal_streams = wal_records / kFrozenEpochs;
 
   // The five measurements are interleaved within each rep, so drift on a
@@ -386,7 +391,7 @@ bool recovery_leg(const geo::zone_grid& grid, std::size_t target_streams,
     double t0 = now_s();
     core::load_state(std::string_view(bytes), sink);
     decode_s.push_back(now_s() - t0);
-    ok = ok && sink.installs() == records;
+    ok = ok && sink.records() == records && sink.hint() == decoded.size();
 
     auto a = fresh();
     t0 = now_s();
@@ -433,7 +438,7 @@ bool recovery_leg(const geo::zone_grid& grid, std::size_t target_streams,
   std::printf("    snapshot decode only:                %8.3f s  "
               "%11.0f records/s\n",
               decode, rate(records, decode));
-  std::printf("    installs only (pre-decoded records): %8.3f s  "
+  std::printf("    installs only (pre-decoded blocks):  %8.3f s  "
               "%11.0f records/s\n",
               inst, rate(records, inst));
   std::printf("    load_state (decode + install):       %8.3f s  "

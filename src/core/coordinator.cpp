@@ -241,10 +241,12 @@ std::size_t coordinator::report_batch(
   return errors;
 }
 
-bool coordinator::merge_estimate(const estimate_key& key,
-                                 const epoch_estimate& e) {
+std::size_t coordinator::restore_stream(const estimate_key& key,
+                                        std::span<const epoch_estimate> frozen,
+                                        const open_epoch_state* open) {
   // A zone without a plan runs on the default length, as its samples do.
-  return table_.merge_estimate(key, e, plan_of(key.zone).epoch_duration_s);
+  return table_.restore_stream(key, frozen, open,
+                               plan_of(key.zone).epoch_duration_s);
 }
 
 void coordinator::recompute_epochs() {

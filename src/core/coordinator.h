@@ -188,14 +188,15 @@ class coordinator {
   // Restore replays saved state, it does not observe new measurements: no
   // alerts are raised, no reports_accepted counters move.
 
-  /// Installs a frozen estimate (snapshot load, WAL replay, replication)
-  /// with the zone's epoch length, the boundary its samples use; see
-  /// zone_table::merge_estimate.
-  bool merge_estimate(const estimate_key& key, const epoch_estimate& e);
-  /// Restores a stream's open-epoch accumulator (see zone_table).
-  void restore_open(const estimate_key& key, const open_epoch_state& st) {
-    table_.restore_open(key, st);
-  }
+  /// Installs one stream's frozen epochs and open accumulator (snapshot
+  /// load, WAL replay, replication) with the zone's epoch length, the
+  /// boundary its samples use; see zone_table::restore_stream.
+  std::size_t restore_stream(const estimate_key& key,
+                             std::span<const epoch_estimate> frozen,
+                             const open_epoch_state* open);
+  /// Sizes the table and its mirror for `streams` streams (a hint; see
+  /// zone_table::reserve_streams).
+  void reserve_streams(std::size_t streams) { table_.reserve_streams(streams); }
 
   // ---- replication surface (src/repl, ISSUE 10) ---------------------------
 

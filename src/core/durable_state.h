@@ -3,20 +3,24 @@
 // Everything a snapshot writer, WAL replayer or replication catch-up needs
 // to read or rebuild coordinator estimate state, and nothing else. Its one
 // implementer is core::sharded_coordinator (`num_shards = 1, synchronous
-// = true` is the sequential configuration). The four verbs:
+// = true` is the sequential configuration). Three kinds of call:
 //
 //   * enumerate      -- keys() / history() / open_state()
-//   * install frozen -- restore_estimate(), the one way a frozen epoch
-//                       enters the state (see below)
-//   * replay open    -- restore_open() (Welford accumulator, verbatim)
+//   * install        -- restore_stream(), the one install verb: a stream's
+//                       frozen epochs and its open accumulator in one call
+//                       (see below); restore_estimate() and restore_open()
+//                       are its one-epoch and open-only spellings, and
+//                       reserve_streams() sizes the table before a load
 //   * resume alerts  -- alert_seq() / resume_alert_seq() (sequence
 //                       numbering survives a restart; cursors never rewind)
 //
-// restore_estimate is idempotent and closes the epoch it installs
-// (core::zone_table::merge_estimate). Snapshot load, WAL replay, catch-up
-// and the follower's apply all call it, so a record two of them deliver
-// lands once, and an epoch a snapshot saw open and a later record saw
-// frozen is never frozen twice.
+// An install is idempotent and closes each epoch it installs
+// (core::zone_table::restore_stream). Snapshot load, WAL replay, catch-up
+// and the follower's apply all go through it, so a record two of them
+// deliver lands once, and an epoch a snapshot saw open and a later record
+// saw frozen is never frozen twice. A snapshot load installs a whole
+// stream block with one call: one lock, one directory probe and one
+// mirror publish per stream instead of per epoch.
 //
 // Why an interface with one implementer: persist and durable_log speak it
 // so they need not include sharded_coordinator.h, and perfbench
@@ -31,8 +35,10 @@
 // flush()) first.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/zone_table.h"
@@ -52,15 +58,28 @@ class durable_state {
   virtual std::optional<open_epoch_state> open_state(
       const estimate_key& key) const = 0;
 
-  /// Installs a frozen estimate and closes its epoch (see above), publishing
-  /// the stream's newest epoch to the serving mirror. No alert is raised.
-  /// Returns true when the estimate met an epoch already held
+  /// Installs one stream: each of `frozen`, in order, lands and closes its
+  /// epoch (see above), then `open` (when not null) replaces the stream's
+  /// open-epoch accumulator verbatim. Publishes the stream's newest epoch
+  /// to the serving mirror once, when an epoch changed. No alert is raised.
+  /// Returns how many of `frozen` met an epoch already held
   /// (repl.epochs_merged counts these).
-  virtual bool restore_estimate(const estimate_key& key,
-                                const epoch_estimate& e) = 0;
-  /// Restores a stream's open-epoch accumulator verbatim.
-  virtual void restore_open(const estimate_key& key,
-                            const open_epoch_state& st) = 0;
+  virtual std::size_t restore_stream(const estimate_key& key,
+                                     std::span<const epoch_estimate> frozen,
+                                     const open_epoch_state* open) = 0;
+  /// restore_stream() of one frozen estimate: true when it met an epoch
+  /// already held.
+  bool restore_estimate(const estimate_key& key, const epoch_estimate& e) {
+    return restore_stream(key, {&e, 1}, nullptr) != 0;
+  }
+  /// restore_stream() of an open-epoch accumulator alone.
+  void restore_open(const estimate_key& key, const open_epoch_state& st) {
+    restore_stream(key, {}, &st);
+  }
+  /// A load's hint that about `streams` streams are coming (never more
+  /// than its bytes can hold), so the state can size itself once instead
+  /// of growing through every doubling. Does nothing by default.
+  virtual void reserve_streams(std::size_t streams) { (void)streams; }
 
   /// High-water alert sequence number pushed so far.
   virtual std::uint64_t alert_seq() const = 0;

@@ -51,6 +51,12 @@ void estimate_mirror::grow(std::size_t need) {
   if (old != nullptr) retired_.emplace_back(old);
 }
 
+void estimate_mirror::reserve(std::size_t streams) {
+  const directory* d = dir_.load(std::memory_order_relaxed);
+  const std::size_t cap = d == nullptr ? 0 : d->mask + 1;
+  if (streams * 2 > cap) grow(streams);
+}
+
 estimate_mirror::slot* estimate_mirror::find_or_insert(std::uint64_t skey,
                                                         dentry*& fresh) {
   directory* d = dir_.load(std::memory_order_relaxed);

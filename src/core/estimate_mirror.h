@@ -63,6 +63,11 @@ class estimate_mirror {
   void publish(std::uint64_t skey, const epoch_estimate& e,
                std::uint64_t epoch_index);
 
+  /// Sizes the directory for `streams` streams in all, in one generation,
+  /// so publishing that many retires no directory on the way. Writer side
+  /// only, like publish(); never shrinks.
+  void reserve(std::size_t streams);
+
   /// Reads a stream's latest published estimate. Lock-free; safe from any
   /// thread. Returns false when the stream has never published (or `skey`
   /// is 0, the out-of-range sentinel). Seqlock retries are counted into

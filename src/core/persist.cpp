@@ -158,10 +158,13 @@ void check_header(std::string_view head) {
   throw std::invalid_argument("not a coordinator-state file (bad header)");
 }
 
-/// Reads a whole snapshot from `in` into `state`, installing each epoch as
-/// it is decoded. Without `verify_checksum` the trailer's checksum is taken
-/// as read (a pass over the same bytes verified it).
-void read_state(byte_source& in, durable_state& state, bool verify_checksum) {
+/// Reads a whole snapshot from `in` into `state`, installing each stream
+/// block as it is decoded, and returns the blocks read. A nonzero
+/// `streams_hint` is passed to reserve_streams before the first block.
+/// Without `verify_checksum` the trailer's checksum is taken as read (a
+/// pass over the same bytes verified it).
+std::uint64_t read_state(byte_source& in, durable_state& state,
+                         bool verify_checksum, std::uint64_t streams_hint) {
   check_header(in.peek(kHeader.size()));
   take(in, kHeader.size(), "header");
 
@@ -178,9 +181,13 @@ void read_state(byte_source& in, durable_state& state, bool verify_checksum) {
     names.emplace_back(take(in, len, "network table"), len);
   }
 
+  if (streams_hint > 0) state.reserve_streams(streams_hint);
   std::uint64_t blocks = 0;
   estimate_key key;
   std::size_t key_net = names.size();  // the name `key` holds, if any
+  // One block's frozen epochs, decoded whole before they install; grows
+  // only as epochs are read, so no count sizes it.
+  std::vector<epoch_estimate> frozen_epochs;
   while (!in.left_exactly(kTrailerBytes)) {
     p = take(in, kBlockBytes, "stream block");
     key.zone.ix = load<std::int32_t>(p);
@@ -203,24 +210,25 @@ void read_state(byte_source& in, durable_state& state, bool verify_checksum) {
       key_net = net;
     }
     key.metric = static_cast<trace::metric>(metric);
+    frozen_epochs.clear();
     for (std::uint32_t i = 0; i < frozen; ++i) {
       p = take(in, kEpochBytes, "stream block");
-      epoch_estimate est;
+      epoch_estimate& est = frozen_epochs.emplace_back();
       est.epoch_start_s = load_not_nan(p);
       est.mean = load_not_nan(p);
       est.stddev = load_not_nan(p);
       est.samples = static_cast<std::size_t>(load<std::uint64_t>(p));
-      state.restore_estimate(key, est);
     }
-    if ((flags & kHasOpen) != 0) {
+    open_epoch_state open;
+    const bool has_open = (flags & kHasOpen) != 0;
+    if (has_open) {
       p = take(in, kEpochBytes, "stream block");
-      open_epoch_state open;
       open.open_start_s = load_not_nan(p);
       open.n = load<std::uint64_t>(p);
       open.mean = load_not_nan(p);
       open.m2 = load_not_nan(p);
-      state.restore_open(key, open);
     }
+    state.restore_stream(key, frozen_epochs, has_open ? &open : nullptr);
     ++blocks;
   }
 
@@ -239,6 +247,40 @@ void read_state(byte_source& in, durable_state& state, bool verify_checksum) {
                                 std::to_string(blocks));
   }
   if (alert_seq > 0) state.resume_alert_seq(alert_seq);
+  return blocks;
+}
+
+/// The trailer's block count of the snapshot `is` reads from here on,
+/// bounded by what its bytes can hold (every block carries at least one
+/// epoch), read by seeking to the trailer and back; 0 when the stream
+/// cannot seek or is shorter than a trailer. Only a hint: the load checks
+/// the count against the blocks it reads.
+std::uint64_t trailer_stream_count(std::istream& is) {
+  using pos = std::streambuf::pos_type;
+  using off = std::streambuf::off_type;
+  std::streambuf* buf = is.rdbuf();
+  if (buf == nullptr) return 0;
+  const pos failed(off(-1));
+  const pos start = buf->pubseekoff(0, std::ios::cur, std::ios::in);
+  if (start == failed) return 0;
+  const pos end = buf->pubseekoff(0, std::ios::end, std::ios::in);
+  std::uint64_t count = 0;
+  if (end != failed && end - start >= off(kTrailerBytes) &&
+      buf->pubseekoff(-off(kTrailerBytes), std::ios::end, std::ios::in) !=
+          failed) {
+    char word[8];
+    if (buf->sgetn(word, 8) == 8) {
+      const char* p = word;
+      const auto bytes = static_cast<std::uint64_t>(end - start);
+      count = std::min(load<std::uint64_t>(p),
+                       bytes / (kBlockBytes + kEpochBytes));
+    }
+  }
+  if (buf->pubseekpos(start, std::ios::in) != start) {
+    throw std::invalid_argument("coordinator-state stream cannot seek back "
+                                "from its trailer");
+  }
+  return count;
 }
 
 /// A durable_state that holds nothing: the in-memory load's checking pass
@@ -253,10 +295,11 @@ class discard_state final : public durable_state {
       const estimate_key&) const override {
     return std::nullopt;
   }
-  bool restore_estimate(const estimate_key&, const epoch_estimate&) override {
-    return false;
+  std::size_t restore_stream(const estimate_key&,
+                             std::span<const epoch_estimate>,
+                             const open_epoch_state*) override {
+    return 0;
   }
-  void restore_open(const estimate_key&, const open_epoch_state&) override {}
   std::uint64_t alert_seq() const override { return 0; }
   void resume_alert_seq(std::uint64_t) override {}
 };
@@ -273,8 +316,9 @@ void save_state(std::string& out, const durable_state& state) {
 }
 
 void load_state(std::istream& is, durable_state& state) {
+  const std::uint64_t hint = trailer_stream_count(is);
   byte_source in(is, snapshot_buffer_size);
-  read_state(in, state, true);
+  read_state(in, state, true, hint);
 }
 
 void load_state(std::string_view bytes, durable_state& state) {
@@ -282,9 +326,9 @@ void load_state(std::string_view bytes, durable_state& state) {
   // every field and the checksum and installs nothing.
   byte_source check(bytes);
   discard_state nothing;
-  read_state(check, nothing, true);
+  const std::uint64_t blocks = read_state(check, nothing, true, 0);
   byte_source in(bytes);
-  read_state(in, state, false);
+  read_state(in, state, false, blocks);
 }
 
 std::string estimate_table_text(const durable_state& state) {

@@ -33,15 +33,22 @@
 // snapshot is refused by name), a cut at any byte, trailing bytes, a
 // checksum or block count that disagrees, an index or metric out of
 // range, unknown flag bits, or a NaN field (a NaN estimate carries
-// nothing; +-inf round-trips). No count sizes an allocation: names are
-// copied once their bytes are read, and each epoch installs as it is
-// decoded. A stream is read through one bounded buffer
+// nothing; +-inf round-trips). No count sizes an allocation beyond what
+// the bytes hold: names are copied once their bytes are read, a block's
+// epochs are collected as they are decoded and the block installs whole,
+// through one durable_state::restore_stream call. The trailer's block
+// count is a sizing hint only (durable_state::reserve_streams, before the
+// first block), capped at one stream per 48 bytes -- every block carries
+// at least one 32-byte epoch after its 16-byte head -- and still checked
+// against the blocks read. A stream is read through one bounded buffer
 // (snapshot_buffer_size), never whole, and installs as it reads, so it
-// may have installed the blocks before the damage it refuses. The
-// in-memory flavour, which the replication catch-up uses, first checks
-// every field and the checksum in a pass that installs nothing (and
-// refuses a count its remaining bytes cannot hold), so a damaged
-// catch-up body leaves the follower's table as it was.
+// may have installed the blocks before the damage it refuses; it takes
+// its hint by seeking to the trailer and back, and loads without one
+// when it cannot seek. The in-memory flavour, which the replication
+// catch-up uses, first checks every field and the checksum in a pass
+// that installs nothing (and refuses a count its remaining bytes cannot
+// hold), so a damaged catch-up body leaves the follower's table as it
+// was; the count that pass verified is its hint.
 //
 // Snapshots are written and read through the narrow core::durable_state
 // interface (src/core/durable_state.h), which sharded_coordinator
@@ -78,8 +85,8 @@ void save_state(std::ostream& os, const durable_state& state);
 void save_state(std::string& out, const durable_state& state);
 
 /// Restores state saved by save_state into a coordinator with the same
-/// grid / networks / config. Frozen epochs install through the idempotent
-/// durable_state::restore_estimate, so the target may already hold some
+/// grid / networks / config. Each stream block installs through the
+/// idempotent durable_state::restore_stream, so the target may already hold some
 /// of them (a follower catching up again after falling off the log). Must
 /// be called before the target raises an alert: the trailer's sequence
 /// resumes the alert ring's numbering, which alert_ring::resume_from only

@@ -4,6 +4,7 @@
 #include <time.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -383,18 +384,21 @@ std::vector<estimate_key> sharded_coordinator::keys() const {
   return out;
 }
 
-bool sharded_coordinator::restore_estimate(const estimate_key& key,
-                                           const epoch_estimate& e) {
+std::size_t sharded_coordinator::restore_stream(
+    const estimate_key& key, std::span<const epoch_estimate> frozen,
+    const open_epoch_state* open) {
   shard& sh = owner_of(key.zone);
   std::lock_guard lock(sh.mu);
-  return sh.coord.merge_estimate(key, e);
+  return sh.coord.restore_stream(key, frozen, open);
 }
 
-void sharded_coordinator::restore_open(const estimate_key& key,
-                                       const open_epoch_state& st) {
-  shard& sh = owner_of(key.zone);
-  std::lock_guard lock(sh.mu);
-  sh.coord.restore_open(key, st);
+void sharded_coordinator::reserve_streams(std::size_t streams) {
+  const std::size_t share = std::bit_ceil(
+      (streams + shards_.size() - 1) / shards_.size());
+  for (auto& sh : shards_) {
+    std::lock_guard lock(sh->mu);
+    sh->coord.reserve_streams(share);
+  }
 }
 
 std::optional<open_epoch_state> sharded_coordinator::open_state(

@@ -193,15 +193,17 @@ class sharded_coordinator : public durable_state {
 
   // ---- persistence surface (core::durable_state, implemented only here) --
 
-  /// Installs a frozen estimate into the owning shard (under its lock):
-  /// snapshot load, WAL replay, a follower applying the leader's epoch
-  /// stream, or two coordinators merging feeds from disjoint client
-  /// populations (see durable_state::restore_estimate).
-  bool restore_estimate(const estimate_key& key,
-                        const epoch_estimate& e) override;
-  /// Restores an open-epoch accumulator into the owning shard.
-  void restore_open(const estimate_key& key,
-                    const open_epoch_state& st) override;
+  /// Installs one stream into the owning shard, under one take of its
+  /// lock: snapshot load, WAL replay, a follower applying the leader's
+  /// epoch stream, or two coordinators merging feeds from disjoint client
+  /// populations (see durable_state::restore_stream).
+  std::size_t restore_stream(const estimate_key& key,
+                             std::span<const epoch_estimate> frozen,
+                             const open_epoch_state* open) override;
+  /// Splits the hint evenly over the shards, each share rounded up to a
+  /// power of two (the capacity doubling would reach anyway, so the first
+  /// stream created after a load does not reallocate at double size).
+  void reserve_streams(std::size_t streams) override;
   /// Open-epoch accumulator of a stream, from its owning shard.
   std::optional<open_epoch_state> open_state(
       const estimate_key& key) const override;

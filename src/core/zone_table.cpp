@@ -1,5 +1,6 @@
 #include "core/zone_table.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -255,50 +256,74 @@ epoch_estimate combine_estimates(const epoch_estimate& x,
 
 }  // namespace
 
-bool zone_table::merge_estimate(const estimate_key& key,
-                                const epoch_estimate& estimate,
-                                double epoch_duration_s) {
+std::size_t zone_table::restore_stream(const estimate_key& key,
+                                       std::span<const epoch_estimate> frozen,
+                                       const open_epoch_state* open,
+                                       double epoch_duration_s) {
   check_duration(epoch_duration_s);
+  if (frozen.empty() && open == nullptr) return 0;
   const std::size_t idx = find_or_create_stream(
       key.zone, interner_.id_of(key.network), key.metric);
-  // Close the installed epoch: an open epoch at or before it (a snapshot
-  // taken while it was still open, or a stream that never saw a sample)
-  // would otherwise freeze it a second time on the next rollover.
   hot_state& s = hot_[idx];
-  if (s.open_start_s <= estimate.epoch_start_s) {
-    s.open.reset();
-    s.open_start_s = estimate.epoch_start_s + epoch_duration_s;
+  auto& held = cold_[idx].frozen;
+  // One allocation for a snapshot's block; geometric for the one-epoch
+  // installs of WAL replay and the follower's apply.
+  if (held.capacity() < held.size() + frozen.size()) {
+    held.reserve(std::max(held.size() + frozen.size(), 2 * held.size()));
   }
-  auto& frozen = cold_[idx].frozen;
-  // Scan for the slot from the tail: snapshots, WAL replay and replicated
-  // feeds all arrive in epoch order, so the match (or the append point) is
-  // almost always last.
-  std::size_t pos = frozen.size();
-  while (pos > 0 && frozen[pos - 1].epoch_start_s > estimate.epoch_start_s) {
-    --pos;
-  }
-  bool merged = false;
-  if (pos > 0 && frozen[pos - 1].epoch_start_s == estimate.epoch_start_s) {
-    epoch_estimate& cur = frozen[pos - 1];
-    // A bitwise-equal re-delivery is a no-op: a record delivered both
-    // inside a snapshot and by the WAL or pull that follows it cannot
-    // double-count. Genuinely disjoint populations differ in value and
-    // still combine below.
-    if (cur.mean == estimate.mean && cur.stddev == estimate.stddev &&
-        cur.samples == estimate.samples) {
-      return true;
+  std::size_t merged = 0;
+  bool changed = false;
+  for (const epoch_estimate& estimate : frozen) {
+    // Close the installed epoch: an open epoch at or before it (a snapshot
+    // taken while it was still open, or a stream that never saw a sample)
+    // would otherwise freeze it a second time on the next rollover.
+    if (s.open_start_s <= estimate.epoch_start_s) {
+      s.open.reset();
+      s.open_start_s = estimate.epoch_start_s + epoch_duration_s;
     }
-    cur = combine_estimates(cur, estimate);
-    merged = true;
-  } else {
-    frozen.insert(frozen.begin() + static_cast<std::ptrdiff_t>(pos), estimate);
+    // Scan for the slot from the tail: snapshots, WAL replay and replicated
+    // feeds all arrive in epoch order, so the match (or the append point)
+    // is almost always last.
+    std::size_t pos = held.size();
+    while (pos > 0 && held[pos - 1].epoch_start_s > estimate.epoch_start_s) {
+      --pos;
+    }
+    if (pos > 0 && held[pos - 1].epoch_start_s == estimate.epoch_start_s) {
+      ++merged;
+      epoch_estimate& cur = held[pos - 1];
+      // A bitwise-equal re-delivery is a no-op: a record delivered both
+      // inside a snapshot and by the WAL or pull that follows it cannot
+      // double-count. Genuinely disjoint populations differ in value and
+      // still combine.
+      if (cur.mean == estimate.mean && cur.stddev == estimate.stddev &&
+          cur.samples == estimate.samples) {
+        continue;
+      }
+      cur = combine_estimates(cur, estimate);
+    } else {
+      held.insert(held.begin() + static_cast<std::ptrdiff_t>(pos), estimate);
+    }
+    changed = true;
   }
   // Installed estimates serve like published ones (no alert: they replay
-  // or replicate state, they do not observe a change).
-  if (mirror_ != nullptr) {
-    mirror_->publish(cold_[idx].skey, frozen.back(), frozen.size() - 1);
+  // or replicate state, they do not observe a change). The newest epoch is
+  // all the mirror keeps, so one publish covers the whole block.
+  if (changed && mirror_ != nullptr) {
+    mirror_->publish(cold_[idx].skey, held.back(), held.size() - 1);
+  }
+  if (open != nullptr) {
+    s.open_start_s = open->open_start_s;
+    s.open.n = static_cast<std::size_t>(open->n);
+    s.open.mean = open->mean;
+    s.open.m2 = open->m2;
   }
   return merged;
+}
+
+void zone_table::reserve_streams(std::size_t streams) {
+  hot_.reserve(streams);
+  cold_.reserve(streams);
+  if (mirror_ != nullptr) mirror_->reserve(streams);
 }
 
 std::optional<open_epoch_state> zone_table::open_state(
@@ -309,16 +334,6 @@ std::optional<open_epoch_state> zone_table::open_state(
   const hot_state& s = hot_[idx];
   if (s.open.empty()) return std::nullopt;
   return open_epoch_state{s.open_start_s, s.open.n, s.open.mean, s.open.m2};
-}
-
-void zone_table::restore_open(const estimate_key& key,
-                              const open_epoch_state& state) {
-  hot_state& s = hot_[find_or_create_stream(
-      key.zone, interner_.id_of(key.network), key.metric)];
-  s.open_start_s = state.open_start_s;
-  s.open.n = static_cast<std::size_t>(state.n);
-  s.open.mean = state.mean;
-  s.open.m2 = state.m2;
 }
 
 std::vector<estimate_key> zone_table::keys() const {

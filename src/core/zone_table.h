@@ -88,7 +88,7 @@ struct open_epoch_state {
 /// Observer of epoch rollovers (the replication tap, ISSUE 10). Fired once
 /// per frozen estimate, right after it is appended to the stream's history
 /// and published to the mirror -- the exact replication unit the epoch
-/// stream ships to followers. merge_estimate() does NOT fire it: replayed
+/// stream ships to followers. restore_stream() does NOT fire it: replayed
 /// or replicated state is not a new rollover (a follower must not re-log
 /// epochs it merely applied). Invoked inside the table's own
 /// mutations -- drain-worker threads in sharded mode -- so an
@@ -275,7 +275,7 @@ class zone_table {
   std::vector<epoch_estimate> history(const estimate_key& key) const;
 
   /// Non-copying view of a key's frozen history. Invalidated by the next
-  /// mutating call (add_sample/merge_estimate) -- use only while the table
+  /// mutating call (add_sample/restore_stream) -- use only while the table
   /// is stable (e.g. under the owning shard's lock, or in single-threaded
   /// tools/benches).
   std::span<const epoch_estimate> history_view(const estimate_key& key) const;
@@ -291,31 +291,45 @@ class zone_table {
   /// All keys ever seen (stream-creation order).
   std::vector<estimate_key> keys() const;
 
-  /// Installs a frozen estimate -- the one way a frozen epoch enters the
-  /// table (snapshot load, WAL replay, replication) -- in epoch order. A
-  /// bitwise-equal re-delivery is a no-op, so overlapping feeds never
-  /// double-count; a different estimate for a held epoch comes from a
-  /// disjoint client population and the two Welford summaries combine,
-  /// with canonically ordered operands so the merge is bitwise commutative.
-  /// Installing epoch E closes it: an open epoch starting at or before E is
-  /// emptied and the boundary moves to E + `epoch_duration_s` (the zone's
-  /// epoch length), so no later sample can freeze E a second time. No
-  /// alert, no tap; the mirror republishes the stream's newest epoch.
-  /// Returns true when the estimate met a held epoch, false on a fresh
-  /// insert. Throws std::invalid_argument if epoch_duration_s <= 0.
+  /// Installs one stream's saved state -- the one way a frozen epoch
+  /// enters the table (snapshot load, WAL replay, replication). Each epoch
+  /// of `frozen`, in the order given, goes through one rule: it lands in
+  /// epoch order; a bitwise-equal re-delivery is a no-op, so overlapping
+  /// feeds never double-count; a different estimate for a held epoch comes
+  /// from a disjoint client population and the two Welford summaries
+  /// combine, with canonically ordered operands so the merge is bitwise
+  /// commutative. Installing epoch E closes it: an open epoch starting at
+  /// or before E is emptied and the boundary moves to E +
+  /// `epoch_duration_s` (the zone's epoch length), so no later sample can
+  /// freeze E a second time. Then `open`, when given, replaces the open
+  /// epoch's accumulator verbatim (open epochs are unpublished by
+  /// definition; the state feeds the stream's next rollover). No alert,
+  /// no tap; when an epoch changed, the mirror republishes the stream's
+  /// newest epoch once. The stream is created when absent, unless there is
+  /// nothing to install. Returns how many epochs met a held epoch. Throws
+  /// std::invalid_argument if epoch_duration_s <= 0.
+  std::size_t restore_stream(const estimate_key& key,
+                             std::span<const epoch_estimate> frozen,
+                             const open_epoch_state* open,
+                             double epoch_duration_s);
+
+  /// restore_stream() of one frozen epoch: true when it met a held epoch,
+  /// false on a fresh insert.
   bool merge_estimate(const estimate_key& key, const epoch_estimate& estimate,
-                      double epoch_duration_s);
+                      double epoch_duration_s) {
+    return restore_stream(key, {&estimate, 1}, nullptr, epoch_duration_s) != 0;
+  }
+
+  /// Sizes the stream vectors and the mirror's directory for `streams`
+  /// streams in all, so a load that creates them reallocates neither. A
+  /// hint: it never shrinks anything, and a wrong one costs only memory.
+  void reserve_streams(std::size_t streams);
 
   /// Open-epoch accumulator of a key, or nullopt when the stream is absent
   /// or its open epoch is empty (an empty open epoch carries no state worth
   /// persisting: rollover publishes nothing from it, and the boundary
   /// re-aligns identically from the next sample's timestamp).
   std::optional<open_epoch_state> open_state(const estimate_key& key) const;
-
-  /// Restores a persisted open-epoch accumulator (creating the stream if
-  /// needed). No alert, no mirror publish -- open epochs are unpublished by
-  /// definition; the state feeds the stream's next rollover.
-  void restore_open(const estimate_key& key, const open_epoch_state& state);
 
   /// The table's network id assignment. Mutating it (id_of) outside the
   /// table's own apply path is allowed -- ids are append-only -- but must

@@ -233,6 +233,77 @@ TEST(EstimateMirror, NewStreamIsNeverReadBeforeItsFirstPublish) {
   EXPECT_EQ(mirror.size(), kStreams);
 }
 
+TEST(EstimateMirror, ReservedDirectoryServesConcurrentReaders) {
+  // A snapshot load sizes the mirror once, then publishes every stream
+  // into that one directory while queries run: every estimate a reader
+  // finds, one key at a time or in a batch, is the payload published for
+  // its key, never a slot's initial state or another stream's.
+  estimate_mirror mirror;
+  constexpr std::uint64_t kStreams = 20000;
+  mirror.reserve(kStreams);
+  EXPECT_EQ(mirror.size(), 0u);
+  const auto key_of = [](std::uint64_t i) { return (1ull << 63) | (i << 12); };
+  const auto published = [](std::uint64_t i, const published_estimate& p) {
+    return p.count == i + 1 && p.mean == static_cast<double>(i) &&
+           p.stddev == 0.5 && p.epoch_start_s == 300.0 * static_cast<double>(i) &&
+           p.epoch_index == i % 3;
+  };
+  std::atomic<std::uint64_t> next{0};
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> bad_reads{0};
+  std::atomic<std::uint64_t> found_reads{0};
+  std::vector<std::thread> readers;
+  readers.emplace_back([&] {
+    published_estimate out;
+    while (!done.load(std::memory_order_relaxed)) {
+      const std::uint64_t hi = next.load(std::memory_order_relaxed);
+      for (std::uint64_t i = hi > 8 ? hi - 8 : 0; i <= hi; ++i) {
+        if (!mirror.read(key_of(i), out)) continue;
+        found_reads.fetch_add(1, std::memory_order_relaxed);
+        if (!published(i, out)) bad_reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  readers.emplace_back([&] {
+    std::vector<std::uint64_t> keys(estimate_mirror::batch_width);
+    std::vector<published_estimate> out(keys.size());
+    std::unique_ptr<bool[]> found(new bool[keys.size()]);
+    while (!done.load(std::memory_order_relaxed)) {
+      const std::uint64_t hi = next.load(std::memory_order_relaxed);
+      const std::uint64_t lo = hi >= keys.size() ? hi - keys.size() + 1 : 0;
+      for (std::size_t j = 0; j < keys.size(); ++j) keys[j] = key_of(lo + j);
+      mirror.read_batch(keys, out, {found.get(), keys.size()});
+      for (std::size_t j = 0; j < keys.size(); ++j) {
+        if (!found[j]) continue;
+        found_reads.fetch_add(1, std::memory_order_relaxed);
+        if (!published(lo + j, out[j])) {
+          bad_reads.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  });
+  for (std::uint64_t i = 0; i < kStreams; ++i) {
+    next.store(i, std::memory_order_relaxed);
+    mirror.publish(key_of(i),
+                   {300.0 * static_cast<double>(i), static_cast<double>(i),
+                    0.5, static_cast<std::size_t>(i + 1)},
+                   i % 3);
+  }
+  done.store(true, std::memory_order_relaxed);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad_reads.load(), 0u);
+  EXPECT_EQ(mirror.size(), kStreams);
+  published_estimate out;
+  for (std::uint64_t i = 0; i < kStreams; ++i) {
+    ASSERT_TRUE(mirror.read(key_of(i), out)) << i;
+    EXPECT_TRUE(published(i, out)) << i;
+  }
+  // Reserving what is already held changes nothing.
+  mirror.reserve(kStreams / 2);
+  ASSERT_TRUE(mirror.read(key_of(7), out));
+  EXPECT_TRUE(published(7, out));
+}
+
 TEST(EstimateMirror, ReadBatchMatchesReadKeyForKey) {
   estimate_mirror mirror;
   published_estimate sentinel;

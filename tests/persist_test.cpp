@@ -11,11 +11,13 @@
 #include <limits>
 #include <optional>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/epoch_codec.h"
+#include "core/estimate_view.h"
 #include "core/persist.h"
 #include "core/sharded_coordinator.h"
 #include "geo/projection.h"
@@ -770,6 +772,227 @@ TEST(Persist, SnapshotCutAtAnyByteIsRefused) {
   std::istringstream is(bytes);
   load_state(is, whole);
   expect_same_state(p.coord, whole);
+}
+
+/// Forwards a load into `to`, installing each stream block with one
+/// restore_stream call, or (per_epoch) with one restore_estimate call per
+/// frozen epoch and a restore_open, and no sizing hint -- the install
+/// sequence loads made before a block installed whole. Counts the merged
+/// epochs and keeps the last hint.
+class counting_install final : public durable_state {
+ public:
+  counting_install(durable_state& to, bool per_epoch)
+      : to_(to), per_epoch_(per_epoch) {}
+
+  std::vector<estimate_key> keys() const override { return to_.keys(); }
+  std::vector<epoch_estimate> history(const estimate_key& key) const override {
+    return to_.history(key);
+  }
+  std::optional<open_epoch_state> open_state(
+      const estimate_key& key) const override {
+    return to_.open_state(key);
+  }
+  std::size_t restore_stream(const estimate_key& key,
+                             std::span<const epoch_estimate> frozen,
+                             const open_epoch_state* open) override {
+    std::size_t m = 0;
+    if (per_epoch_) {
+      for (const auto& e : frozen) m += to_.restore_estimate(key, e) ? 1 : 0;
+      if (open != nullptr) to_.restore_open(key, *open);
+    } else {
+      m = to_.restore_stream(key, frozen, open);
+    }
+    merged += m;
+    return m;
+  }
+  void reserve_streams(std::size_t streams) override {
+    hint = streams;
+    if (!per_epoch_) to_.reserve_streams(streams);
+  }
+  std::uint64_t alert_seq() const override { return to_.alert_seq(); }
+  void resume_alert_seq(std::uint64_t last_seq) override {
+    to_.resume_alert_seq(last_seq);
+  }
+
+  std::size_t merged = 0;
+  std::size_t hint = 0;
+
+ private:
+  durable_state& to_;
+  bool per_epoch_;
+};
+
+/// Every key of `a` serves bit-equal estimates from `a`'s and `b`'s
+/// mirrors (epoch_index included), and each shard's mirror holds as many
+/// streams in both.
+void expect_same_mirrors(const sharded_coordinator& a,
+                         const sharded_coordinator& b) {
+  const estimate_view va(a), vb(b);
+  for (const auto& k : a.keys()) {
+    const auto ea = va.lookup(k.zone, k.network, k.metric);
+    const auto eb = vb.lookup(k.zone, k.network, k.metric);
+    ASSERT_EQ(ea.has_value(), eb.has_value());
+    if (!ea) continue;
+    EXPECT_EQ(ea->count, eb->count);
+    EXPECT_EQ(bits_of(ea->mean), bits_of(eb->mean));
+    EXPECT_EQ(bits_of(ea->stddev), bits_of(eb->stddev));
+    EXPECT_EQ(bits_of(ea->epoch_start_s), bits_of(eb->epoch_start_s));
+    EXPECT_EQ(ea->epoch_index, eb->epoch_index);
+  }
+  for (std::size_t i = 0; i < a.num_shards(); ++i) {
+    EXPECT_EQ(a.published_of(i).size(), b.published_of(i).size());
+  }
+}
+
+TEST(Persist, StreamInstallMatchesPerEpochInstall) {
+  // A block installed whole lands exactly as its epochs installed one by
+  // one: same tables, open epochs, mirror reads and merged counts, into an
+  // empty target and into targets already holding some of the epochs --
+  // bitwise copies (no-ops), different values (merges, and epochs between
+  // the snapshot's), or an open epoch the installs close.
+  const golden_state g(600);
+  std::string bytes;
+  save_state(bytes, g.coord);
+  const auto keys = g.coord.keys();
+  enum { empty, equal_copies, different_values, open_at_or_before };
+  const auto prefill = [&](durable_state& c, int kind) {
+    std::mt19937_64 gen(static_cast<std::uint64_t>(kind));
+    for (const auto& key : keys) {
+      if (kind == empty || gen() % 3 != 0) continue;
+      const auto hist = g.coord.history(key);
+      const double start =
+          hist.empty() ? 0.0 : hist[gen() % hist.size()].epoch_start_s;
+      const epoch_estimate held =
+          hist.empty() ? epoch_estimate{start, 5.0, 1.0, 4}
+                       : hist[gen() % hist.size()];
+      switch (kind) {
+        case equal_copies:
+          c.restore_estimate(key, held);
+          break;
+        case different_values:
+          c.restore_estimate(key, {held.epoch_start_s, held.mean + 1.0,
+                                   held.stddev * 0.5, held.samples + 3});
+          c.restore_estimate(key, {start + 150.0, 2.0, 0.25, 7});
+          break;
+        case open_at_or_before: {
+          const double at[] = {-1e9, start, start + 1e6};
+          c.restore_open(key, {at[gen() % 3], gen() % 50 + 1, 3.0, 8.0});
+          break;
+        }
+      }
+    }
+  };
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    sharded_config cfg;
+    cfg.num_shards = shards;
+    cfg.synchronous = shards == 1;
+    const auto make = [&] {
+      return sharded_coordinator(g.grid, {"NetA", "NetB", "NetC"}, cfg, 7);
+    };
+    for (const int kind :
+         {empty, equal_copies, different_values, open_at_or_before}) {
+      for (const bool from_stream : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << shards << " shards, prefill "
+                                          << kind << ", stream " << from_stream);
+        auto whole = make();
+        auto one_by_one = make();
+        prefill(whole, kind);
+        prefill(one_by_one, kind);
+        counting_install w(whole, false), o(one_by_one, true);
+        if (from_stream) {
+          std::istringstream a(bytes), b(bytes);
+          load_state(a, w);
+          load_state(b, o);
+        } else {
+          load_state(std::string_view(bytes), w);
+          load_state(std::string_view(bytes), o);
+        }
+        EXPECT_EQ(w.merged, o.merged);
+        if (kind == empty || kind == open_at_or_before) {
+          EXPECT_EQ(w.merged, 0u);
+        } else {
+          EXPECT_GT(w.merged, 0u);
+        }
+        EXPECT_GT(w.hint, 0u);
+        expect_same_state(one_by_one, whole);
+        expect_same_mirrors(one_by_one, whole);
+        expect_same_mirrors(whole, one_by_one);
+      }
+    }
+  }
+}
+
+TEST(Persist, TrailerStreamCountOnlySizesWithinTheBytes) {
+  // The trailer's block count sizes the target before the first block, so
+  // a hostile count must size no more than the bytes can hold (one 48-byte
+  // block per stream at least), and the load is refused as before.
+  const golden_state g(300);
+  std::string good;
+  save_state(good, g.coord);
+  const std::size_t blocks = [&] {
+    std::size_t n = 0;
+    for (const auto& k : g.coord.keys()) {
+      n += !g.coord.history(k).empty() || g.coord.open_state(k) ? 1 : 0;
+    }
+    return n;
+  }();
+  const std::size_t bound = good.size() / 48;
+  {
+    golden_state back(0);
+    counting_install rec(back.coord, false);
+    std::istringstream is(good);
+    load_state(is, rec);
+    EXPECT_EQ(rec.hint, blocks);
+    expect_same_state(g.coord, back.coord);
+  }
+  {
+    // A stream that cannot seek loads without a hint.
+    golden_state back(0);
+    counting_install rec(back.coord, false);
+    trickle_buf buf(good, 4096);
+    std::istream is(&buf);
+    load_state(is, rec);
+    EXPECT_EQ(rec.hint, 0u);
+    expect_same_state(g.coord, back.coord);
+  }
+  const std::uint64_t lies[] = {std::uint64_t{1} << 62, 0, blocks - 1};
+  for (const std::uint64_t count : lies) {
+    std::string bad = good;
+    const std::size_t at = bad.size() - 24;
+    for (int i = 0; i < 8; ++i) {
+      bad[at + i] = static_cast<char>((count >> (8 * i)) & 0xffu);
+    }
+    const std::string says = "trailer counts " + std::to_string(count) +
+                             " streams, read " + std::to_string(blocks);
+    for (const bool sealed : {false, true}) {
+      const std::string bytes = sealed ? resealed(bad) : bad;
+      SCOPED_TRACE(::testing::Message() << "count " << count << " sealed "
+                                        << sealed);
+      golden_state s(0), m(0);
+      counting_install in_stream(s.coord, false), in_memory(m.coord, false);
+      std::istringstream is(bytes);
+      try {
+        load_state(is, in_stream);
+        ADD_FAILURE() << "stream load accepted it";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(sealed ? says : "checksum"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_LE(in_stream.hint, bound);
+      EXPECT_EQ(in_stream.hint, std::min<std::uint64_t>(count, bound));
+      try {
+        load_state(std::string_view(bytes), in_memory);
+        ADD_FAILURE() << "in-memory load accepted it";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(sealed ? says : "checksum"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(in_memory.hint, 0u);  // refused before the installing pass
+      EXPECT_TRUE(m.coord.keys().empty());
+    }
+  }
 }
 
 TEST(MetricFromString, RoundTripsAllMetrics) {

@@ -42,9 +42,11 @@ echo "== apply path / estimate store under TSan =="
 
 # The read-side serving layer: seqlock'd estimate mirrors read from
 # query threads while the 4-shard pipeline ingests (randomized QUERY
-# storm + concurrent ALERTS cursor drain). The seqlock recipe is exactly
-# the code TSan exists to vet -- any reordering of the publish protocol
-# shows up here as a data race.
+# storm + concurrent ALERTS cursor drain), and a directory reserved once
+# for a snapshot load filling while two readers run read/read_batch
+# (EstimateMirror.ReservedDirectoryServesConcurrentReaders). The seqlock
+# recipe is exactly the code TSan exists to vet -- any reordering of the
+# publish protocol shows up here as a data race.
 echo "== query path / estimate view under TSan =="
 "$build_dir"/tests/wiscape_tests \
   --gtest_filter='EstimateView.*:EstimateMirror.*:AlertRing.*:ProtoServerV2.*'
